@@ -611,9 +611,11 @@ def _add_sim_options(parser: argparse.ArgumentParser) -> None:
                              "violations, strict aborts on the first")
     parser.add_argument("--checkpoint-dir", metavar="DIR",
                         help="write atomic engine checkpoints here")
-    parser.add_argument("--checkpoint-every", type=int, default=25,
+    parser.add_argument("--checkpoint-every", type=int,
+                        default=CheckpointConfig.every_rounds,
                         metavar="N", help="checkpoint every N rounds")
-    parser.add_argument("--checkpoint-keep", type=int, default=3,
+    parser.add_argument("--checkpoint-keep", type=int,
+                        default=CheckpointConfig.keep,
                         metavar="N",
                         help="checkpoints retained on disk (0 = all)")
 

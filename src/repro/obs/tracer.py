@@ -126,8 +126,14 @@ class _Span:
         return False
 
 
+def _null_tracer() -> "NullTracer":
+    return NULL_TRACER
+
+
 class Tracer:
-    """Collects spans and instant events for one run."""
+    """Collects spans and instant events for one run.
+
+    Any pickle of a tracer loads as :data:`NULL_TRACER`."""
 
     enabled = True
 
@@ -138,6 +144,11 @@ class Tracer:
         self._stack: list[int] = []
         self._next_id = 1
         self._epoch = time.perf_counter()
+
+    def __reduce__(self) -> tuple:
+        # Spans measure host wall-clock time, which belongs to the process,
+        # not to a snapshot of the simulation (checkpoints, forks).
+        return _null_tracer, ()
 
     def span(self, name: str, **attrs: Any) -> _Span:
         """Open a span; use as a context manager."""
@@ -204,6 +215,9 @@ class NullTracer:
     #: immutable empties so callers can iterate without branching.
     spans: tuple[SpanRecord, ...] = ()
     events: tuple = ()
+
+    def __reduce__(self) -> tuple:
+        return _null_tracer, ()
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN

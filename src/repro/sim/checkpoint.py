@@ -4,8 +4,9 @@ applied to the scheduler itself).
 Sia treats checkpoint-restore as a first-class cost for the *jobs* it
 schedules; a production scheduler must extend the same courtesy to its own
 process.  This module serializes the complete mutable state of a running
-:class:`~repro.sim.engine.Simulator` — per-job runtimes (estimators,
-observations, caches, progress), the arrival cursor, recorded rounds, the
+:class:`~repro.sim.engine.Simulator` — per-job runtimes of active jobs
+(estimators, observations, caches, progress), the ``JobRecord`` of every
+finished job, the arrival cursor, recorded rounds, the
 execution model and every fault model (including their
 ``np.random.Generator`` bit-generator states, captured exactly by the
 pickle protocol), the scheduler with its policy caches and
@@ -29,15 +30,14 @@ Durability contract:
   killing it.
 
 Tracers are deliberately *not* checkpointed: spans measure host wall-clock
-time, not simulation state.  They are replaced by ``NULL_TRACER`` sentinels
-during pickling (via the pickle persistent-id protocol) and the engine
+time, not simulation state.  Every tracer pickles as ``NULL_TRACER`` (its
+``__reduce__``), so the payload is a plain C-speed pickle, and the engine
 re-injects its live tracer on restore.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io as _io
 import pickle
 import re
 from dataclasses import dataclass, field
@@ -45,11 +45,11 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.atomicio import atomic_write_bytes
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 #: file magic; bump FORMAT_VERSION on any incompatible payload change.
+#: v2: ``finished`` holds JobRecords instead of whole job runtimes.
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages
@@ -75,7 +75,7 @@ class CheckpointConfig:
     #: directory checkpoints are written to (created on first write).
     directory: str | Path
     #: write a checkpoint every N recorded rounds (0 = only on demand).
-    every_rounds: int = 10
+    every_rounds: int = 25
     #: checkpoints retained on disk; older ones are pruned (0 = keep all).
     keep: int = 3
     #: chaos-injection point: called as ``crash_hook(stage, round_index)``
@@ -109,7 +109,8 @@ class CheckpointState:
     arrivals: list[Any]
     #: job id -> _JobRuntime for admitted, unfinished jobs.
     active: dict[str, Any]
-    #: finished _JobRuntimes.
+    #: JobRecords of finished jobs, in finish order (their runtimes and
+    #: estimators are dropped when they finish).
     finished: list[Any]
     #: the result-in-progress (rounds recorded so far; spans excluded).
     result: Any
@@ -137,38 +138,15 @@ class CheckpointState:
     format_version: int = field(default=FORMAT_VERSION)
 
 
-# -- pickling with tracer stripping --------------------------------------------
-
-class _StatePickler(pickle.Pickler):
-    """Pickler that replaces any tracer (live or null) with a sentinel.
-
-    Tracers hold host-time span records and are owned by the resuming
-    process, not the checkpoint; stripping them here means no engine layer
-    has to remember to detach its ``tracer`` attribute before a snapshot.
-    """
-
-    def persistent_id(self, obj: Any) -> str | None:
-        if isinstance(obj, (Tracer, NullTracer)):
-            return "tracer"
-        return None
-
-
-class _StateUnpickler(pickle.Unpickler):
-    def persistent_load(self, pid: str) -> Any:
-        if pid == "tracer":
-            return NULL_TRACER
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
-
+# -- pickling ------------------------------------------------------------------
 
 def dumps_state(state: CheckpointState) -> bytes:
-    buffer = _io.BytesIO()
-    _StatePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
-    return buffer.getvalue()
+    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def loads_state(payload: bytes) -> CheckpointState:
     try:
-        state = _StateUnpickler(_io.BytesIO(payload)).load()
+        state = pickle.loads(payload)
     except Exception as exc:  # truncated/garbled pickle stream
         raise CheckpointCorruptError(f"unreadable checkpoint payload: {exc}")
     if not isinstance(state, CheckpointState):

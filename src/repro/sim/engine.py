@@ -226,7 +226,7 @@ class Simulator:
         # Mutable loop state, held on the instance so checkpoints can
         # capture it and a restore can continue mid-run.
         self._active: dict[str, _JobRuntime] = {}
-        self._finished: list[_JobRuntime] = []
+        self._finished: list[JobRecord] = []
         self._arrival_idx = 0
         self._now = 0.0
         self._result: SimulationResult | None = None
@@ -386,7 +386,8 @@ class Simulator:
         assert result is not None
         result.end_time = self._now
         result.node_failures = self.total_failures
-        for rt in self._finished + list(self._active.values()):
+        result.jobs.extend(self._finished)
+        for rt in self._active.values():
             result.jobs.append(self._record(rt))
         # Jobs whose submit time fell past the cap never reached admission;
         # record them as never-started so totals reconcile against the trace.
@@ -534,7 +535,7 @@ class Simulator:
     # -- helpers ---------------------------------------------------------------
 
     def _run_round(self, active: dict[str, _JobRuntime],
-                   finished: list[_JobRuntime], now: float,
+                   finished: list[JobRecord], now: float,
                    dt: float, round_index: int) -> RoundRecord:
         """Steps 2-5 of the main loop: faults, plan, apply, advance."""
         # Audit snapshot: what each job held (and whether it had ever run)
@@ -709,8 +710,7 @@ class Simulator:
                         kind=audit.FINISH, time=rt.finish_time or now,
                         job_id=job_id, from_gpu_type=config.gpu_type,
                         from_gpus=config.num_gpus, round_index=round_index))
-            for job_id in done_ids:
-                finished.append(active.pop(job_id))
+            done_runtimes = [active.pop(job_id) for job_id in done_ids]
 
         self._update_metrics(record, plan)
         if self._health is not None:
@@ -726,14 +726,16 @@ class Simulator:
             record.health_events = self._health.drain_events()
         if self._invariants is not None:
             # Audit over the real engine state: still-active runtimes plus
-            # the ones that finished this round (the tail of `finished`).
-            done_runtimes = finished[len(finished) - len(done_ids):]
+            # the ones that finished this round.
             self._invariants.check_round(
                 round_index=round_index, cluster_view=cluster_view,
                 record=record,
                 runtimes=list(active.values()) + done_runtimes,
                 fault_hit=fault_hit, done_ids=done_ids,
                 quarantined=quarantined)
+        # A finished job only ever contributes its record again, so keep
+        # that and drop the runtime (and its estimator) from the state.
+        finished.extend(self._record(rt) for rt in done_runtimes)
         record.metrics = self.metrics.snapshot()
         return record
 

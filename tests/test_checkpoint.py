@@ -1,12 +1,15 @@
 """Checkpoint format, atomic writes, and bit-identical resume."""
 
+import gc
 import pickle
+import types
 
 import pytest
 
 from repro.atomicio import atomic_write_bytes, atomic_write_text
 from repro.cluster import presets
 from repro.jobs.job import make_job
+from repro.perf.estimator import JobPerfEstimator
 from repro.schedulers.sia import SiaScheduler
 from repro.sim import checkpoint as ckpt
 from repro.sim.chaos import diff_results
@@ -14,6 +17,7 @@ from repro.sim.checkpoint import (CheckpointConfig, CheckpointCorruptError,
                                   CheckpointError, CheckpointState)
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.faults import JobCrashModel, NodeCrashModel
+from repro.sim.telemetry import JobRecord
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 
@@ -76,6 +80,21 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"replacement"
 
 
+def _reachable(root, cls) -> bool:
+    """Whether an instance of ``cls`` is reachable from ``root`` through
+    object references (classes and modules are not followed)."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, cls):
+            return True
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
 class _TracerHolder:
     """Module-level so pickle can serialize it (stands in for a scheduler
     carrying tracer attributes)."""
@@ -128,14 +147,15 @@ class TestCheckpointFile:
     def test_unsupported_version_rejected(self, tmp_path):
         path = ckpt.checkpoint_path(tmp_path, 1)
         ckpt.write_checkpoint(self._state(round_index=1), path)
-        raw = path.read_bytes()
-        header, payload = raw.split(b"\n", 1)
-        parts = header.split(b" ")
-        parts[1] = b"v999"
-        path.write_bytes(b" ".join(parts) + b"\n" + payload)
-        with pytest.raises(CheckpointError) as err:
-            ckpt.read_checkpoint(path)
-        assert not isinstance(err.value, CheckpointCorruptError)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        # v1 is the previous build's format (finished jobs as runtimes).
+        for version in (b"v999", b"v1"):
+            parts = header.split(b" ")
+            parts[1] = version
+            path.write_bytes(b" ".join(parts) + b"\n" + payload)
+            with pytest.raises(CheckpointError) as err:
+                ckpt.read_checkpoint(path)
+            assert not isinstance(err.value, CheckpointCorruptError)
 
     def test_latest_valid_falls_back_past_corrupt(self, tmp_path):
         for i in (2, 4, 6):
@@ -185,6 +205,12 @@ class TestCheckpointFile:
         restored = ckpt.loads_state(payload)
         assert restored.scheduler.tracer is NULL_TRACER
         assert restored.scheduler.null is NULL_TRACER
+
+    @pytest.mark.parametrize("tracer", [Tracer(), NullTracer(), NULL_TRACER],
+                             ids=["tracer", "null", "shared-null"])
+    def test_any_tracer_pickles_as_null_tracer(self, tracer):
+        tracer.instant("not-serialized")
+        assert pickle.loads(pickle.dumps(tracer)) is NULL_TRACER
 
     def test_loads_rejects_non_state_payload(self):
         with pytest.raises(CheckpointCorruptError):
@@ -238,6 +264,23 @@ class TestEngineCheckpointResume:
         other = Simulator(tiny_cluster, SiaScheduler(), _jobs(), _config())
         with pytest.raises(CheckpointError):
             other.run(resume_from=tmp_path)
+
+    def test_finished_jobs_stored_as_records(self, tmp_path, hetero_cluster):
+        reference = _sim(hetero_cluster).run()
+        expected = {record.job_id: record for record in reference.jobs}
+        _sim(hetero_cluster,
+             checkpoint=CheckpointConfig(directory=tmp_path, every_rounds=2,
+                                         keep=0)).run()
+        states = [ckpt.read_checkpoint(path)
+                  for path in ckpt.list_checkpoints(tmp_path)]
+        state = next((s for s in states if s.finished and s.active), None)
+        assert state is not None, "no checkpoint with both finished and " \
+            "active jobs"
+
+        assert all(isinstance(r, JobRecord) for r in state.finished)
+        for record in state.finished:
+            assert record == expected[record.job_id]
+        assert not _reachable(state.finished, JobPerfEstimator)
 
     def test_save_checkpoint_requires_config(self, hetero_cluster):
         sim = _sim(hetero_cluster)
