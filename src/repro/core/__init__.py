@@ -12,8 +12,7 @@ from repro.core.health import (HealthConfig, HealthEvent, HealthTracker,
 from repro.core.ilp import (AssignmentProblem, AssignmentSolution,
                             solve_assignment)
 from repro.core.matrix import (apply_health_discount, apply_restart_discount,
-                               build_goodput_matrix, config_index,
-                               normalize_rows, restart_factor,
+                               config_index, normalize_rows, restart_factor,
                                shape_utilities)
 from repro.core.placement import Placer, PlacementResult
 from repro.core.policy import SiaPolicy, SiaPolicyParams
@@ -27,8 +26,7 @@ __all__ = [
     "powers_of_two_up_to", "single_node_configs",
     "AssignmentProblem", "AssignmentSolution", "solve_assignment",
     "apply_health_discount", "apply_restart_discount",
-    "build_goodput_matrix", "config_index",
-    "normalize_rows", "restart_factor", "shape_utilities",
+    "config_index", "normalize_rows", "restart_factor", "shape_utilities",
     "HealthConfig", "HealthEvent", "HealthTracker", "NodeHealth",
     "deterministic_jitter", "placement_backoff",
     "Placer", "PlacementResult",

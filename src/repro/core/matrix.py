@@ -3,7 +3,8 @@
 Pipeline, per scheduling round:
 
 1. raw goodput matrix ``G`` — one row per job, one column per configuration,
-   from each job's Goodput Estimator (nan where infeasible);
+   filled row by row from each job's Goodput Estimator (nan, or a
+   non-positive goodput, where infeasible);
 2. row normalization — ``G_ij <- N_i_min * G_ij / min_j G_ij`` makes rows
    comparable across jobs (the row minimum becomes the job's minimum GPU
    count, so every feasible entry is a unitless multiple of the job's worst
@@ -28,40 +29,22 @@ import numpy as np
 from repro.core.types import Configuration
 
 
-def build_goodput_matrix(goodputs: list[dict[int, float]],
-                         n_configs: int) -> np.ndarray:
-    """Assemble the raw matrix from per-job ``{config_index: goodput}`` maps.
-
-    Entries absent from a job's map, or with non-positive goodput, are
-    marked infeasible (nan).
-    """
-    matrix = np.full((len(goodputs), n_configs), math.nan)
-    for i, row in enumerate(goodputs):
-        if not row:
-            continue
-        idx = np.fromiter(row.keys(), dtype=np.int64, count=len(row))
-        values = np.fromiter(row.values(), dtype=float, count=len(row))
-        if idx.size and (idx.min() < 0 or idx.max() >= n_configs):
-            bad = idx[(idx < 0) | (idx >= n_configs)][0]
-            raise IndexError(f"config index {bad} out of range")
-        keep = (values > 0) & np.isfinite(values)
-        matrix[i, idx[keep]] = values[keep]
-    return matrix
-
-
 def normalize_rows(matrix: np.ndarray, min_gpus: list[int]) -> np.ndarray:
-    """Row-min normalization: ``G_ij <- N_i_min * G_ij / min_j G_ij``."""
+    """Row-min normalization: ``G_ij <- N_i_min * G_ij / min_j G_ij``.
+
+    ``matrix`` is the raw goodput matrix.  Entries that are nan,
+    non-positive or non-finite are infeasible and come out as nan; rows
+    without a feasible entry stay all-nan.
+    """
     if matrix.shape[0] != len(min_gpus):
         raise ValueError("min_gpus length must match the number of rows")
+    matrix = np.where((matrix > 0) & np.isfinite(matrix), matrix, math.nan)
     if matrix.size == 0:
-        return matrix.copy()
+        return matrix
     # Row minima over feasible entries only; empty rows stay untouched.
     lifted = np.where(np.isnan(matrix), np.inf, matrix)
     row_min = lifted.min(axis=1)
     has_feasible = np.isfinite(row_min)
-    if np.any(has_feasible & (row_min <= 0)):
-        i = int(np.flatnonzero(has_feasible & (row_min <= 0))[0])
-        raise ValueError(f"row {i} has non-positive goodput {row_min[i]}")
     scale_num = np.asarray(min_gpus, dtype=float)[:, None]
     divisor = np.where(has_feasible, row_min, 1.0)[:, None]
     # Same elementwise op order as the scalar loop: (min_gpus * G) / row_min.

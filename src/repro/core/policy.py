@@ -18,8 +18,11 @@ forced ILP assignments (Section 3.4, "Preemption and reservation").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.core import matrix as gm
@@ -59,11 +62,6 @@ class SiaPolicyParams:
     reuse_tolerance: float | None = None
     #: disable the restart factor (ablation).
     use_restart_factor: bool = True
-    #: evaluate each job's utility row through the estimator's batched
-    #: ``goodput_batch`` entry point when available (one vectorized pass per
-    #: row) instead of a per-configuration scalar loop.  Both paths produce
-    #: identical decisions; the flag exists for A/B benchmarking.
-    vectorized: bool = True
     #: when set, route the ILP through a ResilientSolver (budget + fallback
     #: chain + circuit breaker); None keeps the direct solver call.
     resilience: "ResilienceConfig | None" = None
@@ -189,26 +187,13 @@ class SiaPolicy:
             config_pos = gm.config_index_map(configs)
 
         with tracer.span("goodput_eval", jobs=len(views), configs=n_configs):
-            use_batch = self.params.vectorized
-            goodputs: list[dict[int, float]] = []
-            for view in views:
+            # Each job's estimator fills its feasible columns of the dense
+            # (jobs x configs) matrix in one call; the rest stay infeasible.
+            raw = np.full((len(views), n_configs), math.nan)
+            for i, view in enumerate(views):
                 feasible = self.feasible_configs(view, configs, config_pos)
-                row: dict[int, float] = {}
-                batch = getattr(view.estimator, "goodput_batch", None) \
-                    if use_batch else None
-                if batch is not None:
-                    values = batch([configs[j] for j in feasible])
-                    for j, value in zip(feasible, values):
-                        if value > 0:
-                            row[j] = float(value)
-                else:
-                    for j in feasible:
-                        value = view.estimator.goodput(configs[j])
-                        if value > 0:
-                            row[j] = value
-                goodputs.append(row)
-
-            raw = gm.build_goodput_matrix(goodputs, n_configs)
+                raw[i, feasible] = view.estimator.goodput_batch(
+                    [configs[j] for j in feasible])
             min_gpus = [v.job.effective_min_gpus for v in views]
             normalized = gm.normalize_rows(raw, min_gpus)
 
@@ -279,7 +264,7 @@ class SiaPolicy:
         # row was built from — the estimate side of the goodput ledger.
         estimates = {}
         for i, j in solution.assignment.items():
-            value = goodputs[i].get(j, 0.0)
+            value = float(raw[i, j])
             if value > 0:
                 estimates[views[i].job_id] = value
         return PolicyDecision(assignments=assignments,

@@ -6,10 +6,12 @@ One estimator exists per job.  It owns
 * the job's statistical-efficiency model (one per job, shared across types),
 * the profiling mode (Oracle / No-Prof / Bootstrap, Section 5.7).
 
-The central query is :meth:`goodput`: the best achievable goodput for a
-configuration, after optimizing the batch plan under the job's adaptivity
-constraints.  Throughput estimates route through a dispatch that mirrors
-Section 3.2:
+The central query is :meth:`goodput_batch`: the best achievable goodput for
+each of a job's feasible configurations, after optimizing the batch plan
+under the job's adaptivity constraints.  Cache misses are evaluated in one
+grouped pass: their candidate grids are concatenated and ranked together
+(:func:`repro.perf.goodput.best_plans`).  Throughput estimates route through
+a dispatch that mirrors Section 3.2:
 
 1. Oracle mode, or a fitted model whose communication behaviour has actually
    been observed -> trust the model.
@@ -34,7 +36,8 @@ from repro.core.types import Configuration, ProfilingMode
 from repro.perf import profiles
 from repro.perf.efficiency import EfficiencyModel, EfficiencyParams
 from repro.perf.fitting import FitResult, Observation, fit_throughput_params
-from repro.perf.goodput import BatchPlan, GoodputModel
+from repro.perf.goodput import (BatchPlan, GoodputModel, GridBatch,
+                                best_plans, candidate_grid)
 from repro.perf.throughput import ThroughputModel, ThroughputParams
 
 #: Type-blind prior used when nothing at all is known (No-Prof cold start).
@@ -45,11 +48,6 @@ _PRIOR_PARAMS = ThroughputParams(alpha_c=0.05, beta_c=0.01,
 #: Batch sizes profiled per GPU type during bootstrap (Section 3.2 profiles
 #: "typically 10 batchsizes per GPU type").
 PROFILE_POINTS_PER_TYPE = 10
-
-#: Process-wide default for new estimators: evaluate batch-plan grids with
-#: the vectorized pipeline (True) or the legacy scalar loop (False).  The
-#: perf benchmarks and equivalence tests flip this to compare both paths.
-DEFAULT_VECTORIZED = True
 
 
 @dataclass
@@ -71,8 +69,8 @@ class _TypeState:
     observations: list[Observation] = field(default_factory=list)
     fit: FitResult | None = None
     dirty: bool = False
-    #: bumped on every new observation for this type; cache entries that
-    #: depended only on this type's fit revalidate against it.
+    #: bumped whenever a refit changes this type's ``FitResult``; cache
+    #: entries that depended only on this type's fit revalidate against it.
     epoch: int = 0
     #: per batch-plan key ``(num_gpus, num_nodes, local_bsz, accum_steps)``:
     #: recently *accepted* iteration times — the MAD-defense window new
@@ -101,27 +99,25 @@ class JobPerfEstimator:
 
     def __init__(self, model_name: str, constraints: JobConstraints,
                  gpu_types: tuple[str, ...],
-                 mode: ProfilingMode = ProfilingMode.BOOTSTRAP,
-                 *, vectorized: bool | None = None):
+                 mode: ProfilingMode = ProfilingMode.BOOTSTRAP):
         self.model_name = model_name
         self.constraints = constraints
         self.gpu_types = gpu_types
         self.mode = mode
-        self.vectorized = DEFAULT_VECTORIZED if vectorized is None \
-            else vectorized
         self._types: dict[str, _TypeState] = {t: _TypeState() for t in gpu_types}
         self.profiling_gpu_seconds = 0.0
         self._efficiency = self._initial_efficiency()
         #: memoized goodput-per-configuration results with the epoch token
-        #: they were computed under.  Invalidation is *per GPU type*: a new
-        #: observation on one type only stales entries whose dispatch read
-        #: that type's fit (or the cross-type bootstrap state), so running
-        #: jobs keep cache hits on every other type between rounds.
+        #: they were computed under.  Invalidation is *per GPU type* and
+        #: *per fit change*: a refit on one type only stales entries whose
+        #: dispatch read that type's fit (or the cross-type bootstrap
+        #: state), and only when the refit actually changed the fit — a
+        #: running job re-reporting the same iteration time evicts nothing.
         self._goodput_cache: dict[
             Configuration, tuple[tuple, BatchPlan | None]] = {}
         #: epoch counters backing cache validation: one per GPU type (in
-        #: ``_TypeState``), one global observation epoch (cross-type
-        #: bootstrap estimates read *all* types), one efficiency epoch.
+        #: ``_TypeState``), one global fit epoch (cross-type bootstrap
+        #: estimates read *all* types), one efficiency epoch.
         self._obs_epoch = 0
         self._eff_epoch = 0
         self.cache_hits = 0
@@ -183,7 +179,8 @@ class JobPerfEstimator:
         outliers against the recent accepted window for the same
         (gpu_type, batch plan) are refused so one corrupt report cannot
         poison a fit.  Rejected reports bump :attr:`rejected_observations`
-        and leave every cache epoch untouched.
+        and leave the fit untouched.  Accepted ones only mark the type's fit
+        stale; cache epochs move in :meth:`_fit`, if the refit differs.
         """
         if obs.gpu_type not in self._types:
             raise KeyError(f"estimator does not track GPU type {obs.gpu_type!r}")
@@ -198,11 +195,6 @@ class JobPerfEstimator:
             del window[0]
         state.observations.append(obs)
         state.dirty = True
-        # Per-type invalidation: only entries whose cache token referenced
-        # this type's epoch (or the global epoch, for bootstrapped
-        # estimates) fail revalidation; everything else stays warm.
-        state.epoch += 1
-        self._obs_epoch += 1
         return True
 
     def _observation_credible(self, state: _TypeState,
@@ -235,10 +227,21 @@ class JobPerfEstimator:
         self._eff_epoch += 1
 
     def _fit(self, gpu_type: str) -> FitResult | None:
+        """The type's fit, refitted lazily after new observations.
+
+        A refit that changes the ``FitResult`` moves the type's epoch and
+        the global fit epoch, staling the cache entries that read it (per
+        GPU type: entries on other types stay warm).  A refit that
+        reproduces the stored fit bit for bit moves nothing.
+        """
         state = self._types[gpu_type]
         if state.dirty and state.observations:
-            state.fit = fit_throughput_params(state.observations)
             state.dirty = False
+            fit = fit_throughput_params(state.observations)
+            if fit != state.fit:
+                state.fit = fit
+                state.epoch += 1
+                self._obs_epoch += 1
         return state.fit
 
     # -- knowledge queries ---------------------------------------------------
@@ -301,98 +304,93 @@ class JobPerfEstimator:
         return ThroughputModel(_PRIOR_PARAMS).throughput(
             local_bsz, num_gpus, num_nodes, accum_steps)
 
-    def throughput_batch(self, gpu_type: str, local_bsz: np.ndarray,
-                         num_gpus: int, num_nodes: int,
-                         accum_steps: np.ndarray | int = 1) -> np.ndarray:
-        """Vectorized :meth:`throughput`: one dispatch decision per
-        (type, shape), then a single batched model evaluation over the
-        whole (local_bsz, accum_steps) grid.
+    def _throughput_batch(self, branch: str, gpu_type: str,
+                          local: np.ndarray, gpus: np.ndarray,
+                          nodes: np.ndarray,
+                          accums: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`throughput` over candidates of any shapes on
+        one GPU type that share a dispatch ``branch`` (the first field of
+        their :meth:`_cache_token`).
 
-        The dispatch branch taken is identical to the scalar path because
-        none of the routing conditions depend on the batch plan; only the
-        Equation (1) reference-type choice can vary per grid point, and
-        the bootstrap branch replicates that selection elementwise.
+        The branch is the scalar path's because none of the routing
+        conditions depend on the batch plan; only the Equation (1)
+        reference-type choice varies per candidate, and the bootstrap
+        branch replicates that selection elementwise.
         """
-        local = np.asarray(local_bsz, dtype=np.int64)
-        if self.mode is ProfilingMode.ORACLE:
-            true_model = ThroughputModel(
-                profiles.true_throughput_params(self.model_name, gpu_type))
-            return true_model.throughput_batch(local, num_gpus, num_nodes,
-                                               accum_steps)
-
-        fit = self._fit(gpu_type)
-        if fit is not None and (num_gpus == 1 or fit.has_multi_gpu):
-            return ThroughputModel(fit.params).throughput_batch(
-                local, num_gpus, num_nodes, accum_steps)
-
-        if fit is not None and fit.has_single_gpu:
+        if branch == "oracle":
+            params = profiles.true_throughput_params(self.model_name,
+                                                     gpu_type)
+        elif branch == "fit":
+            params = self._fit(gpu_type).params
+        elif branch == "prior":
+            params = _PRIOR_PARAMS
+        else:
             estimate = self._bootstrap_multi_gpu_batch(
-                gpu_type, local, num_gpus, num_nodes, accum_steps)
+                gpu_type, local, gpus, nodes, accums)
             if estimate is not None:
                 return estimate
             # Perfect-scaling assumption: N x the single-replica rate at
             # accumulation 1 (matching the scalar path exactly).
-            singles = ThroughputModel(fit.params).throughput_batch(
-                local, 1, 1, 1)
-            return singles * num_gpus
-
-        return ThroughputModel(_PRIOR_PARAMS).throughput_batch(
-            local, num_gpus, num_nodes, accum_steps)
+            singles = ThroughputModel(self._fit(gpu_type).params) \
+                .throughput_batch(local, 1, 1, 1)
+            return singles * gpus
+        return ThroughputModel(params).throughput_batch(local, gpus, nodes,
+                                                        accums)
 
     def _bootstrap_multi_gpu(self, gpu_type: str, local_bsz: int,
                              num_gpus: int, num_nodes: int,
                              accum_steps: int) -> float | None:
         """Equation (1): rescale a multi-GPU-experienced reference type."""
-        experience = {t: self.has_multi_gpu_experience(t) for t in self.gpu_types}
+        experience: dict[str, bool] = {}
         singles: dict[str, float] = {}
         for t in self.gpu_types:
-            xput = self._single_gpu_xput(t, local_bsz)
-            if xput is not None:
-                singles[t] = xput
+            fit = self._fit(t)
+            experience[t] = fit is not None and fit.has_multi_gpu
+            if fit is not None and fit.has_single_gpu:
+                singles[t] = ThroughputModel(fit.params).throughput(
+                    local_bsz, 1, 1)
         reference = pick_reference_type(experience, singles)
         if reference is None or gpu_type not in singles:
             return None
-        ref_fit = self._fit(reference)
-        assert ref_fit is not None
-        ref_multi = ThroughputModel(ref_fit.params).throughput(
+        ref_multi = ThroughputModel(self._fit(reference).params).throughput(
             local_bsz, num_gpus, num_nodes, accum_steps)
         return bootstrap_throughput(singles[gpu_type], singles[reference],
                                     ref_multi)
 
     def _bootstrap_multi_gpu_batch(self, gpu_type: str, local: np.ndarray,
-                                   num_gpus: int, num_nodes: int,
-                                   accum_steps: np.ndarray | int,
-                                   ) -> np.ndarray | None:
-        """Vectorized Equation (1): per grid point, rescale the fastest
+                                   gpus: np.ndarray, nodes: np.ndarray,
+                                   accums: np.ndarray) -> np.ndarray | None:
+        """Vectorized Equation (1): per candidate, rescale the fastest
         multi-GPU-experienced reference type (the scalar path's
-        ``pick_reference_type`` argmax, applied elementwise)."""
-        singles: dict[str, np.ndarray] = {}
-        for t in self.gpu_types:
-            fit_t = self._fit(t)
-            if fit_t is not None and fit_t.has_single_gpu:
-                singles[t] = ThroughputModel(fit_t.params).throughput_batch(
-                    local, 1, 1, 1)
-        experienced = [t for t in self.gpu_types
-                       if self.has_multi_gpu_experience(t) and t in singles]
-        if not experienced or gpu_type not in singles:
+        ``pick_reference_type``, applied elementwise)."""
+        own = self._fit(gpu_type)
+        refs = [ThroughputModel(fit.params)
+                for fit in map(self._fit, self.gpu_types)
+                if fit is not None and fit.has_single_gpu
+                and fit.has_multi_gpu]
+        if not refs or own is None or not own.has_single_gpu:
             return None
+        own_single = ThroughputModel(own.params).throughput_batch(
+            local, 1, 1, 1)
         # Reference selection mirrors pick_reference_type: the experienced
-        # type with the largest 1-GPU throughput, first listed winning ties.
-        stacked = np.stack([singles[t] for t in experienced])
-        masked = np.where(stacked > 0, stacked, -np.inf)
-        ref_idx = np.argmax(masked, axis=0)
-        points = np.arange(local.shape[0])
-        ref_single = stacked[ref_idx, points]
-        multis = np.stack([
-            ThroughputModel(self._fit(t).params).throughput_batch(
-                local, num_gpus, num_nodes, accum_steps)
-            for t in experienced])
-        ref_multi = multis[ref_idx, points]
+        # type with the largest positive 1-GPU throughput, first listed
+        # winning ties.
+        for i, model in enumerate(refs):
+            single = model.throughput_batch(local, 1, 1, 1)
+            multi = model.throughput_batch(local, gpus, nodes, accums)
+            score = np.where(single > 0, single, -np.inf)
+            if i == 0:
+                ref_single, ref_multi, best = single, multi, score
+                continue
+            wins = score > best
+            ref_single = np.where(wins, single, ref_single)
+            ref_multi = np.where(wins, multi, ref_multi)
+            best = np.maximum(best, score)
         with np.errstate(divide="ignore", invalid="ignore"):
-            estimate = singles[gpu_type] / ref_single * ref_multi
+            estimate = own_single / ref_single * ref_multi
         # Points where no experienced type has positive 1-GPU throughput
         # fall back to perfect scaling, exactly like the scalar dispatch.
-        fallback = singles[gpu_type] * num_gpus
+        fallback = own_single * gpus
         return np.where(np.isfinite(ref_single) & (ref_single > 0),
                         estimate, fallback)
 
@@ -401,16 +399,20 @@ class JobPerfEstimator:
     def _cache_token(self, gpu_type: str, num_gpus: int) -> tuple:
         """The epochs a cached plan for (type, shape) depends on.
 
-        A cached entry is valid while its token matches the current one:
+        A cached entry is valid while its token matches the current one.
+        Epochs move only when a refit changes a ``FitResult`` (see
+        :meth:`_fit`), and the token's first field names the throughput
+        dispatch branch the plan was computed on:
 
         * Oracle estimates read only the (immutable) ground truth, so they
           revalidate on the efficiency epoch alone;
-        * trusted fits read one type's observations, so a new observation
-          on another GPU type leaves them warm (the per-type invalidation
-          this cache exists for);
+        * trusted fits read one type's fit, so a fit change on another GPU
+          type leaves them warm (the per-type invalidation this cache
+          exists for);
         * bootstrapped / perfect-scaling estimates read *all* types (the
-          Equation (1) reference can change with any observation), so they
-          key on the global observation epoch.
+          Equation (1) reference can change with any fit), so they key on
+          the global fit epoch — after refreshing every type's lazy fit,
+          or a stale fit elsewhere would leave that epoch behind.
         """
         if self.mode is ProfilingMode.ORACLE:
             return ("oracle", self._eff_epoch)
@@ -420,35 +422,54 @@ class JobPerfEstimator:
             return ("prior", gpu_type, state.epoch, self._eff_epoch)
         if num_gpus == 1 or fit.has_multi_gpu:
             return ("fit", gpu_type, state.epoch, self._eff_epoch)
+        for other in self.gpu_types:
+            self._fit(other)
         return ("boot", self._obs_epoch, self._eff_epoch)
 
     def goodput(self, config: Configuration) -> float:
         """Best achievable goodput for a configuration (0 if infeasible)."""
-        plan = self.best_plan(config)
+        plan = self.best_plans([config])[0]
         return plan.goodput if plan is not None else 0.0
 
     def goodput_batch(self, configs: list[Configuration]) -> np.ndarray:
         """Goodput for every configuration in one call — fills a whole
-        utility row of the policy's matrix at once.  Each cache miss costs
-        one batched grid evaluation instead of ~hundreds of scalar model
-        calls; hits cost one dict probe."""
-        out = np.empty(len(configs))
-        for i, config in enumerate(configs):
-            plan = self.best_plan(config)
-            out[i] = plan.goodput if plan is not None else 0.0
-        return out
+        utility row of the policy's matrix at once."""
+        return np.fromiter(
+            (plan.goodput if plan is not None else 0.0
+             for plan in self.best_plans(configs)),
+            dtype=float, count=len(configs))
 
     def best_plan(self, config: Configuration) -> BatchPlan | None:
         """Optimized batch plan for a configuration under the job's limits."""
-        token = self._cache_token(config.gpu_type, config.num_gpus)
-        cached = self._goodput_cache.get(config)
-        if cached is not None and cached[0] == token:
-            self.cache_hits += 1
-            return cached[1]
-        self.cache_misses += 1
-        plan = self._best_plan_uncached(config)
-        self._goodput_cache[config] = (token, plan)
-        return plan
+        return self.best_plans([config])[0]
+
+    def best_plans(self, configs: list[Configuration],
+                   ) -> list[BatchPlan | None]:
+        """Optimized batch plans for many configurations.
+
+        Hits cost one dict probe; all misses share one grouped pass
+        (:meth:`_evaluate`).
+        """
+        plans: list[BatchPlan | None] = []
+        misses: list[tuple[int, Configuration, tuple]] = []
+        cache = self._goodput_cache
+        for i, config in enumerate(configs):
+            token = self._cache_token(config.gpu_type, config.num_gpus)
+            cached = cache.get(config)
+            if cached is not None and cached[0] == token:
+                plans.append(cached[1])
+            else:
+                misses.append((i, config, token))
+                plans.append(None)
+        self.cache_hits += len(plans) - len(misses)
+        self.cache_misses += len(misses)
+        if misses:
+            fresh = self._evaluate([(config, token[0])
+                                    for _, config, token in misses])
+            for (i, config, token), plan in zip(misses, fresh):
+                cache[config] = (token, plan)
+                plans[i] = plan
+        return plans
 
     @property
     def cache_hit_rate(self) -> float:
@@ -456,19 +477,49 @@ class JobPerfEstimator:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
-    def _best_plan_uncached(self, config: Configuration) -> BatchPlan | None:
-        cap = self.max_local_bsz(config.gpu_type)
-        if cap < 1:
-            return None
-        adapter = _ThroughputAdapter(self, config.gpu_type)
-        model = GoodputModel(adapter, self._efficiency,
-                             vectorized=self.vectorized)
-        return model.optimize_batch_size(
-            config.num_gpus, config.num_nodes,
-            max_local_bsz=cap,
-            max_total_bsz=self.constraints.max_bsz,
-            min_total_bsz=self.constraints.min_bsz,
-            fixed_total_bsz=self.constraints.fixed_total_bsz)
+    def _evaluate(self, queries: list[tuple[Configuration, str]],
+                  ) -> list[BatchPlan | None]:
+        """Best plans for ``(configuration, dispatch branch)`` queries in
+        one grouped pass.
+
+        The queries' candidate grids are concatenated in (GPU type, branch)
+        groups, throughput is evaluated with one dispatch per group, and
+        :func:`~repro.perf.goodput.best_plans` ranks every grid at once.
+        """
+        limits = self.constraints
+        groups: dict[tuple[str, str], list[int]] = {}
+        grids = {}
+        for i, (config, branch) in enumerate(queries):
+            grid = candidate_grid(
+                config.num_gpus,
+                max_local_bsz=self.max_local_bsz(config.gpu_type),
+                max_total_bsz=limits.max_bsz,
+                min_total_bsz=limits.min_bsz,
+                fixed_total_bsz=limits.fixed_total_bsz)
+            if grid is not None:
+                grids[i] = grid
+                groups.setdefault((config.gpu_type, branch), []).append(i)
+        plans: list[BatchPlan | None] = [None] * len(queries)
+        if not grids:
+            return plans
+        order = [i for members in groups.values() for i in members]
+        batch = GridBatch([(queries[i][0].num_gpus, queries[i][0].num_nodes)
+                           for i in order], [grids[i] for i in order])
+        pieces = []
+        first = 0
+        for (gpu_type, branch), members in groups.items():
+            pieces.append(self._throughput_batch(
+                branch, gpu_type,
+                *batch.columns(first, first + len(members))))
+            first += len(members)
+        models = {gpu_type: GoodputModel(_ThroughputAdapter(self, gpu_type),
+                                         self._efficiency)
+                  for gpu_type, _ in groups}
+        found = best_plans(batch, np.concatenate(pieces), self._efficiency,
+                           [models[queries[i][0].gpu_type] for i in order])
+        for i, plan in zip(order, found):
+            plans[i] = plan
+        return plans
 
     @property
     def efficiency_model(self) -> EfficiencyModel:
@@ -476,8 +527,9 @@ class JobPerfEstimator:
 
 
 class _ThroughputAdapter:
-    """Presents the estimator's dispatch as a ThroughputModel-like object so
-    :class:`~repro.perf.goodput.GoodputModel` can optimize batch plans on it."""
+    """Presents the estimator's scalar dispatch for one GPU type as a
+    ThroughputModel-like object, so :class:`~repro.perf.goodput.GoodputModel`
+    can re-evaluate shortlisted plans on it."""
 
     def __init__(self, estimator: JobPerfEstimator, gpu_type: str):
         self._estimator = estimator
@@ -487,9 +539,3 @@ class _ThroughputAdapter:
                    accum_steps: int = 1) -> float:
         return self._estimator.throughput(
             self._gpu_type, int(local_bsz), num_gpus, num_nodes, accum_steps)
-
-    def throughput_batch(self, local_bsz: np.ndarray, num_gpus: int,
-                         num_nodes: int,
-                         accum_steps: np.ndarray | int = 1) -> np.ndarray:
-        return self._estimator.throughput_batch(
-            self._gpu_type, local_bsz, num_gpus, num_nodes, accum_steps)

@@ -17,6 +17,7 @@ total batch sizes (Section 3.1, "Heterogeneous Execution").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,19 +27,22 @@ from repro.perf.throughput import ThroughputModel
 #: Cap on gradient-accumulation sub-steps considered per iteration.
 MAX_ACCUM_STEPS: int = 16
 
-#: Relative slack when shortlisting grid maxima in the vectorized pass.
+#: Relative slack when shortlisting grid maxima in the batched pass.
 #: Vectorized numpy ``pow`` can differ from CPython's by an ulp, so every
-#: candidate within this band of the vectorized maximum is re-evaluated
-#: through the scalar path and the scalar tie-break rule applied — making
-#: the vectorized optimizer *exactly* equivalent to the scalar loop.
+#: candidate within this band of a grid's batched maximum is re-evaluated
+#: through the scalar :meth:`GoodputModel.evaluate` and the scalar
+#: tie-break rule applied — making the batched optimizer *exactly*
+#: equivalent to the per-candidate reference loop.
 _SHORTLIST_RTOL: float = 1e-12
+
+#: One candidate grid: the ``(accum, local)`` pairs and their numpy columns.
+Grid = tuple[list[tuple[int, int]], np.ndarray, np.ndarray]
 
 #: Candidate grids are pure functions of (shape, batch-size caps); one
 #: cluster-wide scheduling round asks for the same few dozen grids hundreds
-#: of times (every job of a model on every GPU type), so the vectorized
-#: path memoizes them together with their numpy column views.
-_GRID_CACHE: dict[tuple, tuple[list[tuple[int, int]],
-                               "np.ndarray", "np.ndarray"]] = {}
+#: of times (every job of a model on every GPU type), so they are memoized
+#: together with their numpy column views.
+_GRID_CACHE: dict[tuple, Grid] = {}
 _GRID_CACHE_MAX = 4096
 
 
@@ -69,23 +73,167 @@ def candidate_local_sizes(lo: int, hi: int, *, max_candidates: int = 24) -> list
     return sorted(s for s in sizes if lo <= s <= hi)
 
 
+def candidate_grid(num_gpus: int, *, max_local_bsz: int, max_total_bsz: int,
+                   min_total_bsz: int | None = None,
+                   fixed_total_bsz: int | None = None) -> Grid | None:
+    """The (memoized) batch-plan candidate grid for an allocation of
+    ``num_gpus`` GPUs, or None when no plan satisfies the limits.
+
+    ``fixed_total_bsz`` implements strong-scaling/rigid jobs: the total
+    batch size is pinned and only its (local, accumulation) split varies.
+    """
+    if num_gpus < 1 or max_local_bsz < 1:
+        return None
+    if fixed_total_bsz is not None:
+        key = ("fixed", num_gpus, fixed_total_bsz, max_local_bsz)
+    else:
+        floor_total = min_total_bsz or 1
+        if floor_total > max_total_bsz:
+            return None
+        key = ("adaptive", num_gpus, max_local_bsz, max_total_bsz,
+               floor_total)
+    grid = _GRID_CACHE.get(key)
+    if grid is None:
+        if fixed_total_bsz is not None:
+            pairs = _fixed_total_grid(num_gpus, fixed_total_bsz,
+                                      max_local_bsz)
+        else:
+            pairs = _adaptive_grid(num_gpus, max_local_bsz, max_total_bsz,
+                                   floor_total)
+        accums = np.fromiter((a for a, _ in pairs), dtype=np.int64,
+                             count=len(pairs))
+        locals_ = np.fromiter((m for _, m in pairs), dtype=np.int64,
+                              count=len(pairs))
+        if len(_GRID_CACHE) >= _GRID_CACHE_MAX:
+            _GRID_CACHE.clear()
+        _GRID_CACHE[key] = grid = (pairs, accums, locals_)
+    return grid if grid[0] else None
+
+
+def _adaptive_grid(num_gpus: int, max_local_bsz: int, max_total_bsz: int,
+                   floor_total: int) -> list[tuple[int, int]]:
+    """(accum, local) candidates for an adaptive-batch-size job."""
+    pairs: list[tuple[int, int]] = []
+    for accum in range(1, MAX_ACCUM_STEPS + 1):
+        # Local size must keep the total within [floor, cap].
+        lo = max(1, -(-floor_total // (num_gpus * accum)))  # ceil div
+        hi = min(max_local_bsz, max_total_bsz // (num_gpus * accum))
+        if hi < lo:
+            continue
+        pairs.extend((accum, local)
+                     for local in candidate_local_sizes(lo, hi))
+        # Accumulation only helps when memory-limited; once the full
+        # range is reachable without accumulation there is no gain.
+        if accum == 1 and max_local_bsz * num_gpus >= max_total_bsz:
+            break
+    return pairs
+
+
+def _fixed_total_grid(num_gpus: int, total: int,
+                      max_local_bsz: int) -> list[tuple[int, int]]:
+    """(accum, local) splits of a pinned total batch size."""
+    if total < num_gpus:
+        return []  # cannot give every GPU at least one sample
+    pairs: list[tuple[int, int]] = []
+    for accum in range(1, MAX_ACCUM_STEPS + 1):
+        local = total // (num_gpus * accum)
+        if local < 1:
+            break
+        if local > max_local_bsz:
+            continue
+        pairs.append((accum, local))
+    return pairs
+
+
+class GridBatch:
+    """The candidate grids of several allocation shapes, concatenated.
+
+    Segment ``s`` (shape ``shapes[s]``, grid ``grids[s]``) occupies
+    elements ``bounds[s]:bounds[s + 1]`` of the flat per-candidate arrays,
+    so one numpy pass evaluates every segment at once.
+    """
+
+    def __init__(self, shapes: list[tuple[int, int]], grids: list[Grid]):
+        self.shapes = shapes
+        self.grids = grids
+        self.sizes = [len(grid[0]) for grid in grids]
+        self.bounds = [0, *accumulate(self.sizes)]
+        if len(grids) == 1:  # the memoized columns themselves, uncopied
+            _, self.accums, self.locals_ = grids[0]
+        else:
+            self.accums = np.concatenate([grid[1] for grid in grids])
+            self.locals_ = np.concatenate([grid[2] for grid in grids])
+
+    def __len__(self) -> int:
+        return len(self.shapes)
+
+    def shape_column(self, field: int, first: int = 0,
+                     last: int | None = None) -> np.ndarray | int:
+        """Per-candidate ``num_gpus`` (``field`` 0) or ``num_nodes`` (1) of
+        segments ``first:last``: a scalar when those segments agree, so
+        throughput keeps the scalar sync time."""
+        values = [shape[field] for shape in self.shapes[first:last]]
+        if len(set(values)) == 1:
+            return values[0]
+        return np.repeat(values, self.sizes[first:last])
+
+    def columns(self, first: int, last: int) -> tuple:
+        """``(locals, gpus, nodes, accums)`` of segments ``first:last``."""
+        lo, hi = self.bounds[first], self.bounds[last]
+        return (self.locals_[lo:hi], self.shape_column(0, first, last),
+                self.shape_column(1, first, last), self.accums[lo:hi])
+
+
+def best_plans(batch: GridBatch, xput: np.ndarray,
+               efficiency_model: EfficiencyModel,
+               models: list["GoodputModel"]) -> list[BatchPlan | None]:
+    """The best plan of every segment of ``batch``, in one grouped pass.
+
+    ``xput`` is the batched throughput of every candidate and ``models[s]``
+    the scalar model of segment ``s`` (all sharing ``efficiency_model``).
+    Each segment's maximum comes from one ``np.maximum.reduceat``; its
+    shortlist within ``_SHORTLIST_RTOL`` is re-ranked through the scalar
+    :meth:`GoodputModel.evaluate`, so every returned plan is bit-identical
+    to :meth:`GoodputModel._best_of_grid_scalar` on that segment alone.
+    """
+    totals = batch.shape_column(0) * batch.locals_ * batch.accums
+    goodput = xput * efficiency_model.efficiency_batch(totals)
+    bounds = batch.bounds
+    floors = [best - _SHORTLIST_RTOL * abs(best)
+              for best in np.maximum.reduceat(goodput, bounds[:-1]).tolist()]
+    if len(floors) > 1:
+        floors = np.repeat(floors, batch.sizes)
+    shortlist = np.flatnonzero(goodput >= floors)
+    plans: list[BatchPlan | None] = [None] * len(batch)
+    s = 0
+    for idx in shortlist.tolist():  # ascending, so segments ascend too
+        while idx >= bounds[s + 1]:
+            s += 1
+        accum, local = batch.grids[s][0][idx - bounds[s]]
+        num_gpus, num_nodes = batch.shapes[s]
+        plan = models[s].evaluate(local, num_gpus, num_nodes, accum)
+        if plans[s] is None or plan.goodput > plans[s].goodput:
+            plans[s] = plan
+    for s, plan in enumerate(plans):
+        if plan is None:  # non-finite segment; defer to the reference
+            plans[s] = models[s]._best_of_grid_scalar(batch.grids[s][0],
+                                                      *batch.shapes[s])
+    return plans
+
+
 class GoodputModel:
     """Combines one throughput model with the job's efficiency model.
 
-    ``vectorized`` selects the batched grid evaluation (one numpy pass over
-    the whole (accum_steps x candidate-local-bsz) grid) over the legacy
-    scalar loop.  Both produce identical plans: the vectorized pass ranks
-    candidates in bulk, then re-evaluates the (tiny) shortlist of maxima
-    through the scalar path so returned numbers are bit-identical.
+    :meth:`optimize_batch_size` ranks the whole (accum_steps x
+    candidate-local-bsz) grid in one numpy pass, then re-evaluates the
+    (tiny) shortlist of maxima through the scalar :meth:`evaluate` so the
+    returned numbers are bit-identical to the per-candidate reference loop.
     """
 
     def __init__(self, throughput_model: ThroughputModel,
-                 efficiency_model: EfficiencyModel, *,
-                 vectorized: bool = True):
+                 efficiency_model: EfficiencyModel):
         self.throughput_model = throughput_model
         self.efficiency_model = efficiency_model
-        self.vectorized = vectorized and hasattr(throughput_model,
-                                                 "throughput_batch")
 
     def evaluate(self, local_bsz: int, num_gpus: int, num_nodes: int,
                  accum_steps: int = 1) -> BatchPlan:
@@ -103,123 +251,29 @@ class GoodputModel:
                             max_total_bsz: int,
                             min_total_bsz: int | None = None,
                             fixed_total_bsz: int | None = None) -> BatchPlan | None:
-        """Best batch plan for an allocation shape, or None if infeasible.
-
-        ``fixed_total_bsz`` implements strong-scaling/rigid jobs: the total
-        batch size is pinned and only its (local, accumulation) split is
-        optimized.
-        """
-        if num_gpus < 1 or max_local_bsz < 1:
+        """Best batch plan for an allocation shape, or None if infeasible:
+        the one-segment case of :func:`best_plans`."""
+        grid = candidate_grid(num_gpus, max_local_bsz=max_local_bsz,
+                              max_total_bsz=max_total_bsz,
+                              min_total_bsz=min_total_bsz,
+                              fixed_total_bsz=fixed_total_bsz)
+        if grid is None:
             return None
-        if fixed_total_bsz is not None:
-            key = ("fixed", num_gpus, fixed_total_bsz, max_local_bsz)
-            build = lambda: self._fixed_total_grid(  # noqa: E731
-                num_gpus, fixed_total_bsz, max_local_bsz)
-        else:
-            floor_total = min_total_bsz or 1
-            if floor_total > max_total_bsz:
-                return None
-            key = ("adaptive", num_gpus, max_local_bsz, max_total_bsz,
-                   floor_total)
-            build = lambda: self._adaptive_grid(  # noqa: E731
-                num_gpus, max_local_bsz, max_total_bsz, floor_total)
-        if not self.vectorized:
-            pairs = build()
-            if not pairs:
-                return None
-            return self._best_of_grid_scalar(pairs, num_gpus, num_nodes)
-        pairs, accums, locals_ = self._cached_grid(key, build)
-        if not pairs:
-            return None
-        return self._best_of_grid_vectorized(pairs, accums, locals_,
-                                             num_gpus, num_nodes)
-
-    @staticmethod
-    def _cached_grid(key, build):
-        entry = _GRID_CACHE.get(key)
-        if entry is None:
-            pairs = build()
-            accums = np.fromiter((a for a, _ in pairs), dtype=np.int64,
-                                 count=len(pairs))
-            locals_ = np.fromiter((m for _, m in pairs), dtype=np.int64,
-                                  count=len(pairs))
-            if len(_GRID_CACHE) >= _GRID_CACHE_MAX:
-                _GRID_CACHE.clear()
-            _GRID_CACHE[key] = entry = (pairs, accums, locals_)
-        return entry
-
-    # -- candidate grids ---------------------------------------------------
-
-    @staticmethod
-    def _adaptive_grid(num_gpus: int, max_local_bsz: int, max_total_bsz: int,
-                       floor_total: int) -> list[tuple[int, int]]:
-        """(accum, local) candidates for an adaptive-batch-size job."""
-        pairs: list[tuple[int, int]] = []
-        for accum in range(1, MAX_ACCUM_STEPS + 1):
-            # Local size must keep the total within [floor, cap].
-            lo = max(1, -(-floor_total // (num_gpus * accum)))  # ceil div
-            hi = min(max_local_bsz, max_total_bsz // (num_gpus * accum))
-            if hi < lo:
-                continue
-            pairs.extend((accum, local)
-                         for local in candidate_local_sizes(lo, hi))
-            # Accumulation only helps when memory-limited; once the full
-            # range is reachable without accumulation there is no gain.
-            if accum == 1 and max_local_bsz * num_gpus >= max_total_bsz:
-                break
-        return pairs
-
-    @staticmethod
-    def _fixed_total_grid(num_gpus: int, total: int,
-                          max_local_bsz: int) -> list[tuple[int, int]]:
-        """(accum, local) splits of a pinned total batch size."""
-        if total < num_gpus:
-            return []  # cannot give every GPU at least one sample
-        pairs: list[tuple[int, int]] = []
-        for accum in range(1, MAX_ACCUM_STEPS + 1):
-            local = total // (num_gpus * accum)
-            if local < 1:
-                break
-            if local > max_local_bsz:
-                continue
-            pairs.append((accum, local))
-        return pairs
-
-    # -- grid evaluation ---------------------------------------------------
+        batch = GridBatch([(num_gpus, num_nodes)], [grid])
+        xput = self.throughput_model.throughput_batch(
+            batch.locals_, num_gpus, num_nodes, batch.accums)
+        return best_plans(batch, xput, self.efficiency_model, [self])[0]
 
     def _best_of_grid_scalar(self, pairs: list[tuple[int, int]],
                              num_gpus: int, num_nodes: int) -> BatchPlan | None:
-        """The legacy per-candidate loop (reference implementation)."""
+        """The per-candidate reference loop: the fallback for a non-finite
+        grid, and the oracle the batched pass is tested against."""
         best: BatchPlan | None = None
         for accum, local in pairs:
             plan = self.evaluate(local, num_gpus, num_nodes, accum)
             if best is None or plan.goodput > best.goodput:
                 best = plan
         return best
-
-    def _best_of_grid_vectorized(self, pairs: list[tuple[int, int]],
-                                 accums: np.ndarray, locals_: np.ndarray,
-                                 num_gpus: int,
-                                 num_nodes: int) -> BatchPlan | None:
-        """Rank the whole grid in one batched pass, then pin the winner to
-        the scalar path so the returned plan is bit-identical to
-        :meth:`_best_of_grid_scalar`."""
-        xput = self.throughput_model.throughput_batch(
-            locals_, num_gpus, num_nodes, accums)
-        totals = num_gpus * locals_ * accums
-        goodput = xput * self.efficiency_model.efficiency_batch(totals)
-        best = float(np.max(goodput))
-        shortlist = np.flatnonzero(goodput >= best - _SHORTLIST_RTOL
-                                   * abs(best))
-        if shortlist.size == 0:  # non-finite grid; defer to the reference
-            return self._best_of_grid_scalar(pairs, num_gpus, num_nodes)
-        best_plan: BatchPlan | None = None
-        for idx in shortlist:
-            plan = self.evaluate(int(locals_[idx]), num_gpus, num_nodes,
-                                 int(accums[idx]))
-            if best_plan is None or plan.goodput > best_plan.goodput:
-                best_plan = plan
-        return best_plan
 
     def goodput(self, num_gpus: int, num_nodes: int, *,
                 max_local_bsz: int, max_total_bsz: int,

@@ -104,16 +104,29 @@ class ThroughputModel:
 
     # -- vectorized entry points ------------------------------------------
 
-    def iter_time_batch(self, local_bsz: np.ndarray, num_gpus: int,
-                        num_nodes: int,
-                        accum_steps: np.ndarray | int = 1) -> np.ndarray:
-        """Vectorized :meth:`iter_time` over arrays of (local_bsz, accum).
+    def sync_time_batch(self, num_nodes: np.ndarray,
+                        num_gpus: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`sync_time` over arrays of allocation shapes."""
+        gpus = np.asarray(num_gpus)
+        nodes = np.asarray(num_nodes)
+        if np.any((nodes < 1) | (nodes > gpus)):
+            raise ValueError("invalid allocation shape")
+        p = self.params
+        extra = np.maximum(gpus - 2, 0)
+        multi = np.where(nodes == 1, p.alpha_r + p.beta_r * extra,
+                         p.alpha_n + p.beta_n * extra)
+        return np.where(gpus == 1, 0.0, multi)
 
-        The allocation shape ``(num_gpus, num_nodes)`` is fixed — the sync
-        phase is one scalar — while per-GPU batch size and accumulation
-        steps vary elementwise.  One call evaluates a whole candidate grid,
-        which is what keeps the per-round goodput pass off the scalar
-        Python path.
+    def iter_time_batch(self, local_bsz: np.ndarray,
+                        num_gpus: np.ndarray | int,
+                        num_nodes: np.ndarray | int,
+                        accum_steps: np.ndarray | int = 1) -> np.ndarray:
+        """Vectorized :meth:`iter_time`.
+
+        Every argument may be an array: per-GPU batch size, accumulation
+        steps *and* the allocation shape ``(num_gpus, num_nodes)`` vary
+        elementwise, so one call evaluates the concatenated candidate grids
+        of many configurations.  A scalar shape keeps the scalar sync time.
         """
         local = np.asarray(local_bsz, dtype=float)
         accum = np.asarray(accum_steps, dtype=float)
@@ -123,15 +136,20 @@ class ThroughputModel:
             raise ValueError("accum_steps must be >= 1")
         p = self.params
         t_grad = p.alpha_c + p.beta_c * local
-        t_sync = self.sync_time(num_nodes, num_gpus)
+        if not isinstance(num_gpus, np.ndarray) \
+                and not isinstance(num_nodes, np.ndarray):
+            t_sync = self.sync_time(num_nodes, num_gpus)
+        else:
+            t_sync = self.sync_time_batch(num_nodes, num_gpus)
         g = p.gamma
         overlapped = (t_grad ** g + t_sync ** g) ** (1.0 / g)
         return (accum - 1) * t_grad + overlapped
 
-    def throughput_batch(self, local_bsz: np.ndarray, num_gpus: int,
-                         num_nodes: int,
+    def throughput_batch(self, local_bsz: np.ndarray,
+                         num_gpus: np.ndarray | int,
+                         num_nodes: np.ndarray | int,
                          accum_steps: np.ndarray | int = 1) -> np.ndarray:
-        """Vectorized :meth:`throughput` over arrays of (local_bsz, accum)."""
+        """Vectorized :meth:`throughput`; arguments as :meth:`iter_time_batch`."""
         local = np.asarray(local_bsz, dtype=float)
         accum = np.asarray(accum_steps, dtype=float)
         total = num_gpus * local * accum

@@ -110,15 +110,17 @@ def place_rigid(view: JobView, cluster: Cluster, occupancy: dict[int, int],
     unless the current GPU type is less than half as fast as the best
     available one, in which case the restart is worth paying."""
     count = max(1, view.job.effective_min_gpus)
+    types = cluster.gpu_types
+    # One estimator query rates the job on every type.
+    configs = [Configuration(max(1, -(-count // cluster.max_node_size(t))),
+                             count, t) for t in types]
+    rates = dict(zip(types,
+                     view.estimator.goodput_batch(configs).tolist()))
 
-    def rate(gpu_type: str) -> float:
-        nodes = max(1, -(-count // cluster.max_node_size(gpu_type)))
-        return view.estimator.goodput(Configuration(nodes, count, gpu_type))
-
-    by_rate = sorted(cluster.gpu_types, key=lambda t: -rate(t))
+    by_rate = sorted(types, key=lambda t: -rates[t])
     ordered_types: list[str] = []
     if previous is not None and by_rate \
-            and rate(previous.gpu_type) >= 0.5 * rate(by_rate[0]):
+            and rates[previous.gpu_type] >= 0.5 * rates[by_rate[0]]:
         ordered_types.append(previous.gpu_type)
     for gpu_type in by_rate:
         if gpu_type not in ordered_types:
@@ -126,9 +128,7 @@ def place_rigid(view: JobView, cluster: Cluster, occupancy: dict[int, int],
     for gpu_type in ordered_types:
         if count > cluster.capacity(gpu_type):
             continue
-        nodes = max(1, -(-count // cluster.max_node_size(gpu_type)))
-        rate = view.estimator.goodput(Configuration(nodes, count, gpu_type))
-        if rate <= 0:
+        if rates[gpu_type] <= 0:
             continue
         preferred = previous.node_ids if previous is not None \
             and previous.gpu_type == gpu_type else ()

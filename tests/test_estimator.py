@@ -168,8 +168,10 @@ class TestGoodput:
 
 
 class TestIncrementalCacheInvalidation:
-    """Per-GPU-type cache invalidation: a new observation on one type must
-    not evict memoized plans whose estimates never read that type."""
+    """Per-GPU-type, per-fit-change cache invalidation: a fit change on one
+    type must not evict memoized plans whose estimates never read that
+    type, and an observation that leaves every fit unchanged evicts
+    nothing."""
 
     def test_observation_keeps_other_types_warm(self):
         est = make_estimator()
@@ -191,10 +193,10 @@ class TestIncrementalCacheInvalidation:
         assert (before_t4, before_a100) == (est.goodput(t4),
                                             est.goodput(a100))
 
-    def test_bootstrapped_entries_invalidated_by_any_observation(self):
+    def test_bootstrapped_entries_invalidated_by_any_fit_change(self):
         """Multi-GPU estimates without own multi-GPU experience read *every*
-        type's observations (Equation 1 picks the reference type), so any
-        new observation must invalidate them."""
+        type's fit (Equation 1 picks the reference type), so a fit change
+        on any type must invalidate them."""
         est = make_estimator()
         est.profile_initial()
         multi_t4 = Configuration(1, 4, "t4")
@@ -207,6 +209,50 @@ class TestIncrementalCacheInvalidation:
         after = est.goodput(multi_t4)
         assert est.cache_misses == 1 and est.cache_hits == 0
         assert after != before
+
+    def test_unchanged_fit_keeps_every_entry_warm(self):
+        """A running job re-reports the iteration time it reported before
+        (zero observation noise): the refits reproduce the stored fits bit
+        for bit, so no entry — own-fit or bootstrapped — is evicted."""
+        est = make_estimator()
+        est.profile_initial()
+        rtx_obs = true_observation("bert", "rtx", 1, 2, 16)
+        est.add_observation(rtx_obs)
+        configs = [Configuration(1, k, t) for t in TYPES for k in (1, 2, 4)]
+        before = est.goodput_batch(configs)
+        est.cache_hits = est.cache_misses = 0
+        epochs = (est._obs_epoch,
+                  [est._types[t].epoch for t in TYPES])
+        profiled = est._types["t4"].observations[0]
+        for obs in (rtx_obs, profiled):
+            assert est.add_observation(obs)
+        assert est.goodput_batch(configs).tolist() == before.tolist()
+        assert est.cache_misses == 0
+        assert est.cache_hits == len(configs)
+        assert (est._obs_epoch,
+                [est._types[t].epoch for t in TYPES]) == epochs
+
+    def test_lazy_refit_on_other_type_invalidates_bootstrap_entry(self):
+        """The bootstrapped t4 entry reads rtx's fit, which is refitted
+        lazily.  Querying t4 first — before anything else touches rtx —
+        must still see the rtx fit change, miss, and match a fresh
+        estimator fed the same evidence."""
+        est = make_estimator()
+        est.profile_initial()
+        multi_t4 = Configuration(1, 4, "t4")
+        est.goodput(multi_t4)
+        est.cache_hits = est.cache_misses = 0
+        observations = [true_observation("bert", "rtx", 1, k, 16)
+                        for k in (2, 4)]
+        for obs in observations:
+            est.add_observation(obs)
+        after = est.goodput(multi_t4)
+        assert est.cache_misses == 1 and est.cache_hits == 0
+        fresh = make_estimator()
+        fresh.profile_initial()
+        for obs in observations:
+            fresh.add_observation(obs)
+        assert after == fresh.goodput(multi_t4)
 
     def test_oracle_cache_survives_observations(self):
         est = make_estimator(ProfilingMode.ORACLE)

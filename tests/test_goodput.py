@@ -1,10 +1,15 @@
 """Tests for goodput modeling and batch-plan optimization."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.perf.efficiency import EfficiencyModel, EfficiencyParams
-from repro.perf.goodput import (MAX_ACCUM_STEPS, GoodputModel,
+from repro.perf.efficiency import (ConstantEfficiency, EfficiencyModel,
+                                   EfficiencyParams)
+from repro.perf.goodput import (MAX_ACCUM_STEPS, GoodputModel, GridBatch,
+                                best_plans, candidate_grid,
                                 candidate_local_sizes)
 from repro.perf.throughput import ThroughputModel, ThroughputParams
 
@@ -132,3 +137,69 @@ class TestOptimizeBatchSize:
 
     def test_goodput_convenience_zero_when_infeasible(self, model):
         assert model.goodput(1, 1, max_local_bsz=0, max_total_bsz=64) == 0.0
+
+
+class TestGroupedPass:
+    """``best_plans`` ranks many concatenated grids in one pass; each
+    segment's plan must equal the reference loop on that grid alone."""
+
+    SHAPES = [(1, 1), (2, 1), (8, 1), (16, 2), (4, 1)]
+
+    def grids(self, **limits):
+        return [candidate_grid(k, **limits) for k, _ in self.SHAPES]
+
+    def test_segments_match_reference_loop(self, model):
+        grids = self.grids(max_local_bsz=64, max_total_bsz=4096,
+                           min_total_bsz=64)
+        batch = GridBatch([(k, n) for k, n in self.SHAPES], grids)
+        xput = model.throughput_model.throughput_batch(
+            *batch.columns(0, len(batch)))
+        plans = best_plans(batch, xput, model.efficiency_model,
+                           [model] * len(batch))
+        for (k, n), grid, plan in zip(self.SHAPES, grids, plans):
+            assert plan == model._best_of_grid_scalar(grid[0], k, n)
+            assert plan == model.optimize_batch_size(
+                k, n, max_local_bsz=64, max_total_bsz=4096,
+                min_total_bsz=64)
+
+    def test_non_finite_segment_falls_back_to_reference(self, model):
+        grids = self.grids(max_local_bsz=64, max_total_bsz=4096)
+        batch = GridBatch([(k, n) for k, n in self.SHAPES], grids)
+        xput = model.throughput_model.throughput_batch(
+            *batch.columns(0, len(batch)))
+        xput[batch.bounds[1]] = math.nan  # poison segment 1 only
+        plans = best_plans(batch, xput, model.efficiency_model,
+                           [model] * len(batch))
+        for (k, n), grid, plan in zip(self.SHAPES, grids, plans):
+            assert plan == model._best_of_grid_scalar(grid[0], k, n)
+
+    def test_ties_keep_the_first_candidate(self):
+        """Every candidate ties: the whole grid is shortlisted and the
+        reference loop's first-strictly-greater rule keeps the first."""
+
+        class Flat:
+            def throughput(self, local_bsz, num_gpus, num_nodes,
+                           accum_steps=1):
+                return 100.0
+
+        tied = GoodputModel(Flat(), ConstantEfficiency())
+        grids = self.grids(max_local_bsz=64, max_total_bsz=4096)
+        batch = GridBatch([(k, n) for k, n in self.SHAPES], grids)
+        plans = best_plans(batch, np.full(len(batch.locals_), 100.0),
+                           tied.efficiency_model, [tied] * len(batch))
+        for (k, n), grid, plan in zip(self.SHAPES, grids, plans):
+            assert (plan.accum_steps, plan.local_bsz) == grid[0][0]
+            assert plan == tied._best_of_grid_scalar(grid[0], k, n)
+
+    def test_infeasible_grid_is_none(self):
+        assert candidate_grid(0, max_local_bsz=8, max_total_bsz=64) is None
+        assert candidate_grid(1, max_local_bsz=4, max_total_bsz=64,
+                              min_total_bsz=128) is None
+        assert candidate_grid(8, max_local_bsz=64, max_total_bsz=4096,
+                              fixed_total_bsz=4) is None
+
+    def test_grid_columns_match_pairs(self):
+        pairs, accums, locals_ = candidate_grid(
+            4, max_local_bsz=32, max_total_bsz=4096, min_total_bsz=256)
+        assert list(zip(accums.tolist(), locals_.tolist())) == pairs
+        assert np.all(4 * locals_ * accums >= 256)

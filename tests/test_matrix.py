@@ -7,55 +7,49 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.matrix import (apply_restart_discount, build_goodput_matrix,
-                               config_index, config_index_map, normalize_rows,
+from repro.core.matrix import (apply_restart_discount, config_index,
+                               config_index_map, normalize_rows,
                                restart_factor, shape_utilities)
 from repro.core.types import Configuration
 
 
-class TestBuildMatrix:
-    def test_basic(self):
-        matrix = build_goodput_matrix([{0: 1.5, 2: 3.0}, {1: 2.0}], 3)
-        assert matrix[0, 0] == 1.5
-        assert math.isnan(matrix[0, 1])
-        assert matrix[1, 1] == 2.0
-
-    def test_nonpositive_marked_infeasible(self):
-        matrix = build_goodput_matrix([{0: 0.0, 1: -1.0}], 2)
-        assert math.isnan(matrix[0, 0]) and math.isnan(matrix[0, 1])
-
-    def test_out_of_range_index(self):
-        with pytest.raises(IndexError):
-            build_goodput_matrix([{5: 1.0}], 2)
-
-
 class TestNormalization:
     def test_row_min_becomes_min_gpus(self):
-        matrix = build_goodput_matrix([{0: 2.0, 1: 8.0}], 2)
-        out = normalize_rows(matrix, [1])
+        out = normalize_rows(np.array([[2.0, 8.0]]), [1])
         assert out[0, 0] == pytest.approx(1.0)
         assert out[0, 1] == pytest.approx(4.0)
 
     def test_min_gpus_scales_row(self):
-        matrix = build_goodput_matrix([{0: 2.0, 1: 8.0}], 2)
-        out = normalize_rows(matrix, [4])
+        out = normalize_rows(np.array([[2.0, 8.0]]), [4])
         assert out[0, 0] == pytest.approx(4.0)
         assert out[0, 1] == pytest.approx(16.0)
 
     def test_empty_row_untouched(self):
-        matrix = build_goodput_matrix([{}], 2)
-        out = normalize_rows(matrix, [1])
-        assert math.isnan(out[0, 0])
+        out = normalize_rows(np.array([[math.nan, math.nan]]), [1])
+        assert np.isnan(out).all()
+
+    def test_nonpositive_marked_infeasible(self):
+        """Non-positive and non-finite goodputs are infeasible (nan), and
+        the row minimum is taken over the feasible entries only."""
+        matrix = np.array([[0.0, -1.0, math.inf, 2.0, 8.0, math.nan],
+                           [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        out = normalize_rows(matrix, [1, 1])
+        assert np.isnan(out[0, :3]).all() and math.isnan(out[0, 5])
+        assert out[0, 3] == 1.0 and out[0, 4] == 4.0
+        assert np.isnan(out[1]).all()
+
+    def test_input_not_modified(self):
+        matrix = np.array([[0.0, 2.0, 4.0]])
+        normalize_rows(matrix, [1])
+        assert matrix.tolist() == [[0.0, 2.0, 4.0]]
 
     def test_length_mismatch(self):
-        matrix = build_goodput_matrix([{0: 1.0}], 1)
         with pytest.raises(ValueError):
-            normalize_rows(matrix, [1, 1])
+            normalize_rows(np.array([[1.0]]), [1, 1])
 
     @given(values=st.lists(st.floats(0.1, 1e4), min_size=1, max_size=8))
     def test_normalized_rows_at_least_min_gpus(self, values):
-        matrix = build_goodput_matrix([dict(enumerate(values))], len(values))
-        out = normalize_rows(matrix, [2])
+        out = normalize_rows(np.array([values]), [2])
         finite = out[0][~np.isnan(out[0])]
         assert finite.min() == pytest.approx(2.0)
 
@@ -64,11 +58,8 @@ class TestNormalization:
     def test_scale_invariance(self, values, scale):
         """Normalization makes rows unit-free: scaling all goodputs of a job
         leaves its normalized row unchanged."""
-        m1 = build_goodput_matrix([dict(enumerate(values))], len(values))
-        m2 = build_goodput_matrix(
-            [dict(enumerate([v * scale for v in values]))], len(values))
-        out1 = normalize_rows(m1, [1])
-        out2 = normalize_rows(m2, [1])
+        out1 = normalize_rows(np.array([values]), [1])
+        out2 = normalize_rows(np.array([[v * scale for v in values]]), [1])
         np.testing.assert_allclose(out1, out2, rtol=1e-9)
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,6 +93,36 @@ class TestThroughput:
     def test_monotone_in_gpus_single_node(self, k):
         model = ThroughputModel(PARAMS)
         assert model.throughput(64, k, 1) >= model.throughput(64, k - 1, 1)
+
+
+class TestBatched:
+    SHAPES = [(1, 1), (1, 2), (1, 8), (2, 8), (4, 32)]
+
+    def test_per_element_shapes_match_scalar(self, model):
+        """One call over candidates of mixed (num_gpus, num_nodes) agrees
+        with the scalar model candidate by candidate."""
+        gpus = np.array([k for _, k in self.SHAPES])
+        nodes = np.array([n for n, _ in self.SHAPES])
+        local = np.array([16, 32, 64, 8, 128])
+        accum = np.array([1, 2, 1, 4, 1])
+        xput = model.throughput_batch(local, gpus, nodes, accum)
+        for i, (n, k) in enumerate(self.SHAPES):
+            assert xput[i] == pytest.approx(
+                model.throughput(int(local[i]), k, n, int(accum[i])),
+                rel=1e-12)
+            assert model.sync_time_batch(nodes, gpus)[i] == \
+                model.sync_time(n, k)
+
+    def test_scalar_shape_broadcasts(self, model):
+        local = np.array([16, 64])
+        assert model.iter_time_batch(local, 8, 2).tolist() == \
+            model.iter_time_batch(local, np.array([8, 8]),
+                                  np.array([2, 2])).tolist()
+
+    def test_invalid_shape_rejected(self, model):
+        with pytest.raises(ValueError):
+            model.iter_time_batch(np.array([16, 16]), np.array([2, 2]),
+                                  np.array([1, 4]))
 
 
 class TestParams:
