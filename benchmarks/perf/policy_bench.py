@@ -4,10 +4,10 @@ Measures, per (cluster size, job count) point:
 
 * full policy round latency (bootstrap + goodput_eval + solve + placement)
   via the observability phase spans;
-* per-solver-backend columns (``milp``, ``lp_round``, ``decomposed``,
-  ``tiered``): round latency, solve-phase time, first-round objective and
-  its gap vs the MILP reference when the MILP column ran — the solver-tier
-  scaling story up to 4096 GPUs / 1024 jobs;
+* per-solver-backend columns (``milp``, ``lp_round``, ``tiered``): round
+  latency, solve-phase time, first-round objective and its gap vs the MILP
+  reference when the MILP column ran — the solver-tier scaling story up to
+  16384 GPUs / 4096 jobs;
 * steady-state estimator cache hit rate across consecutive rounds.
 
 Each point's gated column is stored under the ``vectorized`` key: the MILP
@@ -63,8 +63,8 @@ def default_backends(size: int) -> tuple[str, ...]:
     """Solver columns per point: the MILP reference is measured only where
     it is affordable; the fast tiers are measured everywhere."""
     if size <= FULL_COMPARE_MAX_GPUS:
-        return ("milp", "lp_round", "decomposed", "tiered")
-    return ("lp_round", "decomposed", "tiered")
+        return ("milp", "lp_round", "tiered")
+    return ("lp_round", "tiered")
 
 
 def make_views(scheduler, cluster, n_jobs: int) -> list[JobView]:
@@ -297,7 +297,7 @@ def measure_stream_overhead(quick: bool, repeats: int = 3) -> dict:
 def run_bench(quick: bool, sizes: tuple[int, ...] | None = None,
               backends: tuple[str, ...] | None = None) -> dict:
     if sizes is None:
-        sizes = (64,) if quick else (64, 128, 256, 1024, 4096)
+        sizes = (64,) if quick else (64, 128, 256, 1024, 4096, 16384)
     rounds = 2 if quick else 3
     points = [measure_point(size, JOBS_PER_64 * (size // 64), rounds,
                             backends=backends)

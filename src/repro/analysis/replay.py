@@ -56,7 +56,7 @@ class ReplayOverrides:
 
     #: scheduler to swap in at the fork round (e.g. 'gavel').
     policy: str | None = None
-    #: ILP backend to rebind on a Sia scheduler ('milp'/'exact'/'greedy').
+    #: ILP backend to rebind on a Sia scheduler (any of ``ilp.BACKENDS``).
     solver_backend: str | None = None
     #: reseed every fault model ("different luck" from the fork on).
     fault_seed: int | None = None
@@ -246,7 +246,6 @@ def _swap_policy(state: CheckpointState, policy: str,
     # Keep the base run's round cadence even for schedulers whose ctor
     # fixes their own (gavel et al. default to 360s): the two futures must
     # tick on the same clock for round-by-round alignment.
-    forklib.unwrap_scheduler(scheduler).round_duration = round_duration
     scheduler.round_duration = round_duration
     state.scheduler = scheduler
     state.scheduler_name = scheduler.name

@@ -12,8 +12,8 @@ one code path:
 * :func:`parse_cluster_delta` / :func:`apply_cluster_delta` — structured
   capacity edits (``+64xa100``, ``-8xt4``) applied to a base cluster while
   preserving existing node ids, so restored allocations stay meaningful;
-* :func:`rebind_solver` — swap a (possibly wrapped) Sia scheduler's ILP
-  backend in place, mid-run;
+* :func:`rebind_solver` — swap a Sia scheduler's ILP backend in place,
+  mid-run;
 * :func:`reseed_fault_models` — deterministically re-bind every fault
   model's RNG, resetting outage/slowdown windows for a "different luck"
   fork.
@@ -28,7 +28,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node, power_of_two_decomposition
 from repro.core import ilp as ilp_backends
 from repro.core.policy import SiaPolicyParams
-from repro.core.resilience import ResilienceConfig, ResilientScheduler
+from repro.core.resilience import ResilienceConfig
 from repro.schedulers.base import Scheduler
 from repro.sim.faults import (CheckpointRestoreFaultModel, FaultModel,
                               GrayFailureModel, JobCrashModel,
@@ -55,7 +55,10 @@ def make_scheduler(name: str, *, round_duration: float = 60.0,
 
     ``round_duration`` applies to the round-cadence-configurable schedulers
     (sia, pollux); the rigid baselines keep their own defaults, exactly as
-    the CLI has always built them.  Raises ``ValueError`` for an unknown
+    the CLI has always built them.  ``resilient`` routes Sia's ILP through
+    a budgeted :class:`~repro.core.resilience.ResilientSolver`; the
+    carry-forward guard for every scheduler is the simulator's
+    (``SimulatorConfig.resilient``).  Raises ``ValueError`` for an unknown
     name (the CLI turns that into a clean exit).
     """
     from repro.schedulers import (FIFOScheduler, GavelScheduler,
@@ -63,31 +66,24 @@ def make_scheduler(name: str, *, round_duration: float = 60.0,
                                   SiaScheduler, SRTFScheduler,
                                   ThemisScheduler)
 
-    resilience = None
-    if resilient:
-        resilience = ResilienceConfig(solve_budget_s=solve_budget)
     if name == "sia":
+        resilience = ResilienceConfig(solve_budget_s=solve_budget) \
+            if resilient else None
         params = SiaPolicyParams(p=p, allocation_incentive=lam,
                                  solver=solver, resilience=resilience)
-        scheduler: Scheduler = SiaScheduler(params,
-                                            round_duration=round_duration)
-    else:
-        builders = {
-            "pollux": lambda: PolluxScheduler(round_duration=round_duration),
-            "gavel": lambda: GavelScheduler(policy=gavel_policy),
-            "shockwave": ShockwaveScheduler,
-            "themis": ThemisScheduler,
-            "fifo": FIFOScheduler,
-            "srtf": SRTFScheduler,
-        }
-        if name not in builders:
-            known = ", ".join(ADAPTIVE_SCHEDULERS + RIGID_SCHEDULERS)
-            raise ValueError(f"unknown scheduler {name!r}; "
-                             f"choose from: {known}")
-        scheduler = builders[name]()
-    if resilience is not None:
-        scheduler = ResilientScheduler(scheduler, resilience)
-    return scheduler
+        return SiaScheduler(params, round_duration=round_duration)
+    builders = {
+        "pollux": lambda: PolluxScheduler(round_duration=round_duration),
+        "gavel": lambda: GavelScheduler(policy=gavel_policy),
+        "shockwave": ShockwaveScheduler,
+        "themis": ThemisScheduler,
+        "fifo": FIFOScheduler,
+        "srtf": SRTFScheduler,
+    }
+    if name not in builders:
+        known = ", ".join(ADAPTIVE_SCHEDULERS + RIGID_SCHEDULERS)
+        raise ValueError(f"unknown scheduler {name!r}; choose from: {known}")
+    return builders[name]()
 
 
 #: fault-model knobs with the CLI's defaults; :func:`make_fault_models`
@@ -270,17 +266,8 @@ def apply_cluster_delta(cluster: Cluster, deltas: list[ClusterDelta],
 
 # -- mid-run re-binding --------------------------------------------------------
 
-def unwrap_scheduler(scheduler: Scheduler) -> Scheduler:
-    """Peel resilience (or any ``inner``-holding) wrappers off a scheduler."""
-    seen = set()
-    while hasattr(scheduler, "inner") and id(scheduler) not in seen:
-        seen.add(id(scheduler))
-        scheduler = scheduler.inner
-    return scheduler
-
-
 def rebind_solver(scheduler: Scheduler, backend: str) -> None:
-    """Swap the ILP backend of a (possibly wrapped) Sia scheduler in place.
+    """Swap the ILP backend of a Sia scheduler in place.
 
     ``SiaPolicy`` reads ``params.solver`` at every solve, so this takes
     effect from the next round.  Raises ``ValueError`` for an unknown
@@ -289,9 +276,8 @@ def rebind_solver(scheduler: Scheduler, backend: str) -> None:
     if backend not in SOLVER_BACKENDS:
         raise ValueError(f"unknown solver backend {backend!r}; choose from "
                          f"{SOLVER_BACKENDS}")
-    inner = unwrap_scheduler(scheduler)
-    params = getattr(inner, "params", None)
-    if params is None or not isinstance(params, SiaPolicyParams):
+    params = getattr(scheduler, "params", None)
+    if not isinstance(params, SiaPolicyParams):
         raise ValueError(
             f"scheduler {scheduler.name!r} has no ILP solver to rebind "
             "(solver_backend overrides only apply to sia)")

@@ -174,9 +174,9 @@ class NodeHealth:
 
 class HealthTracker:
     """Scores nodes from goodput/placement evidence and runs the state
-    machine.  Owned by the engine (one per run, checkpointed with it);
-    :class:`~repro.core.resilience.ResilientScheduler` consults it to
-    filter its cluster view and discount probation hardware."""
+    machine.  Owned by the engine (one per run, checkpointed with it),
+    which consults it each round to filter the scheduler's cluster view
+    and discount probation hardware."""
 
     # Observability is (re)injected by the engine after construction and
     # after every checkpoint restore; tracers are never pickled.

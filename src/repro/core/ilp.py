@@ -14,17 +14,10 @@ Interchangeable backends (:data:`BACKENDS`):
   trick: the relaxation is near-integral for this constraint shape, so
   rounding its support by goodput-per-GPU and repairing capacity greedily
   lands within a small optimality gap at a fraction of the MILP cost).
-* ``decomposed`` — partition by GPU type (capacity rows never couple
-  types), sub-partition oversized types by job cohort, solve partitions
-  independently, stitch with a greedy repair pass over leftover capacity.
-* ``tiered``     — pick one of the above by problem size (feasible-pair
-  count): ``milp`` up to :data:`TIER_LP_VARS`, then ``lp_round`` up to
-  :data:`TIER_DECOMPOSE_VARS`, then ``decomposed``.
+* ``tiered``     — pick by problem size (feasible-pair count): ``milp`` up
+  to :data:`TIER_LP_VARS`, ``lp_round`` above it.
 * ``greedy``     — utility-density greedy rounding (ablation baseline and
   last-resort fallback; fast but not optimal).
-* ``exact``      — pure-Python branch-and-bound (reference implementation
-  used by tests to certify MILP optimality on small instances, and
-  fallback if scipy is unavailable).
 
 Warm starting: callers may pass last round's assignment (rows/cols already
 mapped onto *this* problem's indices) as ``warm_start``.  scipy's ``milp``
@@ -32,49 +25,31 @@ exposes no incumbent API, so the MILP cannot consume it directly; instead
 the warm start powers (a) the *reuse check* — when ``reuse_tolerance`` is
 set and the previous assignment is still feasible and within that tolerance
 of the fresh LP bound, the solve is skipped entirely — and (b) rounding
-stability in ``lp_round``/``decomposed``, where warm pairs win ties so
-allocations do not churn between equivalent optima.
+stability in ``lp_round``, where warm pairs win ties so allocations do not
+churn between equivalent optima.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_array
 
 from repro.obs.tracer import NULL_TRACER, Tracer
-
-try:  # scipy is an install dependency, but keep the pure-Python path alive.
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csr_array
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _HAVE_SCIPY = False
 
 #: every backend :func:`solve_assignment` accepts, in quality order.
 #: ``repro.core.fork`` re-exports this tuple so the replay CLI stays in
 #: sync; add backends here, nowhere else.
-BACKENDS = ("milp", "lp_round", "decomposed", "tiered", "greedy", "exact")
+BACKENDS = ("milp", "lp_round", "tiered", "greedy")
 
-#: ``tiered`` thresholds, in feasible (job, config) pairs: up to
+#: ``tiered`` threshold, in feasible (job, config) pairs: up to
 #: TIER_LP_VARS the exact MILP is affordable; past it the LP relaxation +
-#: rounding takes over; past TIER_DECOMPOSE_VARS even one LP is worth
-#: splitting by GPU type.
+#: rounding takes over.
 TIER_LP_VARS = 4096
-TIER_DECOMPOSE_VARS = 32768
-
-#: cohort split threshold: a per-GPU-type partition whose feasible-pair
-#: count exceeds this is further split into job cohorts with proportional
-#: capacity shares (the stitch pass re-pools whatever a cohort strands).
-DECOMPOSE_MAX_PARTITION_VARS = 16384
-
-#: solve per-GPU-type partitions on a thread pool.  Off by default: HiGHS
-#: solves release the GIL, but partition problems are usually small enough
-#: that pool overhead wins; the 4k-GPU bench flips this to measure both.
-DECOMPOSE_PARALLEL = False
 
 #: LP-support epsilon: rounding considers pairs the relaxation weighted
 #: above this before falling back to the full feasible set.
@@ -146,8 +121,6 @@ class AssignmentSolution:
     reused: bool = False
     #: a warm start was threaded into the backend that produced this.
     warm_started: bool = False
-    #: partitions solved when the backend decomposed the problem.
-    partitions: int = 0
 
     def gpus_used(self, problem: AssignmentProblem) -> dict[str, int]:
         used: dict[str, int] = {}
@@ -159,12 +132,7 @@ class AssignmentSolution:
 
 def select_backend(problem: AssignmentProblem) -> str:
     """Resolve the ``tiered`` backend for one instance by variable count."""
-    n_vars = problem.n_feasible_pairs
-    if n_vars > TIER_DECOMPOSE_VARS:
-        return "decomposed"
-    if n_vars > TIER_LP_VARS:
-        return "lp_round"
-    return "milp"
+    return "lp_round" if problem.n_feasible_pairs > TIER_LP_VARS else "milp"
 
 
 def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
@@ -198,8 +166,7 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
             resolved = select_backend(problem)
             span.annotate(resolved=resolved)
         warm = _clean_warm_start(problem, warm_start)
-        if warm is not None and reuse_tolerance is not None \
-                and resolved not in ("exact",) and _HAVE_SCIPY:
+        if warm is not None and reuse_tolerance is not None:
             with tracer.span("reuse_check", pairs=len(warm)):
                 solution = _try_reuse(problem, warm, reuse_tolerance,
                                       time_limit)
@@ -208,29 +175,17 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
                 _validate(problem, solution)
                 return solution
         if resolved == "milp":
-            if _HAVE_SCIPY:
-                solution = _solve_milp(problem, time_limit=time_limit)
-            else:  # pragma: no cover
-                solution = _solve_exact(problem)
+            solution = _solve_milp(problem, time_limit=time_limit)
         elif resolved == "lp_round":
-            if _HAVE_SCIPY:
-                solution = _solve_lp_round(problem, time_limit=time_limit,
-                                           warm_start=warm)
-            else:  # pragma: no cover
-                solution = _solve_greedy(problem)
-        elif resolved == "decomposed":
-            solution = _solve_decomposed(problem, time_limit=time_limit,
-                                         tracer=tracer, warm_start=warm)
+            solution = _solve_lp_round(problem, time_limit=time_limit,
+                                       warm_start=warm)
         elif resolved == "greedy":
             solution = _solve_greedy(problem)
-        elif resolved == "exact":
-            solution = _solve_exact(problem)
         else:
             raise ValueError(f"unknown backend {backend!r}; "
                              f"choose from {BACKENDS}")
         solution.backend = resolved
-        solution.warm_started = warm is not None \
-            and resolved in ("lp_round", "decomposed")
+        solution.warm_started = warm is not None and resolved == "lp_round"
         solution.solve_time = time.perf_counter() - start
         _validate(problem, solution)
     return solution
@@ -330,7 +285,7 @@ class _PairSystem:
     pair_jobs: np.ndarray
     pair_cols: np.ndarray
     cost: np.ndarray
-    constraints: "LinearConstraint"
+    constraints: LinearConstraint
     lb: np.ndarray
     ub: np.ndarray
 
@@ -524,8 +479,8 @@ def _greedy_fill(problem: AssignmentProblem, assignment: dict[int, int],
     """Assign still-free jobs' positive-utility pairs into leftover
     capacity, highest utility-per-GPU first (ties: warm pair, fewer GPUs,
     then job id / config id — fully deterministic).  Shared by the
-    rounding, decomposition-stitch, and greedy backends; mutates
-    ``assignment``/``remaining`` in place."""
+    rounding and greedy backends; mutates ``assignment``/``remaining`` in
+    place."""
     warm = warm or {}
     util = problem.utilities
     gpus = problem.config_gpus
@@ -549,147 +504,6 @@ def _greedy_fill(problem: AssignmentProblem, assignment: dict[int, int],
             assignment[i] = j
 
 
-# -- decomposition backend ----------------------------------------------------
-
-def _home_types(problem: AssignmentProblem) -> dict[int, str]:
-    """Each free job's partition: the GPU type of its best feasible pair
-    (deterministic — ``nanargmax`` takes the first maximum in column
-    order).  Jobs with no feasible pair are left out."""
-    homes: dict[int, str] = {}
-    util = problem.utilities
-    feasible_rows = np.flatnonzero(np.any(~np.isnan(util), axis=1))
-    for i in feasible_rows.tolist():
-        if i in problem.forced:
-            continue
-        best = int(np.nanargmax(util[i]))
-        homes[i] = problem.config_types[best]
-    return homes
-
-
-def _cohort_shares(capacity: int, cohorts: int) -> list[int]:
-    """Split a type's capacity across job cohorts, remainder to the first."""
-    base, extra = divmod(capacity, cohorts)
-    return [base + (1 if c < extra else 0) for c in range(cohorts)]
-
-
-def _solve_decomposed(problem: AssignmentProblem,
-                      time_limit: float | None = None,
-                      tracer: Tracer | None = None,
-                      warm_start: dict[int, int] | None = None,
-                      inner_backend: str | None = None,
-                      parallel: bool | None = None,
-                      ) -> AssignmentSolution:
-    """Partition by GPU type (and job cohort), solve, stitch.
-
-    Capacity constraints never couple GPU types — jobs do, because a job's
-    feasible set can span types.  Each free job therefore joins the
-    partition of its *best* feasible pair; partitions are independent
-    instances (type-t columns, the type's leftover capacity) solved with
-    ``inner_backend`` (auto: ``milp`` for small partitions, ``lp_round``
-    past :data:`TIER_LP_VARS`).  Oversized partitions split into job
-    cohorts with proportional capacity shares.  The stitch pass pools
-    whatever capacity partitions strand and greedily serves the jobs they
-    could not — including jobs whose best type filled up but whose
-    second-best has room.  Forced pairs are pre-assigned globally so no
-    partition can strand one.
-    """
-    if tracer is None:
-        tracer = NULL_TRACER
-    if parallel is None:
-        parallel = DECOMPOSE_PARALLEL
-    util = problem.utilities
-    remaining = dict(problem.capacities)
-    assignment: dict[int, int] = {}
-    for i, j in sorted(problem.forced.items()):
-        gpu_type = problem.config_types[j]
-        need = int(problem.config_gpus[j])
-        if remaining.get(gpu_type, 0) < need:
-            raise RuntimeError(f"cannot satisfy forced assignment ({i}, {j})")
-        remaining[gpu_type] -= need
-        assignment[i] = j
-
-    homes = _home_types(problem)
-    type_cols: dict[str, list[int]] = {}
-    for j, t in enumerate(problem.config_types):
-        type_cols.setdefault(t, []).append(j)
-
-    # Build the partition worklist: (gpu_type, cohort_index, rows, share).
-    warm = warm_start or {}
-    worklist: list[tuple[str, int, list[int], int]] = []
-    for gpu_type in problem.capacities:
-        rows = sorted(i for i, home in homes.items() if home == gpu_type)
-        if not rows or gpu_type not in type_cols:
-            continue
-        cols = type_cols[gpu_type]
-        n_vars = int(np.count_nonzero(
-            ~np.isnan(util[np.ix_(rows, cols)])))
-        cohorts = max(1, -(-n_vars // DECOMPOSE_MAX_PARTITION_VARS))
-        cohorts = min(cohorts, len(rows))
-        shares = _cohort_shares(remaining.get(gpu_type, 0), cohorts)
-        chunk = -(-len(rows) // cohorts)
-        for c in range(cohorts):
-            cohort_rows = rows[c * chunk:(c + 1) * chunk]
-            if cohort_rows:
-                worklist.append((gpu_type, c, cohort_rows, shares[c]))
-
-    def solve_partition(entry: tuple[str, int, list[int], int],
-                        ) -> tuple[list[int], list[int], dict[int, int]]:
-        gpu_type, cohort, rows, share = entry
-        cols = type_cols[gpu_type]
-        sub_util = util[np.ix_(rows, cols)].copy()
-        sub = AssignmentProblem(
-            utilities=sub_util,
-            config_gpus=problem.config_gpus[cols],
-            config_types=[gpu_type] * len(cols),
-            capacities={gpu_type: share},
-        )
-        backend = inner_backend
-        if backend is None:
-            backend = "milp" if sub.n_feasible_pairs <= TIER_LP_VARS \
-                else "lp_round"
-        col_pos = {j: k for k, j in enumerate(cols)}
-        sub_warm = {}
-        for local, i in enumerate(rows):
-            w = warm.get(i)
-            if w is not None and w in col_pos \
-                    and not math.isnan(sub_util[local, col_pos[w]]):
-                sub_warm[local] = col_pos[w]
-        with tracer.span("solve_partition", gpu_type=gpu_type, cohort=cohort,
-                         jobs=len(rows), vars=sub.n_feasible_pairs,
-                         backend=backend):
-            sub_solution = solve_assignment(sub, backend=backend,
-                                            time_limit=time_limit,
-                                            tracer=tracer,
-                                            warm_start=sub_warm or None)
-        return rows, cols, sub_solution.assignment
-
-    if parallel and len(worklist) > 1:
-        # Results are merged in worklist order, so the stitch is
-        # deterministic regardless of completion order.
-        with ThreadPoolExecutor(max_workers=min(8, len(worklist))) as pool:
-            results = list(pool.map(solve_partition, worklist))
-    else:
-        results = [solve_partition(entry) for entry in worklist]
-
-    for rows, cols, sub_assignment in results:
-        for local_row, local_col in sorted(sub_assignment.items()):
-            i, j = rows[local_row], cols[local_col]
-            gpu_type = problem.config_types[j]
-            need = int(problem.config_gpus[j])
-            if i in assignment or remaining.get(gpu_type, 0) < need:
-                continue  # stitched away below, on pooled capacity
-            remaining[gpu_type] -= need
-            assignment[i] = j
-
-    # Stitch: jobs no partition served, over the pooled leftover capacity
-    # (cohort strands and cross-type spillover both end up here).
-    _greedy_fill(problem, assignment, remaining, warm)
-
-    objective = float(sum(util[i, j] for i, j in assignment.items()))
-    return AssignmentSolution(assignment, objective, 0.0,
-                              partitions=len(worklist))
-
-
 # -- greedy backend ----------------------------------------------------------
 
 def _solve_greedy(problem: AssignmentProblem) -> AssignmentSolution:
@@ -697,7 +511,7 @@ def _solve_greedy(problem: AssignmentProblem) -> AssignmentSolution:
 
     Ties break by GPU count, then job id, then config id — never by dict
     or insertion order — so the fallback tier is reproducible across
-    partition stitching and seed changes.
+    seed changes.
     """
     remaining = dict(problem.capacities)
     assignment: dict[int, int] = {}
@@ -714,60 +528,3 @@ def _solve_greedy(problem: AssignmentProblem) -> AssignmentSolution:
     objective = float(sum(problem.utilities[i, j]
                           for i, j in assignment.items()))
     return AssignmentSolution(assignment, objective, 0.0)
-
-
-# -- exact branch-and-bound backend ------------------------------------------
-
-def _solve_exact(problem: AssignmentProblem) -> AssignmentSolution:
-    """Depth-first branch-and-bound over jobs; exact but exponential.
-
-    Intended for small instances (tests, tiny clusters).  Jobs are visited
-    in order; the bound adds each remaining job's best feasible utility,
-    ignoring capacity (admissible, hence never prunes the optimum).
-    """
-    n = problem.n_jobs
-    options: list[list[tuple[float, int]]] = []
-    for i in range(n):
-        row = problem.utilities[i]
-        feasible = [(float(row[j]), j) for j in range(problem.n_configs)
-                    if not math.isnan(row[j])]
-        feasible.sort(reverse=True)
-        if i in problem.forced:
-            feasible = [(u, j) for u, j in feasible if j == problem.forced[i]]
-        options.append(feasible)
-    best_tail = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        top = max((u for u, _ in options[i]), default=0.0)
-        best_tail[i] = best_tail[i + 1] + max(0.0, top)
-
-    best_obj = -math.inf
-    best_assignment: dict[int, int] = {}
-
-    def dfs(i: int, value: float, remaining: dict[str, int],
-            chosen: dict[int, int]) -> None:
-        nonlocal best_obj, best_assignment
-        if value + best_tail[i] <= best_obj:
-            return
-        if i == n:
-            if value > best_obj:
-                best_obj = value
-                best_assignment = dict(chosen)
-            return
-        # Option: skip this job (not allowed if forced).
-        if i not in problem.forced:
-            dfs(i + 1, value, remaining, chosen)
-        for utility, j in options[i]:
-            gpu_type = problem.config_types[j]
-            need = int(problem.config_gpus[j])
-            if remaining.get(gpu_type, 0) < need:
-                continue
-            remaining[gpu_type] -= need
-            chosen[i] = j
-            dfs(i + 1, value + utility, remaining, chosen)
-            del chosen[i]
-            remaining[gpu_type] += need
-
-    dfs(0, 0.0, dict(problem.capacities), {})
-    if not math.isfinite(best_obj):
-        raise RuntimeError("exact solver found no feasible assignment")
-    return AssignmentSolution(best_assignment, best_obj, 0.0)

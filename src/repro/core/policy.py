@@ -47,10 +47,10 @@ class SiaPolicyParams:
     #: per-round scale-up cap (Section 3.1; "at most 2x per round").
     scale_up_factor: int = 2
     #: ILP backend — any of :data:`repro.core.ilp.BACKENDS` ('milp',
-    #: 'lp_round', 'decomposed', 'tiered', 'greedy', 'exact').
+    #: 'lp_round', 'tiered', 'greedy').
     solver: str = "milp"
     #: thread last round's allocations into the solver as a warm start:
-    #: the LP-rounding/decomposed tiers use it to keep allocations sticky
+    #: the LP-rounding tier uses it to keep allocations sticky
     #: across equivalent optima, and it feeds the reuse check below.  The
     #: MILP backend ignores it (scipy exposes no incumbent API), so the
     #: default is decision-neutral.
@@ -63,7 +63,7 @@ class SiaPolicyParams:
     #: disable the restart factor (ablation).
     use_restart_factor: bool = True
     #: when set, route the ILP through a ResilientSolver (budget + fallback
-    #: chain + circuit breaker); None keeps the direct solver call.
+    #: ladder + circuit breaker); None keeps the direct solver call.
     resilience: "ResilienceConfig | None" = None
 
 

@@ -1,27 +1,27 @@
-"""Resilient policy layer: solver fallback chain + scheduler guard.
+"""Resilient policy layer: solver fallback ladder + carry-forward plans.
 
 Figure 9 shows policy solve time growing with cluster scale, and a
 production round-based scheduler must produce *some* feasible decision
-every round (Gavel, Pollux make the same argument).  This module adds two
-degradation layers:
+every round (Gavel, Pollux make the same argument).  This module holds
+the two degradation steps:
 
 * :class:`ResilientSolver` wraps :func:`repro.core.ilp.solve_assignment`
-  with a per-round wall-clock budget, a fallback chain
-  (``primary -> lp_round -> greedy -> carry`` by default, configurable via
-  :attr:`ResilienceConfig.fallback_chain`), and a circuit breaker that
-  skips the primary for a cooldown after repeated timeouts/failures.
-  ``SiaPolicyParams`` accepts a :class:`ResilienceConfig` to route its ILP
-  through one.  The LP-rounding tier sits ahead of greedy because it
-  shares the MILP's constraint system at a fraction of the cost — a
-  budget-blown MILP usually still affords one LP solve.
-* :class:`ResilientScheduler` wraps any scheduler: exceptions and invalid
-  :class:`~repro.schedulers.base.RoundPlan`\\ s are caught and replaced by
-  :func:`carry_forward_plan` — the previous round's still-feasible
-  allocations intersected with the surviving cluster — so one bad round
-  never kills a run.  The simulator applies the same guard when
-  ``SimulatorConfig.resilient`` is set.
+  with a per-round wall-clock budget, the fixed fallback ladder
+  ``primary -> lp_round -> greedy`` (:data:`FALLBACKS`), and a circuit
+  breaker that skips the primary for a cooldown after repeated
+  timeouts/failures.  ``SiaPolicyParams`` accepts a
+  :class:`ResilienceConfig` to route its ILP through one.  The
+  LP-rounding tier sits ahead of greedy because it shares the MILP's
+  constraint system at a fraction of the cost — a budget-blown MILP
+  usually still affords one LP solve.
+* :func:`carry_forward_plan` is the last resort: the previous round's
+  still-feasible allocations intersected with the surviving cluster.  The
+  simulator substitutes it for any round whose ``decide`` raises or whose
+  :class:`~repro.schedulers.base.RoundPlan` fails validation, when
+  ``SimulatorConfig.resilient`` is set, so one bad round never kills a
+  run.
 
-Both layers report what they did through ``RoundPlan.backend`` /
+Both report what they did through ``RoundPlan.backend`` /
 ``RoundPlan.degraded``, which the simulator records per round.
 """
 
@@ -32,21 +32,27 @@ from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster
 from repro.core import ilp
-from repro.core.health import HealthTracker, deterministic_jitter
+from repro.core.health import deterministic_jitter
 from repro.core.ilp import AssignmentProblem, AssignmentSolution
 from repro.core.types import Allocation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.schedulers.base import JobView, RoundPlan, Scheduler
+from repro.schedulers.base import JobView, RoundPlan
+
+#: backends tried, in order, after the primary fails — the fast tiers
+#: between the primary solver and carry-forward.  Entries equal to the
+#: primary are skipped; every non-final tier runs under the round budget,
+#: the final tier runs unbudgeted (it must produce *something*).
+FALLBACKS = ("lp_round", "greedy")
 
 
 class SolverExhaustedError(RuntimeError):
-    """Every backend in the fallback chain failed for this round."""
+    """Every backend in the fallback ladder failed for this round."""
 
 
 @dataclass
 class ResilienceConfig:
-    """Degradation knobs shared by the solver and scheduler wrappers."""
+    """Budget, retry and circuit-breaker knobs for :class:`ResilientSolver`."""
 
     #: wall-clock seconds the primary solver may spend per round; also
     #: passed to HiGHS as its time limit so the MILP stops at the budget.
@@ -63,12 +69,6 @@ class ResilienceConfig:
     retry_budget_factor: float = 2.0
     #: deterministic jitter amplitude (fraction) on the relaxed budget.
     retry_jitter: float = 0.25
-    #: backends tried, in order, after the primary fails — the fast tiers
-    #: between the primary solver and carry-forward.  Entries equal to the
-    #: primary are skipped; every non-final tier runs under the round
-    #: budget, the final tier runs unbudgeted (it must produce *something*).
-    #: ``("greedy",)`` restores the pre-tier chain.
-    fallback_chain: tuple[str, ...] = ("lp_round", "greedy")
 
     def __post_init__(self) -> None:
         if self.solve_budget_s <= 0:
@@ -81,19 +81,14 @@ class ResilienceConfig:
             raise ValueError("retry_budget_factor must be >= 1")
         if self.retry_jitter < 0:
             raise ValueError("retry_jitter must be non-negative")
-        self.fallback_chain = tuple(self.fallback_chain)
-        for backend in self.fallback_chain:
-            if backend not in ilp.BACKENDS:
-                raise ValueError(f"unknown fallback backend {backend!r}; "
-                                 f"choose from {ilp.BACKENDS}")
 
 
 class ResilientSolver:
     """Budgeted, circuit-broken wrapper around ``solve_assignment``.
 
     :meth:`solve` never raises on solver trouble: it degrades through the
-    chain primary -> ``config.fallback_chain`` (default
-    ``lp_round -> greedy``) and returns ``(solution, backend, degraded)``.
+    ladder primary -> :data:`FALLBACKS` (``lp_round -> greedy``) and
+    returns ``(solution, backend, degraded)``.
     Only when *every* backend fails does it raise
     :class:`SolverExhaustedError`, signalling the caller to carry forward.
     """
@@ -236,7 +231,7 @@ class ResilientSolver:
         # (an overrun there still yields a usable rounding), the final tier
         # runs unbudgeted.  No reuse check on fallbacks — the primary
         # already priced it if asked.
-        chain = [b for b in self.config.fallback_chain if b != primary]
+        chain = [b for b in FALLBACKS if b != primary]
         for pos, backend in enumerate(chain):
             fallback_budget = float("inf") if pos == len(chain) - 1 \
                 else budget
@@ -286,60 +281,3 @@ def carry_forward_plan(previous: dict[str, Allocation], cluster: Cluster,
         allocations[job_id] = alloc
     return RoundPlan(allocations=allocations, solve_time=0.0,
                      backend="carry", degraded=True)
-
-
-class ResilientScheduler(Scheduler):
-    """Wraps any scheduler so a bad round degrades instead of crashing.
-
-    ``decide`` runs the inner scheduler and validates its plan; any
-    exception (solver blow-up, placement bug, invalid plan) is caught and
-    replaced with :func:`carry_forward_plan`.  Estimator construction and
-    round cadence delegate to the inner scheduler.
-    """
-
-    #: optional :class:`~repro.core.health.HealthTracker`.  When attached
-    #: (the engine does this when ``SimulatorConfig.health`` is set),
-    #: quarantined/drained nodes are filtered out of the cluster view the
-    #: inner scheduler sees, and probation-node goodput discounts are
-    #: forwarded through :attr:`health_discounts`.
-    health: HealthTracker | None = None
-
-    def __init__(self, inner: Scheduler,
-                 config: ResilienceConfig | None = None):
-        self.inner = inner
-        self.config = config or ResilienceConfig()
-        self.name = f"resilient-{inner.name}"
-        self.round_duration = inner.round_duration
-        self.oracle_estimators = inner.oracle_estimators
-        #: rounds rescued by carry-forward after an inner failure.
-        self.caught_failures = 0
-        #: most recent inner exception, for postmortems.
-        self.last_error: Exception | None = None
-
-    def make_estimator(self, job, cluster, profiling_mode) -> object:
-        return self.inner.make_estimator(job, cluster, profiling_mode)
-
-    def decide(self, views: list[JobView], cluster: Cluster,
-               previous: dict[str, Allocation], now: float) -> RoundPlan:
-        self.inner.tracer = self.tracer
-        self.inner.metrics = self.metrics
-        if self.health is not None:
-            cluster = self.health.healthy_view(cluster)
-            self.health_discounts = \
-                self.health.type_discounts(cluster) or None
-        self.inner.health_discounts = self.health_discounts
-        try:
-            plan = self.inner.decide(views, cluster, previous, now)
-            plan.validate(cluster)
-            return plan
-        except Exception as exc:
-            self.caught_failures += 1
-            self.last_error = exc
-            if self.metrics is not None:
-                self.metrics.counter("resilience.caught_failures").inc()
-            with self.tracer.span("carry_forward", scheduler=self.inner.name,
-                                  error=type(exc).__name__):
-                return carry_forward_plan(previous, cluster, views)
-
-    def describe(self) -> str:
-        return f"{self.name} (round={self.round_duration:.0f}s, guarded)"

@@ -36,12 +36,10 @@ PLAN_PHASES = ("bootstrap", "goodput_eval", "solve", "placement")
 #: first: ``solve_attempt`` (one per :class:`~repro.core.resilience.
 #: ResilientSolver` backend tried), ``ilp_solve`` (one per
 #: :func:`~repro.core.ilp.solve_assignment` call, annotated with the
-#: resolved tier when ``backend='tiered'``), ``reuse_check`` (the LP-bound
-#: pricing of a warm start), and ``solve_partition`` (one per decomposed
-#: sub-problem, annotated with gpu_type/cohort/vars).  Canonical home for
-#: the taxonomy; tests and exporters reference this tuple.
-SOLVER_SPANS = ("solve_attempt", "ilp_solve", "reuse_check",
-                "solve_partition")
+#: resolved tier when ``backend='tiered'``), and ``reuse_check`` (the
+#: LP-bound pricing of a warm start).  Canonical home for the taxonomy;
+#: tests and exporters reference this tuple.
+SOLVER_SPANS = ("solve_attempt", "ilp_solve", "reuse_check")
 
 
 @dataclass

@@ -144,9 +144,9 @@ class Scheduler(abc.ABC):
     #: The NULL_TRACER default keeps standalone ``decide()`` calls no-op.
     tracer: Tracer = NULL_TRACER
     #: shared metrics registry; the simulator injects the run's registry so
-    #: resilience layers (ResilientScheduler, ResilientSolver) fold their
-    #: counters into the per-round snapshots.  None keeps standalone
-    #: ``decide()`` calls metric-free.
+    #: the resilience layer (ResilientSolver) folds its counters into the
+    #: per-round snapshots.  None keeps standalone ``decide()`` calls
+    #: metric-free.
     metrics: MetricsRegistry | None = None
     #: seconds between scheduling rounds (60 for Sia/Pollux, 360 for the
     #: rigid baselines — Section 4.3).
@@ -156,9 +156,9 @@ class Scheduler(abc.ABC):
     #: run in Oracle mode regardless of the experiment's profiling mode.
     oracle_estimators: bool = False
     #: per-GPU-type goodput discounts from the health layer (probation
-    #: nodes); injected each round by the engine / ResilientScheduler and
-    #: consumed by policies that support it (SiaPolicy).  ``None`` (or
-    #: ``{}``) means no discount — the default for every standalone use.
+    #: nodes); injected each round by the engine and consumed by policies
+    #: that support it (SiaPolicy).  ``None`` (or ``{}``) means no
+    #: discount — the default for every standalone use.
     health_discounts: dict[str, float] | None = None
 
     @abc.abstractmethod

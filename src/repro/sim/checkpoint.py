@@ -48,8 +48,9 @@ from repro.atomicio import atomic_write_bytes
 
 #: file magic; bump FORMAT_VERSION on any incompatible payload change.
 #: v2: ``finished`` holds JobRecords instead of whole job runtimes.
+#: v3: schedulers are never wrapped (the scheduler guard class is gone).
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages

@@ -248,13 +248,6 @@ class Simulator:
         if self._health is not None:
             self._health.tracer = self.tracer
             self._health.metrics = self.metrics
-        # A health-aware scheduler (ResilientScheduler) filters its own
-        # cluster view and forwards probation discounts; the engine still
-        # applies its view filter for every scheduler, so the quarantine
-        # invariant holds regardless.  Always (re)assigned so a restored
-        # scheduler never keeps a tracker this run's config disabled.
-        if hasattr(type(self.scheduler), "health"):
-            self.scheduler.health = self._health
 
     # -- main loop -------------------------------------------------------------
 

@@ -148,8 +148,9 @@ class TestCheckpointFile:
         path = ckpt.checkpoint_path(tmp_path, 1)
         ckpt.write_checkpoint(self._state(round_index=1), path)
         header, payload = path.read_bytes().split(b"\n", 1)
-        # v1 is the previous build's format (finished jobs as runtimes).
-        for version in (b"v999", b"v1"):
+        # v1 stored finished jobs as runtimes; v2 could hold a wrapped
+        # scheduler class that no longer exists.
+        for version in (b"v999", b"v1", b"v2"):
             parts = header.split(b" ")
             parts[1] = version
             path.write_bytes(b" ".join(parts) + b"\n" + payload)

@@ -1,5 +1,6 @@
 """Tests for the assignment ILP: correctness of each backend and
-MILP-vs-exact cross-checks on random instances."""
+MILP-vs-exact cross-checks on random instances.  ``exact`` is the
+branch-and-bound oracle in ``tests/oracle.py``, not a solver backend."""
 
 import math
 
@@ -8,8 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ilp import AssignmentProblem, solve_assignment
+from tests.oracle import solve_exact
 
 NAN = math.nan
+
+
+def solve(p: AssignmentProblem, backend: str):
+    """A backend's solution, or the oracle's for ``backend='exact'``."""
+    if backend == "exact":
+        return solve_exact(p)
+    return solve_assignment(p, backend=backend)
 
 
 def problem(utilities, gpus, types, caps, forced=None) -> AssignmentProblem:
@@ -48,7 +57,7 @@ class TestPaperExample:
     @pytest.mark.parametrize("backend", ["milp", "exact"])
     def test_boxed_solution(self, backend):
         p = problem(self.UTILITIES, self.GPUS, self.TYPES, self.CAPS)
-        solution = solve_assignment(p, backend=backend)
+        solution = solve(p, backend)
         assert solution.assignment == {0: 4, 1: 1}
         assert solution.objective == pytest.approx(7.0)
 
@@ -57,27 +66,27 @@ class TestBackends:
     @pytest.mark.parametrize("backend", ["milp", "exact", "greedy"])
     def test_empty_feasible_set(self, backend):
         p = problem([[NAN, NAN]], [1, 2], ["t4", "t4"], {"t4": 4})
-        solution = solve_assignment(p, backend=backend)
+        solution = solve(p, backend)
         assert solution.assignment == {}
 
     @pytest.mark.parametrize("backend", ["milp", "exact", "greedy"])
     def test_capacity_never_violated(self, backend):
         p = problem([[5.0, 9.0], [5.0, 9.0]], [2, 4], ["t4", "t4"], {"t4": 4})
-        solution = solve_assignment(p, backend=backend)
+        solution = solve(p, backend)
         used = solution.gpus_used(p)
         assert used.get("t4", 0) <= 4
 
     @pytest.mark.parametrize("backend", ["milp", "exact", "greedy"])
     def test_at_most_one_config_per_job(self, backend):
         p = problem([[1.0, 2.0, 3.0]], [1, 1, 1], ["t4"] * 3, {"t4": 8})
-        solution = solve_assignment(p, backend=backend)
+        solution = solve(p, backend)
         assert len(solution.assignment) <= 1
 
     @pytest.mark.parametrize("backend", ["milp", "exact"])
     def test_forced_assignment_honoured(self, backend):
         p = problem([[10.0, 1.0], [10.0, 1.0]], [4, 1], ["t4", "t4"],
                     {"t4": 4}, forced={1: 0})
-        solution = solve_assignment(p, backend=backend)
+        solution = solve(p, backend)
         assert solution.assignment[1] == 0
         # Job 0 cannot also take the 4-GPU config.
         assert solution.assignment.get(0) != 0
@@ -96,7 +105,7 @@ class TestBackends:
     def test_negative_utility_left_unassigned(self):
         p = problem([[-5.0]], [1], ["t4"], {"t4": 4})
         for backend in ("milp", "exact", "greedy"):
-            solution = solve_assignment(p, backend=backend)
+            solution = solve(p, backend)
             assert solution.assignment == {}
 
     def test_solve_time_recorded(self):
@@ -128,12 +137,12 @@ class TestCrossCheck:
     @given(instance=random_instances())
     def test_milp_matches_exact_optimum(self, instance):
         milp = solve_assignment(instance, backend="milp")
-        exact = solve_assignment(instance, backend="exact")
+        exact = solve_exact(instance)
         assert milp.objective == pytest.approx(exact.objective, abs=1e-6)
 
     @settings(max_examples=60, deadline=None)
     @given(instance=random_instances())
     def test_greedy_never_beats_optimum(self, instance):
         greedy = solve_assignment(instance, backend="greedy")
-        exact = solve_assignment(instance, backend="exact")
+        exact = solve_exact(instance)
         assert greedy.objective <= exact.objective + 1e-9

@@ -3,11 +3,13 @@ restart stickiness, non-preemption, allocation incentive."""
 
 import pytest
 
+from repro.core import policy as policy_module
 from repro.core.policy import SiaPolicy, SiaPolicyParams
 from repro.core.types import AdaptivityMode, Configuration, ProfilingMode
 from repro.jobs.job import make_job
 from repro.perf.estimator import JobPerfEstimator
 from repro.schedulers.base import JobView
+from tests.oracle import solve_exact
 
 
 def view_for(job, cluster, *, current=None, age=0.0, restarts=0,
@@ -21,6 +23,13 @@ def view_for(job, cluster, *, current=None, age=0.0, restarts=0,
 
 @pytest.fixture
 def policy() -> SiaPolicy:
+    return SiaPolicy()
+
+
+def exact_policy(monkeypatch) -> SiaPolicy:
+    """A policy whose ILP the branch-and-bound oracle solves."""
+    monkeypatch.setattr(policy_module, "solve_assignment",
+                        lambda problem, **kwargs: solve_exact(problem))
     return SiaPolicy()
 
 
@@ -157,20 +166,24 @@ class TestCapacity:
 class TestSolverBackends:
     @pytest.mark.parametrize("backend", ["milp", "exact", "greedy"])
     def test_all_backends_produce_valid_assignments(self, hetero_cluster,
-                                                    backend):
-        policy = SiaPolicy(SiaPolicyParams(solver=backend))
+                                                    backend, monkeypatch):
+        if backend == "exact":
+            policy = exact_policy(monkeypatch)
+        else:
+            policy = SiaPolicy(SiaPolicyParams(solver=backend))
         views = [view_for(make_job(f"j{i}", "resnet18", 0.0), hetero_cluster)
                  for i in range(5)]
         decision = policy.decide(views, hetero_cluster, 0.0)
         assert decision.assignments  # someone got resources
 
-    def test_milp_and_exact_agree_on_objective(self, hetero_cluster):
+    def test_milp_and_exact_agree_on_objective(self, hetero_cluster,
+                                               monkeypatch):
         views = [view_for(make_job(f"j{i}", "bert", 0.0), hetero_cluster)
                  for i in range(4)]
         milp = SiaPolicy(SiaPolicyParams(solver="milp")).decide(
             views, hetero_cluster, 0.0)
-        exact = SiaPolicy(SiaPolicyParams(solver="exact")).decide(
-            views, hetero_cluster, 0.0)
+        exact = exact_policy(monkeypatch).decide(views, hetero_cluster, 0.0)
+        assert exact.backend == "exact"
         assert milp.objective == pytest.approx(exact.objective, rel=1e-6)
 
 

@@ -1,5 +1,6 @@
-"""Tests for the resilient policy layer: solver fallback chain, circuit
-breaker, carry-forward plans, and the end-to-end chaos scenario."""
+"""Tests for the resilient policy layer: solver fallback ladder, circuit
+breaker, carry-forward plans, the simulator's carry-forward guard, and the
+end-to-end chaos scenario."""
 
 import random
 import time
@@ -14,11 +15,11 @@ from repro.cluster.node import NodeGroup
 from repro.core import ilp
 from repro.core.ilp import AssignmentProblem
 from repro.core.policy import SiaPolicyParams
-from repro.core.resilience import (ResilienceConfig, ResilientScheduler,
-                                   ResilientSolver, SolverExhaustedError,
-                                   carry_forward_plan)
+from repro.core.resilience import (ResilienceConfig, ResilientSolver,
+                                   SolverExhaustedError, carry_forward_plan)
 from repro.core.types import Allocation
 from repro.jobs.job import make_job
+from repro.obs.tracer import Tracer
 from repro.schedulers import SiaScheduler
 from repro.schedulers.base import RoundPlan, Scheduler
 from repro.sim import (JobCrashModel, NodeCrashModel, StragglerModel,
@@ -60,20 +61,6 @@ class TestResilientSolver:
         assert backend == "greedy"
         assert degraded
         assert solution.assignment
-
-    def test_legacy_chain_skips_lp_round(self, monkeypatch):
-        """fallback_chain=('greedy',) restores the pre-tier behavior."""
-        def boom(problem, time_limit=None):
-            raise RuntimeError("injected MILP failure")
-        monkeypatch.setattr(ilp, "_solve_milp", boom)
-        solver = ResilientSolver(
-            ResilienceConfig(fallback_chain=("greedy",)))
-        _, backend, degraded = solver.solve(problem())
-        assert backend == "greedy" and degraded
-
-    def test_unknown_fallback_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown fallback"):
-            ResilienceConfig(fallback_chain=("nope",))
 
     def test_breaker_opens_then_closes(self, monkeypatch):
         attempts = {"n": 0}
@@ -197,19 +184,22 @@ class TestSolverExhaustedChain:
         assert solver.stats["breaker_trips"] == 1
 
     def test_breaker_open_with_greedy_primary_exhausts(self, monkeypatch):
-        """Edge case: primary == 'greedy' and the breaker is open.  The
-        open breaker skips the primary, and there is no further fallback
-        below greedy — the solver must raise (callers carry forward during
-        the cooldown) rather than loop or return garbage."""
+        """Edge case: primary == 'greedy', lp_round broken, and the breaker
+        open.  The open breaker skips the primary, and the ladder has
+        nothing below greedy — the solver must raise (callers carry
+        forward during the cooldown) rather than loop or return garbage."""
         calls = {"n": 0}
 
         def counting_greedy(*args, **kwargs):
             calls["n"] += 1
             raise RuntimeError("injected greedy failure")
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected lp_round failure")
         monkeypatch.setattr(ilp, "_solve_greedy", counting_greedy)
+        monkeypatch.setattr(ilp, "_solve_lp_round", boom)
         solver = ResilientSolver(ResilienceConfig(breaker_threshold=1,
-                                                  breaker_cooldown_rounds=2,
-                                                  fallback_chain=("greedy",)))
+                                                  breaker_cooldown_rounds=2))
         p = problem()
         with pytest.raises(SolverExhaustedError):
             solver.solve(p, primary="greedy")  # failure trips the breaker
@@ -217,7 +207,7 @@ class TestSolverExhaustedChain:
         calls["n"] = 0
         with pytest.raises(SolverExhaustedError):
             solver.solve(p, primary="greedy")
-        # Cooldown round: no backend attempted at all — straight to raise.
+        # Cooldown round: greedy is never attempted — straight to raise.
         assert calls["n"] == 0
         assert solver.stats["exhausted"] == 2
 
@@ -231,10 +221,12 @@ class TestSolverExhaustedChain:
             if calls["n"] == 1:
                 raise RuntimeError("injected")
             return real(*args, **kwargs)
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected lp_round failure")
         monkeypatch.setattr(ilp, "_solve_greedy", flaky_greedy)
+        monkeypatch.setattr(ilp, "_solve_lp_round", boom)
         solver = ResilientSolver(ResilienceConfig(breaker_threshold=1,
-                                                  breaker_cooldown_rounds=1,
-                                                  fallback_chain=("greedy",)))
+                                                  breaker_cooldown_rounds=1))
         p = problem()
         with pytest.raises(SolverExhaustedError):
             solver.solve(p, primary="greedy")  # trips the breaker
@@ -247,25 +239,28 @@ class TestSolverExhaustedChain:
     def test_exhausted_policy_is_rescued_by_scheduler_guard(
             self, monkeypatch, hetero_cluster):
         """End to end: every backend dead -> SiaPolicy raises
-        SolverExhaustedError -> ResilientScheduler carries forward."""
+        SolverExhaustedError -> the simulator's guard carries forward."""
         def boom(*args, **kwargs):
             raise RuntimeError("injected")
         monkeypatch.setattr(ilp, "_solve_milp", boom)
         monkeypatch.setattr(ilp, "_solve_lp_round", boom)
         monkeypatch.setattr(ilp, "_solve_greedy", boom)
         params = SiaPolicyParams(resilience=ResilienceConfig())
-        sched = ResilientScheduler(SiaScheduler(params))
         jobs = [make_job("j0", "resnet18", 0.0, work_scale=0.3)]
-        result = simulate(hetero_cluster, sched, jobs, max_hours=1)
-        assert sched.caught_failures > 0
-        assert isinstance(sched.last_error, SolverExhaustedError)
+        tracer = Tracer()
+        result = simulate(hetero_cluster, SiaScheduler(params), jobs,
+                          max_hours=1, resilient=True, tracer=tracer)
+        assert result.final_metrics["caught_scheduler_failures"] > 0
+        errors = {s.attrs["error"] for s in tracer.spans
+                  if s.name == "carry_forward"}
+        assert errors == {"SolverExhaustedError"}
         assert result.backend_counts().get("carry", 0) > 0
 
     def test_solver_counters_reach_round_snapshots(self, monkeypatch,
                                                    hetero_cluster,
                                                    tmp_path):
-        """Satellite: ResilientSolver/ResilientScheduler counters are folded
-        into the run's MetricsRegistry and surface in saved results."""
+        """ResilientSolver counters are folded into the run's
+        MetricsRegistry and surface in saved results."""
         from repro import io
         real = ilp._solve_milp
         calls = {"n": 0}
@@ -278,7 +273,7 @@ class TestSolverExhaustedChain:
         monkeypatch.setattr(ilp, "_solve_milp", flaky)
         params = SiaPolicyParams(
             resilience=ResilienceConfig(retry_primary=False))
-        sched = ResilientScheduler(SiaScheduler(params))
+        sched = SiaScheduler(params)
         jobs = [make_job("j0", "resnet18", 0.0, work_scale=0.3)]
         result = simulate(hetero_cluster, sched, jobs, max_hours=100)
         counts = result.resilience_counts()
@@ -337,9 +332,12 @@ class TestPrimaryRetry:
         def boom(*args, **kwargs):
             calls["n"] += 1
             raise RuntimeError("injected")
+
+        def lp_boom(*args, **kwargs):
+            raise RuntimeError("injected lp_round failure")
         monkeypatch.setattr(ilp, "_solve_greedy", boom)
-        solver = ResilientSolver(
-            ResilienceConfig(fallback_chain=("greedy",)))
+        monkeypatch.setattr(ilp, "_solve_lp_round", lp_boom)
+        solver = ResilientSolver()
         with pytest.raises(SolverExhaustedError):
             solver.solve(problem(), primary="greedy")
         assert calls["n"] == 1  # no second greedy attempt
@@ -371,9 +369,9 @@ class TestPrimaryRetry:
             return real(problem, time_limit=time_limit)
         monkeypatch.setattr(ilp, "_solve_milp", flaky)
         params = SiaPolicyParams(resilience=ResilienceConfig())
-        sched = ResilientScheduler(SiaScheduler(params))
         jobs = [make_job("j0", "resnet18", 0.0, work_scale=0.3)]
-        result = simulate(hetero_cluster, sched, jobs, max_hours=100)
+        result = simulate(hetero_cluster, SiaScheduler(params), jobs,
+                          max_hours=100)
         counts = result.resilience_counts()
         assert counts.get("resilience.attempt.milp.ok", 0) > 0
         assert counts.get("resilience.attempt.milp.error", 0) > 0
@@ -461,40 +459,42 @@ class _FlakyScheduler(Scheduler):
         return self.inner.decide(views, cluster, previous, now)
 
 
-class TestResilientScheduler:
+class TestEngineGuard:
+    """``SimulatorConfig.resilient``: the one place a bad round is caught
+    and replaced by the carry-forward plan."""
+
     def test_wraps_exceptions_into_carry(self, hetero_cluster):
         jobs = [make_job(f"j{i}", "resnet18", 0.0, work_scale=0.4)
                 for i in range(3)]
-        sched = ResilientScheduler(_FlakyScheduler(every=3))
-        result = simulate(hetero_cluster, sched, jobs, max_hours=100)
+        result = simulate(hetero_cluster, _FlakyScheduler(every=3), jobs,
+                          max_hours=100, resilient=True)
         assert all(j.completed for j in result.jobs)
-        assert sched.caught_failures > 0
-        assert result.degraded_rounds >= sched.caught_failures
-        assert result.backend_counts().get("carry", 0) > 0
+        caught = result.final_metrics["caught_scheduler_failures"]
+        assert caught > 0
+        assert result.degraded_rounds >= caught
+        assert result.backend_counts().get("carry", 0) == caught
 
     def test_invalid_plans_are_caught(self, hetero_cluster):
         jobs = [make_job("j0", "resnet18", 0.0, work_scale=0.3)]
-        sched = ResilientScheduler(_FlakyScheduler(every=2, mode="garbage"))
-        result = simulate(hetero_cluster, sched, jobs, max_hours=100)
+        result = simulate(hetero_cluster,
+                          _FlakyScheduler(every=2, mode="garbage"), jobs,
+                          max_hours=100, resilient=True)
         assert result.jobs[0].completed
-        assert sched.caught_failures > 0
+        assert result.final_metrics["caught_scheduler_failures"] > 0
 
     def test_simulator_guard_requires_opt_in(self, hetero_cluster):
         jobs = [make_job("j0", "resnet18", 0.0, work_scale=0.3)]
         with pytest.raises(RuntimeError, match="injected"):
             simulate(hetero_cluster, _FlakyScheduler(every=2), jobs,
                      max_hours=100)
+        with pytest.raises(ValueError, match="unknown node"):
+            simulate(hetero_cluster,
+                     _FlakyScheduler(every=2, mode="garbage"), jobs,
+                     max_hours=100)
         result = simulate(hetero_cluster, _FlakyScheduler(every=2), jobs,
                           max_hours=100, resilient=True)
         assert result.jobs[0].completed
         assert result.degraded_rounds > 0
-
-    def test_delegates_estimators_and_cadence(self, hetero_cluster):
-        inner = SiaScheduler()
-        sched = ResilientScheduler(inner)
-        assert sched.round_duration == inner.round_duration
-        assert sched.name == "resilient-sia"
-        assert "guarded" in sched.describe()
 
 
 class TestChaos:
@@ -517,7 +517,7 @@ class TestChaos:
                                         breaker_threshold=3,
                                         breaker_cooldown_rounds=5,
                                         retry_primary=False))
-        scheduler = ResilientScheduler(SiaScheduler(params))
+        scheduler = SiaScheduler(params)
         jobs = [make_job(f"j{i}", "resnet18", 0.0, work_scale=0.4)
                 for i in range(4)]
         result = simulate(
@@ -530,7 +530,7 @@ class TestChaos:
         assert result.degraded_rounds > 0
         assert result.total_fault_events > 0
         backends = result.backend_counts()
-        assert backends.get("lp_round", 0) > 0  # the fallback chain engaged
+        assert backends.get("lp_round", 0) > 0  # the fallback ladder engaged
         loaded_summary = result.fault_counts()
         assert loaded_summary  # structured fault telemetry survives
 

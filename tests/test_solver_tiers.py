@@ -1,6 +1,6 @@
-"""Solver tiers: LP-rounding/decomposition quality bounds, warm-start and
-reuse semantics, tiered selection, deterministic fallbacks, telemetry round
-trips with the new backends, and the replay fork path."""
+"""Solver tiers: LP-rounding quality bounds, warm-start and reuse
+semantics, tiered selection, deterministic fallbacks, telemetry round trips
+with the new backends, and the replay fork path."""
 
 from types import SimpleNamespace
 
@@ -15,11 +15,11 @@ from repro.core import ilp
 from repro.core.ilp import AssignmentProblem, select_backend, solve_assignment
 from repro.core.matrix import config_index_map, warm_start_pairs
 from repro.core.policy import SiaPolicy, SiaPolicyParams
-from repro.core.resilience import ResilienceConfig, ResilientScheduler
+from repro.core.resilience import ResilienceConfig
 from repro.core.types import Allocation, Configuration, ProfilingMode
 from repro.jobs.job import make_job
 from repro.obs.audit import allocation_persistence
-from repro.obs.tracer import SOLVER_SPANS, Tracer
+from repro.obs.tracer import Tracer
 from repro.perf.estimator import JobPerfEstimator
 from repro.schedulers import SiaScheduler
 from repro.schedulers.base import JobView
@@ -27,12 +27,11 @@ from repro.sim import simulate
 from repro.sim.chaos import diff_results
 from repro.workloads.generators import trace_by_name
 
-#: documented worst-case optimality gaps on adversarial dense random
+#: documented worst-case optimality gap on adversarial dense random
 #: instances with tight capacity (DESIGN.md "Solver tiers"); calibrated
-#: with margin over 20 seeds (measured worst: lp_round 4.3%, decomposed
-#: 18.8%).  Policy-shaped instances are near-integral and land at ~0%.
+#: with margin over 20 seeds (measured worst: 4.3%).  Policy-shaped
+#: instances are near-integral and land at ~0%.
 LP_ROUND_GAP = 0.07
-DECOMPOSED_GAP = 0.25
 
 
 def random_problem(seed: int, n_jobs: int = 24, density: float = 0.7,
@@ -65,8 +64,8 @@ def view_for(job, cluster, *, current=None, age=0.0) -> JobView:
 
 
 class TestQualityHarness:
-    """Satellite: lp_round and decomposed within bounded optimality gap of
-    the MILP reference, exact where the LP relaxation is integral."""
+    """lp_round within a bounded optimality gap of the MILP reference,
+    exact where the LP relaxation is integral."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_lp_round_gap_bounded(self, seed):
@@ -76,13 +75,6 @@ class TestQualityHarness:
         assert gap(ref.objective, fast.objective) <= LP_ROUND_GAP
         # The LP bound certifies from above: bound >= integral optimum.
         assert fast.lp_bound >= ref.objective - 1e-9
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_decomposed_gap_bounded(self, seed):
-        problem = random_problem(seed)
-        ref = solve_assignment(problem, backend="milp")
-        fast = solve_assignment(problem, backend="decomposed")
-        assert gap(ref.objective, fast.objective) <= DECOMPOSED_GAP
 
     @pytest.mark.parametrize("seed", range(5))
     def test_integral_lp_is_exact(self, seed):
@@ -99,7 +91,7 @@ class TestQualityHarness:
         jobs = [make_job(f"j{i}", name, 0.0) for i, name in
                 enumerate(["bert", "deepspeech2", "resnet18", "resnet50"])]
         reference = None
-        for backend in ("milp", "lp_round", "decomposed", "tiered"):
+        for backend in ("milp", "lp_round", "tiered"):
             policy = SiaPolicy(SiaPolicyParams(solver=backend))
             views = [view_for(job, hetero_cluster) for job in jobs]
             decision = policy.decide(views, hetero_cluster, 0.0)
@@ -107,8 +99,8 @@ class TestQualityHarness:
                 reference = decision.objective
             assert decision.objective == pytest.approx(reference, rel=1e-6)
 
-    @pytest.mark.parametrize("backend", ["milp", "lp_round", "decomposed",
-                                         "tiered", "greedy"])
+    @pytest.mark.parametrize("backend", ["milp", "lp_round", "tiered",
+                                         "greedy"])
     def test_forced_and_capacity_respected(self, backend):
         problem = random_problem(3)
         row = int(np.flatnonzero(~np.isnan(problem.utilities).all(axis=1))[0])
@@ -183,10 +175,9 @@ class TestWarmStartAndReuse:
     def test_warm_started_flag_on_rounding_tiers(self):
         problem = random_problem(2)
         ref = solve_assignment(problem, backend="milp")
-        for backend in ("lp_round", "decomposed"):
-            solution = solve_assignment(problem, backend=backend,
-                                        warm_start=dict(ref.assignment))
-            assert solution.warm_started
+        solution = solve_assignment(problem, backend="lp_round",
+                                    warm_start=dict(ref.assignment))
+        assert solution.warm_started
         milp = solve_assignment(problem, backend="milp",
                                 warm_start=dict(ref.assignment))
         assert not milp.warm_started  # scipy milp has no incumbent API
@@ -221,66 +212,16 @@ class TestWarmStartAndReuse:
         assert result.backend_counts().get("reuse", 0) > 0
 
 
-class TestDecomposition:
-    def test_deterministic_across_calls(self):
-        problem = random_problem(4)
-        first = solve_assignment(problem, backend="decomposed")
-        second = solve_assignment(problem, backend="decomposed")
-        assert first.assignment == second.assignment
-        assert first.partitions == second.partitions > 0
-
-    def test_parallel_matches_serial(self):
-        problem = random_problem(5)
-        serial = ilp._solve_decomposed(problem, parallel=False)
-        threaded = ilp._solve_decomposed(problem, parallel=True)
-        assert serial.assignment == threaded.assignment
-
-    def test_cohort_split_engages(self, monkeypatch):
-        monkeypatch.setattr(ilp, "DECOMPOSE_MAX_PARTITION_VARS", 8)
-        problem = random_problem(6)
-        solution = solve_assignment(problem, backend="decomposed")
-        # more partitions than GPU types => job-cohort splitting happened
-        assert solution.partitions > len(problem.capacities)
-        used = solution.gpus_used(problem)
-        assert all(used[t] <= problem.capacities[t] for t in used)
-
-    def test_stitch_serves_spillover(self):
-        """A job whose home type fills up must be caught by the stitch pass
-        on its second-best type, not dropped."""
-        utilities = np.array([
-            [3.0, 1.0],   # both jobs prefer t4 ...
-            [2.5, 1.0],
-        ])
-        problem = AssignmentProblem(
-            utilities=utilities,
-            config_gpus=[1, 1],
-            config_types=["t4", "rtx"],
-            capacities={"t4": 1, "rtx": 1},  # ... but only one t4 fits
-        )
-        solution = solve_assignment(problem, backend="decomposed")
-        assert set(solution.assignment) == {0, 1}
-        assert sorted(solution.assignment.values()) == [0, 1]
-
-    def test_partition_spans_recorded(self):
-        tracer = Tracer()
-        solve_assignment(random_problem(7), backend="decomposed",
-                         tracer=tracer)
-        stats = tracer.span_stats("solve_partition")
-        assert stats.count > 0
-        assert "solve_partition" in SOLVER_SPANS
-
-
 class TestTieredSelection:
     def test_select_backend_thresholds(self, monkeypatch):
         monkeypatch.setattr(ilp, "TIER_LP_VARS", 4)
-        monkeypatch.setattr(ilp, "TIER_DECOMPOSE_VARS", 8)
         small = random_problem(0, n_jobs=2, density=0.2)
         assert small.n_feasible_pairs <= 4
         assert select_backend(small) == "milp"
-        mid = random_problem(0, n_jobs=3, density=1.0)  # 36 pairs > 8
-        assert select_backend(mid) == "decomposed"
-        monkeypatch.setattr(ilp, "TIER_DECOMPOSE_VARS", 100)
-        assert select_backend(mid) == "lp_round"
+        large = random_problem(0, n_jobs=3, density=1.0)  # 36 pairs > 4
+        assert select_backend(large) == "lp_round"
+        monkeypatch.setattr(ilp, "TIER_LP_VARS", large.n_feasible_pairs)
+        assert select_backend(large) == "milp"  # the threshold is inclusive
 
     def test_tiered_resolves_and_annotates(self, monkeypatch):
         monkeypatch.setattr(ilp, "TIER_LP_VARS", 4)
@@ -327,16 +268,16 @@ class TestGreedyDeterminism:
 
 
 class TestTelemetryRoundTrips:
-    """Satellite: bit-identical ResilientSolver telemetry/ledger round
-    trips with the new backends in the chain."""
+    """Bit-identical ResilientSolver telemetry/ledger round trips with
+    the rounding tier as the primary."""
 
     def _run(self, cluster):
         jobs = [make_job(f"j{i}", "resnet18", 0.0, work_scale=0.4)
                 for i in range(3)]
         params = SiaPolicyParams(solver="lp_round",
                                  resilience=ResilienceConfig())
-        sched = ResilientScheduler(SiaScheduler(params))
-        return simulate(cluster, sched, jobs, seed=7, max_hours=100)
+        return simulate(cluster, SiaScheduler(params), jobs, seed=7,
+                        max_hours=100, resilient=True)
 
     def test_lp_round_primary_round_trips(self, hetero_cluster, tmp_path):
         result = self._run(hetero_cluster)
@@ -362,8 +303,7 @@ class TestReplayFork:
 
     def test_registry_stays_in_sync(self):
         assert forklib.SOLVER_BACKENDS is ilp.BACKENDS
-        assert "lp_round" in forklib.SOLVER_BACKENDS
-        assert "tiered" in forklib.SOLVER_BACKENDS
+        assert ilp.BACKENDS == ("milp", "lp_round", "tiered", "greedy")
 
     @pytest.fixture(scope="class")
     def base_result(self):
