@@ -20,12 +20,6 @@ on a > ``--regression-factor`` (default 2x) slowdown, which is how CI gates
 performance regressions.  ``--sizes`` / ``--backends`` narrow a run (CI
 uses ``--sizes 1024`` for the large-point gate without paying for 4096).
 
-``--stream-overhead`` instead measures what the live telemetry plane
-(streaming JSONL exporters + SLO evaluation, see ``repro.obs.stream``)
-adds to the per-round path: it runs the same simulation bare and fully
-observed and exits non-zero when the observed run's per-round latency
-exceeds the bare one by more than ``--overhead-budget`` (default 5%).
-
 Run:  PYTHONPATH=src python benchmarks/perf/policy_bench.py [--quick]
 """
 
@@ -36,7 +30,6 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from repro.cluster import presets
@@ -185,115 +178,6 @@ def measure_point(size: int, n_jobs: int, rounds: int,
     return point
 
 
-class _TimedObserver:
-    """Transparent wrapper that accumulates the wall time spent inside one
-    observer's per-round hook (the code the overhead gate measures)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.total = 0.0
-
-    def on_round(self, result, round_index, dt):
-        start = time.perf_counter()
-        self.inner.on_round(result, round_index, dt)
-        self.total += time.perf_counter() - start
-
-    def on_finalize(self, result):
-        self.inner.on_finalize(result)
-
-    def close(self):
-        self.inner.close()
-
-
-def measure_stream_overhead(quick: bool, repeats: int = 3) -> dict:
-    """What the streaming + SLO observer stack (events, ledger, alerts,
-    live SLO evaluation, Prometheus snapshot) adds to the per-round path.
-
-    The added cost is timed *directly* — each observer's ``on_round`` hook
-    is wrapped with a timer — and compared against the same run's round
-    latency with the observer time subtracted, so the ratio is immune to
-    run-to-run machine drift (an end-to-end bare-vs-observed wall-clock
-    diff cannot resolve a sub-5% signal on a noisy host).  Bare runs still
-    execute as the reference denominator *and* to assert both modes
-    simulate identical round counts (the observers are read-only by
-    contract)."""
-    import shutil
-    import tempfile
-
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.slo import SLOEngine, default_rules
-    from repro.obs.stream import (AlertStreamObserver, EventStreamObserver,
-                                  LedgerStreamObserver,
-                                  PrometheusSnapshotObserver, SLOObserver)
-    from repro.sim import Simulator, SimulatorConfig
-
-    sizes = (64,) if quick else (64, 128)
-    points = []
-    for size in sizes:
-        cluster = presets.scaled_heterogeneous(size)
-        n_jobs = JOBS_PER_64 * (size // 64)
-
-        def one_run(observed: bool) -> tuple[float, int, float]:
-            # Same preset load the policy-round benchmark measures: all
-            # n_jobs concurrently active (submit_time 0), so every round's
-            # latency is representative of the loaded cluster rather than
-            # a near-empty arrival/drain tail.  work_scale 0.4 keeps them
-            # alive long enough to amortize one-time costs (imports,
-            # finalize fsyncs) over a few hundred rounds.
-            trace = helios_trace(seed=4, num_jobs=n_jobs,
-                                 work_scale_factor=0.4)
-            jobs = [replace(job, submit_time=0.0) for job in trace.jobs]
-            tracer = Tracer()
-            registry = MetricsRegistry()
-            observers: list = []
-            out_dir = None
-            if observed:
-                out_dir = Path(tempfile.mkdtemp(prefix="stream-bench-"))
-                observers = [_TimedObserver(obs) for obs in (
-                    SLOObserver(SLOEngine(default_rules(),
-                                          metrics=registry)),
-                    AlertStreamObserver(out_dir / "alerts.jsonl", "sia"),
-                    EventStreamObserver(tracer, out_dir / "events.jsonl",
-                                        registry),
-                    LedgerStreamObserver(out_dir / "ledger.jsonl", "sia"),
-                    PrometheusSnapshotObserver(registry,
-                                               out_dir / "metrics.prom"),
-                )]
-            config = SimulatorConfig(tracer=tracer, metrics=registry,
-                                     observers=observers)
-            start = time.perf_counter()
-            result = Simulator(cluster, SiaScheduler(), jobs, config).run()
-            elapsed = time.perf_counter() - start
-            if out_dir is not None:
-                shutil.rmtree(out_dir, ignore_errors=True)
-            obs_time = sum(obs.total for obs in observers)
-            return elapsed, len(result.rounds), obs_time
-
-        one_run(False)  # warmup: first run pays import/cache costs
-        bares = [one_run(False) for _ in range(repeats)]
-        observeds = [one_run(True) for _ in range(repeats)]
-        bare_s, bare_rounds, _ = min(bares)
-        rounds_seen = {r for _, r, _ in bares + observeds}
-        assert rounds_seen == {bare_rounds}, \
-            "observers changed the round count — determinism contract broken"
-        # Per-repeat overhead ratio, each self-consistent within one run:
-        # observer time over that same run's observer-free round latency.
-        ratios = sorted(obs_time / (elapsed - obs_time)
-                        for elapsed, _, obs_time in observeds)
-        overhead = statistics.median(ratios)
-        observed_s = min(elapsed for elapsed, _, _ in observeds)
-        observer_s = min(obs_time for _, _, obs_time in observeds)
-        points.append({
-            "gpus": size, "jobs": n_jobs, "rounds": bare_rounds,
-            "bare_round_s": bare_s / bare_rounds,
-            "observed_round_s": observed_s / bare_rounds,
-            "observer_round_s": observer_s / bare_rounds,
-            "overhead": overhead,
-        })
-    return {"benchmark": "stream_overhead", "repeats": repeats,
-            "points": points}
-
-
 def run_bench(quick: bool, sizes: tuple[int, ...] | None = None,
               backends: tuple[str, ...] | None = None) -> dict:
     if sizes is None:
@@ -339,30 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check-baseline", type=Path, default=None,
                         help="baseline JSON to gate regressions against")
     parser.add_argument("--regression-factor", type=float, default=2.0)
-    parser.add_argument("--stream-overhead", action="store_true",
-                        help="measure streaming+SLO observer overhead "
-                             "instead of the policy-round benchmark")
-    parser.add_argument("--overhead-budget", type=float, default=0.05,
-                        help="max allowed fractional per-round overhead "
-                             "for --stream-overhead")
     args = parser.parse_args(argv)
-
-    if args.stream_overhead:
-        report = measure_stream_overhead(args.quick)
-        args.out.write_text(json.dumps(report, indent=2) + "\n")
-        failed = False
-        for point in report["points"]:
-            verdict = "ok" if point["overhead"] <= args.overhead_budget \
-                else "OVER BUDGET"
-            failed |= point["overhead"] > args.overhead_budget
-            print(f"{point['gpus']:5d} GPUs / {point['jobs']:3d} jobs / "
-                  f"{point['rounds']:3d} rounds: bare "
-                  f"{point['bare_round_s'] * 1e3:8.2f} ms/round, observers "
-                  f"+{point['observer_round_s'] * 1e3:.2f} ms/round, "
-                  f"overhead {point['overhead']:+.1%} "
-                  f"(budget {args.overhead_budget:.0%}) {verdict}")
-        print(f"wrote {args.out}")
-        return 1 if failed else 0
 
     sizes = tuple(int(s) for s in args.sizes.split(",")) \
         if args.sizes else None

@@ -15,9 +15,7 @@ Subcommands::
     python -m repro chaos --trace-name philly --num-jobs 12 --work-scale 0.05
     python -m repro chaos --scenario gray     # gray failures + health defense
     python -m repro run ... --gray-rate 2 --health --health-events-out h.jsonl
-    python -m repro watch --trace-name philly --num-jobs 8   # live view + SLOs
     python -m repro run ... --slo rules.json --alerts-out alerts.jsonl
-    python -m repro run ... --serve 9090      # live /metrics, /healthz, /alerts
 
 ``run`` and ``compare`` accept either a saved trace file (``--trace``) or
 generator parameters (``--trace-name``/``--seed``/...).  Results can be
@@ -42,9 +40,8 @@ from repro.metrics.jct import summarize
 from repro.obs.export import run_digest, write_chrome_trace
 from repro.obs.slo import SLOEngine, parse_rules
 from repro.obs.stream import (AlertStreamObserver, EventStreamObserver,
-                              LedgerStreamObserver, MetricsHTTPServer,
-                              PrometheusSnapshotObserver, SLOObserver,
-                              WatchView)
+                              HealthEventStreamObserver, LedgerStreamObserver,
+                              PrometheusSnapshotObserver, SLOObserver)
 from repro.obs.tracer import Tracer
 from repro.perf.profiles import MODEL_ZOO
 from repro.schedulers import GavelScheduler
@@ -122,10 +119,9 @@ def _build_slo_engine(args: argparse.Namespace,
                       simulator: Simulator) -> SLOEngine | None:
     """The SLO engine this run should evaluate, or None.  Enabled by
     ``--slo`` (a ruleset path or 'default'), and implicitly — with the
-    default ruleset — by ``--alerts-out`` and ``repro watch``."""
+    default ruleset — by ``--alerts-out``."""
     source = getattr(args, "slo", None)
-    if source is None and not (getattr(args, "watch", False)
-                               or getattr(args, "alerts_out", None)):
+    if source is None and not getattr(args, "alerts_out", None):
         return None
     try:
         rules = parse_rules(source)
@@ -135,12 +131,11 @@ def _build_slo_engine(args: argparse.Namespace,
 
 
 def _attach_observers(args: argparse.Namespace, simulator: Simulator,
-                      tracer: Tracer | None, suffix: str,
-                      ) -> tuple[SLOEngine | None, MetricsHTTPServer | None]:
+                      tracer: Tracer | None, suffix: str) -> None:
     """Build the live-telemetry observer chain for one run.
 
     Order matters: the SLO evaluator runs first so each round's alerts
-    exist before the streams/views that render them see the record.
+    exist before the alert stream sees the record.
     """
     observers = simulator.config.observers
     slo_engine = _build_slo_engine(args, simulator)
@@ -156,20 +151,13 @@ def _attach_observers(args: argparse.Namespace, simulator: Simulator,
     if getattr(args, "ledger_out", None):
         observers.append(LedgerStreamObserver(
             _suffixed(args.ledger_out, suffix), simulator.scheduler.name))
+    if getattr(args, "health_events_out", None):
+        observers.append(HealthEventStreamObserver(
+            _suffixed(args.health_events_out, suffix),
+            simulator.scheduler.name))
     if getattr(args, "prom_out", None):
         observers.append(PrometheusSnapshotObserver(
             simulator.metrics, _suffixed(args.prom_out, suffix)))
-    server = None
-    if getattr(args, "serve", None) is not None:
-        server = MetricsHTTPServer(simulator.metrics, slo=slo_engine,
-                                   port=args.serve)
-        port = server.start()
-        print(f"serving live run at http://127.0.0.1:{port}/metrics "
-              "(also /healthz, /alerts)", file=sys.stderr)
-        observers.append(server)
-    if getattr(args, "watch", False):
-        observers.append(WatchView(slo=slo_engine))
-    return slo_engine, server
 
 
 def _simulate(scheduler_name: str, args: argparse.Namespace, trace: Trace,
@@ -191,12 +179,8 @@ def _simulate(scheduler_name: str, args: argparse.Namespace, trace: Trace,
         invariants=getattr(args, "invariants", "off"),
         health=HealthConfig() if getattr(args, "health", False) else None)
     simulator = Simulator(cluster, scheduler, jobs, config)
-    _, server = _attach_observers(args, simulator, tracer, suffix)
-    try:
-        result = simulator.run(resume_from=getattr(args, "resume_from", None))
-    finally:
-        if server is not None:
-            server.close()
+    _attach_observers(args, simulator, tracer, suffix)
+    result = simulator.run(resume_from=getattr(args, "resume_from", None))
     # Record the construction recipe so a saved result can be forked by
     # `repro replay` (jobs are recorded post-tuning, so rigid-scheduler
     # runs replay without re-tuning).
@@ -221,9 +205,8 @@ def _simulate(scheduler_name: str, args: argparse.Namespace, trace: Trace,
         print(f"invariant violations: {len(violations)} "
               f"(first: {violations[0].message})", file=sys.stderr)
     _export_observability(result, tracer, args, suffix)
-    # --events-out / --ledger-out / --alerts-out streamed during the run
-    # (flushed per round, finalized atomically at the end); report where
-    # the finalized files landed.
+    # The JSONL outputs streamed during the run (flushed per round,
+    # finalized atomically at the end); report where the files landed.
     if tracer is not None and getattr(args, "events_out", None):
         print(f"wrote event log to {_suffixed(args.events_out, suffix)} "
               "(streamed per round)")
@@ -237,9 +220,9 @@ def _simulate(scheduler_name: str, args: argparse.Namespace, trace: Trace,
         print(f"wrote Prometheus snapshot to "
               f"{_suffixed(args.prom_out, suffix)}")
     if getattr(args, "health_events_out", None):
-        path = _suffixed(args.health_events_out, suffix)
-        io.save_health_events(result, path)
-        print(f"wrote health events to {path}")
+        print(f"wrote health events to "
+              f"{_suffixed(args.health_events_out, suffix)} "
+              "(streamed per round)")
     return result
 
 
@@ -563,8 +546,9 @@ def _add_sim_options(parser: argparse.ArgumentParser) -> None:
                         help="enable node health scoring with "
                              "probation/quarantine/drain")
     parser.add_argument("--health-events-out", metavar="PATH",
-                        help="write node health-state transitions as JSONL "
-                             "here (compare mode appends the scheduler name)")
+                        help="stream node health-state transitions as JSONL "
+                             "here, flushed per round (compare mode appends "
+                             "the scheduler name)")
     parser.add_argument("--resilient", action="store_true",
                         help="solver fallback chain + carry-forward guard")
     parser.add_argument("--solve-budget", type=float, default=5.0,
@@ -601,10 +585,6 @@ def _add_sim_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--prom-out", metavar="PATH",
                         help="rewrite a Prometheus text-exposition snapshot "
                              "of the live metrics here every round")
-    parser.add_argument("--serve", metavar="PORT", type=int, default=None,
-                        help="serve the in-flight run over HTTP on this "
-                             "port (0 = ephemeral): /metrics (Prometheus), "
-                             "/healthz, /alerts")
     parser.add_argument("--invariants", default="off",
                         choices=list(INVARIANT_MODES),
                         help="round-level invariant auditing: log records "
@@ -643,17 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(newest valid checkpoint; falls back past "
                           "corrupted files)")
     run.set_defaults(func=cmd_run)
-
-    watch = sub.add_parser(
-        "watch",
-        help="run a simulation with a live per-round terminal view and "
-             "SLO alerting (the default ruleset unless --slo is given)")
-    watch.add_argument("--scheduler", default="sia")
-    _add_trace_options(watch)
-    _add_sim_options(watch)
-    watch.add_argument("--resume-from", metavar="PATH",
-                       help="resume from a checkpoint file or directory")
-    watch.set_defaults(func=cmd_run, watch=True)
 
     chaos = sub.add_parser(
         "chaos",

@@ -1,4 +1,5 @@
-"""Serialization: save/load traces and simulation results as JSON.
+"""Serialization: save/load traces, results and run diffs as JSON, and
+load the streamed JSONL telemetry artifacts.
 
 Traces round-trip exactly (including hybrid specs and inference metadata)
 so experiments can be pinned to files and re-run; results serialize the
@@ -9,6 +10,9 @@ Every writer in this module goes through :func:`atomic_write_text` /
 ``os.replace`` over the destination — so a crash mid-save never truncates
 an existing artifact.  The checkpoint subsystem
 (:mod:`repro.sim.checkpoint`) uses the same helper for its snapshots.
+The ledger, alert and health-event JSONL files have one writer each, a
+streaming observer in :mod:`repro.obs.stream`; the loaders here read
+them through :func:`repro.obs.stream.read_jsonl`.
 """
 
 from __future__ import annotations
@@ -27,11 +31,10 @@ from repro.obs.audit import AllocationEvent
 from repro.obs.diff import RunDiff
 from repro.obs.ledger import GoodputLedger, LedgerEntry
 from repro.obs.slo import Alert
+from repro.obs.stream import FORMAT_VERSION, check_payload, read_jsonl
 from repro.sim.telemetry import (FaultEvent, JobRecord, RoundRecord,
                                  SimulationResult)
 from repro.workloads.trace import Trace
-
-FORMAT_VERSION = 1
 
 
 # The atomic-write helpers live in :mod:`repro.atomicio` (shared with the
@@ -103,7 +106,7 @@ def save_trace(trace: Trace, path: str | Path) -> None:
 
 def load_trace(path: str | Path) -> Trace:
     payload = json.loads(Path(path).read_text())
-    _check_payload(payload, "trace")
+    check_payload(payload, "trace")
     jobs = [job_from_dict(item) for item in payload["jobs"]]
     return Trace(name=payload["name"], jobs=jobs, seed=payload.get("seed", 0))
 
@@ -202,7 +205,7 @@ def save_result(result: SimulationResult, path: str | Path, *,
 
 def load_result(path: str | Path) -> SimulationResult:
     payload = json.loads(Path(path).read_text())
-    _check_payload(payload, "result")
+    check_payload(payload, "result")
     result = SimulationResult(
         scheduler_name=payload["scheduler_name"],
         cluster_description=payload["cluster_description"],
@@ -253,145 +256,34 @@ def load_result(path: str | Path) -> SimulationResult:
     return result
 
 
-# -- goodput ledger (JSONL) ---------------------------------------------------
-
-def save_ledger(result: SimulationResult, path: str | Path) -> None:
-    """Export the run's goodput ledger and audit trail as JSONL: a header
-    line, one ``ledger_entry`` line per (round, job) allocation, and one
-    ``alloc_event`` line per classified allocation change.  This is the
-    CLI's ``--ledger-out`` format; :func:`load_ledger` round-trips it."""
-    ledger = GoodputLedger.from_result(result)
-    lines = [json.dumps({
-        "kind": "ledger", "format_version": FORMAT_VERSION,
-        "scheduler_name": result.scheduler_name,
-        "num_rounds": len(result.rounds),
-    })]
-    for entry in ledger.entries:
-        lines.append(json.dumps({"kind": "ledger_entry", **entry.to_dict()}))
-    for event in result.allocation_events():
-        # The event's own dict carries a "kind" (the event kind), so it is
-        # nested rather than spread into the line.
-        lines.append(json.dumps({"kind": "alloc_event",
-                                 "event": event.to_dict()}))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
+# -- streamed JSONL artifacts --------------------------------------------------
 
 def load_ledger(path: str | Path,
                 ) -> tuple[GoodputLedger, list[AllocationEvent]]:
     """Read a ``--ledger-out`` JSONL file back into a
     :class:`~repro.obs.ledger.GoodputLedger` plus its allocation events."""
-    entries: list[LedgerEntry] = []
-    events: list[AllocationEvent] = []
-    header_seen = False
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        item = json.loads(line)
-        kind = item.get("kind")
-        if kind == "ledger":
-            _check_payload(item, "ledger")
-            header_seen = True
-        elif kind == "ledger_entry":
-            entries.append(LedgerEntry.from_dict(item))
-        elif kind == "alloc_event":
-            events.append(AllocationEvent.from_dict(item["event"]))
-        elif kind == "ledger_end":
-            # Completeness trailer appended by the live streamer
-            # (:class:`repro.obs.stream.LedgerStreamObserver`); its absence
-            # on a ``.part`` file marks a truncated crash prefix.
-            pass
-        else:
-            raise ValueError(f"unknown ledger line kind {kind!r}")
-    if not header_seen:
-        raise ValueError(f"{path} is not a ledger JSONL (missing header)")
-    return GoodputLedger(entries), events
-
-
-# -- SLO alerts (JSONL) --------------------------------------------------------
-
-def save_alerts(result: SimulationResult, path: str | Path) -> None:
-    """Export every fired SLO alert as JSONL: a header line plus one
-    ``alert`` line per alert, in round order.  This matches the live
-    stream written by :class:`repro.obs.stream.AlertStreamObserver`
-    (which adds an ``alerts_end`` trailer); :func:`load_alerts` reads
-    both."""
-    lines = [json.dumps({
-        "kind": "alerts", "format_version": FORMAT_VERSION,
-        "scheduler_name": result.scheduler_name,
-    })]
-    for _, alert in result.alerts_timeline():
-        lines.append(json.dumps({"kind": "alert", **alert.to_dict()}))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    parsed = read_jsonl(path, "ledger", {
+        "ledger_entry": LedgerEntry.from_dict,
+        "alloc_event": lambda item: AllocationEvent.from_dict(item["event"]),
+        "ledger_end": None})
+    return GoodputLedger(parsed["ledger_entry"]), parsed["alloc_event"]
 
 
 def load_alerts(path: str | Path) -> list[Alert]:
     """Read an alerts JSONL file (``--alerts-out``) back into
     :class:`~repro.obs.slo.Alert` objects, in file order."""
-    alerts: list[Alert] = []
-    header_seen = False
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        item = json.loads(line)
-        kind = item.get("kind")
-        if kind == "alerts":
-            _check_payload(item, "alerts")
-            header_seen = True
-        elif kind == "alert":
-            alerts.append(Alert.from_dict(item))
-        elif kind == "alerts_end":
-            pass  # streamer's completeness trailer
-        else:
-            raise ValueError(f"unknown alerts line kind {kind!r}")
-    if not header_seen:
-        raise ValueError(f"{path} is not an alerts JSONL (missing header)")
-    return alerts
-
-
-# -- health events (JSONL) ----------------------------------------------------
-
-def save_health_events(result: SimulationResult, path: str | Path) -> None:
-    """Export every node-health transition as JSONL: a header line plus one
-    ``health_event`` line per event, tagged with its round index.  This is
-    the CLI's ``--health-events-out`` format and the CI chaos artifact;
-    :func:`load_health_events` round-trips it."""
-    lines = [json.dumps({
-        "kind": "health_events", "format_version": FORMAT_VERSION,
-        "scheduler_name": result.scheduler_name,
-        "num_rounds": len(result.rounds),
-    })]
-    for index, rnd in enumerate(result.rounds):
-        for event in rnd.health_events:
-            # The event's own dict carries a "kind" (the transition kind),
-            # so it is nested rather than spread into the line.
-            lines.append(json.dumps({"kind": "health_event", "round": index,
-                                     "event": event.to_dict()}))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return read_jsonl(path, "alerts", {
+        "alert": Alert.from_dict, "alerts_end": None})["alert"]
 
 
 def load_health_events(path: str | Path,
                        ) -> list[tuple[int, HealthEvent]]:
     """Read a ``--health-events-out`` JSONL file back into
     ``(round_index, HealthEvent)`` pairs, in file order."""
-    events: list[tuple[int, HealthEvent]] = []
-    header_seen = False
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        item = json.loads(line)
-        kind = item.get("kind")
-        if kind == "health_events":
-            _check_payload(item, "health_events")
-            header_seen = True
-        elif kind == "health_event":
-            events.append((item["round"],
-                           HealthEvent.from_dict(item["event"])))
-        else:
-            raise ValueError(f"unknown health-event line kind {kind!r}")
-    if not header_seen:
-        raise ValueError(f"{path} is not a health-events JSONL "
-                         "(missing header)")
-    return events
+    return read_jsonl(path, "health_events", {
+        "health_event": lambda item: (item["round"],
+                                      HealthEvent.from_dict(item["event"])),
+        "health_events_end": None})["health_event"]
 
 
 # -- counterfactual run diffs --------------------------------------------------
@@ -410,14 +302,6 @@ def save_run_diff(diff: RunDiff, path: str | Path) -> None:
 
 def load_run_diff(path: str | Path) -> RunDiff:
     payload = json.loads(Path(path).read_text())
-    _check_payload(payload, "run_diff")
+    check_payload(payload, "run_diff")
     return RunDiff.from_dict(payload)
 
-
-def _check_payload(payload: dict[str, Any], kind: str) -> None:
-    if payload.get("kind") != kind:
-        raise ValueError(f"file is a {payload.get('kind')!r}, expected {kind!r}")
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {version!r} "
-                         f"(this build reads version {FORMAT_VERSION})")

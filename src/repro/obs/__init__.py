@@ -18,9 +18,9 @@
 * :mod:`repro.obs.slo`     — declarative SLO rules evaluated live each
   round, firing :class:`Alert` events with ledger/audit/health-backed
   causal context (burn-rate semantics).
-* :mod:`repro.obs.stream`  — live exporters: incremental JSONL streaming
-  with atomic finalize, Prometheus text exposition, an in-flight HTTP
-  endpoint, and the ``repro watch`` terminal view.
+* :mod:`repro.obs.stream`  — the streaming exporters: the one writer
+  (incremental JSONL with atomic finalize) and one reader of each JSONL
+  artifact, and Prometheus text exposition.
 
 Attach a tracer to a simulation via ``SimulatorConfig(tracer=Tracer())``
 (the CLI's ``--trace-out``/``--events-out`` do this for you), then read
@@ -36,7 +36,7 @@ from repro.obs.diff import (AllocDelta, DivergencePoint, MetricDelta,
 from repro.obs.export import (alert_digest, chrome_trace, read_events_jsonl,
                               run_diff_markdown, run_digest, span_digest,
                               validate_chrome_trace, write_chrome_trace,
-                              write_events_jsonl, write_run_diff_jsonl)
+                              write_run_diff_jsonl)
 from repro.obs.ledger import (GoodputLedger, LedgerEntry, queue_wait_by_job,
                               round_entries)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
@@ -44,9 +44,9 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 from repro.obs.slo import (Alert, SLOEngine, SLORule, alert_summary,
                            default_rules, evaluate_result, parse_rules)
 from repro.obs.stream import (AlertStreamObserver, EventStreamObserver,
-                              JsonlStreamWriter, LedgerStreamObserver,
-                              MetricsHTTPServer, PrometheusSnapshotObserver,
-                              RoundObserver, SLOObserver, WatchView,
+                              HealthEventStreamObserver, JsonlStreamWriter,
+                              LedgerStreamObserver, PrometheusSnapshotObserver,
+                              RoundObserver, SLOObserver,
                               parse_prometheus_text, prometheus_text)
 from repro.obs.tracer import (NULL_TRACER, PLAN_PHASES, NullTracer,
                               SpanRecord, SpanStats, Tracer)
@@ -57,7 +57,7 @@ __all__ = [
     "SpanStats",
     "MetricsRegistry", "Counter", "Gauge", "Histogram",
     "chrome_trace", "write_chrome_trace", "validate_chrome_trace",
-    "write_events_jsonl", "read_events_jsonl", "span_digest", "run_digest",
+    "read_events_jsonl", "span_digest", "run_digest",
     "alert_digest",
     "GoodputLedger", "LedgerEntry", "queue_wait_by_job",
     "AllocationEvent", "AuditTrail", "classify_change", "event_counts",
@@ -70,7 +70,7 @@ __all__ = [
     "Alert", "SLORule", "SLOEngine", "default_rules", "parse_rules",
     "evaluate_result", "alert_summary",
     "RoundObserver", "JsonlStreamWriter", "EventStreamObserver",
-    "LedgerStreamObserver", "AlertStreamObserver", "SLOObserver",
-    "PrometheusSnapshotObserver", "MetricsHTTPServer", "WatchView",
+    "LedgerStreamObserver", "AlertStreamObserver",
+    "HealthEventStreamObserver", "SLOObserver", "PrometheusSnapshotObserver",
     "prometheus_text", "parse_prometheus_text",
 ]

@@ -7,7 +7,8 @@ Three formats:
   Spans become complete ("X") events; instant events become "i" events.
 * **JSONL event log** — one JSON object per line (spans, instant events,
   and a final metrics snapshot), for ad-hoc ``jq``/pandas analysis.
-  Round-trips through :func:`read_events_jsonl`.
+  Streamed by :class:`~repro.obs.stream.EventStreamObserver` and read
+  back by :func:`read_events_jsonl`.
 * **Digest** — a human-readable per-run summary (phase breakdown, span
   stats, metrics) printed by the CLI's ``--metrics-digest``.
 """
@@ -18,6 +19,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from repro.obs.stream import read_jsonl
 from repro.obs.tracer import SpanRecord
 
 #: trace_event phases we emit (complete spans, instants, metadata).
@@ -96,47 +98,22 @@ def validate_chrome_trace(payload: Any) -> None:
 
 # -- JSONL event log ----------------------------------------------------------
 
-def write_events_jsonl(spans: Sequence[SpanRecord], path: str | Path,
-                       events: Iterable[tuple[str, float, dict[str, Any]]] = (),
-                       metrics: dict[str, float] | None = None) -> None:
-    """One JSON object per line: spans in completion order, then instant
-    events, then a final ``metrics`` snapshot line (when given)."""
-    lines = []
-    for span in spans:
-        lines.append(json.dumps({
-            "kind": "span", "name": span.name, "start": span.start,
-            "duration": span.duration, "span_id": span.span_id,
-            "parent_id": span.parent_id, "depth": span.depth,
-            "attrs": span.attrs,
-        }))
-    for name, ts, attrs in events:
-        lines.append(json.dumps({
-            "kind": "event", "name": name, "time": ts, "attrs": dict(attrs),
-        }))
-    if metrics is not None:
-        lines.append(json.dumps({"kind": "metrics", "values": metrics}))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
 def read_events_jsonl(path: str | Path,
                       ) -> tuple[list[SpanRecord], dict[str, float]]:
-    """Round-trip reader: (spans, final metrics snapshot)."""
-    spans: list[SpanRecord] = []
-    metrics: dict[str, float] = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        item = json.loads(line)
-        kind = item.get("kind")
-        if kind == "span":
-            spans.append(SpanRecord(
-                name=item["name"], start=item["start"],
-                duration=item["duration"], span_id=item["span_id"],
-                parent_id=item["parent_id"], depth=item["depth"],
-                attrs=item.get("attrs", {})))
-        elif kind == "metrics":
-            metrics = dict(item.get("values", {}))
-    return spans, metrics
+    """Read an ``--events-out`` log (written by
+    :class:`~repro.obs.stream.EventStreamObserver`): (spans, final metrics
+    snapshot)."""
+    parsed = read_jsonl(path, None, {
+        "span": lambda item: SpanRecord(
+            name=item["name"], start=item["start"],
+            duration=item["duration"], span_id=item["span_id"],
+            parent_id=item["parent_id"], depth=item["depth"],
+            attrs=item.get("attrs", {})),
+        "event": None,
+        "metrics": lambda item: dict(item.get("values", {})),
+        "stream_end": None})
+    snapshots = parsed["metrics"]
+    return parsed["span"], snapshots[-1] if snapshots else {}
 
 
 # -- counterfactual run diffs --------------------------------------------------

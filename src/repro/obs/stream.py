@@ -1,9 +1,12 @@
-"""Live streaming exporters: JSONL-as-you-go, Prometheus, HTTP, watch.
+"""Streaming exporters: JSONL written as the run goes, and Prometheus.
 
-Everything the obs stack used to write *after* the run ends (events,
-ledger, metrics) can now stream *during* it, through round observers the
-engine invokes after each recorded round (``SimulatorConfig.observers``).
-The contract every observer here honors:
+Each JSONL telemetry artifact (events, ledger, alerts, health events) has
+one writer, a round observer the engine invokes after each recorded round
+(``SimulatorConfig.observers``), and one reader, :func:`read_jsonl`.  A
+finished result exports by replaying it through the same observer:
+``LedgerStreamObserver(path, name).on_finalize(result)`` drains every
+recorded round through the observer's cursor.  The contract every
+observer here honors:
 
 * **read-only** with respect to simulation state — an observed run is
   bit-identical to an unobserved one (the only writes are ``record.alerts``
@@ -24,21 +27,26 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
-import threading
 import time
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, Callable
 
 from repro.obs.ledger import round_entries
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.slo import SLOEngine
-from repro.obs.window import RollingWindow
 
-#: kept in lockstep with :data:`repro.io.FORMAT_VERSION` (not imported —
-#: ``repro.io`` loads this package's ``__init__``, so a module-level import
-#: back into it would be circular).
-_FORMAT_VERSION = 1
+#: version of every artifact the streams and :mod:`repro.io` write.
+FORMAT_VERSION = 1
+
+
+def check_payload(payload: dict[str, Any], kind: str) -> None:
+    """Reject a header or JSON document of another kind or version."""
+    if payload.get("kind") != kind:
+        raise ValueError(f"file is a {payload.get('kind')!r}, expected {kind!r}")
+    version = payload.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {version!r} "
+                         f"(this build reads version {FORMAT_VERSION})")
 
 
 # -- observer protocol ---------------------------------------------------------
@@ -74,7 +82,7 @@ class RoundObserver:
         renames a part file — an aborted stream must stay a ``.part``."""
 
 
-# -- JSONL streaming writer ----------------------------------------------------
+# -- JSONL writer and reader ---------------------------------------------------
 
 class JsonlStreamWriter:
     """Incremental JSONL writer with an atomic finalize.
@@ -146,16 +154,49 @@ class JsonlStreamWriter:
             self._fd = None
 
 
+def read_jsonl(path: str | Path, header_kind: str | None,
+               parsers: dict[str, Callable[[dict[str, Any]], Any] | None],
+               ) -> dict[str, list[Any]]:
+    """Read a streamed JSONL artifact: ``{kind: parsed lines}`` in file
+    order, for every kind whose parser is not None.
+
+    Kinds mapped to None (the completeness trailers) parse to nothing, and
+    any kind outside ``parsers`` is an error.  The file must carry a
+    ``header_kind`` line of this build's format version; ``None`` reads a
+    headerless stream (the event log).
+    """
+    parsed: dict[str, list[Any]] = {
+        kind: [] for kind, parse in parsers.items() if parse is not None}
+    header_seen = header_kind is None
+    for line in Path(path).read_text().splitlines():
+        if not line.strip():
+            continue
+        item = json.loads(line)
+        kind = item.get("kind")
+        if header_kind is not None and kind == header_kind:
+            check_payload(item, header_kind)
+            header_seen = True
+        elif kind in parsers:
+            parse = parsers[kind]
+            if parse is not None:
+                parsed[kind].append(parse(item))
+        else:
+            raise ValueError(f"unknown {header_kind or 'event'} line kind "
+                             f"{kind!r}")
+    if not header_seen:
+        raise ValueError(f"{path} is not a {header_kind} JSONL "
+                         "(missing header)")
+    return parsed
+
+
 # -- streaming observers -------------------------------------------------------
 
 class EventStreamObserver(RoundObserver):
     """Streams tracer spans/instants as JSONL while the run is live.
 
-    The final file is read back by
-    :func:`repro.obs.export.read_events_jsonl` exactly like the old
-    end-of-run dump: spans stream in completion order, instants interleave
-    (the reader ignores ordering), and finalize appends the metrics
-    snapshot plus a ``stream_end`` completeness trailer.
+    Spans stream in completion order and instants interleave; finalize
+    appends the metrics snapshot plus a ``stream_end`` completeness
+    trailer.  :func:`repro.obs.export.read_events_jsonl` reads it back.
     """
 
     def __init__(self, tracer: Any, path: str | Path,
@@ -178,8 +219,8 @@ class EventStreamObserver(RoundObserver):
         # Hand-rolled span lines (parse-identical to the json.dumps dict
         # form), batched into one buffered write: this drain sits on the
         # per-round hot path and serializing ~10 spans a round through
-        # dict-building json.dumps calls measurably bends the overhead
-        # budget the stream stack is gated on.
+        # dict-building json.dumps calls measurably raises the observer's
+        # per-round time.
         dumps = json.dumps
         lines: list[str] = []
         spans = self.tracer.spans
@@ -218,75 +259,110 @@ class EventStreamObserver(RoundObserver):
         self.writer.close()
 
 
-class LedgerStreamObserver(RoundObserver):
-    """Streams the goodput ledger + audit trail (``--ledger-out``) live.
+class _RecordStream(RoundObserver):
+    """The shape every per-record stream shares: a header line, the lines
+    each recorded round yields, one flush per round, and a completeness
+    trailer before the atomic finalize.  A killed run leaves the flushed
+    prefix at ``<path>.part``, without the trailer.
 
-    Writes the same header/entry/event lines as
-    :func:`repro.io.save_ledger`, interleaved round by round instead of
-    grouped, and a ``ledger_end`` trailer on finalize;
-    :func:`repro.io.load_ledger` reads both layouts back identically
-    (it splits lines by kind, and the per-kind relative order matches).
+    Subclasses supply ``header_kind``, :meth:`round_lines` and
+    :meth:`trailer`.  None of the public observers inherits from another,
+    so wrapping one's ``on_round`` at class level never times another.
     """
+
+    header_kind = ""
 
     def __init__(self, path: str | Path, scheduler_name: str):
         super().__init__()
         self.writer = JsonlStreamWriter(path)
-        # Streamed header: num_rounds is unknowable at open time; the
-        # trailer carries it instead (the loader reads neither).
-        self.writer.write({"kind": "ledger",
-                           "format_version": _FORMAT_VERSION,
+        self.writer.write({"kind": self.header_kind,
+                           "format_version": FORMAT_VERSION,
                            "scheduler_name": scheduler_name})
 
+    def round_lines(self, record: Any, round_index: int) -> list[str]:
+        """The round's pre-serialized, newline-terminated lines."""
+        raise NotImplementedError
+
+    def trailer(self, result: Any) -> dict[str, Any]:
+        raise NotImplementedError
+
     def observe(self, record: Any, round_index: int, dt: float) -> None:
-        dumps = json.dumps
-        lines = [dumps({"kind": "ledger_entry", **entry.to_dict()}) + "\n"
-                 for entry in round_entries(record, round_index)]
-        lines += [dumps({"kind": "alloc_event", "event": event.to_dict()})
-                  + "\n" for event in record.events]
+        lines = self.round_lines(record, round_index)
         if lines:
             self.writer.write_lines(lines)
         self.writer.flush()
 
     def on_finalize(self, result: Any) -> None:
         self.on_round(result, len(result.rounds) - 1, 0.0)  # drain stragglers
-        self.writer.write({"kind": "ledger_end",
-                           "num_rounds": len(result.rounds)})
+        self.writer.write(self.trailer(result))
         self.writer.finalize()
 
     def close(self) -> None:
         self.writer.close()
 
 
-class AlertStreamObserver(RoundObserver):
-    """Streams fired SLO alerts (``--alerts-out``) as JSONL.
+class LedgerStreamObserver(_RecordStream):
+    """Streams the goodput ledger + audit trail (``--ledger-out``): each
+    round's ``ledger_entry`` lines, then its ``alloc_event`` lines, and a
+    ``ledger_end`` trailer; :func:`repro.io.load_ledger` reads it back."""
 
-    One header line, one ``alert`` line per fired alert (reading back via
-    :func:`repro.io.load_alerts`), and an ``alerts_end`` trailer.  Attach
-    it *after* the :class:`SLOObserver` in ``observers`` so each round's
-    alerts exist by the time this observer sees the record.
+    header_kind = "ledger"
+
+    def round_lines(self, record: Any, round_index: int) -> list[str]:
+        dumps = json.dumps
+        lines = [dumps({"kind": "ledger_entry", **entry.to_dict()}) + "\n"
+                 for entry in round_entries(record, round_index)]
+        # An event's own dict carries a "kind" (the event kind), so it is
+        # nested rather than spread into the line.
+        lines += [dumps({"kind": "alloc_event", "event": event.to_dict()})
+                  + "\n" for event in record.events]
+        return lines
+
+    def trailer(self, result: Any) -> dict[str, Any]:
+        return {"kind": "ledger_end", "num_rounds": len(result.rounds)}
+
+
+class AlertStreamObserver(_RecordStream):
+    """Streams fired SLO alerts (``--alerts-out``): one ``alert`` line per
+    alert and an ``alerts_end`` trailer; :func:`repro.io.load_alerts`
+    reads it back.  Attach it *after* the :class:`SLOObserver` in
+    ``observers`` so each round's alerts exist by the time this observer
+    sees the record.
     """
 
+    header_kind = "alerts"
+
     def __init__(self, path: str | Path, scheduler_name: str = ""):
-        super().__init__()
-        self.writer = JsonlStreamWriter(path)
+        super().__init__(path, scheduler_name)
         self.count = 0
-        self.writer.write({"kind": "alerts",
-                           "format_version": _FORMAT_VERSION,
-                           "scheduler_name": scheduler_name})
 
-    def observe(self, record: Any, round_index: int, dt: float) -> None:
-        for alert in getattr(record, "alerts", ()):
-            self.writer.write({"kind": "alert", **alert.to_dict()})
-            self.count += 1
-        self.writer.flush()
+    def round_lines(self, record: Any, round_index: int) -> list[str]:
+        self.count += len(record.alerts)
+        return [json.dumps({"kind": "alert", **alert.to_dict()}) + "\n"
+                for alert in record.alerts]
 
-    def on_finalize(self, result: Any) -> None:
-        self.on_round(result, len(result.rounds) - 1, 0.0)
-        self.writer.write({"kind": "alerts_end", "num_alerts": self.count})
-        self.writer.finalize()
+    def trailer(self, result: Any) -> dict[str, Any]:
+        return {"kind": "alerts_end", "num_alerts": self.count}
 
-    def close(self) -> None:
-        self.writer.close()
+
+class HealthEventStreamObserver(_RecordStream):
+    """Streams node-health transitions (``--health-events-out``): one
+    ``health_event`` line per transition, tagged with its round index, and
+    a ``health_events_end`` trailer; :func:`repro.io.load_health_events`
+    reads it back as :meth:`SimulationResult.health_timeline` pairs."""
+
+    header_kind = "health_events"
+
+    def round_lines(self, record: Any, round_index: int) -> list[str]:
+        # The event's own dict carries a "kind" (the transition kind), so
+        # it is nested rather than spread into the line.
+        return [json.dumps({"kind": "health_event", "round": round_index,
+                            "event": event.to_dict()}) + "\n"
+                for event in record.health_events]
+
+    def trailer(self, result: Any) -> dict[str, Any]:
+        return {"kind": "health_events_end",
+                "num_rounds": len(result.rounds)}
 
 
 class SLOObserver(RoundObserver):
@@ -362,17 +438,11 @@ def prometheus_name(name: str) -> str:
     return sanitized
 
 
-def prometheus_text(metrics: MetricsRegistry | dict[str, float]) -> str:
-    """Render a registry (or a flat snapshot dict) in Prometheus text
-    exposition format 0.0.4: counters as ``counter``, gauges as ``gauge``,
-    histograms as ``summary`` (quantiles + ``_sum``/``_count``)."""
+def prometheus_text(metrics: MetricsRegistry) -> str:
+    """Render a registry in Prometheus text exposition format 0.0.4:
+    counters as ``counter``, gauges as ``gauge``, histograms as
+    ``summary`` (quantiles + ``_sum``/``_count``)."""
     lines: list[str] = []
-    if isinstance(metrics, dict):
-        for name in sorted(metrics):
-            prom = prometheus_name(name)
-            lines.append(f"# TYPE {prom} gauge")
-            lines.append(f"{prom} {float(metrics[name]):g}")
-        return "\n".join(lines) + "\n" if lines else ""
     for name, metric in metrics.items():
         prom = prometheus_name(name)
         if isinstance(metric, Counter):
@@ -394,7 +464,7 @@ def prometheus_text(metrics: MetricsRegistry | dict[str, float]) -> str:
 def parse_prometheus_text(text: str) -> dict[str, float]:
     """Strict parser/validator for the exposition format we emit: returns
     ``{name or name{labels}: value}`` and raises ``ValueError`` on any
-    malformed line — the CI gate that ``/metrics`` output actually parses."""
+    malformed line — the CI gate that ``--prom-out`` output parses."""
     samples: dict[str, float] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -413,125 +483,3 @@ def parse_prometheus_text(text: str) -> dict[str, float]:
         name, labels, value = match.groups()
         samples[name + (labels or "")] = float(value)
     return samples
-
-
-# -- HTTP endpoint -------------------------------------------------------------
-
-class MetricsHTTPServer(RoundObserver):
-    """Serves an in-flight run over stdlib HTTP (``--serve PORT``).
-
-    Endpoints: ``/metrics`` (Prometheus text exposition of the live
-    registry), ``/healthz`` (JSON run status: rounds recorded, sim time,
-    jobs), ``/alerts`` (JSON list of every SLO alert fired so far).  Runs a
-    ``ThreadingHTTPServer`` on a daemon thread; the handler only *reads*
-    engine-owned structures (safe under the GIL for these append-only
-    lists/dicts), so serving adds nothing to the scheduling path.
-    """
-
-    def __init__(self, metrics: MetricsRegistry, *,
-                 slo: SLOEngine | None = None,
-                 host: str = "127.0.0.1", port: int = 0):
-        super().__init__()
-        self.metrics = metrics
-        self.slo = slo
-        self.host = host
-        self.port = port
-        self.state: dict[str, Any] = {"status": "starting", "rounds": 0,
-                                      "sim_time": 0.0, "active_jobs": 0,
-                                      "running_jobs": 0}
-        self._httpd = None
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> int:
-        """Bind and serve in the background; returns the bound port."""
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (stdlib API name)
-                if self.path == "/metrics":
-                    body = prometheus_text(server.metrics).encode()
-                    ctype = "text/plain; version=0.0.4; charset=utf-8"
-                elif self.path == "/healthz":
-                    body = json.dumps(server.state).encode()
-                    ctype = "application/json"
-                elif self.path == "/alerts":
-                    alerts = server.slo.alerts if server.slo else []
-                    body = json.dumps(
-                        [a.to_dict() for a in alerts]).encode()
-                    ctype = "application/json"
-                else:
-                    self.send_error(404)
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args: Any) -> None:
-                pass  # never spam the run's stdout per scrape
-
-        self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
-        self.port = self._httpd.server_address[1]
-        self.state["status"] = "running"
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        daemon=True,
-                                        name="repro-metrics-http")
-        self._thread.start()
-        return self.port
-
-    def observe(self, record: Any, round_index: int, dt: float) -> None:
-        self.state.update(rounds=round_index + 1, sim_time=record.time,
-                          active_jobs=record.active_jobs,
-                          running_jobs=record.running_jobs)
-
-    def on_finalize(self, result: Any) -> None:
-        self.state["status"] = "finished"
-
-    def close(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-
-
-# -- live terminal view --------------------------------------------------------
-
-class WatchView(RoundObserver):
-    """``repro watch``: one compact line per round plus inline alerts.
-
-    Plain append-only output (no cursor control) so it behaves identically
-    on a terminal, piped through ``tee``, and in CI logs.
-    """
-
-    def __init__(self, out: TextIO | None = None, *,
-                 slo: SLOEngine | None = None):
-        super().__init__()
-        self.out = out or sys.stdout
-        self.slo = slo
-        self._latency = RollingWindow(20)
-        self._alerts = 0
-
-    def observe(self, record: Any, round_index: int, dt: float) -> None:
-        self._latency.push(record.solve_time)
-        queue = record.active_jobs - record.running_jobs
-        gpus = sum(record.gpus_used.values())
-        flags = " DEGRADED" if record.degraded else ""
-        line = (f"r{round_index:>5} t={record.time / 3600.0:7.2f}h "
-                f"jobs {record.running_jobs}/{record.active_jobs} "
-                f"queue {queue:>3} gpus {gpus:>4} "
-                f"solve_p95 {self._latency.quantile(0.95) * 1e3:7.1f}ms "
-                f"backend {record.backend or '-'}{flags}")
-        print(line, file=self.out, flush=True)
-        for alert in getattr(record, "alerts", ()):
-            self._alerts += 1
-            print(f"       ALERT {alert.describe()}", file=self.out,
-                  flush=True)
-
-    def on_finalize(self, result: Any) -> None:
-        finished = sum(1 for j in result.jobs if j.completed)
-        print(f"done: {len(result.rounds)} rounds, "
-              f"{finished}/{len(result.jobs)} jobs finished, "
-              f"{self._alerts} alert(s)", file=self.out, flush=True)

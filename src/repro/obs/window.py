@@ -1,6 +1,6 @@
 """Online windowed aggregation over per-round series.
 
-The live telemetry plane (:mod:`repro.obs.slo`, ``repro watch``) needs
+The live SLO evaluator (:mod:`repro.obs.slo`) needs
 percentiles, moving averages, and rates over the most recent N scheduler
 rounds *while the run is in flight* — without re-scanning the full history
 every round the way :class:`~repro.obs.metrics.Histogram` does post hoc.

@@ -297,7 +297,8 @@ class SimulationResult:
 
     def health_timeline(self) -> list:
         """Every node-health transition in simulation-time order, as
-        ``(round_index, HealthEvent)`` pairs — the same shape
+        ``(round_index, HealthEvent)`` pairs — what
+        :class:`~repro.obs.stream.HealthEventStreamObserver` writes and
         :func:`repro.io.load_health_events` reads back."""
         return [(index, event) for index, rnd in enumerate(self.rounds)
                 for event in rnd.health_events]

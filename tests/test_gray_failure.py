@@ -2,6 +2,7 @@
 scoring and quarantine (repro.core.health), the estimator's telemetry
 defense, fallible placements, and health-event persistence."""
 
+import json
 import math
 import random
 
@@ -14,6 +15,7 @@ from repro.core.health import (DRAINED, HEALTHY, PROBATION, QUARANTINED,
                                deterministic_jitter, placement_backoff)
 from repro.core.types import Allocation, ProfilingMode
 from repro.jobs.job import make_job
+from repro.obs.stream import HealthEventStreamObserver
 from repro.perf import profiles
 from repro.perf.estimator import JobConstraints, JobPerfEstimator
 from repro.perf.fitting import Observation
@@ -556,11 +558,7 @@ class TestHealthEventsIO:
     def test_health_events_jsonl_round_trip(self, hetero_cluster, tmp_path):
         result = gray_sim(hetero_cluster, health=True)
         path = tmp_path / "health.jsonl"
-        io.save_health_events(result, path)
+        HealthEventStreamObserver(path, "sia").on_finalize(result)
         assert io.load_health_events(path) == result.health_timeline()
-
-    def test_load_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "ledger"}\n')
-        with pytest.raises(ValueError):
-            io.load_health_events(path)
+        assert json.loads(path.read_text().splitlines()[-1]) == {
+            "kind": "health_events_end", "num_rounds": len(result.rounds)}
