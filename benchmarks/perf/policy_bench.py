@@ -10,8 +10,8 @@ Measures, per (cluster size, job count) point:
   16384 GPUs / 4096 jobs;
 * steady-state estimator cache hit rate across consecutive rounds.
 
-Each point's gated column is stored under the ``vectorized`` key: the MILP
-column up to 256 GPUs, the tiered column beyond.  The 4096-GPU point also
+Each point's gated column is one of its ``backends`` columns: MILP up to
+256 GPUs, tiered beyond (:func:`gated_backend`).  The 4096-GPU point also
 carries the round-latency target it is reported against.
 
 Results land in ``BENCH_policy.json``.  ``--check-baseline`` compares the
@@ -50,6 +50,16 @@ FULL_COMPARE_MAX_GPUS = 256
 #: per-round policy latency targets (seconds) reported next to a point's
 #: gated round latency; reported, not gated.
 ROUND_TARGET_S = {4096: 0.150}
+
+
+def gated_backend(size: int) -> str:
+    """The column the baseline gate reads: the MILP where affordable, the
+    tiered solver past the cutoff."""
+    return "milp" if size <= FULL_COMPARE_MAX_GPUS else "tiered"
+
+
+def gated_column(point: dict) -> dict:
+    return point["backends"][gated_backend(point["gpus"])]
 
 
 def default_backends(size: int) -> tuple[str, ...]:
@@ -150,6 +160,8 @@ def measure_point(size: int, n_jobs: int, rounds: int,
     point: dict = {"gpus": size, "jobs": n_jobs, "rounds": rounds}
     if backends is None:
         backends = default_backends(size)
+    if gated_backend(size) not in backends:
+        backends = (*backends, gated_backend(size))
 
     point["backends"] = {}
     for solver in backends:
@@ -164,15 +176,6 @@ def measure_point(size: int, n_jobs: int, rounds: int,
         for solver, column in point["backends"].items():
             column["optimality_gap_first"] = \
                 (milp_obj - column["objective_first"]) / abs(milp_obj)
-
-    # The gated column the baseline check reads (``vectorized``, its
-    # historical key): MILP where affordable, tiered past the cutoff.
-    if size <= FULL_COMPARE_MAX_GPUS:
-        point["vectorized"] = point["backends"].get("milp") or _column(
-            measure_backend(cluster, n_jobs, rounds, "milp"))
-    else:
-        point["vectorized"] = point["backends"].get("tiered") \
-            or next(iter(point["backends"].values()))
     if size in ROUND_TARGET_S:
         point["round_latency_target"] = ROUND_TARGET_S[size]
     return point
@@ -199,8 +202,8 @@ def check_baseline(report: dict, baseline_path: Path,
         ref = by_size.get(point["gpus"])
         if ref is None:
             continue
-        now = point["vectorized"]["round_latency_median"]
-        then = ref["vectorized"]["round_latency_median"]
+        now = gated_column(point)["round_latency_median"]
+        then = gated_column(ref)["round_latency_median"]
         if now > factor * then:
             failures.append(
                 f"{point['gpus']} GPUs: round latency {now:.4f}s "
@@ -232,15 +235,15 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     for point in report["points"]:
-        vec = point["vectorized"]
+        gated = gated_column(point)
         line = (f"{point['gpus']:5d} GPUs / {point['jobs']:4d} jobs: "
-                f"round {vec['round_latency_median'] * 1e3:8.1f} ms")
+                f"round {gated['round_latency_median'] * 1e3:8.1f} ms")
         if "round_latency_target" in point:
             line += (f" (target <= "
                      f"{point['round_latency_target'] * 1e3:.0f} ms),")
-        line += (f" goodput_eval "
-                 f"{vec['phase_totals']['goodput_eval'] * 1e3:8.1f} ms total,"
-                 f" cache hit rate {vec['cache_hit_rate']:.0%}")
+        eval_ms = gated['phase_totals']['goodput_eval'] * 1e3
+        line += (f" goodput_eval {eval_ms:8.1f} ms total,"
+                 f" cache hit rate {gated['cache_hit_rate']:.0%}")
         print(line)
         for solver, column in point.get("backends", {}).items():
             gap = column.get("optimality_gap_first")

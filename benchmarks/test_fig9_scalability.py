@@ -101,9 +101,9 @@ def run_traced_breakdown():
     scheduler = SiaScheduler()
     scheduler.tracer = tracer = Tracer()
     views = make_views(scheduler, cluster, JOBS_PER_64 * (size // 64), False)
-    plan = scheduler.decide(views, cluster, {}, 0.0)
+    solve_time = time_decision(scheduler, cluster, views)
     breakdown = {name: tracer.span_stats(name).total for name in PLAN_PHASES}
-    return plan.solve_time, breakdown
+    return solve_time, breakdown
 
 
 def test_fig9_phase_breakdown(benchmark):

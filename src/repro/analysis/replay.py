@@ -228,9 +228,10 @@ def _swap_policy(state: CheckpointState, policy: str,
                  spec: dict[str, Any]) -> None:
     """Replace the scheduler in a restored state, preserving cadence.
 
-    Pollux swaps (either direction) are rejected: its estimators speak a
-    different interface (``best_plan`` vs ``goodput``), and every admitted
-    job already carries an estimator built by the base scheduler.
+    Pollux swaps (either direction) are rejected: its type-blind
+    estimators speak a different interface (an integer GPU-count search
+    vs batched per-type goodput), and every admitted job already carries
+    an estimator built by the base scheduler.
     """
     base_name = spec["scheduler"]
     if ("pollux" in (policy, base_name)) and policy != base_name:

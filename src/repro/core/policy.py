@@ -268,7 +268,6 @@ class SiaPolicy:
             if value > 0:
                 estimates[views[i].job_id] = value
         return PolicyDecision(assignments=assignments,
-                              solve_time=solution.solve_time,
                               objective=solution.objective,
                               backend=backend, degraded=degraded,
                               estimates=estimates)

@@ -27,7 +27,6 @@ Both report what they did through ``RoundPlan.backend`` /
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster
@@ -150,14 +149,12 @@ class ResilientSolver:
             attrs["retry"] = True
         with self.tracer.span("solve_attempt", **attrs) as attempt:
             try:
-                start = time.perf_counter()
                 solution = ilp.solve_assignment(problem, backend=backend,
                                                 time_limit=budget,
                                                 tracer=self.tracer,
                                                 warm_start=warm_start,
                                                 reuse_tolerance=reuse_tolerance)
-                elapsed = time.perf_counter() - start
-                if elapsed > budget:
+                if solution.solve_time > budget:
                     attempt.annotate(outcome="timeout")
                     self._record_attempt(backend, "timeout")
                     return solution, "timeout"
@@ -279,5 +276,4 @@ def carry_forward_plan(previous: dict[str, Allocation], cluster: Cluster,
         for node_id, count in alloc.gpus_per_node:
             used[node_id] = used.get(node_id, 0) + count
         allocations[job_id] = alloc
-    return RoundPlan(allocations=allocations, solve_time=0.0,
-                     backend="carry", degraded=True)
+    return RoundPlan(allocations=allocations, backend="carry", degraded=True)

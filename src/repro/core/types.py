@@ -136,8 +136,6 @@ class PolicyDecision:
 
     #: job id -> configuration chosen (jobs absent receive no resources).
     assignments: dict[str, Configuration] = field(default_factory=dict)
-    #: wall-clock seconds the policy optimization took (for Figure 9).
-    solve_time: float = 0.0
     #: objective value reached by the solver, if applicable.
     objective: float | None = None
     #: solver backend that produced the decision ('' when not reported).

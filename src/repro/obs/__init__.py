@@ -48,13 +48,13 @@ from repro.obs.stream import (AlertStreamObserver, EventStreamObserver,
                               LedgerStreamObserver, PrometheusSnapshotObserver,
                               RoundObserver, SLOObserver,
                               parse_prometheus_text, prometheus_text)
-from repro.obs.tracer import (NULL_TRACER, PLAN_PHASES, NullTracer,
-                              SpanRecord, SpanStats, Tracer)
+from repro.obs.tracer import (NULL_TRACER, PLAN_PHASES, ROUND_PHASES,
+                              NullTracer, SpanRecord, SpanStats, Tracer)
 from repro.obs.window import EMA, RollingRate, RollingWindow
 
 __all__ = [
-    "Tracer", "NullTracer", "NULL_TRACER", "PLAN_PHASES", "SpanRecord",
-    "SpanStats",
+    "Tracer", "NullTracer", "NULL_TRACER", "PLAN_PHASES", "ROUND_PHASES",
+    "SpanRecord", "SpanStats",
     "MetricsRegistry", "Counter", "Gauge", "Histogram",
     "chrome_trace", "write_chrome_trace", "validate_chrome_trace",
     "read_events_jsonl", "span_digest", "run_digest",

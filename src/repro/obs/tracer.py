@@ -24,12 +24,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
-#: the standard phase spans every scheduler emits inside its ``plan`` span
-#: (Figure 9's solve-time scalar, split into where the time actually goes).
-#: Canonical home — ``repro.schedulers.base`` and ``repro.sim.telemetry``
-#: both alias this tuple.
+#: the engine's round phases, in order: each runs under a span of its name
+#: that is a direct child of ``round`` (``faults`` only with fault models,
+#: ``health`` only with the health layer on).  See :mod:`repro.sim.engine`.
+ROUND_PHASES = ("faults", "health", "plan", "apply", "audit", "advance",
+                "close")
+
+#: the standard phase spans every scheduler emits inside the engine's
+#: ``plan`` span (Figure 9's solve-time scalar, split into where the time
+#: actually goes).  ``repro.schedulers.base`` re-exports this tuple.
 PLAN_PHASES = ("bootstrap", "goodput_eval", "solve", "placement")
 
 #: the solver-layer spans nested under a plan's ``solve`` phase, outermost
@@ -76,6 +81,20 @@ class SpanStats:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
+
+
+def span_stats(spans: Iterable[SpanRecord], name: str) -> SpanStats:
+    """Aggregate duration stats for every span in ``spans`` named ``name``."""
+    count, total = 0, 0.0
+    lo, hi = math.inf, 0.0
+    for span in spans:
+        if span.name != name:
+            continue
+        count += 1
+        total += span.duration
+        lo = min(lo, span.duration)
+        hi = max(hi, span.duration)
+    return SpanStats(name=name, count=count, total=total, min=lo, max=hi)
 
 
 class _Span:
@@ -159,16 +178,7 @@ class Tracer:
     # -- queries ---------------------------------------------------------------
 
     def span_stats(self, name: str) -> SpanStats:
-        count, total = 0, 0.0
-        lo, hi = math.inf, 0.0
-        for span in self.spans:
-            if span.name != name:
-                continue
-            count += 1
-            total += span.duration
-            lo = min(lo, span.duration)
-            hi = max(hi, span.duration)
-        return SpanStats(name=name, count=count, total=total, min=lo, max=hi)
+        return span_stats(self.spans, name)
 
     def totals_by_name(self) -> dict[str, float]:
         """Total seconds spent in spans of each name."""

@@ -11,7 +11,6 @@ simulator only validates and applies the plan.
 from __future__ import annotations
 
 import abc
-import time
 from dataclasses import dataclass, field
 
 from repro.cluster.cluster import Cluster
@@ -20,7 +19,7 @@ from repro.jobs.job import Job
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, PLAN_PHASES, Tracer
 
-__all__ = ["JobView", "RoundPlan", "PlanTimer", "Scheduler", "PLAN_PHASES",
+__all__ = ["JobView", "RoundPlan", "Scheduler", "PLAN_PHASES",
            "pack_gpus_on_type"]
 
 
@@ -61,8 +60,6 @@ class RoundPlan:
 
     #: job id -> allocation (jobs absent receive no resources this round).
     allocations: dict[str, Allocation] = field(default_factory=dict)
-    #: wall-clock seconds the policy optimization took (Figure 9).
-    solve_time: float = 0.0
     #: solver objective, when meaningful.
     objective: float | None = None
     #: solver backend that produced the plan ('' when not reported;
@@ -97,44 +94,6 @@ class RoundPlan:
                     f"node {node_id} over-subscribed: {count} > {sizes[node_id]}")
 
 
-class PlanTimer:
-    """Times one ``decide()`` call under a ``plan`` tracing span.
-
-    Replaces the per-scheduler ``start = time.perf_counter() ...
-    plan.solve_time = time.perf_counter() - start`` blocks: enter it around
-    the planning body, open the standard :data:`PLAN_PHASES` child spans
-    with :meth:`phase`, and return the produced plan through :meth:`finish`,
-    which stamps ``RoundPlan.solve_time`` (backward compatible with the old
-    inline timing).  With the default :data:`~repro.obs.tracer.NULL_TRACER`
-    the spans are no-ops and only the solve-time stamp remains.
-    """
-
-    __slots__ = ("_tracer", "_span", "_start")
-
-    def __init__(self, tracer: Tracer, scheduler_name: str, n_jobs: int):
-        self._tracer = tracer
-        self._span = tracer.span("plan", scheduler=scheduler_name,
-                                 jobs=n_jobs)
-        self._start = 0.0
-
-    def __enter__(self) -> "PlanTimer":
-        self._start = time.perf_counter()
-        self._span.__enter__()
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return self._span.__exit__(*exc)
-
-    def phase(self, name: str, **attrs):
-        """Open one of the standard phase spans (a child of ``plan``)."""
-        return self._tracer.span(name, **attrs)
-
-    def finish(self, plan: "RoundPlan") -> "RoundPlan":
-        """Stamp ``plan.solve_time`` with the wall-clock spent planning."""
-        plan.solve_time = time.perf_counter() - self._start
-        return plan
-
-
 class Scheduler(abc.ABC):
     """Base class for round-based cluster schedulers."""
 
@@ -164,11 +123,10 @@ class Scheduler(abc.ABC):
     @abc.abstractmethod
     def decide(self, views: list[JobView], cluster: Cluster,
                previous: dict[str, Allocation], now: float) -> RoundPlan:
-        """Choose allocations for the next round."""
+        """Choose allocations for the next round.
 
-    def planning(self, views: list[JobView]) -> PlanTimer:
-        """The span-backed clock every ``decide()`` wraps its body in."""
-        return PlanTimer(self.tracer, self.name, len(views))
+        The engine opens the ``plan`` span and times the call; ``decide``
+        opens the :data:`PLAN_PHASES` child spans on ``self.tracer``."""
 
     def record_estimates(self, views: list[JobView],
                          plan: RoundPlan) -> RoundPlan:

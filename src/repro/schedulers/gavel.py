@@ -153,60 +153,59 @@ class GavelScheduler(Scheduler):
                previous: dict[str, Allocation], now: float) -> RoundPlan:
         if not views:
             return RoundPlan()
-        with self.planning(views) as timer:
-            with timer.phase("bootstrap"):
-                types = cluster.gpu_types
-                counts = [max(1, v.job.effective_min_gpus) for v in views]
-                capacities = [cluster.capacity(t) for t in types]
-            with timer.phase("goodput_eval"):
-                xput = self._throughput_matrix(views, cluster, counts)
-            with timer.phase("solve", policy=self.policy):
-                if self.policy == "max_min_fairness":
-                    allocation_fractions = self._solve_lp_max_min(
-                        xput, counts, capacities)
-                else:
-                    allocation_fractions = self._solve_lp(
-                        xput, counts, capacities)
+        with self.tracer.span("bootstrap"):
+            types = cluster.gpu_types
+            counts = [max(1, v.job.effective_min_gpus) for v in views]
+            capacities = [cluster.capacity(t) for t in types]
+        with self.tracer.span("goodput_eval"):
+            xput = self._throughput_matrix(views, cluster, counts)
+        with self.tracer.span("solve", policy=self.policy):
+            if self.policy == "max_min_fairness":
+                allocation_fractions = self._solve_lp_max_min(
+                    xput, counts, capacities)
+            else:
+                allocation_fractions = self._solve_lp(
+                    xput, counts, capacities)
 
-            with timer.phase("placement"):
-                for view in views:
-                    self._rounds_elapsed[view.job_id] = \
-                        self._rounds_elapsed.get(view.job_id, 0.0) + 1.0
+        with self.tracer.span("placement"):
+            for view in views:
+                self._rounds_elapsed[view.job_id] = \
+                    self._rounds_elapsed.get(view.job_id, 0.0) + 1.0
 
-                # Deficit-ordered selection.
-                candidates: list[tuple[float, int, int]] = []
-                for i, view in enumerate(views):
-                    elapsed = self._rounds_elapsed[view.job_id]
-                    for k, gpu_type in enumerate(types):
-                        share = allocation_fractions[i, k]
-                        if share <= 1e-6:
-                            continue
-                        received = self._received.get(
-                            (view.job_id, gpu_type), 0.0)
-                        deficit = share * elapsed - received
-                        candidates.append((deficit, i, k))
-                candidates.sort(reverse=True)
-
-                plan = RoundPlan()
-                occupancy: dict[int, int] = {}
-                scheduled: set[int] = set()
-                for deficit, i, k in candidates:
-                    if i in scheduled or deficit <= 0:
+            # Deficit-ordered selection.
+            candidates: list[tuple[float, int, int]] = []
+            for i, view in enumerate(views):
+                elapsed = self._rounds_elapsed[view.job_id]
+                for k, gpu_type in enumerate(types):
+                    share = allocation_fractions[i, k]
+                    if share <= 1e-6:
                         continue
-                    view = views[i]
-                    gpu_type = types[k]
-                    prev = previous.get(view.job_id)
-                    preferred = prev.node_ids if prev is not None \
-                        and prev.gpu_type == gpu_type else ()
-                    allocation = pack_gpus_on_type(cluster, gpu_type,
-                                                   counts[i], occupancy,
-                                                   preferred)
-                    if allocation is None:
-                        continue
-                    plan.allocations[view.job_id] = allocation
-                    scheduled.add(i)
-                    plan.estimates[view.job_id] = float(xput[i, k])
-                    self._received[(view.job_id, gpu_type)] = \
-                        self._received.get((view.job_id, gpu_type), 0.0) + 1.0
-            self.record_estimates(views, plan)
-            return timer.finish(plan)
+                    received = self._received.get(
+                        (view.job_id, gpu_type), 0.0)
+                    deficit = share * elapsed - received
+                    candidates.append((deficit, i, k))
+            candidates.sort(reverse=True)
+
+            plan = RoundPlan()
+            occupancy: dict[int, int] = {}
+            scheduled: set[int] = set()
+            for deficit, i, k in candidates:
+                if i in scheduled or deficit <= 0:
+                    continue
+                view = views[i]
+                gpu_type = types[k]
+                prev = previous.get(view.job_id)
+                preferred = prev.node_ids if prev is not None \
+                    and prev.gpu_type == gpu_type else ()
+                allocation = pack_gpus_on_type(cluster, gpu_type,
+                                               counts[i], occupancy,
+                                               preferred)
+                if allocation is None:
+                    continue
+                plan.allocations[view.job_id] = allocation
+                scheduled.add(i)
+                plan.estimates[view.job_id] = float(xput[i, k])
+                self._received[(view.job_id, gpu_type)] = \
+                    self._received.get((view.job_id, gpu_type), 0.0) + 1.0
+        self.record_estimates(views, plan)
+        return plan

@@ -102,7 +102,12 @@ class PolluxEstimator:
         caps = [min(c, self.constraints.max_bsz) for c in caps if c > 0]
         return min(caps) if caps else 0
 
-    def best_plan(self, num_gpus: int, num_nodes: int) -> BatchPlan | None:
+    def best_plan(self, config: Configuration) -> BatchPlan | None:
+        """The batch plan for ``config``'s GPU and node counts; its GPU type
+        is ignored, as a type-blind system would."""
+        return self._best_plan(config.num_gpus, config.num_nodes)
+
+    def _best_plan(self, num_gpus: int, num_nodes: int) -> BatchPlan | None:
         key = (num_gpus, num_nodes)
         if key in self._cache:
             return self._cache[key]
@@ -120,7 +125,7 @@ class PolluxEstimator:
 
     def goodput(self, config: Configuration) -> float:
         """Configuration-based query (protocol compatibility)."""
-        plan = self.best_plan(config.num_gpus, config.num_nodes)
+        plan = self.best_plan(config)
         return plan.goodput if plan is not None else 0.0
 
     @property
@@ -181,7 +186,7 @@ class PolluxScheduler(Scheduler):
         """speedup[k] for k in 0..max_count; 0 GPUs -> tiny epsilon."""
         table = np.full(max_count + 1, 1e-3)
         estimator: PolluxEstimator = view.estimator  # type: ignore[assignment]
-        base_plan = estimator.best_plan(1, 1)
+        base_plan = estimator._best_plan(1, 1)
         base = base_plan.goodput if base_plan is not None else 0.0
         if base <= 0:
             return table
@@ -191,7 +196,7 @@ class PolluxScheduler(Scheduler):
         lo = view.job.effective_min_gpus
         hi = min(max_count, view.job.effective_max_gpus)
         for k in range(lo, hi + 1):
-            plan = estimator.best_plan(k, self._nodes_for(k))
+            plan = estimator._best_plan(k, self._nodes_for(k))
             if plan is None:
                 continue
             speedup = plan.goodput / base
@@ -273,41 +278,40 @@ class PolluxScheduler(Scheduler):
                previous: dict[str, Allocation], now: float) -> RoundPlan:
         if not views:
             return RoundPlan()
-        with self.planning(views) as timer:
-            with timer.phase("bootstrap"):
-                capacity = cluster.total_gpus
-                max_count = min(capacity,
-                                max(v.job.effective_max_gpus for v in views))
-                num_virtual_nodes = max(1, capacity // VIRTUAL_NODE_SIZE)
-            with timer.phase("goodput_eval"):
-                tables = [self._speedup_table(v, max_count) for v in views]
-            with timer.phase("solve", generations=self.ga.
-                             effective_generations(num_virtual_nodes)):
-                best = self._evolve(views, capacity, max_count,
-                                    num_virtual_nodes, tables)
+        with self.tracer.span("bootstrap"):
+            capacity = cluster.total_gpus
+            max_count = min(capacity,
+                            max(v.job.effective_max_gpus for v in views))
+            num_virtual_nodes = max(1, capacity // VIRTUAL_NODE_SIZE)
+        with self.tracer.span("goodput_eval"):
+            tables = [self._speedup_table(v, max_count) for v in views]
+        with self.tracer.span("solve", generations=self.ga.
+                              effective_generations(num_virtual_nodes)):
+            best = self._evolve(views, capacity, max_count,
+                                num_virtual_nodes, tables)
 
-            # Greedy placement onto virtual nodes, largest jobs first;
-            # Pollux may span types — the fix-up trims to one type.
-            with timer.phase("placement"):
-                plan = RoundPlan()
-                occupancy: dict[int, int] = {}
-                order = sorted(range(len(views)), key=lambda i: -best[i])
-                for i in order:
-                    count = int(best[i])
-                    if count < 1:
-                        continue
-                    view = views[i]
-                    allocation = self._place_mixed(cluster, count, occupancy,
-                                                   previous.get(view.job_id))
-                    if allocation is None:
-                        continue
-                    allocation = self._fix_mixed_types(allocation, view)
-                    if allocation is not None:
-                        plan.allocations[view.job_id] = allocation
-            # Estimates come from the jobs' type-blind models — exactly the
-            # (possibly conflated) numbers the GA's fitness ran on.
-            self.record_estimates(views, plan)
-            return timer.finish(plan)
+        # Greedy placement onto virtual nodes, largest jobs first;
+        # Pollux may span types — the fix-up trims to one type.
+        with self.tracer.span("placement"):
+            plan = RoundPlan()
+            occupancy: dict[int, int] = {}
+            order = sorted(range(len(views)), key=lambda i: -best[i])
+            for i in order:
+                count = int(best[i])
+                if count < 1:
+                    continue
+                view = views[i]
+                allocation = self._place_mixed(cluster, count, occupancy,
+                                               previous.get(view.job_id))
+                if allocation is None:
+                    continue
+                allocation = self._fix_mixed_types(allocation, view)
+                if allocation is not None:
+                    plan.allocations[view.job_id] = allocation
+        # Estimates come from the jobs' type-blind models — exactly the
+        # (possibly conflated) numbers the GA's fitness ran on.
+        self.record_estimates(views, plan)
+        return plan
 
     def _place_mixed(self, cluster: Cluster, count: int,
                      occupancy: dict[int, int],

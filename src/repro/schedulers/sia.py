@@ -30,31 +30,28 @@ class SiaScheduler(Scheduler):
     def decide(self, views: list[JobView], cluster: Cluster,
                previous: dict[str, Allocation], now: float) -> RoundPlan:
         # The policy emits the bootstrap/goodput_eval/solve phase spans; the
-        # Placer runs under the placement span, all children of our plan
-        # span.  solve_time covers the whole plan path (phases sum to it).
+        # Placer runs under the placement span.
         self.policy.tracer = self.tracer
         self.policy.metrics = self.metrics
         self.policy.health_discounts = self.health_discounts
-        with self.planning(views) as timer:
-            if self._placer is None or self._placer.cluster is not cluster:
-                self._placer = Placer(cluster)
-            # ``previous`` doubles as the solver warm start: the policy
-            # re-keys it onto this round's (row, col) indices.
-            decision = self.policy.decide(views, cluster, now,
-                                          previous=previous)
-            pinned = {v.job_id for v in views
-                      if not v.job.preemptible and v.is_running}
-            with timer.phase("placement"):
-                placement = self._placer.place(decision.assignments, previous,
-                                               pinned=pinned)
-            plan = RoundPlan(allocations=placement.allocations,
-                             objective=decision.objective,
-                             backend=decision.backend,
-                             degraded=decision.degraded,
-                             estimates={jid: est for jid, est
-                                        in decision.estimates.items()
-                                        if jid in placement.allocations})
-            # The ILP's own numbers win; the base hook fills any job the
-            # Placer allocated without a policy estimate.
-            self.record_estimates(views, plan)
-            return timer.finish(plan)
+        if self._placer is None or self._placer.cluster is not cluster:
+            self._placer = Placer(cluster)
+        # ``previous`` doubles as the solver warm start: the policy
+        # re-keys it onto this round's (row, col) indices.
+        decision = self.policy.decide(views, cluster, now, previous=previous)
+        pinned = {v.job_id for v in views
+                  if not v.job.preemptible and v.is_running}
+        with self.tracer.span("placement"):
+            placement = self._placer.place(decision.assignments, previous,
+                                           pinned=pinned)
+        plan = RoundPlan(allocations=placement.allocations,
+                         objective=decision.objective,
+                         backend=decision.backend,
+                         degraded=decision.degraded,
+                         estimates={jid: est for jid, est
+                                    in decision.estimates.items()
+                                    if jid in placement.allocations})
+        # The ILP's own numbers win; the base hook fills any job the
+        # Placer allocated without a policy estimate.
+        self.record_estimates(views, plan)
+        return plan

@@ -24,32 +24,31 @@ class FIFOScheduler(Scheduler):
 
     def decide(self, views: list[JobView], cluster: Cluster,
                previous: dict[str, Allocation], now: float) -> RoundPlan:
-        with self.planning(views) as timer:
-            plan = RoundPlan()
-            occupancy: dict[int, int] = {}
-            with timer.phase("bootstrap"):
-                # Running jobs keep their exact allocation.
-                for view in views:
-                    prev = previous.get(view.job_id)
-                    if prev is not None:
-                        for node_id, count in prev.gpus_per_node:
-                            occupancy[node_id] = \
-                                occupancy.get(node_id, 0) + count
-                        plan.allocations[view.job_id] = prev
-            with timer.phase("goodput_eval"):
-                pass  # FIFO ignores rates; placement probes them lazily.
-            with timer.phase("solve"):
-                # Queued jobs start in submission order.
-                queued = sorted(
-                    (v for v in views if v.job_id not in plan.allocations),
-                    key=lambda v: v.job.submit_time)
-            with timer.phase("placement"):
-                for view in queued:
-                    allocation = place_rigid(view, cluster, occupancy, None)
-                    if allocation is not None:
-                        plan.allocations[view.job_id] = allocation
-            self.record_estimates(views, plan)
-            return timer.finish(plan)
+        plan = RoundPlan()
+        occupancy: dict[int, int] = {}
+        with self.tracer.span("bootstrap"):
+            # Running jobs keep their exact allocation.
+            for view in views:
+                prev = previous.get(view.job_id)
+                if prev is not None:
+                    for node_id, count in prev.gpus_per_node:
+                        occupancy[node_id] = \
+                            occupancy.get(node_id, 0) + count
+                    plan.allocations[view.job_id] = prev
+        with self.tracer.span("goodput_eval"):
+            pass  # FIFO ignores rates; placement probes them lazily.
+        with self.tracer.span("solve"):
+            # Queued jobs start in submission order.
+            queued = sorted(
+                (v for v in views if v.job_id not in plan.allocations),
+                key=lambda v: v.job.submit_time)
+        with self.tracer.span("placement"):
+            for view in queued:
+                allocation = place_rigid(view, cluster, occupancy, None)
+                if allocation is not None:
+                    plan.allocations[view.job_id] = allocation
+        self.record_estimates(views, plan)
+        return plan
 
 
 class SRTFScheduler(Scheduler):
@@ -76,21 +75,20 @@ class SRTFScheduler(Scheduler):
 
     def decide(self, views: list[JobView], cluster: Cluster,
                previous: dict[str, Allocation], now: float) -> RoundPlan:
-        with self.planning(views) as timer:
-            with timer.phase("bootstrap"):
-                plan = RoundPlan()
-                occupancy: dict[int, int] = {}
-            with timer.phase("goodput_eval"):
-                remaining = [self._remaining_time(v, cluster) for v in views]
-            with timer.phase("solve"):
-                ranked = [views[i] for i in
-                          sorted(range(len(views)),
-                                 key=lambda i: remaining[i])]
-            with timer.phase("placement"):
-                for view in ranked:
-                    allocation = place_rigid(view, cluster, occupancy,
-                                             previous.get(view.job_id))
-                    if allocation is not None:
-                        plan.allocations[view.job_id] = allocation
-            self.record_estimates(views, plan)
-            return timer.finish(plan)
+        with self.tracer.span("bootstrap"):
+            plan = RoundPlan()
+            occupancy: dict[int, int] = {}
+        with self.tracer.span("goodput_eval"):
+            remaining = [self._remaining_time(v, cluster) for v in views]
+        with self.tracer.span("solve"):
+            ranked = [views[i] for i in
+                      sorted(range(len(views)),
+                             key=lambda i: remaining[i])]
+        with self.tracer.span("placement"):
+            for view in ranked:
+                allocation = place_rigid(view, cluster, occupancy,
+                                         previous.get(view.job_id))
+                if allocation is not None:
+                    plan.allocations[view.job_id] = allocation
+        self.record_estimates(views, plan)
+        return plan

@@ -32,25 +32,24 @@ class ThemisScheduler(Scheduler):
                previous: dict[str, Allocation], now: float) -> RoundPlan:
         if not views:
             return RoundPlan()
-        with self.planning(views) as timer:
-            with timer.phase("bootstrap"):
-                contention = len(views)
-            with timer.phase("goodput_eval"):
-                rhos = [self._finite_rho(v, cluster, now, contention)
-                        for v in views]
-            with timer.phase("solve"):
-                ranked = [views[i] for i in
-                          sorted(range(len(views)), key=lambda i: -rhos[i])]
-            with timer.phase("placement"):
-                plan = RoundPlan()
-                occupancy: dict[int, int] = {}
-                for view in ranked:
-                    allocation = place_rigid(view, cluster, occupancy,
-                                             previous.get(view.job_id))
-                    if allocation is not None:
-                        plan.allocations[view.job_id] = allocation
-            self.record_estimates(views, plan)
-            return timer.finish(plan)
+        with self.tracer.span("bootstrap"):
+            contention = len(views)
+        with self.tracer.span("goodput_eval"):
+            rhos = [self._finite_rho(v, cluster, now, contention)
+                    for v in views]
+        with self.tracer.span("solve"):
+            ranked = [views[i] for i in
+                      sorted(range(len(views)), key=lambda i: -rhos[i])]
+        with self.tracer.span("placement"):
+            plan = RoundPlan()
+            occupancy: dict[int, int] = {}
+            for view in ranked:
+                allocation = place_rigid(view, cluster, occupancy,
+                                         previous.get(view.job_id))
+                if allocation is not None:
+                    plan.allocations[view.job_id] = allocation
+        self.record_estimates(views, plan)
+        return plan
 
     @staticmethod
     def _finite_rho(view: JobView, cluster: Cluster, now: float,

@@ -1,29 +1,32 @@
 """Discrete-time trace-driven cluster simulator (Section 4.2).
 
-Time advances in scheduler rounds.  Each round:
+Time advances in scheduler rounds.  Arrived jobs are admitted between
+rounds (creating and, in Bootstrap mode, profiling their Goodput
+Estimators).  Each round then runs these phases in order, each under a span
+of its name that is a direct child of ``round``
+(:data:`repro.obs.tracer.ROUND_PHASES`):
 
-1. admit newly-arrived jobs (creating and, in Bootstrap mode, profiling
-   their Goodput Estimators);
-2. inject faults (:mod:`repro.sim.faults`): down nodes evict their jobs to
-   the last epoch checkpoint, crashed jobs roll back in place, failed
-   restores pay the restart delay again, stragglers slow the executor's
-   ground-truth rates, gray nodes slow them *silently* (masked from
-   telemetry); then, when the health layer is on, advance the quarantine
-   state machine and filter excluded nodes from the scheduler's view;
-3. ask the scheduler for a :class:`~repro.schedulers.base.RoundPlan` over
-   the surviving nodes (guarded by carry-forward when
-   ``SimulatorConfig.resilient`` is set);
-4. apply allocation changes, charging model-specific checkpoint-restore
-   delays (the paper replaced the original simulator's constant delay with
-   per-model delays — so do we); gang launches are fallible — a flapped
-   placement holds its grant and pays a jittered capped backoff before
-   retrying;
-5. advance every running job: the executor picks a batch plan from the
-   job's *estimated* models, but progress accrues at the *ground-truth*
-   goodput of that plan;
-6. report observations (iteration time, gradient noise scale) back to the
-   estimator — the online refinement loop of Figure 3 — and record
-   telemetry (allocations, solve time, fault events, degraded rounds).
+* ``faults`` (with fault models) — down nodes evict their jobs to the last
+  epoch checkpoint, crashed jobs roll back in place, stragglers slow the
+  executor's ground-truth rates, gray nodes slow them *silently*;
+* ``health`` (with the health layer) — drain jobs off quarantined nodes
+  and filter those nodes from the scheduler's view;
+* ``plan`` — the scheduler's :class:`~repro.schedulers.base.RoundPlan` over
+  the surviving nodes, carried forward on failure when
+  ``SimulatorConfig.resilient`` is set; its wall time is the round's
+  ``solve_time`` (Figure 9);
+* ``apply`` — allocation changes, charging per-model checkpoint-restore
+  delays (the paper replaced the original simulator's constant delay — so
+  do we); restores may fail and gang launches may flap;
+* ``audit`` — classify each job's allocation change;
+* ``advance`` — the executor picks a batch plan from the job's *estimated*
+  models, progress accrues at the *ground-truth* goodput of that plan, and
+  observations flow back to the estimator (the refinement loop of
+  Figure 3);
+* ``close`` — metrics, health gauges and finished-job records.
+
+The health tick, the invariant audit and the metrics snapshot run directly
+under ``round``.
 
 Jobs complete mid-round when their integrated goodput reaches the target;
 their GPUs free up at the start of the next round (matching round-based
@@ -33,6 +36,8 @@ active at the cap are reported as censored.
 
 from __future__ import annotations
 
+import itertools
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -44,7 +49,6 @@ from repro.jobs.job import Job
 from repro.obs import audit
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.perf.goodput import BatchPlan
 from repro.schedulers.base import JobView, RoundPlan, Scheduler
 from repro.sim import checkpoint as ckpt
 from repro.sim.checkpoint import (CheckpointConfig, CheckpointError,
@@ -335,7 +339,6 @@ class Simulator:
         while (self._arrival_idx < len(self._arrivals) or active) \
                 and self._now < cap \
                 and (max_rounds is None or len(result.rounds) < max_rounds):
-            # 1. admissions
             if (self._arrival_idx < len(self._arrivals)
                     and self._arrivals[self._arrival_idx].submit_time
                     <= self._now):
@@ -373,7 +376,7 @@ class Simulator:
             self._crash_point("round_end", len(result.rounds))
 
     def _finalize(self, cap: float) -> SimulationResult:
-        """6. finalize records — censored *and* never-admitted jobs included,
+        """Finalize records — censored *and* never-admitted jobs included,
         so the per-job records always sum to the input trace size."""
         result = self._result
         assert result is not None
@@ -525,53 +528,89 @@ class Simulator:
         self.tracer.instant("checkpoint_restore",
                             round=state.round_index, time=state.now)
 
-    # -- helpers ---------------------------------------------------------------
+    # -- the round's phases ----------------------------------------------------
 
     def _run_round(self, active: dict[str, _JobRuntime],
                    finished: list[JobRecord], now: float,
                    dt: float, round_index: int) -> RoundRecord:
-        """Steps 2-5 of the main loop: faults, plan, apply, advance."""
-        # Audit snapshot: what each job held (and whether it had ever run)
-        # before faults and the new plan touch anything — the "before" side
-        # of this round's allocation-change events.
-        held_before = {jid: rt.allocation for jid, rt in active.items()}
-        ran_before = {jid: rt.first_start is not None
-                      for jid, rt in active.items()}
+        """One round: the engine phases in order, each under its own span.
 
-        # 2. fault injection (Section 3.5): down nodes evict their jobs
-        # to the last epoch checkpoint; crashed jobs roll back in place;
-        # failed restores pay the restart delay again; stragglers slow
-        # the ground-truth rates.
-        cluster_view, fault_events, fault_hit = \
-            self._inject_faults(active, now, dt)
-
-        # 2b. gray-failure defense: advance the quarantine state machine,
-        # drain jobs still holding GPUs on a node that was just excluded
-        # (controlled checkpoint-off, classified as fault-caused), and hand
-        # the scheduler a view without quarantined/drained nodes plus the
-        # probation-node goodput discounts.
+        The health tick, the invariant audit and the metrics snapshot run
+        directly under ``round``, never inside a phase span, so a timer
+        wrapped around any of them sees round-level time only."""
+        span = self.tracer.span
+        # The audit's "before" side: what a job held at the start of the
+        # round, recorded by the first change to its allocation.
+        held: dict[str, Allocation | None] = {}
+        cluster_view, fault_events, fault_hit = self.cluster, [], set()
+        if self._fault_models:
+            with span("faults", models=len(self._fault_models)):
+                cluster_view, fault_events, fault_hit = \
+                    self._inject_faults(active, now, dt, held)
         quarantined: frozenset[int] = frozenset()
         if self._health is not None:
             self._health.tick(now)
-            cluster_view = self._health.healthy_view(cluster_view)
-            quarantined = self._health.excluded_nodes()
-            if quarantined:
-                for job_id, rt in active.items():
-                    if rt.allocation is not None and any(
-                            nid in quarantined
-                            for nid in rt.allocation.node_ids):
-                        self._health.note_eviction(
-                            job_id, rt.allocation.node_ids, now)
-                        rt.allocation = None
-                        rt.restart_remaining = 0.0
-                        rt.num_restarts += 1
-                        rt.lost_to_fault = True
-                        fault_hit.add(job_id)
-            self.scheduler.health_discounts = \
-                self._health.type_discounts(cluster_view) or None
+            with span("health"):
+                cluster_view, quarantined = self._filter_health(
+                    active, cluster_view, held, fault_hit, now)
+        with span("plan", scheduler=self.scheduler.name, jobs=len(active)):
+            start = time.perf_counter()
+            plan = self._plan(active, cluster_view, now)
+            solve_time = time.perf_counter() - start
+        with span("apply"):
+            self._apply(active, plan, now, held, fault_events)
+        with span("audit"):
+            record = RoundRecord(
+                time=now, active_jobs=len(active), running_jobs=0,
+                solve_time=solve_time, backend=plan.backend,
+                degraded=plan.degraded, fault_events=fault_events,
+                estimates={jid: est for jid, est in plan.estimates.items()
+                           if jid in active})
+            self._audit(active, held, record, fault_hit, round_index)
+        with span("advance"):
+            done = self._advance_jobs(active, record, dt, round_index)
+        with span("close"):
+            self._close(record, plan, done, finished)
+        if self._invariants is not None:
+            # Audit over the real engine state: still-active runtimes plus
+            # the ones that finished this round.
+            self._invariants.check_round(
+                round_index=round_index, cluster_view=cluster_view,
+                record=record,
+                runtimes=itertools.chain(active.values(), done.values()),
+                fault_hit=fault_hit, done_ids=list(done),
+                quarantined=quarantined)
+        record.metrics = self.metrics.snapshot()
+        return record
 
-        # 3. scheduling decision over the surviving nodes (the scheduler
-        # emits the plan span with its phase children)
+    def _filter_health(self, active: dict[str, _JobRuntime],
+                       cluster_view: Cluster,
+                       held: dict[str, Allocation | None],
+                       fault_hit: set[str],
+                       now: float) -> tuple[Cluster, frozenset[int]]:
+        """The ``health`` phase (gray-failure defense): drain jobs still
+        holding GPUs on a node the health tracker excludes (a controlled
+        checkpoint-off, classified as fault-caused), and hand the scheduler
+        a view without those nodes plus the probation-node goodput
+        discounts.  Returns (filtered view, excluded node ids)."""
+        cluster_view = self._health.healthy_view(cluster_view)
+        quarantined = self._health.excluded_nodes()
+        if quarantined:
+            for job_id, rt in active.items():
+                if rt.allocation is not None and any(
+                        nid in quarantined for nid in rt.allocation.node_ids):
+                    self._health.note_eviction(job_id,
+                                               rt.allocation.node_ids, now)
+                    self._evict(job_id, rt, held, fault_hit)
+        self.scheduler.health_discounts = \
+            self._health.type_discounts(cluster_view) or None
+        return cluster_view, quarantined
+
+    def _plan(self, active: dict[str, _JobRuntime], cluster_view: Cluster,
+              now: float) -> RoundPlan:
+        """The ``plan`` phase: ask the scheduler for a validated plan over
+        the surviving nodes, carrying the previous round forward if that
+        fails on a resilient run."""
         previous = {jid: rt.allocation for jid, rt in active.items()
                     if rt.allocation is not None}
         views = [self._view(rt, now) for rt in active.values()]
@@ -585,76 +624,70 @@ class Simulator:
             # round's still-feasible allocations.
             self.caught_scheduler_failures += 1
             self.metrics.counter("caught_scheduler_failures").inc()
-            with self.tracer.span("carry_forward",
-                                  error=type(exc).__name__):
+            with self.tracer.span("carry_forward", error=type(exc).__name__):
                 plan = carry_forward_plan(previous, cluster_view, views)
+        return plan
 
-        # 4. apply allocation changes (fallible: a changed allocation is a
-        # gang launch that may flap — see 4b2)
-        with self.tracer.span("apply"):
-            launch_attempts: list[tuple[str, Allocation]] = []
-            for job_id, rt in active.items():
-                new = plan.allocations.get(job_id)
-                if new == rt.allocation:
-                    continue
-                if rt.allocation is not None:
+    def _apply(self, active: dict[str, _JobRuntime], plan: RoundPlan,
+               now: float, held: dict[str, Allocation | None],
+               fault_events: list) -> None:
+        """The ``apply`` phase: apply the plan's allocation changes,
+        charging model-specific restore delays; then jobs paying a restore
+        may fail it and owe the delay again, and a changed allocation is a
+        gang launch that may flap (see :meth:`_sample_placement_failures`).
+        """
+        launch_attempts: list[tuple[str, Allocation]] = []
+        for job_id, rt in active.items():
+            new = plan.allocations.get(job_id)
+            if new == rt.allocation:
+                continue
+            held.setdefault(job_id, rt.allocation)
+            if rt.allocation is not None:
+                rt.num_restarts += 1
+            if new is not None:
+                rt.restart_remaining = rt.job.restart_delay
+                if rt.first_start is None:
+                    rt.first_start = now
+                launch_attempts.append((job_id, new))
+            else:
+                # A stale restore delay must never leak into the job's next
+                # allocation.
+                rt.restart_remaining = 0.0
+            rt.allocation = new
+
+        if not self._fault_models:
+            return
+        restoring = sorted(
+            jid for jid, rt in active.items()
+            if rt.allocation is not None and rt.restart_remaining > 0)
+        if restoring:
+            for model in self._fault_models:
+                for event in model.sample_restore_failures(restoring, now):
+                    job_id = event.target.split(":", 1)[-1]
+                    rt = active[job_id]
+                    rt.restart_remaining += rt.job.restart_delay
                     rt.num_restarts += 1
-                if new is not None:
-                    rt.restart_remaining = rt.job.restart_delay
-                    if rt.first_start is None:
-                        rt.first_start = now
-                    launch_attempts.append((job_id, new))
-                else:
-                    # A stale restore delay must never leak into the job's
-                    # next allocation.
-                    rt.restart_remaining = 0.0
-                rt.allocation = new
+                    fault_events.append(event)
+        if launch_attempts:
+            launch_attempts.sort()
+            self._sample_placement_failures(active, launch_attempts, now,
+                                            fault_events)
 
-            # 4b. failed restore attempts: jobs paying a restore delay this
-            # round may fail the restore and owe the full delay again.
-            if self._fault_models:
-                restoring = sorted(
-                    jid for jid, rt in active.items()
-                    if rt.allocation is not None and rt.restart_remaining > 0)
-                if restoring:
-                    for model in self._fault_models:
-                        for event in model.sample_restore_failures(
-                                restoring, now):
-                            job_id = event.target.split(":", 1)[-1]
-                            rt = active[job_id]
-                            rt.restart_remaining += rt.job.restart_delay
-                            rt.num_restarts += 1
-                            fault_events.append(event)
-
-                # 4b2. fallible placements: a changed allocation may fail
-                # to start on its assigned GPUs.  The job keeps the grant
-                # but pays a jittered capped backoff (charged like restart
-                # delay) before the launch retries; repeated failures feed
-                # the node's health score.
-                if launch_attempts:
-                    launch_attempts.sort()
-                    self._sample_placement_failures(active, launch_attempts,
-                                                    now, fault_events)
-
-        # 5. advance one round
-        contention = len(active)
-        record = RoundRecord(time=now, active_jobs=contention,
-                             running_jobs=0, solve_time=plan.solve_time,
-                             backend=plan.backend, degraded=plan.degraded,
-                             fault_events=fault_events,
-                             estimates={jid: est for jid, est
-                                        in plan.estimates.items()
-                                        if jid in active})
-
-        # 4c. decision audit: diff what each job held at the start of the
-        # round against what it holds now and classify the change (admit,
-        # scale, migrate, preempt, resume, restart-after-fault).
+    def _audit(self, active: dict[str, _JobRuntime],
+               held: dict[str, Allocation | None], record: RoundRecord,
+               fault_hit: set[str], round_index: int) -> None:
+        """The ``audit`` phase: diff what each job held at the start of the
+        round against what it holds now and classify the change (admit,
+        scale, migrate, preempt, resume, restart-after-fault)."""
+        now = record.time
         for job_id, rt in active.items():
             event = audit.classify_change(
                 job_id, now,
-                held=_audit_alloc(held_before[job_id]),
+                held=_audit_alloc(held.get(job_id, rt.allocation)),
                 new=_audit_alloc(rt.allocation),
-                ran_before=ran_before[job_id],
+                # A first launch this round was stamped ``now``.
+                ran_before=rt.first_start is not None
+                and rt.first_start < now,
                 fault_hit=job_id in fault_hit or rt.lost_to_fault,
                 round_index=round_index)
             if event is not None:
@@ -667,44 +700,55 @@ class Simulator:
             if rt.allocation is not None:
                 rt.lost_to_fault = False
 
-        with self.tracer.span("advance"):
-            done_ids: list[str] = []
-            for job_id, rt in active.items():
-                rt.contention_sum += contention
-                rt.contention_rounds += 1
-                if rt.allocation is None:
-                    continue
-                record.running_jobs += 1
-                config = rt.allocation.configuration()
-                record.allocations[job_id] = (config.gpu_type,
-                                              config.num_gpus)
-                record.gpus_used[config.gpu_type] = \
-                    record.gpus_used.get(config.gpu_type, 0) + config.num_gpus
-                done, execution = self._advance(rt, now, dt, fault_events)
-                # Ledger: the rates the executor actually delivered (zero
-                # for a round fully spent restoring or unable to run).
-                record.realized[job_id] = \
-                    execution.goodput if execution is not None else 0.0
-                if execution is not None:
-                    record.throughputs[job_id] = execution.throughput
-                    # Health evidence: realized vs estimated goodput for
-                    # every node the job ran on.  A gray node's masked
-                    # telemetry keeps the estimate high while delivery
-                    # sags — exactly the divergence scored here.
-                    if self._health is not None:
-                        estimate = record.estimates.get(job_id)
-                        if estimate:
-                            self._health.record_goodput(
-                                rt.allocation.node_ids, estimate,
-                                execution.goodput, now)
-                if done:
-                    done_ids.append(job_id)
-                    record.events.append(audit.AllocationEvent(
-                        kind=audit.FINISH, time=rt.finish_time or now,
-                        job_id=job_id, from_gpu_type=config.gpu_type,
-                        from_gpus=config.num_gpus, round_index=round_index))
-            done_runtimes = [active.pop(job_id) for job_id in done_ids]
+    def _advance_jobs(self, active: dict[str, _JobRuntime],
+                      record: RoundRecord, dt: float,
+                      round_index: int) -> dict[str, _JobRuntime]:
+        """The ``advance`` phase: run every job holding GPUs for one round
+        and record what it used and delivered.  Returns the jobs that
+        finished, popped from ``active``."""
+        now = record.time
+        contention = len(active)
+        done_ids: list[str] = []
+        for job_id, rt in active.items():
+            rt.contention_sum += contention
+            rt.contention_rounds += 1
+            if rt.allocation is None:
+                continue
+            record.running_jobs += 1
+            config = rt.allocation.configuration()
+            record.allocations[job_id] = (config.gpu_type, config.num_gpus)
+            record.gpus_used[config.gpu_type] = \
+                record.gpus_used.get(config.gpu_type, 0) + config.num_gpus
+            done, execution = self._advance(rt, now, dt, record.fault_events)
+            # Ledger: the rates the executor actually delivered (zero for a
+            # round fully spent restoring or unable to run).
+            record.realized[job_id] = \
+                execution.goodput if execution is not None else 0.0
+            if execution is not None:
+                record.throughputs[job_id] = execution.throughput
+                # Health evidence: realized vs estimated goodput for every
+                # node the job ran on.  A gray node's masked telemetry
+                # keeps the estimate high while delivery sags — exactly the
+                # divergence scored here.
+                if self._health is not None:
+                    estimate = record.estimates.get(job_id)
+                    if estimate:
+                        self._health.record_goodput(
+                            rt.allocation.node_ids, estimate,
+                            execution.goodput, now)
+            if done:
+                done_ids.append(job_id)
+                record.events.append(audit.AllocationEvent(
+                    kind=audit.FINISH, time=rt.finish_time or now,
+                    job_id=job_id, from_gpu_type=config.gpu_type,
+                    from_gpus=config.num_gpus, round_index=round_index))
+        return {job_id: active.pop(job_id) for job_id in done_ids}
 
+    def _close(self, record: RoundRecord, plan: RoundPlan,
+               done: dict[str, _JobRuntime],
+               finished: list[JobRecord]) -> None:
+        """The ``close`` phase: metrics, health gauges and events, and the
+        finished jobs' records."""
         self._update_metrics(record, plan)
         if self._health is not None:
             counts = self._health.state_counts()
@@ -717,20 +761,9 @@ class Simulator:
             # Drained every round, so the pending list is empty at every
             # checkpoint boundary and resumes stay bit-identical.
             record.health_events = self._health.drain_events()
-        if self._invariants is not None:
-            # Audit over the real engine state: still-active runtimes plus
-            # the ones that finished this round.
-            self._invariants.check_round(
-                round_index=round_index, cluster_view=cluster_view,
-                record=record,
-                runtimes=list(active.values()) + done_runtimes,
-                fault_hit=fault_hit, done_ids=done_ids,
-                quarantined=quarantined)
         # A finished job only ever contributes its record again, so keep
         # that and drop the runtime (and its estimator) from the state.
-        finished.extend(self._record(rt) for rt in done_runtimes)
-        record.metrics = self.metrics.snapshot()
-        return record
+        finished.extend(self._record(rt) for rt in done.values())
 
     def _update_metrics(self, record: RoundRecord, plan: RoundPlan) -> None:
         """Fold one finished round into the run's metrics registry."""
@@ -750,92 +783,100 @@ class Simulator:
             used = record.gpus_used.get(gpu_type, 0)
             m.gauge(f"util.{gpu_type}").set(used / cap if cap else 0.0)
 
+    def _evict(self, job_id: str, rt: _JobRuntime,
+               held: dict[str, Allocation | None],
+               fault_hit: set[str]) -> None:
+        """Take a job's GPUs away after a fault or a drain: it restarts from
+        its checkpoint and its next grant counts as a fault restart."""
+        held.setdefault(job_id, rt.allocation)
+        rt.allocation = None
+        rt.restart_remaining = 0.0
+        rt.num_restarts += 1
+        rt.lost_to_fault = True
+        fault_hit.add(job_id)
+
+    # -- helpers ---------------------------------------------------------------
+
     def _rollback(self, rt: _JobRuntime) -> None:
         """Roll a job back to its last epoch checkpoint (Section 3.5)."""
         epoch = rt.job.target_samples / max(1, self.config.epochs_per_job)
         rt.progress = (rt.progress // epoch) * epoch
 
     def _inject_faults(self, active: dict[str, _JobRuntime], now: float,
-                       dt: float) -> tuple[Cluster, list, set[str]]:
-        """Sample every fault model, apply the aggregate to jobs, and
-        return (cluster view of surviving nodes, fault events, ids of jobs
-        a fault evicted or crashed this round)."""
+                       dt: float, held: dict[str, Allocation | None],
+                       ) -> tuple[Cluster, list, set[str]]:
+        """The ``faults`` phase: sample every fault model, apply the
+        aggregate to jobs, and return (cluster view of surviving nodes,
+        fault events, ids of jobs a fault evicted or crashed this round)."""
         self._round_speed = {}
         self._gray_nodes = {}
-        if not self._fault_models:
-            return self.cluster, [], set()
         fault_hit: set[str] = set()
-        with self.tracer.span("faults", models=len(self._fault_models)):
-            ctx = FaultContext(
-                now=now, dt=dt, cluster=self.cluster,
-                running={jid: rt.allocation for jid, rt in active.items()
-                         if rt.allocation is not None},
-                restoring=frozenset(jid for jid, rt in active.items()
-                                    if rt.allocation is not None
-                                    and rt.restart_remaining > 0))
+        ctx = FaultContext(
+            now=now, dt=dt, cluster=self.cluster,
+            running={jid: rt.allocation for jid, rt in active.items()
+                     if rt.allocation is not None},
+            restoring=frozenset(jid for jid, rt in active.items()
+                                if rt.allocation is not None
+                                and rt.restart_remaining > 0))
+        for model in self._fault_models:
+            model.sample(ctx)
+        self.total_failures += sum(1 for e in ctx.events
+                                   if e.kind == NodeCrashModel.kind)
+
+        down = set(ctx.down_until)
+        if down:
+            # Evict jobs touching a down node; roll back to the
+            # checkpoint.
+            for job_id, rt in active.items():
+                if rt.allocation is None:
+                    continue
+                if any(nid in down for nid in rt.allocation.node_ids):
+                    self._rollback(rt)
+                    self._evict(job_id, rt, held, fault_hit)
+
+        # Transient job crashes: roll back in place and pay a fresh
+        # restore.
+        for job_id in sorted(ctx.crashed_jobs):
+            rt = active.get(job_id)
+            if rt is None or rt.allocation is None:
+                continue  # already evicted (or finished) this round
+            self._rollback(rt)
+            rt.restart_remaining = rt.job.restart_delay
+            rt.num_restarts += 1
+            rt.lost_to_fault = True
+            fault_hit.add(job_id)
+
+        # Straggler slowdowns, felt through the ground-truth rates: a
+        # job runs at the pace of its slowest surviving node.
+        if ctx.node_speed:
+            for job_id, rt in active.items():
+                if rt.allocation is None:
+                    continue
+                factor = ctx.job_speed(rt.allocation)
+                if factor < 1.0:
+                    self._round_speed[job_id] = factor
+
+        # Gray failures: kept per *node* (unlike the per-job straggler
+        # map) and resolved against each job's post-plan allocation at
+        # advance time, so a defense-driven migration off a gray node
+        # takes effect in the same round.
+        if ctx.gray_speed:
+            self._gray_nodes = dict(ctx.gray_speed)
+
+        if not down:
+            return self.cluster, ctx.events, fault_hit
+        up_nodes = tuple(n for n in self.cluster.nodes
+                         if n.node_id not in down)
+        if not up_nodes:
+            # Degenerate case: every node failed at once.  Repair the
+            # node closest to recovery immediately so the cluster view
+            # is never empty (schedulers cannot operate on zero nodes).
+            first_back = min(ctx.down_until, key=ctx.down_until.get)
             for model in self._fault_models:
-                model.sample(ctx)
-            self.total_failures += sum(1 for e in ctx.events
-                                       if e.kind == NodeCrashModel.kind)
-
-            down = set(ctx.down_until)
-            if down:
-                # Evict jobs touching a down node; roll back to the
-                # checkpoint.
-                for job_id, rt in active.items():
-                    if rt.allocation is None:
-                        continue
-                    if any(nid in down for nid in rt.allocation.node_ids):
-                        self._rollback(rt)
-                        rt.allocation = None
-                        rt.restart_remaining = 0.0
-                        rt.num_restarts += 1
-                        rt.lost_to_fault = True
-                        fault_hit.add(job_id)
-
-            # Transient job crashes: roll back in place and pay a fresh
-            # restore.
-            for job_id in sorted(ctx.crashed_jobs):
-                rt = active.get(job_id)
-                if rt is None or rt.allocation is None:
-                    continue  # already evicted (or finished) this round
-                self._rollback(rt)
-                rt.restart_remaining = rt.job.restart_delay
-                rt.num_restarts += 1
-                rt.lost_to_fault = True
-                fault_hit.add(job_id)
-
-            # Straggler slowdowns, felt through the ground-truth rates: a
-            # job runs at the pace of its slowest surviving node.
-            if ctx.node_speed:
-                for job_id, rt in active.items():
-                    if rt.allocation is None:
-                        continue
-                    factor = ctx.job_speed(rt.allocation)
-                    if factor < 1.0:
-                        self._round_speed[job_id] = factor
-
-            # Gray failures: kept per *node* (unlike the per-job straggler
-            # map) and resolved against each job's post-plan allocation at
-            # advance time, so a defense-driven migration off a gray node
-            # takes effect in the same round.
-            if ctx.gray_speed:
-                self._gray_nodes = dict(ctx.gray_speed)
-
-            if not down:
-                return self.cluster, ctx.events, fault_hit
+                model.revive(first_back)
             up_nodes = tuple(n for n in self.cluster.nodes
-                             if n.node_id not in down)
-            if not up_nodes:
-                # Degenerate case: every node failed at once.  Repair the
-                # node closest to recovery immediately so the cluster view
-                # is never empty (schedulers cannot operate on zero nodes).
-                first_back = min(ctx.down_until, key=ctx.down_until.get)
-                for model in self._fault_models:
-                    model.revive(first_back)
-                up_nodes = tuple(n for n in self.cluster.nodes
-                                 if n.node_id == first_back)
-            return Cluster(nodes=up_nodes), ctx.events, fault_hit
+                             if n.node_id == first_back)
+        return Cluster(nodes=up_nodes), ctx.events, fault_hit
 
     def _view(self, rt: _JobRuntime, now: float) -> JobView:
         age = (now - rt.first_start) if rt.first_start is not None else 0.0
@@ -845,25 +886,13 @@ class Simulator:
                        num_restarts=rt.num_restarts, progress=rt.progress,
                        first_start=rt.first_start)
 
-    def _choose_plan(self, rt: _JobRuntime) -> BatchPlan | None:
-        """The executor's batch decision, from the job's *estimated* models."""
-        if rt.job.is_hybrid:
-            return None
-        assert rt.allocation is not None
-        config = rt.allocation.configuration()
-        estimator = rt.estimator
-        if hasattr(estimator, "best_plan"):
-            try:
-                return estimator.best_plan(config)
-            except TypeError:
-                # Pollux's estimator takes (num_gpus, num_nodes).
-                return estimator.best_plan(config.num_gpus, config.num_nodes)
-        return None
-
     def _sample_placement_failures(self, active: dict[str, _JobRuntime],
                                    attempts: list[tuple[str, Allocation]],
                                    now: float, fault_events: list) -> None:
-        """4b2: draw placement flaps from every model and charge backoffs."""
+        """Draw placement flaps from every model and charge backoffs: a
+        flapped launch keeps its grant but pays a jittered capped backoff
+        (charged like restart delay) before retrying, and repeated failures
+        feed the node's health score."""
         failures = []
         for model in self._fault_models:
             failures.extend(model.sample_placement_failures(attempts, now))
@@ -923,7 +952,8 @@ class Simulator:
         rt.restart_remaining -= delay
         run_time = dt - delay
 
-        plan = self._choose_plan(rt)
+        # The executor's batch decision, from the job's *estimated* models.
+        plan = rt.estimator.best_plan(rt.allocation.configuration())
         if run_time <= 0:
             rt.charge_gpus(dt)
             return False, None

@@ -6,16 +6,10 @@ the benchmark harness is computed from.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.obs.audit import AllocationEvent
-from repro.obs.tracer import PLAN_PHASES, SpanRecord, SpanStats
-
-#: the standard per-plan phase spans — an alias of the canonical
-#: :data:`repro.obs.tracer.PLAN_PHASES` (``repro.schedulers.base`` re-exports
-#: the same tuple).
-PHASE_SPAN_NAMES = PLAN_PHASES
+from repro.obs.tracer import PLAN_PHASES, SpanRecord, SpanStats, span_stats
 
 
 @dataclass(frozen=True)
@@ -220,10 +214,12 @@ class SimulationResult:
 
     def phase_time_breakdown(self) -> dict[str, float]:
         """Total seconds per standard plan phase (bootstrap, goodput_eval,
-        solve, placement) over the whole run.  Requires a traced run; the
-        totals sum (within span overhead) to the recorded ``solve_time``
-        across rounds."""
-        totals = {name: 0.0 for name in PHASE_SPAN_NAMES}
+        solve, placement) over the whole run.  Requires a traced run.  The
+        phases nest in the engine's ``plan`` span, whose wall time each
+        round records as ``solve_time``, so their totals stay below the
+        summed ``solve_time``; the gap is view building, plan validation
+        and any carry-forward."""
+        totals = {name: 0.0 for name in PLAN_PHASES}
         for span in self.spans:
             if span.name in totals:
                 totals[span.name] += span.duration
@@ -231,16 +227,7 @@ class SimulationResult:
 
     def span_stats(self, name: str) -> SpanStats:
         """Aggregate duration stats for every recorded span named ``name``."""
-        count, total = 0, 0.0
-        lo, hi = math.inf, 0.0
-        for span in self.spans:
-            if span.name != name:
-                continue
-            count += 1
-            total += span.duration
-            lo = min(lo, span.duration)
-            hi = max(hi, span.duration)
-        return SpanStats(name=name, count=count, total=total, min=lo, max=hi)
+        return span_stats(self.spans, name)
 
     # -- robustness telemetry --------------------------------------------------
 

@@ -185,10 +185,3 @@ class TestSolverBackends:
         exact = exact_policy(monkeypatch).decide(views, hetero_cluster, 0.0)
         assert exact.backend == "exact"
         assert milp.objective == pytest.approx(exact.objective, rel=1e-6)
-
-
-class TestSolveTime:
-    def test_solve_time_reported(self, policy, hetero_cluster):
-        views = [view_for(make_job("j1", "bert", 0.0), hetero_cluster)]
-        decision = policy.decide(views, hetero_cluster, 0.0)
-        assert decision.solve_time > 0

@@ -52,7 +52,7 @@ class TestPolluxEstimator:
         est = make_estimator()
         est.add_observation(true_obs("bert", "t4", 1, 1, 16))
         est.add_observation(true_obs("bert", "a100", 1, 1, 16))
-        blended = est.best_plan(1, 1)
+        blended = est.best_plan(Configuration(1, 1, "t4"))
         t4_truth = ThroughputModel(
             profiles.true_throughput_params("bert", "t4")).throughput(16, 1, 1)
         a100_truth = ThroughputModel(
@@ -73,9 +73,9 @@ class TestPolluxEstimator:
     def test_cache_invalidation(self):
         est = make_estimator()
         est.add_observation(true_obs("bert", "t4", 1, 1, 16))
-        before = est.best_plan(4, 1)
+        before = est.best_plan(Configuration(1, 4, "t4"))
         est.add_observation(true_obs("bert", "t4", 1, 4, 16))
-        after = est.best_plan(4, 1)
+        after = est.best_plan(Configuration(1, 4, "t4"))
         assert after.goodput != before.goodput
 
 
