@@ -130,7 +130,6 @@ def run_rounds(scheduler, cluster, views, rounds: int) -> dict:
         "cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
         "eval_cold": cold_tracer.span_stats("goodput_eval").total,
         "warm_start_hits": counters.get("solver.warm_start_hits", 0),
-        "reuse_skips": counters.get("solver.reuse_skips", 0),
     }
 
 
@@ -143,7 +142,6 @@ def _column(result: dict) -> dict:
         "goodput_eval_cold": result["eval_cold"],
         "cache_hit_rate": result["cache_hit_rate"],
         "warm_start_hits": result["warm_start_hits"],
-        "reuse_skips": result["reuse_skips"],
     }
 
 

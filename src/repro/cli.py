@@ -55,11 +55,6 @@ from repro.workloads.generators import SPECS, trace_by_name
 from repro.workloads.trace import Trace
 from repro.workloads.tuning import tuned_jobs
 
-#: schedulers that auto-tune jobs (run the raw adaptive trace).
-ADAPTIVE_SCHEDULERS = ("sia", "pollux")
-#: schedulers that need TunedJobs (fixed batch size and GPU count).
-RIGID_SCHEDULERS = ("gavel", "shockwave", "themis", "fifo", "srtf")
-
 
 def build_scheduler(name: str, args: argparse.Namespace) -> Scheduler:
     """CLI front-end of :func:`repro.core.fork.make_scheduler` (the shared
@@ -165,7 +160,7 @@ def _simulate(scheduler_name: str, args: argparse.Namespace, trace: Trace,
     cluster = presets.by_name(args.cluster)
     scheduler = build_scheduler(scheduler_name, args)
     jobs = trace.jobs
-    if scheduler_name in RIGID_SCHEDULERS:
+    if scheduler_name in forklib.RIGID_SCHEDULERS:
         jobs = tuned_jobs(jobs, cluster, seed=trace.seed)
     tracer = Tracer() if _wants_tracing(args) else None
     config = SimulatorConfig(
@@ -257,10 +252,10 @@ def _print_robustness_summary(result) -> None:
     faults = result.fault_counts()
     degraded = result.degraded_rounds
     backends = {k or "?": v for k, v in result.backend_counts().items()}
-    resilience = result.resilience_counts()
+    caught = int(result.final_metrics.get("caught_scheduler_failures", 0))
     health = result.health_counts()
     alerts = result.alert_counts()
-    if not faults and not degraded and not resilience and not health \
+    if not faults and not degraded and not caught and not health \
             and not alerts:
         return
     parts = []
@@ -270,10 +265,8 @@ def _print_robustness_summary(result) -> None:
     parts.append(f"degraded rounds: {degraded}/{len(result.rounds)}")
     parts.append("backends: " + ", ".join(
         f"{k}={v}" for k, v in sorted(backends.items())))
-    if resilience:
-        parts.append("resilience: " + ", ".join(
-            f"{k.removeprefix('resilience.')}={v}"
-            for k, v in sorted(resilience.items())))
+    if caught:
+        parts.append(f"caught scheduler failures: {caught}")
     if health:
         parts.append("health: " + ", ".join(
             f"{k}={v}" for k, v in sorted(health.items())))
@@ -443,7 +436,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     trace = resolve_trace(args)
     cluster = presets.by_name(args.cluster)
     jobs = trace.jobs
-    if args.scheduler in RIGID_SCHEDULERS:
+    if args.scheduler in forklib.RIGID_SCHEDULERS:
         jobs = tuned_jobs(jobs, cluster, seed=trace.seed)
 
     def factory(ckpt_cfg):

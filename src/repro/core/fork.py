@@ -28,7 +28,6 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node, power_of_two_decomposition
 from repro.core import ilp as ilp_backends
 from repro.core.policy import SiaPolicyParams
-from repro.core.resilience import ResilienceConfig
 from repro.schedulers.base import Scheduler
 from repro.sim.faults import (CheckpointRestoreFaultModel, FaultModel,
                               GrayFailureModel, JobCrashModel,
@@ -55,11 +54,12 @@ def make_scheduler(name: str, *, round_duration: float = 60.0,
 
     ``round_duration`` applies to the round-cadence-configurable schedulers
     (sia, pollux); the rigid baselines keep their own defaults, exactly as
-    the CLI has always built them.  ``resilient`` routes Sia's ILP through
-    a budgeted :class:`~repro.core.resilience.ResilientSolver`; the
-    carry-forward guard for every scheduler is the simulator's
-    (``SimulatorConfig.resilient``).  Raises ``ValueError`` for an unknown
-    name (the CLI turns that into a clean exit).
+    the CLI has always built them.  ``resilient`` gives Sia's fallback
+    ladder a ``solve_budget`` (seconds) per budgeted rung; otherwise HiGHS
+    runs without a time limit.  The carry-forward guard for every
+    scheduler is the simulator's (``SimulatorConfig.resilient``).  Raises
+    ``ValueError`` for an unknown name (the CLI turns that into a clean
+    exit).
     """
     from repro.schedulers import (FIFOScheduler, GavelScheduler,
                                   PolluxScheduler, ShockwaveScheduler,
@@ -67,10 +67,9 @@ def make_scheduler(name: str, *, round_duration: float = 60.0,
                                   ThemisScheduler)
 
     if name == "sia":
-        resilience = ResilienceConfig(solve_budget_s=solve_budget) \
-            if resilient else None
-        params = SiaPolicyParams(p=p, allocation_incentive=lam,
-                                 solver=solver, resilience=resilience)
+        params = SiaPolicyParams(
+            p=p, allocation_incentive=lam, solver=solver,
+            solve_budget_s=solve_budget if resilient else None)
         return SiaScheduler(params, round_duration=round_duration)
     builders = {
         "pollux": lambda: PolluxScheduler(round_duration=round_duration),

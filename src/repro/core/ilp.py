@@ -19,14 +19,18 @@ Interchangeable backends (:data:`BACKENDS`):
 * ``greedy``     — utility-density greedy rounding (ablation baseline and
   last-resort fallback; fast but not optimal).
 
+The fallback ladder: :func:`solve_with_fallback` is the one solve path
+the Sia policy takes.  It tries the primary backend, then the remaining
+rungs of ``lp_round -> greedy`` (:data:`FALLBACKS`), and raises
+:class:`SolverExhaustedError` only when every rung fails; the simulator's
+``resilient`` guard then carries the previous round forward.
+:func:`solve_assignment` is the single-backend primitive underneath.
+
 Warm starting: callers may pass last round's assignment (rows/cols already
 mapped onto *this* problem's indices) as ``warm_start``.  scipy's ``milp``
 exposes no incumbent API, so the MILP cannot consume it directly; instead
-the warm start powers (a) the *reuse check* — when ``reuse_tolerance`` is
-set and the previous assignment is still feasible and within that tolerance
-of the fresh LP bound, the solve is skipped entirely — and (b) rounding
-stability in ``lp_round``, where warm pairs win ties so allocations do not
-churn between equivalent optima.
+the warm start gives rounding stability in ``lp_round``, where warm pairs
+win ties so allocations do not churn between equivalent optima.
 """
 
 from __future__ import annotations
@@ -45,6 +49,11 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 #: ``repro.core.fork`` re-exports this tuple so the replay CLI stays in
 #: sync; add backends here, nowhere else.
 BACKENDS = ("milp", "lp_round", "tiered", "greedy")
+
+#: backends tried, in order, after the primary fails.  Entries equal to
+#: the primary are skipped.  ``lp_round`` sits ahead of greedy because it
+#: shares the MILP's constraint system at a fraction of the cost.
+FALLBACKS = ("lp_round", "greedy")
 
 #: ``tiered`` threshold, in feasible (job, config) pairs: up to
 #: TIER_LP_VARS the exact MILP is affordable; past it the LP relaxation +
@@ -111,14 +120,11 @@ class AssignmentSolution:
     objective: float
     solve_time: float
     #: concrete backend that produced the solution ('' for hand-built
-    #: instances; 'reuse' marks a skipped solve serving the warm start).
+    #: instances).
     backend: str = ""
     #: LP-relaxation optimum, when a relaxation was solved on the way
-    #: (lp_round, reuse check) — the certificate the optimality gap and
-    #: the reuse tolerance are measured against.
+    #: (lp_round) — the certificate the optimality gap is measured against.
     lp_bound: float | None = None
-    #: the solve was skipped: the warm start passed the reuse check.
-    reused: bool = False
     #: a warm start was threaded into the backend that produced this.
     warm_started: bool = False
 
@@ -135,11 +141,52 @@ def select_backend(problem: AssignmentProblem) -> str:
     return "lp_round" if problem.n_feasible_pairs > TIER_LP_VARS else "milp"
 
 
+class SolverExhaustedError(RuntimeError):
+    """Every rung of the fallback ladder failed for this round."""
+
+
+def solve_with_fallback(problem: AssignmentProblem, primary: str = "milp",
+                        budget: float | None = None,
+                        tracer: Tracer | None = None,
+                        warm_start: dict[int, int] | None = None,
+                        ) -> tuple[AssignmentSolution, bool]:
+    """Solve through the ladder ``primary -> lp_round -> greedy``.
+
+    Every rung but the last runs under ``time_limit=budget``; the last
+    runs unbudgeted, since it must produce *something*.  A rung that raises
+    passes to the next, leaving a ``rung_failed`` instant event on
+    ``tracer``.  Returns ``(solution, degraded)``: the first solution wins,
+    and the round is degraded when a fallback rung served it or it overran
+    ``budget``.  Raises :class:`SolverExhaustedError` when every rung fails.
+    """
+    if tracer is None:
+        tracer = NULL_TRACER
+    if primary not in BACKENDS:
+        raise ValueError(f"unknown backend {primary!r}; "
+                         f"choose from {BACKENDS}")
+    ladder = (primary, *[b for b in FALLBACKS if b != primary])
+    for rung, backend in enumerate(ladder):
+        limit = budget if rung < len(ladder) - 1 else None
+        try:
+            solution = solve_assignment(problem, backend=backend,
+                                        time_limit=limit, tracer=tracer,
+                                        warm_start=warm_start)
+        except Exception as exc:
+            tracer.instant("rung_failed", backend=backend,
+                           error=type(exc).__name__)
+            continue
+        overran = budget is not None and solution.solve_time > budget
+        return solution, rung > 0 or overran
+    raise SolverExhaustedError(
+        f"all solver backends failed (primary={primary!r}, "
+        f"ladder={ladder!r}); caller should carry forward the previous "
+        "round")
+
+
 def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
                      time_limit: float | None = None,
                      tracer: Tracer | None = None,
                      warm_start: dict[int, int] | None = None,
-                     reuse_tolerance: float | None = None,
                      ) -> AssignmentSolution:
     """Solve one assignment instance with the chosen backend.
 
@@ -151,10 +198,7 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
 
     ``warm_start`` maps job row -> config column of a previous assignment
     already translated onto this problem's indices; infeasible entries are
-    dropped silently (jobs finish, configs change).  When
-    ``reuse_tolerance`` is also given, a still-feasible warm start whose
-    objective is within ``reuse_tolerance`` (relative) of the fresh LP
-    bound is returned directly with ``reused=True`` — no solve happens.
+    dropped silently (jobs finish, configs change).
     """
     if tracer is None:
         tracer = NULL_TRACER
@@ -166,14 +210,6 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
             resolved = select_backend(problem)
             span.annotate(resolved=resolved)
         warm = _clean_warm_start(problem, warm_start)
-        if warm is not None and reuse_tolerance is not None:
-            with tracer.span("reuse_check", pairs=len(warm)):
-                solution = _try_reuse(problem, warm, reuse_tolerance,
-                                      time_limit)
-            if solution is not None:
-                solution.solve_time = time.perf_counter() - start
-                _validate(problem, solution)
-                return solution
         if resolved == "milp":
             solution = _solve_milp(problem, time_limit=time_limit)
         elif resolved == "lp_round":
@@ -203,7 +239,7 @@ def _validate(problem: AssignmentProblem, solution: AssignmentSolution) -> None:
             raise RuntimeError(f"solver dropped forced assignment for job {row}")
 
 
-# -- warm start / reuse check -------------------------------------------------
+# -- warm start ---------------------------------------------------------------
 
 def _clean_warm_start(problem: AssignmentProblem,
                       warm_start: dict[int, int] | None,
@@ -227,53 +263,6 @@ def _clean_warm_start(problem: AssignmentProblem,
         warm[row] = col
     warm.update(problem.forced)
     return warm or None
-
-
-def _warm_objective(problem: AssignmentProblem,
-                    warm: dict[int, int]) -> float | None:
-    """Objective of a warm assignment, or None if it is not reusable.
-
-    Non-forced pairs with non-positive utility are dropped (a fresh solve
-    would never pick them); the rest must fit the capacities.
-    """
-    kept: dict[int, int] = {}
-    for row, col in warm.items():
-        if row in problem.forced or problem.utilities[row, col] > 0:
-            kept[row] = col
-    for row, col in problem.forced.items():
-        if kept.get(row) != col:
-            return None
-    used: dict[str, int] = {}
-    for _, col in kept.items():
-        t = problem.config_types[col]
-        used[t] = used.get(t, 0) + int(problem.config_gpus[col])
-    for gpu_type, count in used.items():
-        if count > problem.capacities.get(gpu_type, 0):
-            return None
-    warm.clear()
-    warm.update(kept)
-    return float(sum(problem.utilities[i, j] for i, j in kept.items()))
-
-
-def _try_reuse(problem: AssignmentProblem, warm: dict[int, int],
-               tolerance: float, time_limit: float | None,
-               ) -> AssignmentSolution | None:
-    """The reuse check: previous assignment still feasible *and* within
-    ``tolerance`` (relative) of the fresh LP bound -> skip the solve."""
-    objective = _warm_objective(problem, warm)
-    if objective is None:
-        return None
-    try:
-        bound, _, _, _ = _solve_lp_relaxation(problem, time_limit=time_limit)
-    except RuntimeError:
-        return None
-    if bound is None:
-        return None
-    if objective >= bound - tolerance * max(1.0, abs(bound)):
-        return AssignmentSolution(dict(warm), objective, 0.0,
-                                  backend="reuse", lp_bound=bound,
-                                  reused=True, warm_started=True)
-    return None
 
 
 # -- HiGHS backends (MILP and LP relaxation via scipy) ------------------------
@@ -396,8 +385,7 @@ def _solve_lp_relaxation(problem: AssignmentProblem,
     """LP relaxation of the instance: ``(bound, x, pair_jobs, pair_cols)``.
 
     ``bound`` is the relaxation optimum — an upper bound on any integral
-    objective — or None for an empty instance.  Kept as a standalone entry
-    point so the reuse check and tests can price a bound without rounding.
+    objective — or None for an empty instance.
     """
     solved = _highs_solve(problem, integral=False, time_limit=time_limit)
     if solved is None:

@@ -27,12 +27,11 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core import matrix as gm
 from repro.core.configs import build_config_set
-from repro.core.ilp import AssignmentProblem, AssignmentSolution, solve_assignment
+from repro.core.ilp import AssignmentProblem, solve_with_fallback
 from repro.core.types import Configuration, PolicyDecision
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # avoid a circular import; JobView is only a type hint
-    from repro.core.resilience import ResilienceConfig
     from repro.schedulers.base import JobView
 
 
@@ -47,24 +46,18 @@ class SiaPolicyParams:
     #: per-round scale-up cap (Section 3.1; "at most 2x per round").
     scale_up_factor: int = 2
     #: ILP backend — any of :data:`repro.core.ilp.BACKENDS` ('milp',
-    #: 'lp_round', 'tiered', 'greedy').
+    #: 'lp_round', 'tiered', 'greedy'); the primary rung of the fallback
+    #: ladder (:func:`repro.core.ilp.solve_with_fallback`).
     solver: str = "milp"
-    #: thread last round's allocations into the solver as a warm start:
-    #: the LP-rounding tier uses it to keep allocations sticky
-    #: across equivalent optima, and it feeds the reuse check below.  The
-    #: MILP backend ignores it (scipy exposes no incumbent API), so the
-    #: default is decision-neutral.
-    warm_start: bool = True
-    #: when set, skip the solve entirely on rounds where the previous
-    #: assignment is still feasible and within this relative tolerance of
-    #: the fresh LP bound (the "reuse check"; ~2 LP solves worth of work
-    #: saved per skipped MILP).  None disables the check.
-    reuse_tolerance: float | None = None
+    #: wall-clock seconds each budgeted rung of the ladder may spend per
+    #: round, passed to HiGHS as its time limit; None passes no limit.
+    solve_budget_s: float | None = None
     #: disable the restart factor (ablation).
     use_restart_factor: bool = True
-    #: when set, route the ILP through a ResilientSolver (budget + fallback
-    #: ladder + circuit breaker); None keeps the direct solver call.
-    resilience: "ResilienceConfig | None" = None
+
+    def __post_init__(self) -> None:
+        if self.solve_budget_s is not None and self.solve_budget_s <= 0:
+            raise ValueError("solve_budget_s must be positive")
 
 
 class SiaPolicy:
@@ -73,8 +66,8 @@ class SiaPolicy:
     #: observability tracer (the SiaScheduler forwards the run's tracer so
     #: the policy's phase spans nest under the scheduler's plan span).
     tracer: Tracer = NULL_TRACER
-    #: shared metrics registry, forwarded to the resilient solver so its
-    #: breaker/backend counters reach the run's round snapshots.
+    #: shared metrics registry (forwarded by the scheduler); counts
+    #: ``solver.warm_start_hits`` into the run's round snapshots.
     metrics = None
     #: per-GPU-type goodput discounts for probation nodes, forwarded by the
     #: scheduler from the health layer each round; None/{} = no discount.
@@ -83,10 +76,6 @@ class SiaPolicy:
     def __init__(self, params: SiaPolicyParams | None = None):
         self.params = params or SiaPolicyParams()
         self._config_cache: dict[tuple, list[Configuration]] = {}
-        self.resilient_solver = None
-        if self.params.resilience is not None:
-            from repro.core.resilience import ResilientSolver
-            self.resilient_solver = ResilientSolver(self.params.resilience)
 
     @staticmethod
     def _cluster_signature(cluster: Cluster) -> tuple:
@@ -174,8 +163,7 @@ class SiaPolicy:
                now: float, previous: dict | None = None) -> PolicyDecision:
         """One round's decision.  ``previous`` (job_id ->
         :class:`~repro.core.types.Allocation`, as the engine hands the
-        scheduler) seeds the solver warm start and reuse check when
-        :attr:`SiaPolicyParams.warm_start` is on."""
+        scheduler) seeds the solver warm start."""
         if not views:
             return PolicyDecision()
         tracer = self.tracer
@@ -234,27 +222,14 @@ class SiaPolicy:
                 forced=forced,
             )
             warm = None
-            if self.params.warm_start and previous:
+            if previous:
                 warm = gm.warm_start_pairs([v.job_id for v in views],
                                            previous, config_pos) or None
-            if self.resilient_solver is not None:
-                self.resilient_solver.tracer = tracer
-                self.resilient_solver.metrics = self.metrics
-                solution, backend, degraded = self.resilient_solver.solve(
-                    problem, primary=self.params.solver, warm_start=warm,
-                    reuse_tolerance=self.params.reuse_tolerance)
-            else:
-                solution: AssignmentSolution = solve_assignment(
-                    problem, backend=self.params.solver, tracer=tracer,
-                    warm_start=warm,
-                    reuse_tolerance=self.params.reuse_tolerance)
-                backend = solution.backend or self.params.solver
-                degraded = False
-            if self.metrics is not None:
-                if solution.reused:
-                    self.metrics.counter("solver.reuse_skips").inc()
-                elif solution.warm_started:
-                    self.metrics.counter("solver.warm_start_hits").inc()
+            solution, degraded = solve_with_fallback(
+                problem, self.params.solver, self.params.solve_budget_s,
+                tracer, warm_start=warm)
+            if self.metrics is not None and solution.warm_started:
+                self.metrics.counter("solver.warm_start_hits").inc()
 
         assignments = {
             views[i].job_id: configs[j]
@@ -269,5 +244,5 @@ class SiaPolicy:
                 estimates[views[i].job_id] = value
         return PolicyDecision(assignments=assignments,
                               objective=solution.objective,
-                              backend=backend, degraded=degraded,
+                              backend=solution.backend, degraded=degraded,
                               estimates=estimates)

@@ -195,9 +195,6 @@ def save_result(result: SimulationResult, path: str | Path, *,
         payload["alert_counts"] = alert_counts
     if result.final_metrics:
         payload["final_metrics"] = dict(result.final_metrics)
-    counts = result.resilience_counts()
-    if counts:
-        payload["resilience_counts"] = counts
     if result.run_spec:
         payload["run_spec"] = result.run_spec
     atomic_write_text(path, json.dumps(payload, indent=2))

@@ -201,14 +201,14 @@ def allocation_persistence(rounds: Sequence[Any]) -> float | None:
     ``(gpu_type, num_gpus)`` allocation — the same notion of identity the
     ILP warm start uses (its join key is the configuration, not the
     nodes), so this is exactly the fraction of last round's solution the
-    solver can reuse.  Jobs that finished or were preempted count as
+    warm start carries.  Jobs that finished or were preempted count as
     churn; jobs admitted later enter the denominator once allocated.
     Returns None when fewer than two rounds carry allocations (nothing to
     compare — e.g. results saved with ``include_rounds=False``).
 
     Pollux observes (and Sia's round structure inherits) that this ratio
-    is high in steady state, which is what makes the warm-start/reuse
-    solver tier pay off; ``repro.analysis.report`` surfaces it per run.
+    is high in steady state, which is what makes ``lp_round``'s warm
+    tie-break pay off; ``repro.analysis.report`` surfaces it per run.
     """
     kept = 0
     total = 0

@@ -37,15 +37,6 @@ ROUND_PHASES = ("faults", "health", "plan", "apply", "audit", "advance",
 #: actually goes).  ``repro.schedulers.base`` re-exports this tuple.
 PLAN_PHASES = ("bootstrap", "goodput_eval", "solve", "placement")
 
-#: the solver-layer spans nested under a plan's ``solve`` phase, outermost
-#: first: ``solve_attempt`` (one per :class:`~repro.core.resilience.
-#: ResilientSolver` backend tried), ``ilp_solve`` (one per
-#: :func:`~repro.core.ilp.solve_assignment` call, annotated with the
-#: resolved tier when ``backend='tiered'``), and ``reuse_check`` (the
-#: LP-bound pricing of a warm start).  Canonical home for the taxonomy;
-#: tests and exporters reference this tuple.
-SOLVER_SPANS = ("solve_attempt", "ilp_solve", "reuse_check")
-
 
 @dataclass
 class SpanRecord:
@@ -172,7 +163,7 @@ class Tracer:
         return _Span(self, name, attrs)
 
     def instant(self, name: str, **attrs: Any) -> None:
-        """Record a zero-duration marker event (e.g. a breaker trip)."""
+        """Record a zero-duration marker event (e.g. a health event)."""
         self.events.append((name, time.perf_counter() - self._epoch, attrs))
 
     # -- queries ---------------------------------------------------------------

@@ -9,10 +9,6 @@ from repro.schedulers.sia import SiaScheduler
 from repro.schedulers.simple import FIFOScheduler, SRTFScheduler
 from repro.schedulers.themis import ThemisScheduler
 
-# The resilience layer (ResilienceConfig, ResilientSolver, ...) lives in
-# repro.core.resilience; it imports repro.schedulers.base, so re-exporting it
-# here would be circular.  Import it from repro.core.resilience directly.
-
 __all__ = [
     "JobView", "RoundPlan", "Scheduler", "pack_gpus_on_type",
     "GavelScheduler",

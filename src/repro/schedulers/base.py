@@ -20,7 +20,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, PLAN_PHASES, Tracer
 
 __all__ = ["JobView", "RoundPlan", "Scheduler", "PLAN_PHASES",
-           "pack_gpus_on_type"]
+           "carry_forward_plan", "pack_gpus_on_type"]
 
 
 @dataclass
@@ -65,8 +65,8 @@ class RoundPlan:
     #: solver backend that produced the plan ('' when not reported;
     #: 'carry' marks a carried-forward fallback plan).
     backend: str = ""
-    #: True when the plan came from a degraded mode (fallback backend,
-    #: open circuit breaker, or carry-forward).
+    #: True when the plan came from a degraded mode (fallback rung, solver
+    #: budget overrun, or carry-forward).
     degraded: bool = False
     #: job id -> the goodput the scheduler believed the chosen allocation
     #: would deliver — the number its optimization ran on.  Feeds the
@@ -94,6 +94,39 @@ class RoundPlan:
                     f"node {node_id} over-subscribed: {count} > {sizes[node_id]}")
 
 
+def carry_forward_plan(previous: dict[str, Allocation], cluster: Cluster,
+                       views: list[JobView]) -> RoundPlan:
+    """Last-resort plan: keep the previous round's allocations that are
+    still feasible on the (possibly shrunken) cluster.
+
+    An allocation survives only if the job is still active and every node
+    it touches exists, has the right GPU type, and is not over-subscribed
+    once earlier survivors are counted.  The result always passes
+    ``RoundPlan.validate``.
+    """
+    nodes = {n.node_id: n for n in cluster.nodes}
+    active_ids = {v.job_id for v in views}
+    used: dict[int, int] = {}
+    allocations: dict[str, Allocation] = {}
+    for job_id in sorted(previous):
+        alloc = previous[job_id]
+        if job_id not in active_ids or alloc is None:
+            continue
+        feasible = True
+        for node_id, count in alloc.gpus_per_node:
+            node = nodes.get(node_id)
+            if node is None or node.gpu_type != alloc.gpu_type \
+                    or used.get(node_id, 0) + count > node.num_gpus:
+                feasible = False
+                break
+        if not feasible:
+            continue
+        for node_id, count in alloc.gpus_per_node:
+            used[node_id] = used.get(node_id, 0) + count
+        allocations[job_id] = alloc
+    return RoundPlan(allocations=allocations, backend="carry", degraded=True)
+
+
 class Scheduler(abc.ABC):
     """Base class for round-based cluster schedulers."""
 
@@ -103,7 +136,7 @@ class Scheduler(abc.ABC):
     #: The NULL_TRACER default keeps standalone ``decide()`` calls no-op.
     tracer: Tracer = NULL_TRACER
     #: shared metrics registry; the simulator injects the run's registry so
-    #: the resilience layer (ResilientSolver) folds its counters into the
+    #: scheduler counters (Sia's ``solver.warm_start_hits``) reach the
     #: per-round snapshots.  None keeps standalone ``decide()`` calls
     #: metric-free.
     metrics: MetricsRegistry | None = None

@@ -9,9 +9,8 @@ process.  This module serializes the complete mutable state of a running
 finished job, the arrival cursor, recorded rounds, the
 execution model and every fault model (including their
 ``np.random.Generator`` bit-generator states, captured exactly by the
-pickle protocol), the scheduler with its policy caches and
-``ResilientSolver`` breaker state, the metrics registry, and the invariant
-checker — so a killed run can resume **bit-identically** to an
+pickle protocol), the scheduler with its policy caches, the metrics
+registry, and the invariant checker — so a killed run can resume **bit-identically** to an
 uninterrupted one.
 
 Durability contract:
@@ -49,8 +48,9 @@ from repro.atomicio import atomic_write_bytes
 #: file magic; bump FORMAT_VERSION on any incompatible payload change.
 #: v2: ``finished`` holds JobRecords instead of whole job runtimes.
 #: v3: schedulers are never wrapped (the scheduler guard class is gone).
+#: v4: the Sia policy holds no resilient-solver object (one solve ladder).
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages
@@ -119,7 +119,7 @@ class CheckpointState:
     execution: Any
     #: bound fault models with their RNGs and outage/slowdown windows.
     fault_models: list[Any]
-    #: the scheduler, including policy caches and breaker state.
+    #: the scheduler, including policy caches.
     scheduler: Any
     #: the run's metrics registry (shared refs with scheduler preserved).
     metrics: Any

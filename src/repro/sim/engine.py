@@ -43,13 +43,13 @@ from pathlib import Path
 
 from repro.cluster.cluster import Cluster
 from repro.core.health import HealthConfig, HealthTracker, placement_backoff
-from repro.core.resilience import carry_forward_plan
 from repro.core.types import Allocation, ProfilingMode
 from repro.jobs.job import Job
 from repro.obs import audit
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.schedulers.base import JobView, RoundPlan, Scheduler
+from repro.schedulers.base import (JobView, RoundPlan, Scheduler,
+                                   carry_forward_plan)
 from repro.sim import checkpoint as ckpt
 from repro.sim.checkpoint import (CheckpointConfig, CheckpointError,
                                   CheckpointState)

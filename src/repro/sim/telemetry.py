@@ -265,19 +265,6 @@ class SimulationResult:
         return self._summary_counts(self.saved_backend_counts,
                                     lambda rnd: (rnd.backend,))
 
-    def resilience_counts(self) -> dict[str, int]:
-        """Resilience-layer counters — breaker trips, rounds served per
-        solver backend, failures caught by the scheduler guard and the
-        simulator guard — from the final metrics snapshot.  Populated both
-        on live results and on results loaded by :mod:`repro.io` (the
-        snapshot is persisted as ``final_metrics``)."""
-        out: dict[str, int] = {}
-        for key, value in self.final_metrics.items():
-            if key.startswith("resilience.") \
-                    or key == "caught_scheduler_failures":
-                out[key] = int(value)
-        return out
-
     def fault_timeline(self) -> list[FaultEvent]:
         """Every injected fault in simulation-time order."""
         return [event for rnd in self.rounds for event in rnd.fault_events]

@@ -28,8 +28,9 @@ def policy() -> SiaPolicy:
 
 def exact_policy(monkeypatch) -> SiaPolicy:
     """A policy whose ILP the branch-and-bound oracle solves."""
-    monkeypatch.setattr(policy_module, "solve_assignment",
-                        lambda problem, **kwargs: solve_exact(problem))
+    monkeypatch.setattr(policy_module, "solve_with_fallback",
+                        lambda problem, *args, **kwargs:
+                        (solve_exact(problem), False))
     return SiaPolicy()
 
 

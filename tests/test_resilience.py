@@ -1,5 +1,5 @@
-"""Tests for the resilient policy layer: solver fallback ladder, circuit
-breaker, carry-forward plans, the simulator's carry-forward guard, and the
+"""Tests for the resilient policy layer: the solver fallback ladder,
+carry-forward plans, the simulator's carry-forward guard, and the
 end-to-end chaos scenario."""
 
 import random
@@ -13,15 +13,14 @@ from repro.cluster import presets
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import NodeGroup
 from repro.core import ilp
-from repro.core.ilp import AssignmentProblem
+from repro.core.ilp import (AssignmentProblem, SolverExhaustedError,
+                            solve_with_fallback)
 from repro.core.policy import SiaPolicyParams
-from repro.core.resilience import (ResilienceConfig, ResilientSolver,
-                                   SolverExhaustedError, carry_forward_plan)
 from repro.core.types import Allocation
 from repro.jobs.job import make_job
 from repro.obs.tracer import Tracer
 from repro.schedulers import SiaScheduler
-from repro.schedulers.base import RoundPlan, Scheduler
+from repro.schedulers.base import RoundPlan, Scheduler, carry_forward_plan
 from repro.sim import (JobCrashModel, NodeCrashModel, StragglerModel,
                        simulate)
 
@@ -38,14 +37,44 @@ def problem(n_jobs=3):
 
 
 class TestResilientSolver:
+    """The fallback ladder, :func:`repro.core.ilp.solve_with_fallback`:
+    the one solve path of the Sia policy."""
+
+    @pytest.mark.parametrize("primary", ["milp", "tiered", "lp_round",
+                                         "greedy"])
+    @pytest.mark.parametrize("broken", [(), ("milp",), ("lp_round",),
+                                        ("milp", "lp_round"),
+                                        ("milp", "greedy"),
+                                        ("milp", "lp_round", "greedy")])
+    def test_ladder_serves_first_working_rung(self, monkeypatch, primary,
+                                              broken):
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected failure")
+        for backend in broken:
+            monkeypatch.setattr(ilp, f"_solve_{backend}", boom)
+        # ``tiered`` resolves to milp on this small instance.
+        first = "milp" if primary == "tiered" else primary
+        rungs = [first] + [b for b in ilp.FALLBACKS if b != primary]
+        working = [b for b in rungs if b not in broken]
+        if not working:
+            with pytest.raises(SolverExhaustedError):
+                solve_with_fallback(problem(), primary)
+            return
+        solution, degraded = solve_with_fallback(problem(), primary)
+        assert solution.backend == working[0]
+        assert degraded == (working[0] != first)
+        assert solution.assignment
+
     def test_milp_failure_falls_back_to_lp_round(self, monkeypatch):
         def boom(problem, time_limit=None):
             raise RuntimeError("injected MILP failure")
         monkeypatch.setattr(ilp, "_solve_milp", boom)
-        solver = ResilientSolver()
-        solution, backend, degraded = solver.solve(problem())
-        assert backend == "lp_round"
+        tracer = Tracer()
+        solution, degraded = solve_with_fallback(problem(), tracer=tracer)
+        assert solution.backend == "lp_round"
         assert degraded
+        assert [(name, attrs) for name, _, attrs in tracer.events] == [
+            ("rung_failed", {"backend": "milp", "error": "RuntimeError"})]
         # The fallback result still respects capacities (validated too).
         used = solution.gpus_used(problem())
         assert all(n <= problem().capacities[t] for t, n in used.items())
@@ -56,70 +85,38 @@ class TestResilientSolver:
             raise RuntimeError("injected failure")
         monkeypatch.setattr(ilp, "_solve_milp", boom)
         monkeypatch.setattr(ilp, "_solve_lp_round", boom)
-        solver = ResilientSolver()
-        solution, backend, degraded = solver.solve(problem())
-        assert backend == "greedy"
+        solution, degraded = solve_with_fallback(problem())
+        assert solution.backend == "greedy"
         assert degraded
         assert solution.assignment
 
-    def test_breaker_opens_then_closes(self, monkeypatch):
-        attempts = {"n": 0}
-
-        def boom(problem, time_limit=None):
-            attempts["n"] += 1
-            raise RuntimeError("injected MILP failure")
-        monkeypatch.setattr(ilp, "_solve_milp", boom)
-        solver = ResilientSolver(ResilienceConfig(breaker_threshold=2,
-                                                  breaker_cooldown_rounds=3,
-                                                  retry_primary=False))
-        p = problem()
-        solver.solve(p)            # failure 1
-        solver.solve(p)            # failure 2 -> breaker trips
-        assert attempts["n"] == 2
-        assert solver.breaker_open
-        for _ in range(3):         # cooldown: MILP skipped entirely
-            _, backend, degraded = solver.solve(p)
-            assert backend == "lp_round" and degraded
-        assert attempts["n"] == 2
-        assert not solver.breaker_open
-        solver.solve(p)            # breaker closed: MILP retried
-        assert attempts["n"] == 3
-        assert solver.stats["breaker_trips"] == 1
-
-    def test_budget_overrun_counts_toward_breaker(self, monkeypatch):
+    def test_timed_out_tiered_round_records_backend_that_ran(
+            self, monkeypatch, hetero_cluster):
+        """A budget overrun keeps the primary's answer, flagged degraded,
+        and the round records the concrete backend, never ``tiered``."""
         real = ilp._solve_milp
 
         def slow(problem, time_limit=None):
             time.sleep(0.03)
             return real(problem, time_limit=time_limit)
         monkeypatch.setattr(ilp, "_solve_milp", slow)
-        solver = ResilientSolver(ResilienceConfig(solve_budget_s=0.01,
-                                                  breaker_threshold=2,
-                                                  breaker_cooldown_rounds=2))
-        p = problem()
-        # Overruns still return the MILP answer, but flagged degraded ...
-        _, backend, degraded = solver.solve(p)
-        assert backend == "milp" and degraded
-        solver.solve(p)  # second overrun trips the breaker
-        assert solver.breaker_open
-        _, backend, degraded = solver.solve(p)
-        assert backend == "lp_round" and degraded
+        solution, degraded = solve_with_fallback(problem(), "tiered",
+                                                 budget=0.01)
+        assert solution.backend == "milp" and degraded
 
-    def test_success_resets_failure_count(self, monkeypatch):
-        real = ilp._solve_milp
-        calls = {"n": 0}
+        params = SiaPolicyParams(solver="tiered", solve_budget_s=0.01)
+        jobs = [make_job("j0", "resnet18", 0.0, work_scale=0.3)]
+        result = simulate(hetero_cluster, SiaScheduler(params), jobs,
+                          max_hours=1)
+        planned = [r for r in result.rounds if r.backend]
+        assert planned
+        assert all(r.backend == "milp" and r.degraded for r in planned)
 
-        def flaky(problem, time_limit=None):
-            calls["n"] += 1
-            if calls["n"] % 2 == 1:
-                raise RuntimeError("injected")
-            return real(problem, time_limit=time_limit)
-        monkeypatch.setattr(ilp, "_solve_milp", flaky)
-        solver = ResilientSolver(ResilienceConfig(breaker_threshold=2))
-        p = problem()
-        for _ in range(6):  # alternate fail/succeed: breaker never trips
-            solver.solve(p)
-        assert solver.stats["breaker_trips"] == 0
+    def test_unknown_primary_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            solve_with_fallback(problem(), "quantum")
+        with pytest.raises(ValueError, match="solve_budget_s"):
+            SiaPolicyParams(solve_budget_s=0.0)
 
     def test_exhausted_chain_raises(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -127,34 +124,55 @@ class TestResilientSolver:
         monkeypatch.setattr(ilp, "_solve_milp", boom)
         monkeypatch.setattr(ilp, "_solve_lp_round", boom)
         monkeypatch.setattr(ilp, "_solve_greedy", boom)
-        solver = ResilientSolver()
         with pytest.raises(SolverExhaustedError):
-            solver.solve(problem())
+            solve_with_fallback(problem())
 
-    def test_time_limit_reaches_scipy(self):
+    def test_time_limit_reaches_scipy(self, monkeypatch):
         # A budgeted solve of a feasible instance still succeeds outright.
         solution = ilp.solve_assignment(problem(), time_limit=10.0)
         assert solution.assignment
+        # Every budgeted rung hands its budget to HiGHS.
+        options = _record_highs_options(monkeypatch)
+        solve_with_fallback(problem(), budget=10.0)
+        assert options == [{"time_limit": 10.0}]
+        # ... except the last rung, which runs unbudgeted.
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected greedy failure")
+        monkeypatch.setattr(ilp, "_solve_greedy", boom)
+        options.clear()
+        solution, degraded = solve_with_fallback(problem(), "greedy",
+                                                 budget=10.0)
+        assert solution.backend == "lp_round" and degraded
+        assert options == [None]
+
+    def test_no_budget_passes_no_time_limit(self, monkeypatch,
+                                            hetero_cluster):
+        """Non-resilient runs (``solve_budget_s=None``) never cap HiGHS,
+        so large-cluster MILP times stay uncapped."""
+        options = _record_highs_options(monkeypatch)
+        jobs = [make_job(f"j{i}", "resnet18", 0.0, work_scale=0.3)
+                for i in range(2)]
+        simulate(hetero_cluster, SiaScheduler(SiaPolicyParams()), jobs,
+                 max_hours=1)
+        assert options and all(o is None for o in options)
+
+
+def _record_highs_options(monkeypatch) -> list:
+    """Wrap scipy's ``milp`` as the ILP module calls it; returns the list
+    its ``options`` arguments are appended to."""
+    seen = []
+    real = ilp.milp
+
+    def recording(*args, options=None, **kwargs):
+        seen.append(options)
+        return real(*args, options=options, **kwargs)
+    monkeypatch.setattr(ilp, "milp", recording)
+    return seen
 
 
 class TestSolverExhaustedChain:
     """The full degradation chain down to SolverExhaustedError, and the
-    breaker-open-with-greedy-primary edge case."""
-
-    def test_exhausted_records_stats_and_metrics(self, monkeypatch):
-        from repro.obs.metrics import MetricsRegistry
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected")
-        monkeypatch.setattr(ilp, "_solve_milp", boom)
-        monkeypatch.setattr(ilp, "_solve_lp_round", boom)
-        monkeypatch.setattr(ilp, "_solve_greedy", boom)
-        solver = ResilientSolver()
-        solver.metrics = MetricsRegistry()
-        with pytest.raises(SolverExhaustedError):
-            solver.solve(problem())
-        assert solver.stats["exhausted"] == 1
-        assert solver.metrics.snapshot()["resilience.backend.exhausted"] == 1
+    simulator guard that carries the round forward."""
 
     def test_exhausted_message_names_primary(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -163,78 +181,7 @@ class TestSolverExhaustedChain:
         monkeypatch.setattr(ilp, "_solve_lp_round", boom)
         monkeypatch.setattr(ilp, "_solve_greedy", boom)
         with pytest.raises(SolverExhaustedError, match="primary='milp'"):
-            ResilientSolver().solve(problem())
-
-    def test_greedy_exception_still_counts_primary_failure(self, monkeypatch):
-        """A round where every backend dies must advance the breaker, so a
-        persistently broken solver eventually stops being retried."""
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected")
-        monkeypatch.setattr(ilp, "_solve_milp", boom)
-        monkeypatch.setattr(ilp, "_solve_lp_round", boom)
-        monkeypatch.setattr(ilp, "_solve_greedy", boom)
-        solver = ResilientSolver(ResilienceConfig(breaker_threshold=2,
-                                                  breaker_cooldown_rounds=2))
-        p = problem()
-        with pytest.raises(SolverExhaustedError):
-            solver.solve(p)
-        with pytest.raises(SolverExhaustedError):
-            solver.solve(p)
-        assert solver.breaker_open
-        assert solver.stats["breaker_trips"] == 1
-
-    def test_breaker_open_with_greedy_primary_exhausts(self, monkeypatch):
-        """Edge case: primary == 'greedy', lp_round broken, and the breaker
-        open.  The open breaker skips the primary, and the ladder has
-        nothing below greedy — the solver must raise (callers carry
-        forward during the cooldown) rather than loop or return garbage."""
-        calls = {"n": 0}
-
-        def counting_greedy(*args, **kwargs):
-            calls["n"] += 1
-            raise RuntimeError("injected greedy failure")
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected lp_round failure")
-        monkeypatch.setattr(ilp, "_solve_greedy", counting_greedy)
-        monkeypatch.setattr(ilp, "_solve_lp_round", boom)
-        solver = ResilientSolver(ResilienceConfig(breaker_threshold=1,
-                                                  breaker_cooldown_rounds=2))
-        p = problem()
-        with pytest.raises(SolverExhaustedError):
-            solver.solve(p, primary="greedy")  # failure trips the breaker
-        assert solver.breaker_open
-        calls["n"] = 0
-        with pytest.raises(SolverExhaustedError):
-            solver.solve(p, primary="greedy")
-        # Cooldown round: greedy is never attempted — straight to raise.
-        assert calls["n"] == 0
-        assert solver.stats["exhausted"] == 2
-
-    def test_breaker_open_greedy_primary_recovers_after_cooldown(
-            self, monkeypatch):
-        real = ilp._solve_greedy
-        calls = {"n": 0}
-
-        def flaky_greedy(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("injected")
-            return real(*args, **kwargs)
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected lp_round failure")
-        monkeypatch.setattr(ilp, "_solve_greedy", flaky_greedy)
-        monkeypatch.setattr(ilp, "_solve_lp_round", boom)
-        solver = ResilientSolver(ResilienceConfig(breaker_threshold=1,
-                                                  breaker_cooldown_rounds=1))
-        p = problem()
-        with pytest.raises(SolverExhaustedError):
-            solver.solve(p, primary="greedy")  # trips the breaker
-        with pytest.raises(SolverExhaustedError):
-            solver.solve(p, primary="greedy")  # cooldown round, skipped
-        solution, backend, degraded = solver.solve(p, primary="greedy")
-        assert backend == "greedy" and not degraded
-        assert solution.assignment
+            solve_with_fallback(problem())
 
     def test_exhausted_policy_is_rescued_by_scheduler_guard(
             self, monkeypatch, hetero_cluster):
@@ -245,7 +192,7 @@ class TestSolverExhaustedChain:
         monkeypatch.setattr(ilp, "_solve_milp", boom)
         monkeypatch.setattr(ilp, "_solve_lp_round", boom)
         monkeypatch.setattr(ilp, "_solve_greedy", boom)
-        params = SiaPolicyParams(resilience=ResilienceConfig())
+        params = SiaPolicyParams(solve_budget_s=5.0)
         jobs = [make_job("j0", "resnet18", 0.0, work_scale=0.3)]
         tracer = Tracer()
         result = simulate(hetero_cluster, SiaScheduler(params), jobs,
@@ -259,8 +206,8 @@ class TestSolverExhaustedChain:
     def test_solver_counters_reach_round_snapshots(self, monkeypatch,
                                                    hetero_cluster,
                                                    tmp_path):
-        """ResilientSolver counters are folded into the run's
-        MetricsRegistry and surface in saved results."""
+        """Which rung served each round reaches the round records, the
+        engine's ``solver_fallbacks`` counter, and saved results."""
         from repro import io
         real = ilp._solve_milp
         calls = {"n": 0}
@@ -271,60 +218,26 @@ class TestSolverExhaustedChain:
                 raise RuntimeError("injected")
             return real(problem, time_limit=time_limit)
         monkeypatch.setattr(ilp, "_solve_milp", flaky)
-        params = SiaPolicyParams(
-            resilience=ResilienceConfig(retry_primary=False))
-        sched = SiaScheduler(params)
+        params = SiaPolicyParams(solve_budget_s=5.0)
         jobs = [make_job("j0", "resnet18", 0.0, work_scale=0.3)]
-        result = simulate(hetero_cluster, sched, jobs, max_hours=100)
-        counts = result.resilience_counts()
-        assert counts.get("resilience.backend.milp", 0) > 0
-        assert counts.get("resilience.backend.lp_round", 0) > 0
-        # the same counters appear in the final per-round snapshot
-        assert result.rounds[-1].metrics.get("resilience.backend.lp_round",
-                                             0) > 0
+        result = simulate(hetero_cluster, SiaScheduler(params), jobs,
+                          max_hours=100)
+        backends = result.backend_counts()
+        assert backends.get("milp", 0) > 0
+        assert backends.get("lp_round", 0) > 0
+        fallbacks = result.rounds[-1].metrics.get("solver_fallbacks", 0)
+        assert fallbacks == result.degraded_rounds == backends["lp_round"]
         # ... and survive a save/load round trip
         path = tmp_path / "res.json"
         io.save_result(result, path)
-        assert io.load_result(path).resilience_counts() == counts
+        loaded = io.load_result(path)
+        assert loaded.backend_counts() == backends
+        assert loaded.final_metrics == result.final_metrics
 
 
 class TestPrimaryRetry:
-    """The relaxed-budget retry (gray-failure hardening): a transient
-    primary failure gets one more chance before the chain degrades."""
-
-    def test_retry_rescues_transient_failure(self, monkeypatch):
-        real = ilp._solve_milp
-        calls = {"n": 0}
-
-        def once(problem, time_limit=None):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("injected")
-            return real(problem, time_limit=time_limit)
-        monkeypatch.setattr(ilp, "_solve_milp", once)
-        solver = ResilientSolver()
-        solution, backend, degraded = solver.solve(problem())
-        assert backend == "milp" and degraded
-        assert solution.assignment
-        assert solver.retries == 1
-        assert solver.attempt_outcomes == {"milp.error": 1, "milp.ok": 1}
-        # The rescued round does not advance the breaker.
-        assert solver._consecutive_failures == 0
-
-    def test_retry_budget_is_relaxed_and_deterministic(self):
-        cfg = ResilienceConfig(solve_budget_s=2.0, retry_budget_factor=2.0,
-                               retry_jitter=0.25)
-        solver_a = ResilientSolver(cfg)
-        solver_b = ResilientSolver(cfg)
-        # The jitter token is the retry ordinal: identical histories yield
-        # identical relaxed budgets (checkpoint resumes replay them).
-        from repro.core.health import deterministic_jitter
-        for solver in (solver_a, solver_b):
-            solver.retries += 1
-        jitter = deterministic_jitter("solver-retry:1", cfg.retry_jitter)
-        relaxed = cfg.solve_budget_s * cfg.retry_budget_factor * (1 + jitter)
-        assert relaxed >= 4.0
-        assert solver_a.retries == solver_b.retries
+    """There is no retry: each rung runs at most once per round, and a
+    failed primary drops straight to the next rung."""
 
     def test_greedy_primary_never_retries(self, monkeypatch):
         calls = {"n": 0}
@@ -337,48 +250,9 @@ class TestPrimaryRetry:
             raise RuntimeError("injected lp_round failure")
         monkeypatch.setattr(ilp, "_solve_greedy", boom)
         monkeypatch.setattr(ilp, "_solve_lp_round", lp_boom)
-        solver = ResilientSolver()
         with pytest.raises(SolverExhaustedError):
-            solver.solve(problem(), primary="greedy")
+            solve_with_fallback(problem(), "greedy", budget=5.0)
         assert calls["n"] == 1  # no second greedy attempt
-        assert solver.retries == 0
-
-    def test_one_breaker_failure_per_solve(self, monkeypatch):
-        def boom(problem, time_limit=None):
-            raise RuntimeError("injected")
-        monkeypatch.setattr(ilp, "_solve_milp", boom)
-        solver = ResilientSolver(ResilienceConfig(breaker_threshold=3))
-        p = problem()
-        solver.solve(p)  # error + retry error + lp_round rescue
-        assert solver._consecutive_failures == 1
-        assert solver.attempt_outcomes["milp.error"] == 2
-        assert solver.attempt_outcomes["lp_round.ok"] == 1
-
-    def test_attempt_outcomes_persist_through_io(self, monkeypatch,
-                                                 hetero_cluster, tmp_path):
-        """Satellite 2: per-attempt outcomes flow into the metrics registry
-        and survive a save/load round trip."""
-        from repro import io
-        real = ilp._solve_milp
-        calls = {"n": 0}
-
-        def flaky(problem, time_limit=None):
-            calls["n"] += 1
-            if calls["n"] % 2 == 0:
-                raise RuntimeError("injected")
-            return real(problem, time_limit=time_limit)
-        monkeypatch.setattr(ilp, "_solve_milp", flaky)
-        params = SiaPolicyParams(resilience=ResilienceConfig())
-        jobs = [make_job("j0", "resnet18", 0.0, work_scale=0.3)]
-        result = simulate(hetero_cluster, SiaScheduler(params), jobs,
-                          max_hours=100)
-        counts = result.resilience_counts()
-        assert counts.get("resilience.attempt.milp.ok", 0) > 0
-        assert counts.get("resilience.attempt.milp.error", 0) > 0
-        assert counts.get("resilience.primary_retries", 0) > 0
-        path = tmp_path / "res.json"
-        io.save_result(result, path)
-        assert io.load_result(path).resilience_counts() == counts
 
 
 class TestCarryForward:
@@ -512,11 +386,7 @@ class TestChaos:
             return real(problem, time_limit=time_limit)
         monkeypatch.setattr(ilp, "_solve_milp", flaky)
 
-        params = SiaPolicyParams(
-            resilience=ResilienceConfig(solve_budget_s=5.0,
-                                        breaker_threshold=3,
-                                        breaker_cooldown_rounds=5,
-                                        retry_primary=False))
+        params = SiaPolicyParams(solve_budget_s=5.0)
         scheduler = SiaScheduler(params)
         jobs = [make_job(f"j{i}", "resnet18", 0.0, work_scale=0.4)
                 for i in range(4)]

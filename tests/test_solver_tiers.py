@@ -1,5 +1,5 @@
-"""Solver tiers: LP-rounding quality bounds, warm-start and reuse
-semantics, tiered selection, deterministic fallbacks, telemetry round trips
+"""Solver tiers: LP-rounding quality bounds, warm-start semantics,
+tiered selection, deterministic fallbacks, telemetry round trips
 with the new backends, and the replay fork path."""
 
 from types import SimpleNamespace
@@ -15,7 +15,6 @@ from repro.core import ilp
 from repro.core.ilp import AssignmentProblem, select_backend, solve_assignment
 from repro.core.matrix import config_index_map, warm_start_pairs
 from repro.core.policy import SiaPolicy, SiaPolicyParams
-from repro.core.resilience import ResilienceConfig
 from repro.core.types import Allocation, Configuration, ProfilingMode
 from repro.jobs.job import make_job
 from repro.obs.audit import allocation_persistence
@@ -113,52 +112,24 @@ class TestQualityHarness:
 
 
 class TestWarmStartAndReuse:
-    def test_reuse_skips_solve(self):
-        problem = random_problem(0)
-        ref = solve_assignment(problem, backend="milp")
-        again = solve_assignment(problem, backend="milp",
-                                 warm_start=dict(ref.assignment),
-                                 reuse_tolerance=0.01)
-        assert again.reused and again.backend == "reuse"
-        assert again.lp_bound is not None
-        assert again.objective == pytest.approx(ref.objective)
-        assert again.assignment == ref.assignment
+    """The warm start: last round's pairs win ``lp_round``'s ties."""
 
     def test_stale_warm_entries_dropped(self):
         problem = random_problem(0)
         ref = solve_assignment(problem, backend="milp")
-        # Invalidate one job's entire row: its warm pair must be dropped,
-        # and the remaining warm assignment still passes the reuse check.
+        # Invalidate one job's entire row: its warm pair must be dropped
+        # before lp_round's tie-break sees it.
         victim = next(iter(sorted(ref.assignment)))
         utilities = problem.utilities.copy()
         utilities[victim, :] = np.nan
         smaller = AssignmentProblem(utilities, problem.config_gpus,
                                     problem.config_types, problem.capacities)
-        again = solve_assignment(smaller, backend="milp",
-                                 warm_start=dict(ref.assignment),
-                                 reuse_tolerance=0.05)
+        warm = dict(ref.assignment)
+        assert victim not in ilp._clean_warm_start(smaller, warm)
+        again = solve_assignment(smaller, backend="lp_round",
+                                 warm_start=warm)
+        assert again.warm_started
         assert victim not in again.assignment
-
-    def test_tight_tolerance_rejects_degraded_warm(self):
-        problem = random_problem(0)
-        ref = solve_assignment(problem, backend="milp")
-        degraded = dict(ref.assignment)
-        degraded.pop(sorted(degraded)[0])  # strictly worse than optimal
-        again = solve_assignment(problem, backend="milp",
-                                 warm_start=degraded, reuse_tolerance=1e-9)
-        assert not again.reused
-        assert again.backend == "milp"
-
-    def test_loose_tolerance_accepts_degraded_warm(self):
-        problem = random_problem(0)
-        ref = solve_assignment(problem, backend="milp")
-        degraded = dict(ref.assignment)
-        dropped = sorted(degraded)[0]
-        degraded.pop(dropped)
-        again = solve_assignment(problem, backend="milp",
-                                 warm_start=degraded, reuse_tolerance=0.5)
-        assert again.reused
-        assert dropped not in again.assignment
 
     def test_forced_overrides_warm_choice(self):
         problem = random_problem(1)
@@ -167,9 +138,11 @@ class TestWarmStartAndReuse:
         feasible = np.flatnonzero(~np.isnan(problem.utilities[row]))
         other = int(next(c for c in feasible if c != ref.assignment[row]))
         problem.forced = {row: other}
-        solution = solve_assignment(problem, backend="milp",
-                                    warm_start=dict(ref.assignment),
-                                    reuse_tolerance=0.5)
+        warm = dict(ref.assignment)
+        assert ilp._clean_warm_start(problem, warm)[row] == other
+        solution = solve_assignment(problem, backend="lp_round",
+                                    warm_start=warm)
+        assert solution.warm_started
         assert solution.assignment[row] == other
 
     def test_warm_started_flag_on_rounding_tiers(self):
@@ -194,22 +167,22 @@ class TestWarmStartAndReuse:
         assert warm == {0: 0, 1: 1}  # "c" has no previous, "gone" departed
 
     def test_policy_counts_warm_and_reuse(self, hetero_cluster):
-        """End to end: warm-start hits with lp_round, reuse skips with a
-        tolerance, both visible in round-snapshot metrics counters."""
-        jobs = [make_job(f"j{i}", "resnet18", 0.0, work_scale=0.4)
-                for i in range(3)]
-        result = simulate(hetero_cluster,
-                          SiaScheduler(SiaPolicyParams(solver="lp_round")),
-                          jobs, max_hours=100)
-        assert result.rounds[-1].metrics.get("solver.warm_start_hits", 0) > 0
+        """End to end: every lp_round round after the first is warm
+        started, and ``solver.warm_start_hits`` counts it in the round
+        snapshots; the MILP, which cannot use a warm start, counts none."""
+        def run(solver):
+            jobs = [make_job(f"j{i}", "resnet18", 0.0, work_scale=0.4)
+                    for i in range(3)]
+            return simulate(hetero_cluster,
+                            SiaScheduler(SiaPolicyParams(solver=solver)),
+                            jobs, max_hours=100)
 
-        jobs = [make_job(f"j{i}", "resnet18", 0.0, work_scale=0.4)
-                for i in range(3)]
-        result = simulate(hetero_cluster,
-                          SiaScheduler(SiaPolicyParams(reuse_tolerance=0.1)),
-                          jobs, max_hours=100)
-        assert result.rounds[-1].metrics.get("solver.reuse_skips", 0) > 0
-        assert result.backend_counts().get("reuse", 0) > 0
+        result = run("lp_round")
+        hits = result.rounds[-1].metrics.get("solver.warm_start_hits", 0)
+        assert hits > 0
+        assert hits <= result.backend_counts()["lp_round"] - 1
+        result = run("milp")
+        assert "solver.warm_start_hits" not in result.rounds[-1].metrics
 
 
 class TestTieredSelection:
@@ -268,25 +241,23 @@ class TestGreedyDeterminism:
 
 
 class TestTelemetryRoundTrips:
-    """Bit-identical ResilientSolver telemetry/ledger round trips with
+    """Bit-identical telemetry/ledger round trips of a budgeted run with
     the rounding tier as the primary."""
 
     def _run(self, cluster):
         jobs = [make_job(f"j{i}", "resnet18", 0.0, work_scale=0.4)
                 for i in range(3)]
-        params = SiaPolicyParams(solver="lp_round",
-                                 resilience=ResilienceConfig())
+        params = SiaPolicyParams(solver="lp_round", solve_budget_s=5.0)
         return simulate(cluster, SiaScheduler(params), jobs, seed=7,
                         max_hours=100, resilient=True)
 
     def test_lp_round_primary_round_trips(self, hetero_cluster, tmp_path):
         result = self._run(hetero_cluster)
-        counts = result.resilience_counts()
-        assert counts.get("resilience.backend.lp_round", 0) > 0
+        assert result.backend_counts().get("lp_round", 0) > 0
         path = tmp_path / "res.json"
         io.save_result(result, path)
         loaded = io.load_result(path)
-        assert loaded.resilience_counts() == counts
+        assert loaded.final_metrics == result.final_metrics
         assert loaded.backend_counts() == result.backend_counts()
         assert [r.metrics for r in loaded.rounds] == \
             [r.metrics for r in result.rounds]
