@@ -18,9 +18,12 @@ cluster size, or health posture?*  It composes three existing subsystems:
   with classified allocation deltas, the divergence point, and
   goodput/JCT/queue-wait/fault-recovery metric deltas.
 
-Replay needs the run's construction recipe, so results saved by this build
-carry a ``run_spec`` (see :func:`build_run_spec`); results saved before
-that cannot be forked and say so explicitly.
+Replay needs the run's construction recipe, the ``run_spec`` every CLI run
+records (:func:`build_run_spec`).  :func:`simulator_from_spec` is the one
+builder of spec-driven simulators — ``repro run``, ``compare`` and
+``chaos`` build theirs through it too — so a fork is rebuilt exactly as
+its base run was.  Results saved without a spec cannot be forked and say
+so explicitly.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from repro.metrics.jct import percentile
 from repro.obs.diff import (MetricDelta, RunDiff, aligned_ledger_deltas,
                             compare_runs, fault_recovery_seconds)
 from repro.obs.ledger import GoodputLedger, queue_wait_by_job
+from repro.obs.tracer import Tracer
 from repro.sim import checkpoint as ckpt
 from repro.sim.chaos import diff_results
-from repro.sim.checkpoint import CheckpointState
+from repro.sim.checkpoint import CheckpointConfig, CheckpointState
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.telemetry import SimulationResult
 
@@ -103,21 +107,31 @@ class ReplayOutcome:
 
 # -- run specs -----------------------------------------------------------------
 
+#: the recipe's simulator knobs default to the SimulatorConfig fields.
+_SIM = SimulatorConfig
+
+
 def build_run_spec(*, scheduler: str, cluster: str, jobs: list,
-                   seed: int = 0, profiling_mode: str = "bootstrap",
-                   max_hours: float = 1000.0,
-                   node_failure_rate: float = 0.0,
-                   resilient: bool = False, invariants: str = "off",
+                   seed: int = _SIM.seed,
+                   profiling_mode: str = _SIM.profiling_mode.value,
+                   max_hours: float = _SIM.max_hours,
+                   node_failure_rate: float = _SIM.node_failure_rate,
+                   resilient: bool = _SIM.resilient,
+                   invariants: str = _SIM.invariants,
                    health: bool = False,
                    scheduler_options: dict | None = None,
                    fault_options: dict | None = None) -> dict[str, Any]:
-    """The construction recipe embedded in saved results (``run_spec``).
+    """The construction recipe of a run (``run_spec``), embedded in saved
+    results; :func:`simulator_from_spec` builds the simulator from it.
 
-    ``jobs`` is the *exact* job list the simulator ran — recorded after
-    rigid-scheduler tuning, so replaying a gavel run does not re-tune —
-    serialized with :func:`repro.io.job_to_dict`.  ``fault_options`` takes
-    the knob names of :data:`repro.core.fork.FAULT_OPTION_DEFAULTS`;
-    unknown keys fail fast here rather than at fork time.
+    ``jobs`` is the *exact* job list the simulator runs — for a rigid
+    scheduler, after TunedJobs (:func:`repro.core.fork.scheduler_jobs`), so
+    replaying a gavel run does not re-tune — serialized with
+    :func:`repro.io.job_to_dict`.  ``scheduler_options`` and
+    ``fault_options`` take the knob names of
+    :data:`repro.core.fork.SCHEDULER_OPTION_DEFAULTS` and
+    :data:`repro.core.fork.FAULT_OPTION_DEFAULTS`; unknown fault keys fail
+    fast here rather than at fork time.
     """
     options = dict(fault_options or {})
     unknown = set(options) - set(forklib.FAULT_OPTION_DEFAULTS)
@@ -141,12 +155,17 @@ def build_run_spec(*, scheduler: str, cluster: str, jobs: list,
 
 def simulator_from_spec(spec: dict[str, Any], *,
                         cluster: Cluster | None = None,
-                        health: bool | None = None) -> Simulator:
-    """Rebuild the recorded run's simulator from its ``run_spec``.
+                        health: bool | None = None,
+                        tracer: Tracer | None = None,
+                        checkpoint: CheckpointConfig | None = None,
+                        ) -> Simulator:
+    """Build the simulator a ``run_spec`` describes: a fresh scheduler,
+    fresh fault models and fresh jobs on every call.
 
     ``cluster`` substitutes a (delta-edited) cluster for the recorded
     preset; ``health`` forces the gray-failure defense on/off regardless of
-    what the base run used (None keeps the recorded posture).
+    what the recipe says (None keeps it).  ``tracer`` and ``checkpoint``
+    are run plumbing, not part of the recipe.
     """
     if not spec:
         raise ValueError(
@@ -155,74 +174,48 @@ def simulator_from_spec(spec: dict[str, Any], *,
     if cluster is None:
         cluster = presets.by_name(spec["cluster"])
     scheduler = forklib.make_scheduler(
-        spec["scheduler"], resilient=spec.get("resilient", False),
-        **spec.get("scheduler_options", {}))
+        spec["scheduler"], resilient=spec["resilient"],
+        **spec["scheduler_options"])
     jobs = [io.job_from_dict(data) for data in spec["jobs"]]
-    health_on = spec.get("health", False) if health is None else health
+    if health is None:
+        health = spec["health"]
     config = SimulatorConfig(
-        profiling_mode=ProfilingMode(spec.get("profiling_mode", "bootstrap")),
-        seed=spec.get("seed", 0),
-        max_hours=spec.get("max_hours", 1000.0),
-        node_failure_rate=spec.get("node_failure_rate", 0.0),
-        fault_models=forklib.make_fault_models(
-            spec.get("fault_options") or None),
-        resilient=spec.get("resilient", False),
-        invariants=spec.get("invariants", "off"),
-        health=HealthConfig() if health_on else None)
+        profiling_mode=ProfilingMode(spec["profiling_mode"]),
+        seed=spec["seed"], max_hours=spec["max_hours"],
+        node_failure_rate=spec["node_failure_rate"],
+        fault_models=forklib.make_fault_models(spec["fault_options"]),
+        resilient=spec["resilient"], invariants=spec["invariants"],
+        health=HealthConfig() if health else None,
+        tracer=tracer, checkpoint=checkpoint)
     return Simulator(cluster, scheduler, jobs, config)
 
 
 # -- fork-state acquisition ----------------------------------------------------
-
-def _best_checkpoint(directory: str | Path,
-                     at_round: int) -> CheckpointState | None:
-    """Newest valid on-disk checkpoint at or before the fork round (None
-    when the directory has none usable — the fork then recomputes from
-    round 0, which is slower but equivalent)."""
-    best: CheckpointState | None = None
-    for path in ckpt.list_checkpoints(directory):
-        try:
-            state = ckpt.read_checkpoint(path)
-        except ckpt.CheckpointError:
-            continue
-        if state.round_index <= at_round and (
-                best is None or state.round_index > best.round_index):
-            best = state
-    return best
-
 
 def fork_state(spec: dict[str, Any], at_round: int, *,
                checkpoint_dir: str | Path | None = None) -> CheckpointState:
     """The engine state at exactly ``at_round`` rounds, ready to fork.
 
     Recomputed deterministically from the spec, fast-forwarded from the
-    newest usable checkpoint in ``checkpoint_dir`` when given.  The
-    returned state is an independent deep copy (via the checkpoint
+    newest valid checkpoint at or before the fork round in
+    ``checkpoint_dir`` when there is one (corrupt files are skipped; with
+    none usable the fork recomputes from round 0, slower but equivalent).
+    The returned state is an independent deep copy (via the checkpoint
     serializer), so mutating it for one fork cannot contaminate another.
     """
     simulator = simulator_from_spec(spec)
     resume = None
     if checkpoint_dir is not None:
-        resume = _best_checkpoint(checkpoint_dir, at_round)
+        try:
+            resume, _, _ = ckpt.latest_valid_checkpoint(
+                checkpoint_dir, max_round=at_round)
+        except ckpt.CheckpointError:
+            pass
     state = simulator.run_to_round(at_round, resume_from=resume)
     return ckpt.loads_state(ckpt.dumps_state(state))
 
 
 # -- override application ------------------------------------------------------
-
-def _evict_jobs_on(state: CheckpointState,
-                   removed: frozenset[int]) -> None:
-    """Jobs holding GPUs on removed nodes lose them at the fork boundary
-    (classified as a fault-caused restart when they next get resources)."""
-    for rt in state.active.values():
-        alloc = rt.allocation
-        if alloc is None or not (set(alloc.node_ids) & removed):
-            continue
-        rt.allocation = None
-        rt.restart_remaining = 0.0
-        rt.num_restarts += 1
-        rt.lost_to_fault = True
-
 
 def _swap_policy(state: CheckpointState, policy: str,
                  spec: dict[str, Any]) -> None:
@@ -241,9 +234,8 @@ def _swap_policy(state: CheckpointState, policy: str,
             "estimators already attached to admitted jobs")
     round_duration = state.scheduler.round_duration
     scheduler = forklib.make_scheduler(
-        policy, resilient=spec.get("resilient", False),
-        **{**spec.get("scheduler_options", {}),
-           "round_duration": round_duration})
+        policy, resilient=spec["resilient"],
+        **{**spec["scheduler_options"], "round_duration": round_duration})
     # Keep the base run's round cadence even for schedulers whose ctor
     # fixes their own (gavel et al. default to 360s): the two futures must
     # tick on the same clock for round-by-round alignment.
@@ -263,9 +255,13 @@ def apply_overrides(state: CheckpointState, overrides: ReplayOverrides,
         deltas = forklib.parse_cluster_delta(overrides.cluster_delta)
         cluster, removed = forklib.apply_cluster_delta(base_cluster, deltas)
         # The restore-time structural check must accept the edited cluster.
-        state.cluster_signature = ckpt.cluster_signature(cluster)
-        if removed:
-            _evict_jobs_on(state, removed)
+        state.cluster_signature = cluster.signature
+        # Jobs holding GPUs on removed nodes lose them at the fork
+        # boundary (a fault-caused restart when they next get resources).
+        for rt in state.active.values():
+            if rt.allocation is not None \
+                    and removed & set(rt.allocation.node_ids):
+                rt.evict()
     if overrides.policy is not None:
         _swap_policy(state, overrides.policy, spec)
     if overrides.solver_backend is not None:

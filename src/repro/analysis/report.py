@@ -88,7 +88,7 @@ def decision_digest_section(result: SimulationResult) -> str:
     """Decision-level observability summary: allocation events by kind,
     per-GPU-type migration flows, early-vs-late goodput-estimation error,
     and the jobs that queued longest.  Empty string when the result carries
-    no per-round records (e.g. saved with ``include_rounds=False``)."""
+    no per-round records."""
     events = result.allocation_events()
     ledger = GoodputLedger.from_result(result)
     if not events and not ledger.entries:

@@ -17,9 +17,14 @@ Subcommands::
     python -m repro run ... --gray-rate 2 --health --health-events-out h.jsonl
     python -m repro run ... --slo rules.json --alerts-out alerts.jsonl
 
-``run`` and ``compare`` accept either a saved trace file (``--trace``) or
-generator parameters (``--trace-name``/``--seed``/...).  Results can be
-saved with ``--out`` and reloaded with :mod:`repro.io`.
+``run``, ``compare`` and ``chaos`` accept either a saved trace file
+(``--trace``) or generator parameters (``--trace-name``/``--seed``/...),
+and the same recipe flags (scheduler, fault and simulator knobs).  Each
+turns its flags into one run spec (:func:`_run_spec`) and builds every
+simulator from it with :func:`repro.analysis.replay.simulator_from_spec`.
+``run`` and ``compare`` take the observability outputs; ``run`` alone
+saves its result with ``--out`` (reloaded with :mod:`repro.io`), and
+``run`` and ``chaos`` take the checkpoint flags.
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ from typing import Sequence
 
 from repro import io
 from repro.analysis.render import format_table
+from repro.analysis.replay import build_run_spec, simulator_from_spec
 from repro.cluster import presets
 from repro.cluster.gpu import GPU_CATALOG
 from repro.core import fork as forklib
-from repro.core.health import HealthConfig
 from repro.core.types import ProfilingMode
 from repro.metrics.jct import summarize
 from repro.obs.export import run_digest, write_chrome_trace
@@ -45,42 +50,12 @@ from repro.obs.stream import (AlertStreamObserver, EventStreamObserver,
 from repro.obs.tracer import Tracer
 from repro.perf.profiles import MODEL_ZOO
 from repro.schedulers import GavelScheduler
-from repro.schedulers.base import Scheduler
 from repro.sim.chaos import run_chaos
 from repro.sim.checkpoint import CheckpointConfig
 from repro.sim.engine import Simulator, SimulatorConfig
-from repro.sim.faults import FaultModel
 from repro.sim.invariants import MODES as INVARIANT_MODES
 from repro.workloads.generators import SPECS, trace_by_name
 from repro.workloads.trace import Trace
-from repro.workloads.tuning import tuned_jobs
-
-
-def build_scheduler(name: str, args: argparse.Namespace) -> Scheduler:
-    """CLI front-end of :func:`repro.core.fork.make_scheduler` (the shared
-    factory the replay engine also uses)."""
-    try:
-        return forklib.make_scheduler(
-            name,
-            round_duration=args.round_duration,
-            p=args.p, lam=args.lam, solver=args.solver,
-            gavel_policy=args.gavel_policy,
-            resilient=getattr(args, "resilient", False),
-            solve_budget=getattr(args, "solve_budget", 5.0))
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
-def _fault_options(args: argparse.Namespace) -> dict[str, float]:
-    """The fault knobs as a plain dict (the replay run-spec vocabulary)."""
-    return {key: getattr(args, key, default)
-            for key, default in forklib.FAULT_OPTION_DEFAULTS.items()}
-
-
-def build_fault_models(args: argparse.Namespace) -> list[FaultModel]:
-    """Fault injectors requested on the command line (node crashes keep
-    riding the legacy --failure-rate path inside the simulator)."""
-    return forklib.make_fault_models(_fault_options(args))
 
 
 def resolve_trace(args: argparse.Namespace) -> Trace:
@@ -95,17 +70,43 @@ def resolve_trace(args: argparse.Namespace) -> Trace:
                          work_scale_factor=args.work_scale, **kwargs)
 
 
+def _run_spec(args: argparse.Namespace, scheduler: str,
+              trace: Trace) -> dict:
+    """The recipe one scheduler's run is built from: the recipe flags plus
+    the job list that scheduler runs (TunedJobs for the rigid baselines)."""
+    jobs = forklib.scheduler_jobs(scheduler, trace.jobs,
+                                  presets.by_name(args.cluster), trace.seed)
+    return build_run_spec(
+        scheduler=scheduler, cluster=args.cluster, jobs=jobs,
+        seed=args.seed, profiling_mode=args.profiling_mode,
+        max_hours=args.max_hours, node_failure_rate=args.failure_rate,
+        resilient=args.resilient, invariants=args.invariants,
+        health=args.health,
+        scheduler_options={key: getattr(args, key)
+                           for key in forklib.SCHEDULER_OPTION_DEFAULTS},
+        fault_options={key: getattr(args, key)
+                       for key, default
+                       in forklib.FAULT_OPTION_DEFAULTS.items()
+                       if getattr(args, key) != default})
+
+
+def _build(spec: dict, **plumbing) -> Simulator:
+    """:func:`simulator_from_spec`, with a bad recipe (e.g. an unknown
+    scheduler) turned into a clean exit."""
+    try:
+        return simulator_from_spec(spec, **plumbing)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def _wants_tracing(args: argparse.Namespace) -> bool:
-    return bool(getattr(args, "trace_out", None)
-                or getattr(args, "events_out", None)
-                or getattr(args, "metrics_digest", False))
+    return bool(args.trace_out or args.events_out or args.metrics_digest)
 
 
 def _checkpoint_config(args: argparse.Namespace) -> CheckpointConfig | None:
-    directory = getattr(args, "checkpoint_dir", None)
-    if not directory:
+    if not args.checkpoint_dir:
         return None
-    return CheckpointConfig(directory=directory,
+    return CheckpointConfig(directory=args.checkpoint_dir,
                             every_rounds=args.checkpoint_every,
                             keep=args.checkpoint_keep)
 
@@ -115,11 +116,10 @@ def _build_slo_engine(args: argparse.Namespace,
     """The SLO engine this run should evaluate, or None.  Enabled by
     ``--slo`` (a ruleset path or 'default'), and implicitly — with the
     default ruleset — by ``--alerts-out``."""
-    source = getattr(args, "slo", None)
-    if source is None and not getattr(args, "alerts_out", None):
+    if args.slo is None and not args.alerts_out:
         return None
     try:
-        rules = parse_rules(source)
+        rules = parse_rules(args.slo)
     except (ValueError, OSError) as exc:
         raise SystemExit(f"bad --slo ruleset: {exc}")
     return SLOEngine(rules, metrics=simulator.metrics)
@@ -136,65 +136,36 @@ def _attach_observers(args: argparse.Namespace, simulator: Simulator,
     slo_engine = _build_slo_engine(args, simulator)
     if slo_engine is not None:
         observers.append(SLOObserver(slo_engine))
-    if getattr(args, "alerts_out", None):
+    if args.alerts_out:
         observers.append(AlertStreamObserver(
             _suffixed(args.alerts_out, suffix), simulator.scheduler.name))
-    if tracer is not None and getattr(args, "events_out", None):
+    if tracer is not None and args.events_out:
         observers.append(EventStreamObserver(
             tracer, _suffixed(args.events_out, suffix),
             metrics=simulator.metrics))
-    if getattr(args, "ledger_out", None):
+    if args.ledger_out:
         observers.append(LedgerStreamObserver(
             _suffixed(args.ledger_out, suffix), simulator.scheduler.name))
-    if getattr(args, "health_events_out", None):
+    if args.health_events_out:
         observers.append(HealthEventStreamObserver(
             _suffixed(args.health_events_out, suffix),
             simulator.scheduler.name))
-    if getattr(args, "prom_out", None):
+    if args.prom_out:
         observers.append(PrometheusSnapshotObserver(
             simulator.metrics, _suffixed(args.prom_out, suffix)))
 
 
-def _simulate(scheduler_name: str, args: argparse.Namespace, trace: Trace,
-              suffix: str = ""):
-    cluster = presets.by_name(args.cluster)
-    scheduler = build_scheduler(scheduler_name, args)
-    jobs = trace.jobs
-    if scheduler_name in forklib.RIGID_SCHEDULERS:
-        jobs = tuned_jobs(jobs, cluster, seed=trace.seed)
+def _simulate(spec: dict, args: argparse.Namespace, suffix: str = "", *,
+              checkpoint: CheckpointConfig | None = None,
+              resume_from: str | None = None):
+    """Run one spec with the observability outputs ``args`` asks for; the
+    result carries the spec as its ``run_spec`` so `repro replay` can fork
+    it."""
     tracer = Tracer() if _wants_tracing(args) else None
-    config = SimulatorConfig(
-        profiling_mode=ProfilingMode(args.profiling_mode),
-        seed=args.seed, max_hours=args.max_hours,
-        node_failure_rate=args.failure_rate,
-        fault_models=build_fault_models(args),
-        resilient=getattr(args, "resilient", False),
-        tracer=tracer,
-        checkpoint=_checkpoint_config(args),
-        invariants=getattr(args, "invariants", "off"),
-        health=HealthConfig() if getattr(args, "health", False) else None)
-    simulator = Simulator(cluster, scheduler, jobs, config)
+    simulator = _build(spec, tracer=tracer, checkpoint=checkpoint)
     _attach_observers(args, simulator, tracer, suffix)
-    result = simulator.run(resume_from=getattr(args, "resume_from", None))
-    # Record the construction recipe so a saved result can be forked by
-    # `repro replay` (jobs are recorded post-tuning, so rigid-scheduler
-    # runs replay without re-tuning).
-    from repro.analysis.replay import build_run_spec
-    result.run_spec = build_run_spec(
-        scheduler=scheduler_name, cluster=args.cluster, jobs=jobs,
-        seed=args.seed, profiling_mode=args.profiling_mode,
-        max_hours=args.max_hours, node_failure_rate=args.failure_rate,
-        resilient=getattr(args, "resilient", False),
-        invariants=getattr(args, "invariants", "off"),
-        health=getattr(args, "health", False),
-        scheduler_options={
-            "round_duration": args.round_duration, "p": args.p,
-            "lam": args.lam, "solver": args.solver,
-            "gavel_policy": args.gavel_policy,
-            "solve_budget": getattr(args, "solve_budget", 5.0),
-        },
-        fault_options={k: v for k, v in _fault_options(args).items()
-                       if v != forklib.FAULT_OPTION_DEFAULTS[k]})
+    result = simulator.run(resume_from=resume_from)
+    result.run_spec = spec
     violations = simulator.invariant_violations
     if violations:
         print(f"invariant violations: {len(violations)} "
@@ -202,19 +173,19 @@ def _simulate(scheduler_name: str, args: argparse.Namespace, trace: Trace,
     _export_observability(result, tracer, args, suffix)
     # The JSONL outputs streamed during the run (flushed per round,
     # finalized atomically at the end); report where the files landed.
-    if tracer is not None and getattr(args, "events_out", None):
+    if tracer is not None and args.events_out:
         print(f"wrote event log to {_suffixed(args.events_out, suffix)} "
               "(streamed per round)")
-    if getattr(args, "ledger_out", None):
+    if args.ledger_out:
         print(f"wrote goodput ledger to "
               f"{_suffixed(args.ledger_out, suffix)} (streamed per round)")
-    if getattr(args, "alerts_out", None):
+    if args.alerts_out:
         print(f"wrote SLO alerts to {_suffixed(args.alerts_out, suffix)} "
               "(streamed per round)")
-    if getattr(args, "prom_out", None):
+    if args.prom_out:
         print(f"wrote Prometheus snapshot to "
               f"{_suffixed(args.prom_out, suffix)}")
-    if getattr(args, "health_events_out", None):
+    if args.health_events_out:
         print(f"wrote health events to "
               f"{_suffixed(args.health_events_out, suffix)} "
               "(streamed per round)")
@@ -236,14 +207,14 @@ def _export_observability(result, tracer: Tracer | None,
     if tracer is None:
         return
     events = list(tracer.events)
-    if getattr(args, "trace_out", None):
+    if args.trace_out:
         path = _suffixed(args.trace_out, suffix)
         write_chrome_trace(tracer.spans, path, events)
         print(f"wrote Chrome trace to {path} "
               "(open at https://ui.perfetto.dev)")
     # --events-out streams during the run (EventStreamObserver); only the
     # Chrome trace and digest are post-run renderings.
-    if getattr(args, "metrics_digest", False):
+    if args.metrics_digest:
         print(run_digest(result))
 
 
@@ -308,7 +279,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     trace = resolve_trace(args)
-    result = _simulate(args.scheduler, args, trace)
+    result = _simulate(_run_spec(args, args.scheduler, trace), args,
+                       checkpoint=_checkpoint_config(args),
+                       resume_from=args.resume_from)
     print(format_table([summarize(result).as_row()],
                        title=f"{args.scheduler} on {trace.name} "
                              f"({args.cluster})"))
@@ -336,9 +309,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.analysis.explain import explain_job
     result = io.load_result(args.result)
     if not result.rounds:
-        raise SystemExit(f"{args.result} has no per-round records "
-                         "(saved with include_rounds=False?); re-run and "
-                         "save with rounds to explain decisions")
+        raise SystemExit(f"{args.result} has no per-round records to "
+                         "explain")
     counterfactual = None
     if args.counterfactual:
         counterfactual = io.load_run_diff(args.counterfactual)
@@ -353,12 +325,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     """Counterfactual replay: fork a recorded run, diff the two futures."""
     from repro.analysis.replay import ReplayOverrides, replay
-    from repro.obs.export import write_run_diff_jsonl
 
     base = io.load_result(args.result)
     if not base.rounds:
-        raise SystemExit(f"{args.result} has no per-round records; re-run "
-                         "and save with rounds to replay")
+        raise SystemExit(f"{args.result} has no per-round records to "
+                         "replay")
     try:
         overrides = ReplayOverrides(
             policy=args.policy, solver_backend=args.solver_backend,
@@ -386,9 +357,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.diff_out:
         io.save_run_diff(diff, args.diff_out)
         print(f"wrote run diff to {args.diff_out}")
-    if args.diff_jsonl:
-        write_run_diff_jsonl(diff, args.diff_jsonl)
-        print(f"wrote run-diff JSONL to {args.diff_jsonl}")
     if args.fork_out:
         io.save_result(outcome.fork, args.fork_out)
         print(f"saved forked result to {args.fork_out}")
@@ -401,58 +369,40 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``chaos --scenario gray`` preset: all three gray-failure fault models and
+#: strict invariants on a short dense run (health and --resilient are
+#: forced on).  Only flags left at their defaults are set, so explicit
+#: overrides win.
+_GRAY_SCENARIO = {
+    "gray_rate": 4.0, "placement_fail_prob": 0.15,
+    "telemetry_corrupt_rate": 0.1, "invariants": "strict",
+    "num_jobs": 8, "work_scale": 0.2, "window_hours": 0.5,
+    "max_hours": 6.0, "kill_round": 12,
+}
+
+
 def _apply_gray_scenario_defaults(args: argparse.Namespace) -> None:
-    """``chaos --scenario gray`` preset: all three gray-failure fault models,
-    health scoring, and strict invariants on a short dense run.  Only flags
-    the user left at their defaults are touched, so explicit overrides win."""
-    if args.gray_rate == 0.0:
-        args.gray_rate = 4.0
-    if args.placement_fail_prob == 0.0:
-        args.placement_fail_prob = 0.15
-    if args.telemetry_corrupt_rate == 0.0:
-        args.telemetry_corrupt_rate = 0.1
+    defaults = build_parser().parse_args(["chaos"])
+    for key, value in _GRAY_SCENARIO.items():
+        if getattr(args, key) == getattr(defaults, key):
+            setattr(args, key, value)
     args.health = True
     args.resilient = True
-    if args.invariants == "off":
-        args.invariants = "strict"
-    if args.num_jobs is None:
-        args.num_jobs = 8
-    if args.work_scale == 1.0:
-        args.work_scale = 0.2
-    if args.window_hours is None:
-        args.window_hours = 0.5
-    if args.max_hours == 1000.0:
-        args.max_hours = 6.0
-    if args.kill_round is None:
-        args.kill_round = 12
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Kill/resume equivalence experiment (see :mod:`repro.sim.chaos`)."""
     import tempfile
 
-    if getattr(args, "scenario", "kill") == "gray":
+    if args.scenario == "gray":
         _apply_gray_scenario_defaults(args)
     trace = resolve_trace(args)
-    cluster = presets.by_name(args.cluster)
-    jobs = trace.jobs
-    if args.scheduler in forklib.RIGID_SCHEDULERS:
-        jobs = tuned_jobs(jobs, cluster, seed=trace.seed)
+    spec = _run_spec(args, args.scheduler, trace)
 
     def factory(ckpt_cfg):
-        # A fresh scheduler per run: the three runs (reference, victim,
+        # A fresh simulator per run: the three runs (reference, victim,
         # survivor) must not share solver/estimator state.
-        scheduler = build_scheduler(args.scheduler, args)
-        config = SimulatorConfig(
-            profiling_mode=ProfilingMode(args.profiling_mode),
-            seed=args.seed, max_hours=args.max_hours,
-            node_failure_rate=args.failure_rate,
-            fault_models=build_fault_models(args),
-            resilient=getattr(args, "resilient", False),
-            checkpoint=ckpt_cfg,
-            invariants=args.invariants,
-            health=HealthConfig() if getattr(args, "health", False) else None)
-        return Simulator(cluster, scheduler, jobs, config)
+        return _build(spec, checkpoint=ckpt_cfg)
 
     directory = args.checkpoint_dir or tempfile.mkdtemp(prefix="repro-chaos-")
     print(f"chaos: scenario={args.scenario} scheduler={args.scheduler} "
@@ -483,7 +433,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for name in names:
         print(f"simulating {name} ...", file=sys.stderr)
-        result = _simulate(name, args, trace, suffix=name)
+        result = _simulate(_run_spec(args, name, trace), args, suffix=name)
         rows.append(summarize(result).as_row())
     print(format_table(rows, title=f"Comparison on {trace.name} "
                                    f"({args.cluster})"))
@@ -504,90 +454,119 @@ def _add_trace_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window-hours", type=float, default=None)
 
 
-def _add_sim_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cluster", default="heterogeneous",
+def _add_recipe_options(parser: argparse.ArgumentParser) -> None:
+    """The knobs a run spec records (``run``, ``compare``, ``chaos``)."""
+    group = parser.add_argument_group(
+        "run recipe", "what is simulated: cluster, scheduler, faults, "
+        "simulator knobs (recorded in the result's run_spec)")
+    faults = forklib.FAULT_OPTION_DEFAULTS
+    sched = forklib.SCHEDULER_OPTION_DEFAULTS
+    group.add_argument("--cluster", default="heterogeneous",
                         choices=sorted(presets.PRESETS))
-    parser.add_argument("--profiling-mode", default="bootstrap",
+    group.add_argument("--profiling-mode",
+                        default=SimulatorConfig.profiling_mode.value,
                         choices=[m.value for m in ProfilingMode])
-    parser.add_argument("--max-hours", type=float, default=1000.0)
-    parser.add_argument("--failure-rate", type=float, default=0.0,
+    group.add_argument("--max-hours", type=float,
+                        default=SimulatorConfig.max_hours)
+    group.add_argument("--failure-rate", type=float,
+                        default=SimulatorConfig.node_failure_rate,
                         help="node failures per node-hour")
-    parser.add_argument("--straggler-rate", type=float, default=0.0,
+    group.add_argument("--straggler-rate", type=float,
+                        default=faults["straggler_rate"],
                         help="straggler onsets per node-hour")
-    parser.add_argument("--straggler-slowdown", type=float, default=0.5,
+    group.add_argument("--straggler-slowdown", type=float,
+                        default=faults["straggler_slowdown"],
                         help="straggling node speed factor in (0, 1]")
-    parser.add_argument("--straggler-duration", type=float, default=1800.0,
+    group.add_argument("--straggler-duration", type=float,
+                        default=faults["straggler_duration"],
                         help="seconds a straggler stays slow")
-    parser.add_argument("--job-crash-rate", type=float, default=0.0,
+    group.add_argument("--job-crash-rate", type=float,
+                        default=faults["job_crash_rate"],
                         help="transient job crashes per job-hour")
-    parser.add_argument("--restore-failure-prob", type=float, default=0.0,
+    group.add_argument("--restore-failure-prob", type=float,
+                        default=faults["restore_failure_prob"],
                         help="probability a restore round fails, in [0, 1)")
-    parser.add_argument("--gray-rate", type=float, default=0.0,
+    group.add_argument("--gray-rate", type=float,
+                        default=faults["gray_rate"],
                         help="gray-failure onsets per node-hour (silent "
                              "slowdowns masked from telemetry)")
-    parser.add_argument("--gray-slowdown", type=float, default=0.35,
+    group.add_argument("--gray-slowdown", type=float,
+                        default=faults["gray_slowdown"],
                         help="gray-failed node speed factor in (0, 1]")
-    parser.add_argument("--gray-duration", type=float, default=7200.0,
+    group.add_argument("--gray-duration", type=float,
+                        default=faults["gray_duration"],
                         help="seconds a gray failure persists")
-    parser.add_argument("--placement-fail-prob", type=float, default=0.0,
+    group.add_argument("--placement-fail-prob", type=float,
+                        default=faults["placement_fail_prob"],
                         help="per-node probability an applied allocation "
                              "fails to start, in [0, 1)")
-    parser.add_argument("--telemetry-corrupt-rate", type=float, default=0.0,
+    group.add_argument("--telemetry-corrupt-rate", type=float,
+                        default=faults["telemetry_corrupt_rate"],
                         help="per-observation corruption probability "
                              "(drop/duplicate/scale/stale), in [0, 1)")
-    parser.add_argument("--health", action="store_true",
+    group.add_argument("--health", action="store_true",
                         help="enable node health scoring with "
                              "probation/quarantine/drain")
-    parser.add_argument("--health-events-out", metavar="PATH",
-                        help="stream node health-state transitions as JSONL "
-                             "here, flushed per round (compare mode appends "
-                             "the scheduler name)")
-    parser.add_argument("--resilient", action="store_true",
+    group.add_argument("--resilient", action="store_true",
                         help="solver fallback chain + carry-forward guard")
-    parser.add_argument("--solve-budget", type=float, default=5.0,
+    group.add_argument("--solve-budget", type=float,
+                        default=sched["solve_budget"],
                         help="per-round solver wall-clock budget, seconds")
-    parser.add_argument("--round-duration", type=float, default=60.0)
-    parser.add_argument("--p", type=float, default=-0.5,
+    group.add_argument("--round-duration", type=float,
+                        default=sched["round_duration"])
+    group.add_argument("--p", type=float, default=sched["p"],
                         help="Sia fairness power")
-    parser.add_argument("--lam", type=float, default=1.1,
+    group.add_argument("--lam", type=float, default=sched["lam"],
                         help="Sia allocation incentive lambda")
-    parser.add_argument("--solver", default="milp",
+    group.add_argument("--solver", default=sched["solver"],
                         choices=list(forklib.SOLVER_BACKENDS))
-    parser.add_argument("--gavel-policy", default="max_sum_throughput",
+    group.add_argument("--gavel-policy", default=sched["gavel_policy"],
                         choices=list(GavelScheduler.POLICIES))
-    parser.add_argument("--out", help="write results/trace JSON here")
-    parser.add_argument("--trace-out", metavar="PATH",
-                        help="write a Chrome/Perfetto trace_event JSON here "
-                             "(compare mode appends the scheduler name)")
-    parser.add_argument("--events-out", metavar="PATH",
-                        help="write a JSONL span/event log here")
-    parser.add_argument("--metrics-digest", action="store_true",
-                        help="print a per-run observability digest "
-                             "(phase breakdown, span stats, metrics)")
-    parser.add_argument("--ledger-out", metavar="PATH",
-                        help="stream the goodput ledger + allocation events "
-                             "as JSONL here, flushed per round (compare "
-                             "mode appends the scheduler name)")
-    parser.add_argument("--slo", metavar="RULES", nargs="?", const="default",
-                        help="evaluate SLO rules live each round: 'default' "
-                             "(or no value) for the stock ruleset, or a "
-                             "JSON/YAML ruleset path")
-    parser.add_argument("--alerts-out", metavar="PATH",
-                        help="stream fired SLO alerts as JSONL here "
-                             "(implies --slo default unless --slo is given)")
-    parser.add_argument("--prom-out", metavar="PATH",
-                        help="rewrite a Prometheus text-exposition snapshot "
-                             "of the live metrics here every round")
-    parser.add_argument("--invariants", default="off",
+    group.add_argument("--invariants", default=SimulatorConfig.invariants,
                         choices=list(INVARIANT_MODES),
                         help="round-level invariant auditing: log records "
                              "violations, strict aborts on the first")
-    parser.add_argument("--checkpoint-dir", metavar="DIR",
+
+
+def _add_output_options(parser: argparse.ArgumentParser) -> None:
+    """Observability outputs (``run``, ``compare``)."""
+    group = parser.add_argument_group(
+        "observability outputs",
+        "compare mode appends the scheduler name to every path")
+    group.add_argument("--trace-out", metavar="PATH",
+                        help="write a Chrome/Perfetto trace_event JSON here")
+    group.add_argument("--events-out", metavar="PATH",
+                        help="write a JSONL span/event log here")
+    group.add_argument("--metrics-digest", action="store_true",
+                        help="print a per-run observability digest "
+                             "(phase breakdown, span stats, metrics)")
+    group.add_argument("--ledger-out", metavar="PATH",
+                        help="stream the goodput ledger + allocation events "
+                             "as JSONL here, flushed per round")
+    group.add_argument("--slo", metavar="RULES", nargs="?", const="default",
+                        help="evaluate SLO rules live each round: 'default' "
+                             "(or no value) for the stock ruleset, or a "
+                             "JSON/YAML ruleset path")
+    group.add_argument("--alerts-out", metavar="PATH",
+                        help="stream fired SLO alerts as JSONL here "
+                             "(implies --slo default unless --slo is given)")
+    group.add_argument("--prom-out", metavar="PATH",
+                        help="rewrite a Prometheus text-exposition snapshot "
+                             "of the live metrics here every round")
+    group.add_argument("--health-events-out", metavar="PATH",
+                        help="stream node health-state transitions as JSONL "
+                             "here, flushed per round")
+
+
+def _add_checkpoint_options(parser: argparse.ArgumentParser) -> None:
+    """Engine checkpoints (``run``, ``chaos``)."""
+    group = parser.add_argument_group("checkpoints")
+    group.add_argument("--checkpoint-dir", metavar="DIR",
                         help="write atomic engine checkpoints here")
-    parser.add_argument("--checkpoint-every", type=int,
+    group.add_argument("--checkpoint-every", type=int,
                         default=CheckpointConfig.every_rounds,
                         metavar="N", help="checkpoint every N rounds")
-    parser.add_argument("--checkpoint-keep", type=int,
+    group.add_argument("--checkpoint-keep", type=int,
                         default=CheckpointConfig.keep,
                         metavar="N",
                         help="checkpoints retained on disk (0 = all)")
@@ -610,7 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate one scheduler on a trace")
     run.add_argument("--scheduler", default="sia")
     _add_trace_options(run)
-    _add_sim_options(run)
+    _add_recipe_options(run)
+    _add_output_options(run)
+    _add_checkpoint_options(run)
+    run.add_argument("--out", help="write the result JSON here")
     run.add_argument("--resume-from", metavar="PATH",
                      help="resume from a checkpoint file or directory "
                           "(newest valid checkpoint; falls back past "
@@ -622,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="kill a checkpointed run and prove the resume is equivalent")
     chaos.add_argument("--scheduler", default="sia")
     _add_trace_options(chaos)
-    _add_sim_options(chaos)
+    _add_recipe_options(chaos)
+    _add_checkpoint_options(chaos)
     chaos.add_argument("--scenario", default="kill",
                        choices=["kill", "gray"],
                        help="'kill' = plain crash/resume; 'gray' = layer in "
@@ -649,7 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="simulate several schedulers on one trace")
     compare.add_argument("--schedulers", default="sia,pollux,gavel")
     _add_trace_options(compare)
-    _add_sim_options(compare)
+    _add_recipe_options(compare)
+    _add_output_options(compare)
     compare.set_defaults(func=cmd_compare)
 
     report = sub.add_parser("report",
@@ -710,8 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the RunDiff JSON here (consumed by "
                              "`explain --counterfactual` and "
                              "`report --diff`)")
-    replay.add_argument("--diff-jsonl", metavar="PATH",
-                        help="write the jq-friendly JSONL rendering here")
     replay.add_argument("--fork-out", metavar="PATH",
                         help="save the forked future as a result JSON")
     replay.set_defaults(func=cmd_replay)

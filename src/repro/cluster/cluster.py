@@ -63,6 +63,13 @@ class Cluster:
     def total_gpus(self) -> int:
         return sum(node.num_gpus for node in self.nodes)
 
+    @property
+    def signature(self) -> tuple:
+        """Structural identity: (type, size) per node, in order.  It keys
+        Sia's configuration-set cache and guards checkpoint resumes (node
+        ids in restored allocations must mean the same nodes)."""
+        return tuple((n.gpu_type, n.num_gpus) for n in self.nodes)
+
     def nodes_of_type(self, gpu_type: str) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.gpu_type == gpu_type)
 

@@ -50,10 +50,6 @@ class Node:
         if self.physical_id is None:
             self.physical_id = self.node_id
 
-    @property
-    def is_power_of_two(self) -> bool:
-        return self.num_gpus & (self.num_gpus - 1) == 0
-
 
 @dataclass
 class NodeGroup:

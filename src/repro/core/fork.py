@@ -7,8 +7,12 @@ future lives here, argparse-free so the CLI and the programmatic API share
 one code path:
 
 * :func:`make_scheduler` / :func:`make_fault_models` — the scheduler and
-  fault-injector factories ``repro.cli`` delegates to, keyed by the same
-  knob names the CLI exposes;
+  fault-injector factories behind
+  :func:`repro.analysis.replay.simulator_from_spec`, keyed by the same knob
+  names the CLI exposes, with the defaults every recipe shares
+  (:data:`SCHEDULER_OPTION_DEFAULTS`, :data:`FAULT_OPTION_DEFAULTS`);
+* :func:`scheduler_jobs` — the TunedJobs rule: which job list a scheduler
+  runs;
 * :func:`parse_cluster_delta` / :func:`apply_cluster_delta` — structured
   capacity edits (``+64xa100``, ``-8xt4``) applied to a base cluster while
   preserving existing node ids, so restored allocations stay meaningful;
@@ -28,11 +32,13 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node, power_of_two_decomposition
 from repro.core import ilp as ilp_backends
 from repro.core.policy import SiaPolicyParams
+from repro.jobs.job import Job
 from repro.schedulers.base import Scheduler
 from repro.sim.faults import (CheckpointRestoreFaultModel, FaultModel,
                               GrayFailureModel, JobCrashModel,
                               PlacementFailureModel, StragglerModel,
                               TelemetryCorruptionModel)
+from repro.workloads.tuning import tuned_jobs
 
 #: schedulers that auto-tune jobs (run the raw adaptive trace).
 ADAPTIVE_SCHEDULERS = ("sia", "pollux")
@@ -44,12 +50,36 @@ RIGID_SCHEDULERS = ("gavel", "shockwave", "themis", "fifo", "srtf")
 #: ``--solver-backend`` choices can never drift from the solver registry.
 SOLVER_BACKENDS = ilp_backends.BACKENDS
 
+#: scheduler knobs with the CLI's defaults (the ``scheduler_options`` of a
+#: run spec); :func:`make_scheduler` takes any subset of these keys.
+SCHEDULER_OPTION_DEFAULTS = {
+    "round_duration": Scheduler.round_duration,
+    "p": SiaPolicyParams.p,
+    "lam": SiaPolicyParams.allocation_incentive,
+    "solver": SiaPolicyParams.solver,
+    "gavel_policy": "max_sum_throughput",
+    "solve_budget": 5.0,
+}
+_SCHED = SCHEDULER_OPTION_DEFAULTS
 
-def make_scheduler(name: str, *, round_duration: float = 60.0,
-                   p: float = -0.5, lam: float = 1.1, solver: str = "milp",
-                   gavel_policy: str = "max_sum_throughput",
+
+def scheduler_jobs(name: str, jobs: list[Job], cluster: Cluster,
+                   seed: int) -> list[Job]:
+    """The job list scheduler ``name`` runs (Section 4.3): the rigid
+    baselines get TunedJobs (a fixed batch size and GPU count per job),
+    the adaptive schedulers the trace as is."""
+    if name in RIGID_SCHEDULERS:
+        return tuned_jobs(jobs, cluster, seed=seed)
+    return jobs
+
+
+def make_scheduler(name: str, *,
+                   round_duration: float = _SCHED["round_duration"],
+                   p: float = _SCHED["p"], lam: float = _SCHED["lam"],
+                   solver: str = _SCHED["solver"],
+                   gavel_policy: str = _SCHED["gavel_policy"],
                    resilient: bool = False,
-                   solve_budget: float = 5.0) -> Scheduler:
+                   solve_budget: float = _SCHED["solve_budget"]) -> Scheduler:
     """Build a scheduler by name with the CLI's knobs and defaults.
 
     ``round_duration`` applies to the round-cadence-configurable schedulers

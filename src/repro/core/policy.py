@@ -77,22 +77,18 @@ class SiaPolicy:
         self.params = params or SiaPolicyParams()
         self._config_cache: dict[tuple, list[Configuration]] = {}
 
-    @staticmethod
-    def _cluster_signature(cluster: Cluster) -> tuple:
-        """A cheap structural key for the configuration-set cache.
-
-        Covers everything :func:`build_config_set` reads — GPU-type
-        appearance order and each node's (type, size) — so two distinct
-        ``Cluster`` objects with identical structure share cached
-        configurations, and a *mutated-in-place* or rebuilt cluster never
-        reuses a stale set (``id()`` keying guaranteed neither).
-        """
-        return tuple((n.gpu_type, n.num_gpus) for n in cluster.nodes)
-
     def configurations(self, cluster: Cluster,
                        max_gpus: int | None = None) -> list[Configuration]:
-        """The valid configuration set, cached per cluster structure."""
-        key = (self._cluster_signature(cluster), max_gpus)
+        """The valid configuration set, cached per cluster structure.
+
+        The key, :attr:`Cluster.signature`, covers everything
+        :func:`build_config_set` reads — GPU-type appearance order and each
+        node's (type, size) — so two distinct ``Cluster`` objects with
+        identical structure share cached configurations, and a rebuilt
+        cluster never reuses a stale set (``id()`` keying guaranteed
+        neither).
+        """
+        key = (cluster.signature, max_gpus)
         cached = self._config_cache.get(key)
         if cached is not None:
             return cached

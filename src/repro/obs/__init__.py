@@ -35,8 +35,7 @@ from repro.obs.diff import (AllocDelta, DivergencePoint, MetricDelta,
                             compare_runs, fault_recovery_seconds)
 from repro.obs.export import (alert_digest, chrome_trace, read_events_jsonl,
                               run_diff_markdown, run_digest, span_digest,
-                              validate_chrome_trace, write_chrome_trace,
-                              write_run_diff_jsonl)
+                              validate_chrome_trace, write_chrome_trace)
 from repro.obs.ledger import (GoodputLedger, LedgerEntry, queue_wait_by_job,
                               round_entries)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
@@ -50,7 +49,7 @@ from repro.obs.stream import (AlertStreamObserver, EventStreamObserver,
                               parse_prometheus_text, prometheus_text)
 from repro.obs.tracer import (NULL_TRACER, PLAN_PHASES, ROUND_PHASES,
                               NullTracer, SpanRecord, SpanStats, Tracer)
-from repro.obs.window import EMA, RollingRate, RollingWindow
+from repro.obs.window import RollingRate, RollingWindow
 
 __all__ = [
     "Tracer", "NullTracer", "NULL_TRACER", "PLAN_PHASES", "ROUND_PHASES",
@@ -64,9 +63,9 @@ __all__ = [
     "events_for_job", "migration_flows",
     "AllocDelta", "DivergencePoint", "MetricDelta", "RoundDelta", "RunDiff",
     "aligned_ledger_deltas", "compare_runs", "fault_recovery_seconds",
-    "run_diff_markdown", "write_run_diff_jsonl",
+    "run_diff_markdown",
     "interpolated_quantile", "round_entries",
-    "RollingWindow", "EMA", "RollingRate",
+    "RollingWindow", "RollingRate",
     "Alert", "SLORule", "SLOEngine", "default_rules", "parse_rules",
     "evaluate_result", "alert_summary",
     "RoundObserver", "JsonlStreamWriter", "EventStreamObserver",

@@ -118,32 +118,6 @@ def read_events_jsonl(path: str | Path,
 
 # -- counterfactual run diffs --------------------------------------------------
 
-def write_run_diff_jsonl(diff: Any, path: str | Path) -> None:
-    """One JSON object per line for a :class:`~repro.obs.diff.RunDiff`:
-    a header (fork round, overrides, schedulers, identity verdict), one
-    ``round_delta`` line per differing round, one ``metric`` line per
-    outcome delta, and one ``job_delta`` line per job — the ``jq``-friendly
-    sibling of the exact ``diff.json`` written by
-    :func:`repro.io.save_run_diff`."""
-    lines = [json.dumps({
-        "kind": "run_diff", "fork_round": diff.fork_round,
-        "overrides": dict(diff.overrides),
-        "base_scheduler": diff.base_scheduler,
-        "fork_scheduler": diff.fork_scheduler,
-        "base_rounds": diff.base_rounds, "fork_rounds": diff.fork_rounds,
-        "identical": diff.identical,
-        "divergence": diff.divergence.to_dict() if diff.divergence else None,
-    })]
-    for rnd in diff.round_deltas:
-        lines.append(json.dumps({"kind": "round_delta", **rnd.to_dict()}))
-    for metric in diff.metrics:
-        lines.append(json.dumps({"kind": "metric", **metric.to_dict()}))
-    for job_id, vals in diff.job_deltas.items():
-        lines.append(json.dumps({"kind": "job_delta", "job_id": job_id,
-                                 **vals}))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def run_diff_markdown(diff: Any) -> str:
     """Render a :class:`~repro.obs.diff.RunDiff` as a markdown section —
     shared by the report's decision-diff section and standalone export."""
@@ -232,9 +206,8 @@ def alert_digest(result: Any) -> str:
 def run_digest(result: Any) -> str:
     """Observability digest for one :class:`SimulationResult`-like object
     (anything with ``spans``, ``final_metrics``, ``rounds``).  Degenerate
-    inputs — no rounds (saved with ``include_rounds=False``), no spans, or
-    no metrics snapshot — each get an explicit line instead of a silently
-    missing section."""
+    inputs — no rounds, no spans, or no metrics snapshot — each get an
+    explicit line instead of a silently missing section."""
     sections = [f"== observability digest: {result.scheduler_name} =="]
     rounds = result.rounds
     if rounds:
@@ -245,8 +218,7 @@ def run_digest(result: Any) -> str:
             sections.append(f"phase breakdown: {parts} "
                             f"(recorded solve_time total: {total_solve:.4f}s)")
     else:
-        sections.append("(no per-round records; the result was saved "
-                        "without rounds)")
+        sections.append("(no per-round records)")
     if result.spans:
         sections.append(span_digest(result.spans))
     else:

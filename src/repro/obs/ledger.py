@@ -17,8 +17,9 @@ decision timeline from a saved run.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 
 @dataclass(frozen=True)
@@ -183,13 +184,13 @@ class GoodputLedger:
         windows: list[list[float]] = [[] for _ in range(num_windows)]
         for age, error in indexed:
             windows[min(int(age / span), num_windows - 1)].append(error)
-        return [_median(w) for w in windows if w]
+        return [statistics.median(w) for w in windows if w]
 
     def median_error(self) -> float | None:
         """Pooled median relative estimation error over the whole run."""
         errors = [e.relative_error for e in self.entries
                   if e.relative_error is not None]
-        return _median(errors) if errors else None
+        return statistics.median(errors) if errors else None
 
     def gpu_type_rounds(self) -> dict[str, int]:
         """Rounds of service per GPU type (allocation-log marginal)."""
@@ -197,16 +198,6 @@ class GoodputLedger:
         for entry in self.entries:
             counts[entry.gpu_type] = counts.get(entry.gpu_type, 0) + 1
         return counts
-
-
-def _median(values: Iterable[float]) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("median of empty sequence")
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def queue_wait_by_job(result: Any) -> dict[str, float]:

@@ -34,6 +34,8 @@ rules over ``round_latency_*`` are legitimately host-timing-dependent).
 from __future__ import annotations
 
 import json
+import statistics
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -279,13 +281,7 @@ def _round_error_median(record: Any) -> float:
         if estimate is None or realized is None or realized <= 0:
             continue
         errors.append(abs(estimate - realized) / realized)
-    if not errors:
-        return float("nan")
-    errors.sort()
-    mid = len(errors) // 2
-    if len(errors) % 2:
-        return errors[mid]
-    return (errors[mid - 1] + errors[mid]) / 2.0
+    return statistics.median(errors) if errors else float("nan")
 
 
 class SLOEngine:
@@ -307,7 +303,7 @@ class SLOEngine:
         self._queue = _QueueWaitTracker()
         max_window = max((r.window for r in self.rules), default=1)
         #: bounded history for causality extraction (never the full run).
-        self._recent: deque_like = _BoundedRecords(max_window)
+        self._recent: deque = deque(maxlen=max_window)
         self._series: dict[str, RollingWindow] = {}
         self._fallback_rate = RollingRate(max(
             (r.window for r in self.rules
@@ -370,7 +366,7 @@ class SLOEngine:
         self.rounds_evaluated += 1
         self._queue.observe(record, dt)
         self._fallback_rate.push(bool(record.degraded))
-        self._recent.push(record)
+        self._recent.append(record)
         fired: list[Alert] = []
         for rule in self.rules:
             value = self._series_value(rule, record)
@@ -406,11 +402,10 @@ class SLOEngine:
         already carry: audit/ledger (jobs), faults + health (nodes), and
         the solver-backend history."""
         context: dict[str, Any] = {}
-        recent = self._recent.records
         faults: dict[str, int] = {}
         nodes: list[int] = []
         backends: dict[str, int] = {}
-        for rnd in recent:
+        for rnd in self._recent:
             backends[rnd.backend] = backends.get(rnd.backend, 0) + 1
             for event in rnd.fault_events:
                 faults[event.kind] = faults.get(event.kind, 0) + 1
@@ -442,24 +437,6 @@ class SLOEngine:
                 or record.degraded:
             context["backends"] = backends
         return context
-
-
-class _BoundedRecords:
-    """Tiny bounded FIFO of round records (causality lookback)."""
-
-    __slots__ = ("size", "records")
-
-    def __init__(self, size: int):
-        self.size = max(1, size)
-        self.records: list[Any] = []
-
-    def push(self, record: Any) -> None:
-        self.records.append(record)
-        if len(self.records) > self.size:
-            del self.records[0]
-
-
-deque_like = _BoundedRecords  # typing alias for the engine attribute
 
 
 def _violates(value: float, rule: SLORule) -> bool:

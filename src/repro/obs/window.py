@@ -11,7 +11,6 @@ Every aggregator here does bounded work per update:
   mirror maintained incrementally with :mod:`bisect` (O(log n) search,
   O(n) memmove on a small ``n``; nothing ever walks the full series), with
   running sum/quantiles/extrema over exactly the window.
-* :class:`EMA` — exponential moving average, O(1).
 * :class:`RollingRate` — fraction of true indicators in the last N rounds,
   O(1) via a running count.
 
@@ -91,31 +90,6 @@ class RollingWindow:
     def values(self) -> list[float]:
         """Window contents in arrival order (oldest first)."""
         return list(self._ring)
-
-
-class EMA:
-    """Exponential moving average: ``v <- alpha * x + (1 - alpha) * v``."""
-
-    __slots__ = ("alpha", "value", "count", "nan_count")
-
-    def __init__(self, alpha: float = 0.2):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.value: float | None = None
-        self.count = 0
-        self.nan_count = 0
-
-    def push(self, value: float) -> None:
-        value = float(value)
-        if not math.isfinite(value):
-            self.nan_count += 1
-            return
-        if self.value is None:
-            self.value = value
-        else:
-            self.value = self.alpha * value + (1.0 - self.alpha) * self.value
-        self.count += 1
 
 
 class RollingRate:

@@ -63,10 +63,6 @@ class EfficiencyModel:
         return (p.grad_noise_scale + p.init_batch_size) / (
             p.grad_noise_scale + totals)
 
-    def efficiency_is_constant(self) -> bool:
-        """Whether efficiency is (effectively) batch-size independent."""
-        return False
-
     def update_noise_scale(self, observed: float, *, smoothing: float = 0.7) -> None:
         """Online refinement: exponentially smooth a new gradient-noise-scale
         measurement into the model (Adaptive Executors report these every
@@ -101,9 +97,6 @@ class ConstantEfficiency(EfficiencyModel):
         if totals.size and totals.min() <= 0:
             raise ValueError("total_batch_size must be positive")
         return np.ones_like(totals)
-
-    def efficiency_is_constant(self) -> bool:
-        return True
 
     def update_noise_scale(self, observed: float, *, smoothing: float = 0.7) -> None:
         """Inference workloads carry no gradient statistics; ignore."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from repro.cluster.gpu import GPU_CATALOG, gpu_spec
+from repro.cluster.gpu import gpu_spec
 from repro.perf.efficiency import EfficiencyModel, EfficiencyParams
 from repro.perf.goodput import GoodputModel
 from repro.perf.throughput import GAMMA, ThroughputModel, ThroughputParams
@@ -202,7 +202,3 @@ def target_effective_samples(model_name: str) -> float:
     """Total effective samples a job of this model must process to finish."""
     profile = model_profile(model_name)
     return profile.target_t4_hours * 3600.0 * reference_goodput(model_name)
-
-
-def all_gpu_types() -> tuple[str, ...]:
-    return tuple(GPU_CATALOG)

@@ -238,15 +238,21 @@ def list_checkpoints(directory: str | Path) -> list[Path]:
     return [path for _, path in sorted(found)]
 
 
-def latest_valid_checkpoint(directory: str | Path,
+def latest_valid_checkpoint(directory: str | Path, *,
+                            max_round: int | None = None,
                             ) -> tuple[CheckpointState, Path, list[Path]]:
     """Newest checkpoint that verifies, falling back past corrupted ones.
 
-    Returns ``(state, path, skipped)`` where ``skipped`` lists newer files
-    that failed verification.  Raises :class:`CheckpointError` when the
-    directory holds no checkpoint that loads.
+    ``max_round`` caps the walk at checkpoints taken after at most that
+    many rounds (by file name, so newer files are never read).  Returns
+    ``(state, path, skipped)`` where ``skipped`` lists newer files that
+    failed verification.  Raises :class:`CheckpointError` when no
+    checkpoint in range loads.
     """
     candidates = list_checkpoints(directory)
+    if max_round is not None:
+        candidates = [path for path in candidates if int(
+            _CKPT_NAME.match(path.name).group(1)) <= max_round]
     if not candidates:
         raise CheckpointError(f"no checkpoints found in {directory}")
     skipped: list[Path] = []
@@ -270,10 +276,3 @@ def prune_checkpoints(directory: str | Path, keep: int) -> list[Path]:
     for path in doomed:
         path.unlink(missing_ok=True)
     return doomed
-
-
-def cluster_signature(cluster: Any) -> tuple:
-    """Structural identity of a cluster: (type, size) per node, in order.
-    A resume onto a structurally different cluster is refused — node ids
-    inside restored allocations and fault windows would be meaningless."""
-    return tuple((n.gpu_type, n.num_gpus) for n in cluster.nodes)

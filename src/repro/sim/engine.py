@@ -76,8 +76,6 @@ class SimulatorConfig:
     #: worker-failure injection: expected failures per node-hour (0 = off).
     #: Shorthand for appending a NodeCrashModel to ``fault_models``.
     node_failure_rate: float = 0.0
-    #: seconds a failed node stays down before rejoining.
-    node_repair_time: float = 1800.0
     #: epoch-checkpoint granularity: jobs checkpoint progress every
     #: 1/epochs_per_job of their work (Section 3.5: "after every epoch, Sia
     #: checkpoints model weights and optimizer states to disk").
@@ -158,6 +156,15 @@ class _JobRuntime:
         amount = self.allocation.num_gpus * seconds
         self.gpu_seconds[gpu_type] = self.gpu_seconds.get(gpu_type, 0.0) + amount
 
+    def evict(self) -> None:
+        """Take the job's GPUs away after a fault, a drain or a removed
+        node: it restarts from its checkpoint, and its next grant counts
+        as a fault restart."""
+        self.allocation = None
+        self.restart_remaining = 0.0
+        self.num_restarts += 1
+        self.lost_to_fault = True
+
 
 def _audit_alloc(allocation: Allocation | None,
                  ) -> tuple[str, int, tuple[int, ...]] | None:
@@ -198,7 +205,6 @@ class Simulator:
         if self.config.node_failure_rate > 0:
             self._fault_models.append(NodeCrashModel(
                 rate=self.config.node_failure_rate,
-                repair_time=self.config.node_repair_time,
                 seed=self.config.seed + 1))
         for idx, model in enumerate(self.config.fault_models):
             seed = model.seed if model.seed is not None \
@@ -467,7 +473,7 @@ class Simulator:
             health=self._health,
             total_failures=self.total_failures,
             caught_scheduler_failures=self.caught_scheduler_failures,
-            cluster_signature=ckpt.cluster_signature(self.cluster),
+            cluster_signature=self.cluster.signature,
             seed=self.config.seed,
             scheduler_name=self.scheduler.name,
         )
@@ -488,7 +494,7 @@ class Simulator:
                         .inc(len(skipped))
             else:
                 state = ckpt.read_checkpoint(path)
-        ours = ckpt.cluster_signature(self.cluster)
+        ours = self.cluster.signature
         if state.cluster_signature and state.cluster_signature != ours:
             raise CheckpointError(
                 "checkpoint was taken on a structurally different cluster "
@@ -786,13 +792,9 @@ class Simulator:
     def _evict(self, job_id: str, rt: _JobRuntime,
                held: dict[str, Allocation | None],
                fault_hit: set[str]) -> None:
-        """Take a job's GPUs away after a fault or a drain: it restarts from
-        its checkpoint and its next grant counts as a fault restart."""
+        """Evict a job after a fault or a drain, noting what it held."""
         held.setdefault(job_id, rt.allocation)
-        rt.allocation = None
-        rt.restart_remaining = 0.0
-        rt.num_restarts += 1
-        rt.lost_to_fault = True
+        rt.evict()
         fault_hit.add(job_id)
 
     # -- helpers ---------------------------------------------------------------

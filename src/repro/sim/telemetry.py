@@ -6,6 +6,7 @@ the benchmark harness is computed from.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
 
 from repro.obs.audit import AllocationEvent
@@ -139,15 +140,6 @@ class SimulationResult:
     spans: list[SpanRecord] = field(default_factory=list, repr=False)
     #: final metrics snapshot at the end of the run.
     final_metrics: dict[str, float] = field(default_factory=dict)
-    #: fault/backend/alert summaries restored by repro.io when the
-    #: per-round records were not serialized (None while rounds are
-    #: authoritative).
-    saved_fault_counts: dict[str, int] | None = field(default=None,
-                                                      repr=False)
-    saved_backend_counts: dict[str, int] | None = field(default=None,
-                                                        repr=False)
-    saved_alert_counts: dict[str, int] | None = field(default=None,
-                                                      repr=False)
     #: construction recipe of this run (scheduler/cluster/config/job list),
     #: recorded by the CLI and serialized by repro.io so the counterfactual
     #: replay engine can rebuild the simulator and fork it at any round.
@@ -202,13 +194,8 @@ class SimulationResult:
         return [event for rnd in self.rounds for event in rnd.events]
 
     def median_solve_time(self) -> float:
-        times = sorted(r.solve_time for r in self.rounds if r.active_jobs > 0)
-        if not times:
-            return 0.0
-        mid = len(times) // 2
-        if len(times) % 2:
-            return times[mid]
-        return (times[mid - 1] + times[mid]) / 2.0
+        times = [r.solve_time for r in self.rounds if r.active_jobs > 0]
+        return statistics.median(times) if times else 0.0
 
     # -- observability ---------------------------------------------------------
 
@@ -240,14 +227,8 @@ class SimulationResult:
     def total_fault_events(self) -> int:
         return sum(len(r.fault_events) for r in self.rounds)
 
-    def _summary_counts(self, saved: dict[str, int] | None,
-                        keys_of_round) -> dict[str, int]:
-        """Single code path for both round summaries: rounds are the source
-        of truth whenever present; otherwise the summary persisted by
-        :mod:`repro.io` (``save_result(include_rounds=False)``) is used;
-        otherwise the summary is empty."""
-        if not self.rounds:
-            return dict(saved) if saved is not None else {}
+    def _summary_counts(self, keys_of_round) -> dict[str, int]:
+        """Occurrences of each key over the per-round records."""
         counts: dict[str, int] = {}
         for rnd in self.rounds:
             for key in keys_of_round(rnd):
@@ -257,13 +238,11 @@ class SimulationResult:
     def fault_counts(self) -> dict[str, int]:
         """Injected faults by kind, over the whole run."""
         return self._summary_counts(
-            self.saved_fault_counts,
             lambda rnd: (event.kind for event in rnd.fault_events))
 
     def backend_counts(self) -> dict[str, int]:
         """Rounds by reported plan backend ('' = backend not reported)."""
-        return self._summary_counts(self.saved_backend_counts,
-                                    lambda rnd: (rnd.backend,))
+        return self._summary_counts(lambda rnd: (rnd.backend,))
 
     def fault_timeline(self) -> list[FaultEvent]:
         """Every injected fault in simulation-time order."""
@@ -288,7 +267,6 @@ class SimulationResult:
     def alert_counts(self) -> dict[str, int]:
         """Fired SLO alerts by rule name, over the whole run."""
         return self._summary_counts(
-            self.saved_alert_counts,
             lambda rnd: (alert.rule for alert in rnd.alerts))
 
     def health_counts(self) -> dict[str, int]:

@@ -2,11 +2,13 @@
 
 Every policy runs on three small seeded setups on the 64-GPU heterogeneous
 preset: a plain Helios run, a fault-heavy ``resilient=True`` run, and a
-gray-failure run with the health layer on.  For each round the fixture
-stores one SHA-256 over the tuple ``benchmarks/e2e/child.py`` hashes for
-its decision digest (round time, sorted allocations, backend, fault
-events), plus the run's end metrics.  ``tests/test_golden.py`` reruns
-every case against it.
+gray-failure run with the health layer on.  Each case is built the way the
+CLI builds a run — a run spec from ``build_run_spec``, the simulator from
+``simulator_from_spec`` — so the fixture pins that builder too.  For each
+round the fixture stores one SHA-256 over the tuple
+``benchmarks/e2e/child.py`` hashes for its decision digest (round time,
+sorted allocations, backend, fault events), plus the run's end metrics.
+``tests/test_golden.py`` reruns every case against it.
 
 A change that is meant to move decisions regenerates the fixture from the
 repository root and commits the diff with it::
@@ -21,11 +23,11 @@ import json
 import statistics
 from pathlib import Path
 
+from repro.analysis.replay import build_run_spec, simulator_from_spec
 from repro.cluster import presets
-from repro.core.fork import RIGID_SCHEDULERS, make_fault_models, make_scheduler
-from repro.core.health import HealthConfig
-from repro.sim import Simulator, SimulatorConfig
-from repro.workloads import helios_trace, tuned_jobs
+from repro.core.fork import scheduler_jobs
+from repro.sim import Simulator
+from repro.workloads import helios_trace
 
 FIXTURE = Path(__file__).with_name("decisions.json")
 
@@ -47,20 +49,16 @@ FAULTS = {
 
 def build(setup: str, policy: str) -> Simulator:
     """The simulator for one (setup, policy) case."""
-    cluster = presets.heterogeneous()
     trace = helios_trace(seed=3, num_jobs=8, window_hours=1.0,
                          work_scale_factor=0.1)
-    jobs = trace.jobs
-    if policy in RIGID_SCHEDULERS:
-        jobs = tuned_jobs(jobs, cluster, seed=trace.seed)
-    resilient = setup != "helios64"
-    config = SimulatorConfig(
-        seed=1, max_hours=4.0, resilient=resilient,
+    jobs = scheduler_jobs(policy, trace.jobs, presets.heterogeneous(),
+                          trace.seed)
+    spec = build_run_spec(
+        scheduler=policy, cluster="heterogeneous", jobs=jobs, seed=1,
+        max_hours=4.0, resilient=setup != "helios64",
         node_failure_rate=0.05 if setup == "faults" else 0.0,
-        fault_models=make_fault_models(FAULTS[setup]),
-        health=HealthConfig() if setup == "gray" else None)
-    return Simulator(cluster, make_scheduler(policy, resilient=resilient),
-                     jobs, config)
+        health=setup == "gray", fault_options=FAULTS[setup])
+    return simulator_from_spec(spec)
 
 
 def round_digest(rnd) -> str:

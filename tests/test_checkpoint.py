@@ -169,6 +169,18 @@ class TestCheckpointFile:
         assert path.name == "ckpt-00000004.ckpt"
         assert [p.name for p in skipped] == ["ckpt-00000006.ckpt"]
 
+    def test_latest_valid_capped_by_round(self, tmp_path):
+        for i in (2, 4, 6):
+            ckpt.write_checkpoint(self._state(round_index=i),
+                                  ckpt.checkpoint_path(tmp_path, i))
+        ckpt.checkpoint_path(tmp_path, 4).write_bytes(b"garbage")
+        state, path, skipped = ckpt.latest_valid_checkpoint(tmp_path,
+                                                            max_round=5)
+        assert state.round_index == 2
+        assert [p.name for p in skipped] == ["ckpt-00000004.ckpt"]
+        with pytest.raises(CheckpointError):
+            ckpt.latest_valid_checkpoint(tmp_path, max_round=1)
+
     def test_latest_valid_empty_dir(self, tmp_path):
         with pytest.raises(CheckpointError):
             ckpt.latest_valid_checkpoint(tmp_path)

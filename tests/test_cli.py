@@ -152,3 +152,34 @@ class TestCompare:
         out = capsys.readouterr().out
         for name in ("sia", "gavel", "fifo"):
             assert name in out
+
+
+class TestFlagGroups:
+    """Each subcommand takes only the flag groups it acts on."""
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--ledger-out", "ledger.jsonl"],
+        ["chaos", "--out", "run.json"],
+        ["compare", "--checkpoint-dir", "ckpts"],
+        ["compare", "--out", "run.json"],
+    ])
+    def test_flags_a_subcommand_would_ignore_are_rejected(self, argv,
+                                                           capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_run_records_its_recipe(self, tmp_path, capsys):
+        out = tmp_path / "run.json"
+        assert main(["run", "--scheduler", "gavel", "--trace-name", "philly",
+                     "--num-jobs", "3", "--work-scale", "0.05",
+                     "--job-crash-rate", "1.5", "--solve-budget", "2",
+                     "--out", str(out)]) == 0
+        spec = io.load_result(out).run_spec
+        assert spec["scheduler"] == "gavel"
+        assert spec["fault_options"] == {"job_crash_rate": 1.5}
+        assert spec["scheduler_options"]["solve_budget"] == 2.0
+        # rigid baselines record their TunedJobs, not the raw trace
+        assert all(job["fixed_num_gpus"] for job in spec["jobs"])
+

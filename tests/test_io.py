@@ -85,11 +85,18 @@ class TestResultRoundtrip:
         assert loaded.rounds[0].allocations == result.rounds[0].allocations
 
     def test_rounds_optional(self, result, tmp_path):
+        """Older builds could save a result without its rounds, next to
+        fault/backend/alert summaries; such files still load."""
         path = tmp_path / "slim.json"
-        io.save_result(result, path, include_rounds=False)
+        io.save_result(result, path)
+        payload = json.loads(path.read_text())
+        payload.update(rounds=[], fault_counts={"job_crash": 1},
+                       backend_counts={"milp": 3}, alert_counts={"x": 1})
+        path.write_text(json.dumps(payload))
         loaded = io.load_result(path)
         assert loaded.rounds == []
         assert len(loaded.jobs) == len(result.jobs)
+        assert loaded.fault_counts() == {}
 
 
 class TestAlertsRoundtrip:
@@ -114,13 +121,6 @@ class TestAlertsRoundtrip:
         io.save_result(alerted, path)
         loaded = io.load_result(path)
         assert loaded.alerts_timeline() == alerted.alerts_timeline()
-        assert loaded.alert_counts() == alerted.alert_counts()
-
-    def test_alert_counts_survive_without_rounds(self, alerted, tmp_path):
-        path = tmp_path / "slim.json"
-        io.save_result(alerted, path, include_rounds=False)
-        loaded = io.load_result(path)
-        assert loaded.rounds == []
         assert loaded.alert_counts() == alerted.alert_counts()
 
     def test_unalerted_result_json_has_no_alert_keys(self, tmp_path):

@@ -19,6 +19,7 @@ from repro.obs.stream import LedgerStreamObserver
 from repro.schedulers import (FIFOScheduler, GavelScheduler, PolluxScheduler,
                               SiaScheduler)
 from repro.sim.engine import simulate
+from repro.sim.telemetry import SimulationResult
 from repro.workloads.tuning import tuned_jobs
 
 
@@ -312,31 +313,10 @@ class TestLedgerIO:
         assert sparse.relative_error is None
 
 
-# -- summary-count symmetry (fault/backend single code path) --------------------
+# -- summary counts (derived from the per-round records) --------------------
 
 class TestSummaryCounts:
-    def test_counts_match_with_and_without_rounds(self, tmp_path):
-        from repro.cluster.cluster import Cluster
-        from repro.cluster.node import NodeGroup
-        from repro.sim.faults import JobCrashModel
-        cluster = Cluster.from_groups(
-            [NodeGroup("a100", num_nodes=2, gpus_per_node=4)])
-        result = simulate(cluster, SiaScheduler(),
-                          [tiny_job(f"j{i}", scale=0.3) for i in range(2)],
-                          seed=0, fault_models=[JobCrashModel(rate=6.0)],
-                          max_hours=100)
-        assert result.fault_counts()  # the run actually faulted
-        for include_rounds in (True, False):
-            path = tmp_path / f"r{include_rounds}.json"
-            io.save_result(result, path, include_rounds=include_rounds)
-            loaded = io.load_result(path)
-            assert loaded.fault_counts() == result.fault_counts(), \
-                f"include_rounds={include_rounds}"
-            assert loaded.backend_counts() == result.backend_counts(), \
-                f"include_rounds={include_rounds}"
-
     def test_counts_empty_without_rounds_or_saved(self):
-        from repro.sim.telemetry import SimulationResult
         result = SimulationResult(scheduler_name="x",
                                   cluster_description="c", end_time=0.0)
         assert result.fault_counts() == {}
@@ -377,10 +357,11 @@ class TestExplain:
         report = build_report([sia_result])
         assert "Decision digest" in report
 
-    def test_digest_empty_without_rounds(self, sia_result, tmp_path):
-        path = tmp_path / "bare.json"
-        io.save_result(sia_result, path, include_rounds=False)
-        assert decision_digest_section(io.load_result(path)) == ""
+    def test_digest_empty_without_rounds(self, sia_result):
+        bare = SimulationResult(scheduler_name=sia_result.scheduler_name,
+                                cluster_description="c",
+                                jobs=list(sia_result.jobs))
+        assert decision_digest_section(bare) == ""
 
 
 class TestLedgerIndex:

@@ -449,14 +449,6 @@ class TestIoObservability:
         assert loaded.rounds[-1].metrics == result.rounds[-1].metrics
         assert loaded.final_metrics == result.final_metrics
 
-    def test_counts_survive_without_rounds(self, hetero_cluster, tmp_path):
-        result = simulate(hetero_cluster, SiaScheduler(), [tiny_job()])
-        path = tmp_path / "result.json"
-        io.save_result(result, path, include_rounds=False)
-        loaded = io.load_result(path)
-        assert loaded.rounds == []
-        assert loaded.fault_counts() == result.fault_counts()
-        assert loaded.backend_counts() == result.backend_counts()
 
 
 # -- digest -------------------------------------------------------------------
@@ -482,11 +474,10 @@ class TestRunDigest:
         assert "tracing disabled" in text
         assert "no metrics snapshot" in text
 
-    def test_digest_rounds_without_metrics(self, hetero_cluster, tmp_path):
+    def test_digest_rounds_without_metrics(self, hetero_cluster):
         result = simulate(hetero_cluster, SiaScheduler(), [tiny_job()])
-        path = tmp_path / "slim.json"
-        io.save_result(result, path, include_rounds=False)
-        text = run_digest(io.load_result(path))
+        result.rounds.clear()
+        text = run_digest(result)
         assert "no per-round records" in text
         assert "rounds_planned" in text  # final metrics still survive
 

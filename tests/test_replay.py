@@ -1,7 +1,5 @@
 """Counterfactual replay: fork semantics, identity oracle, RunDiff artifacts."""
 
-import json
-
 import pytest
 
 from repro import io
@@ -14,7 +12,7 @@ from repro.core import fork as forklib
 from repro.obs.diff import (AllocDelta, DivergencePoint, MetricDelta,
                             RoundDelta, RunDiff, aligned_ledger_deltas,
                             compare_runs, fault_recovery_seconds)
-from repro.obs.export import run_diff_markdown, write_run_diff_jsonl
+from repro.obs.export import run_diff_markdown
 from repro.obs.ledger import GoodputLedger
 from repro.sim.chaos import diff_results
 from repro.sim.checkpoint import CheckpointConfig
@@ -213,16 +211,6 @@ class TestRunDiffArtifact:
         loaded = io.load_run_diff(path)
         assert loaded == diff
         assert loaded.to_dict() == diff.to_dict()
-
-    def test_jsonl_export(self, diff, tmp_path):
-        path = tmp_path / "diff.jsonl"
-        write_run_diff_jsonl(diff, path)
-        lines = [json.loads(line)
-                 for line in path.read_text().splitlines()]
-        assert lines[0]["kind"] == "run_diff"
-        assert lines[0]["fork_round"] == 4
-        kinds = {line["kind"] for line in lines}
-        assert {"round_delta", "metric", "job_delta"} <= kinds
 
     def test_markdown_rendering(self, diff):
         text = run_diff_markdown(diff)

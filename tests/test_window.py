@@ -2,8 +2,8 @@
 
 The correctness bar is the offline reference: at every step of a seeded
 series, a RollingWindow's quantiles/extrema/sum must equal a from-scratch
-recompute (numpy over the same trailing slice), and an EMA must equal the
-closed-form fold.  Window-boundary and NaN edges get explicit cases.
+recompute (numpy over the same trailing slice).  Window-boundary and NaN
+edges get explicit cases.
 """
 
 import random
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import interpolated_quantile
-from repro.obs.window import EMA, RollingRate, RollingWindow
+from repro.obs.window import RollingRate, RollingWindow
 
 
 def seeded_series(n=400, seed=7):
@@ -121,40 +121,6 @@ class TestNaNDefense:
         assert window.nan_count == 1
         assert len(window) == 2
         assert window.quantile(1.0) == 2.0  # never poisoned by the NaN
-
-    def test_ema_skips_non_finite(self):
-        ema = EMA(alpha=0.5)
-        ema.push(4.0)
-        ema.push(float("nan"))
-        ema.push(8.0)
-        assert ema.nan_count == 1
-        assert ema.count == 2
-        assert ema.value == pytest.approx(6.0)
-
-
-class TestEMA:
-    def test_first_sample_seeds_the_average(self):
-        ema = EMA(alpha=0.1)
-        assert ema.value is None
-        ema.push(3.0)
-        assert ema.value == 3.0
-
-    def test_matches_closed_form_fold(self):
-        alpha = 0.3
-        ema = EMA(alpha=alpha)
-        series = seeded_series(50, seed=5)
-        expected = series[0]
-        ema.push(series[0])
-        for v in series[1:]:
-            ema.push(v)
-            expected = alpha * v + (1 - alpha) * expected
-            assert ema.value == pytest.approx(expected, rel=1e-12)
-
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            EMA(alpha=0.0)
-        with pytest.raises(ValueError):
-            EMA(alpha=1.5)
 
 
 class TestRollingRate:
