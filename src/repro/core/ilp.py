@@ -9,7 +9,11 @@ utility on every feasible pair, which is how we encode it.
 Interchangeable backends (:data:`BACKENDS`):
 
 * ``milp``       — scipy's HiGHS mixed-integer solver (the default; stands
-  in for the paper's CVXPY/GLPK_MI).
+  in for the paper's CVXPY/GLPK_MI).  It runs with HiGHS's
+  feasibility-jump primal heuristic off (:data:`_MILP_OPTIONS`): that
+  heuristic hunts for a first feasible point, but this problem always has
+  one (the forced pairs, every other variable 0), and branch-and-bound
+  still proves optimality to the same gap, so the answers are unchanged.
 * ``lp_round``   — HiGHS LP relaxation + deterministic rounding (Gavel's
   trick: the relaxation is near-integral for this constraint shape, so
   rounding its support by goodput-per-GPU and repairing capacity greedily
@@ -36,11 +40,13 @@ win ties so allocations do not churn between equivalent optima.
 from __future__ import annotations
 
 import math
+import re
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, milp
 from scipy.sparse import csr_array
 
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -59,6 +65,15 @@ FALLBACKS = ("lp_round", "greedy")
 #: TIER_LP_VARS the exact MILP is affordable; past it the LP relaxation +
 #: rounding takes over.
 TIER_LP_VARS = 4096
+
+#: HiGHS options every integral solve passes: the feasibility-jump primal
+#: heuristic off.  It searches for a first feasible point, but the
+#: assignment problem always has one: the forced pairs with every other
+#: variable at 0.  On seeded sia-helios64 rounds it was over half of each
+#: MILP solve, and skipping it leaves every assignment unchanged:
+#: branch-and-bound still proves optimality to the same gap.
+#: LP-relaxation solves do not take it.
+_MILP_OPTIONS = {"mip_heuristic_run_feasibility_jump": False}
 
 #: LP-support epsilon: rounding considers pairs the relaxation weighted
 #: above this before falling back to the full feasible set.
@@ -352,10 +367,30 @@ def _highs_solve(problem: AssignmentProblem, *, integral: bool,
         return None
     integrality = np.ones(system.n_vars) if integral \
         else np.zeros(system.n_vars)
-    options = {"time_limit": time_limit} if time_limit is not None else None
-    result = milp(c=system.cost, constraints=system.constraints,
-                  integrality=integrality,
-                  bounds=Bounds(system.lb, system.ub), options=options)
+    # scipy's ``milp`` consumes (pops from) its options, so build a fresh
+    # dict per call.
+    options = dict(_MILP_OPTIONS) if integral else {}
+    if time_limit is not None:
+        options["time_limit"] = time_limit
+    with warnings.catch_warnings():
+        # Silence what scipy says about the _MILP_OPTIONS keys, nothing
+        # else: its ``milp`` knows five options and warns (RuntimeWarning)
+        # on every call passing another through to HiGHS, and a HiGHS
+        # build that predates an option warns (OptimizeWarning) that it
+        # does not know it, then solves with that option at its default
+        # (the same answer, only slower).
+        for key in _MILP_OPTIONS:
+            warnings.filterwarnings(
+                "ignore", category=RuntimeWarning,
+                message=re.escape(
+                    f"Unrecognized options detected: {{'{key}'}}."))
+            warnings.filterwarnings(
+                "ignore", category=OptimizeWarning,
+                message=f".*'{re.escape(key)}'")
+        result = milp(c=system.cost, constraints=system.constraints,
+                      integrality=integrality,
+                      bounds=Bounds(system.lb, system.ub),
+                      options=options or None)
     # status 0 = optimal; 1 = iteration/time limit reached, in which case
     # HiGHS may still hand back a feasible incumbent worth using.
     if result.status not in (0, 1) or result.x is None:

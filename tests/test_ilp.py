@@ -1,13 +1,17 @@
-"""Tests for the assignment ILP: correctness of each backend and
-MILP-vs-exact cross-checks on random instances.  ``exact`` is the
-branch-and-bound oracle in ``tests/oracle.py``, not a solver backend."""
+"""Tests for the assignment ILP: correctness of each backend, the HiGHS
+options every MILP runs with, and MILP-vs-exact cross-checks on random
+instances.  ``exact`` is the branch-and-bound oracle in
+``tests/oracle.py``, not a solver backend."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import Bounds, OptimizeWarning, milp
 
+from repro.core import ilp
 from repro.core.ilp import AssignmentProblem, solve_assignment
 from tests.oracle import solve_exact
 
@@ -111,6 +115,56 @@ class TestBackends:
     def test_solve_time_recorded(self):
         p = problem([[1.0]], [1], ["t4"], {"t4": 1})
         assert solve_assignment(p).solve_time >= 0
+
+
+#: an option no HiGHS build knows: what a build predating
+#: ``ilp._MILP_OPTIONS`` sees.
+UNKNOWN_OPTIONS = {"mip_heuristic_unknown_to_this_highs": False}
+
+
+class TestHighsOptions:
+    """Every MILP turns HiGHS's feasibility-jump heuristic off
+    (``ilp._MILP_OPTIONS``).  No warning about that option escapes a
+    solve, whether this HiGHS build knows the option or not, and the
+    answer stays optimal."""
+
+    @staticmethod
+    def forced_instance() -> AssignmentProblem:
+        return problem([[3.0, 5.0, NAN, 2.0],
+                        [4.0, 6.0, 2.0, NAN],
+                        [1.0, NAN, 7.0, 6.5],
+                        [2.5, 4.5, 6.0, 6.0]],
+                       [1, 2, 4, 2], ["A", "A", "B", "B"],
+                       {"A": 3, "B": 4}, forced={0: 1, 3: 3})
+
+    @pytest.mark.parametrize("time_limit", [None, 10.0])
+    @pytest.mark.parametrize("known", [True, False],
+                             ids=["option-known", "option-unknown"])
+    def test_milp_is_quiet_and_optimal(self, monkeypatch, known,
+                                       time_limit):
+        if not known:
+            monkeypatch.setattr(ilp, "_MILP_OPTIONS", UNKNOWN_OPTIONS)
+        p = self.forced_instance()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve_assignment(p, "milp", time_limit=time_limit)
+        assert solution.objective == pytest.approx(
+            solve_exact(p).objective, abs=1e-9)
+        assert solution.assignment[0] == 1 and solution.assignment[3] == 3
+
+    @pytest.mark.parametrize("options", [ilp._MILP_OPTIONS, UNKNOWN_OPTIONS],
+                             ids=["option-known", "option-unknown"])
+    def test_scipy_warns_without_the_filter(self, options):
+        """The quiet solves above are not vacuous: scipy's ``milp`` does
+        warn about these options, and HiGHS about one it lacks."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            milp(c=[-1.0], integrality=[1], bounds=Bounds(0, 1),
+                 options=dict(options))
+        categories = {w.category for w in caught}
+        assert RuntimeWarning in categories
+        if options is UNKNOWN_OPTIONS:
+            assert OptimizeWarning in categories
 
 
 @st.composite

@@ -132,42 +132,60 @@ class TestResilientSolver:
         solution = ilp.solve_assignment(problem(), time_limit=10.0)
         assert solution.assignment
         # Every budgeted rung hands its budget to HiGHS.
-        options = _record_highs_options(monkeypatch)
+        calls = _record_highs_calls(monkeypatch)
         solve_with_fallback(problem(), budget=10.0)
-        assert options == [{"time_limit": 10.0}]
+        assert [options.get("time_limit") for _, options in calls] == [10.0]
+        _assert_heuristic_setting(calls, integral=True)
         # ... except the last rung, which runs unbudgeted.
         def boom(*args, **kwargs):
             raise RuntimeError("injected greedy failure")
         monkeypatch.setattr(ilp, "_solve_greedy", boom)
-        options.clear()
+        calls.clear()
         solution, degraded = solve_with_fallback(problem(), "greedy",
                                                  budget=10.0)
         assert solution.backend == "lp_round" and degraded
-        assert options == [None]
+        assert [("time_limit" in options) for _, options in calls] == [False]
+        _assert_heuristic_setting(calls, integral=False)
 
     def test_no_budget_passes_no_time_limit(self, monkeypatch,
                                             hetero_cluster):
         """Non-resilient runs (``solve_budget_s=None``) never cap HiGHS,
         so large-cluster MILP times stay uncapped."""
-        options = _record_highs_options(monkeypatch)
+        calls = _record_highs_calls(monkeypatch)
         jobs = [make_job(f"j{i}", "resnet18", 0.0, work_scale=0.3)
                 for i in range(2)]
         simulate(hetero_cluster, SiaScheduler(SiaPolicyParams()), jobs,
                  max_hours=1)
-        assert options and all(o is None for o in options)
+        assert calls
+        assert not any("time_limit" in options for _, options in calls)
+        _assert_heuristic_setting(calls, integral=True)
 
 
-def _record_highs_options(monkeypatch) -> list:
+def _record_highs_calls(monkeypatch) -> list:
     """Wrap scipy's ``milp`` as the ILP module calls it; returns the list
-    its ``options`` arguments are appended to."""
+    each call's ``(integral, options)`` is appended to.  ``options`` is
+    copied before scipy consumes it, and ``{}`` when none were passed."""
     seen = []
     real = ilp.milp
 
-    def recording(*args, options=None, **kwargs):
-        seen.append(options)
-        return real(*args, options=options, **kwargs)
+    def recording(*args, integrality=None, options=None, **kwargs):
+        seen.append((bool(np.any(integrality)), dict(options or {})))
+        return real(*args, integrality=integrality, options=options,
+                    **kwargs)
     monkeypatch.setattr(ilp, "milp", recording)
     return seen
+
+
+def _assert_heuristic_setting(calls: list, integral: bool) -> None:
+    """Every recorded call is MILP (``integral``) or LP, and only MILP
+    calls turn HiGHS's feasibility-jump heuristic off."""
+    assert calls
+    for call_integral, options in calls:
+        assert call_integral == integral
+        if integral:
+            assert options.items() >= ilp._MILP_OPTIONS.items()
+        else:
+            assert not options.keys() & ilp._MILP_OPTIONS.keys()
 
 
 class TestSolverExhaustedChain:
