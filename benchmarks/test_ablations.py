@@ -42,9 +42,14 @@ def test_design_ablations(benchmark):
     rows = [dict(variant=name, **{
         "avg_jct_h": round(s.avg_jct_hours, 3),
         "avg_restarts": round(s.avg_restarts, 2),
-        "median_solve_s": round(s.median_solve_time, 4),
     }) for name, s in results.items()]
     emit("ablations", format_table(rows, title="Sia design ablations"))
+    solve_rows = [{"variant": name,
+                   "median_solve_s": round(s.median_solve_time, 4)}
+                  for name, s in results.items()]
+    emit("ablations_solve_time",
+         format_table(solve_rows, title="Sia design ablations: solve time"),
+         wall_clock=True)
 
     milp = results["sia (milp)"]
     greedy = results["sia (greedy)"]

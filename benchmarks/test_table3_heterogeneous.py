@@ -13,7 +13,8 @@ contention, avg restarts.  Shapes asserted (paper's claims):
 from __future__ import annotations
 
 import pytest
-from conftest import bench_scale, emit, newtrace_scale, run_once_benchmarked
+from conftest import (bench_scale, emit, newtrace_scale, run_once_benchmarked,
+                      simulated_columns)
 
 from repro.analysis import compare_on_trace, format_table, sample_trace
 from repro.cluster import presets
@@ -32,7 +33,7 @@ def run_trace(trace_name: str):
 def test_table3(benchmark, trace_name):
     outcome = run_once_benchmarked(benchmark, lambda: run_trace(trace_name))
     summaries = outcome.summaries()
-    rows = [dict(trace=trace_name, **s.as_row())
+    rows = [dict(trace=trace_name, **simulated_columns(s.as_row()))
             for s in summaries.values()]
     emit(f"table3_{trace_name}",
          format_table(rows, title=f"Table 3 ({trace_name}): heterogeneous "

@@ -8,7 +8,7 @@ inelastic baseline; Sia restarts less than Pollux.
 
 from __future__ import annotations
 
-from conftest import bench_scale, emit, run_once_benchmarked
+from conftest import bench_scale, emit, run_once_benchmarked, simulated_columns
 
 from repro.analysis import format_table, run_once, sample_trace
 from repro.cluster import presets
@@ -39,7 +39,7 @@ def run_table4():
 
 def test_table4_homogeneous(benchmark):
     summaries = run_once_benchmarked(benchmark, run_table4)
-    rows = [s.as_row() for s in summaries.values()]
+    rows = [simulated_columns(s.as_row()) for s in summaries.values()]
     emit("table4_homogeneous",
          format_table(rows, title="Table 4: homogeneous 64-GPU (16x t4)"))
 

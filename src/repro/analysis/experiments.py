@@ -20,9 +20,8 @@ from repro.metrics.jct import SummaryMetrics, summarize
 from repro.schedulers.base import Scheduler
 from repro.schedulers.gavel import GavelScheduler
 from repro.schedulers.pollux import PolluxScheduler
-from repro.schedulers.shockwave import ShockwaveScheduler
+from repro.schedulers.rigid import ShockwaveScheduler, ThemisScheduler
 from repro.schedulers.sia import SiaScheduler
-from repro.schedulers.themis import ThemisScheduler
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.telemetry import SimulationResult
 from repro.workloads.generators import trace_by_name

@@ -78,7 +78,12 @@ class Cluster:
         return sum(n.num_gpus for n in self.nodes_of_type(gpu_type))
 
     def capacities(self) -> dict[str, int]:
-        return {t: self.capacity(t) for t in self.gpu_types}
+        """Total GPUs per type, in :attr:`gpu_types` order (one pass)."""
+        totals: dict[str, int] = {}
+        for node in self.nodes:
+            totals[node.gpu_type] = totals.get(node.gpu_type, 0) + \
+                node.num_gpus
+        return totals
 
     def max_node_size(self, gpu_type: str) -> int:
         nodes = self.nodes_of_type(gpu_type)
@@ -88,10 +93,6 @@ class Cluster:
 
     def spec(self, gpu_type: str) -> GPUSpec:
         return gpu_spec(gpu_type)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(self.gpu_types) == 1
 
     def scaled(self, factor: int) -> "Cluster":
         """Return a cluster with every node group replicated ``factor`` times
@@ -124,33 +125,9 @@ class ClusterState:
                 n.node_id: NodeState(node=n) for n in self.cluster.nodes
             }
 
-    def free_gpus(self, gpu_type: str) -> int:
-        return sum(
-            st.free for st in self.node_states.values()
-            if st.node.gpu_type == gpu_type
-        )
-
-    def used_gpus(self, gpu_type: str | None = None) -> int:
-        return sum(
-            st.used for st in self.node_states.values()
-            if gpu_type is None or st.node.gpu_type == gpu_type
-        )
-
     def nodes_of_type(self, gpu_type: str) -> list[NodeState]:
         return [st for st in self.node_states.values()
                 if st.node.gpu_type == gpu_type]
-
-    def job_nodes(self, job_id: str) -> dict[int, int]:
-        """``{node_id: gpu_count}`` currently held by ``job_id``."""
-        return {
-            nid: st.used_by[job_id]
-            for nid, st in self.node_states.items()
-            if job_id in st.used_by
-        }
-
-    def release_job(self, job_id: str) -> None:
-        for st in self.node_states.values():
-            st.release(job_id)
 
     def clear(self) -> None:
         for st in self.node_states.values():

@@ -192,13 +192,6 @@ class GoodputLedger:
                   if e.relative_error is not None]
         return statistics.median(errors) if errors else None
 
-    def gpu_type_rounds(self) -> dict[str, int]:
-        """Rounds of service per GPU type (allocation-log marginal)."""
-        counts: dict[str, int] = {}
-        for entry in self.entries:
-            counts[entry.gpu_type] = counts.get(entry.gpu_type, 0) + 1
-        return counts
-
 
 def queue_wait_by_job(result: Any) -> dict[str, float]:
     """Seconds each job spent active but holding no GPUs (queue-wait

@@ -249,10 +249,6 @@ class JobPerfEstimator:
     def has_profile(self, gpu_type: str) -> bool:
         return bool(self._types[gpu_type].observations)
 
-    def has_multi_gpu_experience(self, gpu_type: str) -> bool:
-        fit = self._fit(gpu_type)
-        return fit is not None and fit.has_multi_gpu
-
     def max_local_bsz(self, gpu_type: str) -> int:
         """Per-GPU batch-size cap on this type (memory limit).
 

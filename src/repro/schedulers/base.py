@@ -20,7 +20,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, PLAN_PHASES, Tracer
 
 __all__ = ["JobView", "RoundPlan", "Scheduler", "PLAN_PHASES",
-           "carry_forward_plan", "pack_gpus_on_type"]
+           "carry_forward_plan", "pack_gpus", "pack_gpus_on_type"]
 
 
 @dataclass
@@ -216,23 +216,24 @@ class Scheduler(abc.ABC):
         return f"{self.name} (round={self.round_duration:.0f}s)"
 
 
-def pack_gpus_on_type(cluster: Cluster, gpu_type: str, count: int,
-                      occupancy: dict[int, int],
-                      preferred_nodes: tuple[int, ...] = ()) -> Allocation | None:
-    """Shared helper: pack ``count`` GPUs of a type onto nodes, first-fit
-    decreasing free capacity, allowing node-spanning (used by baselines that
-    do not follow Sia's placement rules).  ``occupancy`` maps node id ->
-    GPUs already used and is updated in place on success."""
+def pack_gpus(nodes, count: int, occupancy: dict[int, int],
+              preferred=()) -> dict[int, int] | None:
+    """Pack ``count`` GPUs onto ``nodes`` for baselines that do not follow
+    Sia's placement rules: ``preferred`` nodes first, then the most free
+    GPUs first (lowest id on ties), spanning nodes as needed.  Returns
+    ``{node_id: GPUs taken}`` and adds it to ``occupancy`` (node id -> GPUs
+    already used), or None, leaving ``occupancy`` alone, when the nodes do
+    not have ``count`` free GPUs."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    nodes = sorted(
-        cluster.nodes_of_type(gpu_type),
-        key=lambda n: (n.node_id not in preferred_nodes,
+    ordered = sorted(
+        nodes,
+        key=lambda n: (n.node_id not in preferred,
                        -(n.num_gpus - occupancy.get(n.node_id, 0)),
                        n.node_id))
     taken: dict[int, int] = {}
     remaining = count
-    for node in nodes:
+    for node in ordered:
         free = node.num_gpus - occupancy.get(node.node_id, 0)
         if free <= 0:
             continue
@@ -245,4 +246,13 @@ def pack_gpus_on_type(cluster: Cluster, gpu_type: str, count: int,
         return None
     for node_id, grab in taken.items():
         occupancy[node_id] = occupancy.get(node_id, 0) + grab
-    return Allocation.build(gpu_type, taken)
+    return taken
+
+
+def pack_gpus_on_type(cluster: Cluster, gpu_type: str, count: int,
+                      occupancy: dict[int, int],
+                      preferred_nodes: tuple[int, ...] = ()) -> Allocation | None:
+    """:func:`pack_gpus` over the nodes of one GPU type, as an allocation."""
+    taken = pack_gpus(cluster.nodes_of_type(gpu_type), count, occupancy,
+                      preferred_nodes)
+    return None if taken is None else Allocation.build(gpu_type, taken)

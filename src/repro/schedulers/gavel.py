@@ -26,9 +26,11 @@ import numpy as np
 from scipy.optimize import linprog
 
 from repro.cluster.cluster import Cluster
-from repro.core.types import Allocation, Configuration
+from repro.core.types import Allocation
 from repro.schedulers.base import (JobView, RoundPlan, Scheduler,
                                    pack_gpus_on_type)
+from repro.schedulers.rigid import (RIGID_ROUND_S, fixed_count,
+                                    fixed_count_rates)
 
 
 class GavelScheduler(Scheduler):
@@ -43,14 +45,13 @@ class GavelScheduler(Scheduler):
 
     name = "gavel"
     oracle_estimators = True
+    round_duration = RIGID_ROUND_S
     POLICIES = ("max_sum_throughput", "max_min_fairness")
 
-    def __init__(self, round_duration: float = 360.0,
-                 policy: str = "max_sum_throughput"):
+    def __init__(self, policy: str = "max_sum_throughput"):
         if policy not in self.POLICIES:
             raise ValueError(f"unknown Gavel policy {policy!r}; "
                              f"choose from {self.POLICIES}")
-        self.round_duration = round_duration
         self.policy = policy
         #: (job_id, gpu_type) -> rounds of service received.
         self._received: dict[tuple[str, str], float] = {}
@@ -60,23 +61,17 @@ class GavelScheduler(Scheduler):
 
     def _throughput_matrix(self, views: list[JobView], cluster: Cluster,
                            counts: list[int]) -> np.ndarray:
+        """xput[j, t]: job j's rate on type t at its fixed GPU count
+        ``counts[j]`` (:func:`fixed_count_rates`), 0 where t has fewer
+        GPUs than the count."""
         types = cluster.gpu_types
+        capacities = cluster.capacities()
         matrix = np.zeros((len(views), len(types)))
         for i, view in enumerate(views):
-            cols: list[int] = []
-            cfgs: list[Configuration] = []
+            rates = fixed_count_rates(view, cluster)
             for k, gpu_type in enumerate(types):
-                if counts[i] > cluster.capacity(gpu_type):
-                    continue
-                nodes = max(1, -(-counts[i] // cluster.max_node_size(gpu_type)))
-                cols.append(k)
-                cfgs.append(Configuration(nodes, counts[i], gpu_type))
-            batch = getattr(view.estimator, "goodput_batch", None)
-            if batch is not None:
-                matrix[i, cols] = batch(cfgs)
-            else:
-                for k, config in zip(cols, cfgs):
-                    matrix[i, k] = view.estimator.goodput(config)
+                if counts[i] <= capacities[gpu_type]:
+                    matrix[i, k] = rates[gpu_type]
         return matrix
 
     def _solve_lp(self, xput: np.ndarray, counts: list[int],
@@ -155,7 +150,7 @@ class GavelScheduler(Scheduler):
             return RoundPlan()
         with self.tracer.span("bootstrap"):
             types = cluster.gpu_types
-            counts = [max(1, v.job.effective_min_gpus) for v in views]
+            counts = [fixed_count(v) for v in views]
             capacities = [cluster.capacity(t) for t in types]
         with self.tracer.span("goodput_eval"):
             xput = self._throughput_matrix(views, cluster, counts)

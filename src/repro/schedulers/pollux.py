@@ -23,7 +23,6 @@ Faithful-to-behaviour reimplementation of the aspects the paper evaluates:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from repro.perf.efficiency import EfficiencyModel
 from repro.perf.fitting import FitResult, Observation, fit_throughput_params
 from repro.perf.goodput import BatchPlan, GoodputModel
 from repro.perf.throughput import ThroughputModel, ThroughputParams
-from repro.schedulers.base import JobView, RoundPlan, Scheduler
+from repro.schedulers.base import JobView, RoundPlan, Scheduler, pack_gpus
 
 #: Pollux's fairness exponent (Section 4.3: p = -1).
 POLLUX_P = -1.0
@@ -48,6 +47,8 @@ _PRIOR_PARAMS = ThroughputParams(alpha_c=0.05, beta_c=0.01,
 
 #: Pollux presents every node as virtual nodes of this size (Section 4.3).
 VIRTUAL_NODE_SIZE = 4
+#: virtual-node count at which the GA's generation count starts scaling up.
+GA_REFERENCE_NODES = 16
 
 
 class PolluxEstimator:
@@ -148,14 +149,9 @@ class GAParams:
     generations: int = 20
     mutation_rate: float = 0.25
     seed: int = 0
-    #: virtual-node count at which generations start scaling up.
-    reference_nodes: int = 16
-    scale_with_nodes: bool = True
 
     def effective_generations(self, num_virtual_nodes: int) -> int:
-        if not self.scale_with_nodes:
-            return self.generations
-        factor = max(1.0, num_virtual_nodes / self.reference_nodes)
+        factor = max(1.0, num_virtual_nodes / GA_REFERENCE_NODES)
         return int(round(self.generations * factor))
 
 
@@ -295,17 +291,19 @@ class PolluxScheduler(Scheduler):
         with self.tracer.span("placement"):
             plan = RoundPlan()
             occupancy: dict[int, int] = {}
+            node_types = {n.node_id: n.gpu_type for n in cluster.nodes}
             order = sorted(range(len(views)), key=lambda i: -best[i])
             for i in order:
                 count = int(best[i])
                 if count < 1:
                     continue
                 view = views[i]
-                allocation = self._place_mixed(cluster, count, occupancy,
-                                               previous.get(view.job_id))
-                if allocation is None:
+                prev = previous.get(view.job_id)
+                taken = pack_gpus(cluster.nodes, count, occupancy,
+                                  prev.node_ids if prev is not None else ())
+                if taken is None:
                     continue
-                allocation = self._fix_mixed_types(allocation, view)
+                allocation = self._fix_mixed_types(taken, node_types, view)
                 if allocation is not None:
                     plan.allocations[view.job_id] = allocation
         # Estimates come from the jobs' type-blind models — exactly the
@@ -313,39 +311,15 @@ class PolluxScheduler(Scheduler):
         self.record_estimates(views, plan)
         return plan
 
-    def _place_mixed(self, cluster: Cluster, count: int,
-                     occupancy: dict[int, int],
-                     previous: Allocation | None) -> list | None:
-        """Type-blind packing: fill the freest nodes regardless of type.
-        Returns a list of (node, taken) pairs or None."""
-        preferred = set(previous.node_ids) if previous is not None else set()
-        nodes = sorted(cluster.nodes, key=lambda n: (
-            n.node_id not in preferred,
-            -(n.num_gpus - occupancy.get(n.node_id, 0)),
-            n.node_id))
-        taken: list[tuple] = []
-        remaining = count
-        for node in nodes:
-            free = node.num_gpus - occupancy.get(node.node_id, 0)
-            if free <= 0:
-                continue
-            grab = min(free, remaining)
-            taken.append((node, grab))
-            remaining -= grab
-            if remaining == 0:
-                break
-        if remaining > 0:
-            return None
-        for node, grab in taken:
-            occupancy[node.node_id] = occupancy.get(node.node_id, 0) + grab
-        return taken
-
-    def _fix_mixed_types(self, taken: list, view: JobView) -> Allocation | None:
-        """Section 4.3 heuristic: keep only the GPU type with the most GPUs
-        (ties -> more powerful type); the rest idle this round."""
+    def _fix_mixed_types(self, taken: dict[int, int],
+                         node_types: dict[int, str],
+                         view: JobView) -> Allocation | None:
+        """Section 4.3 heuristic for type-blind packing ``taken`` ({node id:
+        GPUs}, typed by ``node_types``): keep only the GPU type with the
+        most GPUs (ties -> more powerful type); the rest idle this round."""
         by_type: dict[str, dict[int, int]] = {}
-        for node, grab in taken:
-            by_type.setdefault(node.gpu_type, {})[node.node_id] = grab
+        for node_id, grab in taken.items():
+            by_type.setdefault(node_types[node_id], {})[node_id] = grab
         winner = max(by_type, key=lambda t: (
             sum(by_type[t].values()), -power_rank(t)))
         kept = by_type[winner]

@@ -1,8 +1,11 @@
 """Regenerate the golden decision digests (``decisions.json``).
 
-Every policy runs on three small seeded setups on the 64-GPU heterogeneous
-preset: a plain Helios run, a fault-heavy ``resilient=True`` run, and a
-gray-failure run with the health layer on.  Each case is built the way the
+Every policy runs on four seeded setups on the 64-GPU heterogeneous
+preset: a plain Helios run, a fault-heavy ``resilient=True`` run, a
+gray-failure run with the health layer on, and a contended run.  The
+first three run eight short jobs that never wait for GPUs; the contended
+run submits 48 full-length jobs in half an hour and stops after an hour,
+so jobs queue and the rigid policies' serving order decides who runs.  Each case is built the way the
 CLI builds a run — a run spec from ``build_run_spec``, the simulator from
 ``simulator_from_spec`` — so the fixture pins that builder too.  For each
 round the fixture stores one SHA-256 over the tuple
@@ -32,7 +35,7 @@ from repro.workloads import helios_trace
 FIXTURE = Path(__file__).with_name("decisions.json")
 
 POLICIES = ("sia", "pollux", "gavel", "shockwave", "themis", "fifo", "srtf")
-SETUPS = ("helios64", "faults", "gray")
+SETUPS = ("helios64", "faults", "gray", "contended")
 #: fixture key "<setup>/<policy>" -> (setup, policy).
 CASES = {f"{setup}/{policy}": (setup, policy)
          for setup in SETUPS for policy in POLICIES}
@@ -44,18 +47,25 @@ FAULTS = {
                "restore_failure_prob": 0.2},
     "gray": {"gray_rate": 1.0, "placement_fail_prob": 0.1,
              "telemetry_corrupt_rate": 0.5},
+    "contended": {},
 }
 
 
 def build(setup: str, policy: str) -> Simulator:
     """The simulator for one (setup, policy) case."""
-    trace = helios_trace(seed=3, num_jobs=8, window_hours=1.0,
-                         work_scale_factor=0.1)
+    if setup == "contended":
+        trace = helios_trace(seed=3, num_jobs=48, window_hours=0.5,
+                             work_scale_factor=1.0)
+        max_hours = 1.0
+    else:
+        trace = helios_trace(seed=3, num_jobs=8, window_hours=1.0,
+                             work_scale_factor=0.1)
+        max_hours = 4.0
     jobs = scheduler_jobs(policy, trace.jobs, presets.heterogeneous(),
                           trace.seed)
     spec = build_run_spec(
         scheduler=policy, cluster="heterogeneous", jobs=jobs, seed=1,
-        max_hours=4.0, resilient=setup != "helios64",
+        max_hours=max_hours, resilient=setup in ("faults", "gray"),
         node_failure_rate=0.05 if setup == "faults" else 0.0,
         health=setup == "gray", fault_options=FAULTS[setup])
     return simulator_from_spec(spec)

@@ -83,7 +83,7 @@ class TestThroughputDispatch:
         est.profile_initial()
         for k in (2, 4):
             est.add_observation(true_observation("bert", "rtx", 1, k, 16))
-        assert est.has_multi_gpu_experience("rtx")
+        assert est._fit("rtx").has_multi_gpu
         single_t4 = est.throughput("t4", 16, 1, 1)
         est_t4_multi = est.throughput("t4", 16, 4, 1)
         assert est_t4_multi < 4 * single_t4  # no longer perfect scaling

@@ -4,12 +4,13 @@ import math
 
 import pytest
 
-from repro.core.types import AdaptivityMode, Configuration, ProfilingMode
+from repro.core.types import AdaptivityMode, ProfilingMode
 from repro.jobs.job import make_job
 from repro.schedulers import (FIFOScheduler, ShockwaveScheduler,
                               SRTFScheduler, ThemisScheduler)
 from repro.schedulers.base import JobView
-from repro.schedulers.shockwave import fair_finish_ratio, place_rigid
+from repro.schedulers.rigid import (best_rate, fair_finish_ratio,
+                                    fixed_count_rates, place_rigid)
 
 
 def rigid_view(job_id, model, cluster, *, gpus=1, submit=0.0, progress=0.0,
@@ -22,28 +23,42 @@ def rigid_view(job_id, model, cluster, *, gpus=1, submit=0.0, progress=0.0,
                    age=0.0, num_restarts=0, progress=progress)
 
 
+def rate(view, cluster) -> float:
+    """The job's best fitting rate, as the rigid decide loop computes it."""
+    return best_rate(view, fixed_count_rates(view, cluster),
+                     cluster.capacities())
+
+
+def place(view, cluster, occupancy, previous):
+    return place_rigid(view, fixed_count_rates(view, cluster), cluster,
+                       occupancy, previous)
+
+
 class TestFairFinishRatio:
     def test_fresh_job_low_ratio(self, hetero_cluster):
         view = rigid_view("j1", "bert", hetero_cluster)
-        rho = fair_finish_ratio(view, hetero_cluster, 0.0, contention=10)
+        rho = fair_finish_ratio(view, rate(view, hetero_cluster), 0.0,
+                                contention=10)
         assert 0 < rho < 1
 
     def test_starved_job_ratio_grows(self, hetero_cluster):
         view = rigid_view("j1", "bert", hetero_cluster)
-        early = fair_finish_ratio(view, hetero_cluster, 0.0, contention=2)
-        late = fair_finish_ratio(view, hetero_cluster, 10 * 3600.0,
-                                 contention=2)
+        early = fair_finish_ratio(view, rate(view, hetero_cluster), 0.0,
+                                  contention=2)
+        late = fair_finish_ratio(view, rate(view, hetero_cluster),
+                                 10 * 3600.0, contention=2)
         assert late > early
 
     def test_infeasible_job_infinite(self, hetero_cluster):
         view = rigid_view("big", "bert", hetero_cluster, gpus=32)
-        assert math.isinf(fair_finish_ratio(view, hetero_cluster, 0.0, 1))
+        assert math.isinf(fair_finish_ratio(view, rate(view, hetero_cluster),
+                                            0.0, 1))
 
 
 class TestPlaceRigid:
     def test_picks_fastest_type_when_free(self, hetero_cluster):
         view = rigid_view("j1", "bert", hetero_cluster, gpus=2)
-        alloc = place_rigid(view, hetero_cluster, {}, None)
+        alloc = place(view, hetero_cluster, {}, None)
         assert alloc.gpu_type == "a100"
 
     def test_prefers_current_type_when_competitive(self, hetero_cluster):
@@ -53,7 +68,7 @@ class TestPlaceRigid:
         view = rigid_view("j1", "deepspeech2", hetero_cluster, gpus=2)
         rtx_node = hetero_cluster.nodes_of_type("rtx")[0].node_id
         prev = Allocation.build("rtx", {rtx_node: 2})
-        alloc = place_rigid(view, hetero_cluster, {}, prev)
+        alloc = place(view, hetero_cluster, {}, prev)
         assert alloc == prev  # stays put: no restart
 
     def test_migrates_when_current_type_is_terrible(self, hetero_cluster):
@@ -62,14 +77,14 @@ class TestPlaceRigid:
         view = rigid_view("j1", "bert", hetero_cluster, gpus=2)
         t4_node = hetero_cluster.nodes_of_type("t4")[0].node_id
         prev = Allocation.build("t4", {t4_node: 2})
-        alloc = place_rigid(view, hetero_cluster, {}, prev)
+        alloc = place(view, hetero_cluster, {}, prev)
         assert alloc.gpu_type == "a100"
 
     def test_falls_back_when_best_full(self, hetero_cluster):
         occupancy = {n.node_id: n.num_gpus
                      for n in hetero_cluster.nodes_of_type("a100")}
         view = rigid_view("j1", "bert", hetero_cluster, gpus=2)
-        alloc = place_rigid(view, hetero_cluster, occupancy, None)
+        alloc = place(view, hetero_cluster, occupancy, None)
         assert alloc is not None
         assert alloc.gpu_type != "a100"
 
@@ -109,9 +124,10 @@ class TestShockwaveAndThemis:
         nearly_done.progress = 0.9 * nearly_done.job.target_samples
         fresh = rigid_view("fresh", "resnet50", hetero_cluster,
                            scheduler=scheduler)
-        p_done = scheduler._priority(nearly_done, hetero_cluster, 0.0,
-                                     contention)
-        p_fresh = scheduler._priority(fresh, hetero_cluster, 0.0, contention)
+        p_done = scheduler.serving_key(
+            nearly_done, rate(nearly_done, hetero_cluster), 0.0, contention)
+        p_fresh = scheduler.serving_key(fresh, rate(fresh, hetero_cluster),
+                                        0.0, contention)
         assert p_done > p_fresh
 
     def test_shockwave_unfair_tier_beats_fair_tier(self, hetero_cluster):
@@ -123,8 +139,10 @@ class TestShockwaveAndThemis:
         fresh = rigid_view("fresh", "resnet18", hetero_cluster,
                            submit=now - 60.0, scheduler=scheduler)
         fresh.progress = 0.99 * fresh.job.target_samples
-        p_starved = scheduler._priority(starved, hetero_cluster, now, 2)
-        p_fresh = scheduler._priority(fresh, hetero_cluster, now, 2)
+        p_starved = scheduler.serving_key(
+            starved, rate(starved, hetero_cluster), now, 2)
+        p_fresh = scheduler.serving_key(fresh, rate(fresh, hetero_cluster),
+                                        now, 2)
         assert p_starved[0] == 1  # at-risk tier
         assert p_starved > p_fresh
 
@@ -172,7 +190,8 @@ class TestSRTF:
         scheduler = SRTFScheduler()
         view = rigid_view("j1", "resnet50", hetero_cluster,
                           scheduler=scheduler)
-        before = scheduler._remaining_time(view, hetero_cluster)
+        best = rate(view, hetero_cluster)
+        before = scheduler.serving_key(view, best, 0.0, 1)
         view.progress = 0.5 * view.job.target_samples
-        after = scheduler._remaining_time(view, hetero_cluster)
+        after = scheduler.serving_key(view, best, 0.0, 1)
         assert after == pytest.approx(before / 2, rel=1e-6)

@@ -163,10 +163,6 @@ class TestLedgerFromRun:
         median = GoodputLedger.from_result(result).median_error()
         assert median is not None and median < 1e-6
 
-    def test_gpu_type_rounds(self, sia_result):
-        counts = GoodputLedger.from_result(sia_result).gpu_type_rounds()
-        assert counts and all(n > 0 for n in counts.values())
-
     def test_queue_wait_attribution(self):
         # Two rigid 2-GPU jobs on a 1-node x 2-GPU cluster: the second
         # queues until the first finishes.

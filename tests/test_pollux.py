@@ -40,6 +40,10 @@ def view_for(job, cluster, *, current=None, age=3600.0) -> JobView:
                    age=age, num_restarts=0, progress=0.0)
 
 
+def node_types(cluster) -> dict[int, str]:
+    return {n.node_id: n.gpu_type for n in cluster.nodes}
+
+
 class TestPolluxEstimator:
     def test_no_initial_profiling(self):
         est = make_estimator()
@@ -128,19 +132,21 @@ class TestMixedTypeFixup:
         scheduler = PolluxScheduler()
         job = make_job("j1", "bert", 0.0)
         view = view_for(job, hetero_cluster)
-        taken = [(hetero_cluster.nodes_of_type("t4")[0], 4),
-                 (hetero_cluster.nodes_of_type("t4")[1], 4),
-                 (hetero_cluster.nodes_of_type("rtx")[0], 2)]
-        alloc = scheduler._fix_mixed_types(taken, view)
+        taken = {hetero_cluster.nodes_of_type("t4")[0].node_id: 4,
+                 hetero_cluster.nodes_of_type("t4")[1].node_id: 4,
+                 hetero_cluster.nodes_of_type("rtx")[0].node_id: 2}
+        alloc = scheduler._fix_mixed_types(taken, node_types(hetero_cluster),
+                                           view)
         assert alloc.gpu_type == "t4"
         assert alloc.num_gpus == 8
 
     def test_fixup_tie_prefers_powerful_type(self, hetero_cluster):
         scheduler = PolluxScheduler()
         view = view_for(make_job("j1", "bert", 0.0), hetero_cluster)
-        taken = [(hetero_cluster.nodes_of_type("t4")[0], 4),
-                 (hetero_cluster.nodes_of_type("a100")[0], 4)]
-        alloc = scheduler._fix_mixed_types(taken, view)
+        taken = {hetero_cluster.nodes_of_type("t4")[0].node_id: 4,
+                 hetero_cluster.nodes_of_type("a100")[0].node_id: 4}
+        alloc = scheduler._fix_mixed_types(taken, node_types(hetero_cluster),
+                                           view)
         assert alloc.gpu_type == "a100"
 
     def test_fixup_below_minimum_drops_job(self, hetero_cluster):
@@ -150,9 +156,10 @@ class TestMixedTypeFixup:
         job = make_job("j1", "bert", 0.0)
         job.min_gpus = 8
         view = view_for(job, hetero_cluster)
-        taken = [(hetero_cluster.nodes_of_type("t4")[0], 4),
-                 (hetero_cluster.nodes_of_type("rtx")[0], 2)]
-        assert scheduler._fix_mixed_types(taken, view) is None
+        taken = {hetero_cluster.nodes_of_type("t4")[0].node_id: 4,
+                 hetero_cluster.nodes_of_type("rtx")[0].node_id: 2}
+        assert scheduler._fix_mixed_types(
+            taken, node_types(hetero_cluster), view) is None
 
 
 def test_virtual_node_size_is_four():

@@ -8,7 +8,7 @@ from repro.jobs.hybrid import HybridPerfEstimator, HybridSpec
 from repro.jobs.job import make_job
 from repro.perf.estimator import JobPerfEstimator
 from repro.schedulers import (GavelScheduler, PolluxScheduler, SiaScheduler)
-from repro.schedulers.base import RoundPlan, pack_gpus_on_type
+from repro.schedulers.base import RoundPlan, pack_gpus, pack_gpus_on_type
 from repro.schedulers.pollux import PolluxEstimator
 
 
@@ -76,6 +76,25 @@ class TestPackGpus:
     def test_rejects_zero_count(self, hetero_cluster):
         with pytest.raises(ValueError):
             pack_gpus_on_type(hetero_cluster, "t4", 0, {})
+
+    def test_typed_and_type_blind_callers(self, hetero_cluster):
+        """The per-type packer of the rigid baselines and Gavel is
+        ``pack_gpus`` over one type's nodes; Pollux's type-blind caller
+        packs all nodes, its previous (preferred) nodes first, then the
+        freest, whatever their type."""
+        rtx = hetero_cluster.nodes_of_type("rtx")
+        occupancy = {}
+        typed = pack_gpus_on_type(hetero_cluster, "rtx", 10, occupancy)
+        assert typed == Allocation.build("rtx", pack_gpus(rtx, 10, {}))
+        assert occupancy == {rtx[0].node_id: 8, rtx[1].node_id: 2}
+
+        last_t4 = hetero_cluster.nodes_of_type("t4")[-1].node_id
+        taken = pack_gpus(hetero_cluster.nodes, 6, occupancy,
+                          preferred=(last_t4,))
+        # The preferred t4 node fills first; the free rtx node ties with
+        # the a100 nodes on free GPUs and wins on its lower id.
+        assert list(taken.items()) == [(last_t4, 4), (rtx[2].node_id, 2)]
+        assert occupancy[last_t4] == 4 and occupancy[rtx[2].node_id] == 2
 
 
 class TestEstimatorFactory:
