@@ -221,17 +221,17 @@ def _swap_policy(state: CheckpointState, policy: str,
                  spec: dict[str, Any]) -> None:
     """Replace the scheduler in a restored state, preserving cadence.
 
-    Pollux swaps (either direction) are rejected: its type-blind
-    estimators speak a different interface (an integer GPU-count search
-    vs batched per-type goodput), and every admitted job already carries
-    an estimator built by the base scheduler.
+    Pollux swaps (either direction) are rejected: admitted jobs keep the
+    estimators the base scheduler built, and Pollux's are type-blind (one
+    fit pooled over every GPU type) while the others' are per-type, so
+    the swapped-in policy would plan on the other policy's knowledge.
     """
     base_name = spec["scheduler"]
     if ("pollux" in (policy, base_name)) and policy != base_name:
         raise ValueError(
-            f"cannot swap {base_name!r} -> {policy!r} mid-run: pollux "
-            "estimators expose a different interface than the goodput "
-            "estimators already attached to admitted jobs")
+            f"cannot swap {base_name!r} -> {policy!r} mid-run: admitted "
+            "jobs keep the base scheduler's estimators, and pollux's are "
+            "type-blind where the others' are per-type")
     round_duration = state.scheduler.round_duration
     scheduler = forklib.make_scheduler(
         policy, resilient=spec["resilient"],

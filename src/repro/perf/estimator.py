@@ -21,6 +21,10 @@ a dispatch that mirrors Section 3.2:
    scaling assumption (zero communication time).
 4. No data at all for a type (No-Prof mode) -> a type-blind prior, so the
    policy can still allocate and learn.
+
+Pollux's type-blind estimator (:class:`repro.schedulers.pollux.PolluxEstimator`)
+is the case where every GPU type shares one state and rule 1 holds for
+every fit (:meth:`JobPerfEstimator._trusts_fit`).
 """
 
 from __future__ import annotations
@@ -72,9 +76,9 @@ class _TypeState:
     #: bumped whenever a refit changes this type's ``FitResult``; cache
     #: entries that depended only on this type's fit revalidate against it.
     epoch: int = 0
-    #: per batch-plan key ``(num_gpus, num_nodes, local_bsz, accum_steps)``:
-    #: recently *accepted* iteration times — the MAD-defense window new
-    #: reports are judged against.
+    #: per report key ``(gpu_type, num_gpus, num_nodes, local_bsz,
+    #: accum_steps)``: recently *accepted* iteration times — the MAD-defense
+    #: window new reports are judged against.
     recent: dict[tuple, list[float]] = field(default_factory=dict)
 
 
@@ -185,10 +189,12 @@ class JobPerfEstimator:
         if obs.gpu_type not in self._types:
             raise KeyError(f"estimator does not track GPU type {obs.gpu_type!r}")
         state = self._types[obs.gpu_type]
-        if not self._observation_credible(state, obs):
+        key = (obs.gpu_type, obs.num_gpus, obs.num_nodes, obs.local_bsz,
+               obs.accum_steps)
+        if not self._observation_credible(state.recent.get(key),
+                                          obs.iter_time):
             self.rejected_observations += 1
             return False
-        key = (obs.num_gpus, obs.num_nodes, obs.local_bsz, obs.accum_steps)
         window = state.recent.setdefault(key, [])
         window.append(obs.iter_time)
         if len(window) > self.OUTLIER_WINDOW:
@@ -197,14 +203,11 @@ class JobPerfEstimator:
         state.dirty = True
         return True
 
-    def _observation_credible(self, state: _TypeState,
-                              obs: Observation) -> bool:
-        iter_time = obs.iter_time
+    def _observation_credible(self, window: list[float] | None,
+                              iter_time: float) -> bool:
         if not (isinstance(iter_time, (int, float))
                 and math.isfinite(iter_time) and iter_time > 0):
             return False
-        window = state.recent.get((obs.num_gpus, obs.num_nodes,
-                                   obs.local_bsz, obs.accum_steps))
         if window is None or len(window) < self.OUTLIER_MIN_SAMPLES:
             return True
         median = statistics.median(window)
@@ -261,6 +264,13 @@ class JobPerfEstimator:
 
     # -- throughput dispatch --------------------------------------------------
 
+    def _trusts_fit(self, fit: FitResult, num_gpus: int) -> bool:
+        """Whether ``fit`` is evaluated as is at ``num_gpus`` GPUs: at one
+        GPU, or once its communication behaviour has been observed.  A
+        multi-GPU query on a 1-GPU-only fit goes to Equation (1) or the
+        perfect-scaling assumption instead."""
+        return num_gpus == 1 or fit.has_multi_gpu
+
     def _single_gpu_xput(self, gpu_type: str, local_bsz: int) -> float | None:
         """Estimated 1-GPU throughput on a type, if any data exists."""
         fit = self._fit(gpu_type)
@@ -279,7 +289,7 @@ class JobPerfEstimator:
                                          accum_steps)
 
         fit = self._fit(gpu_type)
-        if fit is not None and (num_gpus == 1 or fit.has_multi_gpu):
+        if fit is not None and self._trusts_fit(fit, num_gpus):
             return ThroughputModel(fit.params).throughput(
                 local_bsz, num_gpus, num_nodes, accum_steps)
 
@@ -416,7 +426,7 @@ class JobPerfEstimator:
         fit = self._fit(gpu_type)
         if fit is None:
             return ("prior", gpu_type, state.epoch, self._eff_epoch)
-        if num_gpus == 1 or fit.has_multi_gpu:
+        if self._trusts_fit(fit, num_gpus):
             return ("fit", gpu_type, state.epoch, self._eff_epoch)
         for other in self.gpu_types:
             self._fit(other)

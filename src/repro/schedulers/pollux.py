@@ -31,19 +31,12 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.gpu import power_rank
 from repro.core.matrix import restart_factor
 from repro.core.types import Allocation, Configuration
-from repro.perf import profiles
-from repro.perf.efficiency import EfficiencyModel
-from repro.perf.fitting import FitResult, Observation, fit_throughput_params
-from repro.perf.goodput import BatchPlan, GoodputModel
-from repro.perf.throughput import ThroughputModel, ThroughputParams
+from repro.perf.estimator import JobPerfEstimator, _TypeState
+from repro.perf.fitting import FitResult
 from repro.schedulers.base import JobView, RoundPlan, Scheduler, pack_gpus
 
 #: Pollux's fairness exponent (Section 4.3: p = -1).
 POLLUX_P = -1.0
-
-_PRIOR_PARAMS = ThroughputParams(alpha_c=0.05, beta_c=0.01,
-                                 alpha_r=0.01, beta_r=0.001,
-                                 alpha_n=0.05, beta_n=0.005)
 
 #: Pollux presents every node as virtual nodes of this size (Section 4.3).
 VIRTUAL_NODE_SIZE = 4
@@ -51,87 +44,36 @@ VIRTUAL_NODE_SIZE = 4
 GA_REFERENCE_NODES = 16
 
 
-class PolluxEstimator:
+class PolluxEstimator(JobPerfEstimator):
     """Type-blind goodput estimator: one throughput model per *job*.
 
-    Implements the same protocol as
-    :class:`~repro.perf.estimator.JobPerfEstimator` so the simulator can
-    treat schedulers uniformly, but merges observations across GPU types —
-    Pollux assumes the cluster is homogeneous.
+    The type-blind case of :class:`~repro.perf.estimator.JobPerfEstimator`:
+    every GPU type maps to one shared state, so observations from whatever
+    GPUs the job ran on feed one fit — Pollux assumes the cluster is
+    homogeneous.  Observation defense, refits and the epoch-checked plan
+    cache are the shared estimator's.
     """
 
     def __init__(self, model_name: str, constraints, gpu_types: tuple[str, ...]):
-        self.model_name = model_name
-        self.constraints = constraints
-        self.gpu_types = gpu_types
-        self._observations: list[Observation] = []
-        self._fit: FitResult | None = None
-        self._dirty = False
-        self._efficiency = EfficiencyModel(
-            profiles.true_efficiency_params(model_name))
-        self.profiling_gpu_seconds = 0.0
-        self._cache: dict[tuple[int, int], BatchPlan | None] = {}
+        super().__init__(model_name, constraints, gpu_types)
+        self._types = dict.fromkeys(gpu_types, _TypeState())
 
     def profile_initial(self) -> float:
         """Pollux does no up-front profiling (Section 2.1)."""
         return 0.0
 
-    def add_observation(self, obs: Observation) -> None:
-        self._observations.append(obs)
-        self._dirty = True
-        self._cache.clear()
+    def _trusts_fit(self, fit: FitResult, num_gpus: int) -> bool:
+        """Pollux evaluates its one fit at every GPU count: it has no
+        Equation (1) bootstrap and no perfect-scaling assumption."""
+        return True
 
-    def update_gradient_stats(self, observed_noise_scale: float) -> None:
-        current = self._efficiency.params.grad_noise_scale
-        if abs(observed_noise_scale - current) <= 1e-9 * max(current, 1.0):
-            return
-        self._efficiency.update_noise_scale(observed_noise_scale)
-        self._cache.clear()
-
-    def _model(self) -> ThroughputModel:
-        if self._dirty and self._observations:
-            self._fit = fit_throughput_params(self._observations)
-            self._dirty = False
-        params = self._fit.params if self._fit is not None else _PRIOR_PARAMS
-        return ThroughputModel(params)
-
-    def max_local_bsz(self) -> int:
+    def max_local_bsz(self, gpu_type: str | None = None) -> int:
         """Memory cap assuming all GPUs match the smallest-memory type the
-        model fits on — the conservative choice a type-blind system makes."""
-        caps = [profiles.max_local_bsz(self.model_name, t)
-                for t in self.gpu_types]
-        caps = [min(c, self.constraints.max_bsz) for c in caps if c > 0]
+        model fits on — the conservative choice a type-blind system makes.
+        ``gpu_type`` is ignored."""
+        caps = [cap for cap in map(super().max_local_bsz, self.gpu_types)
+                if cap > 0]
         return min(caps) if caps else 0
-
-    def best_plan(self, config: Configuration) -> BatchPlan | None:
-        """The batch plan for ``config``'s GPU and node counts; its GPU type
-        is ignored, as a type-blind system would."""
-        return self._best_plan(config.num_gpus, config.num_nodes)
-
-    def _best_plan(self, num_gpus: int, num_nodes: int) -> BatchPlan | None:
-        key = (num_gpus, num_nodes)
-        if key in self._cache:
-            return self._cache[key]
-        cap = self.max_local_bsz()
-        plan = None
-        if cap >= 1 and num_gpus >= 1:
-            model = GoodputModel(self._model(), self._efficiency)
-            plan = model.optimize_batch_size(
-                num_gpus, num_nodes, max_local_bsz=cap,
-                max_total_bsz=self.constraints.max_bsz,
-                min_total_bsz=self.constraints.min_bsz,
-                fixed_total_bsz=self.constraints.fixed_total_bsz)
-        self._cache[key] = plan
-        return plan
-
-    def goodput(self, config: Configuration) -> float:
-        """Configuration-based query (protocol compatibility)."""
-        plan = self.best_plan(config)
-        return plan.goodput if plan is not None else 0.0
-
-    @property
-    def efficiency_model(self) -> EfficiencyModel:
-        return self._efficiency
 
 
 @dataclass
@@ -167,9 +109,13 @@ class PolluxScheduler(Scheduler):
         self._rng = np.random.default_rng(self.ga.seed)
 
     def make_estimator(self, job, cluster, profiling_mode):
-        """Pollux jobs carry a single type-blind goodput model."""
+        """Pollux jobs carry a single type-blind goodput model.  Pollux has
+        no pipeline-parallel model, so it refuses hybrid jobs (Section 5.3
+        runs them under Sia only)."""
         if job.is_hybrid:
-            return super().make_estimator(job, cluster, profiling_mode)
+            raise ValueError(
+                f"pollux cannot schedule hybrid job {job.job_id!r}: it has "
+                "no pipeline-parallel model")
         return PolluxEstimator(job.model_name, job.constraints(),
                                cluster.gpu_types)
 
@@ -179,93 +125,113 @@ class PolluxScheduler(Scheduler):
         return max(1, -(-count // VIRTUAL_NODE_SIZE))
 
     def _speedup_table(self, view: JobView, max_count: int) -> np.ndarray:
-        """speedup[k] for k in 0..max_count; 0 GPUs -> tiny epsilon."""
+        """speedup[k] for k in 0..max_count; 0 GPUs -> tiny epsilon.
+
+        The 1-GPU base and the row's GPU counts share one ``best_plans``
+        call; the estimator is type-blind, so any GPU type names them."""
         table = np.full(max_count + 1, 1e-3)
         estimator: PolluxEstimator = view.estimator  # type: ignore[assignment]
-        base_plan = estimator._best_plan(1, 1)
-        base = base_plan.goodput if base_plan is not None else 0.0
-        if base <= 0:
-            return table
-        factor = restart_factor(view.age, view.num_restarts,
-                                view.job.restart_delay)
-        current = view.current_config.num_gpus if view.current_config else 0
         lo = view.job.effective_min_gpus
         hi = min(max_count, view.job.effective_max_gpus)
-        for k in range(lo, hi + 1):
-            plan = estimator._best_plan(k, self._nodes_for(k))
-            if plan is None:
+        counts = [1, *range(max(lo, 2), hi + 1)]
+        gpu_type = estimator.gpu_types[0]
+        plans = estimator.best_plans([
+            Configuration(self._nodes_for(k), k, gpu_type) for k in counts])
+        base = plans[0].goodput if plans[0] is not None else 0.0
+        if base <= 0:
+            return table
+        factor = max(restart_factor(view.age, view.num_restarts,
+                                    view.job.restart_delay), 1e-3)
+        current = view.current_config.num_gpus if view.current_config else 0
+        for k, plan in zip(counts, plans):
+            if k < lo or plan is None:
                 continue
             speedup = plan.goodput / base
             if k != current:
-                speedup *= max(factor, 1e-3)
+                speedup *= factor
             table[k] = max(speedup, 1e-3)
         return table
 
     # -- genetic algorithm ------------------------------------------------------
 
-    def _fitness(self, genome: np.ndarray, tables: list[np.ndarray]) -> float:
-        # Pollux maximizes (mean of speedup^p)^(1/p) with p = -1; for a fixed
-        # job set this is equivalent to minimizing sum(1/speedup).
-        total = 0.0
-        for i, count in enumerate(genome):
-            total += tables[i][count] ** POLLUX_P
-        return -total
+    @staticmethod
+    def _fitness(population: list[list[int]],
+                 powers: np.ndarray) -> np.ndarray:
+        """Every genome's score.  Pollux maximizes (mean of speedup^p)^(1/p)
+        with p = -1; for a fixed job set this is equivalent to minimizing
+        sum(1/speedup).  ``powers[i, k]`` is job ``i``'s ``speedup^p`` at
+        ``k`` GPUs, and each genome's terms are added job by job in order
+        (a cumulative sum, unlike numpy's pairwise ``sum``)."""
+        terms = np.take_along_axis(powers, np.array(population).T, axis=1)
+        return -np.cumsum(terms, axis=0)[-1]
 
-    def _repair(self, genome: np.ndarray, mins: np.ndarray,
-                capacity: int) -> np.ndarray:
-        genome = genome.copy()
+    def _repair(self, genome: list[int], mins: list[int],
+                capacity: int) -> list[int]:
         # Genes below the job minimum are rounded down to zero (no resources).
-        below = (genome > 0) & (genome < mins)
-        genome[below] = 0
-        while genome.sum() > capacity:
-            candidates = np.where(genome > 0)[0]
-            victim = self._rng.choice(candidates)
+        genome = [0 if 0 < gpus < low else gpus
+                  for gpus, low in zip(genome, mins)]
+        excess = sum(genome) - capacity
+        candidates = ([i for i, gpus in enumerate(genome) if gpus > 0]
+                      if excess > 0 else [])
+        while excess > 0:
+            victim = candidates[self._rng.integers(0, len(candidates))]
             if genome[victim] > mins[victim]:
                 genome[victim] -= 1
+                excess -= 1
             else:
+                excess -= genome[victim]
                 genome[victim] = 0
+            if not genome[victim]:
+                candidates.remove(victim)
         return genome
 
     def _evolve(self, views: list[JobView], capacity: int,
                 max_count: int, num_virtual_nodes: int,
-                tables: list[np.ndarray]) -> np.ndarray:
-        mins = np.array([v.job.effective_min_gpus for v in views])
-        maxs = np.array([min(max_count, v.job.effective_max_gpus)
-                         for v in views])
-        current = np.array([
-            v.current_config.num_gpus if v.current_config else 0
-            for v in views])
+                powers: np.ndarray) -> list[int]:
+        rng = self._rng
+        mins = [v.job.effective_min_gpus for v in views]
+        maxs = [min(max_count, v.job.effective_max_gpus) for v in views]
+        current = [v.current_config.num_gpus if v.current_config else 0
+                   for v in views]
+        ones = [min(max(low, 1), high) for low, high in zip(mins, maxs)]
 
-        population = [self._repair(current.copy(), mins, capacity)]
-        ones = np.minimum(np.maximum(mins, 1), maxs)
-        population.append(self._repair(ones.copy(), mins, capacity))
+        population = [self._repair(current, mins, capacity),
+                      self._repair(ones, mins, capacity)]
+        highs = np.array(maxs) + 1
         while len(population) < self.ga.population:
-            genome = self._rng.integers(0, maxs + 1)
-            population.append(self._repair(genome, mins, capacity))
+            population.append(self._repair(rng.integers(0, highs).tolist(),
+                                           mins, capacity))
 
-        scores = [self._fitness(g, tables) for g in population]
+        scores = self._fitness(population, powers)
         for _ in range(self.ga.effective_generations(num_virtual_nodes)):
             order = np.argsort(scores)[::-1]
             elite = [population[i] for i in order[: max(2, len(order) // 3)]]
-            children: list[np.ndarray] = list(elite)
+            children = list(elite)
             while len(children) < self.ga.population:
-                a, b = self._rng.integers(0, len(elite), size=2)
-                mask = self._rng.random(len(views)) < 0.5
-                child = np.where(mask, elite[a], elite[b])
-                mutate = self._rng.random(len(views)) < self.ga.mutation_rate
-                for i in np.where(mutate)[0]:
-                    choice = self._rng.integers(0, 4)
+                # Two scalar parent draws and one block of crossover and
+                # mutation uniforms read the stream as the size-2 draw and
+                # two size-n draws would, at fewer calls.
+                a = rng.integers(0, len(elite))
+                b = rng.integers(0, len(elite))
+                uniforms = rng.random(2 * len(views)).tolist()
+                child = [x if u < 0.5 else y
+                         for u, x, y in zip(uniforms, elite[a], elite[b])]
+                mutate = [i for i, u in enumerate(uniforms[len(views):])
+                          if u < self.ga.mutation_rate]
+                choices = (rng.integers(0, 4, size=len(mutate)).tolist()
+                           if mutate else [])
+                for i, choice in zip(mutate, choices):
                     if choice == 0:
                         child[i] = 0
                     elif choice == 1:
-                        child[i] = min(maxs[i], max(mins[i], 1))
+                        child[i] = ones[i]
                     elif choice == 2:
                         child[i] = min(maxs[i], max(child[i] * 2, 1))
                     else:
                         child[i] = child[i] // 2
                 children.append(self._repair(child, mins, capacity))
             population = children
-            scores = [self._fitness(g, tables) for g in population]
+            scores = self._fitness(population, powers)
         return population[int(np.argmax(scores))]
 
     # -- placement + type fix-up --------------------------------------------------
@@ -280,11 +246,17 @@ class PolluxScheduler(Scheduler):
                             max(v.job.effective_max_gpus for v in views))
             num_virtual_nodes = max(1, capacity // VIRTUAL_NODE_SIZE)
         with self.tracer.span("goodput_eval"):
-            tables = [self._speedup_table(v, max_count) for v in views]
+            # Each entry's power once per round, as a numpy scalar: the
+            # array ``**`` takes a reciprocal fast path for p = -1, which
+            # can round differently.
+            powers = np.array([
+                [speedup ** POLLUX_P
+                 for speedup in self._speedup_table(v, max_count)]
+                for v in views])
         with self.tracer.span("solve", generations=self.ga.
                               effective_generations(num_virtual_nodes)):
             best = self._evolve(views, capacity, max_count,
-                                num_virtual_nodes, tables)
+                                num_virtual_nodes, powers)
 
         # Greedy placement onto virtual nodes, largest jobs first;
         # Pollux may span types — the fix-up trims to one type.

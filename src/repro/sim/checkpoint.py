@@ -49,8 +49,10 @@ from repro.atomicio import atomic_write_bytes
 #: v2: ``finished`` holds JobRecords instead of whole job runtimes.
 #: v3: schedulers are never wrapped (the scheduler guard class is gone).
 #: v4: the Sia policy holds no resilient-solver object (one solve ladder).
+#: v5: Pollux estimators are type-blind ``JobPerfEstimator``s (one shared
+#:     per-type state), and MAD-window keys lead with the GPU type.
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages

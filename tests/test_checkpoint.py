@@ -10,6 +10,7 @@ from repro.atomicio import atomic_write_bytes, atomic_write_text
 from repro.cluster import presets
 from repro.jobs.job import make_job
 from repro.perf.estimator import JobPerfEstimator
+from repro.schedulers.pollux import PolluxScheduler
 from repro.schedulers.sia import SiaScheduler
 from repro.sim import checkpoint as ckpt
 from repro.sim.chaos import diff_results
@@ -36,8 +37,8 @@ def _config(**kw):
     return SimulatorConfig(**base)
 
 
-def _sim(cluster, **kw):
-    return Simulator(cluster, SiaScheduler(), _jobs(), _config(**kw))
+def _sim(cluster, scheduler=SiaScheduler, **kw):
+    return Simulator(cluster, scheduler(), _jobs(), _config(**kw))
 
 
 class TestAtomicWrite:
@@ -241,17 +242,26 @@ class TestEngineCheckpointResume:
         assert result.rounds
         assert sim.metrics.snapshot().get("checkpoint.writes", 0) >= 2
 
-    def test_resume_is_bit_identical(self, tmp_path, hetero_cluster):
-        reference = _sim(hetero_cluster).run()
+    @pytest.mark.parametrize("scheduler", [SiaScheduler, PolluxScheduler],
+                             ids=["sia", "pollux"])
+    def test_resume_is_bit_identical(self, tmp_path, hetero_cluster,
+                                     scheduler):
+        reference = _sim(hetero_cluster, scheduler).run()
 
-        sim = _sim(hetero_cluster,
+        sim = _sim(hetero_cluster, scheduler,
                    checkpoint=CheckpointConfig(directory=tmp_path,
                                                every_rounds=4, keep=0))
         sim.run()
         state, path, skipped = ckpt.latest_valid_checkpoint(tmp_path)
         assert not skipped
+        assert state.active
+        for runtime in state.active.values():
+            # Pollux's one state per job survives pickling as one object.
+            states = {id(s) for s in runtime.estimator._types.values()}
+            assert len(states) == (1 if scheduler is PolluxScheduler
+                                   else len(hetero_cluster.gpu_types))
         # Resume from a mid-run checkpoint on a *fresh* simulator.
-        resumed = _sim(hetero_cluster).run(resume_from=path)
+        resumed = _sim(hetero_cluster, scheduler).run(resume_from=path)
         assert diff_results(reference, resumed) == []
 
     def test_resume_from_directory_picks_newest(self, tmp_path,

@@ -1,18 +1,23 @@
 """Tests for the Pollux baseline: type-blind estimator, GA, mixed-type
 fix-up heuristic (Section 4.3)."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.types import Configuration, ProfilingMode
+from repro.jobs.hybrid import HybridSpec
 from repro.jobs.job import make_job
 from repro.perf import profiles
 from repro.perf.estimator import JobConstraints
 from repro.perf.fitting import Observation
 from repro.perf.throughput import ThroughputModel
 from repro.schedulers.base import JobView
-from repro.schedulers.pollux import (GAParams, PolluxEstimator,
+from repro.schedulers.pollux import (POLLUX_P, GAParams, PolluxEstimator,
                                      PolluxScheduler, VIRTUAL_NODE_SIZE)
+from repro.sim.engine import simulate
 
 TYPES = ("t4", "rtx", "a100")
 
@@ -74,6 +79,33 @@ class TestPolluxEstimator:
         est.add_observation(true_obs("bert", "t4", 1, 1, 16))
         assert est.goodput(Configuration(1, 2, "t4")) > 0
 
+    def test_nan_report_refused_and_goodput_stays_finite(self):
+        est = make_estimator()
+        assert est.add_observation(true_obs("bert", "t4", 1, 1, 16))
+        nan = replace(true_obs("bert", "t4", 1, 1, 16), iter_time=math.nan)
+        assert est.add_observation(nan) is False
+        assert est.rejected_observations == 1
+        assert est.add_observation(true_obs("bert", "a100", 1, 2, 16))
+        for k in (1, 2, 4):
+            assert math.isfinite(est.goodput(Configuration(1, k, "t4")))
+
+    def test_honest_report_on_another_type_is_not_an_outlier(self):
+        """The MAD window is per GPU type even though the fit is shared:
+        an a100 report is not judged against t4 reports of the same plan,
+        which run several times slower."""
+        est = make_estimator()
+        for _ in range(5):
+            assert est.add_observation(true_obs("bert", "t4", 1, 1, 16))
+        a100 = true_obs("bert", "a100", 1, 1, 16)
+        t4 = true_obs("bert", "t4", 1, 1, 16)
+        assert t4.iter_time > est.OUTLIER_RATIO_CAP * a100.iter_time
+        assert est.add_observation(a100) is True
+        assert est.rejected_observations == 0
+
+    def test_one_state_for_every_type(self):
+        est = make_estimator()
+        assert len({id(state) for state in est._types.values()}) == 1
+
     def test_cache_invalidation(self):
         est = make_estimator()
         est.add_observation(true_obs("bert", "t4", 1, 1, 16))
@@ -81,6 +113,16 @@ class TestPolluxEstimator:
         est.add_observation(true_obs("bert", "t4", 1, 4, 16))
         after = est.best_plan(Configuration(1, 4, "t4"))
         assert after.goodput != before.goodput
+
+
+class TestHybridJobs:
+    def test_hybrid_job_refused_at_admission(self, hetero_cluster):
+        """Pollux has no pipeline-parallel model; admitting a hybrid job
+        fails loudly and names it instead of crashing mid-round."""
+        job = make_job("hybrid-1", "gpt-2.8b", 0.0, hybrid=HybridSpec(),
+                       max_gpus=64)
+        with pytest.raises(ValueError, match="hybrid-1"):
+            simulate(hetero_cluster, PolluxScheduler(), [job], max_hours=1)
 
 
 class TestGA:
@@ -109,6 +151,22 @@ class TestGA:
         views = [view_for(make_job("j1", "bert", 0.0), hetero_cluster)]
         plan = scheduler.decide(views, hetero_cluster, {}, 0.0)
         assert "j1" in plan.allocations
+
+    def test_fitness_is_the_sequential_scalar_sum(self):
+        """Array scores equal a job-by-job loop of numpy-scalar powers bit
+        for bit: the seeded GA ranks genomes on these floats."""
+        rng = np.random.default_rng(0)
+        tables = np.maximum(rng.lognormal(0.0, 2.0, (60, 33)), 1e-3)
+        population = rng.integers(0, 33, (24, 60)).tolist()
+        powers = np.array([[s ** POLLUX_P for s in row] for row in tables])
+        expected = []
+        for genome in population:
+            total = 0.0
+            for i, count in enumerate(genome):
+                total += tables[i][count] ** POLLUX_P
+            expected.append(-total)
+        assert PolluxScheduler._fitness(population, powers).tolist() == \
+            expected
 
     def test_empty_views(self, hetero_cluster):
         plan = PolluxScheduler().decide([], hetero_cluster, {}, 0.0)

@@ -121,7 +121,6 @@ class TestEstimatorFactory:
     def test_hybrid_job_gets_hybrid_estimator(self, hetero_cluster):
         job = make_job("j1", "gpt-2.8b", 0.0, hybrid=HybridSpec(),
                        max_gpus=64)
-        for scheduler in (SiaScheduler(), PolluxScheduler()):
-            est = scheduler.make_estimator(job, hetero_cluster,
-                                           ProfilingMode.BOOTSTRAP)
-            assert isinstance(est, HybridPerfEstimator)
+        est = SiaScheduler().make_estimator(job, hetero_cluster,
+                                            ProfilingMode.BOOTSTRAP)
+        assert isinstance(est, HybridPerfEstimator)
