@@ -82,34 +82,3 @@ def build_config_set(cluster: Cluster,
     configs.sort(key=lambda c: (order[c.gpu_type], c.num_gpus, c.num_nodes))
     return configs
 
-
-def feasible_for_job(configs: list[Configuration], *, min_gpus: int = 1,
-                     max_gpus: int | None = None,
-                     current_gpus: int = 0,
-                     scale_up_factor: int = 2,
-                     gpu_types: tuple[str, ...] | None = None) -> list[Configuration]:
-    """Filter a configuration set down to what one job may use this round.
-
-    Implements Sia's scale-up policy (Section 3.1): a job starts at its
-    minimum size and may at most double (``scale_up_factor``) its GPU count
-    per scheduling round.  ``min_gpus``/``max_gpus`` are the submitter's
-    declared limits; ``gpu_types`` optionally restricts types (rigid-type
-    jobs or hybrid-parallel jobs profiled for specific types).
-    """
-    if current_gpus > 0:
-        growth_cap = current_gpus * scale_up_factor
-    else:
-        # A pending job starts small: at min_gpus (1 for data-parallel jobs).
-        growth_cap = max(min_gpus, 1)
-    out = []
-    for c in configs:
-        if c.num_gpus < min_gpus:
-            continue
-        if max_gpus is not None and c.num_gpus > max_gpus:
-            continue
-        if c.num_gpus > growth_cap:
-            continue
-        if gpu_types is not None and c.gpu_type not in gpu_types:
-            continue
-        out.append(c)
-    return out

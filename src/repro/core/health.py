@@ -18,17 +18,19 @@ and drives each node through a state machine::
     healthy --low ratio--> probation --lower ratio / flaps--> quarantined
        ^                      |  ^                                |
        '----ratio recovers----'  '------backoff expires----------'
-                                        (after ``drain_after`` trips:
+                                        (after ``DRAIN_AFTER`` trips:
                                          drained, terminal)
 
 Quarantined nodes are excluded from the cluster view handed to policies
-for a capped exponential backoff window (``base * 2^(trips-1)``), then
-reinstated on probation; a node that keeps tripping is drained for
-operator attention.  Probation nodes stay schedulable but their GPU type's
-goodputs are discounted via :func:`repro.core.matrix.apply_health_discount`
-so the policy prefers clean hardware at equal goodput.  Both exits are
-reachable in bounded time, which is the quarantine-liveness property the
-test suite pins.
+for a capped exponential backoff window (``QUARANTINE_BASE_S *
+2^(trips-1)``), then reinstated on probation; a node that keeps tripping
+is drained for operator attention.  Probation nodes stay schedulable but
+their GPU type's goodputs are discounted via
+:func:`repro.core.matrix.apply_health_discount` so the policy prefers clean
+hardware at equal goodput.  Both exits are reachable in bounded time, which
+is the quarantine-liveness property the test suite pins.  The thresholds
+are module constants; :class:`HealthConfig` holds the one knob,
+``min_samples``.
 
 Backoff jitter here and in the engine's placement retries is derived from
 a hash (:func:`deterministic_jitter`), not an RNG stream, so a checkpoint
@@ -38,7 +40,7 @@ resume replays identical delays without extra RNG state.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.cluster.cluster import Cluster
@@ -49,6 +51,30 @@ PROBATION = "probation"
 QUARANTINED = "quarantined"
 DRAINED = "drained"
 STATES = (HEALTHY, PROBATION, QUARANTINED, DRAINED)
+
+#: EMA weight of the newest realized/estimated ratio sample.
+EMA_ALPHA = 0.3
+#: EMA below this puts a healthy node on probation (discounted).
+PROBATION_RATIO = 0.7
+#: EMA below this quarantines the node outright.  It sits well below
+#: honest estimation error but well above a typical gray slowdown (x0.35).
+QUARANTINE_RATIO = 0.45
+#: EMA at or above this returns a probation node to healthy.
+RECOVER_RATIO = 0.85
+#: consecutive failed launches that quarantine a node by themselves.
+PLACEMENT_FAILURE_THRESHOLD = 3
+#: quarantine backoff: ``QUARANTINE_BASE_S * 2^(trips-1)`` seconds, capped.
+QUARANTINE_BASE_S = 900.0
+QUARANTINE_CAP_S = 7200.0
+#: quarantine trips after which the node is drained (terminal).
+DRAIN_AFTER = 3
+#: goodput multiplier for GPU types with probation nodes (per-node
+#: fraction-weighted; see :meth:`HealthTracker.type_discounts`).
+PROBATION_DISCOUNT = 0.7
+#: placement-retry backoff (see :func:`placement_backoff`).
+BACKOFF_BASE_S = 30.0
+BACKOFF_CAP_S = 600.0
+BACKOFF_JITTER = 0.25
 
 
 def deterministic_jitter(token: str, amplitude: float) -> float:
@@ -63,74 +89,30 @@ def deterministic_jitter(token: str, amplitude: float) -> float:
     return amplitude * (zlib.crc32(token.encode()) % 1000) / 999.0
 
 
-def placement_backoff(attempt: int, token: str, *, base_s: float = 30.0,
-                      cap_s: float = 600.0, jitter: float = 0.25) -> float:
+def placement_backoff(attempt: int, token: str) -> float:
     """Delay before retrying a failed placement: capped exponential with
     deterministic jitter.  ``attempt`` counts from 1."""
     if attempt < 1:
         raise ValueError("attempt counts from 1")
-    base = min(cap_s, base_s * (2 ** (attempt - 1)))
-    return base * (1.0 + deterministic_jitter(f"{token}:{attempt}", jitter))
+    base = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** (attempt - 1)))
+    return base * (1.0 + deterministic_jitter(f"{token}:{attempt}",
+                                              BACKOFF_JITTER))
 
 
 @dataclass
 class HealthConfig:
-    """Knobs for the probation -> quarantine -> drain state machine.
+    """The health layer's one knob; its thresholds are module constants.
 
-    Thresholds default conservative because bootstrap-mode estimates are
-    noisy early in a job's life: a node is only judged once
-    ``min_samples`` realized/estimated ratios have folded into its EMA,
-    and the quarantine bar (0.45) sits well below honest estimation
-    error but well above a typical gray slowdown (x0.35)."""
+    Bootstrap-mode estimates are noisy early in a job's life, so a node is
+    only judged once ``min_samples`` realized/estimated ratios have folded
+    into its EMA."""
 
-    #: EMA weight of the newest realized/estimated ratio sample.
-    ema_alpha: float = 0.3
     #: ratio samples required before the score is trusted at all.
     min_samples: int = 6
-    #: EMA below this puts a healthy node on probation (discounted).
-    probation_ratio: float = 0.7
-    #: EMA below this quarantines the node outright.
-    quarantine_ratio: float = 0.45
-    #: EMA at or above this returns a probation node to healthy.
-    recover_ratio: float = 0.85
-    #: consecutive failed launches that quarantine a node by themselves.
-    placement_failure_threshold: int = 3
-    #: quarantine backoff: ``base * 2^(trips-1)`` seconds, capped.
-    quarantine_base_s: float = 900.0
-    quarantine_cap_s: float = 7200.0
-    #: quarantine trips after which the node is drained (terminal).
-    drain_after: int = 3
-    #: goodput multiplier for GPU types with probation nodes (per-node
-    #: fraction-weighted; see :meth:`HealthTracker.type_discounts`).
-    probation_discount: float = 0.7
-    #: placement-retry backoff knobs (see :func:`placement_backoff`).
-    backoff_base_s: float = 30.0
-    backoff_cap_s: float = 600.0
-    backoff_jitter: float = 0.25
 
     def __post_init__(self) -> None:
-        if not 0 < self.ema_alpha <= 1:
-            raise ValueError("ema_alpha must be in (0, 1]")
         if self.min_samples < 1:
             raise ValueError("min_samples must be positive")
-        if not (0 < self.quarantine_ratio < self.probation_ratio
-                <= self.recover_ratio):
-            raise ValueError("need 0 < quarantine_ratio < probation_ratio "
-                             "<= recover_ratio")
-        if self.placement_failure_threshold < 1:
-            raise ValueError("placement_failure_threshold must be positive")
-        if self.quarantine_base_s <= 0 or \
-                self.quarantine_cap_s < self.quarantine_base_s:
-            raise ValueError("need 0 < quarantine_base_s <= quarantine_cap_s")
-        if self.drain_after < 1:
-            raise ValueError("drain_after must be positive")
-        if not 0 < self.probation_discount <= 1:
-            raise ValueError("probation_discount must be in (0, 1]")
-        if self.backoff_base_s <= 0 or \
-                self.backoff_cap_s < self.backoff_base_s:
-            raise ValueError("need 0 < backoff_base_s <= backoff_cap_s")
-        if self.backoff_jitter < 0:
-            raise ValueError("backoff_jitter must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -207,7 +189,6 @@ class HealthTracker:
         if estimated <= 0:
             return
         ratio = min(max(realized / estimated, 0.0), 2.0)
-        alpha = self.config.ema_alpha
         for node_id in sorted(set(node_ids)):
             health = self.node(node_id)
             if health.state in (QUARANTINED, DRAINED):
@@ -215,7 +196,8 @@ class HealthTracker:
             if health.samples == 0:
                 health.score = ratio
             else:
-                health.score = (1 - alpha) * health.score + alpha * ratio
+                health.score = (1 - EMA_ALPHA) * health.score \
+                    + EMA_ALPHA * ratio
             health.samples += 1
 
     def record_placement_failure(self, job_id: str, node_id: int,
@@ -242,7 +224,6 @@ class HealthTracker:
     def tick(self, now: float) -> None:
         """Advance every node one round: expire quarantine backoffs and
         apply the evidence-based transitions."""
-        cfg = self.config
         for node_id in sorted(self._nodes):
             health = self._nodes[node_id]
             if health.state == DRAINED:
@@ -258,26 +239,26 @@ class HealthTracker:
                                f"{health.quarantine_trips}; on probation")
                 continue
             if health.consecutive_placement_failures >= \
-                    cfg.placement_failure_threshold:
+                    PLACEMENT_FAILURE_THRESHOLD:
                 self._quarantine(health, now,
                                  f"{health.consecutive_placement_failures} "
                                  "consecutive placement failures")
                 continue
-            if health.samples < cfg.min_samples:
+            if health.samples < self.config.min_samples:
                 continue
-            if health.score < cfg.quarantine_ratio:
+            if health.score < QUARANTINE_RATIO:
                 self._quarantine(health, now,
                                  "realized/estimated goodput ratio "
                                  f"{health.score:.2f} < "
-                                 f"{cfg.quarantine_ratio:.2f}")
-            elif health.score < cfg.probation_ratio \
+                                 f"{QUARANTINE_RATIO:.2f}")
+            elif health.score < PROBATION_RATIO \
                     and health.state == HEALTHY:
                 health.state = PROBATION
                 self._emit("probation", now, node_id,
                            f"goodput ratio {health.score:.2f} < "
-                           f"{cfg.probation_ratio:.2f}; "
+                           f"{PROBATION_RATIO:.2f}; "
                            "utilities discounted")
-            elif health.score >= cfg.recover_ratio \
+            elif health.score >= RECOVER_RATIO \
                     and health.state == PROBATION:
                 health.state = HEALTHY
                 self._emit("recover", now, node_id,
@@ -285,16 +266,15 @@ class HealthTracker:
 
     def _quarantine(self, health: NodeHealth, now: float,
                     reason: str) -> None:
-        cfg = self.config
-        if health.quarantine_trips >= cfg.drain_after:
+        if health.quarantine_trips >= DRAIN_AFTER:
             health.state = DRAINED
             self._emit("drain", now, health.node_id,
-                       f"{reason}; exceeded {cfg.drain_after} quarantine "
+                       f"{reason}; exceeded {DRAIN_AFTER} quarantine "
                        "trips — drained for operator attention")
             return
         health.quarantine_trips += 1
-        duration = min(cfg.quarantine_cap_s,
-                       cfg.quarantine_base_s
+        duration = min(QUARANTINE_CAP_S,
+                       QUARANTINE_BASE_S
                        * (2 ** (health.quarantine_trips - 1)))
         health.state = QUARANTINED
         health.quarantined_until = now + duration
@@ -311,15 +291,15 @@ class HealthTracker:
         return frozenset(node_id for node_id, health in self._nodes.items()
                          if health.state in (QUARANTINED, DRAINED))
 
-    def healthy_view(self, cluster: Cluster) -> Cluster:
+    def healthy_view(self, cluster: Cluster, now: float) -> Cluster:
         """``cluster`` minus quarantined/drained nodes.
 
         Returns the *same* object when nothing is excluded, so schedulers
         that cache per-cluster state (placers key on object identity) are
         unaffected on the healthy path.  If exclusion would leave zero
         nodes, the best excluded node is pressed back into service on
-        probation — an empty cluster deadlocks every job, which is worse
-        than one sick node."""
+        probation, with a ``reinstate`` event at ``now`` — an empty cluster
+        deadlocks every job, which is worse than one sick node."""
         excluded = self.excluded_nodes()
         if not excluded:
             return cluster
@@ -337,7 +317,7 @@ class HealthTracker:
             best.score = 1.0
             best.samples = 0
             best.consecutive_placement_failures = 0
-            self._emit("reinstate", -1.0, best.node_id,
+            self._emit("reinstate", now, best.node_id,
                        "emergency reinstatement: every node was excluded")
             keep = tuple(n for n in cluster.nodes
                          if n.node_id not in self.excluded_nodes())
@@ -359,8 +339,8 @@ class HealthTracker:
             totals[node.gpu_type] = totals.get(node.gpu_type, 0) + 1
             if node.node_id in probation:
                 flagged[node.gpu_type] = flagged.get(node.gpu_type, 0) + 1
-        discount = self.config.probation_discount
-        return {gpu_type: 1.0 - (1.0 - discount) * count / totals[gpu_type]
+        return {gpu_type: 1.0 - (1.0 - PROBATION_DISCOUNT) * count
+                / totals[gpu_type]
                 for gpu_type, count in flagged.items()}
 
     # -- reporting -----------------------------------------------------------

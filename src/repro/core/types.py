@@ -39,13 +39,6 @@ class ProfilingMode(enum.Enum):
     BOOTSTRAP = "bootstrap"
 
 
-class JobStatus(enum.Enum):
-    PENDING = "pending"
-    RUNNING = "running"
-    RESTARTING = "restarting"
-    COMPLETED = "completed"
-
-
 @dataclass(frozen=True, order=True)
 class Configuration:
     """A resource bundle ``(n, r, t)``: ``num_gpus`` GPUs of ``gpu_type``
@@ -112,22 +105,6 @@ class Allocation:
             raise ValueError("per-node GPU counts must be positive")
         items = tuple(sorted(gpus_per_node.items()))
         return Allocation(gpu_type=gpu_type, gpus_per_node=items)
-
-
-@dataclass
-class BatchScale:
-    """The batch-size decision for one allocation.
-
-    ``total_batch_size = num_replicas * local_bsz * accum_steps`` where
-    ``accum_steps`` counts gradient-accumulation sub-steps per iteration
-    (>= 1; 1 means no accumulation).
-    """
-
-    local_bsz: int
-    accum_steps: int = 1
-
-    def total(self, num_replicas: int) -> int:
-        return num_replicas * self.local_bsz * self.accum_steps
 
 
 @dataclass

@@ -12,8 +12,7 @@ from repro.perf.profiles import (CATEGORY_MODELS, MODEL_ZOO, ModelProfile,
                                  target_effective_samples,
                                  true_efficiency_params, true_goodput_model,
                                  true_throughput_params)
-from repro.perf.throughput import (GAMMA, ThroughputModel, ThroughputParams,
-                                   perfect_scaling_estimate)
+from repro.perf.throughput import GAMMA, ThroughputModel, ThroughputParams
 
 __all__ = [
     "EfficiencyModel", "EfficiencyParams",
@@ -24,5 +23,5 @@ __all__ = [
     "CATEGORY_MODELS", "MODEL_ZOO", "ModelProfile", "max_local_bsz",
     "model_profile", "target_effective_samples", "true_efficiency_params",
     "true_goodput_model", "true_throughput_params",
-    "GAMMA", "ThroughputModel", "ThroughputParams", "perfect_scaling_estimate",
+    "GAMMA", "ThroughputModel", "ThroughputParams",
 ]

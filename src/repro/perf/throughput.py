@@ -20,7 +20,6 @@ samples per second.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,18 +154,3 @@ class ThroughputModel:
         total = num_gpus * local * accum
         return total / self.iter_time_batch(local, num_gpus, num_nodes, accum)
 
-
-def perfect_scaling_estimate(single_gpu_throughput: float, num_gpus: int) -> float:
-    """The one-time "perfect scaling" assumption from Section 3.2: before any
-    multi-GPU run, throughput of N replicas is N x the single-replica rate."""
-    if num_gpus < 1:
-        raise ValueError("num_gpus must be >= 1")
-    return single_gpu_throughput * num_gpus
-
-
-def validate_params_finite(params: ThroughputParams) -> bool:
-    """True if every parameter is finite (guards fitted models)."""
-    return all(map(math.isfinite, (
-        params.alpha_c, params.beta_c, params.alpha_r,
-        params.beta_r, params.alpha_n, params.beta_n, params.gamma,
-    )))

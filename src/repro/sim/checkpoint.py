@@ -51,8 +51,10 @@ from repro.atomicio import atomic_write_bytes
 #: v4: the Sia policy holds no resilient-solver object (one solve ladder).
 #: v5: Pollux estimators are type-blind ``JobPerfEstimator``s (one shared
 #:     per-type state), and MAD-window keys lead with the GPU type.
+#: v6: ``HealthConfig`` holds only ``min_samples``; node crashes, stragglers
+#:     and gray failures keep their episodes in one ``_until`` map.
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages
@@ -128,8 +130,7 @@ class CheckpointState:
     #: invariant checker mid-run state (None when checking is off).
     invariants: Any
     #: node-health tracker mid-run state (None when the health layer is
-    #: off).  Defaults to None so pre-health checkpoints still load; the
-    #: engine rebuilds a fresh tracker in that case.
+    #: off; a resume that turns it on starts a fresh tracker).
     health: Any = None
     total_failures: int = 0
     caught_scheduler_failures: int = 0

@@ -54,11 +54,17 @@ from repro.sim import checkpoint as ckpt
 from repro.sim.checkpoint import (CheckpointConfig, CheckpointError,
                                   CheckpointState)
 from repro.sim.executor import ExecutionModel, RoundExecution
-from repro.sim.faults import FaultContext, FaultModel, NodeCrashModel
+from repro.sim.faults import (FaultContext, FaultModel, NodeCrashModel,
+                              slowest_node)
 from repro.sim.invariants import MODES as INVARIANT_MODES
 from repro.sim.invariants import InvariantChecker
 from repro.sim.telemetry import (FaultEvent, JobRecord, RoundRecord,
                                  SimulationResult)
+
+#: epoch-checkpoint granularity: jobs checkpoint progress every
+#: 1/EPOCHS_PER_JOB of their work (Section 3.5: "after every epoch, Sia
+#: checkpoints model weights and optimizer states to disk").
+EPOCHS_PER_JOB = 30
 
 
 @dataclass
@@ -76,10 +82,6 @@ class SimulatorConfig:
     #: worker-failure injection: expected failures per node-hour (0 = off).
     #: Shorthand for appending a NodeCrashModel to ``fault_models``.
     node_failure_rate: float = 0.0
-    #: epoch-checkpoint granularity: jobs checkpoint progress every
-    #: 1/epochs_per_job of their work (Section 3.5: "after every epoch, Sia
-    #: checkpoints model weights and optimizer states to disk").
-    epochs_per_job: int = 30
     #: composable fault injectors (see :mod:`repro.sim.faults`); models
     #: without an explicit seed are bound to one derived from ``seed``.
     fault_models: list[FaultModel] = field(default_factory=list)
@@ -195,9 +197,6 @@ class Simulator:
         #: one metrics registry snapshotted per round.
         self.tracer = self.config.tracer or NULL_TRACER
         self.metrics = self.config.metrics or MetricsRegistry()
-        self.scheduler.tracer = self.tracer
-        self.scheduler.metrics = self.metrics
-        self._execution.tracer = self.tracer
         # Fault subsystem: legacy node_failure_rate becomes a NodeCrashModel
         # seeded exactly as the old inline sampler (seed + 1) so existing
         # configs reproduce bit-identical runs.
@@ -527,8 +526,7 @@ class Simulator:
         if self.config.health is None:
             self._health = None
         else:
-            self._health = getattr(state, "health", None) \
-                or HealthTracker(self.config.health)
+            self._health = state.health or HealthTracker(self.config.health)
         self._bind_observability()
         self.metrics.counter("checkpoint.restores").inc()
         self.tracer.instant("checkpoint_restore",
@@ -599,7 +597,7 @@ class Simulator:
         checkpoint-off, classified as fault-caused), and hand the scheduler
         a view without those nodes plus the probation-node goodput
         discounts.  Returns (filtered view, excluded node ids)."""
-        cluster_view = self._health.healthy_view(cluster_view)
+        cluster_view = self._health.healthy_view(cluster_view, now)
         quarantined = self._health.excluded_nodes()
         if quarantined:
             for job_id, rt in active.items():
@@ -801,7 +799,7 @@ class Simulator:
 
     def _rollback(self, rt: _JobRuntime) -> None:
         """Roll a job back to its last epoch checkpoint (Section 3.5)."""
-        epoch = rt.job.target_samples / max(1, self.config.epochs_per_job)
+        epoch = rt.job.target_samples / EPOCHS_PER_JOB
         rt.progress = (rt.progress // epoch) * epoch
 
     def _inject_faults(self, active: dict[str, _JobRuntime], now: float,
@@ -854,7 +852,7 @@ class Simulator:
             for job_id, rt in active.items():
                 if rt.allocation is None:
                     continue
-                factor = ctx.job_speed(rt.allocation)
+                factor = slowest_node(ctx.node_speed, rt.allocation)
                 if factor < 1.0:
                     self._round_speed[job_id] = factor
 
@@ -899,20 +897,11 @@ class Simulator:
         for model in self._fault_models:
             failures.extend(model.sample_placement_failures(attempts, now))
         failed: set[str] = set()
-        hcfg = self.config.health
         for failure in failures:
             rt = active[failure.job_id]
             failed.add(failure.job_id)
             rt.placement_failures += 1
-            if hcfg is not None:
-                delay = placement_backoff(rt.placement_failures,
-                                          failure.job_id,
-                                          base_s=hcfg.backoff_base_s,
-                                          cap_s=hcfg.backoff_cap_s,
-                                          jitter=hcfg.backoff_jitter)
-            else:
-                delay = placement_backoff(rt.placement_failures,
-                                          failure.job_id)
+            delay = placement_backoff(rt.placement_failures, failure.job_id)
             # Charged like a restart: the GPUs are held but idle while the
             # retry backs off.
             rt.restart_remaining += delay
@@ -934,13 +923,6 @@ class Simulator:
             if self._health is not None:
                 self._health.record_placement_success(allocation.node_ids)
 
-    def _gray_factor(self, allocation: Allocation | None) -> float:
-        """Silent slowdown for a job: gated by its slowest gray node."""
-        if not self._gray_nodes or allocation is None:
-            return 1.0
-        return min((self._gray_nodes.get(nid, 1.0)
-                    for nid in allocation.node_ids), default=1.0)
-
     def _advance(self, rt: _JobRuntime, now: float, dt: float,
                  fault_events: list) -> tuple[bool, RoundExecution | None]:
         """Run one round for a job holding resources.
@@ -960,7 +942,7 @@ class Simulator:
             rt.charge_gpus(dt)
             return False, None
         speed = self._round_speed.get(rt.job.job_id, 1.0)
-        gray = self._gray_factor(rt.allocation)
+        gray = slowest_node(self._gray_nodes, rt.allocation)
         execution = self._execution.execute(rt.job, rt.allocation, plan,
                                             speed=speed * gray)
         if execution is None or execution.goodput <= 0:

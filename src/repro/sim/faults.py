@@ -16,10 +16,10 @@ seed and its position in the list.
 
 Built-in models:
 
-* :class:`NodeCrashModel` — whole nodes fail and stay down for a repair
-  window; jobs touching them are evicted to their last epoch checkpoint.
-  This is the legacy ``node_failure_rate`` behaviour, refactored out of the
-  engine bit-for-bit.
+* :class:`NodeCrashModel` — whole nodes fail and stay down for
+  :data:`REPAIR_TIME_S`; jobs touching them are evicted to their last
+  epoch checkpoint.  This is the legacy ``node_failure_rate`` behaviour,
+  refactored out of the engine bit-for-bit.
 * :class:`StragglerModel` — nodes degrade to a fraction of nominal speed
   for a window.  Synchronous data-parallel training runs at the pace of the
   slowest worker, so a job's speed factor is the minimum over its nodes.
@@ -41,6 +41,10 @@ clusters also fail *gray* — see :mod:`repro.core.health` for the defense):
   engine retries with a jittered capped backoff.
 * :class:`TelemetryCorruptionModel` — throughput observations are dropped,
   duplicated, scaled, or staled before reaching the estimator.
+
+Node crashes, stragglers and gray failures are one sampler,
+:class:`NodeEpisodeModel`, that differ only in the event text and in how a
+live episode lands on the :class:`FaultContext`.
 """
 
 from __future__ import annotations
@@ -52,6 +56,21 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core.types import Allocation
 from repro.sim.telemetry import FaultEvent
+
+#: seconds a crashed node stays down before it is repaired.
+REPAIR_TIME_S = 1800.0
+#: factor a scaled telemetry report is multiplied or divided by.
+TELEMETRY_SCALE_FACTOR = 8.0
+
+
+def slowest_node(speeds: dict[int, float],
+                 allocation: Allocation | None) -> float:
+    """Speed factor of an allocation: gated by its slowest node in
+    ``speeds`` (node id -> factor; absent means 1.0)."""
+    if not speeds or allocation is None:
+        return 1.0
+    return min((speeds.get(nid, 1.0) for nid in allocation.node_ids),
+               default=1.0)
 
 
 @dataclass
@@ -93,13 +112,6 @@ class FaultContext:
         """Merge a slowdown; overlapping slowdowns keep the worst factor."""
         current = self.node_speed.get(node_id, 1.0)
         self.node_speed[node_id] = min(current, factor)
-
-    def job_speed(self, allocation: Allocation) -> float:
-        """Speed factor for a job: gated by its slowest node."""
-        if not self.node_speed:
-            return 1.0
-        return min((self.node_speed.get(nid, 1.0)
-                    for nid in allocation.node_ids), default=1.0)
 
     def gray_slow_node(self, node_id: int, factor: float) -> None:
         """Merge a silent slowdown; overlapping ones keep the worst."""
@@ -190,53 +202,80 @@ class FaultModel:
         return rate_per_hour * dt / 3600.0
 
 
-class NodeCrashModel(FaultModel):
+class NodeEpisodeModel(FaultModel):
+    """Fixed-length per-node episodes: the one sampler behind node
+    crashes, stragglers and gray failures.
+
+    Each round, every node not in an episode starts one with probability
+    ``rate * dt / 3600`` (one RNG draw per such node, in cluster order; no
+    draws when that is 0) that lasts ``duration`` seconds.  Subclasses
+    supply only the event text (:meth:`detail`) and how a live episode
+    lands on the round's :class:`FaultContext` (:meth:`apply`).
+    """
+
+    def __init__(self, rate: float, duration: float, seed: int | None):
+        if rate < 0:
+            raise ValueError(f"{self.kind} rate must be non-negative")
+        if duration <= 0:
+            raise ValueError("duration must be positive")
+        self.rate = rate
+        self.duration = duration
+        self._until: dict[int, float] = {}
+        super().__init__(seed)
+
+    def reset(self) -> None:
+        self._until = {}
+
+    def detail(self, until: float) -> str:
+        """Event text for an episode that ends at ``until`` (override)."""
+
+    def apply(self, ctx: FaultContext, node_id: int, until: float) -> None:
+        """Land one live episode on ``ctx`` (override)."""
+
+    def sample(self, ctx: FaultContext) -> None:
+        self._until = {nid: t for nid, t in self._until.items()
+                       if t > ctx.now}
+        prob = self._per_round_prob(self.rate, ctx.dt)
+        if prob > 0:
+            for node in ctx.cluster.nodes:
+                if node.node_id in self._until:
+                    continue
+                if self.rng.random() < prob:
+                    until = ctx.now + self.duration
+                    self._until[node.node_id] = until
+                    ctx.events.append(FaultEvent(
+                        kind=self.kind, time=ctx.now,
+                        target=f"node:{node.node_id}",
+                        detail=self.detail(until)))
+        for node_id, until in self._until.items():
+            self.apply(ctx, node_id, until)
+
+
+class NodeCrashModel(NodeEpisodeModel):
     """Whole-node crash-and-repair (the paper's Section 3.5 fault model).
 
-    Each up node fails with probability ``rate * dt / 3600`` per round and
-    stays down ``repair_time`` seconds.  Behaviour (including RNG stream
-    consumption) matches the legacy engine implementation exactly, so runs
-    driven by ``node_failure_rate`` are bit-identical to the seed repo.
+    A crashed node stays down :data:`REPAIR_TIME_S` seconds.  Behaviour
+    (including RNG stream consumption) matches the legacy engine
+    implementation exactly, so runs driven by ``node_failure_rate`` are
+    bit-identical to the seed repo.
     """
 
     kind = "node_crash"
 
-    def __init__(self, rate: float = 0.1, repair_time: float = 1800.0,
-                 seed: int | None = None):
-        if rate < 0:
-            raise ValueError("failure rate must be non-negative")
-        self.rate = rate
-        self.repair_time = repair_time
-        self._down_until: dict[int, float] = {}
-        super().__init__(seed)
-
-    def reset(self) -> None:
-        self._down_until = {}
+    def __init__(self, rate: float = 0.1, seed: int | None = None):
+        super().__init__(rate, REPAIR_TIME_S, seed)
 
     def revive(self, node_id: int) -> None:
-        self._down_until.pop(node_id, None)
+        self._until.pop(node_id, None)
 
-    def sample(self, ctx: FaultContext) -> None:
-        # Recover repaired nodes.
-        self._down_until = {nid: t for nid, t in self._down_until.items()
-                            if t > ctx.now}
-        prob = self._per_round_prob(self.rate, ctx.dt)
-        if prob > 0:
-            for node in ctx.cluster.nodes:
-                if node.node_id in self._down_until:
-                    continue
-                if self.rng.random() < prob:
-                    until = ctx.now + self.repair_time
-                    self._down_until[node.node_id] = until
-                    ctx.events.append(FaultEvent(
-                        kind=self.kind, time=ctx.now,
-                        target=f"node:{node.node_id}",
-                        detail=f"down until t={until:.0f}s"))
-        for node_id, until in self._down_until.items():
-            ctx.mark_down(node_id, until)
+    def detail(self, until: float) -> str:
+        return f"down until t={until:.0f}s"
+
+    def apply(self, ctx: FaultContext, node_id: int, until: float) -> None:
+        ctx.mark_down(node_id, until)
 
 
-class StragglerModel(FaultModel):
+class StragglerModel(NodeEpisodeModel):
     """Nodes degrade to ``slowdown`` of nominal speed for a window.
 
     The slowdown is felt through the executor's ground-truth rates: jobs on
@@ -248,38 +287,16 @@ class StragglerModel(FaultModel):
 
     def __init__(self, rate: float = 0.2, slowdown: float = 0.5,
                  duration: float = 1800.0, seed: int | None = None):
-        if rate < 0:
-            raise ValueError("straggler rate must be non-negative")
         if not 0 < slowdown <= 1:
             raise ValueError("slowdown must be in (0, 1]")
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        self.rate = rate
         self.slowdown = slowdown
-        self.duration = duration
-        self._slow_until: dict[int, float] = {}
-        super().__init__(seed)
+        super().__init__(rate, duration, seed)
 
-    def reset(self) -> None:
-        self._slow_until = {}
+    def detail(self, until: float) -> str:
+        return f"speed x{self.slowdown:.2f} for {self.duration:.0f}s"
 
-    def sample(self, ctx: FaultContext) -> None:
-        self._slow_until = {nid: t for nid, t in self._slow_until.items()
-                            if t > ctx.now}
-        prob = self._per_round_prob(self.rate, ctx.dt)
-        if prob > 0:
-            for node in ctx.cluster.nodes:
-                if node.node_id in self._slow_until:
-                    continue
-                if self.rng.random() < prob:
-                    self._slow_until[node.node_id] = ctx.now + self.duration
-                    ctx.events.append(FaultEvent(
-                        kind=self.kind, time=ctx.now,
-                        target=f"node:{node.node_id}",
-                        detail=f"speed x{self.slowdown:.2f} "
-                               f"for {self.duration:.0f}s"))
-        for node_id in self._slow_until:
-            ctx.slow_node(node_id, self.slowdown)
+    def apply(self, ctx: FaultContext, node_id: int, until: float) -> None:
+        ctx.slow_node(node_id, self.slowdown)
 
 
 class JobCrashModel(FaultModel):
@@ -332,7 +349,7 @@ class CheckpointRestoreFaultModel(FaultModel):
                 if self.rng.random() < self.failure_prob]
 
 
-class GrayFailureModel(FaultModel):
+class GrayFailureModel(NodeEpisodeModel):
     """Silent executor degradation: the node lies about being healthy.
 
     Each up node enters a gray episode with probability ``rate * dt / 3600``
@@ -349,39 +366,17 @@ class GrayFailureModel(FaultModel):
 
     def __init__(self, rate: float = 0.2, slowdown: float = 0.35,
                  duration: float = 7200.0, seed: int | None = None):
-        if rate < 0:
-            raise ValueError("gray failure rate must be non-negative")
         if not 0 < slowdown <= 1:
             raise ValueError("slowdown must be in (0, 1]")
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        self.rate = rate
         self.slowdown = slowdown
-        self.duration = duration
-        self._slow_until: dict[int, float] = {}
-        super().__init__(seed)
+        super().__init__(rate, duration, seed)
 
-    def reset(self) -> None:
-        self._slow_until = {}
+    def detail(self, until: float) -> str:
+        return (f"silent slowdown x{self.slowdown:.2f} "
+                f"for {self.duration:.0f}s (masked from telemetry)")
 
-    def sample(self, ctx: FaultContext) -> None:
-        self._slow_until = {nid: t for nid, t in self._slow_until.items()
-                            if t > ctx.now}
-        prob = self._per_round_prob(self.rate, ctx.dt)
-        if prob > 0:
-            for node in ctx.cluster.nodes:
-                if node.node_id in self._slow_until:
-                    continue
-                if self.rng.random() < prob:
-                    self._slow_until[node.node_id] = ctx.now + self.duration
-                    ctx.events.append(FaultEvent(
-                        kind=self.kind, time=ctx.now,
-                        target=f"node:{node.node_id}",
-                        detail=f"silent slowdown x{self.slowdown:.2f} "
-                               f"for {self.duration:.0f}s "
-                               "(masked from telemetry)"))
-        for node_id in self._slow_until:
-            ctx.gray_slow_node(node_id, self.slowdown)
+    def apply(self, ctx: FaultContext, node_id: int, until: float) -> None:
+        ctx.gray_slow_node(node_id, self.slowdown)
 
 
 class PlacementFailureModel(FaultModel):
@@ -424,9 +419,9 @@ class TelemetryCorruptionModel(FaultModel):
     """Throughput reports mangled on the way to the estimator.
 
     With probability ``rate`` per observation, the report is (uniformly)
-    dropped, duplicated, scaled by ``scale_factor`` or its inverse
-    (occasionally corrupted to NaN outright), or replaced by a stale replay
-    of the job's previous report.  Scaled/NaN reports are what the
+    dropped, duplicated, scaled by :data:`TELEMETRY_SCALE_FACTOR` or its
+    inverse (occasionally corrupted to NaN outright), or replaced by a
+    stale replay of the job's previous report.  Scaled/NaN reports are what the
     estimator's MAD/finite defense must catch; drops and duplicates are
     survivable noise; stale replays look plausible and slip through —
     which is fine, they carry old but truthful information.
@@ -434,14 +429,10 @@ class TelemetryCorruptionModel(FaultModel):
 
     kind = "telemetry"
 
-    def __init__(self, rate: float = 0.1, scale_factor: float = 8.0,
-                 seed: int | None = None):
+    def __init__(self, rate: float = 0.1, seed: int | None = None):
         if not 0 <= rate <= 1:
             raise ValueError("corruption rate must be in [0, 1]")
-        if scale_factor <= 1:
-            raise ValueError("scale_factor must exceed 1")
         self.rate = rate
-        self.scale_factor = scale_factor
         self._last: dict[str, object] = {}
         super().__init__(seed)
 
@@ -468,8 +459,8 @@ class TelemetryCorruptionModel(FaultModel):
             if direction < 0.1:
                 return ([replace(obs, iter_time=float("nan"))],
                         [event("iter_time corrupted to nan")])
-            factor = (self.scale_factor if direction < 0.55
-                      else 1.0 / self.scale_factor)
+            factor = (TELEMETRY_SCALE_FACTOR if direction < 0.55
+                      else 1.0 / TELEMETRY_SCALE_FACTOR)
             return ([replace(obs, iter_time=obs.iter_time * factor)],
                     [event(f"iter_time scaled x{factor:g}")])
         if last is None:

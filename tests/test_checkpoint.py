@@ -150,8 +150,9 @@ class TestCheckpointFile:
         ckpt.write_checkpoint(self._state(round_index=1), path)
         header, payload = path.read_bytes().split(b"\n", 1)
         # v1 stored finished jobs as runtimes; v2 could hold a wrapped
-        # scheduler class that no longer exists.
-        for version in (b"v999", b"v1", b"v2"):
+        # scheduler class that no longer exists; v5 pickled the health and
+        # fault-model knobs that are now module constants.
+        for version in (b"v999", b"v1", b"v2", b"v5"):
             parts = header.split(b" ")
             parts[1] = version
             path.write_bytes(b" ".join(parts) + b"\n" + payload)

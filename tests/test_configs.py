@@ -5,10 +5,14 @@ from hypothesis import given, strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import NodeGroup
-from repro.core.configs import (build_config_set, feasible_for_job,
-                                multi_node_configs, powers_of_two_up_to,
-                                single_node_configs)
+from dataclasses import replace
+
+from repro.core.configs import (build_config_set, multi_node_configs,
+                                powers_of_two_up_to, single_node_configs)
+from repro.core.policy import SiaPolicy, SiaPolicyParams
 from repro.core.types import Configuration
+from repro.jobs.job import make_job
+from repro.schedulers.base import JobView
 
 
 class TestPowersOfTwo:
@@ -93,31 +97,48 @@ class TestSetConstruction:
 
 
 class TestFeasibleForJob:
+    """Section 3.1's per-round filter, as ``SiaPolicy.feasible_configs``
+    applies it to the configuration set."""
+
     @pytest.fixture
     def configs(self, hetero_cluster):
         return build_config_set(hetero_cluster, max_gpus=16)
 
+    @staticmethod
+    def feasible(configs, job, current=None, policy=None):
+        view = JobView(job=job, estimator=None, current_config=current,
+                       age=0.0, num_restarts=0, progress=0.0)
+        policy = policy or SiaPolicy()
+        return [configs[j] for j in policy.feasible_configs(view, configs)]
+
     def test_pending_job_gets_min_size_only(self, configs):
-        out = feasible_for_job(configs, min_gpus=1, current_gpus=0)
+        out = self.feasible(configs, make_job("j", "bert", 0.0))
         assert all(c.num_gpus == 1 for c in out)
         assert len(out) == 3  # one per GPU type
 
     def test_scale_up_capped_at_2x(self, configs):
-        out = feasible_for_job(configs, current_gpus=4)
+        out = self.feasible(configs, make_job("j", "bert", 0.0),
+                            Configuration(1, 4, "a100"))
         assert max(c.num_gpus for c in out) == 8
 
     def test_respects_max_gpus(self, configs):
-        out = feasible_for_job(configs, current_gpus=8, max_gpus=8)
+        out = self.feasible(configs, make_job("j", "bert", 0.0, max_gpus=8),
+                            Configuration(1, 8, "a100"))
         assert all(c.num_gpus <= 8 for c in out)
 
     def test_respects_min_gpus(self, configs):
-        out = feasible_for_job(configs, min_gpus=4, current_gpus=8)
+        job = replace(make_job("j", "bert", 0.0), min_gpus=4)
+        out = self.feasible(configs, job, Configuration(1, 8, "a100"))
         assert all(c.num_gpus >= 4 for c in out)
 
     def test_type_restriction(self, configs):
-        out = feasible_for_job(configs, current_gpus=4, gpu_types=("a100",))
+        job = make_job("j", "bert", 0.0)
+        job.fixed_gpu_type = "a100"
+        out = self.feasible(configs, job, Configuration(1, 4, "a100"))
         assert all(c.gpu_type == "a100" for c in out)
 
     def test_custom_scale_up_factor(self, configs):
-        out = feasible_for_job(configs, current_gpus=2, scale_up_factor=4)
+        policy = SiaPolicy(SiaPolicyParams(scale_up_factor=4))
+        out = self.feasible(configs, make_job("j", "bert", 0.0),
+                            Configuration(1, 2, "a100"), policy)
         assert max(c.num_gpus for c in out) == 8

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import presets
 from repro.jobs.job import make_job
 from repro.schedulers import SiaScheduler
-from repro.sim import Simulator, SimulatorConfig, simulate
+from repro.sim import Simulator, SimulatorConfig, engine, simulate
 
 
 def job(job_id="j1", model="resnet18", scale=0.2):
@@ -64,19 +64,20 @@ class TestFailureInjection:
         assert [j.finish_time for j in a.jobs] == \
             [j.finish_time for j in b.jobs]
 
-    def test_epoch_granularity_bounds_rollback(self, hetero_cluster):
+    def test_epoch_granularity_bounds_rollback(self, hetero_cluster,
+                                               monkeypatch):
         """With a single epoch, any failure wipes all progress; with many
         epochs the loss is bounded — so coarse checkpointing must be
         slower under the same failure schedule."""
         jobs = [job(f"j{i}", scale=0.4) for i in range(3)]
-        fine = Simulator(hetero_cluster, SiaScheduler(), jobs,
-                         SimulatorConfig(node_failure_rate=3.0, seed=4,
-                                         epochs_per_job=50,
-                                         max_hours=100)).run()
-        coarse = Simulator(hetero_cluster, SiaScheduler(), jobs,
-                           SimulatorConfig(node_failure_rate=3.0, seed=4,
-                                           epochs_per_job=1,
-                                           max_hours=100)).run()
+
+        def run(epochs):
+            monkeypatch.setattr(engine, "EPOCHS_PER_JOB", epochs)
+            return Simulator(hetero_cluster, SiaScheduler(), jobs,
+                             SimulatorConfig(node_failure_rate=3.0, seed=4,
+                                             max_hours=100)).run()
+
+        fine, coarse = run(50), run(1)
         assert coarse.node_failures == fine.node_failures
         assert sum(coarse.jcts_hours()) >= sum(fine.jcts_hours())
 

@@ -8,8 +8,8 @@ from repro.schedulers import SiaScheduler
 from repro.sim import (CheckpointRestoreFaultModel, JobCrashModel,
                        NodeCrashModel, Simulator, SimulatorConfig,
                        StragglerModel, simulate)
-from repro.sim.engine import _JobRuntime
-from repro.sim.faults import FaultContext
+from repro.sim.engine import EPOCHS_PER_JOB, _JobRuntime
+from repro.sim.faults import FaultContext, slowest_node
 
 
 def jobs(n=3, scale=0.4):
@@ -27,8 +27,7 @@ class TestNodeCrashModelCompat:
         # The legacy path seeds its sampler with config.seed + 1.
         explicit = simulate(hetero_cluster, SiaScheduler(), jobs(),
                             seed=2, max_hours=100,
-                            fault_models=[NodeCrashModel(
-                                rate=3.0, repair_time=1800.0, seed=3)])
+                            fault_models=[NodeCrashModel(rate=3.0, seed=3)])
         assert legacy.node_failures > 0  # the comparison must be non-trivial
         assert explicit.node_failures == legacy.node_failures
         assert [(j.finish_time, j.num_restarts) for j in legacy.jobs] == \
@@ -121,9 +120,9 @@ class TestStragglerModel:
         ctx.slow_node(0, 0.5)
         ctx.slow_node(1, 0.8)
         alloc = Allocation.build("t4", {0: 2, 1: 2, 2: 2})
-        assert ctx.job_speed(alloc) == 0.5
+        assert slowest_node(ctx.node_speed, alloc) == 0.5
         ctx.slow_node(0, 0.9)  # overlapping slowdown keeps the worst factor
-        assert ctx.job_speed(alloc) == 0.5
+        assert slowest_node(ctx.node_speed, alloc) == 0.5
 
 
 class TestJobCrashModel:
@@ -140,9 +139,9 @@ class TestJobCrashModel:
 
     def test_rollback_bounded_to_one_epoch(self, hetero_cluster):
         sim = Simulator(hetero_cluster, SiaScheduler(), jobs(1),
-                        SimulatorConfig(epochs_per_job=30))
+                        SimulatorConfig())
         job = jobs(1)[0]
-        epoch = job.target_samples / 30
+        epoch = job.target_samples / EPOCHS_PER_JOB
         for progress in (0.0, epoch * 2.5, epoch * 7.999, epoch * 29.01):
             rt = _JobRuntime(job=job, estimator=None, progress=progress)
             sim._rollback(rt)

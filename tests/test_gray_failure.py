@@ -10,8 +10,12 @@ import pytest
 
 from repro import io
 from repro.cluster import presets
-from repro.core.health import (DRAINED, HEALTHY, PROBATION, QUARANTINED,
-                               HealthConfig, HealthEvent, HealthTracker,
+from repro.core.health import (BACKOFF_BASE_S, BACKOFF_CAP_S, BACKOFF_JITTER,
+                               DRAIN_AFTER, DRAINED, HEALTHY,
+                               PLACEMENT_FAILURE_THRESHOLD, PROBATION,
+                               PROBATION_DISCOUNT, QUARANTINE_BASE_S,
+                               QUARANTINE_CAP_S, QUARANTINED, HealthConfig,
+                               HealthEvent, HealthTracker,
                                deterministic_jitter, placement_backoff)
 from repro.core.types import Allocation, ProfilingMode
 from repro.jobs.job import make_job
@@ -24,7 +28,7 @@ from repro.sim import (GrayFailureModel, PlacementFailureModel, Simulator,
                        SimulatorConfig, StragglerModel,
                        TelemetryCorruptionModel, simulate)
 from repro.sim.chaos import run_chaos
-from repro.sim.faults import FaultContext
+from repro.sim.faults import TELEMETRY_SCALE_FACTOR, FaultContext
 
 
 def jobs(n=3, scale=0.4):
@@ -122,7 +126,7 @@ class TestPlacementFailureModel:
 
 class TestTelemetryCorruptionModel:
     def test_all_modes_fire(self):
-        model = TelemetryCorruptionModel(rate=1.0, scale_factor=8.0, seed=5)
+        model = TelemetryCorruptionModel(rate=1.0, seed=5)
         details = []
         lengths = set()
         for i in range(200):
@@ -136,6 +140,8 @@ class TestTelemetryCorruptionModel:
         assert "scaled" in text
         assert "stale" in text
         assert "nan" in text
+        assert f"x{TELEMETRY_SCALE_FACTOR:g}" in text
+        assert f"x{1 / TELEMETRY_SCALE_FACTOR:g}" in text
         assert lengths == {0, 1, 2}
 
     def test_stale_replays_previous_report(self):
@@ -161,8 +167,6 @@ class TestTelemetryCorruptionModel:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             TelemetryCorruptionModel(rate=1.5)
-        with pytest.raises(ValueError):
-            TelemetryCorruptionModel(scale_factor=1.0)
 
     def test_corruption_triggers_estimator_rejections(self, hetero_cluster):
         # Rigid jobs keep a stable allocation, so the estimator sees the
@@ -264,19 +268,20 @@ class TestBackoff:
             assert 0.0 <= deterministic_jitter(token, 0.25) <= 0.25
 
     def test_backoff_doubles_and_caps(self):
-        delays = [placement_backoff(a, "j0", base_s=30.0, cap_s=120.0,
-                                    jitter=0.0) for a in (1, 2, 3, 4)]
-        assert delays == [30.0, 60.0, 120.0, 120.0]
+        attempts = range(1, 8)
+        bases = [min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (a - 1))
+                 for a in attempts]
+        assert bases[0] == BACKOFF_BASE_S and bases[-1] == BACKOFF_CAP_S
+        for attempt, base in zip(attempts, bases):
+            jitter = deterministic_jitter(f"j0:{attempt}", BACKOFF_JITTER)
+            assert placement_backoff(attempt, "j0") == base * (1.0 + jitter)
         with pytest.raises(ValueError):
             placement_backoff(0, "j0")
 
 
 class TestHealthTracker:
-    def cfg(self, **kw):
-        base = dict(min_samples=3, quarantine_base_s=600.0,
-                    quarantine_cap_s=2400.0, drain_after=2)
-        base.update(kw)
-        return HealthConfig(**base)
+    def cfg(self, min_samples=3):
+        return HealthConfig(min_samples=min_samples)
 
     def test_low_ratio_walks_probation_then_quarantine(self):
         tracker = HealthTracker(self.cfg())
@@ -307,9 +312,10 @@ class TestHealthTracker:
         assert tracker.node(0).state == HEALTHY  # not enough evidence yet
 
     def test_placement_failures_quarantine(self):
-        tracker = HealthTracker(self.cfg(placement_failure_threshold=2))
-        tracker.record_placement_failure("j0", 0, 0.0)
-        tracker.tick(0.0)
+        tracker = HealthTracker(self.cfg())
+        for _ in range(PLACEMENT_FAILURE_THRESHOLD - 1):
+            tracker.record_placement_failure("j0", 0, 0.0)
+            tracker.tick(0.0)
         assert tracker.node(0).state == HEALTHY
         tracker.record_placement_failure("j0", 0, 60.0)
         tracker.tick(60.0)
@@ -317,8 +323,9 @@ class TestHealthTracker:
         assert "placement failures" in tracker.drain_events()[-1].detail
 
     def test_placement_success_resets_streak(self):
-        tracker = HealthTracker(self.cfg(placement_failure_threshold=2))
-        tracker.record_placement_failure("j0", 0, 0.0)
+        tracker = HealthTracker(self.cfg())
+        for _ in range(PLACEMENT_FAILURE_THRESHOLD - 1):
+            tracker.record_placement_failure("j0", 0, 0.0)
         tracker.record_placement_success([0])
         tracker.record_placement_failure("j0", 0, 60.0)
         tracker.tick(60.0)
@@ -326,38 +333,35 @@ class TestHealthTracker:
 
     def test_backoff_doubles_then_drains(self):
         tracker = HealthTracker(self.cfg())
-        now = 0.0
-        low_ratio(tracker, 0, now, n=3, ratio=0.1)
-        tracker.tick(now)
         health = tracker.node(0)
-        assert health.state == QUARANTINED
-        assert health.quarantined_until == now + 600.0  # trip 1: base
-        now = health.quarantined_until
-        tracker.tick(now)
-        assert health.state == PROBATION  # reinstated on expiry
+        now = 0.0
+        for trip in range(1, DRAIN_AFTER + 1):
+            low_ratio(tracker, 0, now, n=3, ratio=0.1)
+            tracker.tick(now)
+            assert health.state == QUARANTINED
+            # trip 1 waits the base; each later trip doubles it, capped.
+            assert health.quarantined_until == now + min(
+                QUARANTINE_CAP_S, QUARANTINE_BASE_S * 2 ** (trip - 1))
+            now = health.quarantined_until
+            tracker.tick(now)
+            assert health.state == PROBATION  # reinstated on expiry
         low_ratio(tracker, 0, now, n=3, ratio=0.1)
         tracker.tick(now)
-        assert health.state == QUARANTINED
-        assert health.quarantined_until == now + 1200.0  # trip 2: doubled
-        now = health.quarantined_until
-        tracker.tick(now)
-        low_ratio(tracker, 0, now, n=3, ratio=0.1)
-        tracker.tick(now)
-        assert health.state == DRAINED  # trips exceeded drain_after=2
+        assert health.state == DRAINED  # trips exceeded DRAIN_AFTER
         kinds = [e.kind for e in tracker.drain_events()]
-        assert kinds.count("quarantine") == 2
+        assert kinds.count("quarantine") == DRAIN_AFTER
         assert kinds[-1] == "drain"
 
     def test_healthy_view_identity_when_clean(self, hetero_cluster):
         tracker = HealthTracker(self.cfg())
         low_ratio(tracker, 0, 0.0, n=3, ratio=0.9)
-        assert tracker.healthy_view(hetero_cluster) is hetero_cluster
+        assert tracker.healthy_view(hetero_cluster, 0.0) is hetero_cluster
 
     def test_healthy_view_filters_quarantined(self, hetero_cluster):
         tracker = HealthTracker(self.cfg())
         low_ratio(tracker, 0, 0.0, n=3, ratio=0.1)
         tracker.tick(0.0)
-        view = tracker.healthy_view(hetero_cluster)
+        view = tracker.healthy_view(hetero_cluster, 0.0)
         assert 0 not in {n.node_id for n in view.nodes}
         assert len(view.nodes) == len(hetero_cluster.nodes) - 1
 
@@ -367,24 +371,27 @@ class TestHealthTracker:
             low_ratio(tracker, node.node_id, 0.0, n=3, ratio=0.1)
         tracker.tick(0.0)
         assert len(tracker.excluded_nodes()) == len(tiny_cluster.nodes)
-        view = tracker.healthy_view(tiny_cluster)
+        now = 120.0
+        view = tracker.healthy_view(tiny_cluster, now)
         assert len(view.nodes) == 1
         assert tracker.node(view.nodes[0].node_id).state == PROBATION
-        assert any(e.kind == "reinstate" and "emergency" in e.detail
-                   for e in tracker.drain_events())
+        emergency = [e for e in tracker.drain_events()
+                     if e.kind == "reinstate" and "emergency" in e.detail]
+        assert len(emergency) == 1
+        assert emergency[0].time == now
 
     def test_type_discounts_empty_without_probation(self, hetero_cluster):
         tracker = HealthTracker(self.cfg())
         assert tracker.type_discounts(hetero_cluster) == {}
 
     def test_type_discounts_weighted_by_flagged_fraction(self, tiny_cluster):
-        tracker = HealthTracker(self.cfg(probation_discount=0.6))
+        tracker = HealthTracker(self.cfg())
         quad = next(n for n in tiny_cluster.nodes if n.gpu_type == "quad")
         low_ratio(tracker, quad.node_id, 0.0, n=3, ratio=0.6)
         tracker.tick(0.0)
         discounts = tracker.type_discounts(tiny_cluster)
         # The only quad node is on probation: full discount on that type.
-        assert discounts == {"quad": pytest.approx(0.6)}
+        assert discounts == {"quad": pytest.approx(PROBATION_DISCOUNT)}
 
     def test_quarantine_liveness_property(self):
         """Seeded property (satellite 3): under arbitrary evidence, every
@@ -393,8 +400,7 @@ class TestHealthTracker:
         accounts for every tracked node."""
         for seed in range(5):
             rng = random.Random(seed)
-            cfg = self.cfg()
-            tracker = HealthTracker(cfg)
+            tracker = HealthTracker(self.cfg())
             ever_quarantined: set[int] = set()
             now = 0.0
             for _ in range(300):
@@ -419,7 +425,7 @@ class TestHealthTracker:
                                                 QUARANTINED, DRAINED}
             # Evidence stops; backoffs expire within the cap.
             for _ in range(3):
-                now += cfg.quarantine_cap_s + 1.0
+                now += QUARANTINE_CAP_S + 1.0
                 tracker.tick(now)
             final = tracker.states()
             assert ever_quarantined  # the property was exercised

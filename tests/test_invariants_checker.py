@@ -174,7 +174,7 @@ class TestInvariantsOverFaultHeavyRuns:
         sim, result = _run(
             hetero_cluster, seed,
             fault_models=[
-                NodeCrashModel(rate=2.0, repair_time=600.0, seed=seed + 1),
+                NodeCrashModel(rate=2.0, seed=seed + 1),
                 StragglerModel(rate=10.0, slowdown=0.4, seed=seed + 2),
                 JobCrashModel(rate=4.0, seed=seed + 3),
                 CheckpointRestoreFaultModel(failure_prob=0.3, seed=seed + 4),

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.perf.throughput import (GAMMA, ThroughputModel, ThroughputParams,
-                                   perfect_scaling_estimate,
-                                   validate_params_finite)
+from repro.perf.throughput import GAMMA, ThroughputModel, ThroughputParams
 
 PARAMS = ThroughputParams(alpha_c=0.01, beta_c=0.001,
                           alpha_r=0.005, beta_r=0.0005,
@@ -143,18 +141,6 @@ class TestParams:
     def test_scaled_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PARAMS.scaled(0.0)
-
-    def test_validate_finite(self):
-        assert validate_params_finite(PARAMS)
-
-
-class TestPerfectScaling:
-    def test_linear(self):
-        assert perfect_scaling_estimate(10.0, 4) == 40.0
-
-    def test_rejects_zero_gpus(self):
-        with pytest.raises(ValueError):
-            perfect_scaling_estimate(10.0, 0)
 
 
 def test_default_gamma_reasonable():

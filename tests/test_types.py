@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.types import Allocation, BatchScale, Configuration
+from repro.core.types import Allocation, Configuration
 
 
 class TestConfiguration:
@@ -62,12 +62,3 @@ class TestAllocation:
         a = Allocation.build("t4", {0: 2, 1: 2})
         b = Allocation.build("t4", {1: 2, 0: 2})
         assert a == b
-
-
-class TestBatchScale:
-    def test_total(self):
-        scale = BatchScale(local_bsz=32, accum_steps=2)
-        assert scale.total(num_replicas=4) == 256
-
-    def test_default_no_accumulation(self):
-        assert BatchScale(local_bsz=8).total(1) == 8
