@@ -162,9 +162,9 @@ def _counterfactual_lines(diff: RunDiff, job_id: str) -> list[str]:
     if vals:
         base_jct, fork_jct = vals.get("base_jct"), vals.get("fork_jct")
         if base_jct is not None or fork_jct is not None:
-            base_s = _hms(base_jct * 3600) if base_jct is not None \
+            base_s = _hms(base_jct) if base_jct is not None \
                 else "did not finish"
-            fork_s = _hms(fork_jct * 3600) if fork_jct is not None \
+            fork_s = _hms(fork_jct) if fork_jct is not None \
                 else "did not finish"
             lines.append(f"  JCT: {base_s} (base) vs {fork_s} (fork)")
         base_w, fork_w = vals.get("base_queue_wait"), \

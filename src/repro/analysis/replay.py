@@ -274,12 +274,6 @@ def apply_overrides(state: CheckpointState, overrides: ReplayOverrides,
 
 # -- metric deltas -------------------------------------------------------------
 
-def _jct_hours(result: SimulationResult, record: Any) -> float | None:
-    if record.finish_time is None:
-        return None
-    return record.jct() / 3600.0
-
-
 def _metric_deltas(base: SimulationResult, fork: SimulationResult,
                    ) -> tuple[list[MetricDelta],
                               dict[str, dict[str, float | None]]]:
@@ -336,8 +330,10 @@ def _metric_deltas(base: SimulationResult, fork: SimulationResult,
     for job_id in sorted(set(base_jobs) | set(fork_jobs)):
         base_rec, fork_rec = base_jobs.get(job_id), fork_jobs.get(job_id)
         job_deltas[job_id] = {
-            "base_jct": _jct_hours(base, base_rec) if base_rec else None,
-            "fork_jct": _jct_hours(fork, fork_rec) if fork_rec else None,
+            "base_jct": (base_rec.jct() if base_rec and base_rec.completed
+                         else None),
+            "fork_jct": (fork_rec.jct() if fork_rec and fork_rec.completed
+                         else None),
             "base_queue_wait": base_waits.get(job_id),
             "fork_queue_wait": fork_waits.get(job_id),
         }

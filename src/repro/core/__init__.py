@@ -1,8 +1,8 @@
 """Sia's core: configuration sets, goodput matrix, ILP, restart factor,
 bootstrapping, policy and placement."""
 
-from repro.core.bootstrap import (bootstrap_ratio, bootstrap_throughput,
-                                  pick_reference_type)
+from repro.core.bootstrap import (BootstrapModel, bootstrap_ratio,
+                                  bootstrap_throughput)
 from repro.core.configs import (build_config_set, multi_node_configs,
                                 powers_of_two_up_to, single_node_configs)
 from repro.core.health import (HealthConfig, HealthEvent, HealthTracker,
@@ -19,7 +19,7 @@ from repro.core.types import (AdaptivityMode, Allocation, Configuration,
                               PolicyDecision, ProfilingMode)
 
 __all__ = [
-    "bootstrap_ratio", "bootstrap_throughput", "pick_reference_type",
+    "BootstrapModel", "bootstrap_ratio", "bootstrap_throughput",
     "build_config_set", "multi_node_configs",
     "powers_of_two_up_to", "single_node_configs",
     "AssignmentProblem", "AssignmentSolution", "solve_assignment",

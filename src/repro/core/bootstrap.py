@@ -14,6 +14,13 @@ available.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from repro.perf.throughput import ThroughputModel
+
 
 def bootstrap_ratio(single_gpu_xput_target: float,
                     single_gpu_xput_reference: float) -> float:
@@ -33,18 +40,59 @@ def bootstrap_throughput(single_gpu_xput_target: float,
     return ratio * reference_multi_gpu_xput
 
 
-def pick_reference_type(candidates: dict[str, bool],
-                        single_gpu_xputs: dict[str, float]) -> str | None:
-    """Choose the reference GPU type A for bootstrapping.
+class BootstrapModel:
+    """Equation (1) as a throughput model, for multi-GPU plans on a type
+    profiled only at one GPU.
 
-    ``candidates`` maps GPU type -> whether the job has multi-GPU experience
-    on it; ``single_gpu_xputs`` maps GPU type -> its measured 1-GPU
-    throughput.  Among types with multi-GPU experience we prefer the one the
-    job ran fastest on (most refined and closest in character to the large
-    allocations Sia will consider).  Returns None if no type qualifies.
+    ``own`` is that type's fitted model; ``refs`` are the fitted models of
+    the types with single- *and* multi-GPU data, in GPU-type order.  Per
+    plan, the reference is the one with the largest positive 1-GPU
+    throughput at the plan's local batch size, the first listed winning
+    ties.  With none, the one-time perfect-scaling assumption applies: N
+    replicas run at N x the single-replica rate (accumulation scales
+    samples and time equally, so it does not change the rate).
     """
-    experienced = [t for t, known in candidates.items()
-                   if known and single_gpu_xputs.get(t, 0.0) > 0]
-    if not experienced:
-        return None
-    return max(experienced, key=lambda t: single_gpu_xputs[t])
+
+    def __init__(self, own: ThroughputModel, refs: list[ThroughputModel]):
+        self.own = own
+        self.refs = refs
+
+    def throughput(self, local_bsz: float, num_gpus: int, num_nodes: int,
+                   accum_steps: int = 1) -> float:
+        own_single = self.own.throughput(local_bsz, 1, 1)
+        reference, ref_single = None, 0.0
+        for model in self.refs:
+            single = model.throughput(local_bsz, 1, 1)
+            if single > ref_single:
+                reference, ref_single = model, single
+        if reference is None:
+            return own_single * num_gpus
+        return bootstrap_throughput(
+            own_single, ref_single,
+            reference.throughput(local_bsz, num_gpus, num_nodes, accum_steps))
+
+    def throughput_batch(self, local_bsz: np.ndarray,
+                         num_gpus: np.ndarray | int,
+                         num_nodes: np.ndarray | int,
+                         accum_steps: np.ndarray | int = 1) -> np.ndarray:
+        """Vectorized :meth:`throughput`: the reference is chosen per
+        candidate, elementwise."""
+        own_single = self.own.throughput_batch(local_bsz, 1, 1, 1)
+        if not self.refs:
+            return own_single * num_gpus
+        for i, model in enumerate(self.refs):
+            single = model.throughput_batch(local_bsz, 1, 1, 1)
+            multi = model.throughput_batch(local_bsz, num_gpus, num_nodes,
+                                           accum_steps)
+            score = np.where(single > 0, single, -np.inf)
+            if i == 0:
+                ref_single, ref_multi, best = single, multi, score
+                continue
+            wins = score > best
+            ref_single = np.where(wins, single, ref_single)
+            ref_multi = np.where(wins, multi, ref_multi)
+            best = np.maximum(best, score)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            estimate = own_single / ref_single * ref_multi
+        return np.where(np.isfinite(ref_single) & (ref_single > 0),
+                        estimate, own_single * num_gpus)

@@ -11,7 +11,9 @@ each of a job's feasible configurations, after optimizing the batch plan
 under the job's adaptivity constraints.  Cache misses are evaluated in one
 grouped pass: their candidate grids are concatenated and ranked together
 (:func:`repro.perf.goodput.best_plans`).  Throughput estimates route through
-a dispatch that mirrors Section 3.2:
+one dispatch that mirrors Section 3.2: :meth:`JobPerfEstimator._cache_token`
+names the branch and :meth:`JobPerfEstimator._branch_model` builds its one
+model, which both the batched pass and the scalar re-rank evaluate:
 
 1. Oracle mode, or a fitted model whose communication behaviour has actually
    been observed -> trust the model.
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.bootstrap import bootstrap_throughput, pick_reference_type
+from repro.core.bootstrap import BootstrapModel
 from repro.core.types import Configuration, ProfilingMode
 from repro.perf import profiles
 from repro.perf.efficiency import EfficiencyModel, EfficiencyParams
@@ -271,134 +273,31 @@ class JobPerfEstimator:
         perfect-scaling assumption instead."""
         return num_gpus == 1 or fit.has_multi_gpu
 
-    def _single_gpu_xput(self, gpu_type: str, local_bsz: int) -> float | None:
-        """Estimated 1-GPU throughput on a type, if any data exists."""
-        fit = self._fit(gpu_type)
-        if fit is None or not fit.has_single_gpu:
-            return None
-        model = ThroughputModel(fit.params)
-        return model.throughput(local_bsz, 1, 1)
-
     def throughput(self, gpu_type: str, local_bsz: int, num_gpus: int,
                    num_nodes: int, accum_steps: int = 1) -> float:
         """Estimated samples/second on a concrete execution plan."""
-        if self.mode is ProfilingMode.ORACLE:
-            true_model = ThroughputModel(
-                profiles.true_throughput_params(self.model_name, gpu_type))
-            return true_model.throughput(local_bsz, num_gpus, num_nodes,
-                                         accum_steps)
+        model = self._branch_model(
+            self._cache_token(gpu_type, num_gpus)[0], gpu_type)
+        return model.throughput(local_bsz, num_gpus, num_nodes, accum_steps)
 
-        fit = self._fit(gpu_type)
-        if fit is not None and self._trusts_fit(fit, num_gpus):
-            return ThroughputModel(fit.params).throughput(
-                local_bsz, num_gpus, num_nodes, accum_steps)
-
-        if fit is not None and fit.has_single_gpu:
-            # Multi-GPU on a type we have only profiled at 1 GPU.
-            estimate = self._bootstrap_multi_gpu(
-                gpu_type, local_bsz, num_gpus, num_nodes, accum_steps)
-            if estimate is not None:
-                return estimate
-            # Perfect-scaling assumption (Section 3.2): N replicas run at
-            # N x the single-replica rate (accumulation scales samples and
-            # time equally, so the rate is unchanged by accum_steps).
-            single = self._single_gpu_xput(gpu_type, local_bsz)
-            assert single is not None
-            return single * num_gpus
-
-        # Nothing known for this type (No-Prof cold start): type-blind prior.
-        return ThroughputModel(_PRIOR_PARAMS).throughput(
-            local_bsz, num_gpus, num_nodes, accum_steps)
-
-    def _throughput_batch(self, branch: str, gpu_type: str,
-                          local: np.ndarray, gpus: np.ndarray,
-                          nodes: np.ndarray,
-                          accums: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`throughput` over candidates of any shapes on
-        one GPU type that share a dispatch ``branch`` (the first field of
-        their :meth:`_cache_token`).
-
-        The branch is the scalar path's because none of the routing
-        conditions depend on the batch plan; only the Equation (1)
-        reference-type choice varies per candidate, and the bootstrap
-        branch replicates that selection elementwise.
-        """
+    def _branch_model(self, branch: str, gpu_type: str,
+                      ) -> ThroughputModel | BootstrapModel:
+        """The throughput model of one dispatch ``branch`` (the first field
+        of :meth:`_cache_token`) on one GPU type.  None of the routing
+        conditions depend on the batch plan, so one model answers every
+        candidate of the branch, scalar or batched."""
         if branch == "oracle":
-            params = profiles.true_throughput_params(self.model_name,
-                                                     gpu_type)
-        elif branch == "fit":
-            params = self._fit(gpu_type).params
-        elif branch == "prior":
-            params = _PRIOR_PARAMS
-        else:
-            estimate = self._bootstrap_multi_gpu_batch(
-                gpu_type, local, gpus, nodes, accums)
-            if estimate is not None:
-                return estimate
-            # Perfect-scaling assumption: N x the single-replica rate at
-            # accumulation 1 (matching the scalar path exactly).
-            singles = ThroughputModel(self._fit(gpu_type).params) \
-                .throughput_batch(local, 1, 1, 1)
-            return singles * gpus
-        return ThroughputModel(params).throughput_batch(local, gpus, nodes,
-                                                        accums)
-
-    def _bootstrap_multi_gpu(self, gpu_type: str, local_bsz: int,
-                             num_gpus: int, num_nodes: int,
-                             accum_steps: int) -> float | None:
-        """Equation (1): rescale a multi-GPU-experienced reference type."""
-        experience: dict[str, bool] = {}
-        singles: dict[str, float] = {}
-        for t in self.gpu_types:
-            fit = self._fit(t)
-            experience[t] = fit is not None and fit.has_multi_gpu
-            if fit is not None and fit.has_single_gpu:
-                singles[t] = ThroughputModel(fit.params).throughput(
-                    local_bsz, 1, 1)
-        reference = pick_reference_type(experience, singles)
-        if reference is None or gpu_type not in singles:
-            return None
-        ref_multi = ThroughputModel(self._fit(reference).params).throughput(
-            local_bsz, num_gpus, num_nodes, accum_steps)
-        return bootstrap_throughput(singles[gpu_type], singles[reference],
-                                    ref_multi)
-
-    def _bootstrap_multi_gpu_batch(self, gpu_type: str, local: np.ndarray,
-                                   gpus: np.ndarray, nodes: np.ndarray,
-                                   accums: np.ndarray) -> np.ndarray | None:
-        """Vectorized Equation (1): per candidate, rescale the fastest
-        multi-GPU-experienced reference type (the scalar path's
-        ``pick_reference_type``, applied elementwise)."""
-        own = self._fit(gpu_type)
-        refs = [ThroughputModel(fit.params)
-                for fit in map(self._fit, self.gpu_types)
-                if fit is not None and fit.has_single_gpu
-                and fit.has_multi_gpu]
-        if not refs or own is None or not own.has_single_gpu:
-            return None
-        own_single = ThroughputModel(own.params).throughput_batch(
-            local, 1, 1, 1)
-        # Reference selection mirrors pick_reference_type: the experienced
-        # type with the largest positive 1-GPU throughput, first listed
-        # winning ties.
-        for i, model in enumerate(refs):
-            single = model.throughput_batch(local, 1, 1, 1)
-            multi = model.throughput_batch(local, gpus, nodes, accums)
-            score = np.where(single > 0, single, -np.inf)
-            if i == 0:
-                ref_single, ref_multi, best = single, multi, score
-                continue
-            wins = score > best
-            ref_single = np.where(wins, single, ref_single)
-            ref_multi = np.where(wins, multi, ref_multi)
-            best = np.maximum(best, score)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            estimate = own_single / ref_single * ref_multi
-        # Points where no experienced type has positive 1-GPU throughput
-        # fall back to perfect scaling, exactly like the scalar dispatch.
-        fallback = own_single * gpus
-        return np.where(np.isfinite(ref_single) & (ref_single > 0),
-                        estimate, fallback)
+            return ThroughputModel(
+                profiles.true_throughput_params(self.model_name, gpu_type))
+        if branch == "prior":
+            return ThroughputModel(_PRIOR_PARAMS)
+        own = ThroughputModel(self._fit(gpu_type).params)
+        if branch == "fit":
+            return own
+        return BootstrapModel(own, [
+            ThroughputModel(fit.params)
+            for fit in map(self._fit, self.gpu_types)
+            if fit is not None and fit.has_single_gpu and fit.has_multi_gpu])
 
     # -- goodput -------------------------------------------------------------
 
@@ -489,8 +388,9 @@ class JobPerfEstimator:
         one grouped pass.
 
         The queries' candidate grids are concatenated in (GPU type, branch)
-        groups, throughput is evaluated with one dispatch per group, and
-        :func:`~repro.perf.goodput.best_plans` ranks every grid at once.
+        groups, each group's throughput comes from one
+        :meth:`_branch_model`, and :func:`~repro.perf.goodput.best_plans`
+        ranks every grid at once, re-ranking shortlists on the same models.
         """
         limits = self.constraints
         groups: dict[tuple[str, str], list[int]] = {}
@@ -512,17 +412,18 @@ class JobPerfEstimator:
         batch = GridBatch([(queries[i][0].num_gpus, queries[i][0].num_nodes)
                            for i in order], [grids[i] for i in order])
         pieces = []
+        models: list[GoodputModel] = []
         first = 0
         for (gpu_type, branch), members in groups.items():
-            pieces.append(self._throughput_batch(
-                branch, gpu_type,
-                *batch.columns(first, first + len(members))))
-            first += len(members)
-        models = {gpu_type: GoodputModel(_ThroughputAdapter(self, gpu_type),
-                                         self._efficiency)
-                  for gpu_type, _ in groups}
+            model = GoodputModel(self._branch_model(branch, gpu_type),
+                                 self._efficiency)
+            last = first + len(members)
+            pieces.append(model.throughput_model.throughput_batch(
+                *batch.columns(first, last)))
+            models += [model] * len(members)
+            first = last
         found = best_plans(batch, np.concatenate(pieces), self._efficiency,
-                           [models[queries[i][0].gpu_type] for i in order])
+                           models)
         for i, plan in zip(order, found):
             plans[i] = plan
         return plans
@@ -531,17 +432,3 @@ class JobPerfEstimator:
     def efficiency_model(self) -> EfficiencyModel:
         return self._efficiency
 
-
-class _ThroughputAdapter:
-    """Presents the estimator's scalar dispatch for one GPU type as a
-    ThroughputModel-like object, so :class:`~repro.perf.goodput.GoodputModel`
-    can re-evaluate shortlisted plans on it."""
-
-    def __init__(self, estimator: JobPerfEstimator, gpu_type: str):
-        self._estimator = estimator
-        self._gpu_type = gpu_type
-
-    def throughput(self, local_bsz: float, num_gpus: int, num_nodes: int,
-                   accum_steps: int = 1) -> float:
-        return self._estimator.throughput(
-            self._gpu_type, int(local_bsz), num_gpus, num_nodes, accum_steps)

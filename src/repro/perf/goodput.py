@@ -193,8 +193,9 @@ def best_plans(batch: GridBatch, xput: np.ndarray,
     the scalar model of segment ``s`` (all sharing ``efficiency_model``).
     Each segment's maximum comes from one ``np.maximum.reduceat``; its
     shortlist within ``_SHORTLIST_RTOL`` is re-ranked through the scalar
-    :meth:`GoodputModel.evaluate`, so every returned plan is bit-identical
-    to :meth:`GoodputModel._best_of_grid_scalar` on that segment alone.
+    :meth:`GoodputModel.evaluate` in grid order, keeping the first strictly
+    greater goodput, so every returned plan is bit-identical to that
+    per-candidate loop over the segment alone.
     """
     totals = batch.shape_column(0) * batch.locals_ * batch.accums
     goodput = xput * efficiency_model.efficiency_batch(totals)
@@ -203,7 +204,8 @@ def best_plans(batch: GridBatch, xput: np.ndarray,
               for best in np.maximum.reduceat(goodput, bounds[:-1]).tolist()]
     if len(floors) > 1:
         floors = np.repeat(floors, batch.sizes)
-    shortlist = np.flatnonzero(goodput >= floors)
+    # A NaN or +inf maximum leaves a NaN floor: re-rank that segment whole.
+    shortlist = np.flatnonzero((goodput >= floors) | np.isnan(floors))
     plans: list[BatchPlan | None] = [None] * len(batch)
     s = 0
     for idx in shortlist.tolist():  # ascending, so segments ascend too
@@ -214,10 +216,6 @@ def best_plans(batch: GridBatch, xput: np.ndarray,
         plan = models[s].evaluate(local, num_gpus, num_nodes, accum)
         if plans[s] is None or plan.goodput > plans[s].goodput:
             plans[s] = plan
-    for s, plan in enumerate(plans):
-        if plan is None:  # non-finite segment; defer to the reference
-            plans[s] = models[s]._best_of_grid_scalar(batch.grids[s][0],
-                                                      *batch.shapes[s])
     return plans
 
 
@@ -263,17 +261,6 @@ class GoodputModel:
         xput = self.throughput_model.throughput_batch(
             batch.locals_, num_gpus, num_nodes, batch.accums)
         return best_plans(batch, xput, self.efficiency_model, [self])[0]
-
-    def _best_of_grid_scalar(self, pairs: list[tuple[int, int]],
-                             num_gpus: int, num_nodes: int) -> BatchPlan | None:
-        """The per-candidate reference loop: the fallback for a non-finite
-        grid, and the oracle the batched pass is tested against."""
-        best: BatchPlan | None = None
-        for accum, local in pairs:
-            plan = self.evaluate(local, num_gpus, num_nodes, accum)
-            if best is None or plan.goodput > best.goodput:
-                best = plan
-        return best
 
     def goodput(self, num_gpus: int, num_nodes: int, *,
                 max_local_bsz: int, max_total_bsz: int,

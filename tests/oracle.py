@@ -1,8 +1,13 @@
-"""Reference solver the HiGHS backends are certified against.
+"""Reference implementations the optimized paths are certified against.
 
-A pure-Python depth-first branch-and-bound over the assignment ILP of
-``repro.core.ilp``: exact but exponential in the job count, so only for
-the small instances tests build.
+* :func:`solve_exact` — a pure-Python depth-first branch-and-bound over the
+  assignment ILP of ``repro.core.ilp``: exact but exponential in the job
+  count, so only for the small instances tests build.  The HiGHS backends
+  are compared against it.
+* :class:`ReferenceThroughput` and :func:`best_of_grid` — the estimator's
+  Section 3.2 throughput routing re-derived on every scalar query, and the
+  per-candidate batch-plan loop.  The grouped goodput pass is compared
+  against them.
 """
 
 from __future__ import annotations
@@ -10,6 +15,11 @@ from __future__ import annotations
 import math
 
 from repro.core.ilp import AssignmentProblem, AssignmentSolution
+from repro.core.types import ProfilingMode
+from repro.perf import profiles
+from repro.perf.estimator import _PRIOR_PARAMS, JobPerfEstimator
+from repro.perf.goodput import BatchPlan, GoodputModel
+from repro.perf.throughput import ThroughputModel
 
 
 def solve_exact(problem: AssignmentProblem) -> AssignmentSolution:
@@ -65,3 +75,66 @@ def solve_exact(problem: AssignmentProblem) -> AssignmentSolution:
     if not math.isfinite(best_obj):
         raise RuntimeError("exact solver found no feasible assignment")
     return AssignmentSolution(best_assignment, best_obj, 0.0, backend="exact")
+
+
+class ReferenceThroughput:
+    """One GPU type's throughput through the estimator's Section 3.2
+    routing, re-derived on every query from the estimator's mode, fits and
+    ``_trusts_fit`` (so a subclass's override holds), independently of its
+    dispatch code:
+
+    1. Oracle mode, or a trusted fit -> that model.
+    2. A multi-GPU query on a 1-GPU-only fit -> Equation (1) from the
+       multi-GPU-experienced type with the largest positive 1-GPU
+       throughput (first listed on ties), else perfect scaling.
+    3. No data for the type -> the type-blind prior.
+    """
+
+    def __init__(self, est: JobPerfEstimator, gpu_type: str):
+        self.est = est
+        self.gpu_type = gpu_type
+
+    def throughput(self, local_bsz: int, num_gpus: int, num_nodes: int,
+                   accum_steps: int = 1) -> float:
+        est = self.est
+        if est.mode is ProfilingMode.ORACLE:
+            params = profiles.true_throughput_params(est.model_name,
+                                                     self.gpu_type)
+            return ThroughputModel(params).throughput(
+                local_bsz, num_gpus, num_nodes, accum_steps)
+        fit = est._fit(self.gpu_type)
+        if fit is not None and est._trusts_fit(fit, num_gpus):
+            return ThroughputModel(fit.params).throughput(
+                local_bsz, num_gpus, num_nodes, accum_steps)
+        if fit is None or not fit.has_single_gpu:
+            return ThroughputModel(_PRIOR_PARAMS).throughput(
+                local_bsz, num_gpus, num_nodes, accum_steps)
+        singles = {}
+        experienced = []
+        for t in est.gpu_types:
+            other = est._fit(t)
+            if other is not None and other.has_single_gpu:
+                singles[t] = ThroughputModel(other.params).throughput(
+                    local_bsz, 1, 1)
+                if other.has_multi_gpu and singles[t] > 0:
+                    experienced.append(t)
+        own = singles[self.gpu_type]
+        if not experienced:
+            return own * num_gpus
+        reference = max(experienced, key=singles.__getitem__)
+        ref_multi = ThroughputModel(est._fit(reference).params).throughput(
+            local_bsz, num_gpus, num_nodes, accum_steps)
+        return own / singles[reference] * ref_multi
+
+
+def best_of_grid(model: GoodputModel, pairs: list[tuple[int, int]],
+                 num_gpus: int, num_nodes: int) -> BatchPlan | None:
+    """The per-candidate batch-plan loop: every ``(accum, local)`` pair
+    through the scalar ``model.evaluate``, first strictly greater goodput
+    kept."""
+    best: BatchPlan | None = None
+    for accum, local in pairs:
+        plan = model.evaluate(local, num_gpus, num_nodes, accum)
+        if best is None or plan.goodput > best.goodput:
+            best = plan
+    return best

@@ -1,10 +1,16 @@
 """Tests for Equation (1) cross-GPU-type bootstrapping."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.bootstrap import (bootstrap_ratio, bootstrap_throughput,
-                                  pick_reference_type)
+from repro.core.bootstrap import (BootstrapModel, bootstrap_ratio,
+                                  bootstrap_throughput)
+from repro.core.types import ProfilingMode
+from repro.perf import profiles
+from repro.perf.estimator import JobConstraints, JobPerfEstimator
+from repro.perf.fitting import Observation
+from repro.perf.throughput import ThroughputModel
 
 
 class TestRatio:
@@ -38,19 +44,60 @@ class TestEquation1:
         assert double == pytest.approx(2 * single, rel=1e-9)
 
 
-class TestPickReference:
-    def test_prefers_fastest_experienced_type(self):
-        experience = {"t4": True, "rtx": True, "a100": False}
-        singles = {"t4": 10.0, "rtx": 25.0, "a100": 70.0}
-        assert pick_reference_type(experience, singles) == "rtx"
+class Rate:
+    """A throughput model with fixed 1-GPU and multi-GPU rates."""
 
-    def test_none_when_no_experience(self):
-        assert pick_reference_type({"t4": False}, {"t4": 10.0}) is None
+    def __init__(self, single: float, multi: float):
+        self.single, self.multi = single, multi
 
-    def test_none_when_experienced_type_has_no_single_profile(self):
-        assert pick_reference_type({"t4": True}, {}) is None
+    def throughput(self, local_bsz, num_gpus, num_nodes, accum_steps=1):
+        return self.single if num_gpus == 1 else self.multi
 
-    def test_ignores_types_missing_singles(self):
-        experience = {"t4": True, "rtx": True}
-        singles = {"t4": 10.0}
-        assert pick_reference_type(experience, singles) == "t4"
+    def throughput_batch(self, local_bsz, num_gpus, num_nodes,
+                         accum_steps=1):
+        return np.full(len(local_bsz),
+                       self.throughput(local_bsz, num_gpus, num_nodes))
+
+
+def four_gpu_estimate(model: BootstrapModel) -> float:
+    """The 4-GPU estimate, checked equal on the scalar and batched paths."""
+    scalar = model.throughput(16, 4, 1)
+    assert model.throughput_batch(np.array([16, 32]), 4, 1).tolist() == \
+        [scalar, scalar]
+    return scalar
+
+
+class TestBootstrapModel:
+    def test_fastest_reference(self):
+        model = BootstrapModel(Rate(10.0, 0.0), [
+            Rate(20.0, 60.0), Rate(40.0, 100.0), Rate(30.0, 200.0)])
+        assert four_gpu_estimate(model) == 10.0 / 40.0 * 100.0
+
+    def test_first_reference_wins_ties(self):
+        model = BootstrapModel(Rate(10.0, 0.0), [
+            Rate(20.0, 60.0), Rate(20.0, 100.0)])
+        assert four_gpu_estimate(model) == 10.0 / 20.0 * 60.0
+
+    def test_perfect_scaling_without_positive_reference(self):
+        own = Rate(10.0, 0.0)
+        assert four_gpu_estimate(BootstrapModel(own, [])) == 40.0
+        assert four_gpu_estimate(
+            BootstrapModel(own, [Rate(0.0, 50.0)])) == 40.0
+
+    def test_reference_needs_single_gpu_data(self):
+        """A type the job ran only multi-GPU on is no Equation (1)
+        reference: its 1-GPU rate is unknown."""
+        profile = profiles.model_profile("bert")
+        est = JobPerfEstimator(
+            "bert", JobConstraints(profile.min_bsz, profile.max_bsz),
+            ("t4", "rtx"), ProfilingMode.NO_PROF)
+        for gpu_type, k in (("t4", 1), ("rtx", 2), ("rtx", 4)):
+            truth = ThroughputModel(
+                profiles.true_throughput_params("bert", gpu_type))
+            est.add_observation(Observation(
+                gpu_type=gpu_type, num_nodes=1, num_gpus=k, local_bsz=16,
+                accum_steps=1, iter_time=truth.iter_time(16, k, 1)))
+        assert est._cache_token("t4", 4)[0] == "boot"
+        assert est._branch_model("boot", "t4").refs == []
+        assert est.throughput("t4", 16, 4, 1) == \
+            4 * est.throughput("t4", 16, 1, 1)

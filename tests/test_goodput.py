@@ -12,6 +12,7 @@ from repro.perf.goodput import (MAX_ACCUM_STEPS, GoodputModel, GridBatch,
                                 best_plans, candidate_grid,
                                 candidate_local_sizes)
 from repro.perf.throughput import ThroughputModel, ThroughputParams
+from tests.oracle import best_of_grid
 
 PARAMS = ThroughputParams(alpha_c=0.02, beta_c=0.002,
                           alpha_r=0.01, beta_r=0.001,
@@ -157,21 +158,22 @@ class TestGroupedPass:
         plans = best_plans(batch, xput, model.efficiency_model,
                            [model] * len(batch))
         for (k, n), grid, plan in zip(self.SHAPES, grids, plans):
-            assert plan == model._best_of_grid_scalar(grid[0], k, n)
+            assert plan == best_of_grid(model, grid[0], k, n)
             assert plan == model.optimize_batch_size(
                 k, n, max_local_bsz=64, max_total_bsz=4096,
                 min_total_bsz=64)
 
-    def test_non_finite_segment_falls_back_to_reference(self, model):
+    @pytest.mark.parametrize("poison", [math.nan, math.inf])
+    def test_non_finite_segment_falls_back_to_reference(self, model, poison):
         grids = self.grids(max_local_bsz=64, max_total_bsz=4096)
         batch = GridBatch([(k, n) for k, n in self.SHAPES], grids)
         xput = model.throughput_model.throughput_batch(
             *batch.columns(0, len(batch)))
-        xput[batch.bounds[1]] = math.nan  # poison segment 1 only
+        xput[batch.bounds[1]] = poison  # poison segment 1 only
         plans = best_plans(batch, xput, model.efficiency_model,
                            [model] * len(batch))
         for (k, n), grid, plan in zip(self.SHAPES, grids, plans):
-            assert plan == model._best_of_grid_scalar(grid[0], k, n)
+            assert plan == best_of_grid(model, grid[0], k, n)
 
     def test_ties_keep_the_first_candidate(self):
         """Every candidate ties: the whole grid is shortlisted and the
@@ -189,7 +191,7 @@ class TestGroupedPass:
                            tied.efficiency_model, [tied] * len(batch))
         for (k, n), grid, plan in zip(self.SHAPES, grids, plans):
             assert (plan.accum_steps, plan.local_bsz) == grid[0][0]
-            assert plan == tied._best_of_grid_scalar(grid[0], k, n)
+            assert plan == best_of_grid(tied, grid[0], k, n)
 
     def test_infeasible_grid_is_none(self):
         assert candidate_grid(0, max_local_bsz=8, max_total_bsz=64) is None

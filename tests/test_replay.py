@@ -223,6 +223,15 @@ class TestRunDiffArtifact:
         assert "Counterfactual diff" in report
         assert "| avg_jct_hours |" in report
 
+    def test_job_jcts_are_seconds(self, base_result, diff):
+        """``job_deltas`` JCTs share the queue waits' unit: seconds, as
+        ``JobRecord.jct()`` reports them."""
+        finished = [j for j in base_result.jobs if j.completed]
+        assert finished
+        for record in finished:
+            assert diff.job_deltas[record.job_id]["base_jct"] == \
+                record.jct()
+
     def test_job_changes_lookup(self, diff):
         jobs = {c.job_id for rnd in diff.round_deltas
                 for c in rnd.changes}

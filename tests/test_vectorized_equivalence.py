@@ -1,15 +1,19 @@
 """The grouped goodput pass must be *exactly* equivalent to the
 per-candidate reference loop: same batch plans, same goodput numbers, same
-policy decisions, same end-to-end simulated schedules.
+policy decisions.  Seeded end-to-end schedules are pinned by
+``tests/test_golden.py``.
 
 ``JobPerfEstimator.goodput_batch`` concatenates the candidate grids of all
 its cache misses, ranks them with numpy and then re-evaluates each grid's
 shortlist of maxima through the scalar path (see ``repro.perf.goodput``),
 so equality here is bitwise, not approximate.  The reference is
-``GoodputModel._best_of_grid_scalar`` on one configuration's grid.
+``tests.oracle.best_of_grid`` on one configuration's grid, with throughput
+from ``tests.oracle.ReferenceThroughput``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -18,18 +22,16 @@ from repro.cluster import presets
 from repro.core.policy import SiaPolicy, SiaPolicyParams
 from repro.core.types import Configuration, ProfilingMode
 from repro.jobs.hybrid import HybridSpec
-from repro.jobs.inference import LatencySLOEstimator
-from repro.jobs.job import make_job
+from repro.jobs.inference import BatchInferenceEstimator, LatencySLOEstimator
 from repro.perf import profiles
-from repro.perf.estimator import (JobConstraints, JobPerfEstimator,
-                                  _ThroughputAdapter)
+from repro.perf.estimator import JobConstraints, JobPerfEstimator
 from repro.perf.fitting import Observation
 from repro.perf.goodput import GoodputModel, candidate_grid
 from repro.perf.throughput import ThroughputModel
-from repro.schedulers import SiaScheduler
 from repro.schedulers.base import JobView
-from repro.sim.engine import simulate
+from repro.schedulers.pollux import PolluxEstimator
 from repro.workloads import helios_trace
+from tests.oracle import ReferenceThroughput, best_of_grid
 
 TYPES = ("t4", "rtx", "a100")
 
@@ -49,10 +51,9 @@ def reference_plan(est: JobPerfEstimator, config: Configuration):
                           fixed_total_bsz=limits.fixed_total_bsz)
     if grid is None:
         return None
-    model = GoodputModel(_ThroughputAdapter(est, config.gpu_type),
+    model = GoodputModel(ReferenceThroughput(est, config.gpu_type),
                          est.efficiency_model)
-    return model._best_of_grid_scalar(grid[0], config.num_gpus,
-                                      config.num_nodes)
+    return best_of_grid(model, grid[0], config.num_gpus, config.num_nodes)
 
 
 def reference_goodput_batch(est: JobPerfEstimator, configs):
@@ -62,14 +63,18 @@ def reference_goodput_batch(est: JobPerfEstimator, configs):
                      for plan in plans])
 
 
-def make_pair(mode, model="bert", *, fixed_total_bsz=None):
-    """A (reference, grouped) estimator pair fed identical evidence."""
+def make_pair(mode, model="bert", *, fixed_total_bsz=None,
+              cls=JobPerfEstimator):
+    """A (reference, grouped) estimator pair fed identical evidence
+    (``mode`` None for an estimator without profiling modes)."""
     profile = profiles.model_profile(model)
     constraints = JobConstraints(min_bsz=profile.min_bsz,
                                  max_bsz=profile.max_bsz,
                                  fixed_total_bsz=fixed_total_bsz)
-    pair = tuple(JobPerfEstimator(model, constraints, TYPES, mode)
-                 for _ in range(2))
+    args = (model, constraints, TYPES)
+    if mode is not None:
+        args += (mode,)
+    pair = (cls(*args), cls(*args))
     for est in pair:
         est.profile_initial()
     return pair
@@ -124,6 +129,28 @@ class TestEstimatorEquivalence:
             assert grouped.goodput_batch(CONFIGS).tolist() == expected
             assert grouped.cache_misses == misses
 
+    @pytest.mark.parametrize("model", ["bert", "resnet50", "yolov3"])
+    def test_pollux_best_plans_identical(self, model):
+        """Pollux's estimator trusts its one type-blind fit at every GPU
+        count; the reference routes through the same ``_trusts_fit``."""
+        reference, grouped = make_pair(None, model, cls=PolluxEstimator)
+        for counts in ((), (1,), (2, 4)):  # prior, 1-GPU-only fit, full fit
+            for est, k in itertools.product((reference, grouped), counts):
+                est.add_observation(true_observation(model, "t4", 1, k, 16))
+            assert grouped.best_plans(CONFIGS) == \
+                [reference_plan(reference, config) for config in CONFIGS]
+
+    @pytest.mark.parametrize("mode", list(ProfilingMode))
+    def test_batch_inference_best_plans_identical(self, mode):
+        """Unit efficiency (``ConstantEfficiency``) makes goodput equal
+        throughput, so ties between plans are common."""
+        reference, grouped = make_pair(mode, cls=BatchInferenceEstimator)
+        assert grouped.best_plans(CONFIGS) == \
+            [reference_plan(reference, config) for config in CONFIGS]
+        feed((reference, grouped), "bert")
+        assert grouped.best_plans(CONFIGS) == \
+            [reference_plan(reference, config) for config in CONFIGS]
+
     def test_hybrid_goodput_batch_matches_scalar(self):
         from repro.jobs.hybrid import HybridPerfEstimator
         est = HybridPerfEstimator("gpt-2.8b", HybridSpec())
@@ -175,26 +202,6 @@ class TestPolicyEquivalence:
         assert reference.assignments == grouped.assignments
         assert reference.objective == pytest.approx(grouped.objective)
         assert reference.estimates == grouped.estimates
-
-    def test_simulation_round_by_round_identical(self, monkeypatch):
-        """Seeded end-to-end runs produce the same allocation log whether
-        estimators answer through the grouped pass or the reference loop."""
-        cluster = presets.heterogeneous()
-
-        def allocation_log():
-            jobs = [make_job(f"j{i}", model, float(i * 120),
-                             work_scale=0.05)
-                    for i, model in enumerate(
-                        ["bert", "resnet50", "yolov3", "deepspeech2",
-                         "bert", "resnet18"])]
-            result = simulate(cluster, SiaScheduler(), jobs, seed=3)
-            return [r.allocations for r in result.rounds]
-
-        grouped = allocation_log()
-        with monkeypatch.context() as patch:
-            use_reference_loop(patch)
-            reference = allocation_log()
-        assert reference == grouped
 
 
 class TestConfigCacheSignature:
