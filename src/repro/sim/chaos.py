@@ -231,7 +231,9 @@ def run_chaos(factory: Callable[[CheckpointConfig | None], "Simulator"], *,
         state, used, skipped = ckpt.latest_valid_checkpoint(directory)
         report.resumed_from_round = state.round_index
         report.corrupt_skipped = [p.name for p in skipped]
-        resumed = survivor.run(resume_from=state)
+        # By path, so the survivor's writes append to the same directory's
+        # segments as a CLI resume's do.
+        resumed = survivor.run(resume_from=used)
     except CheckpointError:
         # Nothing usable on disk (crash before the first checkpoint, or
         # everything corrupt): recovery is a fresh start.

@@ -13,20 +13,33 @@ pickle protocol), the scheduler with its policy caches, the metrics
 registry, and the invariant checker — so a killed run can resume **bit-identically** to an
 uninterrupted one.
 
+On disk a checkpoint is a small **body** plus immutable **segments**.
+Recorded rounds and finished jobs' records are append-only, so each write
+puts only the ones since the previous write into a new segment file
+(``rounds-<first>-<end>.seg``) and pickles the rest of the state, with
+both lists empty, as the body (``ckpt-<round>.ckpt``).  The body carries a
+manifest naming every segment it needs with its SHA-256, and
+:func:`read_checkpoint` reattaches them, so a write costs about the same
+at round 500 as at round 25.  No object is shared between a body and its
+segments: rounds and finished records are built fresh each round and
+never touched again, so pickling them apart severs no reference.
+
 Durability contract:
 
-* every checkpoint is written with the shared write-tmp-then-rename helper
-  (:func:`repro.io.atomic_write_bytes`), so a crash mid-write never
-  corrupts an existing checkpoint — at worst it leaves a partial ``.tmp``
-  sibling that is ignored and overwritten;
-* the payload is guarded by a SHA-256 checksum in the header;
-  :func:`read_checkpoint` verifies it and raises
-  :class:`CheckpointCorruptError` on any mismatch, truncation, or header
-  damage;
+* every file is written with the shared write-tmp-then-rename helper
+  (:func:`repro.io.atomic_write_bytes`), segment first, body last, so a
+  crash mid-write never corrupts an existing checkpoint — at worst it
+  leaves a partial ``.tmp`` sibling, or a segment no body names yet, both
+  ignored and overwritten;
+* every payload is guarded by a SHA-256 checksum in its header, and the
+  body's manifest pins each segment's digest; :func:`read_checkpoint`
+  verifies them all and raises :class:`CheckpointCorruptError` on any
+  mismatch, truncation, missing segment, or header damage;
 * :func:`latest_valid_checkpoint` walks a checkpoint directory newest to
   oldest and falls back past corrupted files, so torn writes on
   non-atomic filesystems degrade a resume by a few rounds instead of
-  killing it.
+  killing it.  An older body names fewer segments, so a damaged newest
+  segment costs only the newest body.
 
 Tracers are deliberately *not* checkpointed: spans measure host wall-clock
 time, not simulation state.  Every tracer pickles as ``NULL_TRACER`` (its
@@ -39,9 +52,9 @@ from __future__ import annotations
 import hashlib
 import pickle
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.atomicio import atomic_write_bytes
 
@@ -53,16 +66,29 @@ from repro.atomicio import atomic_write_bytes
 #:     per-type state), and MAD-window keys lead with the GPU type.
 #: v6: ``HealthConfig`` holds only ``min_samples``; node crashes, stragglers
 #:     and gray failures keep their episodes in one ``_until`` map.
+#: v7: a checkpoint is a body plus append-only segments holding the
+#:     recorded rounds and finished records; the body's manifest names them.
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages
-#: fire inside the atomic checkpoint write.
+#: fire inside each atomic file write of a checkpoint (segment, then body).
 CRASH_STAGES = ("round_end", "pre_write", "mid_write", "pre_rename",
                 "post_rename")
 
 _CKPT_NAME = re.compile(r"^ckpt-(\d{8})\.ckpt$")
+
+
+class Segment(NamedTuple):
+    """One manifest entry: the segment file holding ``rounds[first:end]``
+    and ``finished[f0:f1]``, whose payload hashes to ``sha256``."""
+
+    first: int
+    end: int
+    f0: int
+    f1: int
+    sha256: str
 
 
 class CheckpointError(RuntimeError):
@@ -139,6 +165,10 @@ class CheckpointState:
     #: config echoes, checked/logged at resume time.
     seed: int = 0
     scheduler_name: str = ""
+    #: segments holding ``result.rounds`` and ``finished``, oldest first.
+    #: In a body this is its full manifest; in the engine's live snapshot,
+    #: the segments already written to its checkpoint directory.
+    segments: tuple[Segment, ...] = ()
     format_version: int = field(default=FORMAT_VERSION)
 
 
@@ -165,38 +195,21 @@ def loads_state(payload: bytes) -> CheckpointState:
 
 # -- file format ---------------------------------------------------------------
 
-def write_checkpoint(state: CheckpointState, path: str | Path, *,
-                     crash_hook: Callable[[str], None] | None = None) -> Path:
-    """Serialize ``state`` to ``path`` atomically, with a checksum header.
-
-    Layout: one ASCII header line ``REPRO-CKPT v<version> <sha256-hex>
-    <payload-bytes>\\n`` followed by the pickle payload.  The write goes
-    through :func:`repro.io.atomic_write_bytes`, so an interrupted write
-    (including one killed by ``crash_hook``) leaves any previous file at
-    ``path`` untouched.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = dumps_state(state)
+def _frame(payload: bytes) -> tuple[bytes, str]:
+    """File bytes for ``payload`` (header line + payload) and its digest."""
     digest = hashlib.sha256(payload).hexdigest()
     header = b"%s v%d %s %d\n" % (MAGIC, FORMAT_VERSION,
                                   digest.encode("ascii"), len(payload))
-    atomic_write_bytes(path, header + payload, crash_hook=crash_hook)
-    return path
+    return header + payload, digest
 
 
-def read_checkpoint(path: str | Path) -> CheckpointState:
-    """Read and verify one checkpoint file.
-
-    Raises :class:`CheckpointCorruptError` on checksum mismatch,
-    truncation, or header damage; :class:`CheckpointError` if the file is
-    missing or from an incompatible format version.
-    """
-    path = Path(path)
+def _unframe(path: Path, missing: type[CheckpointError] = CheckpointError,
+             ) -> tuple[bytes, str]:
+    """Verified payload and digest of one checkpoint or segment file."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}")
+        raise missing(f"cannot read checkpoint {path}: {exc}")
     newline = raw.find(b"\n")
     if newline < 0 or not raw.startswith(MAGIC + b" "):
         raise CheckpointCorruptError(f"{path}: missing checkpoint header")
@@ -217,7 +230,87 @@ def read_checkpoint(path: str | Path) -> CheckpointState:
             f"promised {expected_len})")
     if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
         raise CheckpointCorruptError(f"{path}: checksum mismatch")
-    return loads_state(payload)
+    return payload, digest.decode("ascii")
+
+
+def segment_path(directory: str | Path, first: int, end: int) -> Path:
+    """File name of the segment holding rounds ``first..end-1``."""
+    return Path(directory) / f"rounds-{first:08d}-{end:08d}.seg"
+
+
+def write_checkpoint(state: CheckpointState, path: str | Path, *,
+                     crash_hook: Callable[[str], None] | None = None,
+                     ) -> tuple[Segment, ...]:
+    """Write ``state`` as a body at ``path`` plus one new segment beside
+    it; returns the body's manifest.
+
+    ``state.segments`` names the segments already in ``path``'s directory;
+    the rounds and finished records after them go into one new segment,
+    written before the body.  Each file is one ASCII header line
+    ``REPRO-CKPT v<version> <sha256-hex> <payload-bytes>\\n`` followed by
+    its pickle payload, written through
+    :func:`repro.io.atomic_write_bytes`, so an interrupted write
+    (including one killed by ``crash_hook``) leaves any previous file at
+    either path untouched.  The live ``state`` is never mutated.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    rounds = state.result.rounds if state.result is not None else []
+    finished = state.finished
+    manifest = state.segments
+    first, f0 = (manifest[-1].end, manifest[-1].f1) if manifest else (0, 0)
+    if first > len(rounds) or f0 > len(finished):
+        raise CheckpointError(
+            f"manifest covers {first} rounds and {f0} finished jobs, past "
+            f"the state's {len(rounds)} and {len(finished)}")
+    if first < len(rounds) or f0 < len(finished):
+        data, digest = _frame(pickle.dumps(
+            (rounds[first:], finished[f0:]), protocol=pickle.HIGHEST_PROTOCOL))
+        atomic_write_bytes(segment_path(path.parent, first, len(rounds)),
+                           data, crash_hook=crash_hook)
+        manifest += (Segment(first, len(rounds), f0, len(finished), digest),)
+    result = state.result
+    if result is not None:
+        result = replace(result, rounds=[])
+    body = replace(state, finished=[], segments=manifest, result=result)
+    atomic_write_bytes(path, _frame(dumps_state(body))[0],
+                       crash_hook=crash_hook)
+    return manifest
+
+
+def read_checkpoint(path: str | Path) -> CheckpointState:
+    """Read and verify one checkpoint body and every segment it names.
+
+    Raises :class:`CheckpointCorruptError` on checksum mismatch,
+    truncation, header damage, or a missing or mismatched segment;
+    :class:`CheckpointError` if the body is missing or from an
+    incompatible format version.
+    """
+    path = Path(path)
+    state = loads_state(_unframe(path)[0])
+    rounds: list[Any] = []
+    finished: list[Any] = []
+    for seg in state.segments:
+        seg_path = segment_path(path.parent, seg.first, seg.end)
+        payload, digest = _unframe(seg_path, missing=CheckpointCorruptError)
+        if digest != seg.sha256:
+            raise CheckpointCorruptError(
+                f"{seg_path}: digest does not match {path.name}'s manifest")
+        try:
+            seg_rounds, seg_finished = pickle.loads(payload)
+        except Exception as exc:
+            raise CheckpointCorruptError(f"{seg_path}: unreadable: {exc}")
+        if (seg.first, seg.f0) != (len(rounds), len(finished)) \
+                or len(seg_rounds) != seg.end - seg.first \
+                or len(seg_finished) != seg.f1 - seg.f0:
+            raise CheckpointCorruptError(
+                f"{seg_path}: does not match {path.name}'s manifest")
+        rounds += seg_rounds
+        finished += seg_finished
+    if state.result is not None:
+        state.result.rounds = rounds
+    state.finished = finished
+    return state
 
 
 # -- checkpoint directories ----------------------------------------------------
@@ -270,8 +363,10 @@ def latest_valid_checkpoint(directory: str | Path, *,
 
 
 def prune_checkpoints(directory: str | Path, keep: int) -> list[Path]:
-    """Delete all but the newest ``keep`` checkpoints; returns the deleted
-    paths.  ``keep=0`` keeps everything."""
+    """Delete all but the newest ``keep`` checkpoint bodies; returns the
+    deleted paths.  ``keep=0`` keeps everything.  Segments are never
+    deleted: every body names the oldest ones, and together they hold
+    about one copy of the run's rounds."""
     if keep <= 0:
         return []
     candidates = list_checkpoints(directory)

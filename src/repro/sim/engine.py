@@ -239,6 +239,10 @@ class Simulator:
         self._arrival_idx = 0
         self._now = 0.0
         self._result: SimulationResult | None = None
+        #: manifest of the segments this run's checkpoint directory holds
+        #: (the last one written or restored from it); each write appends
+        #: one segment for the rounds since.
+        self._manifest: tuple[ckpt.Segment, ...] = ()
 
     def _bind_observability(self) -> None:
         """(Re-)inject the live tracer/metrics into every engine layer.
@@ -327,6 +331,7 @@ class Simulator:
         self._finished = []
         self._arrival_idx = 0
         self._now = 0.0
+        self._manifest = ()
         self._result = SimulationResult(
             scheduler_name=self.scheduler.name,
             cluster_description=self.cluster.describe())
@@ -447,7 +452,8 @@ class Simulator:
             def write_hook(stage: str) -> None:
                 hook(stage, round_index)
         with self.tracer.span("checkpoint", round=state.round_index):
-            ckpt.write_checkpoint(state, path, crash_hook=write_hook)
+            self._manifest = ckpt.write_checkpoint(state, path,
+                                                   crash_hook=write_hook)
         self.metrics.counter("checkpoint.writes").inc()
         ckpt.prune_checkpoints(cfg.directory, cfg.keep)
         return path
@@ -475,15 +481,18 @@ class Simulator:
             cluster_signature=self.cluster.signature,
             seed=self.config.seed,
             scheduler_name=self.scheduler.name,
+            segments=self._manifest,
         )
 
     def _restore(self, source: str | Path | CheckpointState) -> None:
         """Adopt a checkpoint's state wholesale; see :meth:`run`."""
+        source_dir = None
         if isinstance(source, CheckpointState):
             state = source
         else:
             path = Path(source)
             if path.is_dir():
+                source_dir = path
                 state, used, skipped = ckpt.latest_valid_checkpoint(path)
                 if skipped:
                     self.tracer.instant(
@@ -492,6 +501,7 @@ class Simulator:
                     self.metrics.counter("checkpoint.corrupt_skipped") \
                         .inc(len(skipped))
             else:
+                source_dir = path.parent
                 state = ckpt.read_checkpoint(path)
         ours = self.cluster.signature
         if state.cluster_signature and state.cluster_signature != ours:
@@ -504,6 +514,13 @@ class Simulator:
         self._arrival_idx = state.arrival_idx
         self._now = state.now
         self._result = state.result
+        # Later writes append to the restored manifest only when they go
+        # to the directory its segments are in; anywhere else (or from an
+        # in-memory state) the first write covers every round from 0.
+        cfg = self.config.checkpoint
+        same_dir = source_dir is not None and cfg is not None \
+            and source_dir.resolve() == Path(cfg.directory).resolve()
+        self._manifest = state.segments if same_dir else ()
         self._execution = state.execution
         self._fault_models = state.fault_models
         self.scheduler = state.scheduler

@@ -131,3 +131,26 @@ class TestDiff:
         report.mismatches.append("round 0: time differs")
         assert not report.equivalent
         assert "DIVERGED" in report.summary()
+
+
+class TestOpsRecipeResume:
+    """Kill/resume on the recipe of the fifo-ops1024 benchmark workload."""
+
+    def test_round_end_kill(self, tmp_path, ops_factory):
+        report = run_chaos(ops_factory, directory=tmp_path,
+                           kill_round=212, every_rounds=5)
+        assert report.crashed
+        assert report.resumed_from_round == 210
+        assert report.reference_rounds == report.resumed_rounds == 480
+        assert report.equivalent, report.mismatches[:5]
+
+    def test_mid_write_kill_with_corrupt_newest(self, tmp_path,
+                                                ops_factory):
+        report = run_chaos(ops_factory, directory=tmp_path,
+                           kill_round=25, kill_stage="mid_write",
+                           every_rounds=5, corrupt_latest=True)
+        assert report.crashed
+        # The kill tore round 25's write; the damaged newest body is 20's.
+        assert report.corrupt_skipped == ["ckpt-00000020.ckpt"]
+        assert report.resumed_from_round == 15
+        assert report.equivalent, report.mismatches[:5]

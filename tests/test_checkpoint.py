@@ -7,18 +7,22 @@ import types
 import pytest
 
 from repro.atomicio import atomic_write_bytes, atomic_write_text
-from repro.cluster import presets
+from repro.core.health import HealthEvent
 from repro.jobs.job import make_job
+from repro.obs.audit import AllocationEvent
+from repro.obs.slo import SLOEngine, parse_rules
+from repro.obs.stream import LedgerStreamObserver, SLOObserver
 from repro.perf.estimator import JobPerfEstimator
 from repro.schedulers.pollux import PolluxScheduler
 from repro.schedulers.sia import SiaScheduler
 from repro.sim import checkpoint as ckpt
-from repro.sim.chaos import diff_results
+from repro.sim.chaos import (CrashAt, SimulatedCrash, corrupt_checkpoint,
+                             diff_results)
 from repro.sim.checkpoint import (CheckpointConfig, CheckpointCorruptError,
                                   CheckpointError, CheckpointState)
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.faults import JobCrashModel, NodeCrashModel
-from repro.sim.telemetry import JobRecord
+from repro.sim.telemetry import FaultEvent, JobRecord, RoundRecord
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 
@@ -349,3 +353,145 @@ class TestLedgerContinuity:
         assert ref_ledger.rounds() == res_ledger.rounds()
         for job_id in ref_ledger.job_ids():
             assert ref_ledger.for_job(job_id) == res_ledger.for_job(job_id)
+
+
+def _body(path):
+    """A checkpoint body alone, without its segments reattached."""
+    return ckpt.loads_state(ckpt._unframe(path)[0])
+
+
+def _segment_files(directory):
+    return sorted(directory.glob("rounds-*.seg"))
+
+
+class TestSegments:
+    """Bodies plus append-only segments: each write stores only the rounds
+    and finished records since the previous one."""
+
+    def _run(self, directory, cluster, every_rounds=3, keep=0):
+        sim = _sim(cluster, checkpoint=CheckpointConfig(
+            directory=directory, every_rounds=every_rounds, keep=keep))
+        return sim, sim.run()
+
+    def test_each_round_and_record_stored_once(self, tmp_path,
+                                               hetero_cluster):
+        sim, result = self._run(tmp_path, hetero_cluster)
+        newest = ckpt.list_checkpoints(tmp_path)[-1]
+        manifest = _body(newest).segments
+        assert _segment_files(tmp_path) == [
+            ckpt.segment_path(tmp_path, seg.first, seg.end)
+            for seg in manifest]
+        # Contiguous from 0: no round or record is in two segments.
+        assert [(seg.first, seg.f0) for seg in manifest] == \
+            [(0, 0)] + [(seg.end, seg.f1) for seg in manifest[:-1]]
+        state = ckpt.read_checkpoint(newest)
+        assert manifest[-1].end == state.round_index > 0
+        assert state.result.rounds == result.rounds[:state.round_index]
+        assert manifest[-1].f1 == len(state.finished) > 0
+        assert state.finished == sim._finished[:len(state.finished)]
+
+    def test_newest_body_holds_no_round_record(self, tmp_path,
+                                               hetero_cluster):
+        self._run(tmp_path, hetero_cluster)
+        body = _body(ckpt.list_checkpoints(tmp_path)[-1])
+        assert body.round_index > 0 and body.segments
+        assert body.result.rounds == [] and body.finished == []
+        assert not _reachable(body, RoundRecord)
+
+    def test_corrupt_newest_segment_falls_back(self, tmp_path,
+                                               hetero_cluster):
+        _, result = self._run(tmp_path, hetero_cluster)
+        files = ckpt.list_checkpoints(tmp_path)
+        corrupt_checkpoint(_segment_files(tmp_path)[-1])
+        state, path, skipped = ckpt.latest_valid_checkpoint(tmp_path)
+        assert path == files[-2]
+        assert skipped == [files[-1]]
+        resumed = _sim(hetero_cluster).run(resume_from=tmp_path)
+        assert diff_results(result, resumed) == []
+
+    def test_corrupt_first_segment_raises(self, tmp_path, hetero_cluster):
+        self._run(tmp_path, hetero_cluster)
+        corrupt_checkpoint(_segment_files(tmp_path)[0])
+        with pytest.raises(CheckpointError):
+            ckpt.latest_valid_checkpoint(tmp_path)
+
+    def test_missing_segment_is_corruption(self, tmp_path, hetero_cluster):
+        self._run(tmp_path, hetero_cluster)
+        _segment_files(tmp_path)[-1].unlink()
+        with pytest.raises(CheckpointCorruptError):
+            ckpt.read_checkpoint(ckpt.list_checkpoints(tmp_path)[-1])
+
+    def test_orphan_segment_from_post_rename_crash(self, tmp_path,
+                                                   hetero_cluster):
+        reference = _sim(hetero_cluster).run()
+        with pytest.raises(SimulatedCrash):
+            _sim(hetero_cluster, checkpoint=CheckpointConfig(
+                directory=tmp_path, every_rounds=3, keep=0,
+                crash_hook=CrashAt(6, "post_rename"))).run()
+        # The kill landed between round 6's segment and its body.
+        assert ckpt.segment_path(tmp_path, 3, 6).exists()
+        assert not ckpt.checkpoint_path(tmp_path, 6).exists()
+        resumed = _sim(hetero_cluster, checkpoint=CheckpointConfig(
+            directory=tmp_path, every_rounds=3, keep=0)).run(
+                resume_from=tmp_path)
+        assert diff_results(reference, resumed) == []
+        assert ckpt.read_checkpoint(
+            ckpt.checkpoint_path(tmp_path, 6)).round_index == 6
+
+    def test_resume_writing_to_another_directory(self, tmp_path,
+                                                 hetero_cluster):
+        reference = _sim(hetero_cluster).run()
+        first, second = tmp_path / "a", tmp_path / "b"
+        self._run(first, hetero_cluster)
+        mid = ckpt.list_checkpoints(first)[1]
+        _sim(hetero_cluster, checkpoint=CheckpointConfig(
+            directory=second, every_rounds=3, keep=0)).run(resume_from=mid)
+        # The new directory's first segment starts at round 0, so it
+        # stands alone once the old one is gone.
+        assert _segment_files(second)[0].name.startswith("rounds-00000000-")
+        for path in first.iterdir():
+            path.unlink()
+        resumed = _sim(hetero_cluster).run(
+            resume_from=ckpt.list_checkpoints(second)[0])
+        assert diff_results(reference, resumed) == []
+
+    def test_pruning_keeps_every_segment(self, tmp_path, hetero_cluster):
+        self._run(tmp_path, hetero_cluster, every_rounds=2, keep=3)
+        bodies = ckpt.list_checkpoints(tmp_path)
+        assert len(bodies) == 3
+        assert _segment_files(tmp_path) == [
+            ckpt.segment_path(tmp_path, seg.first, seg.end)
+            for seg in _body(bodies[-1]).segments]
+        assert _segment_files(tmp_path)[0].name.startswith(
+            "rounds-00000000-")
+        for path in bodies:
+            assert ckpt.read_checkpoint(path).round_index > 0
+
+    def test_segments_are_never_shared_or_mutated(self, tmp_path,
+                                                  ops_factory):
+        """The design's invariant: no record in a segment is reachable
+        from the body, and none changes after its segment is written, so
+        pickling them apart severs no reference and loses no update."""
+        sim = ops_factory(CheckpointConfig(directory=tmp_path,
+                                           every_rounds=5, keep=0))
+        sim.config.observers += [
+            SLOObserver(SLOEngine(parse_rules("default"),
+                                  metrics=sim.metrics)),
+            LedgerStreamObserver(tmp_path / "ledger.jsonl", "fifo")]
+        result = sim.run()
+        rounds = result.rounds
+        assert any(r.fault_events for r in rounds)
+        assert any(r.health_events for r in rounds)
+        assert any(r.events for r in rounds)
+        assert any(r.alerts for r in rounds)
+        bodies = ckpt.list_checkpoints(tmp_path)
+        for seg in _body(bodies[-1]).segments:
+            payload, _ = ckpt._unframe(
+                ckpt.segment_path(tmp_path, seg.first, seg.end))
+            assert payload == pickle.dumps(
+                (rounds[seg.first:seg.end], sim._finished[seg.f0:seg.f1]),
+                protocol=pickle.HIGHEST_PROTOCOL), seg
+        for path in bodies:
+            assert not _reachable(_body(path), (
+                RoundRecord, FaultEvent, AllocationEvent, HealthEvent,
+                JobRecord)), path.name
