@@ -10,7 +10,7 @@ Public API tour
 * :mod:`repro.jobs`        — job abstraction, adaptivity modes, hybrid
   (pipeline x data parallel) jobs.
 * :mod:`repro.core`        — Sia's configuration sets, goodput matrix, ILP,
-  restart factor, policy, Placer.
+  restart factor, policy parameters, placement.
 * :mod:`repro.schedulers`  — Sia and the baselines (Pollux, Gavel,
   Shockwave, Themis, FIFO, SRTF).
 * :mod:`repro.sim`         — the discrete-time trace-driven simulator.

@@ -1,13 +1,12 @@
 """Cluster/resource model: GPU catalog, nodes, clusters, preset testbeds."""
 
-from repro.cluster.cluster import Cluster, ClusterState
+from repro.cluster.cluster import Cluster
 from repro.cluster.gpu import GPU_CATALOG, GPU_POWER_ORDER, GPUSpec, gpu_spec, power_rank
-from repro.cluster.node import Node, NodeGroup, NodeState, power_of_two_decomposition
+from repro.cluster.node import Node, NodeGroup, power_of_two_decomposition
 from repro.cluster import presets
 
 __all__ = [
     "Cluster",
-    "ClusterState",
     "GPU_CATALOG",
     "GPU_POWER_ORDER",
     "GPUSpec",
@@ -15,7 +14,6 @@ __all__ = [
     "power_rank",
     "Node",
     "NodeGroup",
-    "NodeState",
     "power_of_two_decomposition",
     "presets",
 ]

@@ -4,16 +4,15 @@ The cluster exposes the views the schedulers need:
 
 * node inventory grouped by GPU type (with virtual-node decomposition so
   every schedulable node has a power-of-two GPU count — Section 3.3);
-* capacity per GPU type (for ILP / LP constraints);
-* mutable occupancy (`ClusterState`) used by the Placer and the simulator.
+* capacity per GPU type (for ILP / LP constraints).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.gpu import GPUSpec, gpu_spec
-from repro.cluster.node import Node, NodeGroup, NodeState, power_of_two_decomposition
+from repro.cluster.node import Node, NodeGroup, power_of_two_decomposition
 
 
 @dataclass(frozen=True)
@@ -110,25 +109,3 @@ class Cluster:
             counts[key] = counts.get(key, 0) + 1
         parts = [f"{n}x {t}({g})" for (t, g), n in sorted(counts.items())]
         return " + ".join(parts)
-
-
-@dataclass
-class ClusterState:
-    """Mutable occupancy of a cluster during scheduling/simulation."""
-
-    cluster: Cluster
-    node_states: dict[int, NodeState] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.node_states:
-            self.node_states = {
-                n.node_id: NodeState(node=n) for n in self.cluster.nodes
-            }
-
-    def nodes_of_type(self, gpu_type: str) -> list[NodeState]:
-        return [st for st in self.node_states.values()
-                if st.node.gpu_type == gpu_type]
-
-    def clear(self) -> None:
-        for st in self.node_states.values():
-            st.used_by.clear()

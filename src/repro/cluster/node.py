@@ -8,7 +8,7 @@ with power-of-two sizes (e.g. a 12-GPU node becomes virtual nodes of 8 + 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.gpu import gpu_spec
 
@@ -67,36 +67,3 @@ class NodeGroup:
     @property
     def total_gpus(self) -> int:
         return self.num_nodes * self.gpus_per_node
-
-
-@dataclass
-class NodeState:
-    """Mutable occupancy of one node during simulation/placement."""
-
-    node: Node
-    #: job id -> GPUs of this node held by the job.
-    used_by: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def used(self) -> int:
-        return sum(self.used_by.values())
-
-    @property
-    def free(self) -> int:
-        return self.node.num_gpus - self.used
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.used_by
-
-    def acquire(self, job_id: str, count: int) -> None:
-        if count > self.free:
-            raise ValueError(
-                f"node {self.node.node_id}: cannot acquire {count} GPUs "
-                f"({self.free} free)"
-            )
-        self.used_by[job_id] = self.used_by.get(job_id, 0) + count
-
-    def release(self, job_id: str) -> int:
-        """Release all GPUs held by ``job_id``; returns the freed count."""
-        return self.used_by.pop(job_id, 0)

@@ -1,5 +1,5 @@
 """Sia's core: configuration sets, goodput matrix, ILP, restart factor,
-bootstrapping, policy and placement."""
+bootstrapping, policy parameters and placement."""
 
 from repro.core.bootstrap import (BootstrapModel, bootstrap_ratio,
                                   bootstrap_throughput)
@@ -11,12 +11,12 @@ from repro.core.health import (HealthConfig, HealthEvent, HealthTracker,
 from repro.core.ilp import (AssignmentProblem, AssignmentSolution,
                             solve_assignment)
 from repro.core.matrix import (apply_health_discount, apply_restart_discount,
-                               config_index, normalize_rows, restart_factor,
+                               normalize_rows, restart_factor,
                                shape_utilities)
-from repro.core.placement import Placer, PlacementResult
-from repro.core.policy import SiaPolicy, SiaPolicyParams
+from repro.core.placement import place
+from repro.core.policy import SiaPolicyParams
 from repro.core.types import (AdaptivityMode, Allocation, Configuration,
-                              PolicyDecision, ProfilingMode)
+                              ProfilingMode)
 
 __all__ = [
     "BootstrapModel", "bootstrap_ratio", "bootstrap_throughput",
@@ -24,11 +24,9 @@ __all__ = [
     "powers_of_two_up_to", "single_node_configs",
     "AssignmentProblem", "AssignmentSolution", "solve_assignment",
     "apply_health_discount", "apply_restart_discount",
-    "config_index", "normalize_rows", "restart_factor", "shape_utilities",
+    "normalize_rows", "restart_factor", "shape_utilities",
     "HealthConfig", "HealthEvent", "HealthTracker", "NodeHealth",
     "deterministic_jitter", "placement_backoff",
-    "Placer", "PlacementResult",
-    "SiaPolicy", "SiaPolicyParams",
-    "AdaptivityMode", "Allocation", "Configuration", "PolicyDecision",
-    "ProfilingMode",
+    "place", "SiaPolicyParams",
+    "AdaptivityMode", "Allocation", "Configuration", "ProfilingMode",
 ]

@@ -298,8 +298,8 @@ def apply_cluster_delta(cluster: Cluster, deltas: list[ClusterDelta],
 def rebind_solver(scheduler: Scheduler, backend: str) -> None:
     """Swap the ILP backend of a Sia scheduler in place.
 
-    ``SiaPolicy`` reads ``params.solver`` at every solve, so this takes
-    effect from the next round.  Raises ``ValueError`` for an unknown
+    ``SiaScheduler.decide`` reads ``params.solver`` at every solve, so
+    this takes effect from the next round.  Raises ``ValueError`` for an unknown
     backend or a scheduler without a solver to rebind.
     """
     if backend not in SOLVER_BACKENDS:

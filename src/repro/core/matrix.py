@@ -72,20 +72,20 @@ def restart_factor(age: float, num_restarts: int, restart_cost: float) -> float:
 
 
 def apply_restart_discount(matrix: np.ndarray,
-                           current_config_index: list[int | None],
+                           current_idx: list[int | None],
                            factors: list[float]) -> np.ndarray:
     """Discount entries that would restart the job (config != current)."""
     n_rows = matrix.shape[0]
-    if len(current_config_index) != n_rows or len(factors) != n_rows:
+    if len(current_idx) != n_rows or len(factors) != n_rows:
         raise ValueError("per-job inputs must match the number of rows")
     out = matrix.copy()
     if out.size == 0:
         return out
     # Queued jobs (current is None) start fresh; no restart is involved.
-    running = np.fromiter((c is not None for c in current_config_index),
+    running = np.fromiter((c is not None for c in current_idx),
                           dtype=bool, count=n_rows)
     current = np.fromiter((c if c is not None else -1
-                           for c in current_config_index),
+                           for c in current_idx),
                           dtype=np.int64, count=n_rows)
     cols = np.arange(out.shape[1])
     mask = running[:, None] & (cols[None, :] != current[:, None])
@@ -150,29 +150,6 @@ def shape_utilities(matrix: np.ndarray, *, p: float,
     shaped = np.where(np.isfinite(shaped), shaped, math.nan)
     out[feasible] = shaped
     return out
-
-
-def config_index_map(configs: list[Configuration]) -> dict[Configuration, int]:
-    """One ``{Configuration: index}`` lookup table for a round's config list.
-
-    Built once per round and shared by every per-job lookup; replaces the
-    O(n_configs) ``list.index`` scans the policy used to issue per job.
-    """
-    return {config: j for j, config in enumerate(configs)}
-
-
-def config_index(configs: list[Configuration],
-                 config: Configuration | None,
-                 index_map: dict[Configuration, int] | None = None) -> int | None:
-    """Index of ``config`` in the round's configuration list, if present."""
-    if config is None:
-        return None
-    if index_map is not None:
-        return index_map.get(config)
-    try:
-        return configs.index(config)
-    except ValueError:
-        return None
 
 
 def warm_start_pairs(job_ids: list[str], previous: dict,

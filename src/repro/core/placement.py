@@ -1,4 +1,4 @@
-"""Placer: bind configurations to concrete nodes (Sections 3.1 and 3.3).
+"""Placement: bind configurations to concrete nodes (Sections 3.1 and 3.3).
 
 Placement rules from the paper:
 
@@ -12,163 +12,133 @@ best-fit heuristic that prefers a job's previous nodes.  If the incremental
 pass fails, a full repack (largest-first) runs; jobs that still cannot be
 placed are dropped from the round's assignment (they stay queued), which is
 the "evict and retry" rule — the paper observes such evictions are rare.
+
+Occupancy is one ``{node_id: GPUs used}`` dict per pass, the same map the
+baselines book into (:func:`repro.schedulers.base.pack_gpus`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.cluster.cluster import Cluster, ClusterState
+from repro.cluster.cluster import Cluster
+from repro.cluster.node import Node
 from repro.core.types import Allocation, Configuration
 
 
-@dataclass
-class PlacementResult:
-    """Outcome of placing one round's assignments."""
+def place(cluster: Cluster, assignments: dict[str, Configuration],
+          previous: dict[str, Allocation],
+          pinned: frozenset[str] | set[str] = frozenset(),
+          ) -> dict[str, Allocation]:
+    """Place ``assignments`` given the previous round's allocations.
 
-    #: job id -> concrete allocation (jobs absent were evicted/unplaceable).
-    allocations: dict[str, Allocation] = field(default_factory=dict)
-    #: jobs that had an assignment but could not be placed this round.
-    evicted: list[str] = field(default_factory=list)
-    #: jobs whose placement is unchanged from the previous round.
-    unchanged: list[str] = field(default_factory=list)
+    Returns job id -> allocation; an assigned job that is absent was
+    evicted (it stays queued this round).  ``pinned`` jobs (non-preemptive
+    jobs and reservations, Section 3.4) must keep their exact previous
+    GPUs: they are immovable even during a fragmentation repack.  Raises
+    ``ValueError`` if kept allocations over-subscribe a node.
+    """
+    by_type: dict[str, list[Node]] = {}
+    for node in cluster.nodes:
+        by_type.setdefault(node.gpu_type, []).append(node)
+    sizes = {node.node_id: node.num_gpus for node in cluster.nodes}
+
+    # Pass 1: pin jobs whose configuration did not change.
+    allocations: dict[str, Allocation] = {}
+    used: dict[int, int] = {}
+    pending: list[tuple[str, Configuration]] = []
+    for job_id, config in assignments.items():
+        prev = previous.get(job_id)
+        if prev is not None and prev.configuration() == config:
+            _keep(prev, used, sizes)
+            allocations[job_id] = prev
+        else:
+            if job_id in pinned and prev is not None:
+                raise ValueError(
+                    f"pinned job {job_id!r} cannot change configuration")
+            pending.append((job_id, config))
+
+    # Pass 2: place changed/new jobs, multi-node (whole-node) first,
+    # then larger single-node allocations.
+    pending.sort(key=lambda item: (-item[1].num_nodes, -item[1].num_gpus))
+    for job_id, config in pending:
+        allocation = _try_place(by_type, used, config, previous.get(job_id))
+        if allocation is None:
+            # Pass 3 (rule c): fragmentation — full repack from scratch.
+            return _repack(by_type, sizes, assignments, previous, pinned)
+        allocations[job_id] = allocation
+    return allocations
 
 
-class Placer:
-    """Stateless placement engine; operates on a fresh occupancy each call."""
+def _keep(allocation: Allocation, used: dict[int, int],
+          sizes: dict[int, int]) -> None:
+    """Book an allocation's exact GPUs, refusing to over-subscribe."""
+    for node_id, count in allocation.gpus_per_node:
+        free = sizes[node_id] - used.get(node_id, 0)
+        if count > free:
+            raise ValueError(f"node {node_id}: cannot acquire {count} GPUs "
+                             f"({free} free)")
+        used[node_id] = used.get(node_id, 0) + count
 
-    def __init__(self, cluster: Cluster):
-        self.cluster = cluster
 
-    def place(self, assignments: dict[str, Configuration],
-              previous: dict[str, Allocation],
-              pinned: frozenset[str] | set[str] = frozenset()) -> PlacementResult:
-        """Place ``assignments`` given the previous round's allocations.
-
-        ``pinned`` jobs (non-preemptive jobs and reservations, Section 3.4)
-        must keep their exact previous GPUs: they are immovable even during
-        a fragmentation repack.
-        """
-        result = PlacementResult()
-        state = ClusterState(self.cluster)
-
-        # Pass 1: pin jobs whose configuration did not change.
-        pending: list[tuple[str, Configuration]] = []
-        for job_id, config in assignments.items():
-            prev = previous.get(job_id)
-            if prev is not None and prev.configuration() == config:
-                for node_id, count in prev.gpus_per_node:
-                    state.node_states[node_id].acquire(job_id, count)
-                result.allocations[job_id] = prev
-                result.unchanged.append(job_id)
-            else:
-                if job_id in pinned and prev is not None:
-                    raise ValueError(
-                        f"pinned job {job_id!r} cannot change configuration")
-                pending.append((job_id, config))
-
-        # Pass 2: place changed/new jobs, multi-node (whole-node) first,
-        # then larger single-node allocations.
-        pending.sort(key=lambda item: (-item[1].num_nodes, -item[1].num_gpus))
-        failed: list[tuple[str, Configuration]] = []
-        for job_id, config in pending:
-            allocation = self._try_place(state, job_id, config,
-                                         previous.get(job_id))
-            if allocation is None:
-                failed.append((job_id, config))
-            else:
-                result.allocations[job_id] = allocation
-
-        if not failed:
-            return result
-
-        # Pass 3 (rule c): fragmentation — full repack from scratch.
-        return self._repack(assignments, previous, pinned)
-
-    # -- internals -----------------------------------------------------------
-
-    def _try_place(self, state: ClusterState, job_id: str,
-                   config: Configuration,
-                   previous: Allocation | None) -> Allocation | None:
-        if config.num_nodes > 1:
-            return self._place_whole_nodes(state, job_id, config, previous)
-        return self._place_single_node(state, job_id, config, previous)
-
-    def _place_whole_nodes(self, state: ClusterState, job_id: str,
-                           config: Configuration,
-                           previous: Allocation | None) -> Allocation | None:
-        """Rule (b): multi-node allocations take whole, empty nodes."""
+def _try_place(by_type: dict[str, list[Node]], used: dict[int, int],
+               config: Configuration,
+               previous: Allocation | None) -> Allocation | None:
+    preferred = set(previous.node_ids) if previous is not None else set()
+    nodes = by_type.get(config.gpu_type, ())
+    if config.num_nodes > 1:
+        # Rule (b): multi-node allocations take whole, empty nodes.
         per_node = config.num_gpus // config.num_nodes
         if per_node * config.num_nodes != config.num_gpus:
             return None
-        preferred = set(previous.node_ids) if previous is not None else set()
-        candidates = [
-            st for st in state.nodes_of_type(config.gpu_type)
-            if st.is_empty and st.node.num_gpus == per_node
-        ]
+        candidates = [n.node_id for n in nodes
+                      if n.num_gpus == per_node and not used.get(n.node_id)]
         if len(candidates) < config.num_nodes:
             return None
-        candidates.sort(key=lambda st: (st.node.node_id not in preferred,
-                                        st.node.node_id))
+        candidates.sort(key=lambda nid: (nid not in preferred, nid))
         chosen = candidates[:config.num_nodes]
-        for st in chosen:
-            st.acquire(job_id, per_node)
+        for node_id in chosen:
+            used[node_id] = per_node
         return Allocation.build(config.gpu_type,
-                                {st.node.node_id: per_node for st in chosen})
+                                dict.fromkeys(chosen, per_node))
+    # Rule (a): a partial-node allocation fits inside one node.  Best-fit:
+    # the node with the least sufficient free capacity, with the job's
+    # previous node winning ties, and whole-node requests preferring empty
+    # nodes to keep fragmentation down.
+    best_key = None
+    for node in nodes:
+        free = node.num_gpus - used.get(node.node_id, 0)
+        if free < config.num_gpus:
+            continue
+        key = (free, node.node_id not in preferred, node.node_id)
+        if best_key is None or key < best_key:
+            best_key = key
+    if best_key is None:
+        return None
+    node_id = best_key[2]
+    used[node_id] = used.get(node_id, 0) + config.num_gpus
+    return Allocation.build(config.gpu_type, {node_id: config.num_gpus})
 
-    def _place_single_node(self, state: ClusterState, job_id: str,
-                           config: Configuration,
-                           previous: Allocation | None) -> Allocation | None:
-        """Rule (a): a partial-node allocation fits inside one node.
 
-        Best-fit: the node with the least sufficient free capacity, with the
-        job's previous node winning ties, and whole-node requests preferring
-        empty nodes to keep fragmentation down.
-        """
-        preferred = set(previous.node_ids) if previous is not None else set()
-        best = None
-        best_key = None
-        for st in state.nodes_of_type(config.gpu_type):
-            if st.free < config.num_gpus:
-                continue
-            key = (st.free, st.node.node_id not in preferred, st.node.node_id)
-            if best_key is None or key < best_key:
-                best, best_key = st, key
-        if best is None:
-            return None
-        best.acquire(job_id, config.num_gpus)
-        return Allocation.build(config.gpu_type,
-                                {best.node.node_id: config.num_gpus})
-
-    def _repack(self, assignments: dict[str, Configuration],
-                previous: dict[str, Allocation],
-                pinned: frozenset[str] | set[str] = frozenset()) -> PlacementResult:
-        """Place everything from an empty cluster, largest first; jobs that
-        do not fit are evicted (stay queued this round).  Pinned jobs keep
-        their exact previous GPUs and are re-acquired first."""
-        result = PlacementResult()
-        state = ClusterState(self.cluster)
-        for job_id in sorted(pinned):
-            prev = previous.get(job_id)
-            if prev is None or job_id not in assignments:
-                continue
-            for node_id, count in prev.gpus_per_node:
-                state.node_states[node_id].acquire(job_id, count)
-            result.allocations[job_id] = prev
-            result.unchanged.append(job_id)
-        ordered = sorted(
-            ((jid, cfg) for jid, cfg in assignments.items()
-             if jid not in result.allocations),
-            key=lambda item: (-item[1].num_nodes,
-                              -item[1].num_gpus, item[0]))
-        for job_id, config in ordered:
-            allocation = self._try_place(state, job_id, config,
-                                         previous.get(job_id))
-            if allocation is None:
-                result.evicted.append(job_id)
-                continue
-            result.allocations[job_id] = allocation
-            prev = previous.get(job_id)
-            if prev is not None and prev == allocation:
-                result.unchanged.append(job_id)
-        return result
+def _repack(by_type: dict[str, list[Node]], sizes: dict[int, int],
+            assignments: dict[str, Configuration],
+            previous: dict[str, Allocation],
+            pinned: frozenset[str] | set[str]) -> dict[str, Allocation]:
+    """Place everything from an empty cluster, largest first; jobs that do
+    not fit are evicted (stay queued this round).  Pinned jobs keep their
+    exact previous GPUs and are re-acquired first."""
+    allocations: dict[str, Allocation] = {}
+    used: dict[int, int] = {}
+    for job_id in sorted(pinned):
+        prev = previous.get(job_id)
+        if prev is None or job_id not in assignments:
+            continue
+        _keep(prev, used, sizes)
+        allocations[job_id] = prev
+    ordered = sorted(
+        ((jid, cfg) for jid, cfg in assignments.items()
+         if jid not in allocations),
+        key=lambda item: (-item[1].num_nodes, -item[1].num_gpus, item[0]))
+    for job_id, config in ordered:
+        allocation = _try_place(by_type, used, config, previous.get(job_id))
+        if allocation is not None:
+            allocations[job_id] = allocation
+    return allocations

@@ -13,7 +13,7 @@ The vocabulary here follows Section 3 of the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class AdaptivityMode(enum.Enum):
@@ -105,20 +105,3 @@ class Allocation:
             raise ValueError("per-node GPU counts must be positive")
         items = tuple(sorted(gpus_per_node.items()))
         return Allocation(gpu_type=gpu_type, gpus_per_node=items)
-
-
-@dataclass
-class PolicyDecision:
-    """Output of a scheduling policy for one round."""
-
-    #: job id -> configuration chosen (jobs absent receive no resources).
-    assignments: dict[str, Configuration] = field(default_factory=dict)
-    #: objective value reached by the solver, if applicable.
-    objective: float | None = None
-    #: solver backend that produced the decision ('' when not reported).
-    backend: str = ""
-    #: True when the decision came from a degraded mode (solver fallback).
-    degraded: bool = False
-    #: job id -> the goodput estimate the policy optimized for the chosen
-    #: configuration (feeds the goodput ledger; absent for unassigned jobs).
-    estimates: dict[str, float] = field(default_factory=dict)

@@ -3,9 +3,10 @@
 A scheduler sees, each round, one :class:`JobView` per active job — the
 job's static description plus its runtime state and its Goodput Estimator —
 and returns a :class:`RoundPlan`: concrete per-job allocations for the next
-round.  Each scheduler owns its placement logic (Sia uses the Placer rules
-of Section 3.1; Pollux packs virtual nodes; Gavel packs per-type), so the
-simulator only validates and applies the plan.
+round.  Each scheduler owns its placement logic (Sia follows the rules of
+Section 3.1 in :func:`repro.core.placement.place`; Pollux packs virtual
+nodes; Gavel packs per-type), so the simulator only validates and applies
+the plan.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ class Scheduler(abc.ABC):
     oracle_estimators: bool = False
     #: per-GPU-type goodput discounts from the health layer (probation
     #: nodes); injected each round by the engine and consumed by policies
-    #: that support it (SiaPolicy).  ``None`` (or ``{}``) means no
-    #: discount — the default for every standalone use.
+    #: that support it (Sia).  ``None`` (or ``{}``) means no discount —
+    #: the default for every standalone use.
     health_discounts: dict[str, float] | None = None
 
     @abc.abstractmethod

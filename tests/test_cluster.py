@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cluster import presets
-from repro.cluster.cluster import Cluster, ClusterState
+from repro.cluster.cluster import Cluster
 from repro.cluster.gpu import GPU_CATALOG, GPUSpec, gpu_spec, power_rank
-from repro.cluster.node import (Node, NodeGroup, NodeState,
-                                power_of_two_decomposition)
+from repro.cluster.node import Node, NodeGroup, power_of_two_decomposition
 
 
 class TestGPUCatalog:
@@ -77,19 +76,6 @@ class TestNode:
     def test_physical_id_defaults_to_self(self):
         assert Node(3, "t4", 4).physical_id == 3
 
-    def test_node_state_acquire_release(self):
-        state = NodeState(Node(0, "t4", 4))
-        state.acquire("j1", 3)
-        assert state.free == 1
-        with pytest.raises(ValueError):
-            state.acquire("j2", 2)
-        assert state.release("j1") == 3
-        assert state.is_empty
-
-    def test_release_unknown_job_is_noop(self):
-        state = NodeState(Node(0, "t4", 4))
-        assert state.release("ghost") == 0
-
 
 class TestCluster:
     def test_from_groups_counts(self, hetero_cluster):
@@ -131,15 +117,6 @@ class TestCluster:
         assert doubled.total_gpus == 128
         for t in hetero_cluster.gpu_types:
             assert doubled.capacity(t) == 2 * hetero_cluster.capacity(t)
-
-
-class TestClusterState:
-    def test_clear(self, tiny_cluster):
-        state = ClusterState(tiny_cluster)
-        for st in state.node_states.values():
-            st.acquire("x", 1)
-        state.clear()
-        assert all(st.used == 0 for st in state.node_states.values())
 
 
 class TestPresets:

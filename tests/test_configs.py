@@ -9,10 +9,10 @@ from dataclasses import replace
 
 from repro.core.configs import (build_config_set, multi_node_configs,
                                 powers_of_two_up_to, single_node_configs)
-from repro.core.policy import SiaPolicy, SiaPolicyParams
 from repro.core.types import Configuration
 from repro.jobs.job import make_job
 from repro.schedulers.base import JobView
+from repro.schedulers.sia import SiaScheduler
 
 
 class TestPowersOfTwo:
@@ -97,7 +97,7 @@ class TestSetConstruction:
 
 
 class TestFeasibleForJob:
-    """Section 3.1's per-round filter, as ``SiaPolicy.feasible_configs``
+    """Section 3.1's per-round filter, as ``SiaScheduler.feasible_configs``
     applies it to the configuration set."""
 
     @pytest.fixture
@@ -105,11 +105,12 @@ class TestFeasibleForJob:
         return build_config_set(hetero_cluster, max_gpus=16)
 
     @staticmethod
-    def feasible(configs, job, current=None, policy=None):
+    def feasible(configs, job, current=None):
         view = JobView(job=job, estimator=None, current_config=current,
                        age=0.0, num_restarts=0, progress=0.0)
-        policy = policy or SiaPolicy()
-        return [configs[j] for j in policy.feasible_configs(view, configs)]
+        config_pos = {c: j for j, c in enumerate(configs)}
+        return [configs[j] for j in
+                SiaScheduler().feasible_configs(view, configs, config_pos)]
 
     def test_pending_job_gets_min_size_only(self, configs):
         out = self.feasible(configs, make_job("j", "bert", 0.0))
@@ -136,9 +137,3 @@ class TestFeasibleForJob:
         job.fixed_gpu_type = "a100"
         out = self.feasible(configs, job, Configuration(1, 4, "a100"))
         assert all(c.gpu_type == "a100" for c in out)
-
-    def test_custom_scale_up_factor(self, configs):
-        policy = SiaPolicy(SiaPolicyParams(scale_up_factor=4))
-        out = self.feasible(configs, make_job("j", "bert", 0.0),
-                            Configuration(1, 2, "a100"), policy)
-        assert max(c.num_gpus for c in out) == 8

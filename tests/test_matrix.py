@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.matrix import (apply_restart_discount, config_index,
-                               config_index_map, normalize_rows,
+from repro.core.matrix import (apply_restart_discount, normalize_rows,
                                restart_factor, shape_utilities)
-from repro.core.types import Configuration
 
 
 class TestNormalization:
@@ -187,25 +185,3 @@ class TestShaping:
         out = shape_utilities(matrix, p=p, allocation_incentive=1.1)
         diffs = np.diff(out[0])
         assert np.all(diffs >= -1e-12)
-
-
-class TestConfigIndex:
-    def test_found(self):
-        configs = [Configuration(1, 1, "t4"), Configuration(1, 2, "t4")]
-        assert config_index(configs, Configuration(1, 2, "t4")) == 1
-
-    def test_none_input(self):
-        assert config_index([], None) is None
-
-    def test_missing(self):
-        configs = [Configuration(1, 1, "t4")]
-        assert config_index(configs, Configuration(1, 8, "a100")) is None
-
-    def test_index_map_agrees_with_list_index(self):
-        configs = [Configuration(1, 1, "t4"), Configuration(1, 2, "t4"),
-                   Configuration(1, 8, "a100")]
-        index_map = config_index_map(configs)
-        assert index_map == {c: j for j, c in enumerate(configs)}
-        for config in configs + [Configuration(2, 16, "rtx"), None]:
-            assert config_index(configs, config, index_map) == \
-                config_index(configs, config)

@@ -1,14 +1,16 @@
-"""Tests for the Sia policy: scale-up rule, type matching, rigid jobs,
-restart stickiness, non-preemption, allocation incentive."""
+"""Tests for the Sia policy round (``SiaScheduler.decide``): scale-up
+rule, type matching, rigid jobs, restart stickiness, non-preemption,
+allocation incentive."""
 
 import pytest
 
-from repro.core import policy as policy_module
-from repro.core.policy import SiaPolicy, SiaPolicyParams
+from repro.core.policy import SiaPolicyParams
 from repro.core.types import AdaptivityMode, Configuration, ProfilingMode
 from repro.jobs.job import make_job
 from repro.perf.estimator import JobPerfEstimator
-from repro.schedulers.base import JobView
+from repro.schedulers import sia as sia_module
+from repro.schedulers.base import JobView, RoundPlan
+from repro.schedulers.sia import SiaScheduler
 from tests.oracle import solve_exact
 
 
@@ -21,39 +23,46 @@ def view_for(job, cluster, *, current=None, age=0.0, restarts=0,
                    age=age, num_restarts=restarts, progress=progress)
 
 
+def chosen(plan: RoundPlan) -> dict[str, Configuration]:
+    """The configuration each placed job received."""
+    return {jid: alloc.configuration()
+            for jid, alloc in plan.allocations.items()}
+
+
 @pytest.fixture
-def policy() -> SiaPolicy:
-    return SiaPolicy()
+def policy() -> SiaScheduler:
+    return SiaScheduler()
 
 
-def exact_policy(monkeypatch) -> SiaPolicy:
-    """A policy whose ILP the branch-and-bound oracle solves."""
-    monkeypatch.setattr(policy_module, "solve_with_fallback",
+def exact_policy(monkeypatch) -> SiaScheduler:
+    """A scheduler whose ILP the branch-and-bound oracle solves."""
+    monkeypatch.setattr(sia_module, "solve_with_fallback",
                         lambda problem, *args, **kwargs:
                         (solve_exact(problem), False))
-    return SiaPolicy()
+    return SiaScheduler()
 
 
 class TestScaleUpRule:
     def test_new_job_starts_at_one_gpu(self, policy, hetero_cluster):
         job = make_job("j1", "bert", 0.0)
         decision = policy.decide([view_for(job, hetero_cluster)],
-                                 hetero_cluster, 0.0)
-        assert decision.assignments["j1"].num_gpus == 1
+                                 hetero_cluster, {}, 0.0)
+        assert chosen(decision)["j1"].num_gpus == 1
 
     def test_running_job_at_most_doubles(self, policy, hetero_cluster):
         job = make_job("j1", "bert", 0.0)
         current = Configuration(1, 2, "a100")
         view = view_for(job, hetero_cluster, current=current, age=7200.0)
-        decision = policy.decide([view], hetero_cluster, 7200.0)
-        assert decision.assignments["j1"].num_gpus <= 4
+        decision = policy.decide([view], hetero_cluster, {}, 7200.0)
+        assert chosen(decision)["j1"].num_gpus <= 4
 
     def test_feasible_configs_include_current(self, policy, hetero_cluster):
         job = make_job("j1", "bert", 0.0)
         current = Configuration(1, 8, "a100")
         view = view_for(job, hetero_cluster, current=current, age=3600.0)
         configs = policy.configurations(hetero_cluster, max_gpus=16)
-        feasible = policy.feasible_configs(view, configs)
+        feasible = policy.feasible_configs(
+            view, configs, {c: j for j, c in enumerate(configs)})
         assert configs.index(current) in feasible
 
 
@@ -63,8 +72,8 @@ class TestTypeMatching:
         should be placed there."""
         job = make_job("j1", "bert", 0.0)
         decision = policy.decide([view_for(job, hetero_cluster)],
-                                 hetero_cluster, 0.0)
-        assert decision.assignments["j1"].gpu_type == "a100"
+                                 hetero_cluster, {}, 0.0)
+        assert chosen(decision)["j1"].gpu_type == "a100"
 
     def test_contending_jobs_split_types(self, policy):
         """BERT prefers a100 strongly; DeepSpeech2 is nearly as fast on rtx.
@@ -77,16 +86,16 @@ class TestTypeMatching:
         bert = make_job("bert-0", "bert", 0.0)
         ds2 = make_job("ds2-0", "deepspeech2", 0.0)
         views = [view_for(ds2, scarce), view_for(bert, scarce)]
-        decision = policy.decide(views, scarce, 0.0)
-        assert decision.assignments["bert-0"].gpu_type == "a100"
-        assert decision.assignments["ds2-0"].gpu_type == "rtx"
+        decision = policy.decide(views, scarce, {}, 0.0)
+        assert chosen(decision)["bert-0"].gpu_type == "a100"
+        assert chosen(decision)["ds2-0"].gpu_type == "rtx"
 
     def test_fixed_gpu_type_respected(self, policy, hetero_cluster):
         job = make_job("j1", "bert", 0.0)
         job.fixed_gpu_type = "rtx"
         decision = policy.decide([view_for(job, hetero_cluster)],
-                                 hetero_cluster, 0.0)
-        assert decision.assignments["j1"].gpu_type == "rtx"
+                                 hetero_cluster, {}, 0.0)
+        assert chosen(decision)["j1"].gpu_type == "rtx"
 
 
 class TestRigidJobs:
@@ -94,15 +103,15 @@ class TestRigidJobs:
         job = make_job("j1", "bert", 0.0, adaptivity=AdaptivityMode.RIGID,
                        fixed_num_gpus=4, fixed_batch_size=48)
         decision = policy.decide([view_for(job, hetero_cluster)],
-                                 hetero_cluster, 0.0)
-        assert decision.assignments["j1"].num_gpus == 4
+                                 hetero_cluster, {}, 0.0)
+        assert chosen(decision)["j1"].num_gpus == 4
 
     def test_rigid_job_still_gets_best_type(self, policy, hetero_cluster):
         job = make_job("j1", "bert", 0.0, adaptivity=AdaptivityMode.RIGID,
                        fixed_num_gpus=2, fixed_batch_size=48)
         decision = policy.decide([view_for(job, hetero_cluster)],
-                                 hetero_cluster, 0.0)
-        assert decision.assignments["j1"].gpu_type == "a100"
+                                 hetero_cluster, {}, 0.0)
+        assert chosen(decision)["j1"].gpu_type == "a100"
 
 
 class TestRestartStickiness:
@@ -115,16 +124,16 @@ class TestRestartStickiness:
         job = make_job("j1", "deepspeech2", 0.0, max_gpus=1)
         current = Configuration(1, 1, "rtx")
         view = view_for(job, hetero_cluster, current=current, age=30.0)
-        decision = policy.decide([view], hetero_cluster, 30.0)
-        assert decision.assignments["j1"] == current
+        decision = policy.decide([view], hetero_cluster, {}, 30.0)
+        assert chosen(decision)["j1"] == current
 
     def test_restart_factor_disabled_allows_migration(self, hetero_cluster):
-        policy = SiaPolicy(SiaPolicyParams(use_restart_factor=False))
+        policy = SiaScheduler(SiaPolicyParams(use_restart_factor=False))
         job = make_job("j1", "bert", 0.0)
         current = Configuration(1, 1, "t4")
         view = view_for(job, hetero_cluster, current=current, age=30.0)
-        decision = policy.decide([view], hetero_cluster, 30.0)
-        assert decision.assignments["j1"].gpu_type == "a100"
+        decision = policy.decide([view], hetero_cluster, {}, 30.0)
+        assert chosen(decision)["j1"].gpu_type == "a100"
 
 
 class TestNonPreemption:
@@ -136,17 +145,30 @@ class TestNonPreemption:
         for i in range(4):
             views.append(view_for(make_job(f"c{i}", "bert", 0.0),
                                   hetero_cluster))
-        decision = policy.decide(views, hetero_cluster, 60.0)
-        assert decision.assignments["pin"] == current
+        decision = policy.decide(views, hetero_cluster, {}, 60.0)
+        assert chosen(decision)["pin"] == current
+
+    def test_current_config_outside_set_is_not_forced(self, policy,
+                                                       hetero_cluster):
+        """A running job whose configuration is not in this round's set
+        (here: four rtx nodes on a cluster with three) has no column to
+        be pinned to; it is planned like a queued job instead."""
+        job = make_job("pin", "bert", 0.0, preemptible=False)
+        current = Configuration(4, 32, "rtx")
+        assert current not in policy.configurations(hetero_cluster,
+                                                    max_gpus=64)
+        view = view_for(job, hetero_cluster, current=current, age=60.0)
+        decision = policy.decide([view], hetero_cluster, {}, 60.0)
+        assert chosen(decision)["pin"] != current
 
 
 class TestCapacity:
     def test_total_gpus_never_exceed_capacity(self, policy, hetero_cluster):
         views = [view_for(make_job(f"j{i}", "resnet18", 0.0), hetero_cluster)
                  for i in range(30)]
-        decision = policy.decide(views, hetero_cluster, 0.0)
+        decision = policy.decide(views, hetero_cluster, {}, 0.0)
         used: dict[str, int] = {}
-        for config in decision.assignments.values():
+        for config in chosen(decision).values():
             used[config.gpu_type] = used.get(config.gpu_type, 0) \
                 + config.num_gpus
         for gpu_type, count in used.items():
@@ -156,12 +178,12 @@ class TestCapacity:
         """lambda incentivizes allocating every job at least min size."""
         views = [view_for(make_job(f"j{i}", "resnet18", 0.0), hetero_cluster)
                  for i in range(10)]
-        decision = policy.decide(views, hetero_cluster, 0.0)
-        assert len(decision.assignments) == 10
+        decision = policy.decide(views, hetero_cluster, {}, 0.0)
+        assert len(chosen(decision)) == 10
 
     def test_empty_views(self, policy, hetero_cluster):
-        decision = policy.decide([], hetero_cluster, 0.0)
-        assert decision.assignments == {}
+        decision = policy.decide([], hetero_cluster, {}, 0.0)
+        assert chosen(decision) == {}
 
 
 class TestSolverBackends:
@@ -171,18 +193,19 @@ class TestSolverBackends:
         if backend == "exact":
             policy = exact_policy(monkeypatch)
         else:
-            policy = SiaPolicy(SiaPolicyParams(solver=backend))
+            policy = SiaScheduler(SiaPolicyParams(solver=backend))
         views = [view_for(make_job(f"j{i}", "resnet18", 0.0), hetero_cluster)
                  for i in range(5)]
-        decision = policy.decide(views, hetero_cluster, 0.0)
-        assert decision.assignments  # someone got resources
+        decision = policy.decide(views, hetero_cluster, {}, 0.0)
+        assert chosen(decision)  # someone got resources
 
     def test_milp_and_exact_agree_on_objective(self, hetero_cluster,
                                                monkeypatch):
         views = [view_for(make_job(f"j{i}", "bert", 0.0), hetero_cluster)
                  for i in range(4)]
-        milp = SiaPolicy(SiaPolicyParams(solver="milp")).decide(
-            views, hetero_cluster, 0.0)
-        exact = exact_policy(monkeypatch).decide(views, hetero_cluster, 0.0)
+        milp = SiaScheduler(SiaPolicyParams(solver="milp")).decide(
+            views, hetero_cluster, {}, 0.0)
+        exact = exact_policy(monkeypatch).decide(views, hetero_cluster, {},
+                                                 0.0)
         assert exact.backend == "exact"
         assert milp.objective == pytest.approx(exact.objective, rel=1e-6)

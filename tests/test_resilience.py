@@ -203,7 +203,7 @@ class TestSolverExhaustedChain:
 
     def test_exhausted_policy_is_rescued_by_scheduler_guard(
             self, monkeypatch, hetero_cluster):
-        """End to end: every backend dead -> SiaPolicy raises
+        """End to end: every backend dead -> SiaScheduler raises
         SolverExhaustedError -> the simulator's guard carries forward."""
         def boom(*args, **kwargs):
             raise RuntimeError("injected")

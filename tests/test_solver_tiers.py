@@ -13,8 +13,8 @@ from repro.analysis.replay import (ReplayOverrides, build_run_spec, replay,
 from repro.core import fork as forklib
 from repro.core import ilp
 from repro.core.ilp import AssignmentProblem, select_backend, solve_assignment
-from repro.core.matrix import config_index_map, warm_start_pairs
-from repro.core.policy import SiaPolicy, SiaPolicyParams
+from repro.core.matrix import warm_start_pairs
+from repro.core.policy import SiaPolicyParams
 from repro.core.types import Allocation, Configuration, ProfilingMode
 from repro.jobs.job import make_job
 from repro.obs.audit import allocation_persistence
@@ -91,9 +91,9 @@ class TestQualityHarness:
                 enumerate(["bert", "deepspeech2", "resnet18", "resnet50"])]
         reference = None
         for backend in ("milp", "lp_round", "tiered"):
-            policy = SiaPolicy(SiaPolicyParams(solver=backend))
+            policy = SiaScheduler(SiaPolicyParams(solver=backend))
             views = [view_for(job, hetero_cluster) for job in jobs]
-            decision = policy.decide(views, hetero_cluster, 0.0)
+            decision = policy.decide(views, hetero_cluster, {}, 0.0)
             if reference is None:
                 reference = decision.objective
             assert decision.objective == pytest.approx(reference, rel=1e-6)
@@ -157,7 +157,7 @@ class TestWarmStartAndReuse:
 
     def test_warm_start_pairs_translation(self):
         configs = [Configuration(1, 1, "t4"), Configuration(1, 4, "a100")]
-        pos = config_index_map(configs)
+        pos = {c: j for j, c in enumerate(configs)}
         previous = {
             "a": Allocation.build("t4", {0: 1}),
             "b": Allocation.build("a100", {1: 4}),

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import presets
-from repro.core.policy import SiaPolicy, SiaPolicyParams
 from repro.core.types import Configuration, ProfilingMode
 from repro.jobs.hybrid import HybridSpec
 from repro.jobs.inference import BatchInferenceEstimator, LatencySLOEstimator
@@ -30,6 +29,7 @@ from repro.perf.goodput import GoodputModel, candidate_grid
 from repro.perf.throughput import ThroughputModel
 from repro.schedulers.base import JobView
 from repro.schedulers.pollux import PolluxEstimator
+from repro.schedulers.sia import SiaScheduler
 from repro.workloads import helios_trace
 from tests.oracle import ReferenceThroughput, best_of_grid
 
@@ -190,8 +190,8 @@ class TestPolicyEquivalence:
         return views
 
     def decide(self, cluster):
-        return SiaPolicy(SiaPolicyParams()).decide(self.make_views(cluster),
-                                                   cluster, 0.0)
+        return SiaScheduler().decide(self.make_views(cluster), cluster, {},
+                                     0.0)
 
     def test_decide_identical_assignments(self, monkeypatch):
         cluster = presets.heterogeneous()
@@ -199,14 +199,14 @@ class TestPolicyEquivalence:
         with monkeypatch.context() as patch:
             use_reference_loop(patch)
             reference = self.decide(cluster)
-        assert reference.assignments == grouped.assignments
+        assert reference.allocations == grouped.allocations
         assert reference.objective == pytest.approx(grouped.objective)
         assert reference.estimates == grouped.estimates
 
 
 class TestConfigCacheSignature:
     def test_structurally_equal_clusters_share_cache(self):
-        policy = SiaPolicy()
+        policy = SiaScheduler()
         a = presets.heterogeneous()
         b = presets.heterogeneous()
         assert a is not b
@@ -214,7 +214,7 @@ class TestConfigCacheSignature:
         assert policy.configurations(b, max_gpus=64) is configs
 
     def test_different_structure_misses(self):
-        policy = SiaPolicy()
+        policy = SiaScheduler()
         small = presets.heterogeneous()
         large = small.scaled(2)
         first = policy.configurations(small, max_gpus=64)
@@ -223,7 +223,7 @@ class TestConfigCacheSignature:
         assert len(second) > len(first)
 
     def test_max_gpus_partitions_cache(self):
-        policy = SiaPolicy()
+        policy = SiaScheduler()
         cluster = presets.heterogeneous()
         wide = policy.configurations(cluster, max_gpus=64)
         narrow = policy.configurations(cluster, max_gpus=4)
