@@ -241,7 +241,6 @@ def _swap_policy(state: CheckpointState, policy: str,
     # tick on the same clock for round-by-round alignment.
     scheduler.round_duration = round_duration
     state.scheduler = scheduler
-    state.scheduler_name = scheduler.name
     state.result.scheduler_name = scheduler.name
 
 

@@ -37,7 +37,7 @@ from repro.schedulers.base import Scheduler
 from repro.sim.faults import (CheckpointRestoreFaultModel, FaultModel,
                               GrayFailureModel, JobCrashModel,
                               PlacementFailureModel, StragglerModel,
-                              TelemetryCorruptionModel)
+                              TelemetryCorruptionModel, fault_model_seed)
 from repro.workloads.tuning import tuned_jobs
 
 #: schedulers that auto-tune jobs (run the raw adaptive trace).
@@ -318,8 +318,8 @@ def reseed_fault_models(models: list[FaultModel], seed: int) -> None:
 
     Binding also resets model state (outage and slowdown windows), so a
     reseeded fork draws an entirely different fault future from the fork
-    round on — the "different luck" counterfactual.  The per-model seed
-    derivation mirrors the engine's (``seed + 1009 + 31*i``).
+    round on — the "different luck" counterfactual.  Each model's seed is
+    :func:`~repro.sim.faults.fault_model_seed` of its position.
     """
     for idx, model in enumerate(models):
-        model.bind(seed + 1009 + 31 * idx)
+        model.bind(fault_model_seed(seed, idx))

@@ -164,6 +164,8 @@ def _round_to_dict(record: RoundRecord) -> dict[str, Any]:
         data["realized"] = dict(record.realized)
     if record.throughputs:
         data["throughputs"] = dict(record.throughputs)
+    if record.queued:
+        data["queued"] = list(record.queued)
     if record.events:
         data["events"] = [e.to_dict() for e in record.events]
     if record.health_events:
@@ -234,6 +236,7 @@ def load_result(path: str | Path) -> SimulationResult:
             estimates=dict(item.get("estimates", {})),
             realized=dict(item.get("realized", {})),
             throughputs=dict(item.get("throughputs", {})),
+            queued=list(item.get("queued", [])),
             events=[AllocationEvent.from_dict(e)
                     for e in item.get("events", [])],
             health_events=[HealthEvent.from_dict(e)

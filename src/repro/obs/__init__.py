@@ -28,8 +28,8 @@ Attach a tracer to a simulation via ``SimulatorConfig(tracer=Tracer())``
 or export with :func:`repro.obs.export.write_chrome_trace`.
 """
 
-from repro.obs.audit import (AllocationEvent, AuditTrail, classify_change,
-                             event_counts, events_for_job, migration_flows)
+from repro.obs.audit import (AllocationEvent, classify_change, event_counts,
+                             events_for_job, migration_flows)
 from repro.obs.diff import (AllocDelta, DivergencePoint, MetricDelta,
                             RoundDelta, RunDiff, aligned_ledger_deltas,
                             compare_runs, fault_recovery_seconds)
@@ -40,8 +40,8 @@ from repro.obs.ledger import (GoodputLedger, LedgerEntry, queue_wait_by_job,
                               round_entries)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                interpolated_quantile)
-from repro.obs.slo import (Alert, SLOEngine, SLORule, alert_summary,
-                           default_rules, evaluate_result, parse_rules)
+from repro.obs.slo import (Alert, SLOEngine, SLORule, default_rules,
+                           evaluate_result, parse_rules)
 from repro.obs.stream import (AlertStreamObserver, EventStreamObserver,
                               HealthEventStreamObserver, JsonlStreamWriter,
                               LedgerStreamObserver, PrometheusSnapshotObserver,
@@ -59,7 +59,7 @@ __all__ = [
     "read_events_jsonl", "span_digest", "run_digest",
     "alert_digest",
     "GoodputLedger", "LedgerEntry", "queue_wait_by_job",
-    "AllocationEvent", "AuditTrail", "classify_change", "event_counts",
+    "AllocationEvent", "classify_change", "event_counts",
     "events_for_job", "migration_flows",
     "AllocDelta", "DivergencePoint", "MetricDelta", "RoundDelta", "RunDiff",
     "aligned_ledger_deltas", "compare_runs", "fault_recovery_seconds",
@@ -67,7 +67,7 @@ __all__ = [
     "interpolated_quantile", "round_entries",
     "RollingWindow", "RollingRate",
     "Alert", "SLORule", "SLOEngine", "default_rules", "parse_rules",
-    "evaluate_result", "alert_summary",
+    "evaluate_result",
     "RoundObserver", "JsonlStreamWriter", "EventStreamObserver",
     "LedgerStreamObserver", "AlertStreamObserver",
     "HealthEventStreamObserver", "SLOObserver", "PrometheusSnapshotObserver",

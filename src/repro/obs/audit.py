@@ -222,31 +222,3 @@ def allocation_persistence(rounds: Sequence[Any]) -> float | None:
     if total == 0:
         return None
     return kept / total
-
-
-class AuditTrail:
-    """All allocation events of one run, with per-job and aggregate views."""
-
-    def __init__(self, events: Sequence[AllocationEvent] = ()):
-        self.events = list(events)
-
-    @classmethod
-    def from_result(cls, result: Any) -> "AuditTrail":
-        """Collect the per-round events of a ``SimulationResult``-like
-        object (live, or loaded from JSON by :mod:`repro.io`)."""
-        events: list[AllocationEvent] = []
-        for rnd in result.rounds:
-            events.extend(rnd.events)
-        return cls(events)
-
-    def for_job(self, job_id: str) -> list[AllocationEvent]:
-        return events_for_job(self.events, job_id)
-
-    def counts(self) -> dict[str, int]:
-        return event_counts(self.events)
-
-    def migration_flows(self) -> dict[tuple[str, str], int]:
-        return migration_flows(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)

@@ -146,6 +146,17 @@ class MetricsRegistry:
         which the flat :meth:`snapshot` erases)."""
         return [(name, self._metrics[name]) for name in sorted(self._metrics)]
 
+    def restore(self, saved: "MetricsRegistry") -> None:
+        """Copy ``saved``'s values into this registry's own metric objects,
+        so references already held to them (an observer's cached gauge)
+        stay live.  Metrics ``saved`` lacks keep their values."""
+        for name, metric in saved.items():
+            mine = self._get(name, type(metric))
+            if isinstance(metric, Histogram):
+                mine.values[:] = metric.values
+            else:
+                mine.value = metric.value
+
     def snapshot(self) -> dict[str, float]:
         """Flat name -> value view of every metric (histograms contribute
         ``<name>.count`` / ``<name>.mean`` / ``<name>.max``)."""

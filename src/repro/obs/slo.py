@@ -38,7 +38,7 @@ import statistics
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.obs.metrics import interpolated_quantile
 from repro.obs.window import RollingRate, RollingWindow
@@ -237,36 +237,22 @@ def parse_rules(source: Any) -> list[SLORule]:
 
 class _QueueWaitTracker:
     """Online per-job queue-wait attribution (the live sibling of
-    :func:`repro.obs.ledger.queue_wait_by_job`).
-
-    Jobs are discovered from admit events and allocations; a round spent
-    active without GPUs adds ``dt`` to the job's wait; FINISH events retire
-    it.  O(active jobs) per round — never re-derived from history.
+    :func:`repro.obs.ledger.queue_wait_by_job`): each round adds ``dt`` to
+    the jobs it recorded as queued (``RoundRecord.queued``).  O(queued
+    jobs) per round — never re-derived from history.
     """
 
     def __init__(self) -> None:
         self.waits: dict[str, float] = {}
-        self._finished: set[str] = set()
 
     def observe(self, record: Any, dt: float) -> None:
-        for event in record.events:
-            if event.kind == "finish":
-                self._finished.add(event.job_id)
-                self.waits.pop(event.job_id, None)
-            elif event.job_id not in self._finished:
-                self.waits.setdefault(event.job_id, 0.0)
-        for job_id in record.allocations:
-            if job_id not in self._finished:
-                self.waits.setdefault(job_id, 0.0)
-        for job_id in self.waits:
-            if job_id not in record.allocations:
-                self.waits[job_id] += dt
+        for job_id in record.queued:
+            self.waits[job_id] = self.waits.get(job_id, 0.0) + dt
 
     def queued_waits(self, record: Any) -> list[tuple[str, float]]:
         """(job_id, accumulated wait) for jobs queued this round, worst
         first."""
-        queued = [(jid, wait) for jid, wait in self.waits.items()
-                  if jid not in record.allocations]
+        queued = [(jid, self.waits[jid]) for jid in record.queued]
         queued.sort(key=lambda item: (-item[1], item[0]))
         return queued
 
@@ -463,11 +449,3 @@ def evaluate_result(result: Any,
             dt = max(result.end_time - record.time, 0.0)
         alerts.extend(engine.observe_round(record, index, dt))
     return alerts
-
-
-def alert_summary(alerts: Iterable[Alert]) -> dict[str, int]:
-    """Alert counts by rule name (report/digest convenience)."""
-    counts: dict[str, int] = {}
-    for alert in alerts:
-        counts[alert.rule] = counts.get(alert.rule, 0) + 1
-    return counts

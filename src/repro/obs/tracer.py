@@ -171,13 +171,6 @@ class Tracer:
     def span_stats(self, name: str) -> SpanStats:
         return span_stats(self.spans, name)
 
-    def totals_by_name(self) -> dict[str, float]:
-        """Total seconds spent in spans of each name."""
-        totals: dict[str, float] = {}
-        for span in self.spans:
-            totals[span.name] = totals.get(span.name, 0.0) + span.duration
-        return totals
-
     def children(self, span_id: int) -> list[SpanRecord]:
         return [s for s in self.spans if s.parent_id == span_id]
 
@@ -226,9 +219,6 @@ class NullTracer:
 
     def span_stats(self, name: str) -> SpanStats:
         return SpanStats(name=name)
-
-    def totals_by_name(self) -> dict[str, float]:
-        return {}
 
     def children(self, span_id: int) -> list[SpanRecord]:
         return []

@@ -251,9 +251,6 @@ class JobPerfEstimator:
 
     # -- knowledge queries ---------------------------------------------------
 
-    def has_profile(self, gpu_type: str) -> bool:
-        return bool(self._types[gpu_type].observations)
-
     def max_local_bsz(self, gpu_type: str) -> int:
         """Per-GPU batch-size cap on this type (memory limit).
 

@@ -99,9 +99,9 @@ def _filter_metrics(metrics: dict[str, float]) -> dict[str, float]:
 # only on SLO-observed runs (and may depend on wall-clock latency series),
 # so comparing them would make observation itself a "divergence".
 _ROUND_FIELDS = ("time", "active_jobs", "running_jobs", "allocations",
-                 "gpus_used", "backend", "degraded", "fault_events",
-                 "estimates", "realized", "throughputs", "events",
-                 "health_events")
+                 "gpus_used", "queued", "backend", "degraded",
+                 "fault_events", "estimates", "realized", "throughputs",
+                 "events", "health_events")
 
 
 def diff_rounds(ref: "RoundRecord", res: "RoundRecord",

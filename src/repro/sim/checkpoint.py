@@ -68,8 +68,11 @@ from repro.atomicio import atomic_write_bytes
 #:     and gray failures keep their episodes in one ``_until`` map.
 #: v7: a checkpoint is a body plus append-only segments holding the
 #:     recorded rounds and finished records; the body's manifest names them.
+#: v8: the engine runs on its ``CheckpointState``; the state drops
+#:     ``total_failures``, ``caught_scheduler_failures``, ``seed`` and
+#:     ``scheduler_name``, and ``RoundRecord`` gains ``queued``.
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages
@@ -122,16 +125,19 @@ class CheckpointConfig:
 
 @dataclass
 class CheckpointState:
-    """The complete mutable engine state at a between-rounds boundary.
+    """The complete mutable engine state: the simulator runs on one
+    (``Simulator.state``), and a checkpoint is a snapshot of it at a
+    between-rounds boundary.
 
     Everything the main loop reads lives here; the constructor-derived
     immutables (cluster structure, config knobs) are *verified* against the
     resuming simulator rather than restored, via :attr:`cluster_signature`.
     """
 
-    #: rounds recorded so far == index of the next round to run.
+    #: rounds recorded so far == index of the next round to run (set in
+    #: a snapshot; the live state keeps the value it started from).
     round_index: int
-    #: simulation clock at the snapshot (start of the next round).
+    #: simulation clock (in a snapshot, the start of the next round).
     now: float
     #: cursor into the sorted arrival list.
     arrival_idx: int
@@ -151,22 +157,18 @@ class CheckpointState:
     fault_models: list[Any]
     #: the scheduler, including policy caches.
     scheduler: Any
-    #: the run's metrics registry (shared refs with scheduler preserved).
+    #: the run's metrics registry; a resume copies its values into the
+    #: resuming simulator's own registry.
     metrics: Any
     #: invariant checker mid-run state (None when checking is off).
     invariants: Any
     #: node-health tracker mid-run state (None when the health layer is
     #: off; a resume that turns it on starts a fresh tracker).
     health: Any = None
-    total_failures: int = 0
-    caught_scheduler_failures: int = 0
     #: structural echo of the cluster, checked at resume time.
     cluster_signature: tuple = ()
-    #: config echoes, checked/logged at resume time.
-    seed: int = 0
-    scheduler_name: str = ""
     #: segments holding ``result.rounds`` and ``finished``, oldest first.
-    #: In a body this is its full manifest; in the engine's live snapshot,
+    #: In a body this is its full manifest; in the engine's live state,
     #: the segments already written to its checkpoint directory.
     segments: tuple[Segment, ...] = ()
     format_version: int = field(default=FORMAT_VERSION)

@@ -55,7 +55,7 @@ from repro.sim.checkpoint import (CheckpointConfig, CheckpointError,
                                   CheckpointState)
 from repro.sim.executor import ExecutionModel, RoundExecution
 from repro.sim.faults import (FaultContext, FaultModel, NodeCrashModel,
-                              slowest_node)
+                              fault_model_seed, slowest_node)
 from repro.sim.invariants import MODES as INVARIANT_MODES
 from repro.sim.invariants import InvariantChecker
 from repro.sim.telemetry import (FaultEvent, JobRecord, RoundRecord,
@@ -92,9 +92,6 @@ class SimulatorConfig:
     #: the scheduler and executor, records round/plan/phase spans.  None
     #: keeps the near-zero-cost no-op tracer.
     tracer: Tracer | None = None
-    #: metrics registry snapshotted into every RoundRecord; a fresh one is
-    #: created when None (pass your own to aggregate across runs).
-    metrics: MetricsRegistry | None = None
     #: crash-safety: when set, the engine writes an atomic, checksummed
     #: checkpoint of its complete state every ``checkpoint.every_rounds``
     #: rounds; ``Simulator.run(resume_from=...)`` continues from one
@@ -176,8 +173,41 @@ def _audit_alloc(allocation: Allocation | None,
     return (allocation.gpu_type, allocation.num_gpus, allocation.node_ids)
 
 
+@dataclass
+class _Round:
+    """Values that live for one round: ``_run_round`` creates one and drops
+    it when the round ends, so none of them is ever checkpointed."""
+
+    index: int
+    now: float
+    dt: float
+    #: the audit's "before" side: what a job held at the start of the
+    #: round, recorded by the first change to its allocation.
+    held: dict[str, Allocation | None] = field(default_factory=dict)
+    #: ids of jobs a fault or a drain evicted, or a fault crashed.
+    fault_hit: set[str] = field(default_factory=set)
+    #: the round's fault events, in the order they happened.
+    fault_events: list[FaultEvent] = field(default_factory=list)
+    #: job id -> straggler speed factor (< 1.0).
+    speed: dict[str, float] = field(default_factory=dict)
+    #: node id -> silent gray-failure speed factor: applied to the
+    #: executor's ground truth at advance time — by node, so migrating off
+    #: a gray node helps immediately — but masked from the observations
+    #: the estimator sees.
+    gray: dict[int, float] = field(default_factory=dict)
+
+    def evict(self, job_id: str, rt: _JobRuntime) -> None:
+        """Evict a job after a fault or a drain, noting what it held."""
+        self.held.setdefault(job_id, rt.allocation)
+        rt.evict()
+        self.fault_hit.add(job_id)
+
+
 class Simulator:
-    """Runs one (cluster, scheduler, job list) experiment."""
+    """Runs one (cluster, scheduler, job list) experiment.
+
+    Every mutable value of the run lives in :attr:`state`, the same
+    :class:`CheckpointState` a checkpoint writes and a resume adopts."""
 
     def __init__(self, cluster: Cluster, scheduler: Scheduler,
                  jobs: list[Job], config: SimulatorConfig | None = None):
@@ -187,62 +217,53 @@ class Simulator:
         if len(set(ids)) != len(ids):
             raise ValueError("job ids must be unique")
         self.cluster = cluster
-        self.scheduler = scheduler
         self.config = config or SimulatorConfig()
-        self._arrivals = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
-        self._execution = ExecutionModel(seed=self.config.seed,
-                                         rate_noise=self.config.rate_noise,
-                                         obs_noise=self.config.obs_noise)
         #: observability: one tracer carried through scheduler + executor,
-        #: one metrics registry snapshotted per round.
+        #: one metrics registry snapshotted per round.  The registry is
+        #: kept for the simulator's life (a restore refills it), so
+        #: observers built on it before ``run`` stay live.
         self.tracer = self.config.tracer or NULL_TRACER
-        self.metrics = self.config.metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         # Fault subsystem: legacy node_failure_rate becomes a NodeCrashModel
         # seeded exactly as the old inline sampler (seed + 1) so existing
         # configs reproduce bit-identical runs.
-        self._fault_models: list[FaultModel] = []
+        fault_models: list[FaultModel] = []
         if self.config.node_failure_rate > 0:
-            self._fault_models.append(NodeCrashModel(
+            fault_models.append(NodeCrashModel(
                 rate=self.config.node_failure_rate,
                 seed=self.config.seed + 1))
         for idx, model in enumerate(self.config.fault_models):
-            seed = model.seed if model.seed is not None \
-                else self.config.seed + 1009 + 31 * idx
-            model.bind(seed)  # re-seeding also resets state for reuse
-            self._fault_models.append(model)
-        #: per-round map job id -> straggler speed factor (<= 1.0).  Reset
-        #: at the top of every round's fault pass, so it never needs to be
-        #: checkpointed.
-        self._round_speed: dict[str, float] = {}
-        #: per-round map node id -> silent gray-failure speed factor.  Also
-        #: reset every fault pass (never checkpointed); applied to the
-        #: executor's ground truth at advance time — by node, so migrating
-        #: off a gray node helps immediately — but masked from the
-        #: observations the estimator sees.
-        self._gray_nodes: dict[int, float] = {}
-        self.total_failures = 0
-        #: rounds rescued by the simulator's carry-forward guard.
-        self.caught_scheduler_failures = 0
-        #: round-level invariant auditor (None when invariants == 'off').
-        self._invariants: InvariantChecker | None = None
-        if self.config.invariants != "off":
-            self._invariants = InvariantChecker(mode=self.config.invariants)
-        #: gray-failure defense (None when config.health is unset).
-        self._health: HealthTracker | None = None
-        if self.config.health is not None:
-            self._health = HealthTracker(self.config.health)
+            # Re-seeding also resets the model's state for reuse.
+            model.bind(model.seed if model.seed is not None
+                       else fault_model_seed(self.config.seed, idx))
+            fault_models.append(model)
+        #: the complete mutable engine state; a checkpoint is a snapshot
+        #: of it.
+        self.state = CheckpointState(
+            round_index=0, now=0.0, arrival_idx=0,
+            arrivals=sorted(jobs, key=lambda j: (j.submit_time, j.job_id)),
+            active={}, finished=[],
+            result=SimulationResult(
+                scheduler_name=scheduler.name,
+                cluster_description=cluster.describe()),
+            execution=ExecutionModel(seed=self.config.seed,
+                                     rate_noise=self.config.rate_noise,
+                                     obs_noise=self.config.obs_noise),
+            fault_models=fault_models,
+            scheduler=scheduler,
+            metrics=self.metrics,
+            invariants=(InvariantChecker(mode=self.config.invariants)
+                        if self.config.invariants != "off" else None),
+            health=(HealthTracker(self.config.health)
+                    if self.config.health is not None else None),
+            cluster_signature=cluster.signature)
         self._bind_observability()
-        # Mutable loop state, held on the instance so checkpoints can
-        # capture it and a restore can continue mid-run.
-        self._active: dict[str, _JobRuntime] = {}
-        self._finished: list[JobRecord] = []
-        self._arrival_idx = 0
-        self._now = 0.0
-        self._result: SimulationResult | None = None
-        #: manifest of the segments this run's checkpoint directory holds
-        #: (the last one written or restored from it); each write appends
-        #: one segment for the rounds since.
-        self._manifest: tuple[ckpt.Segment, ...] = ()
+
+    @property
+    def scheduler(self) -> Scheduler:
+        """The scheduler planning the run (a resume adopts the
+        checkpoint's)."""
+        return self.state.scheduler
 
     def _bind_observability(self) -> None:
         """(Re-)inject the live tracer/metrics into every engine layer.
@@ -252,15 +273,14 @@ class Simulator:
         scheduler/checker must see this process's sinks, not the ones from
         the crashed run.
         """
-        self.scheduler.tracer = self.tracer
-        self.scheduler.metrics = self.metrics
-        self._execution.tracer = self.tracer
-        if self._invariants is not None:
-            self._invariants.tracer = self.tracer
-            self._invariants.metrics = self.metrics
-        if self._health is not None:
-            self._health.tracer = self.tracer
-            self._health.metrics = self.metrics
+        state = self.state
+        state.scheduler.tracer = self.tracer
+        state.scheduler.metrics = self.metrics
+        state.execution.tracer = self.tracer
+        for layer in (state.invariants, state.health):
+            if layer is not None:
+                layer.tracer = self.tracer
+                layer.metrics = self.metrics
 
     # -- main loop -------------------------------------------------------------
 
@@ -272,15 +292,14 @@ class Simulator:
         of starting fresh: pass a checkpoint file path, a checkpoint
         *directory* (the newest valid checkpoint is used, falling back past
         corrupted files), or an in-memory :class:`CheckpointState`.  The
-        restored state replaces this simulator's scheduler, fault models,
-        execution model, and metrics registry wholesale, and the continued
-        run is bit-identical to the uninterrupted one (wall-clock-derived
-        telemetry — ``solve_time`` and timing metrics — excepted).
+        restored state replaces this simulator's scheduler, fault models
+        and execution model wholesale, its metric values refill this
+        simulator's registry, and the continued run is bit-identical to
+        the uninterrupted one (wall-clock-derived telemetry —
+        ``solve_time`` and timing metrics — excepted).
         """
         if resume_from is not None:
             self._restore(resume_from)
-        else:
-            self._init_fresh()
         try:
             self._run_loop(max_rounds=None)
         except BaseException:
@@ -290,7 +309,7 @@ class Simulator:
             for observer in self.config.observers:
                 observer.close()
             raise
-        return self._finalize(self.config.max_hours * 3600.0)
+        return self._finalize()
 
     def run_to_round(self,
                      round_index: int,
@@ -311,54 +330,40 @@ class Simulator:
             raise ValueError(f"round_index must be >= 0, got {round_index}")
         if resume_from is not None:
             self._restore(resume_from)
-            recorded = len(self._result.rounds) if self._result else 0
+            recorded = len(self.state.result.rounds)
             if recorded > round_index:
                 raise ValueError(
                     f"checkpoint is already at round {recorded}, past the "
                     f"requested fork round {round_index}")
-        else:
-            self._init_fresh()
         self._run_loop(max_rounds=round_index)
-        recorded = len(self._result.rounds) if self._result else 0
+        recorded = len(self.state.result.rounds)
         if recorded < round_index:
             raise ValueError(
                 f"run ended after {recorded} rounds, before the requested "
                 f"fork round {round_index}")
         return self._snapshot()
 
-    def _init_fresh(self) -> None:
-        self._active = {}
-        self._finished = []
-        self._arrival_idx = 0
-        self._now = 0.0
-        self._manifest = ()
-        self._result = SimulationResult(
-            scheduler_name=self.scheduler.name,
-            cluster_description=self.cluster.describe())
-
     def _run_loop(self, max_rounds: int | None) -> None:
         """The main loop: admit, run rounds, checkpoint.  Stops at the time
         cap, when no work remains, or after ``max_rounds`` recorded rounds
         (``None`` = unbounded)."""
-        result = self._result
-        assert result is not None
-        dt = self.scheduler.round_duration
+        state = self.state
+        result, active, arrivals = state.result, state.active, state.arrivals
+        dt = state.scheduler.round_duration
         cap = self.config.max_hours * 3600.0
-        active = self._active
 
-        while (self._arrival_idx < len(self._arrivals) or active) \
-                and self._now < cap \
+        while (state.arrival_idx < len(arrivals) or active) \
+                and state.now < cap \
                 and (max_rounds is None or len(result.rounds) < max_rounds):
-            if (self._arrival_idx < len(self._arrivals)
-                    and self._arrivals[self._arrival_idx].submit_time
-                    <= self._now):
+            if (state.arrival_idx < len(arrivals)
+                    and arrivals[state.arrival_idx].submit_time <= state.now):
                 with self.tracer.span("admit"):
-                    while (self._arrival_idx < len(self._arrivals)
-                           and self._arrivals[self._arrival_idx].submit_time
-                           <= self._now):
-                        job = self._arrivals[self._arrival_idx]
-                        self._arrival_idx += 1
-                        estimator = self.scheduler.make_estimator(
+                    while (state.arrival_idx < len(arrivals)
+                           and arrivals[state.arrival_idx].submit_time
+                           <= state.now):
+                        job = arrivals[state.arrival_idx]
+                        state.arrival_idx += 1
+                        estimator = state.scheduler.make_estimator(
                             job, self.cluster, self.config.profiling_mode)
                         estimator.profile_initial()
                         active[job.job_id] = _JobRuntime(job=job,
@@ -366,38 +371,39 @@ class Simulator:
 
             if not active:
                 # idle until the next arrival, quantized to rounds
-                next_arrival = self._arrivals[self._arrival_idx].submit_time
-                rounds_ahead = max(1, int((next_arrival - self._now) // dt))
-                self._now += rounds_ahead * dt
+                next_arrival = arrivals[state.arrival_idx].submit_time
+                rounds_ahead = max(1, int((next_arrival - state.now) // dt))
+                state.now += rounds_ahead * dt
                 continue
 
-            with self.tracer.span("round", index=len(result.rounds),
-                                  time=self._now, active_jobs=len(active)):
-                record = self._run_round(active, self._finished, self._now,
-                                         dt, len(result.rounds))
+            index = len(result.rounds)
+            with self.tracer.span("round", index=index, time=state.now,
+                                  active_jobs=len(active)):
+                record = self._run_round(_Round(index, state.now, dt))
             result.rounds.append(record)
-            self._now += dt
+            state.now += dt
             # Live telemetry fires on the *recorded* round, before the
             # checkpoint/crash hooks — so a kill at the round boundary has
             # already flushed this round's stream lines.
             for observer in self.config.observers:
-                observer.on_round(result, len(result.rounds) - 1, dt)
-            self._maybe_checkpoint(len(result.rounds))
-            self._crash_point("round_end", len(result.rounds))
+                observer.on_round(result, index, dt)
+            self._maybe_checkpoint(index + 1)
+            self._crash_point("round_end", index + 1)
 
-    def _finalize(self, cap: float) -> SimulationResult:
+    def _finalize(self) -> SimulationResult:
         """Finalize records — censored *and* never-admitted jobs included,
         so the per-job records always sum to the input trace size."""
-        result = self._result
-        assert result is not None
-        result.end_time = self._now
-        result.node_failures = self.total_failures
-        result.jobs.extend(self._finished)
-        for rt in self._active.values():
+        state = self.state
+        result = state.result
+        result.end_time = state.now
+        result.node_failures = result.fault_counts().get(NodeCrashModel.kind,
+                                                         0)
+        result.jobs.extend(state.finished)
+        for rt in state.active.values():
             result.jobs.append(self._record(rt))
         # Jobs whose submit time fell past the cap never reached admission;
         # record them as never-started so totals reconcile against the trace.
-        never_admitted = self._arrivals[self._arrival_idx:]
+        never_admitted = state.arrivals[state.arrival_idx:]
         for job in never_admitted:
             result.jobs.append(JobRecord(
                 job_id=job.job_id, model_name=job.model_name,
@@ -406,7 +412,7 @@ class Simulator:
                 submit_time=job.submit_time, first_start=None,
                 finish_time=None, num_restarts=0,
                 target_samples=job.target_samples))
-        result.censored = len(self._active) + len(never_admitted)
+        result.censored = len(state.active) + len(never_admitted)
         result.jobs.sort(key=lambda r: (r.submit_time, r.job_id))
         result.spans = list(self.tracer.spans)
         result.final_metrics = self.metrics.snapshot()
@@ -419,7 +425,8 @@ class Simulator:
     @property
     def invariant_violations(self) -> list:
         """Violations the invariant checker recorded (empty when off)."""
-        return list(self._invariants.violations) if self._invariants else []
+        checker = self.state.invariants
+        return list(checker.violations) if checker else []
 
     def _crash_point(self, stage: str, round_index: int) -> None:
         hook = self.config.checkpoint.crash_hook if self.config.checkpoint \
@@ -452,41 +459,21 @@ class Simulator:
             def write_hook(stage: str) -> None:
                 hook(stage, round_index)
         with self.tracer.span("checkpoint", round=state.round_index):
-            self._manifest = ckpt.write_checkpoint(state, path,
-                                                   crash_hook=write_hook)
+            self.state.segments = ckpt.write_checkpoint(
+                state, path, crash_hook=write_hook)
         self.metrics.counter("checkpoint.writes").inc()
         ckpt.prune_checkpoints(cfg.directory, cfg.keep)
         return path
 
     def _snapshot(self) -> CheckpointState:
-        """Capture the complete mutable engine state (between rounds)."""
-        result = self._result
-        assert result is not None, "snapshot outside run()"
-        return CheckpointState(
-            round_index=len(result.rounds),
-            now=self._now,
-            arrival_idx=self._arrival_idx,
-            arrivals=self._arrivals,
-            active=self._active,
-            finished=self._finished,
-            result=result,
-            execution=self._execution,
-            fault_models=self._fault_models,
-            scheduler=self.scheduler,
-            metrics=self.metrics,
-            invariants=self._invariants,
-            health=self._health,
-            total_failures=self.total_failures,
-            caught_scheduler_failures=self.caught_scheduler_failures,
-            cluster_signature=self.cluster.signature,
-            seed=self.config.seed,
-            scheduler_name=self.scheduler.name,
-            segments=self._manifest,
-        )
+        """The engine state at the current between-rounds boundary."""
+        return replace(self.state,
+                       round_index=len(self.state.result.rounds))
 
     def _restore(self, source: str | Path | CheckpointState) -> None:
         """Adopt a checkpoint's state wholesale; see :meth:`run`."""
         source_dir = None
+        skipped: list[Path] = []
         if isinstance(source, CheckpointState):
             state = source
         else:
@@ -494,12 +481,6 @@ class Simulator:
             if path.is_dir():
                 source_dir = path
                 state, used, skipped = ckpt.latest_valid_checkpoint(path)
-                if skipped:
-                    self.tracer.instant(
-                        "checkpoint_fallback", used=used.name,
-                        skipped=",".join(p.name for p in skipped))
-                    self.metrics.counter("checkpoint.corrupt_skipped") \
-                        .inc(len(skipped))
             else:
                 source_dir = path.parent
                 state = ckpt.read_checkpoint(path)
@@ -508,167 +489,154 @@ class Simulator:
             raise CheckpointError(
                 "checkpoint was taken on a structurally different cluster "
                 f"({state.cluster_signature} != {ours})")
-        self._arrivals = state.arrivals
-        self._active = state.active
-        self._finished = state.finished
-        self._arrival_idx = state.arrival_idx
-        self._now = state.now
-        self._result = state.result
         # Later writes append to the restored manifest only when they go
         # to the directory its segments are in; anywhere else (or from an
         # in-memory state) the first write covers every round from 0.
         cfg = self.config.checkpoint
         same_dir = source_dir is not None and cfg is not None \
             and source_dir.resolve() == Path(cfg.directory).resolve()
-        self._manifest = state.segments if same_dir else ()
-        self._execution = state.execution
-        self._fault_models = state.fault_models
-        self.scheduler = state.scheduler
-        self.metrics = state.metrics
-        self.total_failures = state.total_failures
-        self.caught_scheduler_failures = state.caught_scheduler_failures
-        self._round_speed = {}
-        self._gray_nodes = {}
         # The restored checker keeps its accumulated per-job tracking, but
         # this run's config decides whether (and how sternly) it is used.
-        if self.config.invariants == "off":
-            self._invariants = None
-        else:
-            self._invariants = state.invariants \
+        invariants = None
+        if self.config.invariants != "off":
+            invariants = state.invariants \
                 or InvariantChecker(mode=self.config.invariants)
-            self._invariants.mode = self.config.invariants
+            invariants.mode = self.config.invariants
         # Same posture for the health tracker: its scores/backoffs resume
         # from the checkpoint (bit-identical quarantine decisions), but
         # only when this run's config keeps the layer on.
-        if self.config.health is None:
-            self._health = None
-        else:
-            self._health = state.health or HealthTracker(self.config.health)
+        health = None
+        if self.config.health is not None:
+            health = state.health or HealthTracker(self.config.health)
+        self.metrics.restore(state.metrics)
+        self.state = replace(
+            state, metrics=self.metrics, invariants=invariants,
+            health=health, cluster_signature=ours,
+            segments=state.segments if same_dir else ())
         self._bind_observability()
+        if skipped:
+            self.tracer.instant(
+                "checkpoint_fallback", used=used.name,
+                skipped=",".join(p.name for p in skipped))
+            self.metrics.counter("checkpoint.corrupt_skipped") \
+                .inc(len(skipped))
         self.metrics.counter("checkpoint.restores").inc()
         self.tracer.instant("checkpoint_restore",
                             round=state.round_index, time=state.now)
 
     # -- the round's phases ----------------------------------------------------
 
-    def _run_round(self, active: dict[str, _JobRuntime],
-                   finished: list[JobRecord], now: float,
-                   dt: float, round_index: int) -> RoundRecord:
+    def _run_round(self, rnd: _Round) -> RoundRecord:
         """One round: the engine phases in order, each under its own span.
 
         The health tick, the invariant audit and the metrics snapshot run
         directly under ``round``, never inside a phase span, so a timer
         wrapped around any of them sees round-level time only."""
         span = self.tracer.span
-        # The audit's "before" side: what a job held at the start of the
-        # round, recorded by the first change to its allocation.
-        held: dict[str, Allocation | None] = {}
-        cluster_view, fault_events, fault_hit = self.cluster, [], set()
-        if self._fault_models:
-            with span("faults", models=len(self._fault_models)):
-                cluster_view, fault_events, fault_hit = \
-                    self._inject_faults(active, now, dt, held)
+        state = self.state
+        active = state.active
+        cluster_view = self.cluster
+        if state.fault_models:
+            with span("faults", models=len(state.fault_models)):
+                cluster_view = self._inject_faults(rnd)
         quarantined: frozenset[int] = frozenset()
-        if self._health is not None:
-            self._health.tick(now)
+        if state.health is not None:
+            state.health.tick(rnd.now)
             with span("health"):
                 cluster_view, quarantined = self._filter_health(
-                    active, cluster_view, held, fault_hit, now)
-        with span("plan", scheduler=self.scheduler.name, jobs=len(active)):
+                    rnd, cluster_view)
+        with span("plan", scheduler=state.scheduler.name, jobs=len(active)):
             start = time.perf_counter()
-            plan = self._plan(active, cluster_view, now)
+            plan = self._plan(cluster_view, rnd.now)
             solve_time = time.perf_counter() - start
         with span("apply"):
-            self._apply(active, plan, now, held, fault_events)
+            self._apply(plan, rnd)
         with span("audit"):
             record = RoundRecord(
-                time=now, active_jobs=len(active), running_jobs=0,
+                time=rnd.now, active_jobs=len(active), running_jobs=0,
                 solve_time=solve_time, backend=plan.backend,
-                degraded=plan.degraded, fault_events=fault_events,
+                degraded=plan.degraded, fault_events=rnd.fault_events,
                 estimates={jid: est for jid, est in plan.estimates.items()
                            if jid in active})
-            self._audit(active, held, record, fault_hit, round_index)
+            self._audit(rnd, record)
         with span("advance"):
-            done = self._advance_jobs(active, record, dt, round_index)
+            done = self._advance_jobs(rnd, record)
         with span("close"):
-            self._close(record, plan, done, finished)
-        if self._invariants is not None:
+            self._close(record, plan, done)
+        if state.invariants is not None:
             # Audit over the real engine state: still-active runtimes plus
             # the ones that finished this round.
-            self._invariants.check_round(
-                round_index=round_index, cluster_view=cluster_view,
+            state.invariants.check_round(
+                round_index=rnd.index, cluster_view=cluster_view,
                 record=record,
                 runtimes=itertools.chain(active.values(), done.values()),
-                fault_hit=fault_hit, done_ids=list(done),
+                fault_hit=rnd.fault_hit, done_ids=list(done),
                 quarantined=quarantined)
         record.metrics = self.metrics.snapshot()
         return record
 
-    def _filter_health(self, active: dict[str, _JobRuntime],
-                       cluster_view: Cluster,
-                       held: dict[str, Allocation | None],
-                       fault_hit: set[str],
-                       now: float) -> tuple[Cluster, frozenset[int]]:
+    def _filter_health(self, rnd: _Round, cluster_view: Cluster,
+                       ) -> tuple[Cluster, frozenset[int]]:
         """The ``health`` phase (gray-failure defense): drain jobs still
         holding GPUs on a node the health tracker excludes (a controlled
         checkpoint-off, classified as fault-caused), and hand the scheduler
         a view without those nodes plus the probation-node goodput
         discounts.  Returns (filtered view, excluded node ids)."""
-        cluster_view = self._health.healthy_view(cluster_view, now)
-        quarantined = self._health.excluded_nodes()
+        health = self.state.health
+        cluster_view = health.healthy_view(cluster_view, rnd.now)
+        quarantined = health.excluded_nodes()
         if quarantined:
-            for job_id, rt in active.items():
+            for job_id, rt in self.state.active.items():
                 if rt.allocation is not None and any(
                         nid in quarantined for nid in rt.allocation.node_ids):
-                    self._health.note_eviction(job_id,
-                                               rt.allocation.node_ids, now)
-                    self._evict(job_id, rt, held, fault_hit)
-        self.scheduler.health_discounts = \
-            self._health.type_discounts(cluster_view) or None
+                    health.note_eviction(job_id, rt.allocation.node_ids,
+                                         rnd.now)
+                    rnd.evict(job_id, rt)
+        self.state.scheduler.health_discounts = \
+            health.type_discounts(cluster_view) or None
         return cluster_view, quarantined
 
-    def _plan(self, active: dict[str, _JobRuntime], cluster_view: Cluster,
-              now: float) -> RoundPlan:
+    def _plan(self, cluster_view: Cluster, now: float) -> RoundPlan:
         """The ``plan`` phase: ask the scheduler for a validated plan over
         the surviving nodes, carrying the previous round forward if that
         fails on a resilient run."""
+        active = self.state.active
         previous = {jid: rt.allocation for jid, rt in active.items()
                     if rt.allocation is not None}
         views = [self._view(rt, now) for rt in active.values()]
         try:
-            plan = self.scheduler.decide(views, cluster_view, previous, now)
+            plan = self.state.scheduler.decide(views, cluster_view, previous,
+                                               now)
             plan.validate(cluster_view)
         except Exception as exc:
             if not self.config.resilient:
                 raise
             # One bad round must not kill the run: keep the previous
             # round's still-feasible allocations.
-            self.caught_scheduler_failures += 1
             self.metrics.counter("caught_scheduler_failures").inc()
             with self.tracer.span("carry_forward", error=type(exc).__name__):
                 plan = carry_forward_plan(previous, cluster_view, views)
         return plan
 
-    def _apply(self, active: dict[str, _JobRuntime], plan: RoundPlan,
-               now: float, held: dict[str, Allocation | None],
-               fault_events: list) -> None:
+    def _apply(self, plan: RoundPlan, rnd: _Round) -> None:
         """The ``apply`` phase: apply the plan's allocation changes,
         charging model-specific restore delays; then jobs paying a restore
         may fail it and owe the delay again, and a changed allocation is a
         gang launch that may flap (see :meth:`_sample_placement_failures`).
         """
+        active = self.state.active
         launch_attempts: list[tuple[str, Allocation]] = []
         for job_id, rt in active.items():
             new = plan.allocations.get(job_id)
             if new == rt.allocation:
                 continue
-            held.setdefault(job_id, rt.allocation)
+            rnd.held.setdefault(job_id, rt.allocation)
             if rt.allocation is not None:
                 rt.num_restarts += 1
             if new is not None:
                 rt.restart_remaining = rt.job.restart_delay
                 if rt.first_start is None:
-                    rt.first_start = now
+                    rt.first_start = rnd.now
                 launch_attempts.append((job_id, new))
             else:
                 # A stale restore delay must never leak into the job's next
@@ -676,41 +644,40 @@ class Simulator:
                 rt.restart_remaining = 0.0
             rt.allocation = new
 
-        if not self._fault_models:
+        fault_models = self.state.fault_models
+        if not fault_models:
             return
         restoring = sorted(
             jid for jid, rt in active.items()
             if rt.allocation is not None and rt.restart_remaining > 0)
         if restoring:
-            for model in self._fault_models:
-                for event in model.sample_restore_failures(restoring, now):
+            for model in fault_models:
+                for event in model.sample_restore_failures(restoring,
+                                                           rnd.now):
                     job_id = event.target.split(":", 1)[-1]
                     rt = active[job_id]
                     rt.restart_remaining += rt.job.restart_delay
                     rt.num_restarts += 1
-                    fault_events.append(event)
+                    rnd.fault_events.append(event)
         if launch_attempts:
             launch_attempts.sort()
-            self._sample_placement_failures(active, launch_attempts, now,
-                                            fault_events)
+            self._sample_placement_failures(launch_attempts, rnd)
 
-    def _audit(self, active: dict[str, _JobRuntime],
-               held: dict[str, Allocation | None], record: RoundRecord,
-               fault_hit: set[str], round_index: int) -> None:
+    def _audit(self, rnd: _Round, record: RoundRecord) -> None:
         """The ``audit`` phase: diff what each job held at the start of the
         round against what it holds now and classify the change (admit,
         scale, migrate, preempt, resume, restart-after-fault)."""
-        now = record.time
-        for job_id, rt in active.items():
+        now = rnd.now
+        for job_id, rt in self.state.active.items():
             event = audit.classify_change(
                 job_id, now,
-                held=_audit_alloc(held.get(job_id, rt.allocation)),
+                held=_audit_alloc(rnd.held.get(job_id, rt.allocation)),
                 new=_audit_alloc(rt.allocation),
                 # A first launch this round was stamped ``now``.
                 ran_before=rt.first_start is not None
                 and rt.first_start < now,
-                fault_hit=job_id in fault_hit or rt.lost_to_fault,
-                round_index=round_index)
+                fault_hit=job_id in rnd.fault_hit or rt.lost_to_fault,
+                round_index=rnd.index)
             if event is not None:
                 record.events.append(event)
                 if event.kind == audit.PREEMPT \
@@ -721,26 +688,27 @@ class Simulator:
             if rt.allocation is not None:
                 rt.lost_to_fault = False
 
-    def _advance_jobs(self, active: dict[str, _JobRuntime],
-                      record: RoundRecord, dt: float,
-                      round_index: int) -> dict[str, _JobRuntime]:
+    def _advance_jobs(self, rnd: _Round,
+                      record: RoundRecord) -> dict[str, _JobRuntime]:
         """The ``advance`` phase: run every job holding GPUs for one round
-        and record what it used and delivered.  Returns the jobs that
-        finished, popped from ``active``."""
-        now = record.time
+        and record what it used and delivered, and which jobs queued.
+        Returns the jobs that finished, popped from the active set."""
+        active = self.state.active
+        health = self.state.health
         contention = len(active)
         done_ids: list[str] = []
         for job_id, rt in active.items():
             rt.contention_sum += contention
             rt.contention_rounds += 1
             if rt.allocation is None:
+                record.queued.append(job_id)
                 continue
             record.running_jobs += 1
             config = rt.allocation.configuration()
             record.allocations[job_id] = (config.gpu_type, config.num_gpus)
             record.gpus_used[config.gpu_type] = \
                 record.gpus_used.get(config.gpu_type, 0) + config.num_gpus
-            done, execution = self._advance(rt, now, dt, record.fault_events)
+            done, execution = self._advance(rt, rnd)
             # Ledger: the rates the executor actually delivered (zero for a
             # round fully spent restoring or unable to run).
             record.realized[job_id] = \
@@ -751,28 +719,28 @@ class Simulator:
                 # node the job ran on.  A gray node's masked telemetry
                 # keeps the estimate high while delivery sags — exactly the
                 # divergence scored here.
-                if self._health is not None:
+                if health is not None:
                     estimate = record.estimates.get(job_id)
                     if estimate:
-                        self._health.record_goodput(
+                        health.record_goodput(
                             rt.allocation.node_ids, estimate,
-                            execution.goodput, now)
+                            execution.goodput, rnd.now)
             if done:
                 done_ids.append(job_id)
                 record.events.append(audit.AllocationEvent(
-                    kind=audit.FINISH, time=rt.finish_time or now,
+                    kind=audit.FINISH, time=rt.finish_time or rnd.now,
                     job_id=job_id, from_gpu_type=config.gpu_type,
-                    from_gpus=config.num_gpus, round_index=round_index))
+                    from_gpus=config.num_gpus, round_index=rnd.index))
         return {job_id: active.pop(job_id) for job_id in done_ids}
 
     def _close(self, record: RoundRecord, plan: RoundPlan,
-               done: dict[str, _JobRuntime],
-               finished: list[JobRecord]) -> None:
+               done: dict[str, _JobRuntime]) -> None:
         """The ``close`` phase: metrics, health gauges and events, and the
         finished jobs' records."""
         self._update_metrics(record, plan)
-        if self._health is not None:
-            counts = self._health.state_counts()
+        health = self.state.health
+        if health is not None:
+            counts = health.state_counts()
             self.metrics.gauge("health.probation_nodes") \
                 .set(counts.get("probation", 0))
             self.metrics.gauge("health.quarantined_nodes") \
@@ -781,10 +749,10 @@ class Simulator:
                 .set(counts.get("drained", 0))
             # Drained every round, so the pending list is empty at every
             # checkpoint boundary and resumes stay bit-identical.
-            record.health_events = self._health.drain_events()
+            record.health_events = health.drain_events()
         # A finished job only ever contributes its record again, so keep
         # that and drop the runtime (and its estimator) from the state.
-        finished.extend(self._record(rt) for rt in done.values())
+        self.state.finished.extend(self._record(rt) for rt in done.values())
 
     def _update_metrics(self, record: RoundRecord, plan: RoundPlan) -> None:
         """Fold one finished round into the run's metrics registry."""
@@ -804,14 +772,6 @@ class Simulator:
             used = record.gpus_used.get(gpu_type, 0)
             m.gauge(f"util.{gpu_type}").set(used / cap if cap else 0.0)
 
-    def _evict(self, job_id: str, rt: _JobRuntime,
-               held: dict[str, Allocation | None],
-               fault_hit: set[str]) -> None:
-        """Evict a job after a fault or a drain, noting what it held."""
-        held.setdefault(job_id, rt.allocation)
-        rt.evict()
-        fault_hit.add(job_id)
-
     # -- helpers ---------------------------------------------------------------
 
     def _rollback(self, rt: _JobRuntime) -> None:
@@ -819,26 +779,22 @@ class Simulator:
         epoch = rt.job.target_samples / EPOCHS_PER_JOB
         rt.progress = (rt.progress // epoch) * epoch
 
-    def _inject_faults(self, active: dict[str, _JobRuntime], now: float,
-                       dt: float, held: dict[str, Allocation | None],
-                       ) -> tuple[Cluster, list, set[str]]:
+    def _inject_faults(self, rnd: _Round) -> Cluster:
         """The ``faults`` phase: sample every fault model, apply the
-        aggregate to jobs, and return (cluster view of surviving nodes,
-        fault events, ids of jobs a fault evicted or crashed this round)."""
-        self._round_speed = {}
-        self._gray_nodes = {}
-        fault_hit: set[str] = set()
+        aggregate to jobs and to ``rnd``, and return the cluster view of
+        the surviving nodes."""
+        active = self.state.active
+        fault_models = self.state.fault_models
         ctx = FaultContext(
-            now=now, dt=dt, cluster=self.cluster,
+            now=rnd.now, dt=rnd.dt, cluster=self.cluster,
             running={jid: rt.allocation for jid, rt in active.items()
                      if rt.allocation is not None},
             restoring=frozenset(jid for jid, rt in active.items()
                                 if rt.allocation is not None
                                 and rt.restart_remaining > 0))
-        for model in self._fault_models:
+        for model in fault_models:
             model.sample(ctx)
-        self.total_failures += sum(1 for e in ctx.events
-                                   if e.kind == NodeCrashModel.kind)
+        rnd.fault_events.extend(ctx.events)
 
         down = set(ctx.down_until)
         if down:
@@ -849,7 +805,7 @@ class Simulator:
                     continue
                 if any(nid in down for nid in rt.allocation.node_ids):
                     self._rollback(rt)
-                    self._evict(job_id, rt, held, fault_hit)
+                    rnd.evict(job_id, rt)
 
         # Transient job crashes: roll back in place and pay a fresh
         # restore.
@@ -861,7 +817,7 @@ class Simulator:
             rt.restart_remaining = rt.job.restart_delay
             rt.num_restarts += 1
             rt.lost_to_fault = True
-            fault_hit.add(job_id)
+            rnd.fault_hit.add(job_id)
 
         # Straggler slowdowns, felt through the ground-truth rates: a
         # job runs at the pace of its slowest surviving node.
@@ -871,17 +827,16 @@ class Simulator:
                     continue
                 factor = slowest_node(ctx.node_speed, rt.allocation)
                 if factor < 1.0:
-                    self._round_speed[job_id] = factor
+                    rnd.speed[job_id] = factor
 
         # Gray failures: kept per *node* (unlike the per-job straggler
         # map) and resolved against each job's post-plan allocation at
         # advance time, so a defense-driven migration off a gray node
         # takes effect in the same round.
-        if ctx.gray_speed:
-            self._gray_nodes = dict(ctx.gray_speed)
+        rnd.gray.update(ctx.gray_speed)
 
         if not down:
-            return self.cluster, ctx.events, fault_hit
+            return self.cluster
         up_nodes = tuple(n for n in self.cluster.nodes
                          if n.node_id not in down)
         if not up_nodes:
@@ -889,11 +844,11 @@ class Simulator:
             # node closest to recovery immediately so the cluster view
             # is never empty (schedulers cannot operate on zero nodes).
             first_back = min(ctx.down_until, key=ctx.down_until.get)
-            for model in self._fault_models:
+            for model in fault_models:
                 model.revive(first_back)
             up_nodes = tuple(n for n in self.cluster.nodes
                              if n.node_id == first_back)
-        return Cluster(nodes=up_nodes), ctx.events, fault_hit
+        return Cluster(nodes=up_nodes)
 
     def _view(self, rt: _JobRuntime, now: float) -> JobView:
         age = (now - rt.first_start) if rt.first_start is not None else 0.0
@@ -903,16 +858,18 @@ class Simulator:
                        num_restarts=rt.num_restarts, progress=rt.progress,
                        first_start=rt.first_start)
 
-    def _sample_placement_failures(self, active: dict[str, _JobRuntime],
+    def _sample_placement_failures(self,
                                    attempts: list[tuple[str, Allocation]],
-                                   now: float, fault_events: list) -> None:
+                                   rnd: _Round) -> None:
         """Draw placement flaps from every model and charge backoffs: a
         flapped launch keeps its grant but pays a jittered capped backoff
         (charged like restart delay) before retrying, and repeated failures
         feed the node's health score."""
+        active, health = self.state.active, self.state.health
         failures = []
-        for model in self._fault_models:
-            failures.extend(model.sample_placement_failures(attempts, now))
+        for model in self.state.fault_models:
+            failures.extend(model.sample_placement_failures(attempts,
+                                                            rnd.now))
         failed: set[str] = set()
         for failure in failures:
             rt = active[failure.job_id]
@@ -923,25 +880,25 @@ class Simulator:
             # retry backs off.
             rt.restart_remaining += delay
             self.metrics.counter("placement.retries").inc()
-            fault_events.append(FaultEvent(
-                kind="placement_failure", time=now,
+            rnd.fault_events.append(FaultEvent(
+                kind="placement_failure", time=rnd.now,
                 target=f"job:{failure.job_id}",
                 detail=f"launch failed on node {failure.node_id}; "
                        f"retrying in {delay:.0f}s "
                        f"(attempt {rt.placement_failures})"))
-            if self._health is not None:
-                self._health.record_placement_failure(
-                    failure.job_id, failure.node_id, now)
+            if health is not None:
+                health.record_placement_failure(
+                    failure.job_id, failure.node_id, rnd.now)
         for job_id, allocation in attempts:
             if job_id in failed:
                 continue
             rt = active[job_id]
             rt.placement_failures = 0
-            if self._health is not None:
-                self._health.record_placement_success(allocation.node_ids)
+            if health is not None:
+                health.record_placement_success(allocation.node_ids)
 
-    def _advance(self, rt: _JobRuntime, now: float, dt: float,
-                 fault_events: list) -> tuple[bool, RoundExecution | None]:
+    def _advance(self, rt: _JobRuntime, rnd: _Round,
+                 ) -> tuple[bool, RoundExecution | None]:
         """Run one round for a job holding resources.
 
         Returns ``(finished, execution)`` where ``execution`` carries the
@@ -949,6 +906,7 @@ class Simulator:
         no progress: still restoring, or the plan could not run).
         """
         assert rt.allocation is not None
+        dt = rnd.dt
         delay = min(rt.restart_remaining, dt)
         rt.restart_remaining -= delay
         run_time = dt - delay
@@ -958,10 +916,10 @@ class Simulator:
         if run_time <= 0:
             rt.charge_gpus(dt)
             return False, None
-        speed = self._round_speed.get(rt.job.job_id, 1.0)
-        gray = slowest_node(self._gray_nodes, rt.allocation)
-        execution = self._execution.execute(rt.job, rt.allocation, plan,
-                                            speed=speed * gray)
+        speed = rnd.speed.get(rt.job.job_id, 1.0)
+        gray = slowest_node(rnd.gray, rt.allocation)
+        execution = self.state.execution.execute(rt.job, rt.allocation, plan,
+                                                 speed=speed * gray)
         if execution is None or execution.goodput <= 0:
             rt.charge_gpus(dt)
             return False, None
@@ -970,22 +928,23 @@ class Simulator:
         rt.progress = before + execution.goodput * run_time
         if rt.progress >= rt.job.target_samples:
             run_needed = (rt.job.target_samples - before) / execution.goodput
-            rt.finish_time = now + delay + run_needed
+            rt.finish_time = rnd.now + delay + run_needed
             rt.charge_gpus(delay + run_needed)
             return True, execution
 
         rt.charge_gpus(dt)
-        self._report_observation(rt, execution, gray, now, fault_events)
+        self._report_observation(rt, execution, gray, rnd)
         return False, execution
 
     def _report_observation(self, rt: _JobRuntime,
                             execution: RoundExecution, gray: float,
-                            now: float, fault_events: list) -> None:
+                            rnd: _Round) -> None:
         """Online refinement (Figure 3) with the gray/telemetry pipeline in
         between: mask gray slowdowns (the sick node reports nominal-looking
         iteration times), pass the report through every model's corruption
         tap, and count reports the estimator's defense rejected."""
-        obs = self._execution.observe(rt.job, rt.allocation, execution)
+        executor = self.state.execution
+        obs = executor.observe(rt.job, rt.allocation, execution)
         if gray < 1.0 and hasattr(obs, "iter_time"):
             # Undo the slowdown in the *observation only*, so realized
             # goodput (the ledger) diverges from what telemetry claims —
@@ -993,21 +952,20 @@ class Simulator:
             # straggler part of the slowdown stays in the report.
             obs = replace(obs, iter_time=obs.iter_time * gray)
         delivered = [obs]
-        if self._fault_models:
-            for model in self._fault_models:
-                passed: list = []
-                for item in delivered:
-                    out, events = model.corrupt_observation(
-                        rt.job.job_id, item, now)
-                    passed.extend(out)
-                    fault_events.extend(events)
-                delivered = passed
+        for model in self.state.fault_models:
+            passed: list = []
+            for item in delivered:
+                out, events = model.corrupt_observation(
+                    rt.job.job_id, item, rnd.now)
+                passed.extend(out)
+                rnd.fault_events.extend(events)
+            delivered = passed
         for item in delivered:
             accepted = rt.estimator.add_observation(item)
             if accepted is False:
                 self.metrics.counter("telemetry.rejected_observations").inc()
         rt.estimator.update_gradient_stats(
-            self._execution.observed_noise_scale(rt.job))
+            executor.observed_noise_scale(rt.job))
 
     def _record(self, rt: _JobRuntime) -> JobRecord:
         profiling = getattr(rt.estimator, "profiling_gpu_seconds", 0.0)

@@ -27,6 +27,7 @@ from repro.jobs.hybrid import HybridPerfModel
 from repro.jobs.job import Job
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.perf import profiles
+from repro.perf.efficiency import EfficiencyModel
 from repro.perf.fitting import Observation
 from repro.perf.goodput import BatchPlan
 from repro.perf.throughput import ThroughputModel
@@ -111,10 +112,8 @@ class ExecutionModel:
             if job.workload == "batch_inference":
                 efficiency = 1.0  # progress is purely throughput-bound
             else:
-                eff_params = profiles.true_efficiency_params(job.model_name)
-                efficiency = (eff_params.grad_noise_scale
-                              + eff_params.init_batch_size) / (
-                    eff_params.grad_noise_scale + total)
+                efficiency = EfficiencyModel(profiles.true_efficiency_params(
+                    job.model_name)).efficiency(total)
             return RoundExecution(goodput=throughput * efficiency,
                                   throughput=throughput, iter_time=iter_time,
                                   local_bsz=plan.local_bsz,
@@ -147,9 +146,8 @@ class ExecutionModel:
                                    config.num_nodes) / bias
         total = job.hybrid.replica_batch_size * replicas
         throughput = total / iter_time
-        eff_params = profiles.true_efficiency_params(job.model_name)
-        efficiency = (eff_params.grad_noise_scale + eff_params.init_batch_size) / (
-            eff_params.grad_noise_scale + total)
+        efficiency = EfficiencyModel(profiles.true_efficiency_params(
+            job.model_name)).efficiency(total)
         return RoundExecution(goodput=throughput * efficiency,
                               throughput=throughput, iter_time=iter_time,
                               local_bsz=job.hybrid.micro_batch_size,

@@ -63,6 +63,12 @@ REPAIR_TIME_S = 1800.0
 TELEMETRY_SCALE_FACTOR = 8.0
 
 
+def fault_model_seed(seed: int, idx: int) -> int:
+    """The seed bound to the ``idx``-th fault model of a run seeded with
+    ``seed`` when the model brings no seed of its own."""
+    return seed + 1009 + 31 * idx
+
+
 def slowest_node(speeds: dict[int, float],
                  allocation: Allocation | None) -> float:
     """Speed factor of an allocation: gated by its slowest node in

@@ -88,6 +88,8 @@ class RoundRecord:
     allocations: dict[str, tuple[str, int]] = field(default_factory=dict)
     #: GPUs in use per type.
     gpus_used: dict[str, int] = field(default_factory=dict)
+    #: ids of the active jobs left without GPUs this round (queue wait).
+    queued: list[str] = field(default_factory=list)
     #: solver/plan backend that produced this round ('' when the scheduler
     #: did not report one; 'carry' marks a carried-forward plan).
     backend: str = ""

@@ -388,7 +388,7 @@ class TestSegments:
         assert manifest[-1].end == state.round_index > 0
         assert state.result.rounds == result.rounds[:state.round_index]
         assert manifest[-1].f1 == len(state.finished) > 0
-        assert state.finished == sim._finished[:len(state.finished)]
+        assert state.finished == sim.state.finished[:len(state.finished)]
 
     def test_newest_body_holds_no_round_record(self, tmp_path,
                                                hetero_cluster):
@@ -489,7 +489,8 @@ class TestSegments:
             payload, _ = ckpt._unframe(
                 ckpt.segment_path(tmp_path, seg.first, seg.end))
             assert payload == pickle.dumps(
-                (rounds[seg.first:seg.end], sim._finished[seg.f0:seg.f1]),
+                (rounds[seg.first:seg.end],
+                 sim.state.finished[seg.f0:seg.f1]),
                 protocol=pickle.HIGHEST_PROTOCOL), seg
         for path in bodies:
             assert not _reachable(_body(path), (

@@ -33,7 +33,7 @@ class TestProfiling:
         assert cost > 0
         assert est.profiling_gpu_seconds == cost
         for t in TYPES:
-            assert est.has_profile(t)
+            assert est._types[t].observations
 
     def test_bootstrap_cost_is_small(self):
         """Section 3.2: < 20 GPU-seconds per GPU type on average."""
@@ -44,7 +44,7 @@ class TestProfiling:
     def test_oracle_profiles_nothing(self):
         est = make_estimator(ProfilingMode.ORACLE)
         assert est.profile_initial() == 0.0
-        assert not est.has_profile("t4")
+        assert not est._types["t4"].observations
 
     def test_no_prof_profiles_nothing(self):
         est = make_estimator(ProfilingMode.NO_PROF)

@@ -12,8 +12,8 @@ from repro.cluster import presets
 from repro.core.types import ProfilingMode
 from repro.jobs.job import make_job
 from repro.obs import audit
-from repro.obs.audit import (AllocationEvent, AuditTrail, classify_change,
-                             event_counts, migration_flows)
+from repro.obs.audit import (AllocationEvent, classify_change,
+                             event_counts, events_for_job, migration_flows)
 from repro.obs.ledger import GoodputLedger, LedgerEntry, queue_wait_by_job
 from repro.obs.stream import LedgerStreamObserver
 from repro.schedulers import (FIFOScheduler, GavelScheduler, PolluxScheduler,
@@ -114,9 +114,7 @@ class TestClassifyChange:
         assert event_counts(events) == {"admit": 1, "migrate": 2}
         assert migration_flows(events) == {("a100", "t4"): 1,
                                            ("t4", "a100"): 1}
-        trail = AuditTrail(events)
-        assert len(trail.for_job("b")) == 2
-        assert trail.counts()["migrate"] == 2
+        assert events_for_job(events, "b") == events[1:]
 
 
 # -- ledger from a simulated run -----------------------------------------------

@@ -8,14 +8,16 @@ import pytest
 from repro.core.health import HealthConfig
 from repro.core.types import ProfilingMode
 from repro.jobs.job import make_job
+from repro.obs.ledger import queue_wait_by_job
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import (Alert, SLOEngine, SLORule, alert_summary,
-                           default_rules, evaluate_result, parse_rules)
+from repro.obs.slo import (Alert, SLOEngine, SLORule, default_rules,
+                           evaluate_result, parse_rules)
 from repro.obs.stream import SLOObserver
 from repro.schedulers import SiaScheduler
 from repro.sim import (GrayFailureModel, PlacementFailureModel, Simulator,
                        SimulatorConfig, simulate)
-from repro.sim.telemetry import RoundRecord
+from repro.sim.telemetry import RoundRecord, SimulationResult
+from tests.golden import regen
 
 
 def jobs(n=3, scale=0.4):
@@ -220,11 +222,16 @@ class TestAlert:
         assert "queue-wait" in text and "j7" in text
         assert "nodes 3" in text and "node_crash=2" in text
 
-    def test_alert_summary_counts_by_rule(self):
+    def test_alert_counts_by_rule(self):
         mk = lambda rule: Alert(rule=rule, metric="m", round_index=0,  # noqa: E731
                                 time=0.0, value=1.0, target=0.0,
                                 comparison="<=", burn_rate=1.0, window=1)
-        assert alert_summary([mk("a"), mk("b"), mk("a")]) == {"a": 2, "b": 1}
+        result = SimulationResult(scheduler_name="s", cluster_description="c")
+        for alerts in ([mk("a"), mk("b")], [], [mk("a")]):
+            result.rounds.append(RoundRecord(time=0.0, active_jobs=0,
+                                             running_jobs=0, solve_time=0.0,
+                                             alerts=alerts))
+        assert result.alert_counts() == {"a": 2, "b": 1}
 
 
 # -- end-to-end on simulations -------------------------------------------------
@@ -249,13 +256,24 @@ class TestEndToEnd:
         default ruleset must page on quarantined capacity, and at least one
         alert must name the offending node(s)."""
         result, engine = gray_slo_sim(hetero_cluster)
-        counts = alert_summary(engine.alerts)
+        counts = result.alert_counts()
         assert counts.get("quarantined-capacity", 0) > 0
         assert any(a.context.get("nodes") for a in engine.alerts)
         # Alerts landed on the rounds that fired them.
         timeline = result.alerts_timeline()
         assert [a for _, a in timeline] == engine.alerts
-        assert result.alert_counts() == counts
+
+    def test_live_queue_waits_match_post_hoc(self):
+        """Jobs queue under FIFO on golden's contended recipe: the live
+        tracker's per-job waits equal the post-hoc attribution."""
+        simulator = regen.build("contended", "fifo")
+        engine = SLOEngine()
+        simulator.config.observers.append(SLOObserver(engine))
+        result = simulator.run()
+        waited = {job_id: wait for job_id, wait
+                  in queue_wait_by_job(result).items() if wait > 0}
+        assert waited
+        assert engine._queue.waits == waited
 
     def test_clean_run_fires_nothing(self, hetero_cluster):
         engine = SLOEngine(default_rules())

@@ -66,19 +66,18 @@ class TestJsonlStreamWriter:
 
 def streamed_run(cluster, tmp_path, *, rules=None):
     tracer = Tracer()
-    registry = MetricsRegistry()
-    slo = SLOEngine(rules, metrics=registry)
-    observers = [
-        SLOObserver(slo),
+    config = SimulatorConfig(profiling_mode=ProfilingMode.ORACLE,
+                             tracer=tracer)
+    simulator = Simulator(cluster, SiaScheduler(), jobs(), config)
+    registry = simulator.metrics
+    config.observers.extend([
+        SLOObserver(SLOEngine(rules, metrics=registry)),
         AlertStreamObserver(tmp_path / "alerts.jsonl", "sia"),
         EventStreamObserver(tracer, tmp_path / "events.jsonl", registry),
         LedgerStreamObserver(tmp_path / "ledger.jsonl", "sia"),
         PrometheusSnapshotObserver(registry, tmp_path / "metrics.prom"),
-    ]
-    config = SimulatorConfig(profiling_mode=ProfilingMode.ORACLE,
-                             tracer=tracer, metrics=registry,
-                             observers=observers)
-    return Simulator(cluster, SiaScheduler(), jobs(), config).run()
+    ])
+    return simulator.run()
 
 
 class TestStreamedArtifacts:
@@ -181,6 +180,30 @@ class TestCrashDurability:
         assert ledger.entries == \
             GoodputLedger.from_result(resumed).entries
         assert events == resumed.allocation_events()
+
+    def test_observers_built_before_resume_watch_the_run(self, hetero_cluster,
+                                                         tmp_path):
+        """A resume refills the simulator's own registry, so observers
+        built on ``simulator.metrics`` before ``run`` export the resumed
+        run's metrics, and theirs land in its final metrics."""
+        def build(checkpoint=None):
+            config = SimulatorConfig(profiling_mode=ProfilingMode.ORACLE,
+                                     checkpoint=checkpoint)
+            return Simulator(hetero_cluster, SiaScheduler(),
+                             jobs(4, scale=2.0), config)
+
+        build(CheckpointConfig(directory=tmp_path / "ckpt",
+                               every_rounds=3)).run()
+        simulator = build()
+        registry = simulator.metrics
+        simulator.config.observers.extend([
+            SLOObserver(SLOEngine(metrics=registry)),
+            PrometheusSnapshotObserver(registry, tmp_path / "m.prom")])
+        resumed = simulator.run(resume_from=tmp_path / "ckpt")
+        assert simulator.metrics is registry
+        assert any(key.startswith("slo.") for key in resumed.final_metrics)
+        samples = parse_prometheus_text((tmp_path / "m.prom").read_text())
+        assert samples["rounds_planned"] == len(resumed.rounds) > 0
 
 
 # -- determinism contract ------------------------------------------------------
