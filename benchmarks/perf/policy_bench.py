@@ -8,17 +8,24 @@ Measures, per (cluster size, job count) point:
   latency, solve-phase time, first-round objective and its gap vs the MILP
   reference when the MILP column ran — the solver-tier scaling story up to
   16384 GPUs / 4096 jobs;
-* steady-state estimator cache hit rate across consecutive rounds.
+* steady-state estimator cache hit rate across consecutive rounds;
+* the ``milp`` solver point: ``solve_assignment(p, "milp")`` over every
+  instance of ``milp_helios64.json`` (captured sia-helios64 rounds, see
+  ``milp_fixture.py``).  The synthetic points leave every GPU type slack,
+  so their MILPs never search; these rounds do.
 
-Each point's gated column is one of its ``backends`` columns: MILP up to
-256 GPUs, tiered beyond (:func:`gated_backend`).  The 4096-GPU point also
-carries the round-latency target it is reported against.
+Each policy point's gated column is one of its ``backends`` columns: MILP
+up to 256 GPUs, tiered beyond (:func:`gated_backend`).  The 4096-GPU point
+also carries the round-latency target it is reported against.  The solver
+point is gated on its pass over the fixture.
 
 Results land in ``BENCH_policy.json``.  ``--check-baseline`` compares the
-gated round latencies against a committed baseline and exits non-zero
-on a > ``--regression-factor`` (default 2x) slowdown, which is how CI gates
-performance regressions.  ``--sizes`` / ``--backends`` narrow a run (CI
-uses ``--sizes 1024`` for the large-point gate without paying for 4096).
+gated values against a committed baseline and exits non-zero on a >
+``--regression-factor`` (default 2x) slowdown, or on a point the baseline
+lacks, which is how CI gates performance regressions.  ``--sizes`` /
+``--backends`` narrow a run to those policy points (CI uses ``--sizes
+1024`` for the large-point gate without paying for 4096); without
+``--sizes``, the solver point runs too.
 
 Run:  PYTHONPATH=src python benchmarks/perf/policy_bench.py [--quick]
 """
@@ -32,7 +39,10 @@ import sys
 import time
 from pathlib import Path
 
+from milp_fixture import FIXTURE, load
+
 from repro.cluster import presets
+from repro.core.ilp import solve_assignment
 from repro.core.policy import SiaPolicyParams
 from repro.core.types import ProfilingMode
 from repro.obs.tracer import Tracer
@@ -47,6 +57,9 @@ JOBS_PER_64 = 16
 #: to time.
 FULL_COMPARE_MAX_GPUS = 256
 
+#: passes the solver point makes over its fixture; the median is gated.
+FIXTURE_PASSES = 5
+
 #: per-round policy latency targets (seconds) reported next to a point's
 #: gated round latency; reported, not gated.
 ROUND_TARGET_S = {4096: 0.150}
@@ -60,6 +73,18 @@ def gated_backend(size: int) -> str:
 
 def gated_column(point: dict) -> dict:
     return point["backends"][gated_backend(point["gpus"])]
+
+
+def point_name(point: dict) -> str:
+    """What baseline entries are matched by: the fixture, or the size."""
+    return point.get("fixture") or f"{point['gpus']} GPUs"
+
+
+def gated_value(point: dict) -> tuple[str, float]:
+    """The gated measurement of a point, with its label."""
+    if "fixture" in point:
+        return "milp pass", point["backends"]["milp"]["pass_median"]
+    return "round latency", gated_column(point)["round_latency_median"]
 
 
 def default_backends(size: int) -> tuple[str, ...]:
@@ -179,14 +204,34 @@ def measure_point(size: int, n_jobs: int, rounds: int,
     return point
 
 
+def measure_fixture() -> dict:
+    """The solver point: :data:`FIXTURE_PASSES` timed passes of the
+    ``milp`` backend over every instance of the fixture."""
+    problems = load()
+    passes, solves = [], []
+    for _ in range(FIXTURE_PASSES):
+        start = time.perf_counter()
+        for problem in problems:
+            solves.append(solve_assignment(problem, "milp").solve_time)
+        passes.append(time.perf_counter() - start)
+    return {"fixture": FIXTURE.name, "instances": len(problems),
+            "backends": {"milp": {
+                "pass_median": statistics.median(passes),
+                "solve_median": statistics.median(solves),
+                "solve_max": max(solves)}}}
+
+
 def run_bench(quick: bool, sizes: tuple[int, ...] | None = None,
               backends: tuple[str, ...] | None = None) -> dict:
+    narrowed = sizes is not None
     if sizes is None:
         sizes = (64,) if quick else (64, 128, 256, 1024, 4096, 16384)
     rounds = 2 if quick else 3
     points = [measure_point(size, JOBS_PER_64 * (size // 64), rounds,
                             backends=backends)
               for size in sizes]
+    if not narrowed:
+        points.append(measure_fixture())
     return {"benchmark": "policy_round", "jobs_per_64_gpus": JOBS_PER_64,
             "points": points}
 
@@ -194,17 +239,19 @@ def run_bench(quick: bool, sizes: tuple[int, ...] | None = None,
 def check_baseline(report: dict, baseline_path: Path,
                    factor: float) -> list[str]:
     baseline = json.loads(baseline_path.read_text())
-    by_size = {p["gpus"]: p for p in baseline["points"]}
+    by_name = {point_name(p): p for p in baseline["points"]}
     failures = []
     for point in report["points"]:
-        ref = by_size.get(point["gpus"])
+        name = point_name(point)
+        ref = by_name.get(name)
         if ref is None:
+            failures.append(f"{name}: no baseline entry in {baseline_path}")
             continue
-        now = gated_column(point)["round_latency_median"]
-        then = gated_column(ref)["round_latency_median"]
+        label, now = gated_value(point)
+        _, then = gated_value(ref)
         if now > factor * then:
             failures.append(
-                f"{point['gpus']} GPUs: round latency {now:.4f}s "
+                f"{name}: {label} {now:.4f}s "
                 f"> {factor:.1f}x baseline {then:.4f}s")
     return failures
 
@@ -233,6 +280,13 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     for point in report["points"]:
+        if "fixture" in point:
+            milp = point["backends"]["milp"]
+            print(f"{point['fixture']} ({point['instances']} instances): "
+                  f"milp pass {milp['pass_median'] * 1e3:8.1f} ms, solve "
+                  f"p50 {milp['solve_median'] * 1e3:.2f} ms, max "
+                  f"{milp['solve_max'] * 1e3:.2f} ms")
+            continue
         gated = gated_column(point)
         line = (f"{point['gpus']:5d} GPUs / {point['jobs']:4d} jobs: "
                 f"round {gated['round_latency_median'] * 1e3:8.1f} ms")

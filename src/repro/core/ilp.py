@@ -8,8 +8,17 @@ utility on every feasible pair, which is how we encode it.
 
 Interchangeable backends (:data:`BACKENDS`):
 
-* ``milp``       — scipy's HiGHS mixed-integer solver (the default; stands
-  in for the paper's CVXPY/GLPK_MI).  It runs with HiGHS's
+* ``milp``       — the exact optimum (the default; stands in for the
+  paper's CVXPY/GLPK_MI).  Small instances are solved by a max-plus DP
+  over the used capacity of the GPU types that can bind
+  (:func:`_solve_lattice`); HiGHS's mixed-integer solver takes lattices
+  above :data:`_DP_MAX_WORK` and near-ties.  The DP answers only when the
+  optimum is unique by more than twice HiGHS's optimality gap: its
+  backtrack recomputes every option at each cell of the optimal path, and
+  any assignment within that margin either ends in another final cell
+  within it or leaves the path at a cell where its option is within it.
+  HiGHS must return a solution within its gap, so it returns this same
+  optimum, and every decision is HiGHS's.  HiGHS runs with its
   feasibility-jump primal heuristic off (:data:`_MILP_OPTIONS`): that
   heuristic hunts for a first feasible point, but this problem always has
   one (the forced pairs, every other variable 0), and branch-and-bound
@@ -66,14 +75,30 @@ FALLBACKS = ("lp_round", "greedy")
 #: rounding takes over.
 TIER_LP_VARS = 4096
 
-#: HiGHS options every integral solve passes: the feasibility-jump primal
-#: heuristic off.  It searches for a first feasible point, but the
-#: assignment problem always has one: the forced pairs with every other
-#: variable at 0.  On seeded sia-helios64 rounds it was over half of each
-#: MILP solve, and skipping it leaves every assignment unchanged:
-#: branch-and-bound still proves optimality to the same gap.
-#: LP-relaxation solves do not take it.
-_MILP_OPTIONS = {"mip_heuristic_run_feasibility_jump": False}
+#: HiGHS's MIP optimality gap, relative and absolute, at HiGHS's own
+#: defaults.  Every MILP solve passes it (:data:`_MILP_OPTIONS`), and the
+#: lattice DP reads it: an optimum unique by more than this gap is the one
+#: HiGHS returns (:func:`_solve_lattice`).
+_MIP_REL_GAP = 1e-4
+_MIP_ABS_GAP = 1e-6
+
+#: HiGHS options every integral solve passes: the optimality gap above,
+#: and the feasibility-jump primal heuristic off.  That heuristic searches
+#: for a first feasible point, but the assignment problem always has one:
+#: the forced pairs with every other variable at 0.  On seeded
+#: sia-helios64 rounds it was over half of each MILP solve, and skipping
+#: it leaves every assignment unchanged: branch-and-bound still proves
+#: optimality to the same gap.  LP-relaxation solves do not take it.
+_MILP_OPTIONS = {"mip_heuristic_run_feasibility_jump": False,
+                 "mip_rel_gap": _MIP_REL_GAP, "mip_abs_gap": _MIP_ABS_GAP}
+
+#: work cap of the ``milp`` lattice DP, in lattice cells x (job, option)
+#: pairs, estimated before any table is built: above it HiGHS solves the
+#: instance.  The DP costs about 2 ns per unit; at 4M units its median
+#: time met HiGHS's (~8 ms) on sia-helios64-shaped instances with scaled
+#: capacities, and past that HiGHS's median wins.  Every captured
+#: sia-helios64 round is under 1.5M.
+_DP_MAX_WORK = 4_000_000
 
 #: LP-support epsilon: rounding considers pairs the relaxation weighted
 #: above this before falling back to the full feasible set.
@@ -205,9 +230,10 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
                      ) -> AssignmentSolution:
     """Solve one assignment instance with the chosen backend.
 
-    ``time_limit`` (seconds) is forwarded to the HiGHS backends as a solver
-    time budget; a timed-out solve returns the best incumbent found, or
-    raises if none exists.  Other backends ignore it.  ``tracer`` records
+    ``time_limit`` (seconds) is forwarded to HiGHS as a solver time
+    budget; a timed-out solve returns the best incumbent found, or raises
+    if none exists.  The greedy backend and ``milp``'s lattice DP, whose
+    cost :data:`_DP_MAX_WORK` bounds, ignore it.  ``tracer`` records
     an ``ilp_solve`` span around the backend call (annotated with the
     resolved backend when ``backend='tiered'``).
 
@@ -375,18 +401,16 @@ def _highs_solve(problem: AssignmentProblem, *, integral: bool,
     with warnings.catch_warnings():
         # Silence what scipy says about the _MILP_OPTIONS keys, nothing
         # else: its ``milp`` knows five options and warns (RuntimeWarning)
-        # on every call passing another through to HiGHS, and a HiGHS
-        # build that predates an option warns (OptimizeWarning) that it
-        # does not know it, then solves with that option at its default
-        # (the same answer, only slower).
-        for key in _MILP_OPTIONS:
-            warnings.filterwarnings(
-                "ignore", category=RuntimeWarning,
-                message=re.escape(
-                    f"Unrecognized options detected: {{'{key}'}}."))
-            warnings.filterwarnings(
-                "ignore", category=OptimizeWarning,
-                message=f".*'{re.escape(key)}'")
+        # on every call passing others through to HiGHS, naming them as
+        # one set, and a HiGHS build that predates an option warns
+        # (OptimizeWarning) that it does not know it, then solves with
+        # that option at its default (the same answer, only slower).
+        key = "'(?:" + "|".join(map(re.escape, _MILP_OPTIONS)) + ")'"
+        unknown = rf"Unrecognized options detected: \{{{key}(?:, {key})*\}}\."
+        warnings.filterwarnings("ignore", category=RuntimeWarning,
+                                message=unknown)
+        warnings.filterwarnings("ignore", category=OptimizeWarning,
+                                message=f".*{key}")
         result = milp(c=system.cost, constraints=system.constraints,
                       integrality=integrality,
                       bounds=Bounds(system.lb, system.ub),
@@ -401,13 +425,30 @@ def _highs_solve(problem: AssignmentProblem, *, integral: bool,
 
 def _solve_milp(problem: AssignmentProblem,
                 time_limit: float | None = None) -> AssignmentSolution:
+    """The ``milp`` backend: the lattice DP where it is exact and
+    affordable, HiGHS otherwise.  Both return the same optimum."""
+    assignment = _solve_lattice(problem)
+    if assignment is None:
+        return _solve_highs_milp(problem, time_limit=time_limit)
+    return _solution(problem, assignment)
+
+
+def _solve_highs_milp(problem: AssignmentProblem,
+                      time_limit: float | None = None,
+                      ) -> AssignmentSolution:
+    """HiGHS's MILP optimum, in ascending job order."""
     solved = _highs_solve(problem, integral=True, time_limit=time_limit)
     if solved is None:
         return AssignmentSolution({}, 0.0, 0.0)
     x, system = solved
-    assignment: dict[int, int] = {}
-    for idx in np.flatnonzero(x > 0.5):
-        assignment[int(system.pair_jobs[idx])] = int(system.pair_cols[idx])
+    return _solution(problem, {int(system.pair_jobs[idx]):
+                               int(system.pair_cols[idx])
+                               for idx in np.flatnonzero(x > 0.5)})
+
+
+def _solution(problem: AssignmentProblem,
+              assignment: dict[int, int]) -> AssignmentSolution:
+    """``assignment`` with its objective, summed in its own order."""
     objective = float(sum(problem.utilities[i, j]
                           for i, j in assignment.items()))
     return AssignmentSolution(assignment, objective, 0.0)
@@ -428,6 +469,126 @@ def _solve_lp_relaxation(problem: AssignmentProblem,
     x, system = solved
     bound = float(-system.cost @ x)
     return bound, x, system.pair_jobs, system.pair_cols
+
+
+# -- capacity-lattice DP (milp's exact path) ----------------------------------
+
+def _solve_lattice(problem: AssignmentProblem) -> dict[int, int] | None:
+    """The optimal assignment by a max-plus DP over used capacity, or None
+    when HiGHS must decide.
+
+    GPU types whose summed per-job maximum demand fits their capacity can
+    never bind and are dropped.  The state is the used GPUs of the rest,
+    in a box that grows as jobs are added; ``tables[i + 1]`` holds the
+    best value of jobs ``0..i`` at each state.  Returns None when the work
+    estimate exceeds :data:`_DP_MAX_WORK`, when a pair's GPU type has no
+    capacity entry (HiGHS leaves it unconstrained), or when another
+    assignment comes within twice the HiGHS gap of the optimum: only a
+    unique optimum is certainly the one HiGHS returns.  Raises
+    RuntimeError when the forced pairs exceed capacity.
+    """
+    util = problem.utilities
+    feasible = ~np.isnan(util)
+    cap_types = list(problem.capacities)
+    type_pos = {t: k for k, t in enumerate(cap_types)}
+    config_pos = [type_pos.get(t, -1) for t in problem.config_types]
+    gpus = problem.config_gpus.tolist()
+    used_cols = np.flatnonzero(feasible.any(axis=0)).tolist()
+    if any(config_pos[j] < 0 for j in used_cols):
+        return None
+    caps = [int(problem.capacities[t]) for t in cap_types]
+
+    # Each job's options (config columns; -1 is "no allocation") and its
+    # largest demand on every type.
+    options: list[list[int]] = []
+    demand = np.zeros((problem.n_jobs, len(caps)), dtype=np.int64)
+    for i in range(problem.n_jobs):
+        if i in problem.forced:
+            cols = [problem.forced[i]]
+        else:
+            cols = [-1, *np.flatnonzero(feasible[i]).tolist()]
+        options.append(cols)
+        for j in cols:
+            if j >= 0 and gpus[j] > demand[i, config_pos[j]]:
+                demand[i, config_pos[j]] = gpus[j]
+    total = demand.sum(axis=0)
+    binding = [k for k in range(len(caps)) if total[k] > caps[k]]
+    cells = math.prod(min(caps[k], int(total[k])) + 1 for k in binding)
+    if cells * sum(map(len, options)) > _DP_MAX_WORK:
+        return None
+
+    # Lattice dimension of each type (-1: never binds), and the
+    # (dimension, GPUs) shift each option moves the state by.  A dummy
+    # dimension of size 1 stands in when no type binds.
+    dim = [-1] * len(caps)
+    for d, k in enumerate(binding):
+        dim[k] = d
+    shift = {-1: (-1, 0)}
+    for j in used_cols:
+        d = dim[config_pos[j]]
+        shift[j] = (d, gpus[j]) if d >= 0 else (-1, 0)
+    tables = [np.zeros([1] * max(1, len(binding)))]
+    for i, cols in enumerate(options):
+        prev = tables[-1]
+        box = list(prev.shape)
+        for k in binding:
+            box[dim[k]] = min(caps[k], box[dim[k]] - 1 + int(demand[i, k])) + 1
+        # Options with one shift add the same table: keep the best value.
+        best: dict[tuple[int, int], float] = {}
+        for j in cols:
+            d, g = shift[j]
+            if d >= 0 and g > caps[binding[d]]:
+                continue
+            value = 0.0 if j < 0 else util[i, j]
+            if best.get((d, g), -math.inf) < value:
+                best[(d, g)] = value
+        table = np.full(box, -math.inf)
+        for (d, g), value in best.items():
+            dst = [slice(0, n) for n in prev.shape]
+            src = list(dst)
+            if d >= 0:
+                stop = min(g + prev.shape[d], box[d])
+                dst[d], src[d] = slice(g, stop), slice(0, stop - g)
+            view = table[tuple(dst)]
+            np.maximum(view, prev[tuple(src)] + value, out=view)
+        tables.append(table)
+
+    final = tables[-1]
+    top = float(final.max())
+    if top == -math.inf:
+        raise RuntimeError("MILP failed: the forced assignments exceed "
+                           "capacity")
+    if not math.isfinite(top):
+        return None
+    tol = 2 * max(_MIP_REL_GAP * max(1.0, abs(top)), _MIP_ABS_GAP)
+    if np.count_nonzero(final >= top - tol) > 1:
+        return None
+
+    # Backtrack, recomputing every option's value at each cell: a
+    # runner-up within ``tol`` is a second near-optimal assignment.
+    cell = np.unravel_index(int(np.argmax(final)), final.shape)
+    chosen: dict[int, int] = {}
+    for i in range(problem.n_jobs - 1, -1, -1):
+        prev = tables[i]
+        scored = []
+        for j in options[i]:
+            d, g = shift[j]
+            src = list(cell)
+            if d >= 0:
+                src[d] -= g
+                if src[d] < 0:
+                    continue
+            if any(c >= n for c, n in zip(src, prev.shape)):
+                continue
+            value = 0.0 if j < 0 else util[i, j]
+            scored.append((prev[tuple(src)] + value, j, tuple(src)))
+        scored.sort(reverse=True)
+        if len(scored) > 1 and scored[1][0] >= scored[0][0] - tol:
+            return None
+        _, j, cell = scored[0]
+        if j >= 0:
+            chosen[i] = j
+    return dict(sorted(chosen.items()))
 
 
 # -- LP relaxation + deterministic rounding backend ---------------------------
@@ -548,6 +709,4 @@ def _solve_greedy(problem: AssignmentProblem) -> AssignmentSolution:
         assignment[i] = j
 
     _greedy_fill(problem, assignment, remaining)
-    objective = float(sum(problem.utilities[i, j]
-                          for i, j in assignment.items()))
-    return AssignmentSolution(assignment, objective, 0.0)
+    return _solution(problem, assignment)

@@ -43,19 +43,16 @@ def _best_gpu_type(model_name: str, cluster: Cluster) -> str | None:
     return best_type
 
 
-def tune_job(job: Job, cluster: Cluster, rng: np.random.Generator,
-             *, max_count: int = 16) -> tuple[int, int]:
-    """Pick a (fixed_num_gpus, fixed_batch_size) pair for one job.
-
-    Returns the chosen pair; falls back to (1, reference batch) when no
-    combination lands in the efficiency band (tiny models).
-    """
-    profile = job.profile
-    gpu_type = _best_gpu_type(job.model_name, cluster)
+def _candidates(cluster: Cluster, model_name: str,
+                limit: int) -> list[tuple[int, int]]:
+    """Every (GPU count <= ``limit``, batch size) pair in the efficiency
+    band on the model's fastest GPU type."""
+    profile = profiles.model_profile(model_name)
+    gpu_type = _best_gpu_type(model_name, cluster)
     if gpu_type is None:
-        return 1, profile.min_bsz
-    cap = profiles.max_local_bsz(job.model_name, gpu_type)
-    model = profiles.true_goodput_model(job.model_name, gpu_type)
+        return []
+    cap = profiles.max_local_bsz(model_name, gpu_type)
+    model = profiles.true_goodput_model(model_name, gpu_type)
     baseline = model.goodput(1, 1, max_local_bsz=cap,
                              max_total_bsz=profile.max_bsz,
                              min_total_bsz=profile.min_bsz)
@@ -63,7 +60,7 @@ def tune_job(job: Job, cluster: Cluster, rng: np.random.Generator,
 
     candidates: list[tuple[int, int]] = []
     for count in _CANDIDATE_COUNTS:
-        if count > min(max_count, job.max_gpus):
+        if count > limit:
             continue
         nodes = max(1, -(-count // node_size))
         for factor in (1, 2, 4, 8):
@@ -76,9 +73,27 @@ def tune_job(job: Job, cluster: Cluster, rng: np.random.Generator,
             efficiency = rate / (baseline * count)
             if EFFICIENCY_BAND[0] <= efficiency <= EFFICIENCY_BAND[1]:
                 candidates.append((count, bsz))
+    return candidates
+
+
+def _pick(job: Job, candidates: list[tuple[int, int]],
+          rng: np.random.Generator) -> tuple[int, int]:
+    """One uniform draw among ``candidates``, or (1, reference batch)
+    without drawing when there are none."""
     if not candidates:
-        return 1, profile.min_bsz
+        return 1, job.profile.min_bsz
     return candidates[int(rng.integers(0, len(candidates)))]
+
+
+def tune_job(job: Job, cluster: Cluster, rng: np.random.Generator,
+             *, max_count: int = 16) -> tuple[int, int]:
+    """Pick a (fixed_num_gpus, fixed_batch_size) pair for one job.
+
+    Returns the chosen pair; falls back to (1, reference batch) when no
+    combination lands in the efficiency band (tiny models).
+    """
+    limit = min(max_count, job.max_gpus)
+    return _pick(job, _candidates(cluster, job.model_name, limit), rng)
 
 
 def tuned_jobs(jobs: list[Job], cluster: Cluster, *, seed: int = 0,
@@ -89,9 +104,15 @@ def tuned_jobs(jobs: list[Job], cluster: Cluster, *, seed: int = 0,
     if mode is AdaptivityMode.ADAPTIVE:
         raise ValueError("tuned jobs are rigid or strong-scaling")
     rng = np.random.default_rng(seed)
+    # The candidates depend on the model and the GPU-count limit alone, so
+    # a trace needs one search per (model, limit), not one per job.
+    searched: dict[tuple[str, int], list[tuple[int, int]]] = {}
     out: list[Job] = []
     for job in jobs:
-        count, bsz = tune_job(job, cluster, rng, max_count=max_count)
+        key = (job.model_name, min(max_count, job.max_gpus))
+        if key not in searched:
+            searched[key] = _candidates(cluster, *key)
+        count, bsz = _pick(job, searched[key], rng)
         tuned = make_job(
             job.job_id, job.model_name, job.submit_time,
             adaptivity=mode,

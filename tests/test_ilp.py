@@ -123,10 +123,12 @@ UNKNOWN_OPTIONS = {"mip_heuristic_unknown_to_this_highs": False}
 
 
 class TestHighsOptions:
-    """Every MILP turns HiGHS's feasibility-jump heuristic off
-    (``ilp._MILP_OPTIONS``).  No warning about that option escapes a
-    solve, whether this HiGHS build knows the option or not, and the
-    answer stays optimal."""
+    """Every HiGHS MILP passes ``ilp._MILP_OPTIONS``: the optimality gap
+    and the feasibility-jump heuristic off.  No warning about those
+    options escapes a solve, whether this HiGHS build knows them or not,
+    and the answer stays optimal.  These solves call HiGHS directly; the
+    ``milp`` backend would serve such small instances by the lattice
+    DP."""
 
     @staticmethod
     def forced_instance() -> AssignmentProblem:
@@ -147,7 +149,17 @@ class TestHighsOptions:
         p = self.forced_instance()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            solution = solve_assignment(p, "milp", time_limit=time_limit)
+            solution = ilp._solve_highs_milp(p, time_limit=time_limit)
+        assert solution.objective == pytest.approx(
+            solve_exact(p).objective, abs=1e-9)
+        assert solution.assignment[0] == 1 and solution.assignment[3] == 3
+
+    def test_milp_backend_serves_it_by_the_lattice(self, monkeypatch):
+        def no_highs(*args, **kwargs):
+            raise AssertionError("HiGHS was called")
+        monkeypatch.setattr(ilp, "_solve_highs_milp", no_highs)
+        p = self.forced_instance()
+        solution = solve_assignment(p, "milp")
         assert solution.objective == pytest.approx(
             solve_exact(p).objective, abs=1e-9)
         assert solution.assignment[0] == 1 and solution.assignment[3] == 3
@@ -190,7 +202,7 @@ class TestCrossCheck:
     @settings(max_examples=60, deadline=None)
     @given(instance=random_instances())
     def test_milp_matches_exact_optimum(self, instance):
-        milp = solve_assignment(instance, backend="milp")
+        milp = ilp._solve_highs_milp(instance)
         exact = solve_exact(instance)
         assert milp.objective == pytest.approx(exact.objective, abs=1e-6)
 
@@ -200,3 +212,117 @@ class TestCrossCheck:
         greedy = solve_assignment(instance, backend="greedy")
         exact = solve_exact(instance)
         assert greedy.objective <= exact.objective + 1e-9
+
+
+@st.composite
+def lattice_instances(draw):
+    """Instances that reach every path of the lattice DP: NaN cells, zero
+    capacity, a type that never binds (``C``), and forced pairs, which may
+    not fit."""
+    instance = draw(random_instances())
+    n_jobs = instance.n_jobs
+    extra = draw(st.integers(0, 2))
+    if extra:
+        columns = [[draw(st.floats(0.1, 10.0)) if draw(st.booleans())
+                    else NAN for _ in range(n_jobs)] for _ in range(extra)]
+        instance = problem(
+            np.column_stack([instance.utilities, *columns]),
+            [*instance.config_gpus, *[draw(st.sampled_from([1, 2]))
+                                      for _ in range(extra)]],
+            [*instance.config_types, *["C"] * extra],
+            {**instance.capacities, "C": 2 * n_jobs})
+    forced = {}
+    for row in range(n_jobs):
+        cols = np.flatnonzero(~np.isnan(instance.utilities[row])).tolist()
+        if cols and draw(st.booleans()):
+            forced[row] = draw(st.sampled_from(cols))
+    instance.forced = forced
+    return instance
+
+
+def forced_fits(p: AssignmentProblem) -> bool:
+    used: dict[str, int] = {}
+    for col in p.forced.values():
+        gpu_type = p.config_types[col]
+        used[gpu_type] = used.get(gpu_type, 0) + int(p.config_gpus[col])
+    return all(n <= p.capacities.get(t, 0) for t, n in used.items())
+
+
+class TestLattice:
+    """The lattice DP behind ``milp``: exact against the oracle, and it
+    hands HiGHS every instance it cannot certify."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=lattice_instances())
+    def test_matches_exact_optimum(self, instance):
+        if not forced_fits(instance):
+            with pytest.raises(RuntimeError):
+                ilp._solve_lattice(instance)
+            with pytest.raises(RuntimeError):
+                solve_assignment(instance, "milp")
+            return
+        exact = solve_exact(instance)
+        assignment = ilp._solve_lattice(instance)
+        if assignment is not None:  # an optimum unique beyond the gap
+            assert assignment == exact.assignment
+            assert list(assignment) == sorted(assignment)
+        milp = solve_assignment(instance, "milp")
+        assert milp.objective == pytest.approx(exact.objective, abs=1e-6)
+
+    @staticmethod
+    def spy_highs(monkeypatch) -> list:
+        calls = []
+        real = ilp._solve_highs_milp
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(ilp, "_solve_highs_milp", spy)
+        return calls
+
+    def test_exact_tie_goes_to_highs(self, monkeypatch):
+        """Two identical rows compete for the one 2-GPU slot: either job
+        is optimal, so HiGHS, not the DP, picks which."""
+        p = problem([[5.0, 3.0], [5.0, 3.0]], [2, 2], ["A", "B"],
+                    {"A": 2, "B": 0})
+        assert ilp._solve_lattice(p) is None
+        calls = self.spy_highs(monkeypatch)
+        solution = solve_assignment(p, "milp")
+        assert len(calls) == 1
+        assert solution.assignment == ilp._solve_highs_milp(p).assignment
+        assert len(solution.assignment) == 1
+
+    def test_tie_in_another_final_cell_goes_to_highs(self):
+        """Job 0 on A with job 1 on B, or job 0 on B with job 1 on A:
+        both score 6 but end in different capacity cells."""
+        p = problem([[5.0, 5.0, NAN], [NAN, 1.0, 1.0]], [1, 1, 2],
+                    ["A", "B", "A"], {"A": 2, "B": 1})
+        assert solve_exact(p).objective == pytest.approx(6.0)
+        assert ilp._solve_lattice(p) is None
+
+    def test_unique_optimum_skips_highs(self, monkeypatch):
+        calls = self.spy_highs(monkeypatch)
+        p = problem(TestPaperExample.UTILITIES, TestPaperExample.GPUS,
+                    TestPaperExample.TYPES, TestPaperExample.CAPS)
+        assert solve_assignment(p, "milp").assignment == {0: 4, 1: 1}
+        assert not calls
+
+    def test_work_above_the_cap_goes_to_highs(self, monkeypatch):
+        """Three binding types of 200 GPUs: 201^3 lattice cells."""
+        n_jobs = 30
+        utilities = np.linspace(1.0, 2.0, n_jobs * 3).reshape(n_jobs, 3)
+        p = problem(utilities, [8, 8, 8], ["A", "B", "C"],
+                    {"A": 200, "B": 200, "C": 200})
+        assert 201 ** 3 * 4 * n_jobs > ilp._DP_MAX_WORK
+        assert ilp._solve_lattice(p) is None
+        calls = self.spy_highs(monkeypatch)
+        solution = solve_assignment(p, "milp")
+        assert len(calls) == 1
+        assert solution.objective == pytest.approx(
+            ilp._solve_highs_milp(p).objective)
+
+    def test_untyped_config_goes_to_highs(self):
+        """A type without a capacity entry is unconstrained in HiGHS's
+        model; the DP leaves such instances to it."""
+        p = problem([[1.0, 2.0]], [1, 1], ["A", "Z"], {"A": 1})
+        assert ilp._solve_lattice(p) is None

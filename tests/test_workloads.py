@@ -197,3 +197,21 @@ class TestTunedJobs:
         b = tuned_jobs(jobs, cluster, seed=7)
         assert [(j.fixed_num_gpus, j.fixed_batch_size) for j in a] == \
             [(j.fixed_num_gpus, j.fixed_batch_size) for j in b]
+
+    @pytest.mark.parametrize("max_count", [16, 4])
+    def test_matches_one_search_per_job(self, max_count):
+        """One candidate search per (model, GPU limit) picks what a search
+        per job picks: each job still makes its one draw, in trace order."""
+        from repro.jobs.job import make_job
+        cluster = presets.heterogeneous()
+        trace = helios_trace(seed=3, num_jobs=60).jobs
+        # Trace jobs of one model share a GPU limit; vary it too.
+        jobs = [make_job(f"m{k}", job.model_name, job.submit_time,
+                         max_gpus=(1, 2, 4, 8, 16)[k % 5])
+                for k, job in enumerate(trace)]
+        rng = np.random.default_rng(5)
+        reference = [tune_job(job, cluster, rng, max_count=max_count)
+                     for job in jobs]
+        rigid = tuned_jobs(jobs, cluster, seed=5, max_count=max_count)
+        assert [(j.fixed_num_gpus, j.fixed_batch_size)
+                for j in rigid] == reference
