@@ -8,7 +8,9 @@ Measures, per (cluster size, job count) point:
   latency, solve-phase time, first-round objective and its gap vs the MILP
   reference when the MILP column ran — the solver-tier scaling story up to
   16384 GPUs / 4096 jobs;
-* steady-state estimator cache hit rate across consecutive rounds;
+* steady-state estimator cache hit rate across consecutive rounds, with
+  every placed job re-reporting its iteration time between rounds as in
+  the engine;
 * the ``milp`` solver point: ``solve_assignment(p, "milp")`` over every
   instance of ``milp_helios64.json`` (captured sia-helios64 rounds, see
   ``milp_fixture.py``).  The synthetic points leave every GPU type slack,
@@ -48,6 +50,7 @@ from repro.core.types import ProfilingMode
 from repro.obs.tracer import Tracer
 from repro.schedulers import SiaScheduler
 from repro.schedulers.base import PLAN_PHASES, JobView
+from repro.sim.executor import ExecutionModel
 from repro.workloads import helios_trace
 
 #: active jobs per 64 GPUs (paper-proportional load, as in Figure 9).
@@ -108,10 +111,28 @@ def make_views(scheduler, cluster, n_jobs: int) -> list[JobView]:
     return views
 
 
+def report_iterations(executor: ExecutionModel, views: list[JobView],
+                      allocations: dict) -> None:
+    """Each placed job reports the iteration time of its round, as the
+    engine does between rounds: the executor runs the estimator's batch
+    plan on the allocation, and the estimator folds the report in."""
+    for view in views:
+        allocation = allocations.get(view.job_id)
+        if allocation is None:
+            continue
+        plan = view.estimator.best_plan(allocation.configuration())
+        execution = executor.execute(view.job, allocation, plan)
+        if execution is not None:
+            view.estimator.add_observation(
+                executor.observe(view.job, allocation, execution))
+
+
 def run_rounds(scheduler, cluster, views, rounds: int) -> dict:
-    """Run consecutive policy rounds over the same views (steady state after
-    round 1: no new observations, so estimator caches stay warm), then one
-    extra *cold-cache* round at the warm running state.
+    """Run consecutive policy rounds over the same views, each placed job
+    re-reporting its iteration time between rounds (steady state after
+    round 1: a job re-reporting the configuration it keeps moves no fit,
+    so estimator caches stay warm), then one extra *cold-cache* round at
+    the warm running state.
 
     The cold round is the honest goodput_eval comparison point: every job
     is running at a realistic configuration (large feasible sets) and every
@@ -122,6 +143,7 @@ def run_rounds(scheduler, cluster, views, rounds: int) -> dict:
 
     tracer = Tracer()
     scheduler.tracer = tracer
+    executor = ExecutionModel()
     scheduler.metrics = MetricsRegistry()
     latencies = []
     objectives = []
@@ -136,6 +158,7 @@ def run_rounds(scheduler, cluster, views, rounds: int) -> dict:
             alloc = plan.allocations.get(view.job_id)
             view.current_config = alloc.configuration() \
                 if alloc is not None else None
+        report_iterations(executor, views, previous)
     phases = {name: tracer.span_stats(name).total for name in PLAN_PHASES}
     hits = sum(getattr(v.estimator, "cache_hits", 0) for v in views)
     misses = sum(getattr(v.estimator, "cache_misses", 0) for v in views)

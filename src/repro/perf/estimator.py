@@ -2,7 +2,7 @@
 
 One estimator exists per job.  It owns
 
-* the job's observations and fitted throughput parameters per GPU type,
+* the job's running fit state and fitted throughput parameters per GPU type,
 * the job's statistical-efficiency model (one per job, shared across types),
 * the profiling mode (Oracle / No-Prof / Bootstrap, Section 5.7).
 
@@ -41,7 +41,7 @@ from repro.core.bootstrap import BootstrapModel
 from repro.core.types import Configuration, ProfilingMode
 from repro.perf import profiles
 from repro.perf.efficiency import EfficiencyModel, EfficiencyParams
-from repro.perf.fitting import FitResult, Observation, fit_throughput_params
+from repro.perf.fitting import FitResult, Observation, RunningFit
 from repro.perf.goodput import (BatchPlan, GoodputModel, GridBatch,
                                 best_plans, candidate_grid)
 from repro.perf.throughput import ThroughputModel, ThroughputParams
@@ -70,13 +70,19 @@ class JobConstraints:
 
 @dataclass
 class _TypeState:
-    """What the estimator knows about one GPU type."""
+    """What the estimator knows about one GPU type.
 
-    observations: list[Observation] = field(default_factory=list)
+    Accepted reports fold into ``running`` and mark the state ``dirty``;
+    :meth:`JobPerfEstimator._fit` refits lazily and replaces the stored
+    ``fit`` only when the refit moves it past ``FIT_RTOL``.
+    """
+
+    running: RunningFit = field(default_factory=RunningFit)
     fit: FitResult | None = None
     dirty: bool = False
-    #: bumped whenever a refit changes this type's ``FitResult``; cache
-    #: entries that depended only on this type's fit revalidate against it.
+    #: bumped whenever a refit replaces this type's stored ``FitResult``;
+    #: cache entries that depended only on this type's fit revalidate
+    #: against it.
     epoch: int = 0
     #: per report key ``(gpu_type, num_gpus, num_nodes, local_bsz,
     #: accum_steps)``: recently *accepted* iteration times — the MAD-defense
@@ -111,14 +117,17 @@ class JobPerfEstimator:
         self.gpu_types = gpu_types
         self.mode = mode
         self._types: dict[str, _TypeState] = {t: _TypeState() for t in gpu_types}
+        #: per-GPU batch-size caps by type, computed on first use.
+        self._local_caps: dict[str, int] = {}
         self.profiling_gpu_seconds = 0.0
         self._efficiency = self._initial_efficiency()
         #: memoized goodput-per-configuration results with the epoch token
         #: they were computed under.  Invalidation is *per GPU type* and
         #: *per fit change*: a refit on one type only stales entries whose
         #: dispatch read that type's fit (or the cross-type bootstrap
-        #: state), and only when the refit actually changed the fit — a
-        #: running job re-reporting the same iteration time evicts nothing.
+        #: state), and only when the refit moved the fit past ``FIT_RTOL``
+        #: — a running job re-reporting the same iteration time evicts
+        #: nothing.
         self._goodput_cache: dict[
             Configuration, tuple[tuple, BatchPlan | None]] = {}
         #: epoch counters backing cache validation: one per GPU type (in
@@ -185,8 +194,9 @@ class JobPerfEstimator:
         outliers against the recent accepted window for the same
         (gpu_type, batch plan) are refused so one corrupt report cannot
         poison a fit.  Rejected reports bump :attr:`rejected_observations`
-        and leave the fit untouched.  Accepted ones only mark the type's fit
-        stale; cache epochs move in :meth:`_fit`, if the refit differs.
+        and leave the fit untouched.  Accepted ones fold into the type's
+        running fit and mark it stale; cache epochs move in :meth:`_fit`,
+        if the refit moves the stored fit.
         """
         if obs.gpu_type not in self._types:
             raise KeyError(f"estimator does not track GPU type {obs.gpu_type!r}")
@@ -201,7 +211,7 @@ class JobPerfEstimator:
         window.append(obs.iter_time)
         if len(window) > self.OUTLIER_WINDOW:
             del window[0]
-        state.observations.append(obs)
+        state.running.add(obs)
         state.dirty = True
         return True
 
@@ -232,18 +242,23 @@ class JobPerfEstimator:
         self._eff_epoch += 1
 
     def _fit(self, gpu_type: str) -> FitResult | None:
-        """The type's fit, refitted lazily after new observations.
+        """The type's stored fit, refitted lazily after new reports.
 
-        A refit that changes the ``FitResult`` moves the type's epoch and
-        the global fit epoch, staling the cache entries that read it (per
-        GPU type: entries on other types stay warm).  A refit that
-        reproduces the stored fit bit for bit moves nothing.
+        A refit whose flags or parameters move past
+        :data:`~repro.perf.fitting.FIT_RTOL` of the stored ``FitResult``
+        replaces it and moves the type's epoch and the global fit epoch,
+        staling the cache entries that read it (per GPU type: entries on
+        other types stay warm).  A refit that reproduces the stored fit up
+        to float noise keeps it and moves nothing.  The comparison is with
+        the *stored* fit, so drift cannot accumulate past the band; which
+        fit is stored therefore depends on when refits ran, and it is
+        pickled with the estimator so resumes stay identical.
         """
         state = self._types[gpu_type]
-        if state.dirty and state.observations:
+        if state.dirty:
             state.dirty = False
-            fit = fit_throughput_params(state.observations)
-            if fit != state.fit:
+            fit = state.running.fit()
+            if not fit.reproduces(state.fit):
                 state.fit = fit
                 state.epoch += 1
                 self._obs_epoch += 1
@@ -258,8 +273,12 @@ class JobPerfEstimator:
         until it hits GPU memory limits — Section 3.2), so it is known in
         every mode.
         """
-        cap = profiles.max_local_bsz(self.model_name, gpu_type)
-        return min(cap, self.constraints.max_bsz) if cap else 0
+        cap = self._local_caps.get(gpu_type)
+        if cap is None:
+            cap = profiles.max_local_bsz(self.model_name, gpu_type)
+            cap = min(cap, self.constraints.max_bsz) if cap else 0
+            self._local_caps[gpu_type] = cap
+        return cap
 
     # -- throughput dispatch --------------------------------------------------
 

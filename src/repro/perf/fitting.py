@@ -14,11 +14,15 @@ for each GPU type the job has run on:
 The fits are deliberately simple (non-negative least squares on one or two
 points when that is all we have): the paper's point is that *little* data
 suffices once it is routed through the right model family.
+
+Estimators fold reports into a :class:`RunningFit`, which refits only what
+a new report can move and still equals :func:`fit_throughput_params` over
+all reports bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,32 +68,6 @@ def _nonneg_linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return a, b
 
 
-def fit_compute_params(observations: list[Observation]) -> tuple[float, float]:
-    """Fit (alpha_c, beta_c) from 1-GPU observations.
-
-    With one GPU there is no sync phase, so step time is
-    ``iter_time / accum_steps = alpha_c + beta_c * local_bsz``.  If the job
-    has never run on one GPU (possible for schedulers without a start-small
-    rule, e.g. Pollux), the smallest GPU count observed stands in — its step
-    times include some sync, so the compute estimate is conservative until
-    real 1-GPU data arrives.
-    """
-    if not observations:
-        raise ValueError("need at least one observation")
-    smallest = min(obs.num_gpus for obs in observations)
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for obs in observations:
-        if obs.num_gpus != smallest:
-            continue
-        step_time = obs.iter_time / obs.accum_steps
-        sums[obs.local_bsz] = sums.get(obs.local_bsz, 0.0) + step_time
-        counts[obs.local_bsz] = counts.get(obs.local_bsz, 0) + 1
-    xs = np.array(sorted(sums))
-    ys = np.array([sums[x] / counts[x] for x in xs])
-    return _nonneg_linear_fit(xs, ys)
-
-
 def invert_sync_time(iter_time: float, grad_time: float,
                      accum_steps: int, gamma: float = GAMMA) -> float:
     """Recover T_sync from a measured multi-GPU iteration time."""
@@ -111,6 +89,15 @@ def fit_sync_params(points: list[tuple[int, float]]) -> tuple[float, float]:
     return _nonneg_linear_fit(xs, ys)
 
 
+#: Relative band inside which a refit reproduces a stored fit.  Averaging
+#: duplicate reports and ``lstsq`` move parameters by float noise (below
+#: 1e-12 relative); real evidence moves them by 1e-5 or more.  As with
+#: ``repro.perf.goodput._SHORTLIST_RTOL``, an ulp is not a change.
+FIT_RTOL: float = 1e-12
+
+_PARAM_FIELDS = tuple(f.name for f in fields(ThroughputParams))
+
+
 @dataclass
 class FitResult:
     """Fitted parameters plus which phases were actually observed."""
@@ -124,48 +111,163 @@ class FitResult:
     def has_multi_gpu(self) -> bool:
         return self.has_intra_node or self.has_inter_node
 
+    def reproduces(self, stored: FitResult | None) -> bool:
+        """Whether this fit says what ``stored`` says: the same flags, and
+        every parameter within :data:`FIT_RTOL` relative of the stored
+        one (a stored zero must stay exactly zero)."""
+        if stored is None or (
+                (self.has_single_gpu, self.has_intra_node, self.has_inter_node)
+                != (stored.has_single_gpu, stored.has_intra_node,
+                    stored.has_inter_node)):
+            return False
+        for name in _PARAM_FIELDS:
+            new, old = getattr(self.params, name), getattr(stored.params, name)
+            if not abs(new - old) <= FIT_RTOL * abs(old):
+                return False
+        return True
+
+
+class RunningFit:
+    """The fit state of one GPU type, folded one report at a time.
+
+    :meth:`fit` equals :func:`fit_throughput_params` over every report
+    added so far, bit for bit, but redoes only what new reports can move:
+
+    * step-time sums and counts are kept per local batch size at the
+      smallest GPU count seen, in report order.  A smaller count restarts
+      them; a larger count can never become the smallest again.
+    * ``(alpha_c, beta_c)`` is cached and refitted only after a report at
+      or below that smallest count.
+    * multi-GPU reports are kept, with the sync points inverted from them
+      under the cached compute fit.  If the compute fit moved, all of them
+      are re-inverted, otherwise only the new ones.
+    * :func:`fit_sync_params` reruns on the full point lists: count-weighted
+      least squares has no bit-exact incremental form.
+
+    :meth:`add` is O(1) and touches no numpy.
+    """
+
+    def __init__(self, gamma: float = GAMMA) -> None:
+        self.gamma = gamma
+        #: reports folded in so far.
+        self.reports = 0
+        self.has_single_gpu = False
+        #: the smallest GPU count seen (0 before the first report), and
+        #: ``local_bsz -> [step-time sum, count]`` at that count.
+        self._smallest = 0
+        self._compute: dict[int, list] = {}
+        self._compute_fit: tuple[float, float] | None = None
+        #: ``(num_gpus, num_nodes, local_bsz, accum_steps, iter_time)`` of
+        #: every multi-GPU report, in report order.
+        self._multi: list[tuple[int, int, int, int, float]] = []
+        #: sync points of the first ``_inverted`` multi-GPU reports, split
+        #: by node count, inverted under the compute fit ``_inverted_under``.
+        self._intra: list[tuple[int, float]] = []
+        self._inter: list[tuple[int, float]] = []
+        self._inverted = 0
+        self._inverted_under: tuple[float, float] | None = None
+
+    def add(self, obs: Observation) -> None:
+        """Fold one report in."""
+        self.reports += 1
+        k = obs.num_gpus
+        if k == 1:
+            self.has_single_gpu = True
+        else:
+            self._multi.append((k, obs.num_nodes, obs.local_bsz,
+                                obs.accum_steps, obs.iter_time))
+        if self._smallest and k > self._smallest:
+            return
+        if k != self._smallest:
+            self._smallest = k
+            self._compute = {}
+        step_time = obs.iter_time / obs.accum_steps
+        entry = self._compute.get(obs.local_bsz)
+        if entry is None:
+            self._compute[obs.local_bsz] = [step_time, 1]
+        else:
+            entry[0] += step_time
+            entry[1] += 1
+        self._compute_fit = None
+
+    def compute_params(self) -> tuple[float, float]:
+        """``(alpha_c, beta_c)``, as :func:`fit_compute_params` fits it."""
+        if self._compute_fit is None:
+            if not self.reports:
+                raise ValueError("need at least one observation")
+            sizes = sorted(self._compute)
+            self._compute_fit = _nonneg_linear_fit(
+                np.array(sizes),
+                np.array([total / count for total, count
+                          in map(self._compute.__getitem__, sizes)]))
+        return self._compute_fit
+
+    def fit(self) -> FitResult:
+        """The full fit over every report so far (see
+        :func:`fit_throughput_params`)."""
+        compute = self.compute_params()
+        alpha_c, beta_c = compute
+        if compute != self._inverted_under:
+            self._intra, self._inter, self._inverted = [], [], 0
+            self._inverted_under = compute
+        for k, n, m, s, t in self._multi[self._inverted:]:
+            sync = invert_sync_time(t, alpha_c + beta_c * m, s, self.gamma)
+            (self._intra if n == 1 else self._inter).append((k, sync))
+        self._inverted = len(self._multi)
+        intra_points, inter_points = self._intra, self._inter
+
+        alpha_r = beta_r = alpha_n = beta_n = 0.0
+        if intra_points:
+            alpha_r, beta_r = fit_sync_params(intra_points)
+        if inter_points:
+            alpha_n, beta_n = fit_sync_params(inter_points)
+        if intra_points and not inter_points:
+            # Crossing nodes is never cheaper than staying inside one.
+            alpha_n, beta_n = alpha_r * 3.0, beta_r * 3.0
+        elif inter_points and not intra_points:
+            alpha_r, beta_r = alpha_n / 3.0, beta_n / 3.0
+
+        params = ThroughputParams(alpha_c=alpha_c, beta_c=beta_c,
+                                  alpha_r=alpha_r, beta_r=beta_r,
+                                  alpha_n=alpha_n, beta_n=beta_n,
+                                  gamma=self.gamma)
+        return FitResult(params=params, has_single_gpu=self.has_single_gpu,
+                         has_intra_node=bool(intra_points),
+                         has_inter_node=bool(inter_points))
+
+
+def _running_fit(observations: list[Observation],
+                 gamma: float = GAMMA) -> RunningFit:
+    state = RunningFit(gamma)
+    for obs in observations:
+        state.add(obs)
+    return state
+
+
+def fit_compute_params(observations: list[Observation]) -> tuple[float, float]:
+    """Fit (alpha_c, beta_c) from 1-GPU observations.
+
+    With one GPU there is no sync phase, so step time is
+    ``iter_time / accum_steps = alpha_c + beta_c * local_bsz``, fitted to
+    the mean step time per local batch size.  If the job has never run on
+    one GPU (possible for schedulers without a start-small rule, e.g.
+    Pollux), the smallest GPU count observed stands in — its step times
+    include some sync, so the compute estimate is conservative until real
+    1-GPU data arrives.
+    """
+    return _running_fit(observations).compute_params()
+
 
 def fit_throughput_params(observations: list[Observation],
                           gamma: float = GAMMA) -> FitResult:
     """Full fit for one GPU type from all observations on that type.
 
-    Unobserved sync regimes are extrapolated conservatively: missing
-    inter-node parameters reuse intra-node ones (scaled up) and vice versa;
-    with no sync observations at all both default to zero — callers are
-    expected to treat such models with the bootstrap/perfect-scaling logic
-    of Section 3.2 rather than trusting zero-cost communication.
+    Multi-GPU observations are inverted to sync times under the compute
+    fit and fitted per regime (:func:`fit_sync_params`).  Unobserved sync
+    regimes are extrapolated conservatively: missing inter-node parameters
+    reuse intra-node ones (scaled up) and vice versa; with no sync
+    observations at all both default to zero — callers are expected to
+    treat such models with the bootstrap/perfect-scaling logic of
+    Section 3.2 rather than trusting zero-cost communication.
     """
-    if not observations:
-        raise ValueError("need at least one observation")
-    alpha_c, beta_c = fit_compute_params(observations)
-
-    intra_points: list[tuple[int, float]] = []
-    inter_points: list[tuple[int, float]] = []
-    for obs in observations:
-        if obs.num_gpus == 1:
-            continue
-        grad = alpha_c + beta_c * obs.local_bsz
-        sync = invert_sync_time(obs.iter_time, grad, obs.accum_steps, gamma)
-        target = intra_points if obs.num_nodes == 1 else inter_points
-        target.append((obs.num_gpus, sync))
-
-    alpha_r = beta_r = alpha_n = beta_n = 0.0
-    if intra_points:
-        alpha_r, beta_r = fit_sync_params(intra_points)
-    if inter_points:
-        alpha_n, beta_n = fit_sync_params(inter_points)
-    if intra_points and not inter_points:
-        # Crossing nodes is never cheaper than staying inside one.
-        alpha_n, beta_n = alpha_r * 3.0, beta_r * 3.0
-    elif inter_points and not intra_points:
-        alpha_r, beta_r = alpha_n / 3.0, beta_n / 3.0
-
-    params = ThroughputParams(alpha_c=alpha_c, beta_c=beta_c,
-                              alpha_r=alpha_r, beta_r=beta_r,
-                              alpha_n=alpha_n, beta_n=beta_n, gamma=gamma)
-    return FitResult(
-        params=params,
-        has_single_gpu=any(o.num_gpus == 1 for o in observations),
-        has_intra_node=bool(intra_points),
-        has_inter_node=bool(inter_points),
-    )
+    return _running_fit(observations, gamma).fit()

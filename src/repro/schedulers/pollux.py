@@ -57,6 +57,7 @@ class PolluxEstimator(JobPerfEstimator):
     def __init__(self, model_name: str, constraints, gpu_types: tuple[str, ...]):
         super().__init__(model_name, constraints, gpu_types)
         self._types = dict.fromkeys(gpu_types, _TypeState())
+        self._blind_cap: int | None = None
 
     def profile_initial(self) -> float:
         """Pollux does no up-front profiling (Section 2.1)."""
@@ -70,10 +71,12 @@ class PolluxEstimator(JobPerfEstimator):
     def max_local_bsz(self, gpu_type: str | None = None) -> int:
         """Memory cap assuming all GPUs match the smallest-memory type the
         model fits on — the conservative choice a type-blind system makes.
-        ``gpu_type`` is ignored."""
-        caps = [cap for cap in map(super().max_local_bsz, self.gpu_types)
-                if cap > 0]
-        return min(caps) if caps else 0
+        ``gpu_type`` is ignored; the min is taken once."""
+        if self._blind_cap is None:
+            caps = [cap for cap in map(super().max_local_bsz, self.gpu_types)
+                    if cap > 0]
+            self._blind_cap = min(caps) if caps else 0
+        return self._blind_cap
 
 
 @dataclass

@@ -71,8 +71,10 @@ from repro.atomicio import atomic_write_bytes
 #: v8: the engine runs on its ``CheckpointState``; the state drops
 #:     ``total_failures``, ``caught_scheduler_failures``, ``seed`` and
 #:     ``scheduler_name``, and ``RoundRecord`` gains ``queued``.
+#: v9: estimators hold a ``RunningFit`` per GPU type in place of the
+#:     observation list, and memoize their per-type batch-size caps.
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages

@@ -8,6 +8,9 @@
   Section 3.2 throughput routing re-derived on every scalar query, and the
   per-candidate batch-plan loop.  The grouped goodput pass is compared
   against them.
+* :func:`reference_fit` — the throughput fit recomputed from the whole
+  observation list.  The estimator's running fit state is compared
+  against it.
 """
 
 from __future__ import annotations
@@ -17,9 +20,13 @@ import math
 from repro.core.ilp import AssignmentProblem, AssignmentSolution
 from repro.core.types import ProfilingMode
 from repro.perf import profiles
+import numpy as np
+
 from repro.perf.estimator import _PRIOR_PARAMS, JobPerfEstimator
+from repro.perf.fitting import (FitResult, Observation, _nonneg_linear_fit,
+                                fit_sync_params, invert_sync_time)
 from repro.perf.goodput import BatchPlan, GoodputModel
-from repro.perf.throughput import ThroughputModel
+from repro.perf.throughput import GAMMA, ThroughputModel, ThroughputParams
 
 
 def solve_exact(problem: AssignmentProblem) -> AssignmentSolution:
@@ -138,3 +145,58 @@ def best_of_grid(model: GoodputModel, pairs: list[tuple[int, int]],
         if best is None or plan.goodput > best.goodput:
             best = plan
     return best
+
+
+def reference_compute_params(observations: list[Observation],
+                             ) -> tuple[float, float]:
+    """(alpha_c, beta_c) from the mean step time per local batch size at
+    the smallest GPU count observed."""
+    if not observations:
+        raise ValueError("need at least one observation")
+    smallest = min(obs.num_gpus for obs in observations)
+    sums: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    for obs in observations:
+        if obs.num_gpus != smallest:
+            continue
+        step_time = obs.iter_time / obs.accum_steps
+        sums[obs.local_bsz] = sums.get(obs.local_bsz, 0.0) + step_time
+        counts[obs.local_bsz] = counts.get(obs.local_bsz, 0) + 1
+    xs = np.array(sorted(sums))
+    ys = np.array([sums[x] / counts[x] for x in xs])
+    return _nonneg_linear_fit(xs, ys)
+
+
+def reference_fit(observations: list[Observation],
+                  gamma: float = GAMMA) -> FitResult:
+    """The full throughput fit, recomputed from every observation."""
+    alpha_c, beta_c = reference_compute_params(observations)
+    intra_points: list[tuple[int, float]] = []
+    inter_points: list[tuple[int, float]] = []
+    for obs in observations:
+        if obs.num_gpus == 1:
+            continue
+        grad = alpha_c + beta_c * obs.local_bsz
+        sync = invert_sync_time(obs.iter_time, grad, obs.accum_steps, gamma)
+        target = intra_points if obs.num_nodes == 1 else inter_points
+        target.append((obs.num_gpus, sync))
+
+    alpha_r = beta_r = alpha_n = beta_n = 0.0
+    if intra_points:
+        alpha_r, beta_r = fit_sync_params(intra_points)
+    if inter_points:
+        alpha_n, beta_n = fit_sync_params(inter_points)
+    if intra_points and not inter_points:
+        alpha_n, beta_n = alpha_r * 3.0, beta_r * 3.0
+    elif inter_points and not intra_points:
+        alpha_r, beta_r = alpha_n / 3.0, beta_n / 3.0
+
+    params = ThroughputParams(alpha_c=alpha_c, beta_c=beta_c,
+                              alpha_r=alpha_r, beta_r=beta_r,
+                              alpha_n=alpha_n, beta_n=beta_n, gamma=gamma)
+    return FitResult(
+        params=params,
+        has_single_gpu=any(o.num_gpus == 1 for o in observations),
+        has_intra_node=bool(intra_points),
+        has_inter_node=bool(inter_points),
+    )

@@ -1,6 +1,8 @@
 """Tests for the per-job Goodput Estimator: profiling modes, bootstrapping
 lifecycle (Section 3.2), caching."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.types import Configuration, ProfilingMode
@@ -33,7 +35,7 @@ class TestProfiling:
         assert cost > 0
         assert est.profiling_gpu_seconds == cost
         for t in TYPES:
-            assert est._types[t].observations
+            assert est._types[t].running.reports
 
     def test_bootstrap_cost_is_small(self):
         """Section 3.2: < 20 GPU-seconds per GPU type on average."""
@@ -44,7 +46,7 @@ class TestProfiling:
     def test_oracle_profiles_nothing(self):
         est = make_estimator(ProfilingMode.ORACLE)
         assert est.profile_initial() == 0.0
-        assert not est._types["t4"].observations
+        assert not est._types["t4"].running.reports
 
     def test_no_prof_profiles_nothing(self):
         est = make_estimator(ProfilingMode.NO_PROF)
@@ -211,9 +213,10 @@ class TestIncrementalCacheInvalidation:
         assert after != before
 
     def test_unchanged_fit_keeps_every_entry_warm(self):
-        """A running job re-reports the iteration time it reported before
-        (zero observation noise): the refits reproduce the stored fits bit
-        for bit, so no entry — own-fit or bootstrapped — is evicted."""
+        """A running job re-reports the iteration times it reported before
+        (zero observation noise), round after round: the refits reproduce
+        the stored fits up to float noise (``FIT_RTOL``), so no entry —
+        own-fit or bootstrapped — is evicted and no epoch moves."""
         est = make_estimator()
         est.profile_initial()
         rtx_obs = true_observation("bert", "rtx", 1, 2, 16)
@@ -223,14 +226,37 @@ class TestIncrementalCacheInvalidation:
         est.cache_hits = est.cache_misses = 0
         epochs = (est._obs_epoch,
                   [est._types[t].epoch for t in TYPES])
-        profiled = est._types["t4"].observations[0]
-        for obs in (rtx_obs, profiled):
-            assert est.add_observation(obs)
-        assert est.goodput_batch(configs).tolist() == before.tolist()
+        # The first size profile_initial measured on t4.
+        first_size = max(1, min(est.constraints.min_bsz,
+                                est.max_local_bsz("t4")))
+        profiled = true_observation("bert", "t4", 1, 1, first_size)
+        rounds = 50
+        for _ in range(rounds):
+            for obs in (rtx_obs, profiled):
+                assert est.add_observation(obs)
+            assert est.goodput_batch(configs).tolist() == before.tolist()
         assert est.cache_misses == 0
-        assert est.cache_hits == len(configs)
+        assert est.cache_hits == rounds * len(configs)
         assert (est._obs_epoch,
                 [est._types[t].epoch for t in TYPES]) == epochs
+
+    def test_small_real_change_still_invalidates(self):
+        """A report 1e-6 relative off its predecessor is evidence, not
+        float noise: the refit moves the fit past ``FIT_RTOL``, so the
+        type epoch moves and the entries reading it miss."""
+        est = make_estimator()
+        est.profile_initial()
+        rtx_obs = true_observation("bert", "rtx", 1, 2, 16)
+        est.add_observation(rtx_obs)
+        configs = [Configuration(1, k, "rtx") for k in (1, 2, 4)]
+        est.goodput_batch(configs)
+        est.cache_hits = est.cache_misses = 0
+        epoch = est._types["rtx"].epoch
+        assert est.add_observation(
+            replace(rtx_obs, iter_time=rtx_obs.iter_time * (1 + 1e-6)))
+        est.goodput_batch(configs)
+        assert est._types["rtx"].epoch == epoch + 1
+        assert est.cache_misses == len(configs) and est.cache_hits == 0
 
     def test_lazy_refit_on_other_type_invalidates_bootstrap_entry(self):
         """The bootstrapped t4 entry reads rtx's fit, which is refitted

@@ -1,13 +1,20 @@
 """Tests for online throughput-model fitting: fitted parameters must recover
-synthetic ground truth from the measurements the simulator produces."""
+synthetic ground truth from the measurements the simulator produces, and the
+running fit state must equal the whole-list reference of ``tests/oracle.py``
+bit for bit."""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.perf.fitting import (Observation, fit_compute_params,
-                                fit_sync_params, fit_throughput_params,
-                                invert_sync_time)
+from repro.perf.estimator import JobConstraints
+from repro.perf.fitting import (FIT_RTOL, FitResult, Observation, RunningFit,
+                                fit_compute_params, fit_sync_params,
+                                fit_throughput_params, invert_sync_time)
 from repro.perf.throughput import ThroughputModel, ThroughputParams
+from repro.schedulers.pollux import PolluxEstimator
+from tests.oracle import reference_compute_params, reference_fit
 
 TRUE = ThroughputParams(alpha_c=0.02, beta_c=0.003,
                         alpha_r=0.015, beta_r=0.002,
@@ -152,3 +159,109 @@ class TestFullFit:
         fit = fit_throughput_params(observations)
         assert fit.params.alpha_c >= 0
         assert fit.params.beta_c >= 0
+
+
+
+#: one drawn report: ``(num_nodes, gpus per node, local_bsz, accum_steps,
+#: jitter)``.  Few distinct values, so duplicate reports (and their
+#: averaging noise) are common; GPU counts drawn in any order make the
+#: smallest count shrink over time.
+_REPORTS = st.tuples(st.integers(1, 3), st.sampled_from([1, 2, 4, 8]),
+                     st.sampled_from([8, 16, 32, 64]), st.integers(1, 3),
+                     st.sampled_from([1.0, 1.0, 1.0, 0.9, 1.25]))
+#: a step is a report, or None: fit now.
+_STEPS = st.lists(st.one_of(_REPORTS, st.none()), min_size=1, max_size=40)
+
+
+def _report(step, gpu_type="t4") -> Observation:
+    n, per_node, m, s, jitter = step
+    k = n * per_node
+    return Observation(gpu_type=gpu_type, num_nodes=n, num_gpus=k,
+                       local_bsz=m, accum_steps=s,
+                       iter_time=TRUE_MODEL.iter_time(m, k, n, s) * jitter)
+
+
+class TestRunningFit:
+    """The running state equals the whole-list reference bit for bit
+    (``repr`` round-trips floats exactly, so equal reprs are equal bits)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_STEPS)
+    def test_matches_reference_after_any_sequence(self, steps):
+        state = RunningFit()
+        seen: list[Observation] = []
+        for step in [*steps, None]:
+            if step is not None:
+                seen.append(_report(step))
+                state.add(seen[-1])
+            elif seen:
+                assert repr(state.fit()) == repr(reference_fit(seen))
+                assert state.compute_params() == \
+                    reference_compute_params(seen)
+        if seen:
+            assert repr(fit_throughput_params(seen)) == \
+                repr(reference_fit(seen))
+            assert fit_compute_params(seen) == reference_compute_params(seen)
+
+    def test_shrinking_smallest_count_refits_compute(self):
+        """A 4-GPU job later seen on 2 GPUs, then 1: each smaller count
+        restarts the compute sums and re-inverts every multi-GPU report."""
+        state = RunningFit()
+        seen = []
+        for k in (4, 4, 8, 2, 4, 1, 2):
+            for m in (16, 32):
+                seen.append(obs(k=k, m=m, s=2 if k == 8 else 1))
+                state.add(seen[-1])
+            assert repr(state.fit()) == repr(reference_fit(seen))
+        assert state.fit().has_single_gpu
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=_STEPS)
+    def test_pollux_shared_state_matches_reference(self, steps):
+        """Pollux maps every GPU type to one shared state: reports on any
+        type fold into one running fit, equal to the reference over all
+        accepted reports."""
+        types = ("t4", "rtx", "a100")
+        est = PolluxEstimator("bert", JobConstraints(min_bsz=8, max_bsz=512),
+                              types)
+        accepted: list[Observation] = []
+        for i, step in enumerate(steps):
+            if step is None:
+                continue
+            report = _report(step, gpu_type=types[i % len(types)])
+            if est.add_observation(report):
+                accepted.append(report)
+        states = {id(est._types[t]) for t in types}
+        assert len(states) == 1
+        if accepted:
+            running = est._types["t4"].running
+            assert running.reports == len(accepted)
+            assert repr(running.fit()) == repr(reference_fit(accepted))
+
+
+class TestFitDeadBand:
+    def fit(self, **changes) -> FitResult:
+        return replace(fit_throughput_params(
+            [obs(m=32), obs(m=64), obs(k=4, m=32)]), **changes)
+
+    def scaled(self, fit: FitResult, factor: float) -> FitResult:
+        return replace(fit, params=replace(
+            fit.params, alpha_c=fit.params.alpha_c * factor))
+
+    def test_float_noise_reproduces(self):
+        stored = self.fit()
+        assert stored.reproduces(stored)
+        assert self.scaled(stored, 1 + FIT_RTOL / 2).reproduces(stored)
+
+    def test_real_change_does_not_reproduce(self):
+        stored = self.fit()
+        assert not self.scaled(stored, 1 + 1e-6).reproduces(stored)
+        assert not self.scaled(stored, 1 + 4 * FIT_RTOL).reproduces(stored)
+
+    def test_flags_and_zero_must_match_exactly(self):
+        stored = self.fit()
+        assert not self.fit(has_inter_node=True).reproduces(stored)
+        assert not stored.reproduces(None)
+        zero = replace(stored, params=replace(stored.params, beta_n=0.0))
+        tiny = replace(stored, params=replace(stored.params, beta_n=1e-300))
+        assert not tiny.reproduces(zero)

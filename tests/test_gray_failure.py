@@ -224,10 +224,10 @@ class TestEstimatorDefense:
         est = self.make()
         self.seed_window(est)
         epoch_before = est._obs_epoch
-        count_before = len(est._types["t4"].observations)
+        count_before = est._types["t4"].running.reports
         assert est.add_observation(obs(iter_time=5.0)) is False
         assert est._obs_epoch == epoch_before
-        assert len(est._types["t4"].observations) == count_before
+        assert est._types["t4"].running.reports == count_before
 
     def test_window_too_small_accepts_anything_finite(self):
         est = self.make()
