@@ -1,18 +1,22 @@
-"""Capture the policy bench's MILP fixture from one sia-helios64 pass.
+"""Capture the policy bench's MILP fixtures from one end-to-end pass.
 
-Runs one untraced seed-1 pass of the end-to-end ``sia-helios64`` workload
+Runs one untraced seed-1 pass of an end-to-end Sia workload
 (``benchmarks/e2e/scenarios.py``), records every instance the ``milp``
 backend receives, and writes every 8th one, NaN cells as ``null``.  The
 configuration columns and capacities are the same in every round, so
 they are stored once.  ``policy_bench.py`` times the ``milp`` backend
 over these instances: captured rounds make the solver search, where the
-synthetic policy points leave every GPU type slack.
+synthetic policy points leave every GPU type slack.  The sia-helios64
+rounds bind capacity and exercise the lattice DP; the sia-scale1024
+rounds rarely bind, but many have near-tied options.
 
-Run:  PYTHONPATH=src python benchmarks/perf/milp_fixture.py
+Run:  PYTHONPATH=src python benchmarks/perf/milp_fixture.py \
+          [--workload sia-helios64|sia-scale1024]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
@@ -21,14 +25,17 @@ from pathlib import Path
 
 from repro.core import ilp
 
-FIXTURE = Path(__file__).with_name("milp_helios64.json")
+#: the fixture each capturable workload writes.
+FIXTURES = {"sia-helios64": Path(__file__).with_name("milp_helios64.json"),
+            "sia-scale1024": Path(__file__).with_name("milp_scale1024.json")}
 
 #: keep one captured instance in this many.
 STRIDE = 8
 
 
-def capture() -> list[ilp.AssignmentProblem]:
-    """Every ``milp`` instance of one untraced seed-1 sia-helios64 pass."""
+def capture(workload: str) -> list[ilp.AssignmentProblem]:
+    """Every ``milp`` instance of one untraced seed-1 pass of
+    ``workload``."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "e2e"))
     import scenarios
 
@@ -42,7 +49,7 @@ def capture() -> list[ilp.AssignmentProblem]:
     ilp._solve_milp = recording
     try:
         with tempfile.TemporaryDirectory() as workdir:
-            scenarios.sia_helios64(1, False, Path(workdir)) \
+            scenarios.WORKLOADS[workload](1, False, Path(workdir)) \
                 .simulator.run()
     finally:
         ilp._solve_milp = solve
@@ -70,8 +77,8 @@ def encode(problems: list[ilp.AssignmentProblem]) -> str:
     return header + ',"instances":[\n' + ",\n".join(lines) + "\n]}\n"
 
 
-def load() -> list[ilp.AssignmentProblem]:
-    data = json.loads(FIXTURE.read_text())
+def load(fixture: Path) -> list[ilp.AssignmentProblem]:
+    data = json.loads(fixture.read_text())
     return [ilp.AssignmentProblem(
         utilities=[[math.nan if v is None else v for v in row]
                    for row in instance["utilities"]],
@@ -82,7 +89,16 @@ def load() -> list[ilp.AssignmentProblem]:
         for instance in data["instances"]]
 
 
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(FIXTURES),
+                        default="sia-helios64")
+    args = parser.parse_args(argv)
+    fixture = FIXTURES[args.workload]
+    problems = capture(args.workload)[::STRIDE]
+    fixture.write_text(encode(problems))
+    print(f"wrote {len(problems)} instances to {fixture}")
+
+
 if __name__ == "__main__":
-    problems = capture()[::STRIDE]
-    FIXTURE.write_text(encode(problems))
-    print(f"wrote {len(problems)} instances to {FIXTURE}")
+    main()

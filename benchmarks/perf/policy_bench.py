@@ -11,15 +11,17 @@ Measures, per (cluster size, job count) point:
 * steady-state estimator cache hit rate across consecutive rounds, with
   every placed job re-reporting its iteration time between rounds as in
   the engine;
-* the ``milp`` solver point: ``solve_assignment(p, "milp")`` over every
-  instance of ``milp_helios64.json`` (captured sia-helios64 rounds, see
-  ``milp_fixture.py``).  The synthetic points leave every GPU type slack,
-  so their MILPs never search; these rounds do.
+* the ``milp`` solver points: ``solve_assignment(p, "milp")`` over every
+  instance of ``milp_helios64.json`` and ``milp_scale1024.json``
+  (captured sia-helios64 and sia-scale1024 rounds, see
+  ``milp_fixture.py``).  The synthetic points leave every GPU type slack
+  and their options far apart, so their MILPs never search; these rounds
+  bind capacity (helios64) or hold near-tied options (scale1024).
 
 Each policy point's gated column is one of its ``backends`` columns: MILP
 up to 256 GPUs, tiered beyond (:func:`gated_backend`).  The 4096-GPU point
-also carries the round-latency target it is reported against.  The solver
-point is gated on its pass over the fixture.
+also carries the round-latency target it is reported against.  Each solver
+point is gated on its pass over its fixture.
 
 Results land in ``BENCH_policy.json``.  ``--check-baseline`` compares the
 gated values against a committed baseline and exits non-zero on a >
@@ -27,7 +29,7 @@ gated values against a committed baseline and exits non-zero on a >
 lacks, which is how CI gates performance regressions.  ``--sizes`` /
 ``--backends`` narrow a run to those policy points (CI uses ``--sizes
 1024`` for the large-point gate without paying for 4096); without
-``--sizes``, the solver point runs too.
+``--sizes``, the solver points run too.
 
 Run:  PYTHONPATH=src python benchmarks/perf/policy_bench.py [--quick]
 """
@@ -41,7 +43,7 @@ import sys
 import time
 from pathlib import Path
 
-from milp_fixture import FIXTURE, load
+from milp_fixture import FIXTURES, load
 
 from repro.cluster import presets
 from repro.core.ilp import solve_assignment
@@ -60,7 +62,7 @@ JOBS_PER_64 = 16
 #: to time.
 FULL_COMPARE_MAX_GPUS = 256
 
-#: passes the solver point makes over its fixture; the median is gated.
+#: passes a solver point makes over its fixture; the median is gated.
 FIXTURE_PASSES = 5
 
 #: per-round policy latency targets (seconds) reported next to a point's
@@ -227,17 +229,17 @@ def measure_point(size: int, n_jobs: int, rounds: int,
     return point
 
 
-def measure_fixture() -> dict:
-    """The solver point: :data:`FIXTURE_PASSES` timed passes of the
-    ``milp`` backend over every instance of the fixture."""
-    problems = load()
+def measure_fixture(fixture: Path) -> dict:
+    """A solver point: :data:`FIXTURE_PASSES` timed passes of the
+    ``milp`` backend over every instance of ``fixture``."""
+    problems = load(fixture)
     passes, solves = [], []
     for _ in range(FIXTURE_PASSES):
         start = time.perf_counter()
         for problem in problems:
             solves.append(solve_assignment(problem, "milp").solve_time)
         passes.append(time.perf_counter() - start)
-    return {"fixture": FIXTURE.name, "instances": len(problems),
+    return {"fixture": fixture.name, "instances": len(problems),
             "backends": {"milp": {
                 "pass_median": statistics.median(passes),
                 "solve_median": statistics.median(solves),
@@ -254,7 +256,8 @@ def run_bench(quick: bool, sizes: tuple[int, ...] | None = None,
                             backends=backends)
               for size in sizes]
     if not narrowed:
-        points.append(measure_fixture())
+        points.extend(measure_fixture(fixture)
+                      for fixture in FIXTURES.values())
     return {"benchmark": "policy_round", "jobs_per_64_gpus": JOBS_PER_64,
             "points": points}
 

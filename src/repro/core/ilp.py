@@ -9,20 +9,24 @@ utility on every feasible pair, which is how we encode it.
 Interchangeable backends (:data:`BACKENDS`):
 
 * ``milp``       — the exact optimum (the default; stands in for the
-  paper's CVXPY/GLPK_MI).  Small instances are solved by a max-plus DP
-  over the used capacity of the GPU types that can bind
-  (:func:`_solve_lattice`); HiGHS's mixed-integer solver takes lattices
-  above :data:`_DP_MAX_WORK` and near-ties.  The DP answers only when the
-  optimum is unique by more than twice HiGHS's optimality gap: its
-  backtrack recomputes every option at each cell of the optimal path, and
-  any assignment within that margin either ends in another final cell
-  within it or leaves the path at a cell where its option is within it.
-  HiGHS must return a solution within its gap, so it returns this same
-  optimum, and every decision is HiGHS's.  HiGHS runs with its
-  feasibility-jump primal heuristic off (:data:`_MILP_OPTIONS`): that
-  heuristic hunts for a first feasible point, but this problem always has
-  one (the forced pairs, every other variable 0), and branch-and-bound
-  still proves optimality to the same gap, so the answers are unchanged.
+  paper's CVXPY/GLPK_MI).  :func:`_solve_lattice` answers first: each
+  job's own best option when those fit capacity together, else a
+  max-plus DP over the used capacity of the GPU types that can bind.
+  HiGHS's mixed-integer solver takes lattices above :data:`_DP_MAX_WORK`
+  and ties within the margin below.  HiGHS runs at optimality gap 0 (:data:`_MILP_OPTIONS`), so
+  it prunes only branches that cannot beat its incumbent by its
+  feasibility tolerance :data:`_MIP_TOL`; an optimum unique by more than
+  twice that is the one HiGHS returns, and the DP answers only then.
+  Both checks are complete: the per-job check needs every other option
+  of every job to trail by the margin, and the DP's backtrack recomputes
+  every option at each cell of the optimal path, so any assignment within
+  the margin either ends in another final cell within it or leaves the
+  path at a cell where its option is within it.  Every decision is thus
+  HiGHS's.  HiGHS runs with its feasibility-jump primal heuristic off:
+  that heuristic hunts for a first feasible point, but this problem
+  always has one (the forced pairs, every other variable 0), and
+  branch-and-bound still proves optimality, so the answers are
+  unchanged.
 * ``lp_round``   — HiGHS LP relaxation + deterministic rounding (Gavel's
   trick: the relaxation is near-integral for this constraint shape, so
   rounding its support by goodput-per-GPU and repairing capacity greedily
@@ -75,22 +79,24 @@ FALLBACKS = ("lp_round", "greedy")
 #: rounding takes over.
 TIER_LP_VARS = 4096
 
-#: HiGHS's MIP optimality gap, relative and absolute, at HiGHS's own
-#: defaults.  Every MILP solve passes it (:data:`_MILP_OPTIONS`), and the
-#: lattice DP reads it: an optimum unique by more than this gap is the one
-#: HiGHS returns (:func:`_solve_lattice`).
-_MIP_REL_GAP = 1e-4
-_MIP_ABS_GAP = 1e-6
+#: HiGHS's MIP feasibility tolerance, its own default, passed on every
+#: MILP (:data:`_MILP_OPTIONS`).  At optimality gap 0 HiGHS prunes only
+#: branches that cannot beat its incumbent by this much, so an optimum
+#: unique by more than ``2 * _MIP_TOL * max(1, |best|)`` is the one HiGHS
+#: returns, and :func:`_solve_lattice` answers exactly those instances.
+_MIP_TOL = 1e-6
 
-#: HiGHS options every integral solve passes: the optimality gap above,
-#: and the feasibility-jump primal heuristic off.  That heuristic searches
-#: for a first feasible point, but the assignment problem always has one:
-#: the forced pairs with every other variable at 0.  On seeded
-#: sia-helios64 rounds it was over half of each MILP solve, and skipping
-#: it leaves every assignment unchanged: branch-and-bound still proves
-#: optimality to the same gap.  LP-relaxation solves do not take it.
+#: HiGHS options every integral solve passes: optimality gap 0, relative
+#: and absolute, so HiGHS stops only at the optimum; the feasibility
+#: tolerance above; and the feasibility-jump primal heuristic off.  That
+#: heuristic searches for a first feasible point, but the assignment
+#: problem always has one: the forced pairs with every other variable at
+#: 0.  On seeded sia-helios64 rounds it was over half of each MILP solve,
+#: and skipping it leaves every assignment unchanged: branch-and-bound
+#: still proves optimality.  LP-relaxation solves do not take these.
 _MILP_OPTIONS = {"mip_heuristic_run_feasibility_jump": False,
-                 "mip_rel_gap": _MIP_REL_GAP, "mip_abs_gap": _MIP_ABS_GAP}
+                 "mip_rel_gap": 0.0, "mip_abs_gap": 0.0,
+                 "mip_feasibility_tolerance": _MIP_TOL}
 
 #: work cap of the ``milp`` lattice DP, in lattice cells x (job, option)
 #: pairs, estimated before any table is built: above it HiGHS solves the
@@ -324,6 +330,24 @@ class _PairSystem:
         return int(self.pair_jobs.size)
 
 
+def _capacity_types(problem: AssignmentProblem,
+                    ) -> tuple[list[int], np.ndarray]:
+    """Every GPU type the instance names, as ``(caps, config_pos)``: the
+    types run in ``capacities`` order, then in first appearance among the
+    configurations; ``caps[k]`` is type ``k``'s capacity, 0 for a type
+    ``capacities`` lacks, and ``config_pos[j]`` is column ``j``'s type."""
+    types = list(problem.capacities)
+    pos = {t: k for k, t in enumerate(types)}
+    for t in problem.config_types:
+        if t not in pos:
+            pos[t] = len(types)
+            types.append(t)
+    caps = [int(problem.capacities.get(t, 0)) for t in types]
+    config_pos = np.fromiter((pos[t] for t in problem.config_types),
+                             dtype=np.int64, count=len(problem.config_types))
+    return caps, config_pos
+
+
 def _assemble(problem: AssignmentProblem) -> _PairSystem | None:
     """Sparse constraint assembly: one variable per feasible (job, config)
     pair; each constraint row touches only its own pairs, so the matrix has
@@ -343,31 +367,27 @@ def _assemble(problem: AssignmentProblem) -> _PairSystem | None:
     n_job_rows = int(unique_jobs.size)
 
     # (b) per-GPU-type capacity, one row per type with >= 1 feasible pair,
-    # in ``capacities`` iteration order.
-    cap_types = list(problem.capacities)
-    type_pos = {t: k for k, t in enumerate(cap_types)}
-    config_type_pos = np.fromiter(
-        (type_pos.get(t, -1) for t in problem.config_types),
-        dtype=np.int64, count=len(problem.config_types))
+    # in :func:`_capacity_types` order; a type ``capacities`` lacks has
+    # capacity 0.
+    caps, config_type_pos = _capacity_types(problem)
     pair_type = config_type_pos[pair_cols]
-    typed = np.flatnonzero(pair_type >= 0)
-    hit_types = np.unique(pair_type[typed])  # sorted == capacities order
-    type_row = np.full(len(cap_types), -1, dtype=np.int64)
+    hit_types = np.unique(pair_type)  # sorted == _capacity_types order
+    type_row = np.full(len(caps), -1, dtype=np.int64)
     type_row[hit_types] = n_job_rows + np.arange(hit_types.size)
 
-    entry_rows = np.concatenate([job_row, type_row[pair_type[typed]]])
-    entry_cols = np.concatenate([np.arange(n_vars), typed])
+    variables = np.arange(n_vars)
+    entry_rows = np.concatenate([job_row, type_row[pair_type]])
+    entry_cols = np.concatenate([variables, variables])
     entry_vals = np.concatenate([
         np.ones(n_vars),
-        problem.config_gpus[pair_cols[typed]].astype(float),
+        problem.config_gpus[pair_cols].astype(float),
     ])
     n_rows = n_job_rows + int(hit_types.size)
     a_matrix = csr_array((entry_vals, (entry_rows, entry_cols)),
                          shape=(n_rows, n_vars))
     uppers = np.concatenate([
         np.ones(n_job_rows),
-        np.array([float(problem.capacities[cap_types[k]])
-                  for k in hit_types.tolist()]),
+        np.asarray(caps, dtype=float)[hit_types],
     ])
 
     lb = np.zeros(n_vars)
@@ -425,8 +445,9 @@ def _highs_solve(problem: AssignmentProblem, *, integral: bool,
 
 def _solve_milp(problem: AssignmentProblem,
                 time_limit: float | None = None) -> AssignmentSolution:
-    """The ``milp`` backend: the lattice DP where it is exact and
-    affordable, HiGHS otherwise.  Both return the same optimum."""
+    """The ``milp`` backend: :func:`_solve_lattice` where its optimum is
+    unique by the margin and affordable, HiGHS otherwise.  Both return
+    the same optimum."""
     assignment = _solve_lattice(problem)
     if assignment is None:
         return _solve_highs_milp(problem, time_limit=time_limit)
@@ -473,30 +494,39 @@ def _solve_lp_relaxation(problem: AssignmentProblem,
 
 # -- capacity-lattice DP (milp's exact path) ----------------------------------
 
-def _solve_lattice(problem: AssignmentProblem) -> dict[int, int] | None:
-    """The optimal assignment by a max-plus DP over used capacity, or None
-    when HiGHS must decide.
+def _margin(best: float) -> float:
+    """How far every other assignment must trail the optimum ``best`` for
+    HiGHS, which prunes by :data:`_MIP_TOL` at gap 0, to return it too."""
+    return 2 * _MIP_TOL * max(1.0, abs(best))
 
-    GPU types whose summed per-job maximum demand fits their capacity can
-    never bind and are dropped.  The state is the used GPUs of the rest,
-    in a box that grows as jobs are added; ``tables[i + 1]`` holds the
-    best value of jobs ``0..i`` at each state.  Returns None when the work
-    estimate exceeds :data:`_DP_MAX_WORK`, when a pair's GPU type has no
-    capacity entry (HiGHS leaves it unconstrained), or when another
-    assignment comes within twice the HiGHS gap of the optimum: only a
-    unique optimum is certainly the one HiGHS returns.  Raises
-    RuntimeError when the forced pairs exceed capacity.
+
+def _solve_lattice(problem: AssignmentProblem) -> dict[int, int] | None:
+    """The optimal assignment, when it is unique by :func:`_margin`, or
+    None when HiGHS must decide.
+
+    First, each job takes its own best option (:func:`_solve_argmax`);
+    when those fit capacity together and every runner-up trails by the
+    margin, that is the answer, whatever the lattice would cost.  Else a
+    max-plus DP over used capacity: GPU types whose summed per-job maximum
+    demand fits their capacity can never bind and are dropped.  The state
+    is the used GPUs of the rest, in a box that grows as jobs are added;
+    ``tables[i + 1]`` holds the best value of jobs ``0..i`` at each
+    state.  Returns None when the work estimate exceeds
+    :data:`_DP_MAX_WORK`, or when another assignment comes within the
+    margin of the optimum: only such a unique optimum is certainly the
+    one HiGHS returns.  A type ``capacities`` lacks has capacity 0, as in
+    HiGHS's model.  Raises RuntimeError when the forced pairs exceed
+    capacity.
     """
+    caps, config_pos = _capacity_types(problem)
+    assignment = _solve_argmax(problem, caps, config_pos)
+    if assignment is not None:
+        return assignment
     util = problem.utilities
     feasible = ~np.isnan(util)
-    cap_types = list(problem.capacities)
-    type_pos = {t: k for k, t in enumerate(cap_types)}
-    config_pos = [type_pos.get(t, -1) for t in problem.config_types]
+    config_pos = config_pos.tolist()
     gpus = problem.config_gpus.tolist()
     used_cols = np.flatnonzero(feasible.any(axis=0)).tolist()
-    if any(config_pos[j] < 0 for j in used_cols):
-        return None
-    caps = [int(problem.capacities[t]) for t in cap_types]
 
     # Each job's options (config columns; -1 is "no allocation") and its
     # largest demand on every type.
@@ -560,7 +590,7 @@ def _solve_lattice(problem: AssignmentProblem) -> dict[int, int] | None:
                            "capacity")
     if not math.isfinite(top):
         return None
-    tol = 2 * max(_MIP_REL_GAP * max(1.0, abs(top)), _MIP_ABS_GAP)
+    tol = _margin(top)
     if np.count_nonzero(final >= top - tol) > 1:
         return None
 
@@ -589,6 +619,42 @@ def _solve_lattice(problem: AssignmentProblem) -> dict[int, int] | None:
         if j >= 0:
             chosen[i] = j
     return dict(sorted(chosen.items()))
+
+
+def _solve_argmax(problem: AssignmentProblem, caps: list[int],
+                  config_pos: np.ndarray) -> dict[int, int] | None:
+    """Every job's own best option, when together they fit ``caps`` and
+    every job's runner-up trails its best by more than :func:`_margin` of
+    their sum; else None.  Any other assignment then changes some job's
+    option and loses more than the margin, so this is the unique optimum.
+    A runner-up that could not fit still counts, which keeps the check
+    conservative; the DP decides what it declines."""
+    util = problem.utilities
+    n_jobs, n_configs = util.shape
+    # One column per configuration, then "no allocation" (value 0).
+    values = np.zeros((n_jobs, n_configs + 1))
+    values[:, :n_configs] = np.where(np.isnan(util), -math.inf, util)
+    if problem.forced:
+        rows = list(problem.forced)
+        cols = list(problem.forced.values())
+        kept = values[rows, cols]
+        values[rows] = -math.inf
+        values[rows, cols] = kept
+    jobs = np.arange(n_jobs)
+    pick = values.argmax(axis=1)
+    best = values[jobs, pick]
+    values[jobs, pick] = -math.inf
+    runner_up = values.max(axis=1)
+    top = float(best.sum())
+    if not (math.isfinite(top) and np.all(best - runner_up > _margin(top))):
+        return None
+    allocated = np.flatnonzero(pick < n_configs)
+    cols = pick[allocated]
+    used = np.bincount(config_pos[cols], weights=problem.config_gpus[cols],
+                       minlength=len(caps))
+    if np.any(used > np.asarray(caps)):
+        return None
+    return dict(zip(allocated.tolist(), cols.tolist()))
 
 
 # -- LP relaxation + deterministic rounding backend ---------------------------

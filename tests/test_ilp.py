@@ -116,6 +116,17 @@ class TestBackends:
         p = problem([[1.0]], [1], ["t4"], {"t4": 1})
         assert solve_assignment(p).solve_time >= 0
 
+    def test_untyped_config_gets_nothing_on_every_backend(self):
+        """A GPU type without a capacity entry has capacity 0 on every
+        backend, so its configs go unassigned and no round degrades."""
+        p = problem([[1.0, 2.0], [NAN, 3.0]], [1, 1], ["A", "Z"], {"A": 1})
+        for backend in ilp.BACKENDS:
+            solution, degraded = ilp.solve_with_fallback(p, backend)
+            served = ilp.select_backend(p) if backend == "tiered" else backend
+            assert solution.backend == served
+            assert solution.assignment == {0: 0} and not degraded
+        assert ilp._solve_highs_milp(p).assignment == {0: 0}
+
 
 #: an option no HiGHS build knows: what a build predating
 #: ``ilp._MILP_OPTIONS`` sees.
@@ -123,8 +134,9 @@ UNKNOWN_OPTIONS = {"mip_heuristic_unknown_to_this_highs": False}
 
 
 class TestHighsOptions:
-    """Every HiGHS MILP passes ``ilp._MILP_OPTIONS``: the optimality gap
-    and the feasibility-jump heuristic off.  No warning about those
+    """Every HiGHS MILP passes ``ilp._MILP_OPTIONS``: optimality gap 0,
+    the feasibility tolerance the lattice DP's margin is built on, and the
+    feasibility-jump heuristic off.  No warning about those
     options escapes a solve, whether this HiGHS build knows them or not,
     and the answer stays optimal.  These solves call HiGHS directly; the
     ``milp`` backend would serve such small instances by the lattice
@@ -138,6 +150,12 @@ class TestHighsOptions:
                         [2.5, 4.5, 6.0, 6.0]],
                        [1, 2, 4, 2], ["A", "A", "B", "B"],
                        {"A": 3, "B": 4}, forced={0: 1, 3: 3})
+
+    def test_gap_zero_at_the_dp_tolerance(self):
+        options = ilp._MILP_OPTIONS
+        assert options["mip_rel_gap"] == 0 and options["mip_abs_gap"] == 0
+        assert options["mip_feasibility_tolerance"] == ilp._MIP_TOL
+        assert not options["mip_heuristic_run_feasibility_jump"]
 
     @pytest.mark.parametrize("time_limit", [None, 10.0])
     @pytest.mark.parametrize("known", [True, False],
@@ -321,8 +339,64 @@ class TestLattice:
         assert solution.objective == pytest.approx(
             ilp._solve_highs_milp(p).objective)
 
-    def test_untyped_config_goes_to_highs(self):
-        """A type without a capacity entry is unconstrained in HiGHS's
-        model; the DP leaves such instances to it."""
-        p = problem([[1.0, 2.0]], [1, 1], ["A", "Z"], {"A": 1})
+    @staticmethod
+    def near_tie(kind: str, rel: float) -> AssignmentProblem:
+        """Two options ``rel`` apart relative to the optimum 1.0.  Slack:
+        one job picks between two configs and capacity never binds, so
+        the argmax check decides.  Binding: two jobs want the one GPU, so
+        the DP decides."""
+        if kind == "slack":
+            return problem([[1.0, 1.0 - rel]], [1, 1], ["A", "A"], {"A": 2})
+        return problem([[1.0], [1.0 - rel]], [1], ["A"], {"A": 1})
+
+    @pytest.mark.parametrize("kind", ["slack", "binding"])
+    def test_runner_up_beyond_the_margin_skips_highs(self, monkeypatch,
+                                                     kind):
+        """1e-5 relative: inside the old 1e-4 optimality gap, outside
+        ``2 * _MIP_TOL``."""
+        p = self.near_tie(kind, 1e-5)
+        assert ilp._solve_lattice(p) == {0: 0}
+        assert ilp._solve_highs_milp(p).assignment == {0: 0}
+        calls = self.spy_highs(monkeypatch)
+        assert solve_assignment(p, "milp").assignment == {0: 0}
+        assert not calls
+
+    @pytest.mark.parametrize("rel", [1.5e-6, 0.0], ids=["near-tie", "tie"])
+    @pytest.mark.parametrize("kind", ["slack", "binding"])
+    def test_runner_up_within_the_margin_goes_to_highs(self, monkeypatch,
+                                                       kind, rel):
+        p = self.near_tie(kind, rel)
+        assert rel < 2 * ilp._MIP_TOL
         assert ilp._solve_lattice(p) is None
+        calls = self.spy_highs(monkeypatch)
+        solution = solve_assignment(p, "milp")
+        assert len(calls) == 1
+        assert solution.assignment == ilp._solve_highs_milp(p).assignment
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), binding=st.booleans())
+    def test_answers_match_highs_on_planted_near_ties(self, data, binding):
+        """Whenever the argmax check or the DP answers, HiGHS at gap 0
+        returns the same assignment, on instances with options planted
+        1e-8 to 1e-3 relative below another (same job or another job's
+        option on the same config)."""
+        p = data.draw(random_instances())
+        util = p.utilities.copy()
+        cells = np.argwhere(~np.isnan(util))
+        if not len(cells):
+            return
+        for _ in range(data.draw(st.integers(1, 3))):
+            i, j = cells[data.draw(st.integers(0, len(cells) - 1))]
+            rel = 10.0 ** data.draw(st.floats(-8.0, -3.0))
+            row = data.draw(st.integers(0, p.n_jobs - 1))
+            col = data.draw(st.integers(0, p.n_configs - 1))
+            if row == i and col == j:
+                continue
+            util[row, col] = util[i, j] * (1.0 - rel)
+        caps = dict(p.capacities)
+        if not binding:  # every job's largest demand fits at once
+            caps = {t: int(sum(p.config_gpus)) * p.n_jobs for t in caps}
+        p = problem(util, p.config_gpus, p.config_types, caps)
+        assignment = ilp._solve_lattice(p)
+        if assignment is not None:
+            assert assignment == ilp._solve_highs_milp(p).assignment

@@ -165,9 +165,9 @@ def _record_highs_calls(monkeypatch) -> list:
     """Wrap scipy's ``milp`` as the ILP module calls it; returns the list
     each call's ``(integral, options)`` is appended to.  ``options`` is
     copied before scipy consumes it, and ``{}`` when none were passed.
-    The ``milp`` backend's lattice DP is capped below any instance's
-    work, so every ``milp`` solve reaches HiGHS."""
-    monkeypatch.setattr(ilp, "_DP_MAX_WORK", -1)
+    The ``milp`` backend's argmax check and lattice DP decline every
+    instance, so every ``milp`` solve reaches HiGHS."""
+    monkeypatch.setattr(ilp, "_solve_lattice", lambda problem: None)
     seen = []
     real = ilp.milp
 
