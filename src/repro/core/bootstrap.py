@@ -71,28 +71,32 @@ class BootstrapModel:
             own_single, ref_single,
             reference.throughput(local_bsz, num_gpus, num_nodes, accum_steps))
 
-    def throughput_batch(self, local_bsz: np.ndarray,
-                         num_gpus: np.ndarray | int,
-                         num_nodes: np.ndarray | int,
-                         accum_steps: np.ndarray | int = 1) -> np.ndarray:
-        """Vectorized :meth:`throughput`: the reference is chosen per
-        candidate, elementwise."""
-        own_single = self.own.throughput_batch(local_bsz, 1, 1, 1)
-        if not self.refs:
-            return own_single * num_gpus
-        for i, model in enumerate(self.refs):
-            single = model.throughput_batch(local_bsz, 1, 1, 1)
-            multi = model.throughput_batch(local_bsz, num_gpus, num_nodes,
-                                           accum_steps)
-            score = np.where(single > 0, single, -np.inf)
-            if i == 0:
-                ref_single, ref_multi, best = single, multi, score
-                continue
-            wins = score > best
-            ref_single = np.where(wins, single, ref_single)
-            ref_multi = np.where(wins, multi, ref_multi)
-            best = np.maximum(best, score)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            estimate = own_single / ref_single * ref_multi
-        return np.where(np.isfinite(ref_single) & (ref_single > 0),
-                        estimate, own_single * num_gpus)
+
+def bootstrap_rows(own_single: np.ndarray,
+                   refs: list[tuple[np.ndarray, np.ndarray]],
+                   num_gpus: np.ndarray | int) -> np.ndarray:
+    """:meth:`BootstrapModel.throughput` over candidate rows.
+
+    ``own_single`` is each row's 1-GPU throughput on its own type, and
+    ``refs`` holds one ``(single, multi)`` pair of row arrays per
+    reference slot, in listing order: the slot's 1-GPU throughput and its
+    throughput at the row's plan.  A NaN ``single`` marks a slot the row
+    has no reference in; it scores -inf, like a non-positive one, so it
+    never wins.  Per row the largest positive ``single`` wins, the first
+    slot on ties, and a row with no winner scales ``own_single`` perfectly.
+    """
+    if not refs:
+        return own_single * num_gpus
+    for i, (single, multi) in enumerate(refs):
+        score = np.where(single > 0, single, -np.inf)
+        if i == 0:
+            ref_single, ref_multi, best = single, multi, score
+            continue
+        wins = score > best
+        ref_single = np.where(wins, single, ref_single)
+        ref_multi = np.where(wins, multi, ref_multi)
+        best = np.maximum(best, score)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        estimate = own_single / ref_single * ref_multi
+    return np.where(np.isfinite(ref_single) & (ref_single > 0),
+                    estimate, own_single * num_gpus)

@@ -6,14 +6,20 @@ One estimator exists per job.  It owns
 * the job's statistical-efficiency model (one per job, shared across types),
 * the profiling mode (Oracle / No-Prof / Bootstrap, Section 5.7).
 
-The central query is :meth:`goodput_batch`: the best achievable goodput for
-each of a job's feasible configurations, after optimizing the batch plan
-under the job's adaptivity constraints.  Cache misses are evaluated in one
-grouped pass: their candidate grids are concatenated and ranked together
-(:func:`repro.perf.goodput.best_plans`).  Throughput estimates route through
-one dispatch that mirrors Section 3.2: :meth:`JobPerfEstimator._cache_token`
-names the branch and :meth:`JobPerfEstimator._branch_model` builds its one
-model, which both the batched pass and the scalar re-rank evaluate:
+The central query is the best batch plan, and its goodput, for each of a
+job's feasible configurations under the job's adaptivity constraints.
+:func:`plan_requests` answers it for many estimators at once, and
+:func:`goodput_rows` is how Sia, the rigid baselines and Gavel rate a
+whole round in one call.  Each estimator probes its own cache,
+and then the misses of every job share one pass, in which their candidate
+grids are concatenated, rated on per-candidate model parameters and ranked
+together (:func:`repro.perf.goodput.best_plans`).
+:meth:`JobPerfEstimator.best_plans` (behind ``goodput_batch``,
+``best_plan`` and ``goodput``) is the one-estimator case.  Throughput
+estimates route through one dispatch that mirrors Section 3.2:
+:meth:`JobPerfEstimator._cache_token` names the branch and
+:meth:`JobPerfEstimator._branch_model` builds its one model, whose
+parameters the batched pass reads and which the scalar re-rank evaluates:
 
 1. Oracle mode, or a fitted model whose communication behaviour has actually
    been observed -> trust the model.
@@ -34,17 +40,19 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.bootstrap import BootstrapModel
+from repro.core.bootstrap import BootstrapModel, bootstrap_rows
 from repro.core.types import Configuration, ProfilingMode
 from repro.perf import profiles
 from repro.perf.efficiency import EfficiencyModel, EfficiencyParams
 from repro.perf.fitting import FitResult, Observation, RunningFit
-from repro.perf.goodput import (BatchPlan, GoodputModel, GridBatch,
+from repro.perf.goodput import (BatchPlan, GoodputModel, Grid, GridBatch,
                                 best_plans, candidate_grid)
-from repro.perf.throughput import ThroughputModel, ThroughputParams
+from repro.perf.throughput import (ThroughputModel, ThroughputParams,
+                                   throughput_rows)
 
 #: Type-blind prior used when nothing at all is known (No-Prof cold start).
 _PRIOR_PARAMS = ThroughputParams(alpha_c=0.05, beta_c=0.01,
@@ -355,10 +363,7 @@ class JobPerfEstimator:
     def goodput_batch(self, configs: list[Configuration]) -> np.ndarray:
         """Goodput for every configuration in one call — fills a whole
         utility row of the policy's matrix at once."""
-        return np.fromiter(
-            (plan.goodput if plan is not None else 0.0
-             for plan in self.best_plans(configs)),
-            dtype=float, count=len(configs))
+        return plan_goodputs(self.best_plans(configs))
 
     def best_plan(self, config: Configuration) -> BatchPlan | None:
         """Optimized batch plan for a configuration under the job's limits."""
@@ -366,30 +371,35 @@ class JobPerfEstimator:
 
     def best_plans(self, configs: list[Configuration],
                    ) -> list[BatchPlan | None]:
-        """Optimized batch plans for many configurations.
+        """Optimized batch plans for many configurations: the
+        one-estimator case of :func:`plan_requests`, inlined because the
+        engine's per-job plan lookups, nearly all hits, would pay for
+        building its request list on every call."""
+        misses: list[_Miss] = []
+        plans = self._probe(configs, misses)
+        if misses:
+            _plan_misses(misses)
+        return plans
 
-        Hits cost one dict probe; all misses share one grouped pass
-        (:meth:`_evaluate`).
-        """
+    def _probe(self, configs: list[Configuration],
+               misses: list[_Miss]) -> list[BatchPlan | None]:
+        """The cached plan of every configuration still valid under its
+        :meth:`_cache_token`, with ``None`` in place of each miss, which
+        is appended to ``misses`` for :func:`_plan_misses` to fill."""
         plans: list[BatchPlan | None] = []
-        misses: list[tuple[int, Configuration, tuple]] = []
         cache = self._goodput_cache
-        for i, config in enumerate(configs):
+        missed = len(misses)
+        for config in configs:
             token = self._cache_token(config.gpu_type, config.num_gpus)
             cached = cache.get(config)
             if cached is not None and cached[0] == token:
                 plans.append(cached[1])
             else:
-                misses.append((i, config, token))
+                misses.append(_Miss(self, plans, len(plans), config, token))
                 plans.append(None)
-        self.cache_hits += len(plans) - len(misses)
-        self.cache_misses += len(misses)
-        if misses:
-            fresh = self._evaluate([(config, token[0])
-                                    for _, config, token in misses])
-            for (i, config, token), plan in zip(misses, fresh):
-                cache[config] = (token, plan)
-                plans[i] = plan
+        missed = len(misses) - missed
+        self.cache_hits += len(configs) - missed
+        self.cache_misses += missed
         return plans
 
     @property
@@ -398,53 +408,205 @@ class JobPerfEstimator:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
-    def _evaluate(self, queries: list[tuple[Configuration, str]],
-                  ) -> list[BatchPlan | None]:
-        """Best plans for ``(configuration, dispatch branch)`` queries in
-        one grouped pass.
-
-        The queries' candidate grids are concatenated in (GPU type, branch)
-        groups, each group's throughput comes from one
-        :meth:`_branch_model`, and :func:`~repro.perf.goodput.best_plans`
-        ranks every grid at once, re-ranking shortlists on the same models.
-        """
-        limits = self.constraints
-        groups: dict[tuple[str, str], list[int]] = {}
-        grids = {}
-        for i, (config, branch) in enumerate(queries):
-            grid = candidate_grid(
-                config.num_gpus,
-                max_local_bsz=self.max_local_bsz(config.gpu_type),
-                max_total_bsz=limits.max_bsz,
-                min_total_bsz=limits.min_bsz,
-                fixed_total_bsz=limits.fixed_total_bsz)
-            if grid is not None:
-                grids[i] = grid
-                groups.setdefault((config.gpu_type, branch), []).append(i)
-        plans: list[BatchPlan | None] = [None] * len(queries)
-        if not grids:
-            return plans
-        order = [i for members in groups.values() for i in members]
-        batch = GridBatch([(queries[i][0].num_gpus, queries[i][0].num_nodes)
-                           for i in order], [grids[i] for i in order])
-        pieces = []
-        models: list[GoodputModel] = []
-        first = 0
-        for (gpu_type, branch), members in groups.items():
-            model = GoodputModel(self._branch_model(branch, gpu_type),
-                                 self._efficiency)
-            last = first + len(members)
-            pieces.append(model.throughput_model.throughput_batch(
-                *batch.columns(first, last)))
-            models += [model] * len(members)
-            first = last
-        found = best_plans(batch, np.concatenate(pieces), self._efficiency,
-                           models)
-        for i, plan in zip(order, found):
-            plans[i] = plan
-        return plans
-
     @property
     def efficiency_model(self) -> EfficiencyModel:
         return self._efficiency
 
+
+class _Miss(NamedTuple):
+    """One cache miss, and where its plan goes."""
+
+    estimator: JobPerfEstimator
+    #: the plan list of the miss's request, and the miss's index in it.
+    plans: list
+    index: int
+    config: Configuration
+    token: tuple
+
+
+#: The parameters of a missing Equation (1) reference slot.  They are NaN,
+#: so the slot's 1-GPU throughput is NaN and it never wins
+#: (:func:`~repro.core.bootstrap.bootstrap_rows`).
+_NO_REFERENCE = ThroughputModel(ThroughputParams(
+    *[math.nan] * 6, gamma=math.nan))
+
+
+def plan_goodputs(plans: list[BatchPlan | None]) -> np.ndarray:
+    """The goodput of every plan, 0 where there is none."""
+    return np.fromiter(
+        (plan.goodput if plan is not None else 0.0 for plan in plans),
+        dtype=float, count=len(plans))
+
+
+def goodput_rows(requests: list[tuple[object, list[Configuration]]],
+                 span=None) -> list[np.ndarray]:
+    """The goodput row of every ``(estimator, configurations)`` request, in
+    request order.  The rows of every :class:`JobPerfEstimator` come from
+    one :func:`plan_requests` pass (``span`` as there); any other
+    estimator (hybrid, latency-SLO) answers with its own
+    ``goodput_batch``."""
+    rows: list[np.ndarray | None] = [None] * len(requests)
+    ours = [i for i, (estimator, _) in enumerate(requests)
+            if isinstance(estimator, JobPerfEstimator)]
+    for i, plans in zip(ours, plan_requests([requests[i] for i in ours],
+                                            span)):
+        rows[i] = plan_goodputs(plans)
+    for i, (estimator, configs) in enumerate(requests):
+        if rows[i] is None:
+            rows[i] = estimator.goodput_batch(configs)
+    return rows
+
+
+def plan_requests(requests: list[tuple[JobPerfEstimator,
+                                       list[Configuration]]],
+                  span=None) -> list[list[BatchPlan | None]]:
+    """Best batch plans for many ``(estimator, configurations)`` requests:
+    one goodput pass for a whole scheduling round.
+
+    Each estimator probes its own cache first (counting its own hits and
+    misses), and no batch state is built unless something missed; then
+    every miss of every request is planned together by
+    :func:`_plan_misses`.  Each plan equals the one the estimator alone
+    would return.  ``span``, when given, is annotated with ``misses``
+    (misses planned on a candidate grid) and ``candidates`` (grid points
+    rated).
+    """
+    misses: list[_Miss] = []
+    results = [estimator._probe(configs, misses)
+               for estimator, configs in requests]
+    segments, candidates = _plan_misses(misses) if misses else (0, 0)
+    if span is not None:
+        span.annotate(misses=segments, candidates=candidates)
+    return results
+
+
+def _plan_misses(misses: list[_Miss]) -> tuple[int, int]:
+    """Plan every miss in one pass, store each plan in its request's plan
+    list and its estimator's cache, and return the number of segments and
+    of candidates rated.
+
+    The candidate grids of all misses become segments of one
+    :class:`~repro.perf.goodput.GridBatch`: those on a
+    :class:`~repro.perf.throughput.ThroughputModel` (oracle, trusted fit,
+    prior) first, then those on a
+    :class:`~repro.core.bootstrap.BootstrapModel`, so each kind is one
+    contiguous slice.  Model parameters are per segment: each becomes a
+    per-candidate column with one ``np.repeat``, and the sync time is the
+    scalar :meth:`~repro.perf.throughput.ThroughputModel.sync_time` of the
+    segment's shape.  Goodput multiplies throughput by each estimator's own
+    efficiency, and :func:`~repro.perf.goodput.best_plans` ranks every
+    segment, re-ranking its shortlist on the segment's scalar model.
+    """
+    plain: list[tuple[_Miss, Grid, GoodputModel]] = []
+    boot: list[tuple[_Miss, Grid, GoodputModel]] = []
+    models: dict[tuple, GoodputModel] = {}
+    for miss in misses:
+        estimator, _, _, config, token = miss
+        limits = estimator.constraints
+        grid = candidate_grid(
+            config.num_gpus,
+            max_local_bsz=estimator.max_local_bsz(config.gpu_type),
+            max_total_bsz=limits.max_bsz,
+            min_total_bsz=limits.min_bsz,
+            fixed_total_bsz=limits.fixed_total_bsz)
+        if grid is None:
+            continue
+        key = (estimator, config.gpu_type, token[0])
+        model = models.get(key)
+        if model is None:
+            model = models[key] = GoodputModel(
+                estimator._branch_model(token[0], config.gpu_type),
+                estimator._efficiency)
+        (boot if token[0] == "boot" else plain).append((miss, grid, model))
+    segments = plain + boot
+    candidates = 0
+    if segments:
+        batch = GridBatch([(miss.config.num_gpus, miss.config.num_nodes)
+                           for miss, _, _ in segments],
+                          [grid for _, grid, _ in segments])
+        goodput = _goodput(batch, [model for _, _, model in segments],
+                           len(plain))
+        for (miss, _, _), plan in zip(segments, best_plans(
+                batch, goodput, [model for _, _, model in segments])):
+            miss.plans[miss.index] = plan
+        candidates = len(goodput)
+    # Cache in miss order, as each estimator probed.
+    for estimator, plans, i, config, token in misses:
+        estimator._goodput_cache[config] = (token, plans[i])
+    return len(segments), candidates
+
+
+def _goodput(batch: GridBatch, models: list[GoodputModel],
+             split: int) -> np.ndarray:
+    """Goodput of every candidate of ``batch``, whose segments ``:split``
+    run on a :class:`ThroughputModel` and the rest on a
+    :class:`BootstrapModel`, segment ``s`` under ``models[s]``."""
+    parts = []
+    for first, last, rows in ((0, split, _plain_rows),
+                              (split, len(batch), _bootstrap_rows)):
+        if first == last:
+            continue
+        lo, hi = batch.bounds[first], batch.bounds[last]
+        local, accum = batch.locals_[lo:hi], batch.accums[lo:hi]
+        gpus = batch.column([k for k, _ in batch.shapes[first:last]],
+                            first, last)
+        xput = rows(batch, [m.throughput_model for m in models[first:last]],
+                    first, last, local, accum, gpus)
+        # Efficiency per estimator: one call per run of segments sharing one.
+        totals = gpus * local * accum
+        runs = [first, *(s for s in range(first + 1, last)
+                         if models[s].efficiency_model
+                         is not models[s - 1].efficiency_model), last]
+        efficiency = [models[a].efficiency_model.efficiency_batch(
+            totals[batch.bounds[a] - lo:batch.bounds[b] - lo])
+            for a, b in zip(runs, runs[1:])]
+        parts.append(xput * (efficiency[0] if len(efficiency) == 1
+                             else np.concatenate(efficiency)))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _param_rows(batch: GridBatch, models: list[ThroughputModel],
+                first: int, last: int) -> tuple:
+    """The ``alpha_c``, ``beta_c`` and ``gamma`` columns of segments
+    ``first:last``, segment ``s`` on ``models[s - first]``."""
+    params = [model.params for model in models]
+    return (batch.column([p.alpha_c for p in params], first, last),
+            batch.column([p.beta_c for p in params], first, last),
+            batch.column([p.gamma for p in params], first, last))
+
+
+def _sync_rows(batch: GridBatch, models: list[ThroughputModel],
+               first: int, last: int) -> np.ndarray | float:
+    """The sync-time column of segments ``first:last``: each segment's
+    scalar :meth:`ThroughputModel.sync_time` at its shape."""
+    return batch.column([model.sync_time(nodes, gpus) for model, (gpus, nodes)
+                         in zip(models, batch.shapes[first:last])],
+                        first, last)
+
+
+def _plain_rows(batch: GridBatch, models: list[ThroughputModel],
+                first: int, last: int, local: np.ndarray, accum: np.ndarray,
+                gpus: np.ndarray | int) -> np.ndarray:
+    """Throughput of segments ``first:last``, each on its own model."""
+    return throughput_rows(local, accum, gpus,
+                           *_param_rows(batch, models, first, last),
+                           _sync_rows(batch, models, first, last))
+
+
+def _bootstrap_rows(batch: GridBatch, models: list[BootstrapModel],
+                    first: int, last: int, local: np.ndarray,
+                    accum: np.ndarray, gpus: np.ndarray | int) -> np.ndarray:
+    """Equation (1) throughput of segments ``first:last``, each on its own
+    :class:`BootstrapModel`.  Reference slot ``r`` holds each segment's
+    ``r``-th reference, padded with :data:`_NO_REFERENCE`."""
+    own = _param_rows(batch, [model.own for model in models], first, last)
+    refs = []
+    for r in range(max(len(model.refs) for model in models)):
+        slot = [model.refs[r] if r < len(model.refs) else _NO_REFERENCE
+                for model in models]
+        params = _param_rows(batch, slot, first, last)
+        refs.append((throughput_rows(local, 1, 1, *params, 0.0),
+                     throughput_rows(local, accum, gpus, *params,
+                                     _sync_rows(batch, slot, first, last))))
+    return bootstrap_rows(throughput_rows(local, 1, 1, *own, 0.0), refs,
+                          gpus)

@@ -12,6 +12,13 @@ steps maximizing goodput, subject to
 
 Gradient accumulation lets memory-limited GPUs reach statistically-optimal
 total batch sizes (Section 3.1, "Heterogeneous Execution").
+
+:func:`best_plans` ranks the concatenated candidate grids of many
+allocation shapes (a :class:`GridBatch`) in one pass, each segment under
+its own scalar :class:`GoodputModel`, so the segments may belong to
+different jobs, GPU types and throughput models: the estimator's round
+pass (:func:`repro.perf.estimator.plan_requests`) ranks every cache miss of
+a scheduling round this way.
 """
 
 from __future__ import annotations
@@ -167,38 +174,28 @@ class GridBatch:
     def __len__(self) -> int:
         return len(self.shapes)
 
-    def shape_column(self, field: int, first: int = 0,
-                     last: int | None = None) -> np.ndarray | int:
-        """Per-candidate ``num_gpus`` (``field`` 0) or ``num_nodes`` (1) of
-        segments ``first:last``: a scalar when those segments agree, so
-        throughput keeps the scalar sync time."""
-        values = [shape[field] for shape in self.shapes[first:last]]
-        if len(set(values)) == 1:
+    def column(self, values: list, first: int = 0,
+               last: int | None = None) -> np.ndarray | float:
+        """The per-candidate column of segments ``first:last`` that repeats
+        ``values[s]``, one value per segment, over segment ``s``; the value
+        itself when there is one segment, for numpy to broadcast."""
+        if len(values) == 1:
             return values[0]
-        return np.repeat(values, self.sizes[first:last])
-
-    def columns(self, first: int, last: int) -> tuple:
-        """``(locals, gpus, nodes, accums)`` of segments ``first:last``."""
-        lo, hi = self.bounds[first], self.bounds[last]
-        return (self.locals_[lo:hi], self.shape_column(0, first, last),
-                self.shape_column(1, first, last), self.accums[lo:hi])
+        return np.array(values).repeat(self.sizes[first:last])
 
 
-def best_plans(batch: GridBatch, xput: np.ndarray,
-               efficiency_model: EfficiencyModel,
+def best_plans(batch: GridBatch, goodput: np.ndarray,
                models: list["GoodputModel"]) -> list[BatchPlan | None]:
     """The best plan of every segment of ``batch``, in one grouped pass.
 
-    ``xput`` is the batched throughput of every candidate and ``models[s]``
-    the scalar model of segment ``s`` (all sharing ``efficiency_model``).
-    Each segment's maximum comes from one ``np.maximum.reduceat``; its
-    shortlist within ``_SHORTLIST_RTOL`` is re-ranked through the scalar
-    :meth:`GoodputModel.evaluate` in grid order, keeping the first strictly
-    greater goodput, so every returned plan is bit-identical to that
-    per-candidate loop over the segment alone.
+    ``goodput`` is the batched goodput of every candidate and ``models[s]``
+    the scalar model of segment ``s``.  Each segment's maximum comes from
+    one ``np.maximum.reduceat``; its shortlist within ``_SHORTLIST_RTOL``
+    is re-ranked through the scalar :meth:`GoodputModel.evaluate` in grid
+    order, keeping the first strictly greater goodput, so every returned
+    plan is bit-identical to that per-candidate loop over the segment
+    alone, whatever the other segments are.
     """
-    totals = batch.shape_column(0) * batch.locals_ * batch.accums
-    goodput = xput * efficiency_model.efficiency_batch(totals)
     bounds = batch.bounds
     floors = [best - _SHORTLIST_RTOL * abs(best)
               for best in np.maximum.reduceat(goodput, bounds[:-1]).tolist()]
@@ -260,7 +257,9 @@ class GoodputModel:
         batch = GridBatch([(num_gpus, num_nodes)], [grid])
         xput = self.throughput_model.throughput_batch(
             batch.locals_, num_gpus, num_nodes, batch.accums)
-        return best_plans(batch, xput, self.efficiency_model, [self])[0]
+        goodput = xput * self.efficiency_model.efficiency_batch(
+            num_gpus * batch.locals_ * batch.accums)
+        return best_plans(batch, goodput, [self])[0]
 
     def goodput(self, num_gpus: int, num_nodes: int, *,
                 max_local_bsz: int, max_total_bsz: int,

@@ -101,56 +101,34 @@ class ThroughputModel:
         total = num_gpus * local_bsz * accum_steps
         return total / self.iter_time(local_bsz, num_gpus, num_nodes, accum_steps)
 
-    # -- vectorized entry points ------------------------------------------
-
-    def sync_time_batch(self, num_nodes: np.ndarray,
-                        num_gpus: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`sync_time` over arrays of allocation shapes."""
-        gpus = np.asarray(num_gpus)
-        nodes = np.asarray(num_nodes)
-        if np.any((nodes < 1) | (nodes > gpus)):
-            raise ValueError("invalid allocation shape")
-        p = self.params
-        extra = np.maximum(gpus - 2, 0)
-        multi = np.where(nodes == 1, p.alpha_r + p.beta_r * extra,
-                         p.alpha_n + p.beta_n * extra)
-        return np.where(gpus == 1, 0.0, multi)
-
-    def iter_time_batch(self, local_bsz: np.ndarray,
-                        num_gpus: np.ndarray | int,
-                        num_nodes: np.ndarray | int,
-                        accum_steps: np.ndarray | int = 1) -> np.ndarray:
-        """Vectorized :meth:`iter_time`.
-
-        Every argument may be an array: per-GPU batch size, accumulation
-        steps *and* the allocation shape ``(num_gpus, num_nodes)`` vary
-        elementwise, so one call evaluates the concatenated candidate grids
-        of many configurations.  A scalar shape keeps the scalar sync time.
-        """
-        local = np.asarray(local_bsz, dtype=float)
-        accum = np.asarray(accum_steps, dtype=float)
-        if local.size and local.min() <= 0:
-            raise ValueError("local_bsz must be positive")
-        if accum.size and accum.min() < 1:
-            raise ValueError("accum_steps must be >= 1")
-        p = self.params
-        t_grad = p.alpha_c + p.beta_c * local
-        if not isinstance(num_gpus, np.ndarray) \
-                and not isinstance(num_nodes, np.ndarray):
-            t_sync = self.sync_time(num_nodes, num_gpus)
-        else:
-            t_sync = self.sync_time_batch(num_nodes, num_gpus)
-        g = p.gamma
-        overlapped = (t_grad ** g + t_sync ** g) ** (1.0 / g)
-        return (accum - 1) * t_grad + overlapped
-
-    def throughput_batch(self, local_bsz: np.ndarray,
-                         num_gpus: np.ndarray | int,
-                         num_nodes: np.ndarray | int,
+    def throughput_batch(self, local_bsz: np.ndarray, num_gpus: int,
+                         num_nodes: int,
                          accum_steps: np.ndarray | int = 1) -> np.ndarray:
-        """Vectorized :meth:`throughput`; arguments as :meth:`iter_time_batch`."""
-        local = np.asarray(local_bsz, dtype=float)
-        accum = np.asarray(accum_steps, dtype=float)
-        total = num_gpus * local * accum
-        return total / self.iter_time_batch(local, num_gpus, num_nodes, accum)
+        """Vectorized :meth:`throughput` over batch plans of one allocation
+        shape: :func:`throughput_rows` with this model's parameters."""
+        p = self.params
+        return throughput_rows(local_bsz, accum_steps, num_gpus, p.alpha_c,
+                               p.beta_c, p.gamma,
+                               self.sync_time(num_nodes, num_gpus))
 
+
+def throughput_rows(local_bsz: np.ndarray, accum_steps: np.ndarray | int,
+                    num_gpus: np.ndarray | int, alpha_c: np.ndarray | float,
+                    beta_c: np.ndarray | float, gamma: np.ndarray | float,
+                    sync: np.ndarray | float) -> np.ndarray:
+    """Throughput of candidate rows, each with its own model parameters.
+
+    Row ``i`` is the plan ``(local_bsz[i], accum_steps[i])`` on
+    ``num_gpus[i]`` GPUs under compute parameters ``alpha_c[i]``,
+    ``beta_c[i]``, overlap exponent ``gamma[i]`` and sync time ``sync[i]``
+    (:meth:`ThroughputModel.sync_time` of the row's shape).  Any argument
+    may be a scalar shared by every row.  This is the only vectorized form
+    of the iteration-time formula: one call rates the candidate grids of
+    many jobs, GPU types and shapes at once, and agrees with the scalar
+    :meth:`ThroughputModel.throughput` up to the last bit of ``pow``.
+    """
+    local = np.asarray(local_bsz, dtype=float)
+    accum = np.asarray(accum_steps, dtype=float)
+    t_grad = alpha_c + beta_c * local
+    overlapped = (t_grad ** gamma + sync ** gamma) ** (1.0 / gamma)
+    return num_gpus * local * accum / ((accum - 1) * t_grad + overlapped)

@@ -67,8 +67,7 @@ class GavelScheduler(Scheduler):
         types = cluster.gpu_types
         capacities = cluster.capacities()
         matrix = np.zeros((len(views), len(types)))
-        for i, view in enumerate(views):
-            rates = fixed_count_rates(view, cluster)
+        for i, rates in enumerate(fixed_count_rates(views, cluster)):
             for k, gpu_type in enumerate(types):
                 if counts[i] <= capacities[gpu_type]:
                     matrix[i, k] = rates[gpu_type]

@@ -35,6 +35,7 @@ import math
 
 from repro.cluster.cluster import Cluster
 from repro.core.types import Allocation, Configuration
+from repro.perf.estimator import goodput_rows
 from repro.schedulers.base import (JobView, RoundPlan, Scheduler,
                                    pack_gpus_on_type)
 
@@ -49,22 +50,27 @@ def fixed_count(view: JobView) -> int:
     return max(1, view.job.effective_min_gpus)
 
 
-def fixed_count_rates(view: JobView, cluster: Cluster) -> dict[str, float]:
-    """The job's goodput at its fixed GPU count on every GPU type, in
-    ``cluster.gpu_types`` order, from one ``goodput_batch`` call.  Each type
-    spans the fewest of its largest nodes; a type with fewer GPUs than the
-    count is rated too (callers that need it to fit check capacity)."""
-    count = fixed_count(view)
+def fixed_count_rates(views: list[JobView],
+                      cluster: Cluster) -> list[dict[str, float]]:
+    """Each job's goodput at its fixed GPU count on every GPU type, in
+    ``cluster.gpu_types`` order, from one goodput pass over all the jobs
+    (:func:`~repro.perf.estimator.goodput_rows`).  Each type spans the
+    fewest of its largest nodes; a type with fewer GPUs than the count is
+    rated too (callers that need it to fit check capacity)."""
     # Largest node per type, in first-appearance (gpu_types) order: one
     # pass instead of a gpu_types and a max_node_size scan per type.
     largest: dict[str, int] = {}
     for node in cluster.nodes:
         if node.num_gpus > largest.get(node.gpu_type, 0):
             largest[node.gpu_type] = node.num_gpus
-    configs = [Configuration(max(1, -(-count // size)), count, gpu_type)
-               for gpu_type, size in largest.items()]
-    return dict(zip(largest,
-                    view.estimator.goodput_batch(configs).tolist()))
+    requests = []
+    for view in views:
+        count = fixed_count(view)
+        requests.append((view.estimator, [
+            Configuration(max(1, -(-count // size)), count, gpu_type)
+            for gpu_type, size in largest.items()]))
+    return [dict(zip(largest, row.tolist()))
+            for row in goodput_rows(requests)]
 
 
 def best_rate(view: JobView, rates: dict[str, float],
@@ -153,7 +159,7 @@ class RigidScheduler(Scheduler):
         with self.tracer.span("bootstrap"):
             queued = self.keep(views, previous, plan, occupancy)
         with self.tracer.span("goodput_eval"):
-            rates = [fixed_count_rates(v, cluster) for v in queued]
+            rates = fixed_count_rates(queued, cluster)
         with self.tracer.span("solve"):
             # FIFO often has nothing queued; skip the cluster scan then.
             capacities = cluster.capacities() if queued else {}

@@ -8,6 +8,8 @@ Each round:
    limits, the <= 2x scale-up rule, allowed GPU types, hybrid replica
    multiples;
 3. query each job's Goodput Estimator for every feasible configuration;
+   the cache misses of all jobs share one goodput pass
+   (:func:`repro.perf.estimator.goodput_rows`);
 4. row-normalize the goodput matrix, discount restarts (Equation 3), shape
    with the fairness power ``p`` and allocation incentive ``lambda``;
 5. solve the 0/1 ILP with per-GPU-type capacity constraints;
@@ -31,6 +33,7 @@ from repro.core.ilp import AssignmentProblem, solve_with_fallback
 from repro.core.placement import place
 from repro.core.policy import SiaPolicyParams
 from repro.core.types import Allocation, Configuration
+from repro.perf.estimator import goodput_rows
 from repro.schedulers.base import JobView, RoundPlan, Scheduler
 
 #: per-round scale-up cap (Section 3.1; "at most 2x per round").
@@ -124,14 +127,19 @@ class SiaScheduler(Scheduler):
             # One index map per round; every per-job lookup below is O(1).
             config_pos = {config: j for j, config in enumerate(configs)}
 
-        with tracer.span("goodput_eval", jobs=len(views), configs=n_configs):
-            # Each job's estimator fills its feasible columns of the dense
-            # (jobs x configs) matrix in one call; the rest stay infeasible.
+        with tracer.span("goodput_eval", jobs=len(views),
+                         configs=n_configs) as span:
+            # Every job fills its feasible columns of the dense (jobs x
+            # configs) matrix, all from one goodput pass; the rest stay
+            # infeasible.
             raw = np.full((len(views), n_configs), math.nan)
-            for i, view in enumerate(views):
-                feasible = self.feasible_configs(view, configs, config_pos)
-                raw[i, feasible] = view.estimator.goodput_batch(
-                    [configs[j] for j in feasible])
+            feasible = [self.feasible_configs(view, configs, config_pos)
+                        for view in views]
+            rows = goodput_rows([(view.estimator, [configs[j] for j in cols])
+                                 for view, cols in zip(views, feasible)],
+                                span)
+            for i, (cols, row) in enumerate(zip(feasible, rows)):
+                raw[i, cols] = row
             min_gpus = [v.job.effective_min_gpus for v in views]
             normalized = gm.normalize_rows(raw, min_gpus)
 

@@ -1,11 +1,13 @@
 """Tests for Equation (1) cross-GPU-type bootstrapping."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.bootstrap import (BootstrapModel, bootstrap_ratio,
-                                  bootstrap_throughput)
+                                  bootstrap_rows, bootstrap_throughput)
 from repro.core.types import ProfilingMode
 from repro.perf import profiles
 from repro.perf.estimator import JobConstraints, JobPerfEstimator
@@ -53,17 +55,18 @@ class Rate:
     def throughput(self, local_bsz, num_gpus, num_nodes, accum_steps=1):
         return self.single if num_gpus == 1 else self.multi
 
-    def throughput_batch(self, local_bsz, num_gpus, num_nodes,
-                         accum_steps=1):
-        return np.full(len(local_bsz),
-                       self.throughput(local_bsz, num_gpus, num_nodes))
+
+def rows(rate: Rate, count: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` candidate rows of one rate: its (single, multi) arrays."""
+    return np.full(count, rate.single), np.full(count, rate.multi)
 
 
 def four_gpu_estimate(model: BootstrapModel) -> float:
-    """The 4-GPU estimate, checked equal on the scalar and batched paths."""
+    """The 4-GPU estimate, checked equal on the scalar and per-row paths."""
     scalar = model.throughput(16, 4, 1)
-    assert model.throughput_batch(np.array([16, 32]), 4, 1).tolist() == \
-        [scalar, scalar]
+    own_single = rows(model.own)[0]
+    assert bootstrap_rows(own_single, [rows(ref) for ref in model.refs],
+                          4).tolist() == [scalar, scalar]
     return scalar
 
 
@@ -83,6 +86,24 @@ class TestBootstrapModel:
         assert four_gpu_estimate(BootstrapModel(own, [])) == 40.0
         assert four_gpu_estimate(
             BootstrapModel(own, [Rate(0.0, 50.0)])) == 40.0
+
+    def test_rows_with_fewer_references_pad_with_nan(self):
+        """Rows of models with different reference lists share slots: a
+        NaN slot never wins, so every row equals its own model's scalar
+        estimate, ties still going to the first listed reference."""
+        own = Rate(10.0, 0.0)
+        models = [BootstrapModel(own, [Rate(20.0, 60.0), Rate(40.0, 100.0)]),
+                  BootstrapModel(own, [Rate(20.0, 60.0), Rate(20.0, 90.0)]),
+                  BootstrapModel(own, [Rate(20.0, 60.0)]),
+                  BootstrapModel(own, [])]
+        missing = Rate(math.nan, math.nan)
+        slots = [[model.refs[r] if r < len(model.refs) else missing
+                  for model in models] for r in range(2)]
+        refs = [(np.array([ref.single for ref in slot]),
+                 np.array([ref.multi for ref in slot])) for slot in slots]
+        assert bootstrap_rows(np.full(4, own.single), refs, 4).tolist() == \
+            [model.throughput(16, 4, 1) for model in models] == \
+            [25.0, 30.0, 30.0, 40.0]
 
     def test_reference_needs_single_gpu_data(self):
         """A type the job ran only multi-GPU on is no Equation (1)

@@ -25,13 +25,13 @@ def rigid_view(job_id, model, cluster, *, gpus=1, submit=0.0, progress=0.0,
 
 def rate(view, cluster) -> float:
     """The job's best fitting rate, as the rigid decide loop computes it."""
-    return best_rate(view, fixed_count_rates(view, cluster),
+    return best_rate(view, fixed_count_rates([view], cluster)[0],
                      cluster.capacities())
 
 
 def place(view, cluster, occupancy, previous):
-    return place_rigid(view, fixed_count_rates(view, cluster), cluster,
-                       occupancy, previous)
+    return place_rigid(view, fixed_count_rates([view], cluster)[0],
+                       cluster, occupancy, previous)
 
 
 class TestFairFinishRatio:

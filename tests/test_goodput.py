@@ -11,7 +11,8 @@ from repro.perf.efficiency import (ConstantEfficiency, EfficiencyModel,
 from repro.perf.goodput import (MAX_ACCUM_STEPS, GoodputModel, GridBatch,
                                 best_plans, candidate_grid,
                                 candidate_local_sizes)
-from repro.perf.throughput import ThroughputModel, ThroughputParams
+from repro.perf.throughput import (ThroughputModel, ThroughputParams,
+                                   throughput_rows)
 from tests.oracle import best_of_grid
 
 PARAMS = ThroughputParams(alpha_c=0.02, beta_c=0.002,
@@ -140,6 +141,24 @@ class TestOptimizeBatchSize:
         assert model.goodput(1, 1, max_local_bsz=0, max_total_bsz=64) == 0.0
 
 
+def batched_goodput(batch: GridBatch, models: list[GoodputModel]):
+    """Per-candidate goodput of ``batch``, segment ``s`` on ``models[s]``."""
+    gpus = batch.column([k for k, _ in batch.shapes])
+    params = [m.throughput_model.params for m in models]
+    xput = throughput_rows(
+        batch.locals_, batch.accums, gpus,
+        batch.column([p.alpha_c for p in params]),
+        batch.column([p.beta_c for p in params]),
+        batch.column([p.gamma for p in params]),
+        batch.column([m.throughput_model.sync_time(n, k)
+                      for m, (k, n) in zip(models, batch.shapes)]))
+    totals = gpus * batch.locals_ * batch.accums
+    eff = np.concatenate([
+        m.efficiency_model.efficiency_batch(totals[lo:hi])
+        for m, lo, hi in zip(models, batch.bounds, batch.bounds[1:])])
+    return xput * eff
+
+
 class TestGroupedPass:
     """``best_plans`` ranks many concatenated grids in one pass; each
     segment's plan must equal the reference loop on that grid alone."""
@@ -153,25 +172,38 @@ class TestGroupedPass:
         grids = self.grids(max_local_bsz=64, max_total_bsz=4096,
                            min_total_bsz=64)
         batch = GridBatch([(k, n) for k, n in self.SHAPES], grids)
-        xput = model.throughput_model.throughput_batch(
-            *batch.columns(0, len(batch)))
-        plans = best_plans(batch, xput, model.efficiency_model,
-                           [model] * len(batch))
+        models = [model] * len(batch)
+        plans = best_plans(batch, batched_goodput(batch, models), models)
         for (k, n), grid, plan in zip(self.SHAPES, grids, plans):
             assert plan == best_of_grid(model, grid[0], k, n)
             assert plan == model.optimize_batch_size(
                 k, n, max_local_bsz=64, max_total_bsz=4096,
                 min_total_bsz=64)
 
+    def test_segments_keep_their_own_models(self, model):
+        """Segments on different throughput and efficiency models, ranked
+        together, each equal the reference loop on their own model."""
+        other = GoodputModel(
+            ThroughputModel(ThroughputParams(
+                alpha_c=0.05, beta_c=0.001, alpha_r=0.02, beta_r=0.004,
+                alpha_n=0.2, beta_n=0.02, gamma=1.3)),
+            EfficiencyModel(EfficiencyParams(5000.0, 128)))
+        unit = GoodputModel(model.throughput_model, ConstantEfficiency())
+        models = [model, other, unit, other, model]
+        grids = self.grids(max_local_bsz=64, max_total_bsz=4096)
+        batch = GridBatch([(k, n) for k, n in self.SHAPES], grids)
+        plans = best_plans(batch, batched_goodput(batch, models), models)
+        for (k, n), grid, m, plan in zip(self.SHAPES, grids, models, plans):
+            assert plan == best_of_grid(m, grid[0], k, n)
+
     @pytest.mark.parametrize("poison", [math.nan, math.inf])
     def test_non_finite_segment_falls_back_to_reference(self, model, poison):
         grids = self.grids(max_local_bsz=64, max_total_bsz=4096)
         batch = GridBatch([(k, n) for k, n in self.SHAPES], grids)
-        xput = model.throughput_model.throughput_batch(
-            *batch.columns(0, len(batch)))
-        xput[batch.bounds[1]] = poison  # poison segment 1 only
-        plans = best_plans(batch, xput, model.efficiency_model,
-                           [model] * len(batch))
+        models = [model] * len(batch)
+        goodput = batched_goodput(batch, models)
+        goodput[batch.bounds[1]] = poison  # poison segment 1 only
+        plans = best_plans(batch, goodput, models)
         for (k, n), grid, plan in zip(self.SHAPES, grids, plans):
             assert plan == best_of_grid(model, grid[0], k, n)
 
@@ -188,7 +220,7 @@ class TestGroupedPass:
         grids = self.grids(max_local_bsz=64, max_total_bsz=4096)
         batch = GridBatch([(k, n) for k, n in self.SHAPES], grids)
         plans = best_plans(batch, np.full(len(batch.locals_), 100.0),
-                           tied.efficiency_model, [tied] * len(batch))
+                           [tied] * len(batch))
         for (k, n), grid, plan in zip(self.SHAPES, grids, plans):
             assert (plan.accum_steps, plan.local_bsz) == grid[0][0]
             assert plan == best_of_grid(tied, grid[0], k, n)

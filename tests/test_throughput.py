@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.perf.throughput import GAMMA, ThroughputModel, ThroughputParams
+from repro.perf.throughput import (GAMMA, ThroughputModel, ThroughputParams,
+                                   throughput_rows)
 
 PARAMS = ThroughputParams(alpha_c=0.01, beta_c=0.001,
                           alpha_r=0.005, beta_r=0.0005,
@@ -95,32 +96,41 @@ class TestThroughput:
 
 class TestBatched:
     SHAPES = [(1, 1), (1, 2), (1, 8), (2, 8), (4, 32)]
+    OTHER = ThroughputParams(alpha_c=0.03, beta_c=0.002,
+                             alpha_r=0.02, beta_r=0.001,
+                             alpha_n=0.1, beta_n=0.01, gamma=1.3)
 
     def test_per_element_shapes_match_scalar(self, model):
-        """One call over candidates of mixed (num_gpus, num_nodes) agrees
-        with the scalar model candidate by candidate."""
+        """One ``throughput_rows`` call over candidates of mixed
+        (num_gpus, num_nodes) and mixed model parameters agrees with each
+        row's scalar model."""
+        models = [model, ThroughputModel(self.OTHER)] * 3
         gpus = np.array([k for _, k in self.SHAPES])
-        nodes = np.array([n for n, _ in self.SHAPES])
         local = np.array([16, 32, 64, 8, 128])
         accum = np.array([1, 2, 1, 4, 1])
-        xput = model.throughput_batch(local, gpus, nodes, accum)
-        for i, (n, k) in enumerate(self.SHAPES):
+        rows = list(zip(models, self.SHAPES))
+        xput = throughput_rows(
+            local, accum, gpus,
+            np.array([m.params.alpha_c for m, _ in rows]),
+            np.array([m.params.beta_c for m, _ in rows]),
+            np.array([m.params.gamma for m, _ in rows]),
+            np.array([m.sync_time(n, k) for m, (n, k) in rows]))
+        for i, (m, (n, k)) in enumerate(rows):
             assert xput[i] == pytest.approx(
-                model.throughput(int(local[i]), k, n, int(accum[i])),
-                rel=1e-12)
-            assert model.sync_time_batch(nodes, gpus)[i] == \
-                model.sync_time(n, k)
+                m.throughput(int(local[i]), k, n, int(accum[i])), rel=1e-12)
 
     def test_scalar_shape_broadcasts(self, model):
         local = np.array([16, 64])
-        assert model.iter_time_batch(local, 8, 2).tolist() == \
-            model.iter_time_batch(local, np.array([8, 8]),
-                                  np.array([2, 2])).tolist()
+        p = PARAMS
+        assert model.throughput_batch(local, 8, 2).tolist() == \
+            throughput_rows(local, np.ones(2), np.array([8, 8]),
+                            np.full(2, p.alpha_c), np.full(2, p.beta_c),
+                            p.gamma,
+                            np.full(2, model.sync_time(2, 8))).tolist()
 
     def test_invalid_shape_rejected(self, model):
         with pytest.raises(ValueError):
-            model.iter_time_batch(np.array([16, 16]), np.array([2, 2]),
-                                  np.array([1, 4]))
+            model.throughput_batch(np.array([16, 16]), 1, 4)
 
 
 class TestParams:

@@ -23,7 +23,10 @@ from repro.core.types import Configuration, ProfilingMode
 from repro.jobs.hybrid import HybridSpec
 from repro.jobs.inference import BatchInferenceEstimator, LatencySLOEstimator
 from repro.perf import profiles
-from repro.perf.estimator import JobConstraints, JobPerfEstimator
+from repro.obs.tracer import Tracer
+from repro.perf import estimator as estimator_module
+from repro.perf.estimator import (JobConstraints, JobPerfEstimator,
+                                  goodput_rows, plan_requests)
 from repro.perf.fitting import Observation
 from repro.perf.goodput import GoodputModel, candidate_grid
 from repro.perf.throughput import ThroughputModel
@@ -165,11 +168,135 @@ class TestEstimatorEquivalence:
             assert float(value) == est.goodput(config)
 
 
-def use_reference_loop(monkeypatch) -> None:
-    """Route every estimator query through the per-configuration loop."""
+#: One request per estimator case of the round pass: (class, model,
+#: profiling mode, fixed total batch size, multi-GPU evidence as
+#: ``(gpu_type, num_gpus)`` reports).
+ROUND_CASES = {
+    "oracle": (JobPerfEstimator, "bert", ProfilingMode.ORACLE, None, ()),
+    "boot-0-refs": (JobPerfEstimator, "resnet50", ProfilingMode.BOOTSTRAP,
+                    None, ()),
+    "boot-1-ref": (JobPerfEstimator, "bert", ProfilingMode.BOOTSTRAP, None,
+                   (("rtx", 2), ("rtx", 4))),
+    "boot-2-refs": (JobPerfEstimator, "yolov3", ProfilingMode.BOOTSTRAP,
+                    None, (("rtx", 2), ("rtx", 4), ("a100", 2), ("a100", 4))),
+    "no-prof-prior": (JobPerfEstimator, "bert", ProfilingMode.NO_PROF, None,
+                      ()),
+    "no-prof-trusted-fit": (JobPerfEstimator, "resnet50",
+                            ProfilingMode.NO_PROF, None,
+                            (("t4", 1), ("t4", 2), ("t4", 4))),
+    "batch-inference": (BatchInferenceEstimator, "bert",
+                        ProfilingMode.BOOTSTRAP, None, (("rtx", 2),)),
+    "pollux": (PolluxEstimator, "yolov3", None, None,
+               (("t4", 1), ("t4", 2), ("t4", 4))),
+    "fixed-total": (JobPerfEstimator, "bert", ProfilingMode.BOOTSTRAP, 64,
+                    (("rtx", 2),)),
+}
+
+#: A shape no fixed-total-64 grid fits (fewer samples than GPUs).
+NO_GRID = Configuration(4, 128, "a100")
+
+
+def build(case: str) -> JobPerfEstimator:
+    """A profiled estimator of one ``ROUND_CASES`` case with its evidence."""
+    cls, model, mode, fixed, evidence = ROUND_CASES[case]
+    profile = profiles.model_profile(model)
+    args = (model, JobConstraints(min_bsz=profile.min_bsz,
+                                  max_bsz=profile.max_bsz,
+                                  fixed_total_bsz=fixed), TYPES)
+    est = cls(*args) if mode is None else cls(*args, mode)
+    est.profile_initial()
+    for gpu_type, k in evidence:
+        est.add_observation(true_observation(model, gpu_type, 1, k, 16))
+    return est
+
+
+class TestRoundPass:
+    """``plan_requests`` plans the misses of many estimators in one pass;
+    every plan and every cache counter must equal each estimator's own
+    ``best_plans`` and the per-candidate reference."""
+
+    ROW = [*CONFIGS, NO_GRID]
+
+    def test_branches_cover_the_cases(self):
+        branches = {case: {build(case)._cache_token(c.gpu_type,
+                                                    c.num_gpus)[0]
+                           for c in CONFIGS} for case in ROUND_CASES}
+        assert branches["oracle"] == {"oracle"}
+        assert branches["no-prof-prior"] == {"prior"}
+        assert branches["pollux"] == {"fit"}
+        assert "boot" in branches["boot-0-refs"]
+        assert {"boot", "fit"} <= branches["boot-1-ref"]
+        refs = {case: len(build(case)._branch_model("boot", "t4").refs)
+                for case in ("boot-0-refs", "boot-1-ref", "boot-2-refs")}
+        assert refs == {"boot-0-refs": 0, "boot-1-ref": 1, "boot-2-refs": 2}
+
+    def test_mixed_request_matches_each_estimator(self):
+        together = {case: build(case) for case in ROUND_CASES}
+        alone = {case: build(case) for case in ROUND_CASES}
+        reference = {case: build(case) for case in ROUND_CASES}
+        for _ in range(2):  # all misses, then all hits
+            results = plan_requests([(est, self.ROW)
+                                     for est in together.values()])
+            for case, plans in zip(ROUND_CASES, results):
+                assert plans == alone[case].best_plans(self.ROW), case
+                assert plans == [reference_plan(reference[case], config)
+                                 for config in self.ROW], case
+                assert (together[case].cache_hits,
+                        together[case].cache_misses) == \
+                    (alone[case].cache_hits, alone[case].cache_misses), case
+        assert all(est.cache_hits == est.cache_misses == len(self.ROW)
+                   for est in together.values())
+        assert together["fixed-total"].best_plan(NO_GRID) is None
+
+    def test_goodput_rows_keep_every_estimator_kind(self):
+        """``goodput_rows`` answers hybrid and latency-SLO rows with their
+        own ``goodput_batch`` and the rest from the shared pass, in
+        request order."""
+        from repro.jobs.hybrid import HybridPerfEstimator
+        ests = [build("boot-1-ref"),
+                HybridPerfEstimator("gpt-2.8b", HybridSpec()),
+                build("oracle"), LatencySLOEstimator("bert", 0.05, TYPES)]
+        alone = [build("boot-1-ref"), ests[1], build("oracle"), ests[3]]
+        rows = goodput_rows([(est, self.ROW) for est in ests])
+        assert [row.tolist() for row in rows] == \
+            [est.goodput_batch(self.ROW).tolist() for est in alone]
+
+    def test_span_counts_segments_and_candidates(self):
+        tracer = Tracer()
+        ests = [build("fixed-total"), build("oracle")]
+        grids = [candidate_grid(
+            c.num_gpus, max_local_bsz=est.max_local_bsz(c.gpu_type),
+            max_total_bsz=est.constraints.max_bsz,
+            min_total_bsz=est.constraints.min_bsz,
+            fixed_total_bsz=est.constraints.fixed_total_bsz)
+            for est in ests for c in self.ROW]
+        for _ in range(2):
+            with tracer.span("goodput_eval") as span:
+                plan_requests([(est, self.ROW) for est in ests], span)
+        first, second = (record.attrs for record in tracer.spans)
+        assert first == {
+            "misses": sum(grid is not None for grid in grids),
+            "candidates": sum(len(grid[0]) for grid in grids
+                              if grid is not None)}
+        assert second == {"misses": 0, "candidates": 0}
+
+
+def use_reference_loop(monkeypatch) -> list:
+    """Route every estimator query through the per-configuration loop;
+    returns the list of requests the round pass was asked for."""
+    calls = []
+
+    def reference_requests(requests, span=None):
+        calls.extend(requests)
+        return [[reference_plan(est, config) for config in configs]
+                for est, configs in requests]
+
     monkeypatch.setattr(JobPerfEstimator, "goodput_batch",
                         reference_goodput_batch)
     monkeypatch.setattr(JobPerfEstimator, "best_plan", reference_plan)
+    monkeypatch.setattr(estimator_module, "plan_requests",
+                        reference_requests)
+    return calls
 
 
 class TestPolicyEquivalence:
@@ -193,12 +320,31 @@ class TestPolicyEquivalence:
         return SiaScheduler().decide(self.make_views(cluster), cluster, {},
                                      0.0)
 
+    def test_decide_annotates_goodput_eval(self):
+        """The round's ``goodput_eval`` span says how much goodput work it
+        did: a cold round plans misses, a repeated round none."""
+        cluster = presets.heterogeneous()
+        scheduler = SiaScheduler()
+        scheduler.tracer = Tracer()
+        views = self.make_views(cluster)
+        for now in (0.0, 60.0):
+            scheduler.decide(views, cluster, {}, now)
+        cold, warm = (span.attrs for span in scheduler.tracer.spans
+                      if span.name == "goodput_eval")
+        assert 0 < cold["misses"] <= sum(
+            view.estimator.cache_misses for view in views)
+        assert cold["candidates"] > cold["misses"]
+        assert (warm["misses"], warm["candidates"]) == (0, 0)
+
     def test_decide_identical_assignments(self, monkeypatch):
         cluster = presets.heterogeneous()
         grouped = self.decide(cluster)
         with monkeypatch.context() as patch:
-            use_reference_loop(patch)
+            calls = use_reference_loop(patch)
             reference = self.decide(cluster)
+        # The reference loop rated every job's row, so the comparison is
+        # not the grouped pass against itself.
+        assert len(calls) == 12 and all(configs for _, configs in calls)
         assert reference.allocations == grouped.allocations
         assert reference.objective == pytest.approx(grouped.objective)
         assert reference.estimates == grouped.estimates
