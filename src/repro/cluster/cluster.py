@@ -10,6 +10,7 @@ The cluster exposes the views the schedulers need:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.cluster.gpu import GPUSpec, gpu_spec
 from repro.cluster.node import Node, NodeGroup, power_of_two_decomposition
@@ -49,16 +50,37 @@ class Cluster:
         return Cluster(nodes=tuple(nodes))
 
     # -- static views ------------------------------------------------------
+    #
+    # Views derive from ``nodes`` once per object and are cached in its
+    # ``__dict__``; ``gpu_types`` and ``signature`` build a new tuple per
+    # call (see why there).  Equality, ``repr`` and the pickle
+    # (:meth:`__getstate__`) see only ``nodes``.
+
+    def __getstate__(self) -> dict:
+        """The declared field only, so cached views never pickle."""
+        return {"nodes": self.nodes}
+
+    @cached_property
+    def _by_type(self) -> dict[str, tuple[Node, ...]]:
+        """:meth:`nodes_of_type` per GPU type asked for so far."""
+        return {}
+
+    @cached_property
+    def _capacities(self) -> dict[str, int]:
+        totals: dict[str, int] = {}
+        for node in self.nodes:
+            totals[node.gpu_type] = totals.get(node.gpu_type, 0) + \
+                node.num_gpus
+        return totals
 
     @property
     def gpu_types(self) -> tuple[str, ...]:
-        """GPU types present, ordered by first appearance."""
-        seen: dict[str, None] = {}
-        for node in self.nodes:
-            seen.setdefault(node.gpu_type, None)
-        return tuple(seen)
+        """GPU types present, ordered by first appearance.  A new tuple per
+        call, as before caching: estimators keep it, and one shared tuple
+        would pickle as a back-reference, changing checkpoint bytes."""
+        return tuple(self._capacities)
 
-    @property
+    @cached_property
     def total_gpus(self) -> int:
         return sum(node.num_gpus for node in self.nodes)
 
@@ -66,23 +88,27 @@ class Cluster:
     def signature(self) -> tuple:
         """Structural identity: (type, size) per node, in order.  It keys
         Sia's configuration-set cache and guards checkpoint resumes (node
-        ids in restored allocations must mean the same nodes)."""
+        ids in restored allocations must mean the same nodes).  Built per
+        call, once a round: both keep it, and a shared one would pickle
+        as a back-reference, changing checkpoint bytes."""
         return tuple((n.gpu_type, n.num_gpus) for n in self.nodes)
 
     def nodes_of_type(self, gpu_type: str) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if n.gpu_type == gpu_type)
+        nodes = self._by_type.get(gpu_type)
+        if nodes is None:
+            nodes = self._by_type[gpu_type] = tuple(
+                n for n in self.nodes if n.gpu_type == gpu_type)
+        return nodes
 
     def capacity(self, gpu_type: str) -> int:
         """Total GPUs of ``gpu_type`` in the cluster."""
-        return sum(n.num_gpus for n in self.nodes_of_type(gpu_type))
+        return self._capacities.get(gpu_type, 0)
 
     def capacities(self) -> dict[str, int]:
-        """Total GPUs per type, in :attr:`gpu_types` order (one pass)."""
-        totals: dict[str, int] = {}
-        for node in self.nodes:
-            totals[node.gpu_type] = totals.get(node.gpu_type, 0) + \
-                node.num_gpus
-        return totals
+        """Total GPUs per type, in :attr:`gpu_types` order: one pass over
+        the nodes per object, and a fresh ``dict`` per call, so a caller
+        that edits it changes nothing here."""
+        return dict(self._capacities)
 
     def max_node_size(self, gpu_type: str) -> int:
         nodes = self.nodes_of_type(gpu_type)

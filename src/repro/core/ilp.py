@@ -173,6 +173,9 @@ class AssignmentSolution:
     lp_bound: float | None = None
     #: a warm start was threaded into the backend that produced this.
     warm_started: bool = False
+    #: which of ``milp``'s paths answered: ``argmax``, ``dp`` or ``highs``
+    #: (:func:`_solve_milp`); '' for the other backends.
+    path: str = ""
 
     def gpus_used(self, problem: AssignmentProblem) -> dict[str, int]:
         used: dict[str, int] = {}
@@ -240,8 +243,9 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
     budget; a timed-out solve returns the best incumbent found, or raises
     if none exists.  The greedy backend and ``milp``'s lattice DP, whose
     cost :data:`_DP_MAX_WORK` bounds, ignore it.  ``tracer`` records
-    an ``ilp_solve`` span around the backend call (annotated with the
-    resolved backend when ``backend='tiered'``).
+    an ``ilp_solve`` span around the backend call, annotated with the
+    resolved backend when ``backend='tiered'`` and with ``path`` when
+    ``milp`` ran.
 
     ``warm_start`` maps job row -> config column of a previous assignment
     already translated onto this problem's indices; infeasible entries are
@@ -268,6 +272,8 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
             raise ValueError(f"unknown backend {backend!r}; "
                              f"choose from {BACKENDS}")
         solution.backend = resolved
+        if solution.path:
+            span.annotate(path=solution.path)
         solution.warm_started = warm is not None and resolved == "lp_round"
         solution.solve_time = time.perf_counter() - start
         _validate(problem, solution)
@@ -447,11 +453,16 @@ def _solve_milp(problem: AssignmentProblem,
                 time_limit: float | None = None) -> AssignmentSolution:
     """The ``milp`` backend: :func:`_solve_lattice` where its optimum is
     unique by the margin and affordable, HiGHS otherwise.  Both return
-    the same optimum."""
-    assignment = _solve_lattice(problem)
-    if assignment is None:
-        return _solve_highs_milp(problem, time_limit=time_limit)
-    return _solution(problem, assignment)
+    the same optimum; the solution's ``path`` names the one that ran."""
+    answer = _solve_lattice(problem)
+    if answer is None:
+        solution = _solve_highs_milp(problem, time_limit=time_limit)
+        solution.path = "highs"
+        return solution
+    path, assignment = answer
+    solution = _solution(problem, assignment)
+    solution.path = path
+    return solution
 
 
 def _solve_highs_milp(problem: AssignmentProblem,
@@ -500,9 +511,11 @@ def _margin(best: float) -> float:
     return 2 * _MIP_TOL * max(1.0, abs(best))
 
 
-def _solve_lattice(problem: AssignmentProblem) -> dict[int, int] | None:
-    """The optimal assignment, when it is unique by :func:`_margin`, or
-    None when HiGHS must decide.
+def _solve_lattice(problem: AssignmentProblem,
+                   ) -> tuple[str, dict[int, int]] | None:
+    """The optimal assignment, when it is unique by :func:`_margin`, with
+    the path that found it (``argmax`` or ``dp``), or None when HiGHS
+    must decide.
 
     First, each job takes its own best option (:func:`_solve_argmax`);
     when those fit capacity together and every runner-up trails by the
@@ -521,7 +534,7 @@ def _solve_lattice(problem: AssignmentProblem) -> dict[int, int] | None:
     caps, config_pos = _capacity_types(problem)
     assignment = _solve_argmax(problem, caps, config_pos)
     if assignment is not None:
-        return assignment
+        return "argmax", assignment
     util = problem.utilities
     feasible = ~np.isnan(util)
     config_pos = config_pos.tolist()
@@ -618,7 +631,7 @@ def _solve_lattice(problem: AssignmentProblem) -> dict[int, int] | None:
         _, j, cell = scored[0]
         if j >= 0:
             chosen[i] = j
-    return dict(sorted(chosen.items()))
+    return "dp", dict(sorted(chosen.items()))
 
 
 def _solve_argmax(problem: AssignmentProblem, caps: list[int],

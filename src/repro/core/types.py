@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class AdaptivityMode(enum.Enum):
@@ -76,12 +77,16 @@ class Allocation:
     ``gpus_per_node`` maps node id -> number of GPUs used on that node.  All
     nodes in one allocation have the same GPU type (Sia never mixes types
     within a job).
+
+    ``num_gpus``, ``node_ids`` and :meth:`configuration` are derived once
+    per object and cached in its ``__dict__``.  Equality, hashing, ``repr``
+    and the pickle (:meth:`__getstate__`) see only the two fields.
     """
 
     gpu_type: str
     gpus_per_node: tuple[tuple[int, int], ...]  # ((node_id, n_gpus), ...)
 
-    @property
+    @cached_property
     def num_gpus(self) -> int:
         return sum(n for _, n in self.gpus_per_node)
 
@@ -89,12 +94,21 @@ class Allocation:
     def num_nodes(self) -> int:
         return len(self.gpus_per_node)
 
-    @property
+    @cached_property
     def node_ids(self) -> tuple[int, ...]:
         return tuple(node_id for node_id, _ in self.gpus_per_node)
 
-    def configuration(self) -> Configuration:
+    @cached_property
+    def _configuration(self) -> Configuration:
         return Configuration(self.num_nodes, self.num_gpus, self.gpu_type)
+
+    def configuration(self) -> Configuration:
+        return self._configuration
+
+    def __getstate__(self) -> dict:
+        """The declared fields only, so cached values never pickle."""
+        return {"gpu_type": self.gpu_type,
+                "gpus_per_node": self.gpus_per_node}
 
     @staticmethod
     def build(gpu_type: str, gpus_per_node: dict[int, int]) -> "Allocation":

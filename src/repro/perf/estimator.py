@@ -294,7 +294,12 @@ class JobPerfEstimator:
         """Whether ``fit`` is evaluated as is at ``num_gpus`` GPUs: at one
         GPU, or once its communication behaviour has been observed.  A
         multi-GPU query on a 1-GPU-only fit goes to Equation (1) or the
-        perfect-scaling assumption instead."""
+        perfect-scaling assumption instead.
+
+        Overrides may read ``num_gpus`` only through ``num_gpus == 1``:
+        :meth:`_probe` computes one :meth:`_cache_token` per GPU type and
+        GPU-count group (one GPU, or more) and reuses it across the
+        group."""
         return num_gpus == 1 or fit.has_multi_gpu
 
     def throughput(self, gpu_type: str, local_bsz: int, num_gpus: int,
@@ -340,19 +345,26 @@ class JobPerfEstimator:
           exists for);
         * bootstrapped / perfect-scaling estimates read *all* types (the
           Equation (1) reference can change with any fit), so they key on
-          the global fit epoch — after refreshing every type's lazy fit,
-          or a stale fit elsewhere would leave that epoch behind.
+          the global fit epoch — after refreshing every dirty type's lazy
+          fit, or a stale fit elsewhere would leave that epoch behind.
+
+        The token depends on ``num_gpus`` only through ``num_gpus == 1``
+        (see :meth:`_trusts_fit`), so one token answers a whole (GPU type,
+        1-GPU or multi-GPU) group.  Within one probe a group's token cannot
+        move after it is first computed: only dirty types refit, and the
+        first token of a group refits every type it reads.
         """
         if self.mode is ProfilingMode.ORACLE:
             return ("oracle", self._eff_epoch)
         state = self._types[gpu_type]
-        fit = self._fit(gpu_type)
+        fit = self._fit(gpu_type) if state.dirty else state.fit
         if fit is None:
             return ("prior", gpu_type, state.epoch, self._eff_epoch)
         if self._trusts_fit(fit, num_gpus):
             return ("fit", gpu_type, state.epoch, self._eff_epoch)
         for other in self.gpu_types:
-            self._fit(other)
+            if self._types[other].dirty:
+                self._fit(other)
         return ("boot", self._obs_epoch, self._eff_epoch)
 
     def goodput(self, config: Configuration) -> float:
@@ -385,12 +397,24 @@ class JobPerfEstimator:
                misses: list[_Miss]) -> list[BatchPlan | None]:
         """The cached plan of every configuration still valid under its
         :meth:`_cache_token`, with ``None`` in place of each miss, which
-        is appended to ``misses`` for :func:`_plan_misses` to fill."""
+        is appended to ``misses`` for :func:`_plan_misses` to fill.
+
+        Consecutive configurations of one (GPU type, 1-GPU or multi-GPU)
+        group share one token, computed at the first of them.  Callers
+        list each group's configurations together (Sia's configuration set
+        is sorted by type, then GPU count), so that is one token per group:
+        lazy refits run in the same order as one token per configuration
+        would run them, and the ``boot`` branch's all-type refresh runs
+        once per group.  A group met again recomputes the same token."""
         plans: list[BatchPlan | None] = []
         cache = self._goodput_cache
+        last_type = last_single = token = None
         missed = len(misses)
         for config in configs:
-            token = self._cache_token(config.gpu_type, config.num_gpus)
+            gpu_type, single = config.gpu_type, config.num_gpus == 1
+            if gpu_type != last_type or single is not last_single:
+                token = self._cache_token(gpu_type, config.num_gpus)
+                last_type, last_single = gpu_type, single
             cached = cache.get(config)
             if cached is not None and cached[0] == token:
                 plans.append(cached[1])
@@ -530,9 +554,11 @@ def _plan_misses(misses: list[_Miss]) -> tuple[int, int]:
                 batch, goodput, [model for _, _, model in segments])):
             miss.plans[miss.index] = plan
         candidates = len(goodput)
-    # Cache in miss order, as each estimator probed.
+    # Cache in miss order, as each estimator probed.  Each entry gets its
+    # own copy of its group's token: a shared tuple would pickle as a
+    # back-reference and change checkpoint bytes.
     for estimator, plans, i, config, token in misses:
-        estimator._goodput_cache[config] = (token, plans[i])
+        estimator._goodput_cache[config] = ((*token,), plans[i])
     return len(segments), candidates
 
 

@@ -141,11 +141,21 @@ class RunningFit:
     * multi-GPU reports are kept, with the sync points inverted from them
       under the cached compute fit.  If the compute fit moved, all of them
       are re-inverted, otherwise only the new ones.
-    * :func:`fit_sync_params` reruns on the full point lists: count-weighted
-      least squares has no bit-exact incremental form.
+    * each sync regime (intra- and inter-node) caches its
+      :func:`fit_sync_params` result with the length of the point list it
+      was fitted on, and refits only when that list grew or was
+      re-inverted.  :func:`fit_sync_params` reruns on the full point lists:
+      count-weighted least squares has no bit-exact incremental form.
 
-    :meth:`add` is O(1) and touches no numpy.
+    :meth:`add` is O(1) and touches no numpy.  The regime caches are not
+    pickled (:meth:`__getstate__`); a restored fit recomputes them on its
+    first :meth:`fit`.
     """
+
+    #: ``(point count, (alpha, beta))`` of the last sync fit per regime, or
+    #: None before one (class defaults, so restored objects start empty).
+    _intra_fit: tuple[int, tuple[float, float]] | None = None
+    _inter_fit: tuple[int, tuple[float, float]] | None = None
 
     def __init__(self, gamma: float = GAMMA) -> None:
         self.gamma = gamma
@@ -166,6 +176,14 @@ class RunningFit:
         self._inter: list[tuple[int, float]] = []
         self._inverted = 0
         self._inverted_under: tuple[float, float] | None = None
+
+    def __getstate__(self) -> dict:
+        """Every attribute but the regime caches, which are pure functions
+        of the pickled point lists."""
+        state = self.__dict__.copy()
+        state.pop("_intra_fit", None)
+        state.pop("_inter_fit", None)
+        return state
 
     def add(self, obs: Observation) -> None:
         """Fold one report in."""
@@ -210,6 +228,7 @@ class RunningFit:
         if compute != self._inverted_under:
             self._intra, self._inter, self._inverted = [], [], 0
             self._inverted_under = compute
+            self._intra_fit = self._inter_fit = None
         for k, n, m, s, t in self._multi[self._inverted:]:
             sync = invert_sync_time(t, alpha_c + beta_c * m, s, self.gamma)
             (self._intra if n == 1 else self._inter).append((k, sync))
@@ -218,9 +237,11 @@ class RunningFit:
 
         alpha_r = beta_r = alpha_n = beta_n = 0.0
         if intra_points:
-            alpha_r, beta_r = fit_sync_params(intra_points)
+            self._intra_fit = _sync_fit(self._intra_fit, intra_points)
+            alpha_r, beta_r = self._intra_fit[1]
         if inter_points:
-            alpha_n, beta_n = fit_sync_params(inter_points)
+            self._inter_fit = _sync_fit(self._inter_fit, inter_points)
+            alpha_n, beta_n = self._inter_fit[1]
         if intra_points and not inter_points:
             # Crossing nodes is never cheaper than staying inside one.
             alpha_n, beta_n = alpha_r * 3.0, beta_r * 3.0
@@ -234,6 +255,17 @@ class RunningFit:
         return FitResult(params=params, has_single_gpu=self.has_single_gpu,
                          has_intra_node=bool(intra_points),
                          has_inter_node=bool(inter_points))
+
+
+def _sync_fit(cached: tuple[int, tuple[float, float]] | None,
+              points: list[tuple[int, float]],
+              ) -> tuple[int, tuple[float, float]]:
+    """``cached`` when it was fitted on ``points`` as they stand, else a
+    fresh ``(len(points), fit_sync_params(points))``.  Between
+    re-inversions a point list only grows, so its length names it."""
+    if cached is not None and cached[0] == len(points):
+        return cached
+    return len(points), fit_sync_params(points)
 
 
 def _running_fit(observations: list[Observation],

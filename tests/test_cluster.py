@@ -1,5 +1,8 @@
 """Tests for the cluster model: GPU catalog, nodes, clusters, presets."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,6 +120,81 @@ class TestCluster:
         assert doubled.total_gpus == 128
         for t in hetero_cluster.gpu_types:
             assert doubled.capacity(t) == 2 * hetero_cluster.capacity(t)
+
+
+class TestClusterCache:
+    """Static views are derived once per object and cached outside the
+    fields: equal to a fresh derivation, and invisible to equality, repr
+    and pickle (a cluster is not hashable: its nodes are not)."""
+
+    @staticmethod
+    def read_all(cluster: Cluster) -> None:
+        cluster.gpu_types, cluster.signature, cluster.total_gpus
+        cluster.capacities()
+        for gpu_type in cluster.gpu_types:
+            cluster.nodes_of_type(gpu_type), cluster.capacity(gpu_type)
+
+    @pytest.mark.parametrize("name", ["heterogeneous", "homogeneous",
+                                      "physical"])
+    def test_cached_views_equal_a_fresh_derivation(self, name):
+        cluster = presets.by_name(name)
+        nodes = cluster.nodes
+        types = tuple(dict.fromkeys(n.gpu_type for n in nodes))
+        for _ in range(2):  # the cold read, then the cached one
+            assert cluster.gpu_types == types
+            assert cluster.signature == tuple((n.gpu_type, n.num_gpus)
+                                              for n in nodes)
+            assert cluster.total_gpus == sum(n.num_gpus for n in nodes)
+            capacities = {t: sum(n.num_gpus for n in nodes
+                                 if n.gpu_type == t) for t in types}
+            assert cluster.capacities() == capacities
+            assert list(cluster.capacities()) == list(types)
+            for t in types:
+                assert cluster.nodes_of_type(t) == tuple(
+                    n for n in nodes if n.gpu_type == t)
+                assert cluster.capacity(t) == capacities[t]
+            assert cluster.nodes_of_type("v100") == ()
+            assert cluster.capacity("v100") == 0
+
+    def test_cache_leaves_identity_and_pickle_alone(self, hetero_cluster):
+        fresh = presets.heterogeneous()
+        self.read_all(hetero_cluster)
+        assert hetero_cluster == fresh
+        assert repr(hetero_cluster) == repr(fresh)
+        assert pickle.dumps(hetero_cluster) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(hetero_cluster))
+        assert restored == fresh
+        assert restored.capacities() == fresh.capacities()
+
+    def test_kept_views_are_new_per_call(self, hetero_cluster):
+        """Estimators keep ``gpu_types`` and checkpoints keep
+        ``signature``: each call builds a new tuple, as before caching, so
+        two holders never pickle one shared tuple as a back-reference."""
+        assert hetero_cluster.gpu_types is not hetero_cluster.gpu_types
+        assert hetero_cluster.signature is not hetero_cluster.signature
+        types = ["t4", "rtx", "a100"]
+        pair = [hetero_cluster.gpu_types, hetero_cluster.gpu_types]
+        assert pickle.dumps(pair) == pickle.dumps([tuple(types),
+                                                   tuple(types)])
+
+    def test_capacities_returns_a_fresh_dict(self, hetero_cluster):
+        first = hetero_cluster.capacities()
+        first["t4"] = 0
+        first["v100"] = 8
+        assert hetero_cluster.capacities() == {"t4": 24, "rtx": 24,
+                                               "a100": 16}
+        assert hetero_cluster.capacities() is not \
+            hetero_cluster.capacities()
+
+    def test_replace_derives_its_own_views(self, hetero_cluster):
+        self.read_all(hetero_cluster)
+        t4_only = replace(hetero_cluster,
+                          nodes=hetero_cluster.nodes_of_type("t4"))
+        assert t4_only.gpu_types == ("t4",)
+        assert t4_only.capacities() == {"t4": 24}
+        assert t4_only.total_gpus == 24
+        assert t4_only.nodes_of_type("a100") == ()
+        assert hetero_cluster.total_gpus == 64
 
 
 class TestPresets:

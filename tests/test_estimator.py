@@ -1,15 +1,19 @@
 """Tests for the per-job Goodput Estimator: profiling modes, bootstrapping
 lifecycle (Section 3.2), caching."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from repro.cluster import presets
+from repro.core.configs import build_config_set
 from repro.core.types import Configuration, ProfilingMode
 from repro.perf import profiles
 from repro.perf.estimator import JobConstraints, JobPerfEstimator
 from repro.perf.fitting import Observation
 from repro.perf.throughput import ThroughputModel
+from repro.schedulers.pollux import PolluxEstimator
 
 TYPES = ("t4", "rtx", "a100")
 
@@ -317,6 +321,136 @@ class TestIncrementalCacheInvalidation:
                 est.efficiency_model.params.grad_noise_scale)
         assert est.cache_misses == 0
         assert est.cache_hit_rate == 1.0
+
+
+#: one request row: every type at one GPU, within a node and across nodes.
+ROW = [Configuration(n, k, t) for t in TYPES
+       for n, k in ((1, 1), (1, 2), (1, 4), (1, 8), (2, 16), (4, 32))]
+
+
+def grouped_estimator(kind: str) -> JobPerfEstimator:
+    """A fresh estimator of one kind, with what it knows at submission."""
+    if kind == "pollux":
+        profile = profiles.model_profile("bert")
+        return PolluxEstimator("bert", JobConstraints(
+            min_bsz=profile.min_bsz, max_bsz=profile.max_bsz), TYPES)
+    est = make_estimator(ProfilingMode[kind])
+    est.profile_initial()
+    return est
+
+
+#: evidence between rounds: rtx multi-GPU reports (its fit and the
+#: bootstrap references move), then a t4 1-GPU report (one type moves).
+EVIDENCE = [[true_observation("bert", "rtx", 1, k, 16) for k in (2, 4)],
+            [true_observation("bert", "t4", 1, 1, 24)],
+            [true_observation("bert", "a100", 2, 16, 16)]]
+
+
+class TestGroupToken:
+    """:meth:`JobPerfEstimator._probe` shares one cache token across
+    consecutive configurations of a (GPU type, 1-GPU or multi-GPU) group,
+    and answers exactly as one token per configuration does, in any
+    order."""
+
+    KINDS = ["BOOTSTRAP", "NO_PROF", "ORACLE", "pollux"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_at_most_two_tokens_per_type(self, monkeypatch, kind):
+        est = grouped_estimator(kind)
+        calls: Counter = Counter()
+        real = JobPerfEstimator._cache_token
+
+        def counting(self, gpu_type, num_gpus):
+            calls[gpu_type] += 1
+            return real(self, gpu_type, num_gpus)
+        monkeypatch.setattr(JobPerfEstimator, "_cache_token", counting)
+        for evidence in [[], *EVIDENCE]:
+            for report in evidence:
+                est.add_observation(report)
+            calls.clear()
+            est.best_plans(ROW)
+            assert set(calls) == set(TYPES)
+            assert max(calls.values()) <= 2
+
+    @pytest.mark.parametrize("cluster", [presets.heterogeneous(),
+                                         presets.scaled_heterogeneous(1024)],
+                             ids=["heterogeneous", "scaled1024"])
+    def test_sia_rows_list_each_group_together(self, cluster):
+        """Sia's rows are slices of its configuration set, which lists each
+        group's configurations together: one token per group."""
+        keys = [(c.gpu_type, c.num_gpus == 1)
+                for c in build_config_set(cluster)]
+        runs = [k for i, k in enumerate(keys) if i == 0 or keys[i - 1] != k]
+        assert len(runs) == len(set(keys)) == 2 * len(cluster.gpu_types)
+
+    @pytest.mark.parametrize("order", ["type-major", "count-major"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_one_token_per_configuration(self, kind, order):
+        """Round by round, with evidence in between whose lazy refits run
+        partway through the row, the grouped probe returns the plans,
+        counters and epochs of a per-configuration loop."""
+        row = ROW if order == "type-major" else sorted(
+            ROW, key=lambda c: (c.num_gpus, TYPES.index(c.gpu_type)))
+        grouped, reference = grouped_estimator(kind), grouped_estimator(kind)
+        for evidence in [[], [], *EVIDENCE]:
+            for report in evidence:
+                grouped.add_observation(report)
+                reference.add_observation(report)
+            plans = grouped.best_plans(row)
+            assert plans == [reference.best_plans([config])[0]
+                             for config in row]
+            assert (grouped.cache_hits, grouped.cache_misses) == \
+                (reference.cache_hits, reference.cache_misses)
+            assert grouped._obs_epoch == reference._obs_epoch
+            assert [grouped._types[t].epoch for t in TYPES] == \
+                [reference._types[t].epoch for t in TYPES]
+        assert grouped.cache_hits and grouped.cache_misses
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cache_entries_share_no_token(self, kind):
+        """Every cache entry holds its own token tuple, as with one token
+        per configuration, so the pickled cache is byte for byte what it
+        was."""
+        est = grouped_estimator(kind)
+        est.best_plans(ROW)
+        tokens = [token for token, _ in est._goodput_cache.values()]
+        assert len(tokens) == len(ROW)
+        assert len(set(tokens)) < len(tokens)  # groups repeat a token
+        assert len({id(token) for token in tokens}) == len(tokens)
+
+    def test_tokens_call_fit_only_for_dirty_types(self, monkeypatch):
+        """A clean type's stored fit is read as it is: probing a warm row
+        calls ``_fit`` only for the type a new report dirtied, once."""
+        est = grouped_estimator("BOOTSTRAP")
+        est.best_plans(ROW)
+        calls: Counter = Counter()
+        real = JobPerfEstimator._fit
+
+        def counting(self, gpu_type):
+            calls[gpu_type] += 1
+            return real(self, gpu_type)
+        monkeypatch.setattr(JobPerfEstimator, "_fit", counting)
+        est._probe(ROW, [])
+        assert not calls
+        est.add_observation(EVIDENCE[1][0])  # a t4 1-GPU report
+        est._probe(ROW, [])
+        assert calls == {"t4": 1}
+
+    def test_refit_partway_through_the_row_moves_later_tokens(self):
+        """rtx's lazy refit runs at the row's first t4 multi-GPU entry (a
+        bootstrap token refreshes every type): every rtx entry after it
+        misses, while t4's 1-GPU entry before it still hits."""
+        est = grouped_estimator("BOOTSTRAP")
+        row = [Configuration(1, 1, "t4"), Configuration(1, 2, "t4"),
+               Configuration(1, 1, "rtx"), Configuration(1, 2, "rtx")]
+        est.best_plans(row)
+        epoch = est._types["rtx"].epoch
+        for report in EVIDENCE[0]:
+            est.add_observation(report)
+        est.cache_hits = est.cache_misses = 0
+        est.best_plans(row)
+        assert est._types["rtx"].epoch == epoch + 1
+        assert (est.cache_hits, est.cache_misses) == (1, 3)
 
 
 class TestMemoryKnowledge:

@@ -3,11 +3,13 @@ synthetic ground truth from the measurements the simulator produces, and the
 running fit state must equal the whole-list reference of ``tests/oracle.py``
 bit for bit."""
 
+import pickle
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.perf import fitting
 from repro.perf.estimator import JobConstraints
 from repro.perf.fitting import (FIT_RTOL, FitResult, Observation, RunningFit,
                                 fit_compute_params, fit_sync_params,
@@ -214,6 +216,75 @@ class TestRunningFit:
                 state.add(seen[-1])
             assert repr(state.fit()) == repr(reference_fit(seen))
         assert state.fit().has_single_gpu
+
+    @staticmethod
+    def count_sync_fits(monkeypatch) -> list:
+        """Record the point list of every ``fit_sync_params`` call."""
+        calls = []
+        real = fitting.fit_sync_params
+
+        def counting(points):
+            calls.append(list(points))
+            return real(points)
+        monkeypatch.setattr(fitting, "fit_sync_params", counting)
+        return calls
+
+    def test_inter_node_reports_reuse_the_intra_node_fit(self, monkeypatch):
+        """Reports that only add inter-node points leave the compute fit
+        and the intra-node list alone: each refit reruns only the
+        inter-node regime."""
+        calls = self.count_sync_fits(monkeypatch)
+        state = RunningFit()
+        seen = [obs(m=m) for m in (16, 32)] + [obs(k=k) for k in (2, 4)]
+        for report in seen:
+            state.add(report)
+        assert repr(state.fit()) == repr(reference_fit(seen))
+        assert len(calls) == 1  # the intra-node regime
+        del calls[:]
+        for k in (16, 32, 16):
+            seen.append(obs(n=k // 8, k=k))
+            state.add(seen[-1])
+            assert repr(state.fit()) == repr(reference_fit(seen))
+        # One inter-node fit per refit, over its whole (grown) list.
+        assert [len(points) for points in calls] == [1, 2, 3]
+        assert all(k >= 16 for points in calls for k, _ in points)
+        del calls[:]
+        state.fit()
+        assert not calls
+
+    def test_smaller_count_refits_both_regimes(self, monkeypatch):
+        """A 1-GPU report below the smallest count seen moves the compute
+        fit: every point is re-inverted and both regimes refit, though
+        neither list grew."""
+        calls = self.count_sync_fits(monkeypatch)
+        state = RunningFit()
+        seen = [obs(k=2, m=16), obs(k=2, m=32), obs(k=4),
+                obs(n=2, k=16)]
+        for report in seen:
+            state.add(report)
+        assert repr(state.fit()) == repr(reference_fit(seen))
+        sizes = sorted(len(points) for points in calls)
+        assert sizes == [1, 3]
+        del calls[:]
+        compute = state.compute_params()
+        seen.append(obs(m=64))
+        state.add(seen[-1])
+        assert repr(state.fit()) == repr(reference_fit(seen))
+        assert state.compute_params() != compute
+        assert sorted(len(points) for points in calls) == sizes
+
+    def test_regime_caches_do_not_pickle(self):
+        """The pickle holds the point lists, not the fits derived from
+        them; a restored state refits them to the same bits."""
+        state = RunningFit()
+        seen = [obs(m=32), obs(k=4), obs(n=2, k=16)]
+        for report in seen:
+            state.add(report)
+        fitted = repr(state.fit())
+        restored = pickle.loads(pickle.dumps(state))
+        assert "_intra_fit" not in restored.__dict__
+        assert "_inter_fit" not in restored.__dict__
+        assert repr(restored.fit()) == fitted == repr(reference_fit(seen))
 
     @settings(max_examples=40, deadline=None)
     @given(steps=_STEPS)

@@ -13,6 +13,10 @@ from scipy.optimize import Bounds, OptimizeWarning, milp
 
 from repro.core import ilp
 from repro.core.ilp import AssignmentProblem, solve_assignment
+from repro.jobs.job import make_job
+from repro.obs.tracer import Tracer
+from repro.schedulers import SiaScheduler
+from repro.sim import simulate
 from tests.oracle import solve_exact
 
 NAN = math.nan
@@ -280,8 +284,10 @@ class TestLattice:
                 solve_assignment(instance, "milp")
             return
         exact = solve_exact(instance)
-        assignment = ilp._solve_lattice(instance)
-        if assignment is not None:  # an optimum unique beyond the gap
+        answer = ilp._solve_lattice(instance)
+        if answer is not None:  # an optimum unique beyond the gap
+            path, assignment = answer
+            assert path in ("argmax", "dp")
             assert assignment == exact.assignment
             assert list(assignment) == sorted(assignment)
         milp = solve_assignment(instance, "milp")
@@ -355,10 +361,12 @@ class TestLattice:
         """1e-5 relative: inside the old 1e-4 optimality gap, outside
         ``2 * _MIP_TOL``."""
         p = self.near_tie(kind, 1e-5)
-        assert ilp._solve_lattice(p) == {0: 0}
+        path = "argmax" if kind == "slack" else "dp"
+        assert ilp._solve_lattice(p) == (path, {0: 0})
         assert ilp._solve_highs_milp(p).assignment == {0: 0}
         calls = self.spy_highs(monkeypatch)
-        assert solve_assignment(p, "milp").assignment == {0: 0}
+        solution = solve_assignment(p, "milp")
+        assert solution.assignment == {0: 0} and solution.path == path
         assert not calls
 
     @pytest.mark.parametrize("rel", [1.5e-6, 0.0], ids=["near-tie", "tie"])
@@ -370,7 +378,7 @@ class TestLattice:
         assert ilp._solve_lattice(p) is None
         calls = self.spy_highs(monkeypatch)
         solution = solve_assignment(p, "milp")
-        assert len(calls) == 1
+        assert len(calls) == 1 and solution.path == "highs"
         assert solution.assignment == ilp._solve_highs_milp(p).assignment
 
     @settings(max_examples=300, deadline=None)
@@ -397,6 +405,34 @@ class TestLattice:
         if not binding:  # every job's largest demand fits at once
             caps = {t: int(sum(p.config_gpus)) * p.n_jobs for t in caps}
         p = problem(util, p.config_gpus, p.config_types, caps)
-        assignment = ilp._solve_lattice(p)
-        if assignment is not None:
-            assert assignment == ilp._solve_highs_milp(p).assignment
+        answer = ilp._solve_lattice(p)
+        if answer is not None:
+            assert answer[1] == ilp._solve_highs_milp(p).assignment
+
+
+class TestTracedPath:
+    """The ``ilp_solve`` span names the ``milp`` path that answered."""
+
+    @pytest.mark.parametrize("kind,rel,path", [
+        ("slack", 1e-5, "argmax"), ("binding", 1e-5, "dp"),
+        ("binding", 0.0, "highs")])
+    def test_span_records_each_path(self, kind, rel, path):
+        tracer = Tracer()
+        p = TestLattice.near_tie(kind, rel)
+        assert solve_assignment(p, "milp", tracer=tracer).path == path
+        span, = tracer.spans
+        assert span.attrs["path"] == path
+        tracer = Tracer()
+        assert solve_assignment(p, "greedy", tracer=tracer).path == ""
+        assert "path" not in tracer.spans[0].attrs
+
+    def test_traced_round_records_path(self, hetero_cluster):
+        """A traced Sia run on the 64-GPU testbed: every round's solve
+        span carries the path."""
+        jobs = [make_job(f"j{i}", "resnet18", 60.0 * i, work_scale=0.2)
+                for i in range(4)]
+        result = simulate(hetero_cluster, SiaScheduler(), jobs,
+                          tracer=Tracer(), max_hours=3.0)
+        spans = [s for s in result.spans if s.name == "ilp_solve"]
+        assert spans
+        assert {s.attrs["path"] for s in spans} <= {"argmax", "dp", "highs"}
