@@ -1,13 +1,12 @@
-"""Policy-pipeline microbenchmarks: goodput pass + solver tiers at scale.
+"""Policy-pipeline microbenchmarks: goodput pass + solver backends at scale.
 
 Measures, per (cluster size, job count) point:
 
 * full policy round latency (bootstrap + goodput_eval + solve + placement)
   via the observability phase spans;
-* per-solver-backend columns (``milp``, ``lp_round``, ``tiered``): round
-  latency, solve-phase time, first-round objective and its gap vs the MILP
-  reference when the MILP column ran — the solver-tier scaling story up to
-  16384 GPUs / 4096 jobs;
+* per-solver-backend columns (``milp`` and ``lp_round``, at every size):
+  round latency, solve-phase time, first-round objective and its gap vs
+  the MILP — the solver scaling story up to 16384 GPUs / 4096 jobs;
 * steady-state estimator cache hit rate across consecutive rounds, with
   every placed job re-reporting its iteration time between rounds as in
   the engine;
@@ -16,20 +15,22 @@ Measures, per (cluster size, job count) point:
   (captured sia-helios64 and sia-scale1024 rounds, see
   ``milp_fixture.py``).  The synthetic points leave every GPU type slack
   and their options far apart, so their MILPs never search; these rounds
-  bind capacity (helios64) or hold near-tied options (scale1024).
+  bind capacity (helios64) or hold near-tied options (scale1024).  Each
+  solver point reports how many instances each of ``milp``'s paths
+  (``argmax``, ``dp``, ``highs``) answered, so a change that sends rounds
+  back to HiGHS shows in the baseline diff.
 
-Each policy point's gated column is one of its ``backends`` columns: MILP
-up to 256 GPUs, tiered beyond (:func:`gated_backend`).  The 4096-GPU point
-also carries the round-latency target it is reported against.  Each solver
-point is gated on its pass over its fixture.
+Each policy point is gated on its ``milp`` column's round latency; the
+4096-GPU point also carries the round-latency target it is reported
+against.  Each solver point is gated on its pass over its fixture.
 
 Results land in ``BENCH_policy.json``.  ``--check-baseline`` compares the
 gated values against a committed baseline and exits non-zero on a >
 ``--regression-factor`` (default 2x) slowdown, or on a point the baseline
 lacks, which is how CI gates performance regressions.  ``--sizes`` /
-``--backends`` narrow a run to those policy points (CI uses ``--sizes
-1024`` for the large-point gate without paying for 4096); without
-``--sizes``, the solver points run too.
+``--backends`` narrow a run to those policy points and columns (``milp``
+always runs; CI uses ``--sizes 1024`` for the large-point gate without
+paying for 4096); without ``--sizes``, the solver points run too.
 
 Run:  PYTHONPATH=src python benchmarks/perf/policy_bench.py [--quick]
 """
@@ -58,9 +59,11 @@ from repro.workloads import helios_trace
 #: active jobs per 64 GPUs (paper-proportional load, as in Figure 9).
 JOBS_PER_64 = 16
 
-#: largest size where the exact-MILP reference column is still affordable
-#: to time.
-FULL_COMPARE_MAX_GPUS = 256
+#: solver columns of every policy point; ``milp`` is the gated one.
+BACKENDS = ("milp", "lp_round")
+
+#: the paths of the ``milp`` backend (``AssignmentSolution.path``).
+MILP_PATHS = ("argmax", "dp", "highs")
 
 #: passes a solver point makes over its fixture; the median is gated.
 FIXTURE_PASSES = 5
@@ -68,16 +71,6 @@ FIXTURE_PASSES = 5
 #: per-round policy latency targets (seconds) reported next to a point's
 #: gated round latency; reported, not gated.
 ROUND_TARGET_S = {4096: 0.150}
-
-
-def gated_backend(size: int) -> str:
-    """The column the baseline gate reads: the MILP where affordable, the
-    tiered solver past the cutoff."""
-    return "milp" if size <= FULL_COMPARE_MAX_GPUS else "tiered"
-
-
-def gated_column(point: dict) -> dict:
-    return point["backends"][gated_backend(point["gpus"])]
 
 
 def point_name(point: dict) -> str:
@@ -89,15 +82,7 @@ def gated_value(point: dict) -> tuple[str, float]:
     """The gated measurement of a point, with its label."""
     if "fixture" in point:
         return "milp pass", point["backends"]["milp"]["pass_median"]
-    return "round latency", gated_column(point)["round_latency_median"]
-
-
-def default_backends(size: int) -> tuple[str, ...]:
-    """Solver columns per point: the MILP reference is measured only where
-    it is affordable; the fast tiers are measured everywhere."""
-    if size <= FULL_COMPARE_MAX_GPUS:
-        return ("milp", "lp_round", "tiered")
-    return ("lp_round", "tiered")
+    return "round latency", point["backends"]["milp"]["round_latency_median"]
 
 
 def make_views(scheduler, cluster, n_jobs: int) -> list[JobView]:
@@ -141,12 +126,9 @@ def run_rounds(scheduler, cluster, views, rounds: int) -> dict:
     feasible (job, config) pair is evaluated exactly once.  The earlier
     warm rounds measure the latency jobs actually see (cache hits included).
     """
-    from repro.obs.metrics import MetricsRegistry
-
     tracer = Tracer()
     scheduler.tracer = tracer
     executor = ExecutionModel()
-    scheduler.metrics = MetricsRegistry()
     latencies = []
     objectives = []
     previous: dict = {}
@@ -164,7 +146,6 @@ def run_rounds(scheduler, cluster, views, rounds: int) -> dict:
     phases = {name: tracer.span_stats(name).total for name in PLAN_PHASES}
     hits = sum(getattr(v.estimator, "cache_hits", 0) for v in views)
     misses = sum(getattr(v.estimator, "cache_misses", 0) for v in views)
-    counters = scheduler.metrics.snapshot()
 
     for view in views:
         cache = getattr(view.estimator, "_goodput_cache", None)
@@ -179,7 +160,6 @@ def run_rounds(scheduler, cluster, views, rounds: int) -> dict:
         "phases": phases,
         "cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
         "eval_cold": cold_tracer.span_stats("goodput_eval").total,
-        "warm_start_hits": counters.get("solver.warm_start_hits", 0),
     }
 
 
@@ -191,7 +171,6 @@ def _column(result: dict) -> dict:
         "phase_totals": result["phases"],
         "goodput_eval_cold": result["eval_cold"],
         "cache_hit_rate": result["cache_hit_rate"],
-        "warm_start_hits": result["warm_start_hits"],
     }
 
 
@@ -207,23 +186,21 @@ def measure_point(size: int, n_jobs: int, rounds: int,
     cluster = presets.scaled_heterogeneous(size)
     point: dict = {"gpus": size, "jobs": n_jobs, "rounds": rounds}
     if backends is None:
-        backends = default_backends(size)
-    if gated_backend(size) not in backends:
-        backends = (*backends, gated_backend(size))
+        backends = BACKENDS
+    if "milp" not in backends:
+        backends = ("milp", *backends)
 
     point["backends"] = {}
     for solver in backends:
         point["backends"][solver] = _column(
             measure_backend(cluster, n_jobs, rounds, solver))
-    # First-round objective gap vs the MILP reference (identical initial
-    # views per backend: same trace seed, no prior allocations).  Rigorous
-    # gap bounds live in tests/test_solver_tiers.py; this is the at-scale
-    # spot check.
-    milp_obj = point["backends"].get("milp", {}).get("objective_first")
-    if milp_obj:
-        for solver, column in point["backends"].items():
-            column["optimality_gap_first"] = \
-                (milp_obj - column["objective_first"]) / abs(milp_obj)
+    # First-round objective gap vs the MILP (identical initial views per
+    # backend: same trace seed, no prior allocations).  Rigorous gap bounds
+    # live in tests/test_solver_tiers.py; this is the at-scale spot check.
+    milp_obj = point["backends"]["milp"]["objective_first"]
+    for column in point["backends"].values():
+        column["optimality_gap_first"] = \
+            (milp_obj - column["objective_first"]) / abs(milp_obj)
     if size in ROUND_TARGET_S:
         point["round_latency_target"] = ROUND_TARGET_S[size]
     return point
@@ -231,19 +208,23 @@ def measure_point(size: int, n_jobs: int, rounds: int,
 
 def measure_fixture(fixture: Path) -> dict:
     """A solver point: :data:`FIXTURE_PASSES` timed passes of the
-    ``milp`` backend over every instance of ``fixture``."""
+    ``milp`` backend over every instance of ``fixture``, with the number
+    of instances each ``milp`` path answered in one pass."""
     problems = load(fixture)
-    passes, solves = [], []
+    passes, solutions = [], []
     for _ in range(FIXTURE_PASSES):
         start = time.perf_counter()
-        for problem in problems:
-            solves.append(solve_assignment(problem, "milp").solve_time)
+        solutions.extend(solve_assignment(problem, "milp")
+                         for problem in problems)
         passes.append(time.perf_counter() - start)
+    solves = [solution.solve_time for solution in solutions]
+    paths = [solution.path for solution in solutions[:len(problems)]]
     return {"fixture": fixture.name, "instances": len(problems),
             "backends": {"milp": {
                 "pass_median": statistics.median(passes),
                 "solve_median": statistics.median(solves),
-                "solve_max": max(solves)}}}
+                "solve_max": max(solves),
+                "paths": {path: paths.count(path) for path in MILP_PATHS}}}}
 
 
 def run_bench(quick: bool, sizes: tuple[int, ...] | None = None,
@@ -291,8 +272,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(overrides --quick's size selection)")
     parser.add_argument("--backends", type=str, default=None,
                         help="comma-separated solver backends to column "
-                             "(default: per-size, MILP reference <= "
-                             f"{FULL_COMPARE_MAX_GPUS} GPUs only)")
+                             f"(default: {','.join(BACKENDS)}; milp always "
+                             "runs)")
     parser.add_argument("--out", type=Path, default=Path("BENCH_policy.json"))
     parser.add_argument("--check-baseline", type=Path, default=None,
                         help="baseline JSON to gate regressions against")
@@ -308,12 +289,14 @@ def main(argv: list[str] | None = None) -> int:
     for point in report["points"]:
         if "fixture" in point:
             milp = point["backends"]["milp"]
+            paths = ", ".join(f"{path} {count}"
+                              for path, count in milp["paths"].items())
             print(f"{point['fixture']} ({point['instances']} instances): "
                   f"milp pass {milp['pass_median'] * 1e3:8.1f} ms, solve "
                   f"p50 {milp['solve_median'] * 1e3:.2f} ms, max "
-                  f"{milp['solve_max'] * 1e3:.2f} ms")
+                  f"{milp['solve_max'] * 1e3:.2f} ms ({paths})")
             continue
-        gated = gated_column(point)
+        gated = point["backends"]["milp"]
         line = (f"{point['gpus']:5d} GPUs / {point['jobs']:4d} jobs: "
                 f"round {gated['round_latency_median'] * 1e3:8.1f} ms")
         if "round_latency_target" in point:
@@ -323,13 +306,11 @@ def main(argv: list[str] | None = None) -> int:
         line += (f" goodput_eval {eval_ms:8.1f} ms total,"
                  f" cache hit rate {gated['cache_hit_rate']:.0%}")
         print(line)
-        for solver, column in point.get("backends", {}).items():
-            gap = column.get("optimality_gap_first")
-            gap_text = f", gap {gap:+.2%}" if gap is not None else ""
+        for solver, column in point["backends"].items():
             print(f"        {solver:10s} round "
                   f"{column['round_latency_median'] * 1e3:8.1f} ms, solve "
-                  f"{column['phase_totals']['solve'] * 1e3:8.1f} ms total"
-                  f"{gap_text}")
+                  f"{column['phase_totals']['solve'] * 1e3:8.1f} ms total, "
+                  f"gap {column['optimality_gap_first']:+.2%}")
     print(f"wrote {args.out}")
 
     if args.check_baseline is not None:

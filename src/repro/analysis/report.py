@@ -109,8 +109,7 @@ def decision_digest_section(result: SimulationResult) -> str:
     if persistence is not None:
         parts.append(f"Allocation persistence: {100 * persistence:.1f}% of "
                      "job-allocation pairs carried unchanged into the next "
-                     "round (the fraction the solver warm start keeps "
-                     "sticky).\n")
+                     "round (the rest is allocation churn).\n")
     medians = ledger.convergence_medians(num_windows=2)
     if len(medians) == 2:
         early, late = medians

@@ -31,8 +31,9 @@ Interchangeable backends (:data:`BACKENDS`):
   trick: the relaxation is near-integral for this constraint shape, so
   rounding its support by goodput-per-GPU and repairing capacity greedily
   lands within a small optimality gap at a fraction of the MILP cost).
-* ``tiered``     — pick by problem size (feasible-pair count): ``milp`` up
-  to :data:`TIER_LP_VARS`, ``lp_round`` above it.
+* ``tiered``     — ``milp`` under its former name: it runs the same exact
+  solve at every size and reports ``backend='milp'``.  The name stays
+  valid for run recipes and replays that ask for it.
 * ``greedy``     — utility-density greedy rounding (ablation baseline and
   last-resort fallback; fast but not optimal).
 
@@ -42,12 +43,6 @@ rungs of ``lp_round -> greedy`` (:data:`FALLBACKS`), and raises
 :class:`SolverExhaustedError` only when every rung fails; the simulator's
 ``resilient`` guard then carries the previous round forward.
 :func:`solve_assignment` is the single-backend primitive underneath.
-
-Warm starting: callers may pass last round's assignment (rows/cols already
-mapped onto *this* problem's indices) as ``warm_start``.  scipy's ``milp``
-exposes no incumbent API, so the MILP cannot consume it directly; instead
-the warm start gives rounding stability in ``lp_round``, where warm pairs
-win ties so allocations do not churn between equivalent optima.
 """
 
 from __future__ import annotations
@@ -73,11 +68,6 @@ BACKENDS = ("milp", "lp_round", "tiered", "greedy")
 #: the primary are skipped.  ``lp_round`` sits ahead of greedy because it
 #: shares the MILP's constraint system at a fraction of the cost.
 FALLBACKS = ("lp_round", "greedy")
-
-#: ``tiered`` threshold, in feasible (job, config) pairs: up to
-#: TIER_LP_VARS the exact MILP is affordable; past it the LP relaxation +
-#: rounding takes over.
-TIER_LP_VARS = 4096
 
 #: HiGHS's MIP feasibility tolerance, its own default, passed on every
 #: MILP (:data:`_MILP_OPTIONS`).  At optimality gap 0 HiGHS prunes only
@@ -148,11 +138,6 @@ class AssignmentProblem:
     def n_configs(self) -> int:
         return self.utilities.shape[1]
 
-    @property
-    def n_feasible_pairs(self) -> int:
-        """Variable count of the (MI)LP — the tier-selection size measure."""
-        return int(np.count_nonzero(~np.isnan(self.utilities)))
-
     def feasible_pairs(self) -> list[tuple[int, int]]:
         rows, cols = np.where(~np.isnan(self.utilities))
         return list(zip(rows.tolist(), cols.tolist()))
@@ -171,8 +156,6 @@ class AssignmentSolution:
     #: LP-relaxation optimum, when a relaxation was solved on the way
     #: (lp_round) — the certificate the optimality gap is measured against.
     lp_bound: float | None = None
-    #: a warm start was threaded into the backend that produced this.
-    warm_started: bool = False
     #: which of ``milp``'s paths answered: ``argmax``, ``dp`` or ``highs``
     #: (:func:`_solve_milp`); '' for the other backends.
     path: str = ""
@@ -185,11 +168,6 @@ class AssignmentSolution:
         return used
 
 
-def select_backend(problem: AssignmentProblem) -> str:
-    """Resolve the ``tiered`` backend for one instance by variable count."""
-    return "lp_round" if problem.n_feasible_pairs > TIER_LP_VARS else "milp"
-
-
 class SolverExhaustedError(RuntimeError):
     """Every rung of the fallback ladder failed for this round."""
 
@@ -197,7 +175,6 @@ class SolverExhaustedError(RuntimeError):
 def solve_with_fallback(problem: AssignmentProblem, primary: str = "milp",
                         budget: float | None = None,
                         tracer: Tracer | None = None,
-                        warm_start: dict[int, int] | None = None,
                         ) -> tuple[AssignmentSolution, bool]:
     """Solve through the ladder ``primary -> lp_round -> greedy``.
 
@@ -218,8 +195,7 @@ def solve_with_fallback(problem: AssignmentProblem, primary: str = "milp",
         limit = budget if rung < len(ladder) - 1 else None
         try:
             solution = solve_assignment(problem, backend=backend,
-                                        time_limit=limit, tracer=tracer,
-                                        warm_start=warm_start)
+                                        time_limit=limit, tracer=tracer)
         except Exception as exc:
             tracer.instant("rung_failed", backend=backend,
                            error=type(exc).__name__)
@@ -235,7 +211,6 @@ def solve_with_fallback(problem: AssignmentProblem, primary: str = "milp",
 def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
                      time_limit: float | None = None,
                      tracer: Tracer | None = None,
-                     warm_start: dict[int, int] | None = None,
                      ) -> AssignmentSolution:
     """Solve one assignment instance with the chosen backend.
 
@@ -243,38 +218,25 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
     budget; a timed-out solve returns the best incumbent found, or raises
     if none exists.  The greedy backend and ``milp``'s lattice DP, whose
     cost :data:`_DP_MAX_WORK` bounds, ignore it.  ``tracer`` records
-    an ``ilp_solve`` span around the backend call, annotated with the
-    resolved backend when ``backend='tiered'`` and with ``path`` when
-    ``milp`` ran.
-
-    ``warm_start`` maps job row -> config column of a previous assignment
-    already translated onto this problem's indices; infeasible entries are
-    dropped silently (jobs finish, configs change).
+    an ``ilp_solve`` span around the backend call, annotated with ``path``
+    when ``milp`` ran.
     """
     if tracer is None:
         tracer = NULL_TRACER
     with tracer.span("ilp_solve", backend=backend, jobs=problem.n_jobs,
                      configs=problem.n_configs) as span:
         start = time.perf_counter()
-        resolved = backend
-        if backend == "tiered":
-            resolved = select_backend(problem)
-            span.annotate(resolved=resolved)
-        warm = _clean_warm_start(problem, warm_start)
-        if resolved == "milp":
+        if backend in ("milp", "tiered"):
             solution = _solve_milp(problem, time_limit=time_limit)
-        elif resolved == "lp_round":
-            solution = _solve_lp_round(problem, time_limit=time_limit,
-                                       warm_start=warm)
-        elif resolved == "greedy":
+            span.annotate(path=solution.path)
+        elif backend == "lp_round":
+            solution = _solve_lp_round(problem, time_limit=time_limit)
+        elif backend == "greedy":
             solution = _solve_greedy(problem)
         else:
             raise ValueError(f"unknown backend {backend!r}; "
                              f"choose from {BACKENDS}")
-        solution.backend = resolved
-        if solution.path:
-            span.annotate(path=solution.path)
-        solution.warm_started = warm is not None and resolved == "lp_round"
+        solution.backend = "milp" if backend == "tiered" else backend
         solution.solve_time = time.perf_counter() - start
         _validate(problem, solution)
     return solution
@@ -290,32 +252,6 @@ def _validate(problem: AssignmentProblem, solution: AssignmentSolution) -> None:
     for row, col in problem.forced.items():
         if solution.assignment.get(row) != col:
             raise RuntimeError(f"solver dropped forced assignment for job {row}")
-
-
-# -- warm start ---------------------------------------------------------------
-
-def _clean_warm_start(problem: AssignmentProblem,
-                      warm_start: dict[int, int] | None,
-                      ) -> dict[int, int] | None:
-    """Restrict a warm start to pairs feasible in *this* problem.
-
-    Out-of-range rows/cols and nan pairs are dropped (jobs finished, the
-    config set changed); forced pairs always override the warm choice for
-    their row.  Returns None when nothing survives.
-    """
-    if not warm_start:
-        return None
-    util = problem.utilities
-    n_jobs, n_configs = util.shape
-    warm: dict[int, int] = {}
-    for row, col in warm_start.items():
-        if not (0 <= row < n_jobs and 0 <= col < n_configs):
-            continue
-        if math.isnan(util[row, col]):
-            continue
-        warm[row] = col
-    warm.update(problem.forced)
-    return warm or None
 
 
 # -- HiGHS backends (MILP and LP relaxation via scipy) ------------------------
@@ -673,16 +609,13 @@ def _solve_argmax(problem: AssignmentProblem, caps: list[int],
 # -- LP relaxation + deterministic rounding backend ---------------------------
 
 def _solve_lp_round(problem: AssignmentProblem,
-                    time_limit: float | None = None,
-                    warm_start: dict[int, int] | None = None,
-                    ) -> AssignmentSolution:
+                    time_limit: float | None = None) -> AssignmentSolution:
     """Solve the LP relaxation, then round deterministically.
 
     The relaxation of this constraint shape (one row per job, one capacity
     row per GPU type) is integral except where jobs tie over scarce
     capacity, so most of ``x`` lands on {0, 1} already.  Rounding walks the
-    LP support by utility-per-GPU (warm pairs win ties, then larger LP
-    weight), taking a pair whenever the job is free and capacity remains —
+    LP support by utility-per-GPU (ties: larger LP weight), taking a pair whenever the job is free and capacity remains —
     capacity violations are repaired by construction.  A final fill pass
     over the full feasible set catches jobs the LP zeroed out but cheap
     leftover capacity can still serve.
@@ -708,7 +641,6 @@ def _solve_lp_round(problem: AssignmentProblem,
         if not try_assign(i, j):
             raise RuntimeError(f"cannot satisfy forced assignment ({i}, {j})")
 
-    warm = warm_start or {}
     util = problem.utilities
     gpus = problem.config_gpus
 
@@ -720,31 +652,28 @@ def _solve_lp_round(problem: AssignmentProblem,
             continue
         candidates.append((
             -util[i, j] / max(1, int(gpus[j])),  # goodput per GPU, desc
-            0 if warm.get(i) == j else 1,        # sticky: warm pairs first
             -float(x[idx]),                      # then larger LP weight
             int(gpus[j]), i, j,
         ))
     candidates.sort()
-    for _, _, _, _, i, j in candidates:
+    for _, _, _, i, j in candidates:
         if i not in assignment:
             try_assign(i, j)
 
     # Fill pass: jobs the LP support left out, over the leftover capacity.
-    _greedy_fill(problem, assignment, remaining, warm)
+    _greedy_fill(problem, assignment, remaining)
 
     objective = float(sum(util[i, j] for i, j in assignment.items()))
     return AssignmentSolution(assignment, objective, 0.0, lp_bound=bound)
 
 
 def _greedy_fill(problem: AssignmentProblem, assignment: dict[int, int],
-                 remaining: dict[str, int],
-                 warm: dict[int, int] | None = None) -> None:
+                 remaining: dict[str, int]) -> None:
     """Assign still-free jobs' positive-utility pairs into leftover
-    capacity, highest utility-per-GPU first (ties: warm pair, fewer GPUs,
-    then job id / config id — fully deterministic).  Shared by the
+    capacity, highest utility-per-GPU first (ties: fewer GPUs, then job
+    id / config id — fully deterministic).  Shared by the
     rounding and greedy backends; mutates ``assignment``/``remaining`` in
     place."""
-    warm = warm or {}
     util = problem.utilities
     gpus = problem.config_gpus
     pairs = []
@@ -753,11 +682,10 @@ def _greedy_fill(problem: AssignmentProblem, assignment: dict[int, int],
             continue
         pairs.append((
             -util[i, j] / max(1, int(gpus[j])),
-            0 if warm.get(i) == j else 1,
             int(gpus[j]), i, j,
         ))
     pairs.sort()
-    for _, _, _, i, j in pairs:
+    for _, _, i, j in pairs:
         if i in assignment:
             continue
         gpu_type = problem.config_types[j]

@@ -26,8 +26,6 @@ import math
 
 import numpy as np
 
-from repro.core.types import Configuration
-
 
 def normalize_rows(matrix: np.ndarray, min_gpus: list[int]) -> np.ndarray:
     """Row-min normalization: ``G_ij <- N_i_min * G_ij / min_j G_ij``.
@@ -151,27 +149,3 @@ def shape_utilities(matrix: np.ndarray, *, p: float,
     out[feasible] = shaped
     return out
 
-
-def warm_start_pairs(job_ids: list[str], previous: dict,
-                     config_pos: dict[Configuration, int],
-                     ) -> dict[int, int]:
-    """Translate last round's allocations into this round's ILP warm start.
-
-    Row/column indices are positional and shift every round as jobs arrive
-    and finish and the configuration set changes, so an
-    ``AssignmentSolution`` cannot be reused directly; the stable join keys
-    are the job id and the :class:`Configuration` value.  Returns
-    ``{row: col}`` for each job in ``job_ids`` whose previous allocation's
-    configuration still exists in this round's set — feasibility against
-    this round's utilities is the solver's problem
-    (:func:`repro.core.ilp._clean_warm_start`).
-    """
-    warm: dict[int, int] = {}
-    for i, job_id in enumerate(job_ids):
-        alloc = previous.get(job_id)
-        if alloc is None:
-            continue
-        col = config_pos.get(alloc.configuration())
-        if col is not None:
-            warm[i] = col
-    return warm

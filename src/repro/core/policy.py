@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.ilp import BACKENDS
+
 
 @dataclass
 class SiaPolicyParams:
@@ -18,8 +20,10 @@ class SiaPolicyParams:
     #: allocation incentive lambda (Section 4.3; default 1.1).
     allocation_incentive: float = 1.1
     #: ILP backend — any of :data:`repro.core.ilp.BACKENDS` ('milp',
-    #: 'lp_round', 'tiered', 'greedy'); the primary rung of the fallback
-    #: ladder (:func:`repro.core.ilp.solve_with_fallback`).
+    #: 'lp_round', 'tiered', 'greedy'; 'tiered' is the former name of
+    #: 'milp' and solves the same way); the primary rung of the fallback
+    #: ladder (:func:`repro.core.ilp.solve_with_fallback`).  Any other
+    #: name is rejected here.
     solver: str = "milp"
     #: wall-clock seconds each budgeted rung of the ladder may spend per
     #: round, passed to HiGHS as its time limit; None passes no limit.
@@ -30,3 +34,6 @@ class SiaPolicyParams:
     def __post_init__(self) -> None:
         if self.solve_budget_s is not None and self.solve_budget_s <= 0:
             raise ValueError("solve_budget_s must be positive")
+        if self.solver not in BACKENDS:
+            raise ValueError(f"unknown solver {self.solver!r}; "
+                             f"choose from {BACKENDS}")

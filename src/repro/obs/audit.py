@@ -198,17 +198,13 @@ def allocation_persistence(rounds: Sequence[Any]) -> float | None:
 
     Over every consecutive round pair, a job allocated in the earlier
     round *persists* when the later round gives it the identical
-    ``(gpu_type, num_gpus)`` allocation — the same notion of identity the
-    ILP warm start uses (its join key is the configuration, not the
-    nodes), so this is exactly the fraction of last round's solution the
-    warm start carries.  Jobs that finished or were preempted count as
-    churn; jobs admitted later enter the denominator once allocated.
-    Returns None when fewer than two rounds carry allocations (nothing to
-    compare).
+    ``(gpu_type, num_gpus)`` allocation — the configuration, not the
+    nodes.  Jobs that finished or were preempted count as churn; jobs
+    admitted later enter the denominator once allocated.  Returns None
+    when fewer than two rounds carry allocations (nothing to compare).
 
-    Pollux observes (and Sia's round structure inherits) that this ratio
-    is high in steady state, which is what makes ``lp_round``'s warm
-    tie-break pay off; ``repro.analysis.report`` surfaces it per run.
+    One minus this ratio is the run's allocation churn;
+    ``repro.analysis.report`` surfaces it per run.
     """
     kept = 0
     total = 0

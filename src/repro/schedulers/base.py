@@ -137,9 +137,8 @@ class Scheduler(abc.ABC):
     #: The NULL_TRACER default keeps standalone ``decide()`` calls no-op.
     tracer: Tracer = NULL_TRACER
     #: shared metrics registry; the simulator injects the run's registry so
-    #: scheduler counters (Sia's ``solver.warm_start_hits``) reach the
-    #: per-round snapshots.  None keeps standalone ``decide()`` calls
-    #: metric-free.
+    #: any counter a scheduler registers reaches the per-round snapshots.
+    #: None keeps standalone ``decide()`` calls metric-free.
     metrics: MetricsRegistry | None = None
     #: seconds between scheduling rounds (60 for Sia/Pollux, 360 for the
     #: rigid baselines — Section 4.3).

@@ -177,17 +177,8 @@ class SiaScheduler(Scheduler):
                 capacities=cluster.capacities(),
                 forced=forced,
             )
-            # ``previous`` doubles as the solver warm start, re-keyed onto
-            # this round's (row, col) indices.
-            warm = None
-            if previous:
-                warm = gm.warm_start_pairs([v.job_id for v in views],
-                                           previous, config_pos) or None
             solution, degraded = solve_with_fallback(
-                problem, params.solver, params.solve_budget_s,
-                tracer, warm_start=warm)
-            if self.metrics is not None and solution.warm_started:
-                self.metrics.counter("solver.warm_start_hits").inc()
+                problem, params.solver, params.solve_budget_s, tracer)
 
         assignments = {views[i].job_id: configs[j]
                        for i, j in solution.assignment.items()}

@@ -126,7 +126,7 @@ class TestBackends:
         p = problem([[1.0, 2.0], [NAN, 3.0]], [1, 1], ["A", "Z"], {"A": 1})
         for backend in ilp.BACKENDS:
             solution, degraded = ilp.solve_with_fallback(p, backend)
-            served = ilp.select_backend(p) if backend == "tiered" else backend
+            served = "milp" if backend == "tiered" else backend
             assert solution.backend == served
             assert solution.assignment == {0: 0} and not degraded
         assert ilp._solve_highs_milp(p).assignment == {0: 0}

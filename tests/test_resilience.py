@@ -118,6 +118,15 @@ class TestResilientSolver:
         with pytest.raises(ValueError, match="solve_budget_s"):
             SiaPolicyParams(solve_budget_s=0.0)
 
+    def test_misspelled_solver_rejected(self):
+        """A solver name outside ``ilp.BACKENDS`` fails at construction,
+        not as a failed solve every round that a resilient run then
+        carries forward."""
+        with pytest.raises(ValueError, match="unknown solver 'tierd'"):
+            SiaPolicyParams(solver="tierd")
+        for backend in ilp.BACKENDS:
+            assert SiaPolicyParams(solver=backend).solver == backend
+
     def test_exhausted_chain_raises(self, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("injected")

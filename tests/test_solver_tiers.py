@@ -1,6 +1,6 @@
-"""Solver tiers: LP-rounding quality bounds, warm-start semantics,
-tiered selection, deterministic fallbacks, telemetry round trips
-with the new backends, and the replay fork path."""
+"""Solver tiers: LP-rounding quality bounds, ``tiered`` as ``milp`` at
+every size, deterministic fallbacks, telemetry round trips with the
+rounding backend, and the replay fork path."""
 
 from types import SimpleNamespace
 
@@ -12,10 +12,9 @@ from repro.analysis.replay import (ReplayOverrides, build_run_spec, replay,
                                    simulator_from_spec)
 from repro.core import fork as forklib
 from repro.core import ilp
-from repro.core.ilp import AssignmentProblem, select_backend, solve_assignment
-from repro.core.matrix import warm_start_pairs
+from repro.core.ilp import AssignmentProblem, solve_assignment
 from repro.core.policy import SiaPolicyParams
-from repro.core.types import Allocation, Configuration, ProfilingMode
+from repro.core.types import ProfilingMode
 from repro.jobs.job import make_job
 from repro.obs.audit import allocation_persistence
 from repro.obs.tracer import Tracer
@@ -111,105 +110,23 @@ class TestQualityHarness:
         assert all(used[t] <= problem.capacities[t] for t in used)
 
 
-class TestWarmStartAndReuse:
-    """The warm start: last round's pairs win ``lp_round``'s ties."""
-
-    def test_stale_warm_entries_dropped(self):
-        problem = random_problem(0)
-        ref = solve_assignment(problem, backend="milp")
-        # Invalidate one job's entire row: its warm pair must be dropped
-        # before lp_round's tie-break sees it.
-        victim = next(iter(sorted(ref.assignment)))
-        utilities = problem.utilities.copy()
-        utilities[victim, :] = np.nan
-        smaller = AssignmentProblem(utilities, problem.config_gpus,
-                                    problem.config_types, problem.capacities)
-        warm = dict(ref.assignment)
-        assert victim not in ilp._clean_warm_start(smaller, warm)
-        again = solve_assignment(smaller, backend="lp_round",
-                                 warm_start=warm)
-        assert again.warm_started
-        assert victim not in again.assignment
-
-    def test_forced_overrides_warm_choice(self):
-        problem = random_problem(1)
-        ref = solve_assignment(problem, backend="milp")
-        row = sorted(ref.assignment)[0]
-        feasible = np.flatnonzero(~np.isnan(problem.utilities[row]))
-        other = int(next(c for c in feasible if c != ref.assignment[row]))
-        problem.forced = {row: other}
-        warm = dict(ref.assignment)
-        assert ilp._clean_warm_start(problem, warm)[row] == other
-        solution = solve_assignment(problem, backend="lp_round",
-                                    warm_start=warm)
-        assert solution.warm_started
-        assert solution.assignment[row] == other
-
-    def test_warm_started_flag_on_rounding_tiers(self):
-        problem = random_problem(2)
-        ref = solve_assignment(problem, backend="milp")
-        solution = solve_assignment(problem, backend="lp_round",
-                                    warm_start=dict(ref.assignment))
-        assert solution.warm_started
-        milp = solve_assignment(problem, backend="milp",
-                                warm_start=dict(ref.assignment))
-        assert not milp.warm_started  # scipy milp has no incumbent API
-
-    def test_warm_start_pairs_translation(self):
-        configs = [Configuration(1, 1, "t4"), Configuration(1, 4, "a100")]
-        pos = {c: j for j, c in enumerate(configs)}
-        previous = {
-            "a": Allocation.build("t4", {0: 1}),
-            "b": Allocation.build("a100", {1: 4}),
-            "gone": Allocation.build("a100", {2: 2}),  # config not in set
-        }
-        warm = warm_start_pairs(["a", "b", "c"], previous, pos)
-        assert warm == {0: 0, 1: 1}  # "c" has no previous, "gone" departed
-
-    def test_policy_counts_warm_and_reuse(self, hetero_cluster):
-        """End to end: every lp_round round after the first is warm
-        started, and ``solver.warm_start_hits`` counts it in the round
-        snapshots; the MILP, which cannot use a warm start, counts none."""
-        def run(solver):
-            jobs = [make_job(f"j{i}", "resnet18", 0.0, work_scale=0.4)
-                    for i in range(3)]
-            return simulate(hetero_cluster,
-                            SiaScheduler(SiaPolicyParams(solver=solver)),
-                            jobs, max_hours=100)
-
-        result = run("lp_round")
-        hits = result.rounds[-1].metrics.get("solver.warm_start_hits", 0)
-        assert hits > 0
-        assert hits <= result.backend_counts()["lp_round"] - 1
-        result = run("milp")
-        assert "solver.warm_start_hits" not in result.rounds[-1].metrics
-
-
-class TestTieredSelection:
-    def test_select_backend_thresholds(self, monkeypatch):
-        monkeypatch.setattr(ilp, "TIER_LP_VARS", 4)
-        small = random_problem(0, n_jobs=2, density=0.2)
-        assert small.n_feasible_pairs <= 4
-        assert select_backend(small) == "milp"
-        large = random_problem(0, n_jobs=3, density=1.0)  # 36 pairs > 4
-        assert select_backend(large) == "lp_round"
-        monkeypatch.setattr(ilp, "TIER_LP_VARS", large.n_feasible_pairs)
-        assert select_backend(large) == "milp"  # the threshold is inclusive
-
-    def test_tiered_resolves_and_annotates(self, monkeypatch):
-        monkeypatch.setattr(ilp, "TIER_LP_VARS", 4)
-        problem = random_problem(0, n_jobs=6, density=1.0)
+class TestTieredIsMilp:
+    def test_tiered_matches_milp_above_4096_pairs(self):
+        """``tiered`` is ``milp`` at every size.  This instance has 4,920
+        feasible pairs, above the 4,096 where ``tiered`` once switched to
+        ``lp_round``."""
+        problem = random_problem(0, n_jobs=410, density=1.0, tight=False)
+        assert np.count_nonzero(~np.isnan(problem.utilities)) > 4096
+        milp = solve_assignment(problem, backend="milp")
         tracer = Tracer()
-        solution = solve_assignment(problem, backend="tiered", tracer=tracer)
-        assert solution.backend == "lp_round"
-        spans = [s for s in tracer.spans if s.name == "ilp_solve"]
-        assert spans[-1].attrs["resolved"] == "lp_round"
-
-    def test_default_tier_is_milp_at_small_scale(self):
-        problem = random_problem(0)
-        assert select_backend(problem) == "milp"
-        solution = solve_assignment(problem, backend="tiered")
-        assert solution.backend == "milp"
+        tiered = solve_assignment(problem, backend="tiered", tracer=tracer)
+        assert tiered.backend == milp.backend == "milp"
+        assert tiered.assignment == milp.assignment
+        assert tiered.objective == milp.objective
+        assert tiered.path == milp.path != ""
+        span = [s for s in tracer.spans if s.name == "ilp_solve"][-1]
+        assert span.attrs["path"] == milp.path
+        assert "resolved" not in span.attrs
 
 
 class TestGreedyDeterminism:
@@ -298,8 +215,8 @@ class TestReplayFork:
     def test_tiered_fork_accepted(self, base_result):
         outcome = replay(base_result, 2,
                          ReplayOverrides(solver_backend="tiered"))
-        # tiered resolves per round; at this scale that is the MILP tier
         assert len(outcome.fork.rounds) >= 2
+        assert {r.backend for r in outcome.fork.rounds} <= {"milp", "carry"}
 
     def test_unknown_backend_rejected(self, base_result):
         with pytest.raises(ValueError, match="unknown solver backend"):
@@ -308,7 +225,7 @@ class TestReplayFork:
 
 
 class TestAllocationPersistence:
-    """Satellite: the warm-start-justifying metric from the audit data."""
+    """Satellite: the allocation-churn metric from the audit data."""
 
     def _round(self, allocations):
         return SimpleNamespace(allocations=allocations)
