@@ -13,20 +13,25 @@ Measures, per (cluster size, job count) point:
 * the ``milp`` solver points: ``solve_assignment(p, "milp")`` over every
   instance of ``milp_helios64.json`` and ``milp_scale1024.json``
   (captured sia-helios64 and sia-scale1024 rounds, see
-  ``milp_fixture.py``).  The synthetic points leave every GPU type slack
-  and their options far apart, so their MILPs never search; these rounds
-  bind capacity (helios64) or hold near-tied options (scale1024).  Each
-  solver point reports how many instances each of ``milp``'s paths
-  (``argmax``, ``dp``, ``highs``) answered, so a change that sends rounds
-  back to HiGHS shows in the baseline diff.
+  ``milp_fixture.py``), and over ``flat_utility``, seeded instances built
+  here (:func:`flat_utility`).  The synthetic points leave every GPU type
+  slack and their options far apart, so their MILPs never search; the
+  captured rounds bind capacity (helios64) or hold near-tied options
+  (scale1024), and the flat-utility instances bind capacity with every
+  option worth about the same, so the lattice DP's incumbent floor drops
+  almost no state.  Each solver point reports how many instances each of
+  ``milp``'s paths (``argmax``, ``dp``, ``highs``) answered.
 
 Each policy point is gated on its ``milp`` column's round latency; the
 4096-GPU point also carries the round-latency target it is reported
-against.  Each solver point is gated on its pass over its fixture.
+against.  Each solver point is gated on its pass over its instances, and
+on its path counts.
 
 Results land in ``BENCH_policy.json``.  ``--check-baseline`` compares the
 gated values against a committed baseline and exits non-zero on a >
-``--regression-factor`` (default 2x) slowdown, or on a point the baseline
+``--regression-factor`` (default 2x) slowdown, on a solver point whose
+path counts differ from the baseline's (a change that sends rounds back
+to HiGHS fails, not only shows in the diff), or on a point the baseline
 lacks, which is how CI gates performance regressions.  ``--sizes`` /
 ``--backends`` narrow a run to those policy points and columns (``milp``
 always runs; CI uses ``--sizes 1024`` for the large-point gate without
@@ -44,10 +49,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 from milp_fixture import FIXTURES, load
 
 from repro.cluster import presets
-from repro.core.ilp import solve_assignment
+from repro.core.ilp import AssignmentProblem, solve_assignment
 from repro.core.policy import SiaPolicyParams
 from repro.core.types import ProfilingMode
 from repro.obs.tracer import Tracer
@@ -65,12 +71,17 @@ BACKENDS = ("milp", "lp_round")
 #: the paths of the ``milp`` backend (``AssignmentSolution.path``).
 MILP_PATHS = ("argmax", "dp", "highs")
 
-#: passes a solver point makes over its fixture; the median is gated.
+#: passes a solver point makes over its instances; the median is gated.
 FIXTURE_PASSES = 5
 
 #: per-round policy latency targets (seconds) reported next to a point's
 #: gated round latency; reported, not gated.
 ROUND_TARGET_S = {4096: 0.150}
+
+#: instances of the flat-utility solver point, and the seed they are
+#: drawn from.
+FLAT_INSTANCES = 8
+FLAT_SEED = 0
 
 
 def point_name(point: dict) -> str:
@@ -206,11 +217,10 @@ def measure_point(size: int, n_jobs: int, rounds: int,
     return point
 
 
-def measure_fixture(fixture: Path) -> dict:
+def measure_fixture(name: str, problems: list[AssignmentProblem]) -> dict:
     """A solver point: :data:`FIXTURE_PASSES` timed passes of the
-    ``milp`` backend over every instance of ``fixture``, with the number
-    of instances each ``milp`` path answered in one pass."""
-    problems = load(fixture)
+    ``milp`` backend over ``problems``, with the number of instances each
+    ``milp`` path answered in one pass."""
     passes, solutions = [], []
     for _ in range(FIXTURE_PASSES):
         start = time.perf_counter()
@@ -219,12 +229,29 @@ def measure_fixture(fixture: Path) -> dict:
         passes.append(time.perf_counter() - start)
     solves = [solution.solve_time for solution in solutions]
     paths = [solution.path for solution in solutions[:len(problems)]]
-    return {"fixture": fixture.name, "instances": len(problems),
+    return {"fixture": name, "instances": len(problems),
             "backends": {"milp": {
                 "pass_median": statistics.median(passes),
                 "solve_median": statistics.median(solves),
                 "solve_max": max(solves),
                 "paths": {path: paths.count(path) for path in MILP_PATHS}}}}
+
+
+def flat_utility(count: int = FLAT_INSTANCES,
+                 seed: int = FLAT_SEED) -> list[AssignmentProblem]:
+    """``count`` seeded instances where every option is worth about the
+    same: 12 jobs over types A/B/C of 24/24/16 GPUs, 1/2/4/8/16-GPU
+    configurations of each, and utility ``1 + U(0, 1e-3) * GPUs``.  Every
+    job wants 16 GPUs, so capacity binds, and any state stays within
+    reach of the optimum."""
+    rng = np.random.default_rng(seed)
+    gpus = [1, 2, 4, 8, 16] * 3
+    types = [t for t in "ABC" for _ in range(5)]
+    return [AssignmentProblem(
+        utilities=1.0 + rng.uniform(0.0, 1e-3, (12, len(gpus))) * gpus,
+        config_gpus=gpus, config_types=types,
+        capacities={"A": 24, "B": 24, "C": 16})
+        for _ in range(count)]
 
 
 def run_bench(quick: bool, sizes: tuple[int, ...] | None = None,
@@ -237,8 +264,9 @@ def run_bench(quick: bool, sizes: tuple[int, ...] | None = None,
                             backends=backends)
               for size in sizes]
     if not narrowed:
-        points.extend(measure_fixture(fixture)
+        points.extend(measure_fixture(fixture.name, load(fixture))
                       for fixture in FIXTURES.values())
+        points.append(measure_fixture("flat_utility", flat_utility()))
     return {"benchmark": "policy_round", "jobs_per_64_gpus": JOBS_PER_64,
             "points": points}
 
@@ -260,6 +288,12 @@ def check_baseline(report: dict, baseline_path: Path,
             failures.append(
                 f"{name}: {label} {now:.4f}s "
                 f"> {factor:.1f}x baseline {then:.4f}s")
+        if "fixture" in point:
+            paths = point["backends"]["milp"]["paths"]
+            expected = ref["backends"]["milp"]["paths"]
+            if paths != expected:
+                failures.append(f"{name}: milp paths {paths} "
+                                f"!= baseline {expected}")
     return failures
 
 

@@ -12,19 +12,23 @@ Interchangeable backends (:data:`BACKENDS`):
   paper's CVXPY/GLPK_MI).  :func:`_solve_lattice` answers first: each
   job's own best option when those fit capacity together, else a
   max-plus DP over the used capacity of the GPU types that can bind.
-  HiGHS's mixed-integer solver takes lattices above :data:`_DP_MAX_WORK`
-  and ties within the margin below.  HiGHS runs at optimality gap 0 (:data:`_MILP_OPTIONS`), so
-  it prunes only branches that cannot beat its incumbent by its
-  feasibility tolerance :data:`_MIP_TOL`; an optimum unique by more than
-  twice that is the one HiGHS returns, and the DP answers only then.
-  Both checks are complete: the per-job check needs every other option
-  of every job to trail by the margin, and the DP's backtrack recomputes
-  every option at each cell of the optimal path, so any assignment within
-  the margin either ends in another final cell within it or leaves the
-  path at a cell where its option is within it.  Every decision is thus
-  HiGHS's.  HiGHS runs with its feasibility-jump primal heuristic off:
-  that heuristic hunts for a first feasible point, but this problem
-  always has one (the forced pairs, every other variable 0), and
+  The DP keeps only the states that can still come within the margin of
+  the optimum: a greedy incumbent sets a floor, and a state that stays
+  below it even if every later job takes its best option is dropped, so
+  no value the answer reads changes.  HiGHS's mixed-integer solver takes
+  lattices above :data:`_DP_MAX_WORK` and ties within the margin below.
+  HiGHS runs at optimality gap 0 (:data:`_MILP_OPTIONS`), so it prunes
+  only branches that cannot beat its incumbent by its feasibility
+  tolerance :data:`_MIP_TOL`; an optimum unique by more than twice that
+  is the one HiGHS returns, and the DP answers only then.  Both checks
+  are complete: the per-job check needs every other option of every job
+  to trail by the margin, and the DP's backtrack recomputes every option
+  at each cell of the optimal path, so any assignment within the margin
+  either ends in another final cell within it or leaves the path at a
+  cell where its option is within it.  Every decision is thus HiGHS's.
+  HiGHS runs with its feasibility-jump primal heuristic off: that
+  heuristic hunts for a first feasible point, but this problem always
+  has one (the forced pairs, every other variable 0), and
   branch-and-bound still proves optimality, so the answers are
   unchanged.
 * ``lp_round``   — HiGHS LP relaxation + deterministic rounding (Gavel's
@@ -90,11 +94,25 @@ _MILP_OPTIONS = {"mip_heuristic_run_feasibility_jump": False,
 
 #: work cap of the ``milp`` lattice DP, in lattice cells x (job, option)
 #: pairs, estimated before any table is built: above it HiGHS solves the
-#: instance.  The DP costs about 2 ns per unit; at 4M units its median
-#: time met HiGHS's (~8 ms) on sia-helios64-shaped instances with scaled
-#: capacities, and past that HiGHS's median wins.  Every captured
-#: sia-helios64 round is under 1.5M.
+#: instance.  The estimate is the cost of a DP whose incumbent floor
+#: drops no state, as on flat utilities: about 2 ns per unit in the
+#: dense step, and at 4M units its median time met HiGHS's (~8 ms) on
+#: sia-helios64-shaped instances with scaled capacities.  Every captured
+#: sia-helios64 round is under 1.5M.  Where the floor prunes, the DP
+#: touches far fewer: its 460 seed-1 sia-helios64 rounds expand 1.2M
+#: (state, shift) pairs, where dense stages would update 184M cells.
 _DP_MAX_WORK = 4_000_000
+
+#: a lattice-DP stage expands its live states from a dict while they
+#: number at most this share of the lattice's cells; once a stage holds
+#: more, it and every later stage fill their whole box with one
+#: ``np.maximum`` per shift.  A (state, shift) pair costs about 110 ns in
+#: the dict and a box cell about 3 ns per shift in numpy.  One pass on a 2-vCPU
+#: container over the policy bench's flat-utility instances, where the
+#: floor drops almost nothing: 43 ms with every stage dense, 43 ms at
+#: 1/32, 63 ms at 1/16, 1.28 s never switching; over the 524 seed-1
+#: sia-helios64 instances: 660 ms, 199 ms at 1/32, 175 ms never switching.
+_DENSE_SHARE = 1 / 32
 
 #: LP-support epsilon: rounding considers pairs the relaxation weighted
 #: above this before falling back to the full feasible set.
@@ -159,6 +177,9 @@ class AssignmentSolution:
     #: which of ``milp``'s paths answered: ``argmax``, ``dp`` or ``highs``
     #: (:func:`_solve_milp`); '' for the other backends.
     path: str = ""
+    #: (state, shift) pairs ``milp``'s lattice DP expanded on the way, 0
+    #: when it did not run (:func:`_solve_lattice`).
+    expanded: int = 0
 
     def gpus_used(self, problem: AssignmentProblem) -> dict[str, int]:
         used: dict[str, int] = {}
@@ -219,7 +240,7 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
     if none exists.  The greedy backend and ``milp``'s lattice DP, whose
     cost :data:`_DP_MAX_WORK` bounds, ignore it.  ``tracer`` records
     an ``ilp_solve`` span around the backend call, annotated with ``path``
-    when ``milp`` ran.
+    and ``expanded`` when ``milp`` ran.
     """
     if tracer is None:
         tracer = NULL_TRACER
@@ -228,7 +249,7 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
         start = time.perf_counter()
         if backend in ("milp", "tiered"):
             solution = _solve_milp(problem, time_limit=time_limit)
-            span.annotate(path=solution.path)
+            span.annotate(path=solution.path, expanded=solution.expanded)
         elif backend == "lp_round":
             solution = _solve_lp_round(problem, time_limit=time_limit)
         elif backend == "greedy":
@@ -390,14 +411,16 @@ def _solve_milp(problem: AssignmentProblem,
     """The ``milp`` backend: :func:`_solve_lattice` where its optimum is
     unique by the margin and affordable, HiGHS otherwise.  Both return
     the same optimum; the solution's ``path`` names the one that ran."""
-    answer = _solve_lattice(problem)
+    expanded: list[int] = []
+    answer = _solve_lattice(problem, expanded)
     if answer is None:
         solution = _solve_highs_milp(problem, time_limit=time_limit)
         solution.path = "highs"
-        return solution
-    path, assignment = answer
-    solution = _solution(problem, assignment)
-    solution.path = path
+    else:
+        path, assignment = answer
+        solution = _solution(problem, assignment)
+        solution.path = path
+    solution.expanded = sum(expanded)
     return solution
 
 
@@ -448,6 +471,7 @@ def _margin(best: float) -> float:
 
 
 def _solve_lattice(problem: AssignmentProblem,
+                   expanded: list[int] | None = None,
                    ) -> tuple[str, dict[int, int]] | None:
     """The optimal assignment, when it is unique by :func:`_margin`, with
     the path that found it (``argmax`` or ``dp``), or None when HiGHS
@@ -459,115 +483,276 @@ def _solve_lattice(problem: AssignmentProblem,
     max-plus DP over used capacity: GPU types whose summed per-job maximum
     demand fits their capacity can never bind and are dropped.  The state
     is the used GPUs of the rest, in a box that grows as jobs are added;
-    ``tables[i + 1]`` holds the best value of jobs ``0..i`` at each
-    state.  Returns None when the work estimate exceeds
+    ``tables[i + 1]`` holds the best value of jobs ``0..i`` at each live
+    state.  A state is live unless even every later job's best option
+    leaves it short of the incumbent floor (:func:`_incumbent`): such a
+    state ends more than the margin below the optimum, so dropping it
+    changes no value the answer reads.  A stage holds its live states in
+    a dict while they are few (:data:`_DENSE_SHARE`), else the whole box
+    in an array.  Returns None when the work estimate exceeds
     :data:`_DP_MAX_WORK`, or when another assignment comes within the
     margin of the optimum: only such a unique optimum is certainly the
     one HiGHS returns.  A type ``capacities`` lacks has capacity 0, as in
     HiGHS's model.  Raises RuntimeError when the forced pairs exceed
-    capacity.
+    capacity.  ``expanded``, when given, receives the DP's count of
+    (state, shift) expansions.
     """
     caps, config_pos = _capacity_types(problem)
     assignment = _solve_argmax(problem, caps, config_pos)
     if assignment is not None:
         return "argmax", assignment
-    util = problem.utilities
-    feasible = ~np.isnan(util)
+    feasible = ~np.isnan(problem.utilities)
+    # Each row gains a last entry 0.0, the value of option -1.
+    rows = [[*row, 0.0] for row in problem.utilities.tolist()]
     config_pos = config_pos.tolist()
     gpus = problem.config_gpus.tolist()
-    used_cols = np.flatnonzero(feasible.any(axis=0)).tolist()
 
     # Each job's options (config columns; -1 is "no allocation") and its
     # largest demand on every type.
     options: list[list[int]] = []
-    demand = np.zeros((problem.n_jobs, len(caps)), dtype=np.int64)
-    for i in range(problem.n_jobs):
+    demand = [[0] * len(caps) for _ in range(problem.n_jobs)]
+    for i, need in enumerate(demand):
         if i in problem.forced:
             cols = [problem.forced[i]]
         else:
             cols = [-1, *np.flatnonzero(feasible[i]).tolist()]
         options.append(cols)
         for j in cols:
-            if j >= 0 and gpus[j] > demand[i, config_pos[j]]:
-                demand[i, config_pos[j]] = gpus[j]
-    total = demand.sum(axis=0)
+            if j >= 0 and gpus[j] > need[config_pos[j]]:
+                need[config_pos[j]] = gpus[j]
+    total = [sum(need[k] for need in demand) for k in range(len(caps))]
     binding = [k for k in range(len(caps)) if total[k] > caps[k]]
-    cells = math.prod(min(caps[k], int(total[k])) + 1 for k in binding)
+    cells = math.prod(min(caps[k], total[k]) + 1 for k in binding)
     if cells * sum(map(len, options)) > _DP_MAX_WORK:
         return None
 
     # Lattice dimension of each type (-1: never binds), and the
-    # (dimension, GPUs) shift each option moves the state by.  A dummy
-    # dimension of size 1 stands in when no type binds.
+    # (dimension, GPUs) shift each option moves the state by; the last
+    # entry is option -1's.  A dummy dimension of capacity 0 stands in
+    # when no type binds.  A state's key is its mixed-radix index over
+    # the dimensions' capacities.
     dim = [-1] * len(caps)
     for d, k in enumerate(binding):
         dim[k] = d
-    shift = {-1: (-1, 0)}
-    for j in used_cols:
-        d = dim[config_pos[j]]
-        shift[j] = (d, gpus[j]) if d >= 0 else (-1, 0)
-    tables = [np.zeros([1] * max(1, len(binding)))]
+    shifts = [(dim[k], g) if dim[k] >= 0 else (-1, 0)
+              for k, g in zip(config_pos, gpus)] + [(-1, 0)]
+    room = [caps[k] for k in binding] or [0]
+    radix = [n + 1 for n in room]
+    stride = [math.prod(radix[d + 1:]) for d in range(len(radix))]
+    # Options with one shift add the same value: keep the best.
+    moves: list[list[tuple[int, int, float]]] = []
     for i, cols in enumerate(options):
-        prev = tables[-1]
-        box = list(prev.shape)
-        for k in binding:
-            box[dim[k]] = min(caps[k], box[dim[k]] - 1 + int(demand[i, k])) + 1
-        # Options with one shift add the same table: keep the best value.
         best: dict[tuple[int, int], float] = {}
         for j in cols:
-            d, g = shift[j]
-            if d >= 0 and g > caps[binding[d]]:
+            d, g = shifts[j]
+            if d >= 0 and g > room[d]:
                 continue
-            value = 0.0 if j < 0 else util[i, j]
-            if best.get((d, g), -math.inf) < value:
-                best[(d, g)] = value
-        table = np.full(box, -math.inf)
-        for (d, g), value in best.items():
-            dst = [slice(0, n) for n in prev.shape]
-            src = list(dst)
-            if d >= 0:
-                stop = min(g + prev.shape[d], box[d])
-                dst[d], src[d] = slice(g, stop), slice(0, stop - g)
-            view = table[tuple(dst)]
-            np.maximum(view, prev[tuple(src)] + value, out=view)
-        tables.append(table)
+            if best.get((d, g), -math.inf) < rows[i][j]:
+                best[(d, g)] = rows[i][j]
+        moves.append([(d, g, value) for (d, g), value in best.items()])
+
+    # The floor: ``rest[i]`` sums every job's best option from job ``i``
+    # on, and a state of jobs ``0..i - 1`` is dropped when even
+    # ``rest[i]`` more leaves it below ``floor``.
+    rest = [0.0] * (problem.n_jobs + 1)
+    for i in range(problem.n_jobs - 1, -1, -1):
+        rest[i] = rest[i + 1] + max((m[2] for m in moves[i]),
+                                    default=-math.inf)
+    picks = _incumbent(moves, room)
+    floor = -math.inf
+    if picks is not None:
+        incumbent = sum(value for _, _, value in picks)
+        floor = incumbent - 2 * _margin(max(abs(incumbent), abs(rest[0])))
+
+    tables: list[dict[int, float] | np.ndarray] = [{0: 0.0}]
+    box = [1] * len(room)
+    work = 0
+    for i, job in enumerate(moves):
+        prev = tables[-1]
+        if isinstance(prev, dict) and len(prev) > _DENSE_SHARE * cells:
+            prev = _dense(prev, box, radix, stride)
+        for d, k in enumerate(binding):
+            box[d] = min(room[d], box[d] - 1 + demand[i][k]) + 1
+        if isinstance(prev, dict):
+            work += len(prev) * len(job)
+            tables.append(_sparse_step(prev, job, room, radix, stride,
+                                       floor - rest[i + 1]))
+        else:
+            work += prev.size * len(job)
+            tables.append(_dense_step(prev, job, box))
+    if expanded is not None:
+        expanded.append(work)
 
     final = tables[-1]
-    top = float(final.max())
+    if isinstance(final, dict):
+        values = np.fromiter(final.values(), dtype=float, count=len(final))
+    else:
+        values = final.ravel()
+    top = float(values.max()) if values.size else -math.inf
     if top == -math.inf:
         raise RuntimeError("MILP failed: the forced assignments exceed "
                            "capacity")
     if not math.isfinite(top):
         return None
     tol = _margin(top)
-    if np.count_nonzero(final >= top - tol) > 1:
+    if np.count_nonzero(values >= top - tol) > 1:
         return None
 
-    # Backtrack, recomputing every option's value at each cell: a
+    # Backtrack, recomputing every option's value at each state: a
     # runner-up within ``tol`` is a second near-optimal assignment.
-    cell = np.unravel_index(int(np.argmax(final)), final.shape)
+    if isinstance(final, dict):
+        key = max(final, key=final.__getitem__)
+        cell = [key // s % r for s, r in zip(stride, radix)]
+    else:
+        cell = [int(c) for c in
+                np.unravel_index(int(np.argmax(final)), final.shape)]
+        key = sum(c * s for c, s in zip(cell, stride))
     chosen: dict[int, int] = {}
     for i in range(problem.n_jobs - 1, -1, -1):
         prev = tables[i]
         scored = []
         for j in options[i]:
-            d, g = shift[j]
-            src = list(cell)
-            if d >= 0:
-                src[d] -= g
-                if src[d] < 0:
-                    continue
-            if any(c >= n for c, n in zip(src, prev.shape)):
+            d, g = shifts[j]
+            if d >= 0 and cell[d] < g:
                 continue
-            value = 0.0 if j < 0 else util[i, j]
-            scored.append((prev[tuple(src)] + value, j, tuple(src)))
+            if isinstance(prev, dict):
+                reached = prev.get(key - g * stride[d] if d >= 0 else key)
+                if reached is None:
+                    continue
+            else:
+                src = list(cell)
+                if d >= 0:
+                    src[d] -= g
+                if any(c >= n for c, n in zip(src, prev.shape)):
+                    continue
+                reached = prev[tuple(src)]
+            scored.append((reached + rows[i][j], j, d, g))
         scored.sort(reverse=True)
         if len(scored) > 1 and scored[1][0] >= scored[0][0] - tol:
             return None
-        _, j, cell = scored[0]
+        _, j, d, g = scored[0]
+        if d >= 0:
+            cell[d] -= g
+            key -= g * stride[d]
         if j >= 0:
             chosen[i] = j
     return "dp", dict(sorted(chosen.items()))
+
+
+def _incumbent(moves: list[list[tuple[int, int, float]]],
+               room: list[int]) -> list[tuple[int, int, float]] | None:
+    """One feasible assignment of the lattice DP, one shift per job, whose
+    value is a floor under the optimum; None when the forced pairs exceed
+    capacity.
+
+    ``moves[i]`` lists job ``i``'s ``(dimension, GPUs, value)`` shifts
+    and ``room`` each dimension's capacity.  Every job starts at its best
+    shift.  While a dimension is over capacity, the job on it that loses
+    the least value per GPU freed takes the change, to a shift that
+    fits.  Then each job, in order, takes its best shift that now fits.
+    """
+    if not all(moves):
+        return None
+    ranked = [sorted(job, key=lambda m: m[2], reverse=True) for job in moves]
+    pick = [job[0] for job in ranked]
+    used = [0] * len(room)
+    for d, g, _ in pick:
+        if d >= 0:
+            used[d] += g
+    over = next((d for d, n in enumerate(used) if n > room[d]), None)
+    while over is not None:
+        least, change = math.inf, None
+        for i, (d, g, value) in enumerate(pick):
+            if d != over:
+                continue
+            for move in ranked[i]:
+                d2, g2, value2 = move
+                if d2 == d:
+                    freed = g - g2
+                    if freed <= 0:
+                        continue
+                elif d2 >= 0 and used[d2] + g2 > room[d2]:
+                    continue
+                else:
+                    freed = g
+                if (value - value2) / freed < least:
+                    least, change = (value - value2) / freed, (i, move)
+        if change is None:
+            return None
+        i, move = change
+        used[over] -= pick[i][1]
+        if move[0] >= 0:
+            used[move[0]] += move[1]
+        pick[i] = move
+        over = next((d for d, n in enumerate(used) if n > room[d]), None)
+    for i, job in enumerate(ranked):
+        d, g, _ = pick[i]
+        if d >= 0:
+            used[d] -= g
+        pick[i] = next(m for m in job
+                       if m[0] < 0 or used[m[0]] + m[1] <= room[m[0]])
+        if pick[i][0] >= 0:
+            used[pick[i][0]] += pick[i][1]
+    return pick
+
+
+def _sparse_step(states: dict[int, float],
+                 moves: list[tuple[int, int, float]], room: list[int],
+                 radix: list[int], stride: list[int],
+                 floor: float) -> dict[int, float]:
+    """One DP stage over live states only: every state takes every shift
+    that fits, and a new state below ``floor`` is dropped.  States run in
+    descending value, so each shift stops at the first one that falls
+    short."""
+    ranked = sorted(states.items(), key=lambda item: item[1], reverse=True)
+    out: dict[int, float] = {}
+    get = out.get
+    for d, g, value in moves:
+        need = floor - value
+        if d < 0:
+            for key, base in ranked:
+                if base < need:
+                    break
+                total = base + value
+                if get(key, -math.inf) < total:
+                    out[key] = total
+            continue
+        step, size, limit = stride[d], radix[d], room[d] - g
+        delta = g * step
+        for key, base in ranked:
+            if base < need:
+                break
+            if key // step % size <= limit:
+                total = base + value
+                if get(key + delta, -math.inf) < total:
+                    out[key + delta] = total
+    return out
+
+
+def _dense(states: dict[int, float], box: list[int], radix: list[int],
+           stride: list[int]) -> np.ndarray:
+    """Live states as a table over ``box``, -inf elsewhere."""
+    keys = np.fromiter(states.keys(), dtype=np.int64, count=len(states))
+    table = np.full(box, -math.inf)
+    table[tuple(keys // s % r for s, r in zip(stride, radix))] = \
+        np.fromiter(states.values(), dtype=float, count=len(states))
+    return table
+
+
+def _dense_step(prev: np.ndarray, moves: list[tuple[int, int, float]],
+                box: list[int]) -> np.ndarray:
+    """One DP stage over every cell of ``box``: one ``np.maximum`` per
+    shift."""
+    table = np.full(box, -math.inf)
+    for d, g, value in moves:
+        dst = [slice(0, n) for n in prev.shape]
+        src = list(dst)
+        if d >= 0:
+            stop = min(g + prev.shape[d], box[d])
+            dst[d], src[d] = slice(g, stop), slice(0, stop - g)
+        view = table[tuple(dst)]
+        np.maximum(view, prev[tuple(src)] + value, out=view)
+    return table
 
 
 def _solve_argmax(problem: AssignmentProblem, caps: list[int],

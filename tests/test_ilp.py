@@ -3,8 +3,10 @@ options every MILP runs with, and MILP-vs-exact cross-checks on random
 instances.  ``exact`` is the branch-and-bound oracle in
 ``tests/oracle.py``, not a solver backend."""
 
+import importlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,9 +272,50 @@ def forced_fits(p: AssignmentProblem) -> bool:
     return all(n <= p.capacities.get(t, 0) for t, n in used.items())
 
 
+def plant_near_ties(data, p: AssignmentProblem) -> np.ndarray:
+    """``p``'s utilities with 1 to 3 options planted 1e-8 to 1e-3
+    relative below another (same job or another job's option on the same
+    config)."""
+    util = p.utilities.copy()
+    cells = np.argwhere(~np.isnan(util))
+    if not len(cells):
+        return util
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = cells[data.draw(st.integers(0, len(cells) - 1))]
+        rel = 10.0 ** data.draw(st.floats(-8.0, -3.0))
+        row = data.draw(st.integers(0, p.n_jobs - 1))
+        col = data.draw(st.integers(0, p.n_configs - 1))
+        if row == i and col == j:
+            continue
+        util[row, col] = util[i, j] * (1.0 - rel)
+    return util
+
+
+def spy_incumbent(monkeypatch) -> list:
+    """Record every ``_incumbent(moves, room)`` call with its result."""
+    calls = []
+    real = ilp._incumbent
+
+    def spy(moves, room):
+        picks = real(moves, room)
+        calls.append((moves, room, picks))
+        return picks
+    monkeypatch.setattr(ilp, "_incumbent", spy)
+    return calls
+
+
+def perf_bench(monkeypatch, name: str):
+    """Import the module ``name`` of ``benchmarks/perf``."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "benchmarks" / "perf"))
+    return importlib.import_module(name)
+
+
 class TestLattice:
     """The lattice DP behind ``milp``: exact against the oracle, and it
-    hands HiGHS every instance it cannot certify."""
+    hands HiGHS every instance it cannot certify.  Its incumbent floor
+    drops only states that cannot reach the optimum, so answers and HiGHS
+    hand-offs are those of the full lattice."""
 
     @settings(max_examples=200, deadline=None)
     @given(instance=lattice_instances())
@@ -389,18 +432,7 @@ class TestLattice:
         1e-8 to 1e-3 relative below another (same job or another job's
         option on the same config)."""
         p = data.draw(random_instances())
-        util = p.utilities.copy()
-        cells = np.argwhere(~np.isnan(util))
-        if not len(cells):
-            return
-        for _ in range(data.draw(st.integers(1, 3))):
-            i, j = cells[data.draw(st.integers(0, len(cells) - 1))]
-            rel = 10.0 ** data.draw(st.floats(-8.0, -3.0))
-            row = data.draw(st.integers(0, p.n_jobs - 1))
-            col = data.draw(st.integers(0, p.n_configs - 1))
-            if row == i and col == j:
-                continue
-            util[row, col] = util[i, j] * (1.0 - rel)
+        util = plant_near_ties(data, p)
         caps = dict(p.capacities)
         if not binding:  # every job's largest demand fits at once
             caps = {t: int(sum(p.config_gpus)) * p.n_jobs for t in caps}
@@ -408,6 +440,160 @@ class TestLattice:
         answer = ilp._solve_lattice(p)
         if answer is not None:
             assert answer[1] == ilp._solve_highs_milp(p).assignment
+
+    # -- the incumbent floor and the sparse/dense stages --
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=lattice_instances())
+    def test_incumbent_is_a_feasible_floor(self, instance):
+        """Whenever the DP runs, the incumbent picks one of each job's
+        shifts, fits every binding dimension, and its value is at most
+        the oracle's optimum; it is None exactly when the forced pairs
+        exceed capacity."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = spy_incumbent(monkeypatch)
+            try:
+                ilp._solve_lattice(instance)
+            except RuntimeError:
+                pass
+        if not calls:  # the argmax check answered
+            return
+        (moves, room, picks), = calls
+        if not forced_fits(instance):
+            assert picks is None
+            return
+        assert picks is not None and len(picks) == len(moves)
+        used = [0] * len(room)
+        for job, pick in zip(moves, picks):
+            assert pick in job
+            if pick[0] >= 0:
+                used[pick[0]] += pick[1]
+        assert all(n <= cap for n, cap in zip(used, room))
+        value = sum(v for _, _, v in picks)
+        assert value <= solve_exact(instance).objective + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_floor_changes_no_answer(self, data):
+        """The DP with every stage in the dict, where the floor drops
+        states, answers (or raises) exactly as with every stage dense,
+        where no state is dropped, on instances with planted near-ties
+        and forced pairs that may not fit.  It never expands more."""
+        p = data.draw(lattice_instances())
+        p = problem(plant_near_ties(data, p), p.config_gpus,
+                    p.config_types, p.capacities, p.forced)
+        answers, work = [], []
+        for share in (0.0, math.inf):
+            expanded: list[int] = []
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(ilp, "_DENSE_SHARE", share)
+                try:
+                    answers.append(ilp._solve_lattice(p, expanded))
+                except RuntimeError:
+                    answers.append("raised")
+            work.append(sum(expanded))
+        assert answers[0] == answers[1]
+        assert work[1] <= work[0]
+
+    def test_suboptimal_incumbent_still_finds_the_optimum(self,
+                                                          monkeypatch):
+        """Four A GPUs: job 0 on three of them scores the best value per
+        GPU, so the incumbent drops jobs 1 and 2 and keeps 3.3, but jobs
+        1 and 2 together score 4.2."""
+        p = problem([[3.3, NAN], [NAN, 2.1], [NAN, 2.1]], [3, 2],
+                    ["A", "A"], {"A": 4})
+        calls = spy_incumbent(monkeypatch)
+        answer = ilp._solve_lattice(p)
+        (_, _, picks), = calls
+        assert sum(v for _, _, v in picks) == pytest.approx(3.3)
+        assert solve_exact(p).objective == pytest.approx(4.2)
+        assert answer == ("dp", solve_exact(p).assignment) \
+            == ("dp", {1: 1, 2: 1})
+
+    @pytest.mark.parametrize("cell", ["same", "another"])
+    def test_runner_up_inside_the_margin_survives_the_floor(self,
+                                                            monkeypatch,
+                                                            cell):
+        """The incumbent is the optimum and a runner-up trails it by
+        1.5e-6 relative, inside ``2 * _MIP_TOL``: the floor keeps it, so
+        HiGHS decides.  ``same``: the runner-up ends in the optimum's
+        final cell (job 1 takes job 0's GPU); ``another``: it ends in
+        another one (job 0 moves to B, job 1 to two A GPUs)."""
+        rel = 1.5e-6
+        if cell == "same":
+            p = problem([[1.0], [1.0 - rel]], [1], ["A"], {"A": 1})
+        else:
+            p = problem([[5.0, 5.0, NAN], [NAN, 1.0, 1.0 - 6.0 * rel]],
+                        [1, 1, 2], ["A", "B", "A"], {"A": 2, "B": 1})
+        best = solve_exact(p).objective
+        calls = spy_incumbent(monkeypatch)
+        assert ilp._solve_lattice(p) is None
+        (_, _, picks), = calls
+        assert sum(v for _, _, v in picks) == best
+        highs = self.spy_highs(monkeypatch)
+        solution = solve_assignment(p, "milp")
+        assert solution.path == "highs" and len(highs) == 1
+        assert solution.objective == pytest.approx(best)
+
+    def test_flat_utility_crosses_into_the_dense_step(self, monkeypatch):
+        """On flat utilities the live states outgrow the dict; the dense
+        stages give the answers of a DP that never leaves the dict."""
+        dense = []
+        real = ilp._dense
+
+        def spy(*args):
+            dense.append(args)
+            return real(*args)
+        monkeypatch.setattr(ilp, "_dense", spy)
+        instances = perf_bench(monkeypatch, "policy_bench").flat_utility(3)
+        answers = [ilp._solve_lattice(p) for p in instances]
+        assert len(dense) == len(instances)
+        assert any(answer is not None for answer in answers)
+        monkeypatch.setattr(ilp, "_DENSE_SHARE", math.inf)
+        assert [ilp._solve_lattice(p) for p in instances] == answers
+        assert len(dense) == len(instances)
+
+    def test_expanded_counts_the_dp_work(self, monkeypatch):
+        """The solution carries the DP's (state, shift) count.  Each job
+        of the planted instance has two shifts; the incumbent is 3.3 and
+        jobs 1 and 2 add at most 4.2, so the floor drops the empty state
+        after job 1 (2.1 at most to come): 1 + 2 + 2 states expanded,
+        where the dense boxes hold 1 + 49 + 65 cells.  The argmax path
+        and the other backends count 0."""
+        p = problem([[3.3, NAN], [NAN, 2.1], [NAN, 2.1]], [48, 32],
+                    ["A", "A"], {"A": 64})
+        solution = solve_assignment(p, "milp")
+        assert solution.path == "dp" and solution.assignment == {1: 1, 2: 1}
+        assert solution.expanded == 2 * (1 + 2 + 2)
+        monkeypatch.setattr(ilp, "_DENSE_SHARE", 0.0)
+        assert solve_assignment(p, "milp").expanded == 2 * (1 + 49 + 65)
+        assert solve_assignment(p, "greedy").expanded == 0
+        slack = solve_assignment(TestLattice.near_tie("slack", 1e-5), "milp")
+        assert slack.path == "argmax" and slack.expanded == 0
+
+
+class TestCapturedRounds:
+    """The argmax check and the DP against HiGHS on real rounds: every
+    8th instance of seed-1 sia-helios64 and sia-scale1024 passes, which
+    bind capacity and hold near-tied options."""
+
+    #: (argmax, dp, declined) per fixture, as ``baseline.json`` pins them.
+    PATHS = {"milp_helios64.json": (7, 59, 0),
+             "milp_scale1024.json": (27, 0, 1)}
+
+    def test_answers_match_highs(self, monkeypatch):
+        fixture = perf_bench(monkeypatch, "milp_fixture")
+        assert {path.name for path in fixture.FIXTURES.values()} \
+            == set(self.PATHS)
+        for path in fixture.FIXTURES.values():
+            problems = fixture.load(path)
+            answers = [ilp._solve_lattice(p) for p in problems]
+            paths = [answer[0] if answer else None for answer in answers]
+            assert (paths.count("argmax"), paths.count("dp"),
+                    paths.count(None)) == self.PATHS[path.name]
+            for p, answer in zip(problems, answers):
+                if answer is not None:
+                    assert answer[1] == ilp._solve_highs_milp(p).assignment
 
 
 class TestTracedPath:
@@ -419,12 +605,16 @@ class TestTracedPath:
     def test_span_records_each_path(self, kind, rel, path):
         tracer = Tracer()
         p = TestLattice.near_tie(kind, rel)
-        assert solve_assignment(p, "milp", tracer=tracer).path == path
+        solution = solve_assignment(p, "milp", tracer=tracer)
+        assert solution.path == path
         span, = tracer.spans
         assert span.attrs["path"] == path
+        assert span.attrs["expanded"] == solution.expanded
+        assert (solution.expanded > 0) == (kind == "binding")
         tracer = Tracer()
         assert solve_assignment(p, "greedy", tracer=tracer).path == ""
         assert "path" not in tracer.spans[0].attrs
+        assert "expanded" not in tracer.spans[0].attrs
 
     def test_traced_round_records_path(self, hetero_cluster):
         """A traced Sia run on the 64-GPU testbed: every round's solve

@@ -176,7 +176,8 @@ def _record_highs_calls(monkeypatch) -> list:
     copied before scipy consumes it, and ``{}`` when none were passed.
     The ``milp`` backend's argmax check and lattice DP decline every
     instance, so every ``milp`` solve reaches HiGHS."""
-    monkeypatch.setattr(ilp, "_solve_lattice", lambda problem: None)
+    monkeypatch.setattr(ilp, "_solve_lattice",
+                        lambda problem, expanded=None: None)
     seen = []
     real = ilp.milp
 
