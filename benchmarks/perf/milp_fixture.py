@@ -21,6 +21,8 @@ import json
 import math
 import sys
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.core import ilp
@@ -33,26 +35,34 @@ FIXTURES = {"sia-helios64": Path(__file__).with_name("milp_helios64.json"),
 STRIDE = 8
 
 
+@contextmanager
+def recording() -> Iterator[list[ilp.AssignmentProblem]]:
+    """Every instance the ``milp`` backend receives inside the block, in
+    the list it yields."""
+    captured: list[ilp.AssignmentProblem] = []
+    solve = ilp._solve_milp
+
+    def record(problem, time_limit=None):
+        captured.append(problem)
+        return solve(problem, time_limit=time_limit)
+
+    ilp._solve_milp = record
+    try:
+        yield captured
+    finally:
+        ilp._solve_milp = solve
+
+
 def capture(workload: str) -> list[ilp.AssignmentProblem]:
     """Every ``milp`` instance of one untraced seed-1 pass of
     ``workload``."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "e2e"))
     import scenarios
 
-    captured = []
-    solve = ilp._solve_milp
-
-    def recording(problem, time_limit=None):
-        captured.append(problem)
-        return solve(problem, time_limit=time_limit)
-
-    ilp._solve_milp = recording
-    try:
-        with tempfile.TemporaryDirectory() as workdir:
-            scenarios.WORKLOADS[workload](1, False, Path(workdir)) \
-                .simulator.run()
-    finally:
-        ilp._solve_milp = solve
+    with recording() as captured, \
+            tempfile.TemporaryDirectory() as workdir:
+        scenarios.WORKLOADS[workload](1, False, Path(workdir)) \
+            .simulator.run()
     return captured
 
 

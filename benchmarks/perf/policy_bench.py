@@ -1,41 +1,42 @@
-"""Policy-pipeline microbenchmarks: goodput pass + solver backends at scale.
+"""Policy-pipeline microbenchmarks: goodput pass + the milp solver at scale.
 
 Measures, per (cluster size, job count) point:
 
 * full policy round latency (bootstrap + goodput_eval + solve + placement)
-  via the observability phase spans;
-* per-solver-backend columns (``milp`` and ``lp_round``, at every size):
-  round latency, solve-phase time, first-round objective and its gap vs
-  the MILP — the solver scaling story up to 16384 GPUs / 4096 jobs;
+  of the ``milp`` backend via the observability phase spans, with the
+  solve-phase time and first-round objective — the scaling story up to
+  16384 GPUs / 4096 jobs;
 * steady-state estimator cache hit rate across consecutive rounds, with
   every placed job re-reporting its iteration time between rounds as in
   the engine;
 * the ``milp`` solver points: ``solve_assignment(p, "milp")`` over every
   instance of ``milp_helios64.json`` and ``milp_scale1024.json``
   (captured sia-helios64 and sia-scale1024 rounds, see
-  ``milp_fixture.py``), and over ``flat_utility``, seeded instances built
-  here (:func:`flat_utility`).  The synthetic points leave every GPU type
-  slack and their options far apart, so their MILPs never search; the
-  captured rounds bind capacity (helios64) or hold near-tied options
-  (scale1024), and the flat-utility instances bind capacity with every
-  option worth about the same, so the lattice DP's incumbent floor drops
-  almost no state.  Each solver point reports how many instances each of
-  ``milp``'s paths (``argmax``, ``dp``, ``highs``) answered.
+  ``milp_fixture.py``), over ``flat_utility``, seeded instances built
+  here (:func:`flat_utility`), and over ``contended1024``, the first
+  round of 1,024 fresh jobs on 1,024 GPUs, captured here
+  (:func:`contended`).  The policy points leave every GPU type slack and
+  their options far apart, so their MILPs never search; the captured
+  rounds bind capacity (helios64) or hold near-tied options (scale1024),
+  the flat-utility instances bind capacity with every option worth about
+  the same, so the lattice DP's incumbent floor drops almost no state,
+  and the contended round is past the DP's work cap, so HiGHS searches.
+  Each solver point reports how many instances each of ``milp``'s paths
+  (``argmax``, ``dp``, ``highs``) answered.
 
-Each policy point is gated on its ``milp`` column's round latency; the
-4096-GPU point also carries the round-latency target it is reported
-against.  Each solver point is gated on its pass over its instances, and
-on its path counts.
+Each policy point is gated on its round latency; the 4096-GPU point also
+carries the round-latency target it is reported against.  Each solver
+point is gated on its pass over its instances, and on its path counts.
 
 Results land in ``BENCH_policy.json``.  ``--check-baseline`` compares the
 gated values against a committed baseline and exits non-zero on a >
 ``--regression-factor`` (default 2x) slowdown, on a solver point whose
 path counts differ from the baseline's (a change that sends rounds back
 to HiGHS fails, not only shows in the diff), or on a point the baseline
-lacks, which is how CI gates performance regressions.  ``--sizes`` /
-``--backends`` narrow a run to those policy points and columns (``milp``
-always runs; CI uses ``--sizes 1024`` for the large-point gate without
-paying for 4096); without ``--sizes``, the solver points run too.
+lacks, which is how CI gates performance regressions.  ``--sizes``
+narrows a run to those policy points (CI uses ``--sizes 1024`` for the
+large-point gate without paying for 4096); without it, the solver points
+run too.
 
 Run:  PYTHONPATH=src python benchmarks/perf/policy_bench.py [--quick]
 """
@@ -50,7 +51,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from milp_fixture import FIXTURES, load
+from milp_fixture import FIXTURES, load, recording
 
 from repro.cluster import presets
 from repro.core.ilp import AssignmentProblem, solve_assignment
@@ -64,9 +65,6 @@ from repro.workloads import helios_trace
 
 #: active jobs per 64 GPUs (paper-proportional load, as in Figure 9).
 JOBS_PER_64 = 16
-
-#: solver columns of every policy point; ``milp`` is the gated one.
-BACKENDS = ("milp", "lp_round")
 
 #: the paths of the ``milp`` backend (``AssignmentSolution.path``).
 MILP_PATHS = ("argmax", "dp", "highs")
@@ -82,6 +80,10 @@ ROUND_TARGET_S = {4096: 0.150}
 #: drawn from.
 FLAT_INSTANCES = 8
 FLAT_SEED = 0
+
+#: GPUs of the contended solver point, with one fresh job per GPU (64 per
+#: 64 GPUs, four times a policy point's load).
+CONTENDED_GPUS = 1024
 
 
 def point_name(point: dict) -> str:
@@ -185,33 +187,14 @@ def _column(result: dict) -> dict:
     }
 
 
-def measure_backend(cluster, n_jobs: int, rounds: int, solver: str) -> dict:
-    """One (point, solver backend) measurement from a fresh job trace."""
-    scheduler = SiaScheduler(SiaPolicyParams(solver=solver))
-    views = make_views(scheduler, cluster, n_jobs)
-    return run_rounds(scheduler, cluster, views, rounds)
-
-
-def measure_point(size: int, n_jobs: int, rounds: int,
-                  backends: tuple[str, ...] | None = None) -> dict:
+def measure_point(size: int, n_jobs: int, rounds: int) -> dict:
+    """One policy point: ``milp`` rounds over a fresh job trace."""
     cluster = presets.scaled_heterogeneous(size)
-    point: dict = {"gpus": size, "jobs": n_jobs, "rounds": rounds}
-    if backends is None:
-        backends = BACKENDS
-    if "milp" not in backends:
-        backends = ("milp", *backends)
-
-    point["backends"] = {}
-    for solver in backends:
-        point["backends"][solver] = _column(
-            measure_backend(cluster, n_jobs, rounds, solver))
-    # First-round objective gap vs the MILP (identical initial views per
-    # backend: same trace seed, no prior allocations).  Rigorous gap bounds
-    # live in tests/test_solver_tiers.py; this is the at-scale spot check.
-    milp_obj = point["backends"]["milp"]["objective_first"]
-    for column in point["backends"].values():
-        column["optimality_gap_first"] = \
-            (milp_obj - column["objective_first"]) / abs(milp_obj)
+    scheduler = SiaScheduler(SiaPolicyParams(solver="milp"))
+    views = make_views(scheduler, cluster, n_jobs)
+    point: dict = {"gpus": size, "jobs": n_jobs, "rounds": rounds,
+                   "backends": {"milp": _column(
+                       run_rounds(scheduler, cluster, views, rounds))}}
     if size in ROUND_TARGET_S:
         point["round_latency_target"] = ROUND_TARGET_S[size]
     return point
@@ -254,19 +237,32 @@ def flat_utility(count: int = FLAT_INSTANCES,
         for _ in range(count)]
 
 
-def run_bench(quick: bool, sizes: tuple[int, ...] | None = None,
-              backends: tuple[str, ...] | None = None) -> dict:
+def contended(size: int = CONTENDED_GPUS) -> list[AssignmentProblem]:
+    """The first-round ``milp`` instance of ``size`` fresh Helios jobs on
+    ``scaled_heterogeneous(size)``, captured as ``milp_fixture`` captures
+    a workload's rounds.  At one job per GPU its lattice is past the DP's
+    work cap, so HiGHS searches."""
+    cluster = presets.scaled_heterogeneous(size)
+    scheduler = SiaScheduler(SiaPolicyParams(solver="milp"))
+    views = make_views(scheduler, cluster, size)
+    with recording() as captured:
+        scheduler.decide(views, cluster, {}, 0.0)
+    return captured
+
+
+def run_bench(quick: bool, sizes: tuple[int, ...] | None = None) -> dict:
     narrowed = sizes is not None
     if sizes is None:
         sizes = (64,) if quick else (64, 128, 256, 1024, 4096, 16384)
     rounds = 2 if quick else 3
-    points = [measure_point(size, JOBS_PER_64 * (size // 64), rounds,
-                            backends=backends)
+    points = [measure_point(size, JOBS_PER_64 * (size // 64), rounds)
               for size in sizes]
     if not narrowed:
         points.extend(measure_fixture(fixture.name, load(fixture))
                       for fixture in FIXTURES.values())
         points.append(measure_fixture("flat_utility", flat_utility()))
+        points.append(measure_fixture(f"contended{CONTENDED_GPUS}",
+                                      contended()))
     return {"benchmark": "policy_round", "jobs_per_64_gpus": JOBS_PER_64,
             "points": points}
 
@@ -304,10 +300,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sizes", type=str, default=None,
                         help="comma-separated GPU counts to measure "
                              "(overrides --quick's size selection)")
-    parser.add_argument("--backends", type=str, default=None,
-                        help="comma-separated solver backends to column "
-                             f"(default: {','.join(BACKENDS)}; milp always "
-                             "runs)")
     parser.add_argument("--out", type=Path, default=Path("BENCH_policy.json"))
     parser.add_argument("--check-baseline", type=Path, default=None,
                         help="baseline JSON to gate regressions against")
@@ -316,8 +308,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sizes = tuple(int(s) for s in args.sizes.split(",")) \
         if args.sizes else None
-    backends = tuple(args.backends.split(",")) if args.backends else None
-    report = run_bench(args.quick, sizes=sizes, backends=backends)
+    report = run_bench(args.quick, sizes=sizes)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     for point in report["points"]:
@@ -337,14 +328,11 @@ def main(argv: list[str] | None = None) -> int:
             line += (f" (target <= "
                      f"{point['round_latency_target'] * 1e3:.0f} ms),")
         eval_ms = gated['phase_totals']['goodput_eval'] * 1e3
+        solve_ms = gated['phase_totals']['solve'] * 1e3
         line += (f" goodput_eval {eval_ms:8.1f} ms total,"
+                 f" milp solve {solve_ms:8.1f} ms total,"
                  f" cache hit rate {gated['cache_hit_rate']:.0%}")
         print(line)
-        for solver, column in point["backends"].items():
-            print(f"        {solver:10s} round "
-                  f"{column['round_latency_median'] * 1e3:8.1f} ms, solve "
-                  f"{column['phase_totals']['solve'] * 1e3:8.1f} ms total, "
-                  f"gap {column['optimality_gap_first']:+.2%}")
     print(f"wrote {args.out}")
 
     if args.check_baseline is not None:

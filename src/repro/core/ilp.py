@@ -31,21 +31,18 @@ Interchangeable backends (:data:`BACKENDS`):
   has one (the forced pairs, every other variable 0), and
   branch-and-bound still proves optimality, so the answers are
   unchanged.
-* ``lp_round``   — HiGHS LP relaxation + deterministic rounding (Gavel's
-  trick: the relaxation is near-integral for this constraint shape, so
-  rounding its support by goodput-per-GPU and repairing capacity greedily
-  lands within a small optimality gap at a fraction of the MILP cost).
 * ``tiered``     — ``milp`` under its former name: it runs the same exact
   solve at every size and reports ``backend='milp'``.  The name stays
   valid for run recipes and replays that ask for it.
 * ``greedy``     — utility-density greedy rounding (ablation baseline and
-  last-resort fallback; fast but not optimal).
+  the ladder's fallback rung; fast but not optimal).
 
 The fallback ladder: :func:`solve_with_fallback` is the one solve path
-the Sia policy takes.  It tries the primary backend, then the remaining
-rungs of ``lp_round -> greedy`` (:data:`FALLBACKS`), and raises
-:class:`SolverExhaustedError` only when every rung fails; the simulator's
-``resilient`` guard then carries the previous round forward.
+the Sia policy takes.  It tries the primary backend, then ``greedy``
+(:data:`FALLBACKS`), and raises :class:`SolverExhaustedError` only when
+both fail; the simulator's ``resilient`` guard then carries the previous
+round forward.  A HiGHS solve that reaches its time limit fails, so a
+budgeted round gets either the exact optimum or greedy's answer.
 :func:`solve_assignment` is the single-backend primitive underneath.
 """
 
@@ -66,12 +63,11 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 #: every backend :func:`solve_assignment` accepts, in quality order.
 #: ``repro.core.fork`` re-exports this tuple so the replay CLI stays in
 #: sync; add backends here, nowhere else.
-BACKENDS = ("milp", "lp_round", "tiered", "greedy")
+BACKENDS = ("milp", "tiered", "greedy")
 
 #: backends tried, in order, after the primary fails.  Entries equal to
-#: the primary are skipped.  ``lp_round`` sits ahead of greedy because it
-#: shares the MILP's constraint system at a fraction of the cost.
-FALLBACKS = ("lp_round", "greedy")
+#: the primary are skipped.
+FALLBACKS = ("greedy",)
 
 #: HiGHS's MIP feasibility tolerance, its own default, passed on every
 #: MILP (:data:`_MILP_OPTIONS`).  At optimality gap 0 HiGHS prunes only
@@ -80,14 +76,14 @@ FALLBACKS = ("lp_round", "greedy")
 #: returns, and :func:`_solve_lattice` answers exactly those instances.
 _MIP_TOL = 1e-6
 
-#: HiGHS options every integral solve passes: optimality gap 0, relative
-#: and absolute, so HiGHS stops only at the optimum; the feasibility
+#: HiGHS options every solve passes: optimality gap 0, relative and
+#: absolute, so HiGHS stops only at the optimum; the feasibility
 #: tolerance above; and the feasibility-jump primal heuristic off.  That
 #: heuristic searches for a first feasible point, but the assignment
 #: problem always has one: the forced pairs with every other variable at
 #: 0.  On seeded sia-helios64 rounds it was over half of each MILP solve,
 #: and skipping it leaves every assignment unchanged: branch-and-bound
-#: still proves optimality.  LP-relaxation solves do not take these.
+#: still proves optimality.
 _MILP_OPTIONS = {"mip_heuristic_run_feasibility_jump": False,
                  "mip_rel_gap": 0.0, "mip_abs_gap": 0.0,
                  "mip_feasibility_tolerance": _MIP_TOL}
@@ -113,10 +109,6 @@ _DP_MAX_WORK = 4_000_000
 #: 1/32, 63 ms at 1/16, 1.28 s never switching; over the 524 seed-1
 #: sia-helios64 instances: 660 ms, 199 ms at 1/32, 175 ms never switching.
 _DENSE_SHARE = 1 / 32
-
-#: LP-support epsilon: rounding considers pairs the relaxation weighted
-#: above this before falling back to the full feasible set.
-_LP_EPS = 1e-9
 
 
 @dataclass
@@ -171,9 +163,6 @@ class AssignmentSolution:
     #: concrete backend that produced the solution ('' for hand-built
     #: instances).
     backend: str = ""
-    #: LP-relaxation optimum, when a relaxation was solved on the way
-    #: (lp_round) — the certificate the optimality gap is measured against.
-    lp_bound: float | None = None
     #: which of ``milp``'s paths answered: ``argmax``, ``dp`` or ``highs``
     #: (:func:`_solve_milp`); '' for the other backends.
     path: str = ""
@@ -197,9 +186,9 @@ def solve_with_fallback(problem: AssignmentProblem, primary: str = "milp",
                         budget: float | None = None,
                         tracer: Tracer | None = None,
                         ) -> tuple[AssignmentSolution, bool]:
-    """Solve through the ladder ``primary -> lp_round -> greedy``.
+    """Solve through the ladder ``primary -> greedy``.
 
-    Every rung but the last runs under ``time_limit=budget``; the last
+    The primary runs under ``time_limit=budget``; greedy, the last rung,
     runs unbudgeted, since it must produce *something*.  A rung that raises
     passes to the next, leaving a ``rung_failed`` instant event on
     ``tracer``.  Returns ``(solution, degraded)``: the first solution wins,
@@ -236,8 +225,8 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
     """Solve one assignment instance with the chosen backend.
 
     ``time_limit`` (seconds) is forwarded to HiGHS as a solver time
-    budget; a timed-out solve returns the best incumbent found, or raises
-    if none exists.  The greedy backend and ``milp``'s lattice DP, whose
+    budget; a solve that reaches it raises, whatever incumbent HiGHS
+    holds.  The greedy backend and ``milp``'s lattice DP, whose
     cost :data:`_DP_MAX_WORK` bounds, ignore it.  ``tracer`` records
     an ``ilp_solve`` span around the backend call, annotated with ``path``
     and ``expanded`` when ``milp`` ran.
@@ -250,8 +239,6 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
         if backend in ("milp", "tiered"):
             solution = _solve_milp(problem, time_limit=time_limit)
             span.annotate(path=solution.path, expanded=solution.expanded)
-        elif backend == "lp_round":
-            solution = _solve_lp_round(problem, time_limit=time_limit)
         elif backend == "greedy":
             solution = _solve_greedy(problem)
         else:
@@ -275,7 +262,7 @@ def _validate(problem: AssignmentProblem, solution: AssignmentSolution) -> None:
             raise RuntimeError(f"solver dropped forced assignment for job {row}")
 
 
-# -- HiGHS backends (MILP and LP relaxation via scipy) ------------------------
+# -- HiGHS MILP (via scipy) ---------------------------------------------------
 
 @dataclass
 class _PairSystem:
@@ -366,46 +353,6 @@ def _assemble(problem: AssignmentProblem) -> _PairSystem | None:
                        lb=lb, ub=ub)
 
 
-def _highs_solve(problem: AssignmentProblem, *, integral: bool,
-                 time_limit: float | None,
-                 ) -> tuple[np.ndarray, _PairSystem] | None:
-    """One HiGHS solve (MILP when ``integral``, else the LP relaxation);
-    returns ``(x, system)`` or None for an empty instance."""
-    system = _assemble(problem)
-    if system is None:
-        return None
-    integrality = np.ones(system.n_vars) if integral \
-        else np.zeros(system.n_vars)
-    # scipy's ``milp`` consumes (pops from) its options, so build a fresh
-    # dict per call.
-    options = dict(_MILP_OPTIONS) if integral else {}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
-    with warnings.catch_warnings():
-        # Silence what scipy says about the _MILP_OPTIONS keys, nothing
-        # else: its ``milp`` knows five options and warns (RuntimeWarning)
-        # on every call passing others through to HiGHS, naming them as
-        # one set, and a HiGHS build that predates an option warns
-        # (OptimizeWarning) that it does not know it, then solves with
-        # that option at its default (the same answer, only slower).
-        key = "'(?:" + "|".join(map(re.escape, _MILP_OPTIONS)) + ")'"
-        unknown = rf"Unrecognized options detected: \{{{key}(?:, {key})*\}}\."
-        warnings.filterwarnings("ignore", category=RuntimeWarning,
-                                message=unknown)
-        warnings.filterwarnings("ignore", category=OptimizeWarning,
-                                message=f".*{key}")
-        result = milp(c=system.cost, constraints=system.constraints,
-                      integrality=integrality,
-                      bounds=Bounds(system.lb, system.ub),
-                      options=options or None)
-    # status 0 = optimal; 1 = iteration/time limit reached, in which case
-    # HiGHS may still hand back a feasible incumbent worth using.
-    if result.status not in (0, 1) or result.x is None:
-        raise RuntimeError(f"{'MILP' if integral else 'LP'} failed: "
-                           f"{result.message}")
-    return np.asarray(result.x, dtype=float), system
-
-
 def _solve_milp(problem: AssignmentProblem,
                 time_limit: float | None = None) -> AssignmentSolution:
     """The ``milp`` backend: :func:`_solve_lattice` where its optimum is
@@ -427,14 +374,42 @@ def _solve_milp(problem: AssignmentProblem,
 def _solve_highs_milp(problem: AssignmentProblem,
                       time_limit: float | None = None,
                       ) -> AssignmentSolution:
-    """HiGHS's MILP optimum, in ascending job order."""
-    solved = _highs_solve(problem, integral=True, time_limit=time_limit)
-    if solved is None:
+    """HiGHS's MILP optimum, in ascending job order.  Raises unless HiGHS
+    proves it within ``time_limit``."""
+    system = _assemble(problem)
+    if system is None:
         return AssignmentSolution({}, 0.0, 0.0)
-    x, system = solved
+    # scipy's ``milp`` consumes (pops from) its options, so build a fresh
+    # dict per call.
+    options = dict(_MILP_OPTIONS)
+    if time_limit is not None:
+        options["time_limit"] = time_limit
+    with warnings.catch_warnings():
+        # Silence what scipy says about the _MILP_OPTIONS keys, nothing
+        # else: its ``milp`` knows five options and warns (RuntimeWarning)
+        # on every call passing others through to HiGHS, naming them as
+        # one set, and a HiGHS build that predates an option warns
+        # (OptimizeWarning) that it does not know it, then solves with
+        # that option at its default (the same answer, only slower).
+        key = "'(?:" + "|".join(map(re.escape, _MILP_OPTIONS)) + ")'"
+        unknown = rf"Unrecognized options detected: \{{{key}(?:, {key})*\}}\."
+        warnings.filterwarnings("ignore", category=RuntimeWarning,
+                                message=unknown)
+        warnings.filterwarnings("ignore", category=OptimizeWarning,
+                                message=f".*{key}")
+        result = milp(c=system.cost, constraints=system.constraints,
+                      integrality=np.ones(system.n_vars),
+                      bounds=Bounds(system.lb, system.ub), options=options)
+    # status 0 = optimal.  Anything else fails, status 1 (time limit
+    # reached) included: HiGHS's incumbent then can sit far below the
+    # optimum and differ between identical calls, where the ladder's
+    # greedy rung answers in milliseconds.
+    if result.status != 0 or result.x is None:
+        raise RuntimeError(f"MILP failed: {result.message}")
+    chosen = np.flatnonzero(np.asarray(result.x) > 0.5)
     return _solution(problem, {int(system.pair_jobs[idx]):
                                int(system.pair_cols[idx])
-                               for idx in np.flatnonzero(x > 0.5)})
+                               for idx in chosen})
 
 
 def _solution(problem: AssignmentProblem,
@@ -443,23 +418,6 @@ def _solution(problem: AssignmentProblem,
     objective = float(sum(problem.utilities[i, j]
                           for i, j in assignment.items()))
     return AssignmentSolution(assignment, objective, 0.0)
-
-
-def _solve_lp_relaxation(problem: AssignmentProblem,
-                         time_limit: float | None = None,
-                         ) -> tuple[float | None, np.ndarray | None,
-                                    np.ndarray | None, np.ndarray | None]:
-    """LP relaxation of the instance: ``(bound, x, pair_jobs, pair_cols)``.
-
-    ``bound`` is the relaxation optimum — an upper bound on any integral
-    objective — or None for an empty instance.
-    """
-    solved = _highs_solve(problem, integral=False, time_limit=time_limit)
-    if solved is None:
-        return None, None, None, None
-    x, system = solved
-    bound = float(-system.cost @ x)
-    return bound, x, system.pair_jobs, system.pair_cols
 
 
 # -- capacity-lattice DP (milp's exact path) ----------------------------------
@@ -791,114 +749,36 @@ def _solve_argmax(problem: AssignmentProblem, caps: list[int],
     return dict(zip(allocated.tolist(), cols.tolist()))
 
 
-# -- LP relaxation + deterministic rounding backend ---------------------------
-
-def _solve_lp_round(problem: AssignmentProblem,
-                    time_limit: float | None = None) -> AssignmentSolution:
-    """Solve the LP relaxation, then round deterministically.
-
-    The relaxation of this constraint shape (one row per job, one capacity
-    row per GPU type) is integral except where jobs tie over scarce
-    capacity, so most of ``x`` lands on {0, 1} already.  Rounding walks the
-    LP support by utility-per-GPU (ties: larger LP weight), taking a pair whenever the job is free and capacity remains —
-    capacity violations are repaired by construction.  A final fill pass
-    over the full feasible set catches jobs the LP zeroed out but cheap
-    leftover capacity can still serve.
-    """
-    bound, x, pair_jobs, pair_cols = _solve_lp_relaxation(
-        problem, time_limit=time_limit)
-    if bound is None:
-        return AssignmentSolution({}, 0.0, 0.0)
-
-    remaining = dict(problem.capacities)
-    assignment: dict[int, int] = {}
-
-    def try_assign(i: int, j: int) -> bool:
-        gpu_type = problem.config_types[j]
-        need = int(problem.config_gpus[j])
-        if remaining.get(gpu_type, 0) < need:
-            return False
-        remaining[gpu_type] -= need
-        assignment[i] = j
-        return True
-
-    for i, j in sorted(problem.forced.items()):
-        if not try_assign(i, j):
-            raise RuntimeError(f"cannot satisfy forced assignment ({i}, {j})")
-
-    util = problem.utilities
-    gpus = problem.config_gpus
-
-    support = np.flatnonzero(x > _LP_EPS)
-    candidates = []
-    for idx in support.tolist():
-        i, j = int(pair_jobs[idx]), int(pair_cols[idx])
-        if i in assignment or util[i, j] <= 0:
-            continue
-        candidates.append((
-            -util[i, j] / max(1, int(gpus[j])),  # goodput per GPU, desc
-            -float(x[idx]),                      # then larger LP weight
-            int(gpus[j]), i, j,
-        ))
-    candidates.sort()
-    for _, _, _, i, j in candidates:
-        if i not in assignment:
-            try_assign(i, j)
-
-    # Fill pass: jobs the LP support left out, over the leftover capacity.
-    _greedy_fill(problem, assignment, remaining)
-
-    objective = float(sum(util[i, j] for i, j in assignment.items()))
-    return AssignmentSolution(assignment, objective, 0.0, lp_bound=bound)
-
-
-def _greedy_fill(problem: AssignmentProblem, assignment: dict[int, int],
-                 remaining: dict[str, int]) -> None:
-    """Assign still-free jobs' positive-utility pairs into leftover
-    capacity, highest utility-per-GPU first (ties: fewer GPUs, then job
-    id / config id — fully deterministic).  Shared by the
-    rounding and greedy backends; mutates ``assignment``/``remaining`` in
-    place."""
-    util = problem.utilities
-    gpus = problem.config_gpus
-    pairs = []
-    for i, j in problem.feasible_pairs():
-        if i in assignment or util[i, j] <= 0:
-            continue
-        pairs.append((
-            -util[i, j] / max(1, int(gpus[j])),
-            int(gpus[j]), i, j,
-        ))
-    pairs.sort()
-    for _, _, i, j in pairs:
-        if i in assignment:
-            continue
-        gpu_type = problem.config_types[j]
-        need = int(gpus[j])
-        if remaining.get(gpu_type, 0) >= need:
-            remaining[gpu_type] -= need
-            assignment[i] = j
-
-
 # -- greedy backend ----------------------------------------------------------
 
 def _solve_greedy(problem: AssignmentProblem) -> AssignmentSolution:
     """Assign pairs in order of utility per GPU, honouring forced pairs.
 
-    Ties break by GPU count, then job id, then config id — never by dict
-    or insertion order — so the fallback tier is reproducible across
-    seed changes.
+    Forced pairs go first; then every free job's positive-utility pair
+    that fits the leftover capacity, highest utility per GPU first.  Ties
+    break by GPU count, then job id, then config id — never by dict or
+    insertion order — so the fallback rung is reproducible across seed
+    changes.
     """
+    util = problem.utilities
+    gpus = problem.config_gpus
     remaining = dict(problem.capacities)
     assignment: dict[int, int] = {}
 
     for i, j in sorted(problem.forced.items()):
         gpu_type = problem.config_types[j]
-        need = int(problem.config_gpus[j])
+        need = int(gpus[j])
         if remaining.get(gpu_type, 0) < need:
             raise RuntimeError(f"cannot satisfy forced assignment ({i}, {j})")
         remaining[gpu_type] -= need
         assignment[i] = j
 
-    _greedy_fill(problem, assignment, remaining)
+    pairs = sorted((-util[i, j] / max(1, int(gpus[j])), int(gpus[j]), i, j)
+                   for i, j in problem.feasible_pairs()
+                   if i not in assignment and util[i, j] > 0)
+    for _, need, i, j in pairs:
+        gpu_type = problem.config_types[j]
+        if i not in assignment and remaining.get(gpu_type, 0) >= need:
+            remaining[gpu_type] -= need
+            assignment[i] = j
     return _solution(problem, assignment)

@@ -20,13 +20,14 @@ class SiaPolicyParams:
     #: allocation incentive lambda (Section 4.3; default 1.1).
     allocation_incentive: float = 1.1
     #: ILP backend — any of :data:`repro.core.ilp.BACKENDS` ('milp',
-    #: 'lp_round', 'tiered', 'greedy'; 'tiered' is the former name of
-    #: 'milp' and solves the same way); the primary rung of the fallback
-    #: ladder (:func:`repro.core.ilp.solve_with_fallback`).  Any other
-    #: name is rejected here.
+    #: 'tiered', 'greedy'; 'tiered' is the former name of 'milp' and
+    #: solves the same way); the primary rung of the fallback ladder
+    #: ``solver -> greedy`` (:func:`repro.core.ilp.solve_with_fallback`).
+    #: Any other name is rejected here.
     solver: str = "milp"
-    #: wall-clock seconds each budgeted rung of the ladder may spend per
-    #: round, passed to HiGHS as its time limit; None passes no limit.
+    #: wall-clock seconds the primary rung may spend per round, passed to
+    #: HiGHS as its time limit; a HiGHS solve that reaches it hands the
+    #: round to greedy.  None passes no limit.
     solve_budget_s: float | None = None
     #: disable the restart factor (ablation).
     use_restart_factor: bool = True

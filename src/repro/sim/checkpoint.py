@@ -73,8 +73,11 @@ from repro.atomicio import atomic_write_bytes
 #:     ``scheduler_name``, and ``RoundRecord`` gains ``queued``.
 #: v9: estimators hold a ``RunningFit`` per GPU type in place of the
 #:     observation list, and memoize their per-type batch-size caps.
+#: v10: the LP-rounding solver backend is gone; a pickled
+#:     ``SiaPolicyParams`` naming it skips the name check on restore and
+#:     would fail every round's solve.
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages

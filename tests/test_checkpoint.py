@@ -155,8 +155,9 @@ class TestCheckpointFile:
         header, payload = path.read_bytes().split(b"\n", 1)
         # v1 stored finished jobs as runtimes; v2 could hold a wrapped
         # scheduler class that no longer exists; v5 pickled the health and
-        # fault-model knobs that are now module constants.
-        for version in (b"v999", b"v1", b"v2", b"v5"):
+        # fault-model knobs that are now module constants; v9 could hold a
+        # Sia policy asking for the deleted ``lp_round`` solver.
+        for version in (b"v999", b"v1", b"v2", b"v5", b"v9"):
             parts = header.split(b" ")
             parts[1] = version
             path.write_bytes(b" ".join(parts) + b"\n" + payload)

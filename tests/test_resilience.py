@@ -40,22 +40,24 @@ class TestResilientSolver:
     """The fallback ladder, :func:`repro.core.ilp.solve_with_fallback`:
     the one solve path of the Sia policy."""
 
-    @pytest.mark.parametrize("primary", ["milp", "tiered", "lp_round",
-                                         "greedy"])
-    @pytest.mark.parametrize("broken", [(), ("milp",), ("lp_round",),
-                                        ("milp", "lp_round"),
+    @pytest.mark.parametrize("primary", ["milp", "tiered", "greedy"])
+    @pytest.mark.parametrize("broken", [(), ("milp",), ("greedy",),
                                         ("milp", "greedy"),
-                                        ("milp", "lp_round", "greedy")])
+                                        ("lattice",),
+                                        ("lattice", "greedy")])
     def test_ladder_serves_first_working_rung(self, monkeypatch, primary,
                                               broken):
+        """``lattice`` breaks ``milp`` from inside, in its exact DP: the
+        whole rung fails and greedy serves, never a HiGHS retry."""
         def boom(*args, **kwargs):
             raise RuntimeError("injected failure")
-        for backend in broken:
-            monkeypatch.setattr(ilp, f"_solve_{backend}", boom)
+        for name in broken:
+            monkeypatch.setattr(ilp, f"_solve_{name}", boom)
+        failed = {"milp" if name == "lattice" else name for name in broken}
         # ``tiered`` resolves to milp on this small instance.
         first = "milp" if primary == "tiered" else primary
         rungs = [first] + [b for b in ilp.FALLBACKS if b != primary]
-        working = [b for b in rungs if b not in broken]
+        working = [b for b in rungs if b not in failed]
         if not working:
             with pytest.raises(SolverExhaustedError):
                 solve_with_fallback(problem(), primary)
@@ -65,30 +67,38 @@ class TestResilientSolver:
         assert degraded == (working[0] != first)
         assert solution.assignment
 
-    def test_milp_failure_falls_back_to_lp_round(self, monkeypatch):
+    def test_milp_failure_falls_back_to_greedy(self, monkeypatch):
         def boom(problem, time_limit=None):
             raise RuntimeError("injected MILP failure")
         monkeypatch.setattr(ilp, "_solve_milp", boom)
         tracer = Tracer()
         solution, degraded = solve_with_fallback(problem(), tracer=tracer)
-        assert solution.backend == "lp_round"
+        assert solution.backend == "greedy"
         assert degraded
+        assert solution.assignment
         assert [(name, attrs) for name, _, attrs in tracer.events] == [
             ("rung_failed", {"backend": "milp", "error": "RuntimeError"})]
         # The fallback result still respects capacities (validated too).
         used = solution.gpus_used(problem())
         assert all(n <= problem().capacities[t] for t, n in used.items())
 
-    def test_milp_and_lp_round_failure_falls_back_to_greedy(
-            self, monkeypatch):
-        def boom(problem, time_limit=None, **kwargs):
-            raise RuntimeError("injected failure")
-        monkeypatch.setattr(ilp, "_solve_milp", boom)
-        monkeypatch.setattr(ilp, "_solve_lp_round", boom)
-        solution, degraded = solve_with_fallback(problem())
-        assert solution.backend == "greedy"
-        assert degraded
-        assert solution.assignment
+    def test_timed_out_highs_incumbent_refused(self, monkeypatch):
+        """HiGHS at its time limit (status 1) holds a feasible incumbent
+        that can sit far below the optimum: the ``milp`` rung refuses it,
+        and greedy serves the round, flagged degraded."""
+        monkeypatch.setattr(ilp, "_solve_lattice",
+                            lambda problem, expanded=None: None)
+
+        def timed_out(*, c, **kwargs):
+            x = np.zeros(len(c))
+            x[0] = 1.0  # job 0 on its worse configuration, the rest idle
+            return SimpleNamespace(status=1, x=x,
+                                   message="Time limit reached.")
+        monkeypatch.setattr(ilp, "milp", timed_out)
+        solution, degraded = solve_with_fallback(problem(), budget=0.05)
+        assert solution.backend == "greedy" and degraded
+        # Greedy's one-GPU configurations, not the incumbent's 1.0.
+        assert solution.objective == 1.0 + 2.0 + 3.0
 
     def test_timed_out_tiered_round_records_backend_that_ran(
             self, monkeypatch, hetero_cluster):
@@ -131,7 +141,6 @@ class TestResilientSolver:
         def boom(*args, **kwargs):
             raise RuntimeError("injected")
         monkeypatch.setattr(ilp, "_solve_milp", boom)
-        monkeypatch.setattr(ilp, "_solve_lp_round", boom)
         monkeypatch.setattr(ilp, "_solve_greedy", boom)
         with pytest.raises(SolverExhaustedError):
             solve_with_fallback(problem())
@@ -140,21 +149,22 @@ class TestResilientSolver:
         # A budgeted solve of a feasible instance still succeeds outright.
         solution = ilp.solve_assignment(problem(), time_limit=10.0)
         assert solution.assignment
-        # Every budgeted rung hands its budget to HiGHS.
+        # The primary rung hands its budget to HiGHS ...
         calls = _record_highs_calls(monkeypatch)
-        solve_with_fallback(problem(), budget=10.0)
-        assert [options.get("time_limit") for _, options in calls] == [10.0]
-        _assert_heuristic_setting(calls, integral=True)
-        # ... except the last rung, which runs unbudgeted.
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected greedy failure")
-        monkeypatch.setattr(ilp, "_solve_greedy", boom)
+        for primary in ("milp", "tiered"):
+            calls.clear()
+            solution, degraded = solve_with_fallback(problem(), primary,
+                                                     budget=10.0)
+            assert solution.backend == "milp" and not degraded
+            assert [options.get("time_limit") for _, options in calls] \
+                == [10.0]
+            _assert_milp_options(calls)
+        # ... and greedy, the last rung, runs without HiGHS.
         calls.clear()
         solution, degraded = solve_with_fallback(problem(), "greedy",
                                                  budget=10.0)
-        assert solution.backend == "lp_round" and degraded
-        assert [("time_limit" in options) for _, options in calls] == [False]
-        _assert_heuristic_setting(calls, integral=False)
+        assert solution.backend == "greedy" and not degraded
+        assert calls == []
 
     def test_no_budget_passes_no_time_limit(self, monkeypatch,
                                             hetero_cluster):
@@ -167,7 +177,7 @@ class TestResilientSolver:
                  max_hours=1)
         assert calls
         assert not any("time_limit" in options for _, options in calls)
-        _assert_heuristic_setting(calls, integral=True)
+        _assert_milp_options(calls)
 
 
 def _record_highs_calls(monkeypatch) -> list:
@@ -189,16 +199,13 @@ def _record_highs_calls(monkeypatch) -> list:
     return seen
 
 
-def _assert_heuristic_setting(calls: list, integral: bool) -> None:
-    """Every recorded call is MILP (``integral``) or LP, and only MILP
-    calls turn HiGHS's feasibility-jump heuristic off."""
+def _assert_milp_options(calls: list) -> None:
+    """Every recorded call is a MILP passing :data:`ilp._MILP_OPTIONS`,
+    which turn HiGHS's feasibility-jump heuristic off."""
     assert calls
-    for call_integral, options in calls:
-        assert call_integral == integral
-        if integral:
-            assert options.items() >= ilp._MILP_OPTIONS.items()
-        else:
-            assert not options.keys() & ilp._MILP_OPTIONS.keys()
+    for integral, options in calls:
+        assert integral
+        assert options.items() >= ilp._MILP_OPTIONS.items()
 
 
 class TestSolverExhaustedChain:
@@ -209,7 +216,6 @@ class TestSolverExhaustedChain:
         def boom(*args, **kwargs):
             raise RuntimeError("injected")
         monkeypatch.setattr(ilp, "_solve_milp", boom)
-        monkeypatch.setattr(ilp, "_solve_lp_round", boom)
         monkeypatch.setattr(ilp, "_solve_greedy", boom)
         with pytest.raises(SolverExhaustedError, match="primary='milp'"):
             solve_with_fallback(problem())
@@ -221,7 +227,6 @@ class TestSolverExhaustedChain:
         def boom(*args, **kwargs):
             raise RuntimeError("injected")
         monkeypatch.setattr(ilp, "_solve_milp", boom)
-        monkeypatch.setattr(ilp, "_solve_lp_round", boom)
         monkeypatch.setattr(ilp, "_solve_greedy", boom)
         params = SiaPolicyParams(solve_budget_s=5.0)
         jobs = [make_job("j0", "resnet18", 0.0, work_scale=0.3)]
@@ -255,9 +260,9 @@ class TestSolverExhaustedChain:
                           max_hours=100)
         backends = result.backend_counts()
         assert backends.get("milp", 0) > 0
-        assert backends.get("lp_round", 0) > 0
+        assert backends.get("greedy", 0) > 0
         fallbacks = result.rounds[-1].metrics.get("solver_fallbacks", 0)
-        assert fallbacks == result.degraded_rounds == backends["lp_round"]
+        assert fallbacks == result.degraded_rounds == backends["greedy"]
         # ... and survive a save/load round trip
         path = tmp_path / "res.json"
         io.save_result(result, path)
@@ -276,11 +281,7 @@ class TestPrimaryRetry:
         def boom(*args, **kwargs):
             calls["n"] += 1
             raise RuntimeError("injected")
-
-        def lp_boom(*args, **kwargs):
-            raise RuntimeError("injected lp_round failure")
         monkeypatch.setattr(ilp, "_solve_greedy", boom)
-        monkeypatch.setattr(ilp, "_solve_lp_round", lp_boom)
         with pytest.raises(SolverExhaustedError):
             solve_with_fallback(problem(), "greedy", budget=5.0)
         assert calls["n"] == 1  # no second greedy attempt
@@ -431,7 +432,7 @@ class TestChaos:
         assert result.degraded_rounds > 0
         assert result.total_fault_events > 0
         backends = result.backend_counts()
-        assert backends.get("lp_round", 0) > 0  # the fallback ladder engaged
+        assert backends.get("greedy", 0) > 0  # the fallback ladder engaged
         loaded_summary = result.fault_counts()
         assert loaded_summary  # structured fault telemetry survives
 
