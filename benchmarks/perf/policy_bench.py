@@ -1,4 +1,4 @@
-"""Policy-pipeline microbenchmarks: goodput pass + the milp solver at scale.
+"""Policy-pipeline microbenchmarks: goodput pass + the solvers at scale.
 
 Measures, per (cluster size, job count) point:
 
@@ -9,7 +9,7 @@ Measures, per (cluster size, job count) point:
 * steady-state estimator cache hit rate across consecutive rounds, with
   every placed job re-reporting its iteration time between rounds as in
   the engine;
-* the ``milp`` solver points: ``solve_assignment(p, "milp")`` over every
+* the solver points: ``solve_assignment(p, "milp")`` over every
   instance of ``milp_helios64.json`` and ``milp_scale1024.json``
   (captured sia-helios64 and sia-scale1024 rounds, see
   ``milp_fixture.py``), over ``flat_utility``, seeded instances built
@@ -22,18 +22,22 @@ Measures, per (cluster size, job count) point:
   the same, so the lattice DP's incumbent floor drops almost no state,
   and the contended round is past the DP's work cap, so HiGHS searches.
   Each solver point reports how many instances each of ``milp``'s paths
-  (``argmax``, ``dp``, ``highs``) answered.
+  (``argmax``, ``dp``, ``highs``) answered, and times the ``greedy``
+  backend, the fallback rung, over the same instances with its objective
+  over ``milp``'s per instance (median and min).
 
 Each policy point is gated on its round latency; the 4096-GPU point also
 carries the round-latency target it is reported against.  Each solver
-point is gated on its pass over its instances, and on its path counts.
+point is gated on its ``milp`` pass over its instances, on its path
+counts, on its ``greedy`` pass, and on greedy's min objective ratio.
 
 Results land in ``BENCH_policy.json``.  ``--check-baseline`` compares the
 gated values against a committed baseline and exits non-zero on a >
 ``--regression-factor`` (default 2x) slowdown, on a solver point whose
 path counts differ from the baseline's (a change that sends rounds back
-to HiGHS fails, not only shows in the diff), or on a point the baseline
-lacks, which is how CI gates performance regressions.  ``--sizes``
+to HiGHS fails, not only shows in the diff) or whose greedy min ratio
+falls more than :data:`RATIO_SLACK` below the baseline's, or on a point
+the baseline lacks, which is how CI gates performance regressions.  ``--sizes``
 narrows a run to those policy points (CI uses ``--sizes 1024`` for the
 large-point gate without paying for 4096); without it, the solver points
 run too.
@@ -69,8 +73,13 @@ JOBS_PER_64 = 16
 #: the paths of the ``milp`` backend (``AssignmentSolution.path``).
 MILP_PATHS = ("argmax", "dp", "highs")
 
-#: passes a solver point makes over its instances; the median is gated.
+#: passes a solver point makes over its instances with each backend; the
+#: median is gated.
 FIXTURE_PASSES = 5
+
+#: how far a solver point's greedy min objective ratio may fall below the
+#: baseline's.
+RATIO_SLACK = 0.005
 
 #: per-round policy latency targets (seconds) reported next to a point's
 #: gated round latency; reported, not gated.
@@ -200,24 +209,39 @@ def measure_point(size: int, n_jobs: int, rounds: int) -> dict:
     return point
 
 
-def measure_fixture(name: str, problems: list[AssignmentProblem]) -> dict:
-    """A solver point: :data:`FIXTURE_PASSES` timed passes of the
-    ``milp`` backend over ``problems``, with the number of instances each
-    ``milp`` path answered in one pass."""
+def timed_passes(problems: list[AssignmentProblem], backend: str,
+                 ) -> tuple[list[float], list]:
+    """:data:`FIXTURE_PASSES` timed passes of ``backend`` over
+    ``problems``: each pass's seconds, and every solution."""
     passes, solutions = [], []
     for _ in range(FIXTURE_PASSES):
         start = time.perf_counter()
-        solutions.extend(solve_assignment(problem, "milp")
+        solutions.extend(solve_assignment(problem, backend)
                          for problem in problems)
         passes.append(time.perf_counter() - start)
+    return passes, solutions
+
+
+def measure_fixture(name: str, problems: list[AssignmentProblem]) -> dict:
+    """A solver point: timed passes of the ``milp`` backend over
+    ``problems``, with the number of instances each ``milp`` path
+    answered in one pass, and of ``greedy``, with its objective over
+    ``milp``'s on each instance."""
+    passes, solutions = timed_passes(problems, "milp")
     solves = [solution.solve_time for solution in solutions]
-    paths = [solution.path for solution in solutions[:len(problems)]]
+    optima = solutions[:len(problems)]
+    paths = [solution.path for solution in optima]
+    greedy_passes, greedy = timed_passes(problems, "greedy")
+    ratios = [g.objective / m.objective for g, m in zip(greedy, optima)]
+    milp = {"pass_median": statistics.median(passes),
+            "solve_median": statistics.median(solves),
+            "solve_max": max(solves),
+            "paths": {path: paths.count(path) for path in MILP_PATHS}}
     return {"fixture": name, "instances": len(problems),
-            "backends": {"milp": {
-                "pass_median": statistics.median(passes),
-                "solve_median": statistics.median(solves),
-                "solve_max": max(solves),
-                "paths": {path: paths.count(path) for path in MILP_PATHS}}}}
+            "backends": {"milp": milp, "greedy": {
+                "pass_median": statistics.median(greedy_passes),
+                "ratio_median": statistics.median(ratios),
+                "ratio_min": min(ratios)}}}
 
 
 def flat_utility(count: int = FLAT_INSTANCES,
@@ -284,12 +308,26 @@ def check_baseline(report: dict, baseline_path: Path,
             failures.append(
                 f"{name}: {label} {now:.4f}s "
                 f"> {factor:.1f}x baseline {then:.4f}s")
-        if "fixture" in point:
-            paths = point["backends"]["milp"]["paths"]
-            expected = ref["backends"]["milp"]["paths"]
-            if paths != expected:
-                failures.append(f"{name}: milp paths {paths} "
-                                f"!= baseline {expected}")
+        if "fixture" not in point:
+            continue
+        paths = point["backends"]["milp"]["paths"]
+        expected = ref["backends"]["milp"]["paths"]
+        if paths != expected:
+            failures.append(f"{name}: milp paths {paths} "
+                            f"!= baseline {expected}")
+        greedy, ref_greedy = (p["backends"].get("greedy")
+                              for p in (point, ref))
+        if ref_greedy is None:
+            failures.append(f"{name}: no greedy baseline in {baseline_path}")
+            continue
+        if greedy["pass_median"] > factor * ref_greedy["pass_median"]:
+            failures.append(
+                f"{name}: greedy pass {greedy['pass_median']:.4f}s "
+                f"> {factor:.1f}x baseline {ref_greedy['pass_median']:.4f}s")
+        if greedy["ratio_min"] < ref_greedy["ratio_min"] - RATIO_SLACK:
+            failures.append(
+                f"{name}: greedy min ratio {greedy['ratio_min']:.4f} "
+                f"< baseline {ref_greedy['ratio_min']:.4f} - {RATIO_SLACK}")
     return failures
 
 
@@ -313,13 +351,16 @@ def main(argv: list[str] | None = None) -> int:
 
     for point in report["points"]:
         if "fixture" in point:
-            milp = point["backends"]["milp"]
+            milp, greedy = (point["backends"][b] for b in ("milp", "greedy"))
             paths = ", ".join(f"{path} {count}"
                               for path, count in milp["paths"].items())
             print(f"{point['fixture']} ({point['instances']} instances): "
                   f"milp pass {milp['pass_median'] * 1e3:8.1f} ms, solve "
                   f"p50 {milp['solve_median'] * 1e3:.2f} ms, max "
-                  f"{milp['solve_max'] * 1e3:.2f} ms ({paths})")
+                  f"{milp['solve_max'] * 1e3:.2f} ms ({paths}); greedy "
+                  f"pass {greedy['pass_median'] * 1e3:.1f} ms, ratio p50 "
+                  f"{greedy['ratio_median']:.4f}, min "
+                  f"{greedy['ratio_min']:.4f}")
             continue
         gated = point["backends"]["milp"]
         line = (f"{point['gpus']:5d} GPUs / {point['jobs']:4d} jobs: "

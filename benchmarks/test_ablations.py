@@ -1,8 +1,9 @@
 """Ablations of Sia design choices called out in DESIGN.md.
 
-* **Solver**: exact ILP vs greedy rounding — the ILP's optimality guarantee
-  should never hurt and the greedy heuristic stays within a modest factor
-  (it is the cheap fallback, not the design point).
+* **Solver**: exact ILP vs greedy — the ILP's optimality guarantee should
+  never hurt, and the greedy heuristic (the lattice DP's incumbent over
+  every GPU type) stays within a modest factor (it is the cheap fallback,
+  not the design point).
 * **Restart factor** (Equation 3): disabling it must increase reallocation
   churn (restarts per job); the paper's motivation is that without it
   "tiny changes in G would result in altering some jobs' resources".
@@ -55,7 +56,7 @@ def test_design_ablations(benchmark):
     greedy = results["sia (greedy)"]
     no_restart = results["sia (no restart factor)"]
 
-    # The exact solver is no worse than greedy rounding on JCT.
+    # The exact solver is no worse than greedy on JCT.
     assert milp.avg_jct_hours <= greedy.avg_jct_hours * 1.1
     # Removing the restart factor increases churn.
     assert no_restart.avg_restarts > milp.avg_restarts

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.cluster.gpu import GPUSpec, gpu_spec
 from repro.cluster.node import Node, NodeGroup, power_of_two_decomposition
 
 
@@ -115,9 +114,6 @@ class Cluster:
         if not nodes:
             raise KeyError(f"no nodes of type {gpu_type!r}")
         return max(n.num_gpus for n in nodes)
-
-    def spec(self, gpu_type: str) -> GPUSpec:
-        return gpu_spec(gpu_type)
 
     def scaled(self, factor: int) -> "Cluster":
         """Return a cluster with every node group replicated ``factor`` times

@@ -63,7 +63,3 @@ class NodeGroup:
         gpu_spec(self.gpu_type)
         if self.num_nodes < 1 or self.gpus_per_node < 1:
             raise ValueError("NodeGroup sizes must be positive")
-
-    @property
-    def total_gpus(self) -> int:
-        return self.num_nodes * self.gpus_per_node

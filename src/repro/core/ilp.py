@@ -34,8 +34,10 @@ Interchangeable backends (:data:`BACKENDS`):
 * ``tiered``     — ``milp`` under its former name: it runs the same exact
   solve at every size and reports ``backend='milp'``.  The name stays
   valid for run recipes and replays that ask for it.
-* ``greedy``     — utility-density greedy rounding (ablation baseline and
-  the ladder's fallback rung; fast but not optimal).
+* ``greedy``     — the lattice DP's incumbent over every GPU type
+  (:func:`_incumbent`): each job takes its best option, then jobs on an
+  over-capacity type give up what loses the least value per GPU freed
+  (the ladder's fallback rung and the ablation baseline; fast, no bound).
 
 The fallback ladder: :func:`solve_with_fallback` is the one solve path
 the Sia policy takes.  It tries the primary backend, then ``greedy``
@@ -48,6 +50,7 @@ budgeted round gets either the exact optimum or greedy's answer.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 import time
@@ -147,10 +150,6 @@ class AssignmentProblem:
     @property
     def n_configs(self) -> int:
         return self.utilities.shape[1]
-
-    def feasible_pairs(self) -> list[tuple[int, int]]:
-        rows, cols = np.where(~np.isnan(self.utilities))
-        return list(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass
@@ -459,22 +458,15 @@ def _solve_lattice(problem: AssignmentProblem,
     assignment = _solve_argmax(problem, caps, config_pos)
     if assignment is not None:
         return "argmax", assignment
-    feasible = ~np.isnan(problem.utilities)
     # Each row gains a last entry 0.0, the value of option -1.
     rows = [[*row, 0.0] for row in problem.utilities.tolist()]
     config_pos = config_pos.tolist()
     gpus = problem.config_gpus.tolist()
 
-    # Each job's options (config columns; -1 is "no allocation") and its
-    # largest demand on every type.
-    options: list[list[int]] = []
+    # Each job's options and its largest demand on every type.
+    options = _options(problem)
     demand = [[0] * len(caps) for _ in range(problem.n_jobs)]
-    for i, need in enumerate(demand):
-        if i in problem.forced:
-            cols = [problem.forced[i]]
-        else:
-            cols = [-1, *np.flatnonzero(feasible[i]).tolist()]
-        options.append(cols)
+    for cols, need in zip(options, demand):
         for j in cols:
             if j >= 0 and gpus[j] > need[config_pos[j]]:
                 need[config_pos[j]] = gpus[j]
@@ -497,17 +489,7 @@ def _solve_lattice(problem: AssignmentProblem,
     room = [caps[k] for k in binding] or [0]
     radix = [n + 1 for n in room]
     stride = [math.prod(radix[d + 1:]) for d in range(len(radix))]
-    # Options with one shift add the same value: keep the best.
-    moves: list[list[tuple[int, int, float]]] = []
-    for i, cols in enumerate(options):
-        best: dict[tuple[int, int], float] = {}
-        for j in cols:
-            d, g = shifts[j]
-            if d >= 0 and g > room[d]:
-                continue
-            if best.get((d, g), -math.inf) < rows[i][j]:
-                best[(d, g)] = rows[i][j]
-        moves.append([(d, g, value) for (d, g), value in best.items()])
+    moves, _ = _moves(rows, options, shifts, room)
 
     # The floor: ``rest[i]`` sums every job's best option from job ``i``
     # on, and a state of jobs ``0..i - 1`` is dropped when even
@@ -597,17 +579,55 @@ def _solve_lattice(problem: AssignmentProblem,
     return "dp", dict(sorted(chosen.items()))
 
 
+def _options(problem: AssignmentProblem) -> list[list[int]]:
+    """Each job's options as config columns, -1 ("no allocation") first;
+    a forced job has only its pair."""
+    feasible = ~np.isnan(problem.utilities)
+    return [[problem.forced[i]] if i in problem.forced
+            else [-1, *np.flatnonzero(feasible[i]).tolist()]
+            for i in range(problem.n_jobs)]
+
+
+def _moves(rows: list[list[float]], options: list[list[int]],
+           shifts: list[tuple[int, int]], room: list[int],
+           ) -> tuple[list[list[tuple[int, int, float]]],
+                      list[dict[tuple[int, int], int]]]:
+    """Each job's best value per ``(dimension, GPUs)`` shift that fits
+    ``room``, as ``(dimension, GPUs, value)`` moves in first-appearance
+    order, and the option column that gives each one.  ``rows[i][j]`` is
+    option ``j``'s value and ``shifts[j]`` its shift (dimension -1: no
+    capacity moves); among options with one shift the first best wins."""
+    moves, columns = [], []
+    for row, cols in zip(rows, options):
+        best: dict[tuple[int, int], int] = {}
+        for j in cols:
+            d, g = shifts[j]
+            if d >= 0 and g > room[d]:
+                continue
+            if (d, g) not in best or row[best[(d, g)]] < row[j]:
+                best[(d, g)] = j
+        moves.append([(d, g, row[j]) for (d, g), j in best.items()])
+        columns.append(best)
+    return moves, columns
+
+
 def _incumbent(moves: list[list[tuple[int, int, float]]],
                room: list[int]) -> list[tuple[int, int, float]] | None:
-    """One feasible assignment of the lattice DP, one shift per job, whose
-    value is a floor under the optimum; None when the forced pairs exceed
-    capacity.
+    """One feasible assignment, one move per job: the lattice DP's floor
+    under the optimum and, over every GPU type, the ``greedy`` backend's
+    answer.  None when the forced pairs exceed capacity.
 
     ``moves[i]`` lists job ``i``'s ``(dimension, GPUs, value)`` shifts
     and ``room`` each dimension's capacity.  Every job starts at its best
     shift.  While a dimension is over capacity, the job on it that loses
     the least value per GPU freed takes the change, to a shift that
-    fits.  Then each job, in order, takes its best shift that now fits.
+    fits; ties go to the lowest job, then its best-ranked shift.  Then
+    each job, in order, takes its best shift that now fits.
+
+    Each over-capacity dimension keeps a lazy heap of its jobs' cheapest
+    changes.  Changes only fill the other dimensions, so a job's cheapest
+    change can only get dearer while its shift stands: a heap entry is a
+    lower bound, rechecked when it comes to the top.
     """
     if not all(moves):
         return None
@@ -617,32 +637,48 @@ def _incumbent(moves: list[list[tuple[int, int, float]]],
     for d, g, _ in pick:
         if d >= 0:
             used[d] += g
-    over = next((d for d, n in enumerate(used) if n > room[d]), None)
-    while over is not None:
-        least, change = math.inf, None
-        for i, (d, g, value) in enumerate(pick):
-            if d != over:
-                continue
-            for move in ranked[i]:
-                d2, g2, value2 = move
-                if d2 == d:
-                    freed = g - g2
-                    if freed <= 0:
-                        continue
-                elif d2 >= 0 and used[d2] + g2 > room[d2]:
+
+    def cheapest(i: int) -> tuple[float, int, int] | None:
+        """Job ``i``'s cheapest change that frees GPUs on its dimension
+        and fits, as ``(loss per GPU freed, i, rank)``."""
+        d, g, value = pick[i]
+        best = None
+        for rank, (d2, g2, value2) in enumerate(ranked[i]):
+            if d2 == d:
+                freed = g - g2
+                if freed <= 0:
                     continue
-                else:
-                    freed = g
-                if (value - value2) / freed < least:
-                    least, change = (value - value2) / freed, (i, move)
-        if change is None:
-            return None
-        i, move = change
-        used[over] -= pick[i][1]
-        if move[0] >= 0:
-            used[move[0]] += move[1]
-        pick[i] = move
-        over = next((d for d, n in enumerate(used) if n > room[d]), None)
+            elif d2 >= 0 and used[d2] + g2 > room[d2]:
+                continue
+            else:
+                freed = g
+            if best is None or (value - value2) / freed < best[0]:
+                best = ((value - value2) / freed, i, rank)
+        return best
+
+    for over in range(len(room)):
+        if used[over] <= room[over]:
+            continue
+        heap = [entry for entry in (cheapest(i) for i, m in enumerate(pick)
+                                    if m[0] == over) if entry is not None]
+        heapq.heapify(heap)
+        while used[over] > room[over]:
+            if not heap:
+                return None
+            entry = heapq.heappop(heap)
+            i = entry[1]
+            fresh = cheapest(i)
+            if fresh == entry:  # still the job's cheapest: take it
+                move = ranked[i][entry[2]]
+                used[over] -= pick[i][1]
+                if move[0] >= 0:
+                    used[move[0]] += move[1]
+                pick[i] = move
+                if move[0] == over:
+                    fresh = cheapest(i)
+            # Re-key a stale entry; queue a job's next change on ``over``.
+            if fresh is not None and pick[i][0] == over:
+                heapq.heappush(heap, fresh)
     for i, job in enumerate(ranked):
         d, g, _ = pick[i]
         if d >= 0:
@@ -752,33 +788,15 @@ def _solve_argmax(problem: AssignmentProblem, caps: list[int],
 # -- greedy backend ----------------------------------------------------------
 
 def _solve_greedy(problem: AssignmentProblem) -> AssignmentSolution:
-    """Assign pairs in order of utility per GPU, honouring forced pairs.
-
-    Forced pairs go first; then every free job's positive-utility pair
-    that fits the leftover capacity, highest utility per GPU first.  Ties
-    break by GPU count, then job id, then config id — never by dict or
-    insertion order — so the fallback rung is reproducible across seed
-    changes.
-    """
-    util = problem.utilities
-    gpus = problem.config_gpus
-    remaining = dict(problem.capacities)
-    assignment: dict[int, int] = {}
-
-    for i, j in sorted(problem.forced.items()):
-        gpu_type = problem.config_types[j]
-        need = int(gpus[j])
-        if remaining.get(gpu_type, 0) < need:
-            raise RuntimeError(f"cannot satisfy forced assignment ({i}, {j})")
-        remaining[gpu_type] -= need
-        assignment[i] = j
-
-    pairs = sorted((-util[i, j] / max(1, int(gpus[j])), int(gpus[j]), i, j)
-                   for i, j in problem.feasible_pairs()
-                   if i not in assignment and util[i, j] > 0)
-    for _, need, i, j in pairs:
-        gpu_type = problem.config_types[j]
-        if i not in assignment and remaining.get(gpu_type, 0) >= need:
-            remaining[gpu_type] -= need
-            assignment[i] = j
-    return _solution(problem, assignment)
+    """:func:`_incumbent` with every GPU type as a dimension, in ascending
+    job order; raises RuntimeError when the forced pairs exceed capacity."""
+    caps, config_pos = _capacity_types(problem)
+    rows = [[*row, 0.0] for row in problem.utilities.tolist()]
+    shifts = [*zip(config_pos.tolist(), problem.config_gpus.tolist()),
+              (-1, 0)]
+    moves, columns = _moves(rows, _options(problem), shifts, caps)
+    picks = _incumbent(moves, caps)
+    if picks is None:
+        raise RuntimeError("greedy: the forced pairs exceed capacity")
+    chosen = (columns[i][d, g] for i, (d, g, _) in enumerate(picks))
+    return _solution(problem, {i: j for i, j in enumerate(chosen) if j >= 0})

@@ -195,12 +195,6 @@ class RunDiff:
         (modulo wall-clock telemetry) — the zero-override guarantee."""
         return not self.mismatches
 
-    def metric(self, name: str) -> MetricDelta | None:
-        for metric in self.metrics:
-            if metric.name == name:
-                return metric
-        return None
-
     def job_changes(self, job_id: str) -> dict[int, AllocDelta]:
         """round index -> this job's cross-run allocation delta (rounds the
         two futures agree on are absent) — the overlay ``repro explain

@@ -134,12 +134,6 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
-
     def items(self) -> list[tuple[str, "Counter | Gauge | Histogram"]]:
         """(name, metric) pairs in sorted name order — the exporter view
         (:func:`repro.obs.stream.prometheus_text` needs metric *types*,

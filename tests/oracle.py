@@ -4,6 +4,9 @@
   assignment ILP of ``repro.core.ilp``: exact but exponential in the job
   count, so only for the small instances tests build.  The HiGHS backends
   are compared against it.
+* :func:`incumbent_rescan` — the lattice DP's incumbent with every
+  over-capacity change found by rescanning every job on the type.  The
+  lazy heap of ``ilp._incumbent`` is compared against it, pick for pick.
 * :class:`ReferenceThroughput` and :func:`best_of_grid` — the estimator's
   Section 3.2 throughput routing re-derived on every scalar query, and the
   per-candidate batch-plan loop.  The grouped goodput pass is compared
@@ -82,6 +85,56 @@ def solve_exact(problem: AssignmentProblem) -> AssignmentSolution:
     if not math.isfinite(best_obj):
         raise RuntimeError("exact solver found no feasible assignment")
     return AssignmentSolution(best_assignment, best_obj, 0.0, backend="exact")
+
+
+def incumbent_rescan(moves: list[list[tuple[int, int, float]]],
+                     room: list[int]) -> list[tuple[int, int, float]] | None:
+    """``ilp._incumbent``'s picks, each over-capacity change chosen by a
+    scan of every job on the first over-capacity dimension: the least
+    loss per GPU freed, first job, then first-ranked shift on ties."""
+    if not all(moves):
+        return None
+    ranked = [sorted(job, key=lambda m: m[2], reverse=True) for job in moves]
+    pick = [job[0] for job in ranked]
+    used = [0] * len(room)
+    for d, g, _ in pick:
+        if d >= 0:
+            used[d] += g
+    over = next((d for d, n in enumerate(used) if n > room[d]), None)
+    while over is not None:
+        least, change = math.inf, None
+        for i, (d, g, value) in enumerate(pick):
+            if d != over:
+                continue
+            for move in ranked[i]:
+                d2, g2, value2 = move
+                if d2 == d:
+                    freed = g - g2
+                    if freed <= 0:
+                        continue
+                elif d2 >= 0 and used[d2] + g2 > room[d2]:
+                    continue
+                else:
+                    freed = g
+                if (value - value2) / freed < least:
+                    least, change = (value - value2) / freed, (i, move)
+        if change is None:
+            return None
+        i, move = change
+        used[over] -= pick[i][1]
+        if move[0] >= 0:
+            used[move[0]] += move[1]
+        pick[i] = move
+        over = next((d for d, n in enumerate(used) if n > room[d]), None)
+    for i, job in enumerate(ranked):
+        d, g, _ = pick[i]
+        if d >= 0:
+            used[d] -= g
+        pick[i] = next(m for m in job
+                       if m[0] < 0 or used[m[0]] + m[1] <= room[m[0]])
+        if pick[i][0] >= 0:
+            used[pick[i][0]] += pick[i][1]
+    return pick
 
 
 class ReferenceThroughput:

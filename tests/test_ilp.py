@@ -19,7 +19,7 @@ from repro.jobs.job import make_job
 from repro.obs.tracer import Tracer
 from repro.schedulers import SiaScheduler
 from repro.sim import simulate
-from tests.oracle import solve_exact
+from tests.oracle import incumbent_rescan, solve_exact
 
 NAN = math.nan
 
@@ -449,7 +449,8 @@ class TestLattice:
         """Whenever the DP runs, the incumbent picks one of each job's
         shifts, fits every binding dimension, and its value is at most
         the oracle's optimum; it is None exactly when the forced pairs
-        exceed capacity."""
+        exceed capacity.  Its lazy heap picks what a rescan of every job
+        per change picks."""
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = spy_incumbent(monkeypatch)
             try:
@@ -459,6 +460,7 @@ class TestLattice:
         if not calls:  # the argmax check answered
             return
         (moves, room, picks), = calls
+        assert picks == incumbent_rescan(moves, room)
         if not forced_fits(instance):
             assert picks is None
             return
@@ -471,6 +473,26 @@ class TestLattice:
         assert all(n <= cap for n, cap in zip(used, room))
         value = sum(v for _, _, v in picks)
         assert value <= solve_exact(instance).objective + 1e-9
+
+    def test_incumbent_heap_matches_rescan(self):
+        """On seeded tie-heavy move lists, several dimensions over
+        capacity, the lazy heap picks what a rescan of every job per
+        change picks, ties included."""
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            room = rng.integers(0, 31, rng.integers(1, 5)).tolist()
+            moves = []
+            for _ in range(rng.integers(5, 41)):
+                job = {(-1, 0): 0.0}
+                for _ in range(rng.integers(0, 9)):
+                    d = int(rng.integers(len(room)))
+                    g = int(rng.choice([1, 2, 3, 4, 8]))
+                    if g <= room[d]:
+                        job[d, g] = float(rng.choice(
+                            [1.0, 2.0, 4.0, 0.5 * g, 5 * rng.random()]))
+                moves.append([(d, g, v) for (d, g), v in job.items()])
+            assert ilp._incumbent(moves, room) \
+                == incumbent_rescan(moves, room)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -573,9 +595,9 @@ class TestLattice:
 
 
 class TestCapturedRounds:
-    """The argmax check and the DP against HiGHS on real rounds: every
-    8th instance of seed-1 sia-helios64 and sia-scale1024 passes, which
-    bind capacity and hold near-tied options."""
+    """The argmax check, the DP and greedy against HiGHS on real rounds:
+    every 8th instance of seed-1 sia-helios64 and sia-scale1024 passes,
+    which bind capacity and hold near-tied options."""
 
     #: (argmax, dp, declined) per fixture, as ``baseline.json`` pins them.
     PATHS = {"milp_helios64.json": (7, 59, 0),
@@ -594,6 +616,15 @@ class TestCapturedRounds:
             for p, answer in zip(problems, answers):
                 if answer is not None:
                     assert answer[1] == ilp._solve_highs_milp(p).assignment
+
+    def test_greedy_within_three_percent_of_highs(self, monkeypatch):
+        """The fallback rung on real rounds: greedy reaches at least 0.97
+        of HiGHS's objective on every captured instance."""
+        fixture = perf_bench(monkeypatch, "milp_fixture")
+        for path in fixture.FIXTURES.values():
+            for p in fixture.load(path):
+                greedy = ilp.solve_assignment(p, "greedy").objective
+                assert greedy >= 0.97 * ilp._solve_highs_milp(p).objective
 
 
 class TestTracedPath:

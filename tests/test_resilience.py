@@ -97,8 +97,9 @@ class TestResilientSolver:
         monkeypatch.setattr(ilp, "milp", timed_out)
         solution, degraded = solve_with_fallback(problem(), budget=0.05)
         assert solution.backend == "greedy" and degraded
-        # Greedy's one-GPU configurations, not the incumbent's 1.0.
-        assert solution.objective == 1.0 + 2.0 + 3.0
+        # Greedy's answer, every job on its two-GPU configuration (the
+        # optimum), not the incumbent's 1.0.
+        assert solution.objective == 2.0 + 3.0 + 4.0
 
     def test_timed_out_tiered_round_records_backend_that_ran(
             self, monkeypatch, hetero_cluster):

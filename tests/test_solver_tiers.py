@@ -100,13 +100,16 @@ class TestTieredIsMilp:
 
 
 class TestGreedyDeterminism:
-    """Satellite: ties break by job id / config id, never dict order."""
+    """Ties break by job id / config id, never dict order."""
 
     def test_job_id_tie_break(self):
+        """Over capacity, the job that loses the least per GPU freed gives
+        up first; on a tie the lowest job id does, so the last one keeps
+        the GPU."""
         utilities = np.array([[1.0], [1.0], [1.0]])
         problem = AssignmentProblem(utilities, [1], ["t4"], {"t4": 1})
         solution = solve_assignment(problem, backend="greedy")
-        assert solution.assignment == {0: 0}
+        assert solution.assignment == {2: 0}
 
     def test_config_id_tie_break(self):
         utilities = np.array([[1.0, 1.0]])
