@@ -10,7 +10,10 @@ CLI builds a run — a run spec from ``build_run_spec``, the simulator from
 ``simulator_from_spec`` — so the fixture pins that builder too.  For each
 round the fixture stores one SHA-256 over the tuple
 ``benchmarks/e2e/child.py`` hashes for its decision digest (round time,
-sorted allocations, backend, fault events), plus the run's end metrics.
+sorted allocations, backend, fault events), one SHA-256 over the
+round's sorted ``RoundRecord.estimates`` (the goodput each allocated
+job's estimator predicted, so estimate drift shows even where no
+allocation moves), plus the run's end metrics.
 ``tests/test_golden.py`` reruns every case against it.
 
 A change that is meant to move decisions regenerates the fixture from the
@@ -78,10 +81,17 @@ def round_digest(rnd) -> str:
                                 rnd.backend, faults)).encode()).hexdigest()
 
 
+def estimates_digest(rnd) -> str:
+    """SHA-256 over one round's sorted per-job goodput estimates."""
+    return hashlib.sha256(
+        repr(sorted(rnd.estimates.items())).encode()).hexdigest()
+
+
 def record(result) -> dict:
     """What the fixture pins for one finished run."""
     return {
         "rounds": [round_digest(rnd) for rnd in result.rounds],
+        "estimates": [estimates_digest(rnd) for rnd in result.rounds],
         "avg_jct_h": statistics.fmean(result.jcts_hours()),
         "makespan_h": result.makespan_hours,
         "completed": len(result.completed_jobs),

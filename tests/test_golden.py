@@ -1,7 +1,8 @@
 """Golden decision digests: every policy's seeded decisions stay put.
 
 Each case reruns one (setup, policy) pair from ``tests/golden/regen.py``
-and compares it round by round against ``tests/golden/decisions.json``.
+and compares its decisions and estimates round by round against
+``tests/golden/decisions.json``.
 A change that means to move decisions regenerates the fixture with
 ``PYTHONPATH=src python -m tests.golden.regen`` and commits its diff.
 """
@@ -33,5 +34,12 @@ def test_decisions_match_golden(key):
                 f"backend={rnd.backend!r} "
                 f"allocations={sorted(rnd.allocations.items())} "
                 f"faults={[e.kind for e in rnd.fault_events]}")
+    for index, (want, got) in enumerate(zip(expected["estimates"],
+                                            actual["estimates"])):
+        if want != got:
+            rnd = result.rounds[index]
+            pytest.fail(
+                f"first round with divergent estimates {index} "
+                f"(t={rnd.time:.0f}s): {sorted(rnd.estimates.items())}")
     assert len(actual["rounds"]) == len(expected["rounds"])
     assert actual == expected
