@@ -1,19 +1,21 @@
 """Tests for online throughput-model fitting: fitted parameters must recover
 synthetic ground truth from the measurements the simulator produces, and the
-running fit state must equal the whole-list reference of ``tests/oracle.py``
-bit for bit."""
+running fit state must equal the whole-list, per-configuration reference of
+``tests/oracle.py`` bit for bit."""
 
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.perf import fitting
 from repro.perf.estimator import JobConstraints
 from repro.perf.fitting import (FIT_RTOL, FitResult, Observation, RunningFit,
-                                fit_compute_params, fit_sync_params,
-                                fit_throughput_params, invert_sync_time)
+                                _nonneg_linear_fit, fit_compute_params,
+                                fit_sync_params, fit_throughput_params,
+                                invert_sync_time)
 from repro.perf.throughput import ThroughputModel, ThroughputParams
 from repro.schedulers.pollux import PolluxEstimator
 from tests.oracle import reference_compute_params, reference_fit
@@ -207,14 +209,18 @@ class TestRunningFit:
 
     def test_shrinking_smallest_count_refits_compute(self):
         """A 4-GPU job later seen on 2 GPUs, then 1: each smaller count
-        restarts the compute sums and re-inverts every multi-GPU report."""
+        restarts the compute means.  Only new configurations move the
+        fit; a re-report at 4 or 2 GPUs, once a smaller count is seen or
+        the mean is already there, moves nothing."""
         state = RunningFit()
-        seen = []
+        seen, moved = [], []
         for k in (4, 4, 8, 2, 4, 1, 2):
             for m in (16, 32):
                 seen.append(obs(k=k, m=m, s=2 if k == 8 else 1))
-                state.add(seen[-1])
+                moved.append(state.add(seen[-1]))
             assert repr(state.fit()) == repr(reference_fit(seen))
+        assert moved == [True, True, False, False, True, True, True, True,
+                         False, False, True, True, False, False]
         assert state.fit().has_single_gpu
 
     @staticmethod
@@ -229,62 +235,84 @@ class TestRunningFit:
         monkeypatch.setattr(fitting, "fit_sync_params", counting)
         return calls
 
-    def test_inter_node_reports_reuse_the_intra_node_fit(self, monkeypatch):
-        """Reports that only add inter-node points leave the compute fit
-        and the intra-node list alone: each refit reruns only the
-        inter-node regime."""
-        calls = self.count_sync_fits(monkeypatch)
+    def test_inter_node_reports_reuse_the_intra_node_fit(self):
+        """Reports that only add inter-node configurations leave the
+        compute fit and the intra-node fit bit-equal, and an exact
+        re-report of an inter-node configuration moves nothing."""
         state = RunningFit()
         seen = [obs(m=m) for m in (16, 32)] + [obs(k=k) for k in (2, 4)]
         for report in seen:
             state.add(report)
-        assert repr(state.fit()) == repr(reference_fit(seen))
-        assert len(calls) == 1  # the intra-node regime
-        del calls[:]
+        before = state.fit()
+        assert repr(before) == repr(reference_fit(seen))
+        moved = []
         for k in (16, 32, 16):
             seen.append(obs(n=k // 8, k=k))
-            state.add(seen[-1])
-            assert repr(state.fit()) == repr(reference_fit(seen))
-        # One inter-node fit per refit, over its whole (grown) list.
-        assert [len(points) for points in calls] == [1, 2, 3]
-        assert all(k >= 16 for points in calls for k, _ in points)
-        del calls[:]
-        state.fit()
-        assert not calls
+            moved.append(state.add(seen[-1]))
+            fit = state.fit()
+            assert repr(fit) == repr(reference_fit(seen))
+            assert (fit.params.alpha_c, fit.params.beta_c,
+                    fit.params.alpha_r, fit.params.beta_r) == \
+                (before.params.alpha_c, before.params.beta_c,
+                 before.params.alpha_r, before.params.beta_r)
+        assert moved == [True, True, False]
 
     def test_smaller_count_refits_both_regimes(self, monkeypatch):
         """A 1-GPU report below the smallest count seen moves the compute
-        fit: every point is re-inverted and both regimes refit, though
-        neither list grew."""
+        fit, so every configuration's sync point is re-inverted and both
+        regimes move, though neither gained a configuration.  Each refit
+        fits each regime once, on one point per configuration."""
         calls = self.count_sync_fits(monkeypatch)
         state = RunningFit()
-        seen = [obs(k=2, m=16), obs(k=2, m=32), obs(k=4),
-                obs(n=2, k=16)]
+        seen = [obs(k=2, m=16), obs(k=2, m=32), obs(k=4), obs(k=4),
+                obs(n=2, k=16), obs(n=2, k=16)]
         for report in seen:
             state.add(report)
-        assert repr(state.fit()) == repr(reference_fit(seen))
+        before = state.fit()
+        assert repr(before) == repr(reference_fit(seen))
         sizes = sorted(len(points) for points in calls)
         assert sizes == [1, 3]
         del calls[:]
-        compute = state.compute_params()
         seen.append(obs(m=64))
-        state.add(seen[-1])
-        assert repr(state.fit()) == repr(reference_fit(seen))
-        assert state.compute_params() != compute
+        assert state.add(seen[-1])
+        after = state.fit()
+        assert repr(after) == repr(reference_fit(seen))
+        for name in ("alpha_c", "alpha_r", "beta_r", "alpha_n"):
+            assert getattr(after.params, name) != \
+                getattr(before.params, name), name
         assert sorted(len(points) for points in calls) == sizes
 
-    def test_regime_caches_do_not_pickle(self):
-        """The pickle holds the point lists, not the fits derived from
-        them; a restored state refits them to the same bits."""
+    def test_pickle_holds_only_the_means(self):
+        """The pickle holds the means, their counts and the flags, nothing
+        derived from them; a restored state fits them to the same bits."""
         state = RunningFit()
-        seen = [obs(m=32), obs(k=4), obs(n=2, k=16)]
+        seen = [obs(m=32), obs(k=4), obs(k=4), obs(n=2, k=16)]
         for report in seen:
             state.add(report)
         fitted = repr(state.fit())
         restored = pickle.loads(pickle.dumps(state))
-        assert "_intra_fit" not in restored.__dict__
-        assert "_inter_fit" not in restored.__dict__
+        assert sorted(restored.__dict__) == [
+            "_compute", "_multi", "_smallest", "gamma", "has_single_gpu",
+            "reports"]
+        assert restored._multi == {(4, 1, 32, 1): [seen[1].iter_time, 2],
+                                   (16, 2, 32, 1): [seen[3].iter_time, 1]}
         assert repr(restored.fit()) == fitted == repr(reference_fit(seen))
+
+    def test_re_report_equal_to_its_mean_moves_nothing(self):
+        """``add`` returns False exactly when no mean, flag or smallest
+        count moved: an exact re-report of any configuration, 1-GPU or
+        not, leaves the fit bit-equal."""
+        state = RunningFit()
+        reports = [obs(m=32), obs(m=64), obs(k=4), obs(n=2, k=16)]
+        assert [state.add(report) for report in reports] == [True] * 4
+        fitted = repr(state.fit())
+        assert [state.add(report) for report in reports] == [False] * 4
+        assert repr(state.fit()) == fitted
+        assert state.reports == 8
+        # A jittered report moves its configuration's mean.
+        assert state.add(replace(reports[2],
+                                 iter_time=reports[2].iter_time * 1.1))
+        assert repr(state.fit()) != fitted
 
     @settings(max_examples=40, deadline=None)
     @given(steps=_STEPS)
@@ -308,6 +336,32 @@ class TestRunningFit:
             running = est._types["t4"].running
             assert running.reports == len(accepted)
             assert repr(running.fit()) == repr(reference_fit(accepted))
+
+
+class TestClosedForm:
+    def test_agrees_with_lstsq(self):
+        """On 500 seeded point sets, the closed-form solve agrees with
+        ``np.linalg.lstsq`` (under the same clamping rules) within
+        :data:`FIT_RTOL` on each coefficient."""
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            n = int(rng.integers(2, 9))
+            xs = sorted(rng.choice(np.arange(1, 513), n,
+                                   replace=False).tolist())
+            a, b = rng.uniform(1e-3, 0.1), rng.uniform(1e-5, 1e-2)
+            ys = [a + b * x * rng.uniform(0.8, 1.25) for x in xs]
+            design = np.stack([np.ones(n), np.array(xs, dtype=float)],
+                              axis=1)
+            (a_ls, b_ls), *_ = np.linalg.lstsq(design, np.array(ys),
+                                               rcond=None)
+            if b_ls < 0:
+                expected = (float(np.mean(ys)), 0.0)
+            elif a_ls < 0:
+                expected = (0.0, float(np.dot(xs, ys) / np.dot(xs, xs)))
+            else:
+                expected = (float(a_ls), float(b_ls))
+            for got, want in zip(_nonneg_linear_fit(xs, ys), expected):
+                assert abs(got - want) <= FIT_RTOL * abs(want), (xs, ys)
 
 
 class TestFitDeadBand:
