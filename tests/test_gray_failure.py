@@ -5,6 +5,7 @@ defense, fallible placements, and health-event persistence."""
 import json
 import math
 import random
+import statistics
 
 import pytest
 
@@ -228,6 +229,27 @@ class TestEstimatorDefense:
         assert est.add_observation(obs(iter_time=5.0)) is False
         assert est._obs_epoch == epoch_before
         assert est._types["t4"].running.reports == count_before
+
+    def test_verdicts_match_statistics_median(self):
+        """The defense sorts its window once and takes both medians by
+        ``statistics.median``'s rule, so every verdict is the one two
+        ``statistics.median`` calls give, on windows of odd and even
+        length."""
+        est = self.make()
+        rng = random.Random(0)
+        for _ in range(2000):
+            window = [round(rng.uniform(0.05, 0.2), rng.choice([2, 6]))
+                      for _ in range(rng.randint(4, 16))]
+            iter_time = rng.choice(window) * rng.choice(
+                [0.2, 0.33, 0.9, 1.0, 1.02, 1.1, 3.0, 3.5])
+            median = statistics.median(window)
+            mad = statistics.median(abs(x - median) for x in window)
+            floor = max(mad, 1e-3 * median)
+            expected = (
+                abs(iter_time - median) <= est.OUTLIER_MAD_SIGMAS * floor
+                or median / est.OUTLIER_RATIO_CAP <= iter_time
+                <= median * est.OUTLIER_RATIO_CAP)
+            assert est._observation_credible(window, iter_time) is expected
 
     def test_window_too_small_accepts_anything_finite(self):
         est = self.make()
