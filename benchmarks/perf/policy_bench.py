@@ -169,10 +169,13 @@ def run_rounds(scheduler, cluster, views, rounds: int) -> dict:
     hits = sum(getattr(v.estimator, "cache_hits", 0) for v in views)
     misses = sum(getattr(v.estimator, "cache_misses", 0) for v in views)
 
+    # Cold means nothing answers from memory: no estimator cache entry and
+    # no plan in the scheduler's plan memo.
     for view in views:
         cache = getattr(view.estimator, "_goodput_cache", None)
         if cache is not None:
             cache.clear()
+    scheduler.plan_memo.clear()
     cold_tracer = Tracer()
     scheduler.tracer = cold_tracer
     scheduler.decide(views, cluster, previous, 60.0 * rounds)

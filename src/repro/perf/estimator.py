@@ -13,7 +13,9 @@ job's feasible configurations under the job's adaptivity constraints.
 whole round in one call.  Each estimator probes its own cache,
 and then the misses of every job share one pass, in which their candidate
 grids are concatenated, rated on per-candidate model parameters and ranked
-together (:func:`repro.perf.goodput.best_plans`).
+together (:func:`repro.perf.goodput.best_plans`).  A scheduler's plan memo
+(:data:`PlanMemo`) answers the misses whose inputs an earlier round of the
+run already rated.
 :meth:`JobPerfEstimator.best_plans` (behind ``goodput_batch``,
 ``best_plan`` and ``goodput``) is the one-estimator case.  Throughput
 estimates route through one dispatch that mirrors Section 3.2:
@@ -61,10 +63,20 @@ _PRIOR_PARAMS = ThroughputParams(alpha_c=0.05, beta_c=0.01,
 #: Estimator work done in this process: cache hits and misses of
 #: :func:`plan_requests` (every policy's round pass; the per-job lookups
 #: of ``best_plans`` are not counted here, so they pay nothing for it),
-#: lazy refits, and the refits that ``moved`` a stored fit.  Only deltas
-#: mean anything; each ``goodput_eval`` span reports the work done inside
-#: it (:meth:`repro.schedulers.base.Scheduler.goodput_eval`).
-WORK = dict.fromkeys(("hits", "misses", "refits", "moved"), 0)
+#: the misses a plan memo answered (``shared``), lazy refits, and the
+#: refits that ``moved`` a stored fit.  Only deltas mean anything; each
+#: ``goodput_eval`` span reports the work done inside it
+#: (:meth:`repro.schedulers.base.Scheduler.goodput_eval`).
+WORK = dict.fromkeys(("hits", "misses", "shared", "refits", "moved"), 0)
+
+#: A plan memo: the inputs of one plan (:func:`_memo_key`) -> the plan, or
+#: None for a configuration with no candidate grid.  Each scheduler owns
+#: one per run (:attr:`repro.schedulers.base.Scheduler.plan_memo`).
+PlanMemo = dict[tuple, BatchPlan | None]
+
+#: Entries at which a plan memo is cleared, as ``candidate_grid`` clears
+#: its grid cache.  A seed-1 run of any benchmark workload stays under 500.
+PLAN_MEMO_MAX = 4096
 
 #: Batch sizes profiled per GPU type during bootstrap (Section 3.2 profiles
 #: "typically 10 batchsizes per GPU type").
@@ -484,17 +496,18 @@ def plan_goodputs(plans: list[BatchPlan | None]) -> np.ndarray:
 
 
 def goodput_rows(requests: list[tuple[object, list[Configuration]]],
-                 span=None) -> list[np.ndarray]:
+                 span=None, memo: PlanMemo | None = None,
+                 ) -> list[np.ndarray]:
     """The goodput row of every ``(estimator, configurations)`` request, in
     request order.  The rows of every :class:`JobPerfEstimator` come from
-    one :func:`plan_requests` pass (``span`` as there); any other
-    estimator (hybrid, latency-SLO) answers with its own
+    one :func:`plan_requests` pass (``span`` and ``memo`` as there); any
+    other estimator (hybrid, latency-SLO) answers with its own
     ``goodput_batch``."""
     rows: list[np.ndarray | None] = [None] * len(requests)
     ours = [i for i, (estimator, _) in enumerate(requests)
             if isinstance(estimator, JobPerfEstimator)]
     for i, plans in zip(ours, plan_requests([requests[i] for i in ours],
-                                            span)):
+                                            span, memo)):
         rows[i] = plan_goodputs(plans)
     for i, (estimator, configs) in enumerate(requests):
         if rows[i] is None:
@@ -504,35 +517,71 @@ def goodput_rows(requests: list[tuple[object, list[Configuration]]],
 
 def plan_requests(requests: list[tuple[JobPerfEstimator,
                                        list[Configuration]]],
-                  span=None) -> list[list[BatchPlan | None]]:
+                  span=None, memo: PlanMemo | None = None,
+                  ) -> list[list[BatchPlan | None]]:
     """Best batch plans for many ``(estimator, configurations)`` requests:
     one goodput pass for a whole scheduling round.
 
     Each estimator probes its own cache first (counting its own hits and
     misses), and no batch state is built unless something missed; then
     every miss of every request is planned together by
-    :func:`_plan_misses`.  Each plan equals the one the estimator alone
-    would return.  ``span``, when given, is annotated with ``planned``
-    (misses planned on a candidate grid) and ``candidates`` (grid points
-    rated).
+    :func:`_plan_misses`, which answers from ``memo`` (a scheduler's
+    :data:`PlanMemo`) the misses an earlier pass already rated and adds
+    the rest to it.  None behaves as an empty memo that is thrown away.
+    Each plan equals the one the estimator alone would return.  ``span``,
+    when given, is annotated with ``planned`` (misses planned on a
+    candidate grid) and ``candidates`` (grid points rated).
     """
     misses: list[_Miss] = []
     results = [estimator._probe(configs, misses)
                for estimator, configs in requests]
     WORK["hits"] += sum(map(len, results)) - len(misses)
     WORK["misses"] += len(misses)
-    segments, candidates = _plan_misses(misses) if misses else (0, 0)
+    segments = candidates = 0
+    if misses:
+        segments, candidates, shared = _plan_misses(misses, memo)
+        WORK["shared"] += shared
     if span is not None:
         span.annotate(planned=segments, candidates=candidates)
     return results
 
 
-def _plan_misses(misses: list[_Miss]) -> tuple[int, int]:
+def _memo_key(branch: str, model: GoodputModel) -> tuple:
+    """The model half of a :data:`PlanMemo` key: everything
+    :meth:`GoodputModel.evaluate` reads but the batch plan.  Throughput
+    parameters enter as value tuples (cheaper to hash than the dataclass),
+    and the efficiency model as its type and current values, never the
+    mutable object."""
+    xput, efficiency = model.throughput_model, model.efficiency_model
+    if branch == "boot":
+        params = (xput.own.params, *(ref.params for ref in xput.refs))
+    else:
+        params = (xput.params,)
+    return (branch == "boot",
+            tuple((p.alpha_c, p.beta_c, p.alpha_r, p.beta_r, p.alpha_n,
+                   p.beta_n, p.gamma) for p in params),
+            type(efficiency), efficiency.params.grad_noise_scale,
+            efficiency.params.init_batch_size)
+
+
+def _copy_plan(plan: BatchPlan) -> BatchPlan:
+    """A new ``BatchPlan`` equal to ``plan``, its frozen fields copied
+    without the dataclass ``__init__`` (a quarter of ``copy.copy``'s
+    cost)."""
+    copied = object.__new__(BatchPlan)
+    copied.__dict__.update(plan.__dict__)
+    return copied
+
+
+def _plan_misses(misses: list[_Miss], memo: PlanMemo | None = None,
+                 ) -> tuple[int, int, int]:
     """Plan every miss in one pass, store each plan in its request's plan
     list and its estimator's cache, and return the number of segments and
-    of candidates rated.
+    of candidates rated, and of misses ``memo`` answered.
 
-    The candidate grids of all misses become segments of one
+    A miss whose memo key (:func:`_memo_key`, the batch limits and the
+    shape) is in ``memo`` takes a copy of the memoized plan and builds no
+    grid.  The candidate grids of the other misses become segments of one
     :class:`~repro.perf.goodput.GridBatch`: those on a
     :class:`~repro.perf.throughput.ThroughputModel` (oracle, trusted fit,
     prior) first, then those on a
@@ -542,29 +591,43 @@ def _plan_misses(misses: list[_Miss]) -> tuple[int, int]:
     scalar :meth:`~repro.perf.throughput.ThroughputModel.sync_time` of the
     segment's shape.  Goodput multiplies throughput by each estimator's own
     efficiency, and :func:`~repro.perf.goodput.best_plans` ranks every
-    segment, re-ranking its shortlist on the segment's scalar model.
+    segment, re-ranking its shortlist on the segment's scalar model.  The
+    pass adds the plans it rated to ``memo`` afterwards, so a memo only
+    answers later passes.
     """
     plain: list[tuple[_Miss, Grid, GoodputModel]] = []
     boot: list[tuple[_Miss, Grid, GoodputModel]] = []
-    models: dict[tuple, GoodputModel] = {}
+    models: dict[tuple, tuple[GoodputModel, tuple]] = {}
+    rated: list[tuple[tuple, _Miss]] = []
+    shared = 0
     for miss in misses:
-        estimator, _, _, config, token = miss
-        limits = estimator.constraints
-        grid = candidate_grid(
-            config.num_gpus,
-            max_local_bsz=estimator.max_local_bsz(config.gpu_type),
-            max_total_bsz=limits.max_bsz,
-            min_total_bsz=limits.min_bsz,
-            fixed_total_bsz=limits.fixed_total_bsz)
-        if grid is None:
-            continue
-        key = (estimator, config.gpu_type, token[0])
-        model = models.get(key)
-        if model is None:
-            model = models[key] = GoodputModel(
-                estimator._branch_model(token[0], config.gpu_type),
+        estimator, plans, index, config, token = miss
+        branch = token[0]
+        entry = models.get((estimator, config.gpu_type, branch))
+        if entry is None:
+            model = GoodputModel(
+                estimator._branch_model(branch, config.gpu_type),
                 estimator._efficiency)
-        (boot if token[0] == "boot" else plain).append((miss, grid, model))
+            entry = models[estimator, config.gpu_type, branch] = (
+                model, None if memo is None else _memo_key(branch, model))
+        model, model_key = entry
+        limits = estimator.constraints
+        max_local_bsz = estimator.max_local_bsz(config.gpu_type)
+        if memo is not None:
+            key = (model_key, max_local_bsz, limits.max_bsz, limits.min_bsz,
+                   limits.fixed_total_bsz, config.num_gpus, config.num_nodes)
+            if key in memo:
+                plan = memo[key]
+                plans[index] = plan if plan is None else _copy_plan(plan)
+                shared += 1
+                continue
+            rated.append((key, miss))
+        grid = candidate_grid(
+            config.num_gpus, max_local_bsz=max_local_bsz,
+            max_total_bsz=limits.max_bsz, min_total_bsz=limits.min_bsz,
+            fixed_total_bsz=limits.fixed_total_bsz)
+        if grid is not None:
+            (boot if branch == "boot" else plain).append((miss, grid, model))
     segments = plain + boot
     candidates = 0
     if segments:
@@ -578,11 +641,16 @@ def _plan_misses(misses: list[_Miss]) -> tuple[int, int]:
             miss.plans[miss.index] = plan
         candidates = len(goodput)
     # Cache in miss order, as each estimator probed.  Each entry gets its
-    # own copy of its group's token: a shared tuple would pickle as a
-    # back-reference and change checkpoint bytes.
+    # own copy of its group's token, and memo hits their own plan: a
+    # shared object would pickle as a back-reference and change checkpoint
+    # bytes.
     for estimator, plans, i, config, token in misses:
         estimator._goodput_cache[config] = ((*token,), plans[i])
-    return len(segments), candidates
+    for key, miss in rated:
+        if len(memo) >= PLAN_MEMO_MAX:
+            memo.clear()
+        memo[key] = miss.plans[miss.index]
+    return len(segments), candidates, shared
 
 
 def _goodput(batch: GridBatch, models: list[GoodputModel],

@@ -20,7 +20,7 @@ from repro.core.types import Allocation, Configuration
 from repro.jobs.job import Job
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, PLAN_PHASES, Tracer
-from repro.perf.estimator import WORK
+from repro.perf.estimator import WORK, PlanMemo
 
 __all__ = ["JobView", "RoundPlan", "Scheduler", "PLAN_PHASES",
            "carry_forward_plan", "pack_gpus", "pack_gpus_on_type"]
@@ -163,13 +163,29 @@ class Scheduler(abc.ABC):
         The engine opens the ``plan`` span and times the call; ``decide``
         opens the :data:`PLAN_PHASES` child spans on ``self.tracer``."""
 
+    @property
+    def plan_memo(self) -> PlanMemo:
+        """This scheduler's goodput plan memo, which every round's goodput
+        pass reads and fills (:func:`repro.perf.estimator.plan_requests`),
+        so a plan rated in one round answers the estimators that ask for
+        it with the same inputs in later rounds.  It is not pickled
+        (:meth:`__getstate__`): a resumed run starts with an empty memo."""
+        return self.__dict__.setdefault("_plan_memo", {})
+
+    def __getstate__(self) -> dict | None:
+        """The instance state without the plan memo.  ``None`` for an
+        otherwise empty state, as the default pickle writes it."""
+        state = dict(self.__dict__)
+        state.pop("_plan_memo", None)
+        return state or None
+
     @contextlib.contextmanager
     def goodput_eval(self, **attrs):
         """The round's ``goodput_eval`` span.  When the tracer records, the
         span is annotated on exit with the estimator work done inside it
         (:data:`repro.perf.estimator.WORK`): cache ``hits`` and
-        ``misses``, lazy ``refits``, and the refits that ``moved`` a
-        stored fit."""
+        ``misses``, the misses the plan memo answered (``shared``), lazy
+        ``refits``, and the refits that ``moved`` a stored fit."""
         with self.tracer.span("goodput_eval", **attrs) as span:
             if not self.tracer.enabled:
                 yield span

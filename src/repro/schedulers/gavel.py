@@ -67,7 +67,8 @@ class GavelScheduler(Scheduler):
         types = cluster.gpu_types
         capacities = cluster.capacities()
         matrix = np.zeros((len(views), len(types)))
-        for i, rates in enumerate(fixed_count_rates(views, cluster)):
+        for i, rates in enumerate(fixed_count_rates(views, cluster,
+                                                    self.plan_memo)):
             for k, gpu_type in enumerate(types):
                 if counts[i] <= capacities[gpu_type]:
                     matrix[i, k] = rates[gpu_type]

@@ -260,7 +260,8 @@ class PolluxScheduler(Scheduler):
             # differently.
             rows = [self._speedup_configs(v, max_count) for v in views]
             plans = plan_requests([(v.estimator, configs)
-                                   for v, configs in zip(views, rows)])
+                                   for v, configs in zip(views, rows)],
+                                  memo=self.plan_memo)
             powers = np.array([
                 [speedup ** POLLUX_P for speedup in
                  self._speedup_table(v, max_count, configs, row_plans)]

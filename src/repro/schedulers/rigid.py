@@ -35,7 +35,7 @@ import math
 
 from repro.cluster.cluster import Cluster
 from repro.core.types import Allocation, Configuration
-from repro.perf.estimator import goodput_rows
+from repro.perf.estimator import PlanMemo, goodput_rows
 from repro.schedulers.base import (JobView, RoundPlan, Scheduler,
                                    pack_gpus_on_type)
 
@@ -50,13 +50,14 @@ def fixed_count(view: JobView) -> int:
     return max(1, view.job.effective_min_gpus)
 
 
-def fixed_count_rates(views: list[JobView],
-                      cluster: Cluster) -> list[dict[str, float]]:
+def fixed_count_rates(views: list[JobView], cluster: Cluster,
+                      memo: PlanMemo | None = None) -> list[dict[str, float]]:
     """Each job's goodput at its fixed GPU count on every GPU type, in
     ``cluster.gpu_types`` order, from one goodput pass over all the jobs
-    (:func:`~repro.perf.estimator.goodput_rows`).  Each type spans the
-    fewest of its largest nodes; a type with fewer GPUs than the count is
-    rated too (callers that need it to fit check capacity)."""
+    (:func:`~repro.perf.estimator.goodput_rows`, with the scheduler's plan
+    ``memo``).  Each type spans the fewest of its largest nodes; a type
+    with fewer GPUs than the count is rated too (callers that need it to
+    fit check capacity)."""
     # Largest node per type, in first-appearance (gpu_types) order: one
     # pass instead of a gpu_types and a max_node_size scan per type.
     largest: dict[str, int] = {}
@@ -70,7 +71,7 @@ def fixed_count_rates(views: list[JobView],
             Configuration(max(1, -(-count // size)), count, gpu_type)
             for gpu_type, size in largest.items()]))
     return [dict(zip(largest, row.tolist()))
-            for row in goodput_rows(requests)]
+            for row in goodput_rows(requests, memo=memo)]
 
 
 def best_rate(view: JobView, rates: dict[str, float],
@@ -159,7 +160,7 @@ class RigidScheduler(Scheduler):
         with self.tracer.span("bootstrap"):
             queued = self.keep(views, previous, plan, occupancy)
         with self.goodput_eval():
-            rates = fixed_count_rates(queued, cluster)
+            rates = fixed_count_rates(queued, cluster, self.plan_memo)
         with self.tracer.span("solve"):
             # FIFO often has nothing queued; skip the cluster scan then.
             capacities = cluster.capacities() if queued else {}

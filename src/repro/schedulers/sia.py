@@ -136,7 +136,7 @@ class SiaScheduler(Scheduler):
                         for view in views]
             rows = goodput_rows([(view.estimator, [configs[j] for j in cols])
                                  for view, cols in zip(views, feasible)],
-                                span)
+                                span, self.plan_memo)
             for i, (cols, row) in enumerate(zip(feasible, rows)):
                 raw[i, cols] = row
             min_gpus = [v.job.effective_min_gpus for v in views]

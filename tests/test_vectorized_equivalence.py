@@ -286,7 +286,7 @@ def use_reference_loop(monkeypatch) -> list:
     returns the list of requests the round pass was asked for."""
     calls = []
 
-    def reference_requests(requests, span=None):
+    def reference_requests(requests, span=None, memo=None):
         calls.extend(requests)
         return [[reference_plan(est, config) for config in configs]
                 for est, configs in requests]
@@ -341,8 +341,9 @@ class TestPolicyEquivalence:
         assert cold["refits"] == cold["moved"] == \
             len(views) * len(cluster.gpu_types)
         assert warm == {"jobs": len(views), "configs": cold["configs"],
-                        "hits": cold["misses"], "misses": 0, "planned": 0,
-                        "candidates": 0, "refits": 0, "moved": 0}
+                        "hits": cold["misses"], "misses": 0, "shared": 0,
+                        "planned": 0, "candidates": 0, "refits": 0,
+                        "moved": 0}
 
     def test_decide_identical_assignments(self, monkeypatch):
         cluster = presets.heterogeneous()
