@@ -40,6 +40,7 @@ every fit (:meth:`JobPerfEstimator._trusts_fit`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -69,13 +70,17 @@ _PRIOR_PARAMS = ThroughputParams(alpha_c=0.05, beta_c=0.01,
 #: (:meth:`repro.schedulers.base.Scheduler.goodput_eval`).
 WORK = dict.fromkeys(("hits", "misses", "shared", "refits", "moved"), 0)
 
-#: A plan memo: the inputs of one plan (:func:`_memo_key`) -> the plan, or
-#: None for a configuration with no candidate grid.  Each scheduler owns
-#: one per run (:attr:`repro.schedulers.base.Scheduler.plan_memo`).
-PlanMemo = dict[tuple, BatchPlan | None]
+#: A plan memo, in two levels: a model's inputs (:func:`_memo_key`) -> a
+#: row from ``(max_local_bsz, max_bsz, min_bsz, fixed_total_bsz, num_gpus,
+#: num_nodes)`` to the plan, or None for a configuration with no candidate
+#: grid.  A pass hashes each model key once and each miss's small int key
+#: once.  Each scheduler owns one per run
+#: (:attr:`repro.schedulers.base.Scheduler.plan_memo`).
+PlanMemo = dict[tuple, dict[tuple, BatchPlan | None]]
 
-#: Entries at which a plan memo is cleared, as ``candidate_grid`` clears
-#: its grid cache.  A seed-1 run of any benchmark workload stays under 500.
+#: Plans (:func:`memo_size`) at which a plan memo is cleared, as
+#: ``candidate_grid`` clears its grid cache.  A seed-1 run of any
+#: benchmark workload stays under 500.
 PLAN_MEMO_MAX = 4096
 
 #: Batch sizes profiled per GPU type during bootstrap (Section 3.2 profiles
@@ -546,22 +551,31 @@ def plan_requests(requests: list[tuple[JobPerfEstimator,
     return results
 
 
-def _memo_key(branch: str, model: GoodputModel) -> tuple:
+#: The values of a ``ThroughputParams``, as one tuple.
+_PARAM_VALUES = operator.attrgetter("alpha_c", "beta_c", "alpha_r",
+                                    "beta_r", "alpha_n", "beta_n", "gamma")
+
+
+def _memo_key(branch: str, xput: ThroughputModel | BootstrapModel,
+              efficiency: EfficiencyModel) -> tuple:
     """The model half of a :data:`PlanMemo` key: everything
     :meth:`GoodputModel.evaluate` reads but the batch plan.  Throughput
     parameters enter as value tuples (cheaper to hash than the dataclass),
     and the efficiency model as its type and current values, never the
     mutable object."""
-    xput, efficiency = model.throughput_model, model.efficiency_model
     if branch == "boot":
-        params = (xput.own.params, *(ref.params for ref in xput.refs))
+        params = (_PARAM_VALUES(xput.own.params),
+                  *[_PARAM_VALUES(ref.params) for ref in xput.refs])
     else:
-        params = (xput.params,)
-    return (branch == "boot",
-            tuple((p.alpha_c, p.beta_c, p.alpha_r, p.beta_r, p.alpha_n,
-                   p.beta_n, p.gamma) for p in params),
-            type(efficiency), efficiency.params.grad_noise_scale,
-            efficiency.params.init_batch_size)
+        params = (_PARAM_VALUES(xput.params),)
+    values = efficiency.params
+    return (branch == "boot", params, type(efficiency),
+            values.grad_noise_scale, values.init_batch_size)
+
+
+def memo_size(memo: PlanMemo) -> int:
+    """The number of plans ``memo`` holds."""
+    return sum(map(len, memo.values()))
 
 
 def _copy_plan(plan: BatchPlan) -> BatchPlan:
@@ -573,15 +587,38 @@ def _copy_plan(plan: BatchPlan) -> BatchPlan:
     return copied
 
 
+class _Group:
+    """What the misses of one (estimator, GPU type, branch) share within a
+    pass: the branch's throughput model, its :func:`_memo_key`, the memo's
+    row for that key (all three None without a memo; the row also while
+    the memo has none), and the goodput model, built when a grid first
+    needs it."""
+
+    __slots__ = ("xput", "key", "row", "model")
+
+    def __init__(self, estimator: JobPerfEstimator, branch: str,
+                 gpu_type: str, memo: PlanMemo | None):
+        self.xput = self.key = self.row = self.model = None
+        if memo is not None:
+            self.xput = estimator._branch_model(branch, gpu_type)
+            self.key = _memo_key(branch, self.xput, estimator._efficiency)
+            self.row = memo.get(self.key)
+
+
+#: Marks a plan a memo row does not hold (a held plan may be None).
+_ABSENT = object()
+
+
 def _plan_misses(misses: list[_Miss], memo: PlanMemo | None = None,
                  ) -> tuple[int, int, int]:
     """Plan every miss in one pass, store each plan in its request's plan
     list and its estimator's cache, and return the number of segments and
     of candidates rated, and of misses ``memo`` answered.
 
-    A miss whose memo key (:func:`_memo_key`, the batch limits and the
-    shape) is in ``memo`` takes a copy of the memoized plan and builds no
-    grid.  The candidate grids of the other misses become segments of one
+    A miss whose plan ``memo`` holds (in the row of its model's
+    :func:`_memo_key`, under its batch limits and shape) takes a copy of
+    the memoized plan and builds no grid.  The candidate grids of the
+    other misses become segments of one
     :class:`~repro.perf.goodput.GridBatch`: those on a
     :class:`~repro.perf.throughput.ThroughputModel` (oracle, trusted fit,
     prior) first, then those on a
@@ -597,37 +634,47 @@ def _plan_misses(misses: list[_Miss], memo: PlanMemo | None = None,
     """
     plain: list[tuple[_Miss, Grid, GoodputModel]] = []
     boot: list[tuple[_Miss, Grid, GoodputModel]] = []
-    models: dict[tuple, tuple[GoodputModel, tuple]] = {}
-    rated: list[tuple[tuple, _Miss]] = []
+    groups: dict[tuple, _Group] = {}
+    # The misses to memoize, in three parallel lists: a tuple per miss
+    # would be one more tracked allocation per miss for the cycle collector
+    # to count.
+    rated: list[_Miss] = []
+    rated_groups: list[_Group] = []
+    rated_keys: list[tuple] = []
     shared = 0
     for miss in misses:
         estimator, plans, index, config, token = miss
-        branch = token[0]
-        entry = models.get((estimator, config.gpu_type, branch))
-        if entry is None:
-            model = GoodputModel(
-                estimator._branch_model(branch, config.gpu_type),
-                estimator._efficiency)
-            entry = models[estimator, config.gpu_type, branch] = (
-                model, None if memo is None else _memo_key(branch, model))
-        model, model_key = entry
+        branch, gpu_type = token[0], config.gpu_type
+        group = groups.get((estimator, gpu_type, branch))
+        if group is None:
+            group = groups[estimator, gpu_type, branch] = _Group(
+                estimator, branch, gpu_type, memo)
         limits = estimator.constraints
-        max_local_bsz = estimator.max_local_bsz(config.gpu_type)
+        max_local_bsz = estimator.max_local_bsz(gpu_type)
         if memo is not None:
-            key = (model_key, max_local_bsz, limits.max_bsz, limits.min_bsz,
+            key = (max_local_bsz, limits.max_bsz, limits.min_bsz,
                    limits.fixed_total_bsz, config.num_gpus, config.num_nodes)
-            if key in memo:
-                plan = memo[key]
-                plans[index] = plan if plan is None else _copy_plan(plan)
-                shared += 1
-                continue
-            rated.append((key, miss))
+            if group.row is not None:
+                plan = group.row.get(key, _ABSENT)
+                if plan is not _ABSENT:
+                    plans[index] = plan if plan is None else _copy_plan(plan)
+                    shared += 1
+                    continue
+            rated.append(miss)
+            rated_groups.append(group)
+            rated_keys.append(key)
         grid = candidate_grid(
             config.num_gpus, max_local_bsz=max_local_bsz,
             max_total_bsz=limits.max_bsz, min_total_bsz=limits.min_bsz,
             fixed_total_bsz=limits.fixed_total_bsz)
-        if grid is not None:
-            (boot if branch == "boot" else plain).append((miss, grid, model))
+        if grid is None:
+            continue
+        if group.model is None:
+            if group.xput is None:
+                group.xput = estimator._branch_model(branch, gpu_type)
+            group.model = GoodputModel(group.xput, estimator._efficiency)
+        (boot if branch == "boot" else plain).append(
+            (miss, grid, group.model))
     segments = plain + boot
     candidates = 0
     if segments:
@@ -646,10 +693,18 @@ def _plan_misses(misses: list[_Miss], memo: PlanMemo | None = None,
     # bytes.
     for estimator, plans, i, config, token in misses:
         estimator._goodput_cache[config] = ((*token,), plans[i])
-    for key, miss in rated:
-        if len(memo) >= PLAN_MEMO_MAX:
-            memo.clear()
-        memo[key] = miss.plans[miss.index]
+    if rated:
+        size = memo_size(memo)
+        for group, key, miss in zip(rated_groups, rated_keys, rated):
+            if size >= PLAN_MEMO_MAX:
+                memo.clear()
+                size = 0
+                for cleared in groups.values():
+                    cleared.row = None
+            if group.row is None:
+                group.row = memo.setdefault(group.key, {})
+            size += key not in group.row
+            group.row[key] = miss.plans[miss.index]
     return len(segments), candidates, shared
 
 

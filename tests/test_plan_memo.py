@@ -24,7 +24,8 @@ from repro.jobs.inference import BatchInferenceEstimator
 from repro.perf import profiles
 from repro.perf.efficiency import EfficiencyModel, EfficiencyParams
 from repro.perf.estimator import (PLAN_MEMO_MAX, WORK, JobConstraints,
-                                  JobPerfEstimator, plan_requests)
+                                  JobPerfEstimator, memo_size,
+                                  plan_requests)
 from repro.perf.fitting import Observation
 from repro.perf.throughput import ThroughputModel
 from repro.schedulers.base import Scheduler
@@ -51,6 +52,11 @@ def profiled(cls=JobPerfEstimator, types=TYPES, *mode) -> JobPerfEstimator:
     est = cls(MODEL, limits(), types, *mode)
     est.profile_initial()
     return est
+
+
+def plans_of(memo) -> list:
+    """Every plan ``memo`` holds, in the order it stored them."""
+    return [plan for row in memo.values() for plan in row.values()]
 
 
 def report(est, gpu_type, num_gpus, local_bsz, scale=1.0) -> None:
@@ -198,7 +204,7 @@ class TestKey:
         rated = plan_requests([(first, ROW)], memo=memo)[0]
         shared = WORK["shared"]
         plans = plan_requests([(second, ROW)], memo=memo)[0]
-        assert WORK["shared"] - shared == len(ROW) == len(memo)
+        assert WORK["shared"] - shared == len(ROW) == memo_size(memo)
         assert plans == rated
         assert not any(a is b for a, b in zip(plans, rated) if a is not None)
 
@@ -210,7 +216,7 @@ class TestKey:
         first, second = plan_requests([(est, ROW) for est in twins],
                                       memo=memo)
         assert WORK["shared"] == shared
-        assert first == second and len(memo) == len(ROW)
+        assert first == second and memo_size(memo) == len(ROW)
 
     def test_infeasible_configurations_are_memoized_as_none(self):
         est = profiled()
@@ -219,16 +225,19 @@ class TestKey:
         memo: dict = {}
         assert plan_requests([(est, multi)], memo=memo)[0] == \
             [None] * len(multi)
-        assert list(memo.values()) == [None] * len(multi)
+        assert plans_of(memo) == [None] * len(multi)
 
 
 class TestBounds:
     def test_memo_is_cleared_at_its_cap(self):
-        memo = dict.fromkeys(range(PLAN_MEMO_MAX))
+        """A memo one plan short of its cap takes that plan, clears, and
+        keeps the rest of the pass."""
+        memo = {("filler",): dict.fromkeys(range(PLAN_MEMO_MAX - 1))}
         est = profiled()
         plans = plan_requests([(est, ROW)], memo=memo)[0]
-        assert len(memo) == len(ROW) <= PLAN_MEMO_MAX
-        assert list(memo.values()) == plans
+        assert memo_size(memo) == len(ROW) - 1 < PLAN_MEMO_MAX
+        assert ("filler",) not in memo
+        assert plans_of(memo) == plans[1:]
 
     def test_no_estimator_is_reachable_from_the_memo(self):
         scheduler = make_scheduler("sia")
@@ -323,6 +332,6 @@ class TestPickle:
         that never made it."""
         scheduler = FIFOScheduler()
         assert vars(scheduler) == {}
-        scheduler.plan_memo[("key",)] = None
+        scheduler.plan_memo[("key",)] = {(1,): None}
         # The default pickle writes an empty instance dict as no state.
         assert scheduler.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[2] is None
