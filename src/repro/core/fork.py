@@ -299,8 +299,9 @@ def rebind_solver(scheduler: Scheduler, backend: str) -> None:
     """Swap the ILP backend of a Sia scheduler in place.
 
     ``SiaScheduler.decide`` reads ``params.solver`` at every solve, so
-    this takes effect from the next round.  Raises ``ValueError`` for an unknown
-    backend or a scheduler without a solver to rebind.
+    this takes effect from the next round; the new backend's solver
+    library loads here, not in that round.  Raises ``ValueError`` for an
+    unknown backend or a scheduler without a solver to rebind.
     """
     if backend not in SOLVER_BACKENDS:
         raise ValueError(f"unknown solver backend {backend!r}; choose from "
@@ -311,6 +312,7 @@ def rebind_solver(scheduler: Scheduler, backend: str) -> None:
             f"scheduler {scheduler.name!r} has no ILP solver to rebind "
             "(solver_backend overrides only apply to sia)")
     params.solver = backend
+    scheduler.load_solvers()
 
 
 def reseed_fault_models(models: list[FaultModel], seed: int) -> None:

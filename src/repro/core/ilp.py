@@ -46,6 +46,11 @@ both fail; the simulator's ``resilient`` guard then carries the previous
 round forward.  A HiGHS solve that reaches its time limit fails, so a
 budgeted round gets either the exact optimum or greedy's answer.
 :func:`solve_assignment` is the single-backend primitive underneath.
+
+scipy, which holds HiGHS, is imported by the HiGHS path itself, not on
+module load: most processes never reach it.  A scheduler that can reach it
+calls :func:`load_highs` when it is built or unpickled, so the import
+happens then and no round pays for it.
 """
 
 from __future__ import annotations
@@ -56,12 +61,14 @@ import re
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, milp
-from scipy.sparse import csr_array
 
 from repro.obs.tracer import NULL_TRACER, Tracer
+
+if TYPE_CHECKING:
+    from scipy.optimize import LinearConstraint
 
 #: every backend :func:`solve_assignment` accepts, in quality order.
 #: ``repro.core.fork`` re-exports this tuple so the replay CLI stays in
@@ -263,6 +270,14 @@ def _validate(problem: AssignmentProblem, solution: AssignmentSolution) -> None:
 
 # -- HiGHS MILP (via scipy) ---------------------------------------------------
 
+def load_highs() -> None:
+    """Import the scipy modules the HiGHS path uses.  Raises ImportError
+    when scipy is missing or broken, which the fallback ladder would
+    otherwise swallow in every round."""
+    import scipy.optimize  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
+
 @dataclass
 class _PairSystem:
     """Sparse constraint system over the feasible (job, config) pairs."""
@@ -303,6 +318,9 @@ def _assemble(problem: AssignmentProblem) -> _PairSystem | None:
     exactly ``2 * n_vars`` potential nonzeros regardless of problem size
     (the old dense assembly allocated ``n_rows * n_vars`` zeros).  Returns
     None when no pair is feasible."""
+    from scipy.optimize import LinearConstraint
+    from scipy.sparse import csr_array
+
     util = problem.utilities
     pair_jobs, pair_cols = np.nonzero(~np.isnan(util))  # row-major order
     n_vars = int(pair_jobs.size)
@@ -375,6 +393,8 @@ def _solve_highs_milp(problem: AssignmentProblem,
                       ) -> AssignmentSolution:
     """HiGHS's MILP optimum, in ascending job order.  Raises unless HiGHS
     proves it within ``time_limit``."""
+    from scipy.optimize import Bounds, OptimizeWarning, milp
+
     system = _assemble(problem)
     if system is None:
         return AssignmentSolution({}, 0.0, 0.0)

@@ -179,6 +179,16 @@ class Scheduler(abc.ABC):
         state.pop("_plan_memo", None)
         return state or None
 
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.load_solvers()
+
+    def load_solvers(self) -> None:
+        """Import the solver libraries :meth:`decide` can reach, so that
+        no round, fresh or resumed, pays for the import.  Schedulers that
+        solve call it when built; unpickling (:meth:`__setstate__`) calls
+        it too.  None here."""
+
     @contextlib.contextmanager
     def goodput_eval(self, **attrs):
         """The round's ``goodput_eval`` span.  When the tracer records, the

@@ -23,7 +23,6 @@ behaviour whose checkpoint-restore overheads the paper highlights
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.cluster.cluster import Cluster
 from repro.core.types import Allocation
@@ -56,6 +55,11 @@ class GavelScheduler(Scheduler):
         #: (job_id, gpu_type) -> rounds of service received.
         self._received: dict[tuple[str, str], float] = {}
         self._rounds_elapsed: dict[str, float] = {}
+        self.load_solvers()
+
+    def load_solvers(self) -> None:
+        """scipy's ``linprog``, which every round with jobs calls."""
+        import scipy.optimize  # noqa: F401
 
     # -- LP -----------------------------------------------------------------
 
@@ -76,6 +80,8 @@ class GavelScheduler(Scheduler):
 
     def _solve_lp(self, xput: np.ndarray, counts: list[int],
                   capacities: list[int]) -> np.ndarray:
+        from scipy.optimize import linprog
+
         n_jobs, n_types = xput.shape
         n_vars = n_jobs * n_types
         c = -xput.reshape(-1)
@@ -105,6 +111,8 @@ class GavelScheduler(Scheduler):
                           capacities: list[int]) -> np.ndarray:
         """max-min fairness LP: maximize z subject to each job's normalized
         effective throughput being at least z."""
+        from scipy.optimize import linprog
+
         n_jobs, n_types = xput.shape
         norms = xput.max(axis=1)
         feasible = norms > 0

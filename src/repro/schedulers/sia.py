@@ -29,7 +29,8 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core import matrix as gm
 from repro.core.configs import build_config_set
-from repro.core.ilp import AssignmentProblem, solve_with_fallback
+from repro.core.ilp import (AssignmentProblem, load_highs,
+                            solve_with_fallback)
 from repro.core.placement import place
 from repro.core.policy import SiaPolicyParams
 from repro.core.types import Allocation, Configuration
@@ -53,6 +54,13 @@ class SiaScheduler(Scheduler):
         self.params = params or SiaPolicyParams()
         self.round_duration = round_duration
         self._config_cache: dict[tuple, list[Configuration]] = {}
+        self.load_solvers()
+
+    def load_solvers(self) -> None:
+        """scipy's HiGHS, unless the solver is ``greedy``, which never
+        reaches it."""
+        if self.params.solver != "greedy":
+            load_highs()
 
     def configurations(self, cluster: Cluster,
                        max_gpus: int | None = None) -> list[Configuration]:

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from repro.cluster import presets
 from repro.cluster.cluster import Cluster
@@ -94,7 +95,7 @@ class TestResilientSolver:
             x[0] = 1.0  # job 0 on its worse configuration, the rest idle
             return SimpleNamespace(status=1, x=x,
                                    message="Time limit reached.")
-        monkeypatch.setattr(ilp, "milp", timed_out)
+        monkeypatch.setattr(scipy.optimize, "milp", timed_out)
         solution, degraded = solve_with_fallback(problem(), budget=0.05)
         assert solution.backend == "greedy" and degraded
         # Greedy's answer, every job on its two-GPU configuration (the
@@ -182,7 +183,8 @@ class TestResilientSolver:
 
 
 def _record_highs_calls(monkeypatch) -> list:
-    """Wrap scipy's ``milp`` as the ILP module calls it; returns the list
+    """Wrap scipy's ``milp``, which the ILP module looks up in
+    ``scipy.optimize`` at every HiGHS solve; returns the list
     each call's ``(integral, options)`` is appended to.  ``options`` is
     copied before scipy consumes it, and ``{}`` when none were passed.
     The ``milp`` backend's argmax check and lattice DP decline every
@@ -190,13 +192,13 @@ def _record_highs_calls(monkeypatch) -> list:
     monkeypatch.setattr(ilp, "_solve_lattice",
                         lambda problem, expanded=None: None)
     seen = []
-    real = ilp.milp
+    real = scipy.optimize.milp
 
     def recording(*args, integrality=None, options=None, **kwargs):
         seen.append((bool(np.any(integrality)), dict(options or {})))
         return real(*args, integrality=integrality, options=options,
                     **kwargs)
-    monkeypatch.setattr(ilp, "milp", recording)
+    monkeypatch.setattr(scipy.optimize, "milp", recording)
     return seen
 
 
