@@ -6,7 +6,7 @@ Measures, per (cluster size, job count) point:
   of the ``milp`` backend via the observability phase spans, with the
   solve-phase time and first-round objective — the scaling story up to
   16384 GPUs / 4096 jobs;
-* steady-state estimator cache hit rate across consecutive rounds, with
+* steady-state plan memo hit rate across consecutive rounds, with
   every placed job re-reporting its iteration time between rounds as in
   the engine;
 * the solver points: ``solve_assignment(p, "milp")`` over every
@@ -121,15 +121,16 @@ def make_views(scheduler, cluster, n_jobs: int) -> list[JobView]:
 
 
 def report_iterations(executor: ExecutionModel, views: list[JobView],
-                      allocations: dict) -> None:
+                      allocations: dict, memo: dict) -> None:
     """Each placed job reports the iteration time of its round, as the
     engine does between rounds: the executor runs the estimator's batch
-    plan on the allocation, and the estimator folds the report in."""
+    plan (looked up in the scheduler's plan ``memo``) on the allocation,
+    and the estimator folds the report in."""
     for view in views:
         allocation = allocations.get(view.job_id)
         if allocation is None:
             continue
-        plan = view.estimator.best_plan(allocation.configuration())
+        plan = view.estimator.best_plan(allocation.configuration(), memo)
         execution = executor.execute(view.job, allocation, plan)
         if execution is not None:
             view.estimator.add_observation(
@@ -140,13 +141,13 @@ def run_rounds(scheduler, cluster, views, rounds: int) -> dict:
     """Run consecutive policy rounds over the same views, each placed job
     re-reporting its iteration time between rounds (steady state after
     round 1: a job re-reporting the configuration it keeps moves no fit,
-    so estimator caches stay warm), then one extra *cold-cache* round at
+    so the plan memo keeps answering), then one extra *cold-memo* round at
     the warm running state.
 
     The cold round is the honest goodput_eval comparison point: every job
     is running at a realistic configuration (large feasible sets) and every
     feasible (job, config) pair is evaluated exactly once.  The earlier
-    warm rounds measure the latency jobs actually see (cache hits included).
+    warm rounds measure the latency jobs actually see (memo hits included).
     """
     tracer = Tracer()
     scheduler.tracer = tracer
@@ -164,17 +165,12 @@ def run_rounds(scheduler, cluster, views, rounds: int) -> dict:
             alloc = plan.allocations.get(view.job_id)
             view.current_config = alloc.configuration() \
                 if alloc is not None else None
-        report_iterations(executor, views, previous)
+        report_iterations(executor, views, previous, scheduler.plan_memo)
     phases = {name: tracer.span_stats(name).total for name in PLAN_PHASES}
     hits = sum(getattr(v.estimator, "cache_hits", 0) for v in views)
     misses = sum(getattr(v.estimator, "cache_misses", 0) for v in views)
 
-    # Cold means nothing answers from memory: no estimator cache entry and
-    # no plan in the scheduler's plan memo.
-    for view in views:
-        cache = getattr(view.estimator, "_goodput_cache", None)
-        if cache is not None:
-            cache.clear()
+    # Cold means no plan in the scheduler's plan memo.
     scheduler.plan_memo.clear()
     cold_tracer = Tracer()
     scheduler.tracer = cold_tracer

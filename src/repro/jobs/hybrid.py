@@ -143,7 +143,9 @@ class HybridPerfEstimator:
     def update_gradient_stats(self, observed_noise_scale: float) -> None:
         self._efficiency.update_noise_scale(observed_noise_scale)
 
-    def goodput(self, config: Configuration) -> float:
+    def goodput(self, config: Configuration, memo=None) -> float:
+        """Goodput of a configuration, closed-form (``memo`` is unused:
+        there is no batch plan to memoize)."""
         replicas = self.spec.num_replicas(config)
         if replicas is None:
             return 0.0
@@ -166,7 +168,7 @@ class HybridPerfEstimator:
             out[i] = self.goodput(config)
         return out
 
-    def best_plan(self, config: Configuration):
+    def best_plan(self, config: Configuration, memo=None):
         """Hybrid jobs have a fixed micro-batch plan; return None to signal
         there is no batch-size decision to make."""
         return None

@@ -90,7 +90,9 @@ class LatencySLOEstimator:
     def update_gradient_stats(self, observed_noise_scale: float) -> None:
         """No gradient statistics for inference."""
 
-    def goodput(self, config: Configuration) -> float:
+    def goodput(self, config: Configuration, memo=None) -> float:
+        """1 where the SLO holds on one node, else 0 (``memo`` is unused:
+        there is no batch plan to memoize)."""
         if config.num_nodes != 1:
             return 0.0
         return 1.0 if self.meets_slo(config.gpu_type) else 0.0
@@ -104,7 +106,7 @@ class LatencySLOEstimator:
             (1.0 if c.num_nodes == 1 and slo_ok[c.gpu_type] else 0.0
              for c in configs), dtype=float, count=len(configs))
 
-    def best_plan(self, config: Configuration):
+    def best_plan(self, config: Configuration, memo=None):
         """Latency serving has no batch-size decision."""
         return None
 

@@ -165,10 +165,12 @@ class Scheduler(abc.ABC):
 
     @property
     def plan_memo(self) -> PlanMemo:
-        """This scheduler's goodput plan memo, which every round's goodput
-        pass reads and fills (:func:`repro.perf.estimator.plan_requests`),
-        so a plan rated in one round answers the estimators that ask for
-        it with the same inputs in later rounds.  It is not pickled
+        """This scheduler's goodput plan memo, the one place rated plans are
+        kept.  Every round's goodput pass
+        (:func:`repro.perf.estimator.plan_requests`), the engine's per-job
+        plan lookups and :meth:`record_estimates` read and fill it, so a
+        plan rated once answers every later query with the same inputs,
+        from any estimator.  It is not pickled
         (:meth:`__getstate__`): a resumed run starts with an empty memo."""
         return self.__dict__.setdefault("_plan_memo", {})
 
@@ -193,9 +195,9 @@ class Scheduler(abc.ABC):
     def goodput_eval(self, **attrs):
         """The round's ``goodput_eval`` span.  When the tracer records, the
         span is annotated on exit with the estimator work done inside it
-        (:data:`repro.perf.estimator.WORK`): cache ``hits`` and
-        ``misses``, the misses the plan memo answered (``shared``), lazy
-        ``refits``, and the refits that ``moved`` a stored fit."""
+        (:data:`repro.perf.estimator.WORK`): plan memo ``hits`` and
+        ``misses``, lazy ``refits``, and the refits that ``moved`` a stored
+        fit."""
         with self.tracer.span("goodput_eval", **attrs) as span:
             if not self.tracer.enabled:
                 yield span
@@ -223,7 +225,7 @@ class Scheduler(abc.ABC):
                 continue
             try:
                 value = float(view.estimator.goodput(
-                    allocation.configuration()))
+                    allocation.configuration(), self.plan_memo))
             except Exception:
                 continue
             if value > 0:

@@ -50,8 +50,8 @@ class PolluxEstimator(JobPerfEstimator):
     The type-blind case of :class:`~repro.perf.estimator.JobPerfEstimator`:
     every GPU type maps to one shared state, so observations from whatever
     GPUs the job ran on feed one fit — Pollux assumes the cluster is
-    homogeneous.  Observation defense, refits and the epoch-checked plan
-    cache are the shared estimator's.
+    homogeneous.  Observation defense, refits and the plan memo probe are
+    the shared estimator's.
     """
 
     def __init__(self, model_name: str, constraints, gpu_types: tuple[str, ...]):

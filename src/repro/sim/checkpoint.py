@@ -78,8 +78,10 @@ from repro.atomicio import atomic_write_bytes
 #:     would fail every round's solve.
 #: v11: a ``RunningFit`` holds one running mean per configuration, not
 #:     the multi-GPU reports, their sync points or any cached fit.
+#: v12: estimators hold no plans and no cache epochs; rated plans live
+#:     only in the scheduler's plan memo, which is not pickled.
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 11
+FORMAT_VERSION = 12
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages

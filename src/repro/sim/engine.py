@@ -912,7 +912,8 @@ class Simulator:
         run_time = dt - delay
 
         # The executor's batch decision, from the job's *estimated* models.
-        plan = rt.estimator.best_plan(rt.allocation.configuration())
+        plan = rt.estimator.best_plan(rt.allocation.configuration(),
+                                      self.state.scheduler.plan_memo)
         if run_time <= 0:
             rt.charge_gpus(dt)
             return False, None

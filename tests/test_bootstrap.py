@@ -118,7 +118,7 @@ class TestBootstrapModel:
             est.add_observation(Observation(
                 gpu_type=gpu_type, num_nodes=1, num_gpus=k, local_bsz=16,
                 accum_steps=1, iter_time=truth.iter_time(16, k, 1)))
-        assert est._cache_token("t4", 4)[0] == "boot"
+        assert est._branch("t4", 4) == "boot"
         assert est._branch_model("boot", "t4").refs == []
         assert est.throughput("t4", 16, 4, 1) == \
             4 * est.throughput("t4", 16, 1, 1)

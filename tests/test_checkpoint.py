@@ -1,6 +1,7 @@
 """Checkpoint format, atomic writes, and bit-identical resume."""
 
 import gc
+import io
 import pickle
 import types
 
@@ -98,6 +99,18 @@ def _reachable(root, cls) -> bool:
             return True
         stack.extend(gc.get_referents(obj))
     return False
+
+
+def _pickled_classes(payload: bytes) -> set[tuple[str, str]]:
+    """The ``(module, name)`` of every class or function a pickle loads."""
+    found = set()
+
+    class Recording(pickle.Unpickler):
+        def find_class(self, module, name):
+            found.add((module, name))
+            return super().find_class(module, name)
+    Recording(io.BytesIO(payload)).load()
+    return found
 
 
 class _TracerHolder:
@@ -283,6 +296,20 @@ class TestEngineCheckpointResume:
         assert len(resumed.rounds) == len(reference.rounds)
         assert fresh.metrics.snapshot().get("checkpoint.restores") == 1
         assert expected <= len(resumed.rounds)
+
+    def test_no_body_pickles_a_batch_plan(self, tmp_path, hetero_cluster):
+        """Rated plans live only in the scheduler's plan memo, which is not
+        pickled: no checkpoint body of a Sia fault run holds a
+        ``BatchPlan``, although every body holds estimators."""
+        _sim(hetero_cluster,
+             checkpoint=CheckpointConfig(directory=tmp_path, every_rounds=3,
+                                         keep=0)).run()
+        bodies = ckpt.list_checkpoints(tmp_path)
+        assert len(bodies) > 1
+        for path in bodies:
+            classes = _pickled_classes(ckpt._unframe(path)[0])
+            assert ("repro.perf.estimator", "JobPerfEstimator") in classes
+            assert ("repro.perf.goodput", "BatchPlan") not in classes
 
     def test_resume_refuses_different_cluster(self, tmp_path, hetero_cluster,
                                               tiny_cluster):

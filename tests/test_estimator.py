@@ -10,7 +10,8 @@ from repro.cluster import presets
 from repro.core.configs import build_config_set
 from repro.core.types import Configuration, ProfilingMode
 from repro.perf import profiles
-from repro.perf.estimator import WORK, JobConstraints, JobPerfEstimator
+from repro.perf.estimator import (WORK, JobConstraints, JobPerfEstimator,
+                                  plan_requests)
 from repro.perf.fitting import Observation
 from repro.perf.throughput import ThroughputModel
 from repro.schedulers.pollux import PolluxEstimator
@@ -167,17 +168,20 @@ class TestGoodput:
         est = make_estimator()  # bootstrap: phi already true
         est.profile_initial()
         config = Configuration(1, 2, "a100")
-        before = est.goodput(config)
+        memo: dict = {}
+        before = est.goodput(config, memo)
         true_phi = profiles.true_efficiency_params("bert").grad_noise_scale
         est.update_gradient_stats(true_phi)
-        assert est.goodput(config) == before
+        hits = est.cache_hits
+        assert est.goodput(config, memo) == before
+        assert est.cache_hits == hits + 1
 
 
 class TestIncrementalCacheInvalidation:
-    """Per-GPU-type, per-fit-change cache invalidation: a fit change on one
-    type must not evict memoized plans whose estimates never read that
-    type, and an observation that leaves every fit unchanged evicts
-    nothing."""
+    """Plans are memoized under everything they read, per GPU type: a fit
+    change on one type must not change the keys of plans whose estimates
+    never read that type, and an observation that leaves every fit
+    unchanged changes no key."""
 
     def test_observation_keeps_other_types_warm(self):
         est = make_estimator()
@@ -185,51 +189,54 @@ class TestIncrementalCacheInvalidation:
         t4 = Configuration(1, 1, "t4")
         a100 = Configuration(1, 1, "a100")
         rtx = Configuration(1, 1, "rtx")
+        memo: dict = {}
         for config in (t4, a100, rtx):
-            est.best_plan(config)  # populate
+            est.best_plan(config, memo)  # populate
         est.cache_hits = est.cache_misses = 0
         est.add_observation(true_observation("bert", "rtx", 1, 2, 16))
         # Single-GPU estimates on t4/a100 come from those types' own fits,
-        # whose epochs did not move: still cache hits.
-        before_t4, before_a100 = est.goodput(t4), est.goodput(a100)
+        # which did not move: still memo hits.
+        before_t4, before_a100 = est.goodput(t4, memo), est.goodput(a100, memo)
         assert est.cache_hits == 2 and est.cache_misses == 0
-        # The rtx entry saw its type epoch move: recomputed.
-        est.goodput(rtx)
+        # The rtx fit moved, and with it the key of the rtx plan.
+        est.goodput(rtx, memo)
         assert est.cache_misses == 1
-        assert (before_t4, before_a100) == (est.goodput(t4),
-                                            est.goodput(a100))
+        assert (before_t4, before_a100) == (est.goodput(t4, memo),
+                                            est.goodput(a100, memo))
 
     def test_bootstrapped_entries_invalidated_by_any_fit_change(self):
         """Multi-GPU estimates without own multi-GPU experience read *every*
         type's fit (Equation 1 picks the reference type), so a fit change
-        on any type must invalidate them."""
+        on any type must change their key."""
         est = make_estimator()
         est.profile_initial()
         multi_t4 = Configuration(1, 4, "t4")
-        before = est.goodput(multi_t4)
+        memo: dict = {}
+        before = est.goodput(multi_t4, memo)
         est.cache_hits = est.cache_misses = 0
         # rtx multi-GPU data arrives: t4's 4-GPU estimate now bootstraps
         # from rtx instead of perfect scaling.
         for k in (2, 4):
             est.add_observation(true_observation("bert", "rtx", 1, k, 16))
-        after = est.goodput(multi_t4)
+        after = est.goodput(multi_t4, memo)
         assert est.cache_misses == 1 and est.cache_hits == 0
         assert after != before
 
     def test_unchanged_fit_keeps_every_entry_warm(self):
         """A running job re-reports the iteration times it reported before
         (zero observation noise), round after round: the refits reproduce
-        the stored fits up to float noise (``FIT_RTOL``), so no entry —
-        own-fit or bootstrapped — is evicted and no epoch moves."""
+        the stored fits up to float noise (``FIT_RTOL``), so no stored fit
+        is replaced and every plan — own-fit or bootstrapped — hits."""
         est = make_estimator()
         est.profile_initial()
         rtx_obs = true_observation("bert", "rtx", 1, 2, 16)
         est.add_observation(rtx_obs)
         configs = [Configuration(1, k, t) for t in TYPES for k in (1, 2, 4)]
-        before = est.goodput_batch(configs)
+        memo: dict = {}
+        before = est.goodput_batch(configs, memo)
         est.cache_hits = est.cache_misses = 0
-        epochs = (est._obs_epoch,
-                  [est._types[t].epoch for t in TYPES])
+        fits = [est._types[t].fit for t in TYPES]
+        moved = WORK["moved"]
         # The first size profile_initial measured on t4.
         first_size = max(1, min(est.constraints.min_bsz,
                                 est.max_local_bsz("t4")))
@@ -238,45 +245,48 @@ class TestIncrementalCacheInvalidation:
         for _ in range(rounds):
             for obs in (rtx_obs, profiled):
                 assert est.add_observation(obs)
-            assert est.goodput_batch(configs).tolist() == before.tolist()
+            assert est.goodput_batch(configs, memo).tolist() == \
+                before.tolist()
         assert est.cache_misses == 0
         assert est.cache_hits == rounds * len(configs)
-        assert (est._obs_epoch,
-                [est._types[t].epoch for t in TYPES]) == epochs
+        assert all(est._types[t].fit is fit for t, fit in zip(TYPES, fits))
+        assert WORK["moved"] == moved
 
     def test_small_real_change_still_invalidates(self):
         """A report 1e-6 relative off its predecessor is evidence, not
         float noise: the refit moves the fit past ``FIT_RTOL``, so the
-        type epoch moves and the entries reading it miss."""
+        stored fit is replaced and the plans reading it miss."""
         est = make_estimator()
         est.profile_initial()
         rtx_obs = true_observation("bert", "rtx", 1, 2, 16)
         est.add_observation(rtx_obs)
         configs = [Configuration(1, k, "rtx") for k in (1, 2, 4)]
-        est.goodput_batch(configs)
+        memo: dict = {}
+        est.goodput_batch(configs, memo)
         est.cache_hits = est.cache_misses = 0
-        epoch = est._types["rtx"].epoch
+        moved = WORK["moved"]
         assert est.add_observation(
             replace(rtx_obs, iter_time=rtx_obs.iter_time * (1 + 1e-6)))
-        est.goodput_batch(configs)
-        assert est._types["rtx"].epoch == epoch + 1
+        est.goodput_batch(configs, memo)
+        assert WORK["moved"] == moved + 1
         assert est.cache_misses == len(configs) and est.cache_hits == 0
 
     def test_lazy_refit_on_other_type_invalidates_bootstrap_entry(self):
-        """The bootstrapped t4 entry reads rtx's fit, which is refitted
+        """The bootstrapped t4 plan reads rtx's fit, which is refitted
         lazily.  Querying t4 first — before anything else touches rtx —
         must still see the rtx fit change, miss, and match a fresh
         estimator fed the same evidence."""
         est = make_estimator()
         est.profile_initial()
         multi_t4 = Configuration(1, 4, "t4")
-        est.goodput(multi_t4)
+        memo: dict = {}
+        est.goodput(multi_t4, memo)
         est.cache_hits = est.cache_misses = 0
         observations = [true_observation("bert", "rtx", 1, k, 16)
                         for k in (2, 4)]
         for obs in observations:
             est.add_observation(obs)
-        after = est.goodput(multi_t4)
+        after = est.goodput(multi_t4, memo)
         assert est.cache_misses == 1 and est.cache_hits == 0
         fresh = make_estimator()
         fresh.profile_initial()
@@ -287,40 +297,42 @@ class TestIncrementalCacheInvalidation:
     def test_oracle_cache_survives_observations(self):
         est = make_estimator(ProfilingMode.ORACLE)
         config = Configuration(1, 4, "a100")
-        est.goodput(config)
+        memo: dict = {}
+        est.goodput(config, memo)
         est.cache_hits = est.cache_misses = 0
         est.add_observation(true_observation("bert", "a100", 1, 4, 16))
-        est.goodput(config)
+        est.goodput(config, memo)
         assert est.cache_hits == 1 and est.cache_misses == 0
 
     def test_gradient_stats_change_invalidates_everything(self):
         est = make_estimator(ProfilingMode.NO_PROF)
         config = Configuration(1, 1, "t4")
-        est.goodput(config)
+        memo: dict = {}
+        est.goodput(config, memo)
         true_phi = profiles.true_efficiency_params("bert").grad_noise_scale
         est.update_gradient_stats(true_phi * 3)
         est.cache_hits = est.cache_misses = 0
-        est.goodput(config)
+        est.goodput(config, memo)
         assert est.cache_misses == 1
 
     def test_steady_state_hit_rate_positive(self):
         """A running job re-evaluated across consecutive rounds with no new
-        evidence answers from cache: the acceptance criterion is a strictly
-        positive hit rate in steady state."""
+        evidence answers from the memo: every steady-state query hits."""
         est = make_estimator()
         est.profile_initial()
         configs = [Configuration(1, k, t) for t in TYPES for k in (1, 2, 4)]
+        memo: dict = {}
         for config in configs:  # round 1: cold
-            est.goodput(config)
+            est.goodput(config, memo)
         est.cache_hits = est.cache_misses = 0
         for _ in range(3):  # rounds 2-4: steady state
             for config in configs:
-                est.goodput(config)
-            # converged noise-scale reports must not evict anything
+                est.goodput(config, memo)
+            # converged noise-scale reports must not change any key
             est.update_gradient_stats(
                 est.efficiency_model.params.grad_noise_scale)
         assert est.cache_misses == 0
-        assert est.cache_hit_rate == 1.0
+        assert est.cache_hits == 3 * len(configs)
 
 
 #: one request row: every type at one GPU, within a node and across nodes.
@@ -348,9 +360,9 @@ EVIDENCE = [[true_observation("bert", "rtx", 1, k, 16) for k in (2, 4)],
 
 
 class TestGroupToken:
-    """:meth:`JobPerfEstimator._probe` shares one cache token across
-    consecutive configurations of a (GPU type, 1-GPU or multi-GPU) group,
-    and answers exactly as one token per configuration does, in any
+    """:meth:`JobPerfEstimator._probe` shares one branch and one plan key
+    across consecutive configurations of a (GPU type, 1-GPU or multi-GPU)
+    group, and answers exactly as one key per configuration does, in any
     order."""
 
     KINDS = ["BOOTSTRAP", "NO_PROF", "ORACLE", "pollux"]
@@ -359,17 +371,17 @@ class TestGroupToken:
     def test_at_most_two_tokens_per_type(self, monkeypatch, kind):
         est = grouped_estimator(kind)
         calls: Counter = Counter()
-        real = JobPerfEstimator._cache_token
+        real = JobPerfEstimator._plan_key
 
-        def counting(self, gpu_type, num_gpus):
+        def counting(self, branch, gpu_type):
             calls[gpu_type] += 1
-            return real(self, gpu_type, num_gpus)
-        monkeypatch.setattr(JobPerfEstimator, "_cache_token", counting)
+            return real(self, branch, gpu_type)
+        monkeypatch.setattr(JobPerfEstimator, "_plan_key", counting)
         for evidence in [[], *EVIDENCE]:
             for report in evidence:
                 est.add_observation(report)
             calls.clear()
-            est.best_plans(ROW)
+            est._probe(ROW, [], {})
             assert set(calls) == set(TYPES)
             assert max(calls.values()) <= 2
 
@@ -378,7 +390,7 @@ class TestGroupToken:
                              ids=["heterogeneous", "scaled1024"])
     def test_sia_rows_list_each_group_together(self, cluster):
         """Sia's rows are slices of its configuration set, which lists each
-        group's configurations together: one token per group."""
+        group's configurations together: one key per group."""
         keys = [(c.gpu_type, c.num_gpus == 1)
                 for c in build_config_set(cluster)]
         runs = [k for i, k in enumerate(keys) if i == 0 or keys[i - 1] != k]
@@ -389,106 +401,101 @@ class TestGroupToken:
     def test_matches_one_token_per_configuration(self, kind, order):
         """Round by round, with evidence in between whose lazy refits run
         partway through the row, the grouped probe returns the plans,
-        counters and epochs of a per-configuration loop."""
+        counters and stored fits of a per-configuration loop."""
         row = ROW if order == "type-major" else sorted(
             ROW, key=lambda c: (c.num_gpus, TYPES.index(c.gpu_type)))
         grouped, reference = grouped_estimator(kind), grouped_estimator(kind)
+        grouped_memo: dict = {}
+        reference_memo: dict = {}
         for evidence in [[], [], *EVIDENCE]:
             for report in evidence:
                 grouped.add_observation(report)
                 reference.add_observation(report)
-            plans = grouped.best_plans(row)
-            assert plans == [reference.best_plans([config])[0]
-                             for config in row]
+            plans = grouped.best_plans(row, grouped_memo)
+            # One request per configuration: one key each, in one pass.
+            assert plans == [alone for alone, in plan_requests(
+                [(reference, [config]) for config in row],
+                memo=reference_memo)]
             assert (grouped.cache_hits, grouped.cache_misses) == \
                 (reference.cache_hits, reference.cache_misses)
-            assert grouped._obs_epoch == reference._obs_epoch
-            assert [grouped._types[t].epoch for t in TYPES] == \
-                [reference._types[t].epoch for t in TYPES]
+            assert [grouped._types[t].fit for t in TYPES] == \
+                [reference._types[t].fit for t in TYPES]
         assert grouped.cache_hits and grouped.cache_misses
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_cache_entries_share_no_token(self, kind):
-        """Every cache entry holds its own token tuple, as with one token
-        per configuration, so the pickled cache is byte for byte what it
-        was."""
-        est = grouped_estimator(kind)
-        est.best_plans(ROW)
-        tokens = [token for token, _ in est._goodput_cache.values()]
-        assert len(tokens) == len(ROW)
-        assert len(set(tokens)) < len(tokens)  # groups repeat a token
-        assert len({id(token) for token in tokens}) == len(tokens)
-
     @staticmethod
-    def count_fits(monkeypatch) -> Counter:
-        """Count ``_fit`` calls per GPU type."""
+    def count_refits(monkeypatch) -> Counter:
+        """Count the ``_fit`` calls that refit (on a dirty type), per GPU
+        type."""
         calls: Counter = Counter()
         real = JobPerfEstimator._fit
 
         def counting(self, gpu_type):
-            calls[gpu_type] += 1
+            if self._types[gpu_type].dirty:
+                calls[gpu_type] += 1
             return real(self, gpu_type)
         monkeypatch.setattr(JobPerfEstimator, "_fit", counting)
         return calls
 
     def test_tokens_call_fit_only_for_dirty_types(self, monkeypatch):
         """A clean type's stored fit is read as it is: probing a warm row
-        calls ``_fit`` only for the type a report at a new batch size
-        dirtied, once; the same report again dirties nothing."""
+        refits only the type a report at a new batch size dirtied, once;
+        the same report again dirties nothing."""
         est = grouped_estimator("BOOTSTRAP")
-        est.best_plans(ROW)
-        calls = self.count_fits(monkeypatch)
-        est._probe(ROW, [])
+        memo: dict = {}
+        est.best_plans(ROW, memo)
+        calls = self.count_refits(monkeypatch)
+        est._probe(ROW, [], memo)
         assert not calls
         report = EVIDENCE[1][0]  # a t4 1-GPU report at a new batch size
         est.add_observation(report)
-        est._probe(ROW, [])
+        est._probe(ROW, [], memo)
         assert calls == {"t4": 1}
         calls.clear()
         est.add_observation(report)
-        est._probe(ROW, [])
+        est._probe(ROW, [], memo)
         assert not calls
 
     @pytest.mark.parametrize("kind", ["BOOTSTRAP", "pollux"])
     def test_re_report_equal_to_its_mean_leaves_the_type_clean(
             self, monkeypatch, kind):
         """An accepted report equal to its configuration's mean moves no
-        mean, so it marks no type dirty: the next probe calls no ``_fit``,
-        moves no epoch and hits on every entry."""
+        mean, so it marks no type dirty: the next probe refits nothing,
+        keeps every stored fit and hits on every plan."""
         est = grouped_estimator(kind)
         for evidence in EVIDENCE:
             for report in evidence:
                 est.add_observation(report)
-        est.best_plans(ROW)
-        epochs = (est._obs_epoch, [est._types[t].epoch for t in TYPES])
+        memo: dict = {}
+        est.best_plans(ROW, memo)
+        fits = [est._types[t].fit for t in TYPES]
         refits = (WORK["refits"], WORK["moved"])
-        calls = self.count_fits(monkeypatch)
+        calls = self.count_refits(monkeypatch)
         for evidence in EVIDENCE:
             for report in evidence:
                 assert est.add_observation(report)
         assert not any(est._types[t].dirty for t in TYPES)
         est.cache_hits = est.cache_misses = 0
-        est.best_plans(ROW)
+        est.best_plans(ROW, memo)
         assert not calls
         assert (est.cache_hits, est.cache_misses) == (len(ROW), 0)
-        assert (est._obs_epoch, [est._types[t].epoch for t in TYPES]) == \
-            epochs
+        assert all(est._types[t].fit is fit for t, fit in zip(TYPES, fits))
         assert (WORK["refits"], WORK["moved"]) == refits
 
     def test_refit_partway_through_the_row_moves_later_tokens(self):
         """rtx's lazy refit runs at the row's first t4 multi-GPU entry (a
-        bootstrap token refreshes every type): every rtx entry after it
+        bootstrap key reads every type's fit): every rtx entry after it
         misses, while t4's 1-GPU entry before it still hits."""
         est = grouped_estimator("BOOTSTRAP")
         row = [Configuration(1, 1, "t4"), Configuration(1, 2, "t4"),
                Configuration(1, 1, "rtx"), Configuration(1, 2, "rtx")]
-        est.best_plans(row)
-        epoch = est._types["rtx"].epoch
+        memo: dict = {}
+        est.best_plans(row, memo)
+        moved = WORK["moved"]
         for report in EVIDENCE[0]:
             est.add_observation(report)
         est.cache_hits = est.cache_misses = 0
-        est.best_plans(row)
-        assert est._types["rtx"].epoch == epoch + 1
+        est.best_plans(row, memo)
+        assert WORK["moved"] == moved + 1
         assert (est.cache_hits, est.cache_misses) == (1, 3)
 
 

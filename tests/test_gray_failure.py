@@ -18,7 +18,7 @@ from repro.core.health import (BACKOFF_BASE_S, BACKOFF_CAP_S, BACKOFF_JITTER,
                                QUARANTINE_CAP_S, QUARANTINED, HealthConfig,
                                HealthEvent, HealthTracker,
                                deterministic_jitter, placement_backoff)
-from repro.core.types import Allocation, ProfilingMode
+from repro.core.types import Allocation, Configuration, ProfilingMode
 from repro.jobs.job import make_job
 from repro.obs.stream import HealthEventStreamObserver
 from repro.perf import profiles
@@ -222,13 +222,22 @@ class TestEstimatorDefense:
         assert est.rejected_observations == 0
 
     def test_reject_leaves_fit_and_epochs_untouched(self):
+        """A rejected report leaves the running fit clean and the stored
+        fit in place, so the plans keyed on it still answer."""
         est = self.make()
         self.seed_window(est)
-        epoch_before = est._obs_epoch
+        config = Configuration(1, 1, "t4")
+        memo: dict = {}
+        est.best_plan(config, memo)
+        fit_before = est._types["t4"].fit
         count_before = est._types["t4"].running.reports
         assert est.add_observation(obs(iter_time=5.0)) is False
-        assert est._obs_epoch == epoch_before
+        assert not est._types["t4"].dirty
         assert est._types["t4"].running.reports == count_before
+        misses = est.cache_misses
+        est.best_plan(config, memo)
+        assert est.cache_misses == misses
+        assert est._types["t4"].fit is fit_before
 
     def test_verdicts_match_statistics_median(self):
         """The defense sorts its window once and takes both medians by

@@ -1,11 +1,11 @@
 """The scheduler's plan memo (``repro.perf.estimator.PlanMemo``).
 
-A memo maps the full inputs of one goodput plan to the plan a round pass
-rated for them, so later rounds answer repeated misses without rating a
-grid.  These tests pin its key field by field, show that whole seeded runs
-decide the same with it as without it, and check what it must not change:
-checkpoint bytes (no pickled plan is shared, no memo is pickled) and the
-freeing of finished estimators.
+A memo maps the full inputs of one goodput plan to the plan a pass rated
+for them, so later passes and lookups answer without rating a grid; it is
+the only place plans are kept.  These tests pin its key field by field,
+show that whole seeded runs decide the same with it as without it, and
+check what it must not change: the pickled scheduler (no memo is pickled)
+and the freeing of finished estimators.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def one_gpu_t4(est) -> JobPerfEstimator:
 def boot_flag():
     plain = one_gpu_t4(JobPerfEstimator(MODEL, limits(), ("t4",)))
     blind = one_gpu_t4(PolluxEstimator(MODEL, limits(), ("t4",)))
-    assert plain._cache_token("t4", 2)[0] == "boot"
-    assert blind._cache_token("t4", 2)[0] == "fit"
+    assert plain._branch("t4", 2) == "boot"
+    assert blind._branch("t4", 2) == "fit"
     assert plain._fit("t4").params == blind._fit("t4").params
     assert plain.max_local_bsz("t4") == blind.max_local_bsz("t4")
     return plain, MULTI_T4, blind, MULTI_T4
@@ -191,9 +191,9 @@ class TestKey:
         memo: dict = {}
         plan_requests([(first, first_row)], memo=memo)
         assert memo
-        shared = WORK["shared"]
+        hits = WORK["hits"]
         plans = plan_requests([(second, second_row)], memo=memo)[0]
-        assert WORK["shared"] == shared
+        assert WORK["hits"] == hits
         assert plans == alone.best_plans(second_row)
 
     def test_identical_estimators_share_every_plan(self):
@@ -202,20 +202,19 @@ class TestKey:
         report(second, "rtx", 2, 16)
         memo: dict = {}
         rated = plan_requests([(first, ROW)], memo=memo)[0]
-        shared = WORK["shared"]
+        hits = WORK["hits"]
         plans = plan_requests([(second, ROW)], memo=memo)[0]
-        assert WORK["shared"] - shared == len(ROW) == memo_size(memo)
-        assert plans == rated
-        assert not any(a is b for a, b in zip(plans, rated) if a is not None)
+        assert WORK["hits"] - hits == len(ROW) == memo_size(memo)
+        assert all(a is b for a, b in zip(plans, rated))
 
     def test_a_pass_answers_only_from_earlier_passes(self):
         """Repeats within one pass are all rated, then memoized once."""
         twins = [profiled(), profiled()]
         memo: dict = {}
-        shared = WORK["shared"]
+        hits = WORK["hits"]
         first, second = plan_requests([(est, ROW) for est in twins],
                                       memo=memo)
-        assert WORK["shared"] == shared
+        assert WORK["hits"] == hits
         assert first == second and memo_size(memo) == len(ROW)
 
     def test_infeasible_configurations_are_memoized_as_none(self):
@@ -286,33 +285,17 @@ class TestRuns:
     @pytest.mark.parametrize("case", RUNS)
     def test_memo_moves_no_decision(self, case, monkeypatch):
         """A run with the memo decides and estimates exactly as one whose
-        memo is fresh every round, and the memo did answer something."""
+        memo is fresh at every query, and the memo did answer something."""
         policy, options = RUNS[case]
-        shared = WORK["shared"]
+        hits = WORK["hits"]
         with_memo = record(run(make_scheduler(policy), policy, **options))
-        assert WORK["shared"] > shared
+        assert WORK["hits"] > hits
         monkeypatch.setattr(Scheduler, "plan_memo",
                             property(lambda self: {}))
+        hits = WORK["hits"]
         fresh = record(run(make_scheduler(policy), policy, **options))
+        assert WORK["hits"] == hits
         assert with_memo == fresh
-
-    def test_cache_entries_hold_their_own_plans(self, monkeypatch):
-        """No two cache entries of any estimator share a plan object, so
-        none pickles as a back-reference."""
-        made = []
-        make = Scheduler.make_estimator
-
-        def keep(self, *args):
-            made.append(make(self, *args))
-            return made[-1]
-        monkeypatch.setattr(Scheduler, "make_estimator", keep)
-        shared = WORK["shared"]
-        run(make_scheduler("sia"), "sia")
-        assert WORK["shared"] > shared
-        plans = [plan for est in made
-                 for _, plan in est._goodput_cache.values()
-                 if plan is not None]
-        assert len({id(plan) for plan in plans}) == len(plans) > 0
 
 
 class TestPickle:

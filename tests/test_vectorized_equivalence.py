@@ -4,7 +4,7 @@ policy decisions.  Seeded end-to-end schedules are pinned by
 ``tests/test_golden.py``.
 
 ``JobPerfEstimator.goodput_batch`` concatenates the candidate grids of all
-its cache misses, ranks them with numpy and then re-evaluates each grid's
+its plan memo misses, ranks them with numpy and then re-evaluates each grid's
 shortlist of maxima through the scalar path (see ``repro.perf.goodput``),
 so equality here is bitwise, not approximate.  The reference is
 ``tests.oracle.best_of_grid`` on one configuration's grid, with throughput
@@ -117,19 +117,20 @@ class TestEstimatorEquivalence:
 
     def test_goodput_batch_matches_scalar_goodput(self):
         """One grouped row over every branch (fit, bootstrap, perfect
-        scaling, prior, oracle) equals the reference row, and the cached
-        second call returns the same row from hits alone."""
+        scaling, prior, oracle) equals the reference row, and the second
+        call on the same memo returns the same row from hits alone."""
         for mode in ProfilingMode:
             reference, grouped = make_pair(mode)
+            memo: dict = {}
             # Without multi-GPU evidence multi-GPU rows assume perfect
             # scaling; with rtx evidence they bootstrap from rtx.
-            assert grouped.goodput_batch(CONFIGS).tolist() == \
+            assert grouped.goodput_batch(CONFIGS, memo).tolist() == \
                 reference_goodput_batch(reference, CONFIGS).tolist()
             feed((reference, grouped), "bert")
             expected = reference_goodput_batch(reference, CONFIGS).tolist()
-            assert grouped.goodput_batch(CONFIGS).tolist() == expected
+            assert grouped.goodput_batch(CONFIGS, memo).tolist() == expected
             misses = grouped.cache_misses
-            assert grouped.goodput_batch(CONFIGS).tolist() == expected
+            assert grouped.goodput_batch(CONFIGS, memo).tolist() == expected
             assert grouped.cache_misses == misses
 
     @pytest.mark.parametrize("model", ["bert", "resnet50", "yolov3"])
@@ -212,14 +213,13 @@ def build(case: str) -> JobPerfEstimator:
 
 class TestRoundPass:
     """``plan_requests`` plans the misses of many estimators in one pass;
-    every plan and every cache counter must equal each estimator's own
+    every plan and every memo counter must equal each estimator's own
     ``best_plans`` and the per-candidate reference."""
 
     ROW = [*CONFIGS, NO_GRID]
 
     def test_branches_cover_the_cases(self):
-        branches = {case: {build(case)._cache_token(c.gpu_type,
-                                                    c.num_gpus)[0]
+        branches = {case: {build(case)._branch(c.gpu_type, c.num_gpus)
                            for c in CONFIGS} for case in ROUND_CASES}
         assert branches["oracle"] == {"oracle"}
         assert branches["no-prof-prior"] == {"prior"}
@@ -234,11 +234,15 @@ class TestRoundPass:
         together = {case: build(case) for case in ROUND_CASES}
         alone = {case: build(case) for case in ROUND_CASES}
         reference = {case: build(case) for case in ROUND_CASES}
+        memo: dict = {}
+        memos = {case: {} for case in ROUND_CASES}
         for _ in range(2):  # all misses, then all hits
             results = plan_requests([(est, self.ROW)
-                                     for est in together.values()])
+                                     for est in together.values()],
+                                    memo=memo)
             for case, plans in zip(ROUND_CASES, results):
-                assert plans == alone[case].best_plans(self.ROW), case
+                assert plans == alone[case].best_plans(self.ROW,
+                                                       memos[case]), case
                 assert plans == [reference_plan(reference[case], config)
                                  for config in self.ROW], case
                 assert (together[case].cache_hits,
@@ -246,7 +250,7 @@ class TestRoundPass:
                     (alone[case].cache_hits, alone[case].cache_misses), case
         assert all(est.cache_hits == est.cache_misses == len(self.ROW)
                    for est in together.values())
-        assert together["fixed-total"].best_plan(NO_GRID) is None
+        assert together["fixed-total"].best_plan(NO_GRID, memo) is None
 
     def test_goodput_rows_keep_every_estimator_kind(self):
         """``goodput_rows`` answers hybrid and latency-SLO rows with their
@@ -270,9 +274,10 @@ class TestRoundPass:
             min_total_bsz=est.constraints.min_bsz,
             fixed_total_bsz=est.constraints.fixed_total_bsz)
             for est in ests for c in self.ROW]
+        memo: dict = {}
         for _ in range(2):
             with tracer.span("goodput_eval") as span:
-                plan_requests([(est, self.ROW) for est in ests], span)
+                plan_requests([(est, self.ROW) for est in ests], span, memo)
         first, second = (record.attrs for record in tracer.spans)
         assert first == {
             "planned": sum(grid is not None for grid in grids),
@@ -341,7 +346,7 @@ class TestPolicyEquivalence:
         assert cold["refits"] == cold["moved"] == \
             len(views) * len(cluster.gpu_types)
         assert warm == {"jobs": len(views), "configs": cold["configs"],
-                        "hits": cold["misses"], "misses": 0, "shared": 0,
+                        "hits": cold["misses"], "misses": 0,
                         "planned": 0, "candidates": 0, "refits": 0,
                         "moved": 0}
 
