@@ -424,6 +424,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"  ... and {len(report.mismatches) - 20} more",
                   file=sys.stderr)
         return 1
+    if not report.crashed:
+        print(f"chaos: the crash never fired; the reference run has "
+              f"{report.reference_rounds} rounds", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -12,23 +12,16 @@ Interchangeable backends (:data:`BACKENDS`):
   paper's CVXPY/GLPK_MI).  :func:`_solve_lattice` answers first: each
   job's own best option when those fit capacity together, else a
   max-plus DP over the used capacity of the GPU types that can bind.
-  The DP keeps only the states that can still come within the margin of
-  the optimum: a greedy incumbent sets a floor, and a state that stays
-  below it even if every later job takes its best option is dropped, so
-  no value the answer reads changes.  HiGHS's mixed-integer solver takes
-  lattices above :data:`_DP_MAX_WORK` and ties within the margin below.
-  HiGHS runs at optimality gap 0 (:data:`_MILP_OPTIONS`), so it prunes
-  only branches that cannot beat its incumbent by its feasibility
-  tolerance :data:`_MIP_TOL`; an optimum unique by more than twice that
-  is the one HiGHS returns, and the DP answers only then.  Both checks
-  are complete: the per-job check needs every other option of every job
-  to trail by the margin, and the DP's backtrack recomputes every option
-  at each cell of the optimal path, so any assignment within the margin
-  either ends in another final cell within it or leaves the path at a
-  cell where its option is within it.  Every decision is thus HiGHS's.
-  HiGHS runs with its feasibility-jump primal heuristic off: that
-  heuristic hunts for a first feasible point, but this problem always
-  has one (the forced pairs, every other variable 0), and
+  The DP keeps only the states that can still reach the optimum: a
+  greedy incumbent sets a floor, and a state that stays below it even if
+  every later job takes its best option is dropped, so no value the
+  answer reads changes.  Ties follow one written rule, stated on
+  :func:`_solve_lattice`, where the paper's GLPK_MI breaks them by its
+  own internals.  HiGHS's mixed-integer solver takes only lattices above
+  :data:`_DP_MAX_WORK`.  It runs at optimality gap 0
+  (:data:`_MILP_OPTIONS`) with its feasibility-jump primal heuristic
+  off: that heuristic hunts for a first feasible point, but this problem
+  always has one (the forced pairs, every other variable 0), and
   branch-and-bound still proves optimality, so the answers are
   unchanged.
 * ``tiered``     — ``milp`` under its former name: it runs the same exact
@@ -47,10 +40,8 @@ round forward.  A HiGHS solve that reaches its time limit fails, so a
 budgeted round gets either the exact optimum or greedy's answer.
 :func:`solve_assignment` is the single-backend primitive underneath.
 
-scipy, which holds HiGHS, is imported by the HiGHS path itself, not on
-module load: most processes never reach it.  A scheduler that can reach it
-calls :func:`load_highs` when it is built or unpickled, so the import
-happens then and no round pays for it.
+scipy, which holds HiGHS, is imported by the HiGHS path itself at its
+first call, not on module load: only an oversized lattice reaches it.
 """
 
 from __future__ import annotations
@@ -80,10 +71,7 @@ BACKENDS = ("milp", "tiered", "greedy")
 FALLBACKS = ("greedy",)
 
 #: HiGHS's MIP feasibility tolerance, its own default, passed on every
-#: MILP (:data:`_MILP_OPTIONS`).  At optimality gap 0 HiGHS prunes only
-#: branches that cannot beat its incumbent by this much, so an optimum
-#: unique by more than ``2 * _MIP_TOL * max(1, |best|)`` is the one HiGHS
-#: returns, and :func:`_solve_lattice` answers exactly those instances.
+#: MILP (:data:`_MILP_OPTIONS`).
 _MIP_TOL = 1e-6
 
 #: HiGHS options every solve passes: optimality gap 0, relative and
@@ -270,14 +258,6 @@ def _validate(problem: AssignmentProblem, solution: AssignmentSolution) -> None:
 
 # -- HiGHS MILP (via scipy) ---------------------------------------------------
 
-def load_highs() -> None:
-    """Import the scipy modules the HiGHS path uses.  Raises ImportError
-    when scipy is missing or broken, which the fallback ladder would
-    otherwise swallow in every round."""
-    import scipy.optimize  # noqa: F401
-    import scipy.sparse  # noqa: F401
-
-
 @dataclass
 class _PairSystem:
     """Sparse constraint system over the feasible (job, config) pairs."""
@@ -372,9 +352,9 @@ def _assemble(problem: AssignmentProblem) -> _PairSystem | None:
 
 def _solve_milp(problem: AssignmentProblem,
                 time_limit: float | None = None) -> AssignmentSolution:
-    """The ``milp`` backend: :func:`_solve_lattice` where its optimum is
-    unique by the margin and affordable, HiGHS otherwise.  Both return
-    the same optimum; the solution's ``path`` names the one that ran."""
+    """The ``milp`` backend: :func:`_solve_lattice` where the lattice fits
+    :data:`_DP_MAX_WORK`, HiGHS above it.  The solution's ``path`` names
+    the one that ran."""
     expanded: list[int] = []
     answer = _solve_lattice(problem, expanded)
     if answer is None:
@@ -441,38 +421,37 @@ def _solution(problem: AssignmentProblem,
 
 # -- capacity-lattice DP (milp's exact path) ----------------------------------
 
-def _margin(best: float) -> float:
-    """How far every other assignment must trail the optimum ``best`` for
-    HiGHS, which prunes by :data:`_MIP_TOL` at gap 0, to return it too."""
-    return 2 * _MIP_TOL * max(1.0, abs(best))
-
-
 def _solve_lattice(problem: AssignmentProblem,
                    expanded: list[int] | None = None,
                    ) -> tuple[str, dict[int, int]] | None:
-    """The optimal assignment, when it is unique by :func:`_margin`, with
-    the path that found it (``argmax`` or ``dp``), or None when HiGHS
-    must decide.
+    """An optimal assignment with the path that found it (``argmax`` or
+    ``dp``), or None when the lattice's work estimate exceeds
+    :data:`_DP_MAX_WORK` and HiGHS must solve it.
 
     First, each job takes its own best option (:func:`_solve_argmax`);
-    when those fit capacity together and every runner-up trails by the
-    margin, that is the answer, whatever the lattice would cost.  Else a
-    max-plus DP over used capacity: GPU types whose summed per-job maximum
-    demand fits their capacity can never bind and are dropped.  The state
-    is the used GPUs of the rest, in a box that grows as jobs are added;
-    ``tables[i + 1]`` holds the best value of jobs ``0..i`` at each live
-    state.  A state is live unless even every later job's best option
-    leaves it short of the incumbent floor (:func:`_incumbent`): such a
-    state ends more than the margin below the optimum, so dropping it
-    changes no value the answer reads.  A stage holds its live states in
-    a dict while they are few (:data:`_DENSE_SHARE`), else the whole box
-    in an array.  Returns None when the work estimate exceeds
-    :data:`_DP_MAX_WORK`, or when another assignment comes within the
-    margin of the optimum: only such a unique optimum is certainly the
-    one HiGHS returns.  A type ``capacities`` lacks has capacity 0, as in
-    HiGHS's model.  Raises RuntimeError when the forced pairs exceed
-    capacity.  ``expanded``, when given, receives the DP's count of
-    (state, shift) expansions.
+    when those fit capacity together, that is the answer, whatever the
+    lattice would cost.  Else a max-plus DP over used capacity: GPU types
+    whose summed per-job maximum demand fits their capacity can never bind
+    and are dropped.  The state is the used GPUs of the rest, in a box
+    that grows as jobs are added; ``tables[i + 1]`` holds the best value
+    of jobs ``0..i`` at each live state.  A state is live unless even
+    every later job's best option leaves it short of the incumbent floor
+    (:func:`_incumbent`): such a state cannot reach the optimum, so
+    dropping it changes no value the answer reads.  A stage holds its
+    live states in a dict while they are few (:data:`_DENSE_SHARE`), else
+    the whole box in an array.  A type ``capacities`` lacks has capacity
+    0, as in HiGHS's model.  Raises RuntimeError when the forced pairs
+    exceed capacity.  ``expanded``, when given, receives the DP's count
+    of (state, shift) expansions.
+
+    The tie rule: options rank in :func:`_options` order, "no allocation"
+    first.  The argmax path gives each job its first best option.  The DP
+    starts from the optimal final cell with the lowest mixed-radix key
+    and backtracks, giving each job the first option whose predecessor
+    plus value reproduces the cell's value exactly.  Every cell the rule
+    reads lies on a path to an optimal final cell, so it holds the same
+    value whether its stage is a dict or an array and whatever the floor
+    drops: neither changes the answer.
     """
     caps, config_pos = _capacity_types(problem)
     assignment = _solve_argmax(problem, caps, config_pos)
@@ -521,8 +500,10 @@ def _solve_lattice(problem: AssignmentProblem,
     picks = _incumbent(moves, room)
     floor = -math.inf
     if picks is not None:
+        # Less a relative slack far above the rounding of these sums, so
+        # no state on a path to an optimal cell is dropped.
         incumbent = sum(value for _, _, value in picks)
-        floor = incumbent - 2 * _margin(max(abs(incumbent), abs(rest[0])))
+        floor = incumbent - 4e-6 * max(1.0, abs(incumbent), abs(rest[0]))
 
     tables: list[dict[int, float] | np.ndarray] = [{0: 0.0}]
     box = [1] * len(room)
@@ -543,57 +524,42 @@ def _solve_lattice(problem: AssignmentProblem,
     if expanded is not None:
         expanded.append(work)
 
+    # The optimal final cell with the lowest key.
     final = tables[-1]
     if isinstance(final, dict):
-        values = np.fromiter(final.values(), dtype=float, count=len(final))
-    else:
-        values = final.ravel()
-    top = float(values.max()) if values.size else -math.inf
-    if top == -math.inf:
-        raise RuntimeError("MILP failed: the forced assignments exceed "
-                           "capacity")
-    if not math.isfinite(top):
-        return None
-    tol = _margin(top)
-    if np.count_nonzero(values >= top - tol) > 1:
-        return None
-
-    # Backtrack, recomputing every option's value at each state: a
-    # runner-up within ``tol`` is a second near-optimal assignment.
-    if isinstance(final, dict):
-        key = max(final, key=final.__getitem__)
+        target = max(final.values(), default=-math.inf)
+        key = min((k for k, value in final.items() if value == target),
+                  default=0)
         cell = [key // s % r for s, r in zip(stride, radix)]
-    else:
+    else:  # the first maximum in C order
         cell = [int(c) for c in
                 np.unravel_index(int(np.argmax(final)), final.shape)]
+        target = final[tuple(cell)]
         key = sum(c * s for c, s in zip(cell, stride))
+    if target == -math.inf:
+        raise RuntimeError("MILP failed: the forced assignments exceed "
+                           "capacity")
+
+    # Backtrack.  Option -1 and a type that never binds shift dimension
+    # -1 by 0 GPUs, which leaves ``cell`` and ``key`` as they are.
     chosen: dict[int, int] = {}
     for i in range(problem.n_jobs - 1, -1, -1):
         prev = tables[i]
-        scored = []
         for j in options[i]:
             d, g = shifts[j]
-            if d >= 0 and cell[d] < g:
+            src = list(cell)
+            src[d] -= g
+            if src[d] < 0:
                 continue
             if isinstance(prev, dict):
-                reached = prev.get(key - g * stride[d] if d >= 0 else key)
-                if reached is None:
-                    continue
+                reached = prev.get(key - g * stride[d], -math.inf)
+            elif any(c >= n for c, n in zip(src, prev.shape)):
+                continue
             else:
-                src = list(cell)
-                if d >= 0:
-                    src[d] -= g
-                if any(c >= n for c, n in zip(src, prev.shape)):
-                    continue
                 reached = prev[tuple(src)]
-            scored.append((reached + rows[i][j], j, d, g))
-        scored.sort(reverse=True)
-        if len(scored) > 1 and scored[1][0] >= scored[0][0] - tol:
-            return None
-        _, j, d, g = scored[0]
-        if d >= 0:
-            cell[d] -= g
-            key -= g * stride[d]
+            if reached + rows[i][j] == target:
+                break
+        cell, key, target = src, key - g * stride[d], reached
         if j >= 0:
             chosen[i] = j
     return "dp", dict(sorted(chosen.items()))
@@ -771,33 +737,22 @@ def _dense_step(prev: np.ndarray, moves: list[tuple[int, int, float]],
 
 def _solve_argmax(problem: AssignmentProblem, caps: list[int],
                   config_pos: np.ndarray) -> dict[int, int] | None:
-    """Every job's own best option, when together they fit ``caps`` and
-    every job's runner-up trails its best by more than :func:`_margin` of
-    their sum; else None.  Any other assignment then changes some job's
-    option and loses more than the margin, so this is the unique optimum.
-    A runner-up that could not fit still counts, which keeps the check
-    conservative; the DP decides what it declines."""
+    """Every job's first best option in :func:`_options` order, when
+    together they fit ``caps``; else None."""
     util = problem.utilities
     n_jobs, n_configs = util.shape
-    # One column per configuration, then "no allocation" (value 0).
+    # "No allocation" (value 0) first, then one column per configuration.
     values = np.zeros((n_jobs, n_configs + 1))
-    values[:, :n_configs] = np.where(np.isnan(util), -math.inf, util)
+    values[:, 1:] = np.where(np.isnan(util), -math.inf, util)
     if problem.forced:
         rows = list(problem.forced)
-        cols = list(problem.forced.values())
+        cols = [col + 1 for col in problem.forced.values()]
         kept = values[rows, cols]
         values[rows] = -math.inf
         values[rows, cols] = kept
-    jobs = np.arange(n_jobs)
     pick = values.argmax(axis=1)
-    best = values[jobs, pick]
-    values[jobs, pick] = -math.inf
-    runner_up = values.max(axis=1)
-    top = float(best.sum())
-    if not (math.isfinite(top) and np.all(best - runner_up > _margin(top))):
-        return None
-    allocated = np.flatnonzero(pick < n_configs)
-    cols = pick[allocated]
+    allocated = np.flatnonzero(pick)
+    cols = pick[allocated] - 1
     used = np.bincount(config_pos[cols], weights=problem.config_gpus[cols],
                        minlength=len(caps))
     if np.any(used > np.asarray(caps)):

@@ -22,6 +22,7 @@ forced ILP assignments (Section 3.4, "Preemption and reservation").
 
 from __future__ import annotations
 
+import importlib.util
 import math
 
 import numpy as np
@@ -29,8 +30,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core import matrix as gm
 from repro.core.configs import build_config_set
-from repro.core.ilp import (AssignmentProblem, load_highs,
-                            solve_with_fallback)
+from repro.core.ilp import AssignmentProblem, solve_with_fallback
 from repro.core.placement import place
 from repro.core.policy import SiaPolicyParams
 from repro.core.types import Allocation, Configuration
@@ -57,10 +57,14 @@ class SiaScheduler(Scheduler):
         self.load_solvers()
 
     def load_solvers(self) -> None:
-        """scipy's HiGHS, unless the solver is ``greedy``, which never
-        reaches it."""
-        if self.params.solver != "greedy":
-            load_highs()
+        """Check that scipy, which holds HiGHS, is installed, unless the
+        solver is ``greedy``, which never reaches it.  Only a lattice too
+        large for the DP (:data:`repro.core.ilp._DP_MAX_WORK`) calls
+        HiGHS, so the import waits for that call; a missing scipy still
+        fails here, not as a fallback every such round would swallow."""
+        if (self.params.solver != "greedy"
+                and importlib.util.find_spec("scipy") is None):
+            raise ImportError("the milp solver needs scipy for HiGHS")
 
     def configurations(self, cluster: Cluster,
                        max_gpus: int | None = None) -> list[Configuration]:

@@ -180,9 +180,10 @@ class ChaosReport:
                   if self.resumed_from_round >= 0 else "restarted from scratch")
         skipped = (f", skipped {len(self.corrupt_skipped)} corrupt"
                    if self.corrupt_skipped else "")
+        fired = "" if self.crashed else "; no crash fired"
         return (f"kill@{self.kill_round}/{self.kill_stage} -> {resume}"
                 f"{skipped}; {self.resumed_rounds}/{self.reference_rounds} "
-                f"rounds; {status}")
+                f"rounds; {status}{fired}")
 
 
 def run_chaos(factory: Callable[[CheckpointConfig | None], "Simulator"], *,

@@ -134,6 +134,17 @@ class TestChaosCommand:
         assert code == 0
         assert "EQUIVALENT" in capsys.readouterr().out
 
+    def test_crash_that_never_fires_fails(self, tmp_path, capsys):
+        """A kill round past the run's end crashes nothing, so the
+        experiment proves nothing: it says so and exits 1."""
+        code = main(["chaos", "--trace-name", "philly", "--num-jobs", "6",
+                     "--work-scale", "0.05", "--kill-round", "100000",
+                     "--checkpoint-dir", str(tmp_path / "chaos")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "no crash fired" in captured.out
+        assert "the crash never fired" in captured.err
+
     def test_gray_scenario_exit_code(self, tmp_path, capsys):
         code = main(["chaos", "--scenario", "gray",
                      "--checkpoint-dir", str(tmp_path / "chaos-gray")])

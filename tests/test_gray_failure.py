@@ -573,8 +573,12 @@ class TestHealthDefenseEndToEnd:
                 invariants="strict", checkpoint=ckpt_cfg)
             return Simulator(hetero_cluster, SiaScheduler(), jobs(4), config)
 
-        report = run_chaos(factory, directory=tmp_path, kill_round=12,
+        # Kill at the reference run's last round boundary, after its
+        # last checkpoint, so the resume replays state from mid-run.
+        rounds = len(factory(None).run().rounds)
+        report = run_chaos(factory, directory=tmp_path, kill_round=rounds,
                            every_rounds=5)
+        assert report.reference_rounds == rounds > 5
         assert report.crashed
         assert report.resumed_from_round >= 0
         assert report.equivalent, report.mismatches[:5]

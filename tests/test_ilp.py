@@ -141,7 +141,7 @@ UNKNOWN_OPTIONS = {"mip_heuristic_unknown_to_this_highs": False}
 
 class TestHighsOptions:
     """Every HiGHS MILP passes ``ilp._MILP_OPTIONS``: optimality gap 0,
-    the feasibility tolerance the lattice DP's margin is built on, and the
+    HiGHS's default feasibility tolerance, and the
     feasibility-jump heuristic off.  No warning about those
     options escapes a solve, whether this HiGHS build knows them or not,
     and the answer stays optimal.  These solves call HiGHS directly; the
@@ -272,17 +272,18 @@ def forced_fits(p: AssignmentProblem) -> bool:
     return all(n <= p.capacities.get(t, 0) for t, n in used.items())
 
 
-def plant_near_ties(data, p: AssignmentProblem) -> np.ndarray:
+def plant_near_ties(data, p: AssignmentProblem,
+                    exact: bool = False) -> np.ndarray:
     """``p``'s utilities with 1 to 3 options planted 1e-8 to 1e-3
     relative below another (same job or another job's option on the same
-    config)."""
+    config), or equal to it when ``exact``."""
     util = p.utilities.copy()
     cells = np.argwhere(~np.isnan(util))
     if not len(cells):
         return util
     for _ in range(data.draw(st.integers(1, 3))):
         i, j = cells[data.draw(st.integers(0, len(cells) - 1))]
-        rel = 10.0 ** data.draw(st.floats(-8.0, -3.0))
+        rel = 0.0 if exact else 10.0 ** data.draw(st.floats(-8.0, -3.0))
         row = data.draw(st.integers(0, p.n_jobs - 1))
         col = data.draw(st.integers(0, p.n_configs - 1))
         if row == i and col == j:
@@ -304,6 +305,34 @@ def spy_incumbent(monkeypatch) -> list:
     return calls
 
 
+def assert_feasible(p: AssignmentProblem, assignment: dict[int, int]):
+    """``assignment`` fits capacity and keeps every forced pair."""
+    ilp._validate(p, ilp._solution(p, assignment))
+
+
+def objective(p: AssignmentProblem, assignment: dict[int, int]) -> float:
+    return ilp._solution(p, assignment).objective
+
+
+def lattice_modes(p: AssignmentProblem) -> dict[str, object]:
+    """``_solve_lattice``'s answer, or ``"raised"``, with every stage
+    dense, with every stage a dict, and with every stage a dict and no
+    incumbent floor."""
+    answers = {}
+    for mode, share, floor in (("dense", 0.0, True),
+                               ("sparse", math.inf, True),
+                               ("no-floor", math.inf, False)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(ilp, "_DENSE_SHARE", share)
+            if not floor:
+                monkeypatch.setattr(ilp, "_incumbent", lambda *args: None)
+            try:
+                answers[mode] = ilp._solve_lattice(p)
+            except RuntimeError:
+                answers[mode] = "raised"
+    return answers
+
+
 def perf_bench(monkeypatch, name: str):
     """Import the module ``name`` of ``benchmarks/perf``."""
     monkeypatch.syspath_prepend(
@@ -313,9 +342,9 @@ def perf_bench(monkeypatch, name: str):
 
 class TestLattice:
     """The lattice DP behind ``milp``: exact against the oracle, and it
-    hands HiGHS every instance it cannot certify.  Its incumbent floor
-    drops only states that cannot reach the optimum, so answers and HiGHS
-    hand-offs are those of the full lattice."""
+    answers every instance whose lattice fits :data:`ilp._DP_MAX_WORK`.
+    Its incumbent floor drops only states that cannot reach the optimum,
+    so answers are those of the full lattice."""
 
     @settings(max_examples=200, deadline=None)
     @given(instance=lattice_instances())
@@ -327,14 +356,14 @@ class TestLattice:
                 solve_assignment(instance, "milp")
             return
         exact = solve_exact(instance)
-        answer = ilp._solve_lattice(instance)
-        if answer is not None:  # an optimum unique beyond the gap
-            path, assignment = answer
-            assert path in ("argmax", "dp")
-            assert assignment == exact.assignment
-            assert list(assignment) == sorted(assignment)
+        path, assignment = ilp._solve_lattice(instance)
+        assert path in ("argmax", "dp")
+        assert_feasible(instance, assignment)
+        assert objective(instance, assignment) == pytest.approx(
+            exact.objective, abs=1e-9)
+        assert list(assignment) == sorted(assignment)
         milp = solve_assignment(instance, "milp")
-        assert milp.objective == pytest.approx(exact.objective, abs=1e-6)
+        assert milp.objective == pytest.approx(exact.objective, abs=1e-9)
 
     @staticmethod
     def spy_highs(monkeypatch) -> list:
@@ -346,26 +375,6 @@ class TestLattice:
             return real(*args, **kwargs)
         monkeypatch.setattr(ilp, "_solve_highs_milp", spy)
         return calls
-
-    def test_exact_tie_goes_to_highs(self, monkeypatch):
-        """Two identical rows compete for the one 2-GPU slot: either job
-        is optimal, so HiGHS, not the DP, picks which."""
-        p = problem([[5.0, 3.0], [5.0, 3.0]], [2, 2], ["A", "B"],
-                    {"A": 2, "B": 0})
-        assert ilp._solve_lattice(p) is None
-        calls = self.spy_highs(monkeypatch)
-        solution = solve_assignment(p, "milp")
-        assert len(calls) == 1
-        assert solution.assignment == ilp._solve_highs_milp(p).assignment
-        assert len(solution.assignment) == 1
-
-    def test_tie_in_another_final_cell_goes_to_highs(self):
-        """Job 0 on A with job 1 on B, or job 0 on B with job 1 on A:
-        both score 6 but end in different capacity cells."""
-        p = problem([[5.0, 5.0, NAN], [NAN, 1.0, 1.0]], [1, 1, 2],
-                    ["A", "B", "A"], {"A": 2, "B": 1})
-        assert solve_exact(p).objective == pytest.approx(6.0)
-        assert ilp._solve_lattice(p) is None
 
     def test_unique_optimum_skips_highs(self, monkeypatch):
         calls = self.spy_highs(monkeypatch)
@@ -401,8 +410,8 @@ class TestLattice:
     @pytest.mark.parametrize("kind", ["slack", "binding"])
     def test_runner_up_beyond_the_margin_skips_highs(self, monkeypatch,
                                                      kind):
-        """1e-5 relative: inside the old 1e-4 optimality gap, outside
-        ``2 * _MIP_TOL``."""
+        """1e-5 relative, beyond HiGHS's tolerance: the lattice answers,
+        and HiGHS picks the same assignment."""
         p = self.near_tie(kind, 1e-5)
         path = "argmax" if kind == "slack" else "dp"
         assert ilp._solve_lattice(p) == (path, {0: 0})
@@ -414,32 +423,38 @@ class TestLattice:
 
     @pytest.mark.parametrize("rel", [1.5e-6, 0.0], ids=["near-tie", "tie"])
     @pytest.mark.parametrize("kind", ["slack", "binding"])
-    def test_runner_up_within_the_margin_goes_to_highs(self, monkeypatch,
-                                                       kind, rel):
+    def test_runner_up_within_highs_tolerance_stays_in_the_lattice(
+            self, monkeypatch, kind, rel):
+        """Inside ``2 * _MIP_TOL``, where HiGHS may return either option,
+        the lattice still answers: the better option, or on an exact tie
+        the first job's first option."""
         p = self.near_tie(kind, rel)
         assert rel < 2 * ilp._MIP_TOL
-        assert ilp._solve_lattice(p) is None
+        path = "argmax" if kind == "slack" else "dp"
+        assert ilp._solve_lattice(p) == (path, {0: 0})
         calls = self.spy_highs(monkeypatch)
         solution = solve_assignment(p, "milp")
-        assert len(calls) == 1 and solution.path == "highs"
-        assert solution.assignment == ilp._solve_highs_milp(p).assignment
+        assert solution.path == path and not calls
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), binding=st.booleans())
     def test_answers_match_highs_on_planted_near_ties(self, data, binding):
-        """Whenever the argmax check or the DP answers, HiGHS at gap 0
-        returns the same assignment, on instances with options planted
-        1e-8 to 1e-3 relative below another (same job or another job's
-        option on the same config)."""
+        """On instances with options planted 1e-8 to 1e-3 relative below
+        another (same job or another job's option on the same config),
+        the lattice's answer is feasible and at least HiGHS's objective,
+        which at gap 0 trails it by at most HiGHS's tolerance."""
         p = data.draw(random_instances())
         util = plant_near_ties(data, p)
         caps = dict(p.capacities)
         if not binding:  # every job's largest demand fits at once
             caps = {t: int(sum(p.config_gpus)) * p.n_jobs for t in caps}
         p = problem(util, p.config_gpus, p.config_types, caps)
-        answer = ilp._solve_lattice(p)
-        if answer is not None:
-            assert answer[1] == ilp._solve_highs_milp(p).assignment
+        _, assignment = ilp._solve_lattice(p)
+        assert_feasible(p, assignment)
+        highs = ilp._solve_highs_milp(p).objective
+        value = objective(p, assignment)
+        assert highs - 1e-12 <= value <= highs + 2 * ilp._MIP_TOL * max(
+            1.0, abs(highs))
 
     # -- the incumbent floor and the sparse/dense stages --
 
@@ -537,25 +552,34 @@ class TestLattice:
                                                             monkeypatch,
                                                             cell):
         """The incumbent is the optimum and a runner-up trails it by
-        1.5e-6 relative, inside ``2 * _MIP_TOL``: the floor keeps it, so
-        HiGHS decides.  ``same``: the runner-up ends in the optimum's
-        final cell (job 1 takes job 0's GPU); ``another``: it ends in
-        another one (job 0 moves to B, job 1 to two A GPUs)."""
+        1.5e-6 relative, inside the floor's slack: the floor keeps the
+        runner-up's states, and the DP answers the optimum.  ``same``:
+        the runner-up ends in the optimum's final cell (job 1 takes job
+        0's GPU), so job 0's empty state after stage 1 (key 0) survives;
+        ``another``: it ends in another final cell (job 0 moves from B to
+        A, job 1 from two A GPUs to B), cell (A=1, B=1), key 3."""
         rel = 1.5e-6
         if cell == "same":
             p = problem([[1.0], [1.0 - rel]], [1], ["A"], {"A": 1})
+            stage, key = 0, 0
         else:
-            p = problem([[5.0, 5.0, NAN], [NAN, 1.0, 1.0 - 6.0 * rel]],
-                        [1, 1, 2], ["A", "B", "A"], {"A": 2, "B": 1})
-        best = solve_exact(p).objective
+            p = problem([[5.0, NAN, 5.0], [NAN, 1.0, 1.0 - 6.0 * rel]],
+                        [1, 2, 1], ["A", "A", "B"], {"A": 2, "B": 1})
+            stage, key = 1, 3
+        exact = solve_exact(p)
+        monkeypatch.setattr(ilp, "_DENSE_SHARE", math.inf)
         calls = spy_incumbent(monkeypatch)
-        assert ilp._solve_lattice(p) is None
+        stages = []
+        real = ilp._sparse_step
+
+        def spy(*args):
+            stages.append(real(*args))
+            return stages[-1]
+        monkeypatch.setattr(ilp, "_sparse_step", spy)
+        assert ilp._solve_lattice(p) == ("dp", exact.assignment)
         (_, _, picks), = calls
-        assert sum(v for _, _, v in picks) == best
-        highs = self.spy_highs(monkeypatch)
-        solution = solve_assignment(p, "milp")
-        assert solution.path == "highs" and len(highs) == 1
-        assert solution.objective == pytest.approx(best)
+        assert sum(v for _, _, v in picks) == exact.objective
+        assert key in stages[stage]
 
     def test_flat_utility_crosses_into_the_dense_step(self, monkeypatch):
         """On flat utilities the live states outgrow the dict; the dense
@@ -594,6 +618,77 @@ class TestLattice:
         assert slack.path == "argmax" and slack.expanded == 0
 
 
+class TestTieRule:
+    """``milp``'s one tie rule (:func:`ilp._solve_lattice`): options rank
+    in ``_options`` order, "no allocation" first; the argmax path gives
+    each job its first best option, and the DP starts from the optimal
+    final cell with the lowest key and backtracks to the first option
+    that reproduces each cell's value.  Each planted tie gets one answer
+    whether every stage is dense, every stage a dict, or a dict with no
+    incumbent floor, and it scores the oracle's optimum."""
+
+    @staticmethod
+    def answer(p: AssignmentProblem) -> tuple[str, dict[int, int]]:
+        answers = lattice_modes(p)
+        assert answers["dense"] == answers["sparse"] == answers["no-floor"]
+        path, assignment = answers["dense"]
+        assert_feasible(p, assignment)
+        assert objective(p, assignment) == pytest.approx(
+            solve_exact(p).objective, abs=1e-9)
+        return path, assignment
+
+    def test_identical_jobs_first_job_wins(self, monkeypatch):
+        """Two identical rows compete for the one 2-GPU slot: both end in
+        one final cell, and the backtrack gives job 1 its first option,
+        no allocation, so job 0 takes the slot.  HiGHS is not asked."""
+        p = problem([[5.0, 3.0], [5.0, 3.0]], [2, 2], ["A", "B"],
+                    {"A": 2, "B": 0})
+        assert self.answer(p) == ("dp", {0: 0})
+        calls = TestLattice.spy_highs(monkeypatch)
+        assert solve_assignment(p, "milp").assignment == {0: 0}
+        assert not calls
+
+    def test_tie_in_another_final_cell_takes_the_lowest_key(self):
+        """Job 0 on A with job 1 on B ends in cell (A=1, B=1); job 0 on B
+        with job 1 on two A GPUs in (A=2, B=1).  Both score 6, and the
+        first has the lower key.  (Each job's first best option, A, does
+        not fit, so the DP decides.)"""
+        p = problem([[5.0, NAN, 5.0], [NAN, 1.0, 1.0]], [1, 2, 1],
+                    ["A", "A", "B"], {"A": 2, "B": 1})
+        assert self.answer(p) == ("dp", {0: 0, 1: 2})
+
+    def test_same_shift_takes_the_first_column(self):
+        """Job 0's two columns use one A GPU each and score alike, and
+        job 1 wants the same GPU: the DP gives job 0 its first column."""
+        p = problem([[3.0, 3.0], [2.0, NAN]], [1, 1], ["A", "A"], {"A": 1})
+        assert self.answer(p) == ("dp", {0: 0})
+
+    def test_argmax_takes_the_first_best_option(self):
+        """Capacity never binds: job 0 takes its first best column, and
+        job 1's option worth 0 loses to no allocation."""
+        p = problem([[2.0, 2.0], [0.0, NAN]], [1, 1], ["A", "A"], {"A": 4})
+        assert self.answer(p) == ("argmax", {0: 0})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), coarse=st.booleans())
+    def test_planted_exact_ties(self, data, coarse):
+        """Options planted equal to another (same job or another job's
+        option on the same config), or every utility rounded up to 1, 2
+        or 3 (``coarse``), with forced pairs that may not fit: one answer
+        in every mode, or a RuntimeError in every mode exactly when the
+        forced pairs exceed capacity."""
+        p = data.draw(lattice_instances())
+        util = plant_near_ties(data, p, exact=True)
+        if coarse:
+            util = np.ceil(util / 4.0)
+        p = problem(util, p.config_gpus, p.config_types, p.capacities,
+                    p.forced)
+        if forced_fits(p):
+            self.answer(p)
+        else:
+            assert set(lattice_modes(p).values()) == {"raised"}
+
+
 class TestCapturedRounds:
     """The argmax check, the DP and greedy against HiGHS on real rounds:
     every 8th instance of seed-1 sia-helios64 and sia-scale1024 passes,
@@ -601,9 +696,12 @@ class TestCapturedRounds:
 
     #: (argmax, dp, declined) per fixture, as ``baseline.json`` pins them.
     PATHS = {"milp_helios64.json": (7, 59, 0),
-             "milp_scale1024.json": (27, 0, 1)}
+             "milp_scale1024.json": (28, 0, 0)}
 
     def test_answers_match_highs(self, monkeypatch):
+        """Every captured round fits the lattice, and its answer is
+        feasible and at least HiGHS's objective, which at gap 0 trails it
+        by at most HiGHS's tolerance."""
         fixture = perf_bench(monkeypatch, "milp_fixture")
         assert {path.name for path in fixture.FIXTURES.values()} \
             == set(self.PATHS)
@@ -613,9 +711,12 @@ class TestCapturedRounds:
             paths = [answer[0] if answer else None for answer in answers]
             assert (paths.count("argmax"), paths.count("dp"),
                     paths.count(None)) == self.PATHS[path.name]
-            for p, answer in zip(problems, answers):
-                if answer is not None:
-                    assert answer[1] == ilp._solve_highs_milp(p).assignment
+            for p, (_, assignment) in zip(problems, answers):
+                assert_feasible(p, assignment)
+                highs = ilp._solve_highs_milp(p).objective
+                value = objective(p, assignment)
+                assert highs - 1e-12 <= value <= highs + 2 * ilp._MIP_TOL \
+                    * max(1.0, abs(highs))
 
     def test_greedy_within_three_percent_of_highs(self, monkeypatch):
         """The fallback rung on real rounds: greedy reaches at least 0.97
@@ -633,7 +734,9 @@ class TestTracedPath:
     @pytest.mark.parametrize("kind,rel,path", [
         ("slack", 1e-5, "argmax"), ("binding", 1e-5, "dp"),
         ("binding", 0.0, "highs")])
-    def test_span_records_each_path(self, kind, rel, path):
+    def test_span_records_each_path(self, monkeypatch, kind, rel, path):
+        if path == "highs":  # a lattice over the DP's work cap
+            monkeypatch.setattr(ilp, "_DP_MAX_WORK", 0)
         tracer = Tracer()
         p = TestLattice.near_tie(kind, rel)
         solution = solve_assignment(p, "milp", tracer=tracer)
@@ -641,7 +744,7 @@ class TestTracedPath:
         span, = tracer.spans
         assert span.attrs["path"] == path
         assert span.attrs["expanded"] == solution.expanded
-        assert (solution.expanded > 0) == (kind == "binding")
+        assert (solution.expanded > 0) == (path == "dp")
         tracer = Tracer()
         assert solve_assignment(p, "greedy", tracer=tracer).path == ""
         assert "path" not in tracer.spans[0].attrs

@@ -1,11 +1,12 @@
-"""Start-up cost: scipy loads only with a scheduler that can solve.
+"""Start-up cost: scipy loads only when a solve needs it.
 
 scipy (HiGHS) is over half of a process's start-up time and ~40 MB of its
 memory, yet FIFO, the other rigid baselines, Pollux and the analysis CLI
-never call it.  Sia (``milp``/``tiered``) and Gavel load it when built or
-unpickled (:meth:`repro.schedulers.base.Scheduler.load_solvers`), so no
-round pays for the import.  Each check runs in a fresh interpreter, since
-this one has loaded scipy long ago.
+never call it, and Sia's ``milp``/``tiered`` call HiGHS only for a lattice
+too large for the DP, which imports it at that call.  Gavel solves an LP
+every round, so it loads scipy when built or unpickled
+(:meth:`repro.schedulers.base.Scheduler.load_solvers`).  Each check runs
+in a fresh interpreter, since this one has loaded scipy long ago.
 """
 
 from __future__ import annotations
@@ -100,20 +101,26 @@ assert fifo.rounds and pollux.rounds
 
 
 class TestScipyLoadsBeforeAnyRound:
-    """Schedulers that can reach HiGHS load scipy when built or restored."""
+    """Gavel, which solves an LP every round, loads scipy when built or
+    restored; Sia only checks that scipy is installed, whatever its
+    solver, and leaves the import to its first HiGHS call."""
 
-    @pytest.mark.parametrize("build", [
-        "SiaScheduler()", "SiaScheduler(SiaPolicyParams(solver='tiered'))",
-        "GavelScheduler()"])
-    def test_construction(self, build, tmp_path):
-        assert "scipy.optimize" in scipy_modules(f"""
+    @pytest.mark.parametrize("build, loads", [
+        ("SiaScheduler()", False),
+        ("SiaScheduler(SiaPolicyParams(solver='tiered'))", False),
+        ("GavelScheduler()", True)],
+        ids=["SiaScheduler()",
+             "SiaScheduler(SiaPolicyParams(solver='tiered'))",
+             "GavelScheduler()"])
+    def test_construction(self, build, loads, tmp_path):
+        assert ("scipy.optimize" in scipy_modules(f"""
             from repro.core.policy import SiaPolicyParams
             from repro.schedulers import GavelScheduler, SiaScheduler
             {build}
-            """, tmp_path)
+            """, tmp_path)) is loads
 
     @pytest.mark.parametrize("scheduler, loads", [
-        (SiaScheduler(), True), (GavelScheduler(), True),
+        (SiaScheduler(), False), (GavelScheduler(), True),
         (SiaScheduler(SiaPolicyParams(solver="greedy")), False)],
         ids=["sia", "gavel", "sia-greedy"])
     def test_unpickling(self, scheduler, loads, tmp_path):
@@ -126,15 +133,19 @@ class TestScipyLoadsBeforeAnyRound:
             """, tmp_path)) is loads
 
     def test_rebind_to_milp(self, tmp_path):
-        assert "scipy.optimize" in scipy_modules("""
+        assert "scipy.optimize" not in scipy_modules("""
             from repro.core.fork import make_scheduler, rebind_solver
             scheduler = make_scheduler("sia", solver="greedy")
             rebind_solver(scheduler, "milp")
             """, tmp_path)
 
-    def test_sia_simulate_loads_before_first_decide(self, tmp_path):
+    def test_sia_simulate_leaves_scipy_to_highs(self, tmp_path):
+        """A Sia run whose rounds all fit the lattice DP never reaches
+        HiGHS, so scipy is loaded neither at its first decide nor after
+        its last."""
         seen = scipy_modules(TINY_RUN + """
 import sys
+from repro.obs.tracer import Tracer
 from repro.schedulers import SiaScheduler
 
 SEEN = []
@@ -146,19 +157,23 @@ def first_decide(self, *args, **kwargs):
     return decide(self, *args, **kwargs)
 
 SiaScheduler.decide = first_decide
-assert simulate(CLUSTER, SiaScheduler(), JOBS, max_hours=100).rounds
+result = simulate(CLUSTER, SiaScheduler(), JOBS, tracer=Tracer(),
+                  max_hours=100)
+paths = {s.attrs["path"] for s in result.spans if s.name == "ilp_solve"}
+assert result.rounds and paths and "highs" not in paths, paths
+SEEN.append("scipy.optimize" in sys.modules)
 """, tmp_path)
-        assert seen == [True]
+        assert seen == [False, False]
 
 
 class TestBrokenScipy:
-    """A missing or broken scipy fails when a solving scheduler is built
+    """A missing scipy fails when a solving scheduler is built
     or restored, not as a fallback the ladder or the engine's resilient
     guard would swallow every round."""
 
     @pytest.fixture
     def no_scipy(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        monkeypatch.setitem(sys.modules, "scipy", None)
 
     def test_solving_schedulers_raise(self, no_scipy):
         with pytest.raises(ImportError):
@@ -168,7 +183,7 @@ class TestBrokenScipy:
 
     def test_restoring_raises(self, monkeypatch):
         blob = pickle.dumps(SiaScheduler())
-        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        monkeypatch.setitem(sys.modules, "scipy", None)
         with pytest.raises(ImportError):
             pickle.loads(blob)
 
