@@ -25,18 +25,42 @@ observer here honors:
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.obs.ledger import round_entries
+from repro.obs.ledger import LedgerEntry, round_entries
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.slo import SLOEngine
 
 #: version of every artifact the streams and :mod:`repro.io` write.
 FORMAT_VERSION = 1
+
+#: What ``json.dumps`` writes for a str.
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def json_value(value: Any) -> str:
+    """``json.dumps(value)``, written directly for a str, an int or a
+    finite float (the JSON text of a float is its ``repr``); anything else
+    (a bool, None, a non-finite or numpy float, a container) goes through
+    ``json.dumps``.  The hot stream lines are built from it."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value)
+
+
+def json_object(data: dict[str, Any]) -> str:
+    """``json.dumps(data)`` for a dict with str keys, each value written
+    by :func:`json_value`."""
+    return "{" + ", ".join([f"{_json_str(key)}: {json_value(value)}"
+                            for key, value in data.items()]) + "}"
 
 
 def check_payload(payload: dict[str, Any], kind: str) -> None:
@@ -216,33 +240,32 @@ class EventStreamObserver(RoundObserver):
         self.writer.flush()
 
     def _drain(self) -> None:
-        # Hand-rolled span lines (parse-identical to the json.dumps dict
-        # form), batched into one buffered write: this drain sits on the
-        # per-round hot path and serializing ~10 spans a round through
-        # dict-building json.dumps calls measurably raises the observer's
-        # per-round time.
-        dumps = json.dumps
+        # Hand-written span and event lines, byte-identical to json.dumps
+        # of their dict form, batched into one buffered write: this drain
+        # sits on the per-round hot path, where ~30 json.dumps calls a
+        # round measurably raise the observer's per-round time.
         lines: list[str] = []
         spans = self.tracer.spans
         while self._span_cursor < len(spans):
             span = spans[self._span_cursor]
             self._span_cursor += 1
-            attrs = dumps(span.attrs) if span.attrs else "{}"
             parent = (span.parent_id if span.parent_id is not None
                       else "null")
             lines.append(
-                f'{{"kind": "span", "name": {dumps(span.name)}, '
-                f'"start": {span.start!r}, '
-                f'"duration": {span.duration!r}, '
+                f'{{"kind": "span", "name": {json_value(span.name)}, '
+                f'"start": {json_value(span.start)}, '
+                f'"duration": {json_value(span.duration)}, '
                 f'"span_id": {span.span_id}, "parent_id": {parent}, '
-                f'"depth": {span.depth}, "attrs": {attrs}}}\n')
+                f'"depth": {span.depth}, '
+                f'"attrs": {json_object(span.attrs)}}}\n')
         events = self.tracer.events
         while self._event_cursor < len(events):
             name, ts, attrs = events[self._event_cursor]
             self._event_cursor += 1
             lines.append(
-                f'{{"kind": "event", "name": {dumps(name)}, '
-                f'"time": {ts!r}, "attrs": {dumps(dict(attrs))}}}\n')
+                f'{{"kind": "event", "name": {json_value(name)}, '
+                f'"time": {json_value(ts)}, '
+                f'"attrs": {json_object(attrs)}}}\n')
         if lines:
             self.writer.write_lines(lines)
 
@@ -309,17 +332,37 @@ class LedgerStreamObserver(_RecordStream):
     header_kind = "ledger"
 
     def round_lines(self, record: Any, round_index: int) -> list[str]:
-        dumps = json.dumps
-        lines = [dumps({"kind": "ledger_entry", **entry.to_dict()}) + "\n"
+        lines = [ledger_line(entry)
                  for entry in round_entries(record, round_index)]
         # An event's own dict carries a "kind" (the event kind), so it is
         # nested rather than spread into the line.
-        lines += [dumps({"kind": "alloc_event", "event": event.to_dict()})
-                  + "\n" for event in record.events]
+        lines += [json.dumps({"kind": "alloc_event",
+                              "event": event.to_dict()}) + "\n"
+                  for event in record.events]
         return lines
 
     def trailer(self, result: Any) -> dict[str, Any]:
         return {"kind": "ledger_end", "num_rounds": len(result.rounds)}
+
+
+def ledger_line(entry: LedgerEntry) -> str:
+    """The ``ledger_entry`` line of ``entry``: ``json.dumps`` of
+    ``{"kind": "ledger_entry", **entry.to_dict()}`` and a newline, written
+    directly (one per running job per round)."""
+    line = (f'{{"kind": "ledger_entry", '
+            f'"round_index": {json_value(entry.round_index)}, '
+            f'"time": {json_value(entry.time)}, '
+            f'"job_id": {json_value(entry.job_id)}, '
+            f'"gpu_type": {json_value(entry.gpu_type)}, '
+            f'"num_gpus": {json_value(entry.num_gpus)}')
+    if entry.estimated_goodput is not None:
+        line += f', "estimated_goodput": {json_value(entry.estimated_goodput)}'
+    if entry.realized_goodput is not None:
+        line += f', "realized_goodput": {json_value(entry.realized_goodput)}'
+    if entry.realized_throughput is not None:
+        line += (f', "realized_throughput": '
+                 f'{json_value(entry.realized_throughput)}')
+    return line + "}\n"
 
 
 class AlertStreamObserver(_RecordStream):

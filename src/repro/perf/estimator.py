@@ -400,8 +400,10 @@ class JobPerfEstimator:
         """Optimized batch plans for many configurations, answered from
         and added to ``memo`` (None: a memo that is thrown away): the
         one-estimator case of :func:`plan_requests`, inlined because the
-        engine's per-job plan lookups, nearly all hits, would pay for
-        building its request list on every call."""
+        per-job plan lookups of
+        :meth:`~repro.schedulers.base.Scheduler.record_estimates`, nearly
+        all hits, would pay for building its request list on every
+        call."""
         memo = {} if memo is None else memo
         misses: list[_Miss] = []
         plans = self._probe(configs, misses, memo)
@@ -487,22 +489,27 @@ def plan_goodputs(plans: list[BatchPlan | None]) -> np.ndarray:
 
 def goodput_rows(requests: list[tuple[object, list[Configuration]]],
                  span=None, memo: PlanMemo | None = None,
-                 ) -> list[np.ndarray]:
-    """The goodput row of every ``(estimator, configurations)`` request, in
-    request order.  The rows of every :class:`JobPerfEstimator` come from
-    one :func:`plan_requests` pass (``span`` and ``memo`` as there); any
-    other estimator (hybrid, latency-SLO) answers with its own
-    ``goodput_batch``."""
+                 ) -> tuple[list[np.ndarray], list[list[BatchPlan | None]]]:
+    """The goodput row of every ``(estimator, configurations)`` request,
+    and the plans each row was rated from, both in request order.  The
+    rows of every :class:`JobPerfEstimator` come from one
+    :func:`plan_requests` pass (``span`` and ``memo`` as there); any other
+    estimator (hybrid, latency-SLO) answers with its own
+    ``goodput_batch``, and its plans are None, as its ``best_plan``
+    says."""
     rows: list[np.ndarray | None] = [None] * len(requests)
+    plans: list[list[BatchPlan | None] | None] = [None] * len(requests)
     ours = [i for i, (estimator, _) in enumerate(requests)
             if isinstance(estimator, JobPerfEstimator)]
-    for i, plans in zip(ours, plan_requests([requests[i] for i in ours],
-                                            span, memo)):
-        rows[i] = plan_goodputs(plans)
+    for i, row_plans in zip(ours, plan_requests([requests[i] for i in ours],
+                                                span, memo)):
+        rows[i] = plan_goodputs(row_plans)
+        plans[i] = row_plans
     for i, (estimator, configs) in enumerate(requests):
         if rows[i] is None:
             rows[i] = estimator.goodput_batch(configs)
-    return rows
+            plans[i] = [None] * len(configs)
+    return rows, plans
 
 
 def plan_requests(requests: list[tuple[JobPerfEstimator,

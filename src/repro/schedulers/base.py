@@ -21,6 +21,7 @@ from repro.jobs.job import Job
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, PLAN_PHASES, Tracer
 from repro.perf.estimator import WORK, PlanMemo
+from repro.perf.goodput import BatchPlan
 
 __all__ = ["JobView", "RoundPlan", "Scheduler", "PLAN_PHASES",
            "carry_forward_plan", "pack_gpus", "pack_gpus_on_type"]
@@ -76,6 +77,11 @@ class RoundPlan:
     #: goodput ledger (:mod:`repro.obs.ledger`); jobs without resources
     #: (and carried-forward plans) have no entry.
     estimates: dict[str, float] = field(default_factory=dict)
+    #: job id -> the batch plan the scheduler rated the job's allocation
+    #: with, None for estimators without a batch decision (hybrid, latency
+    #: serving).  The engine executes it; an allocated job without an
+    #: entry (a carried-forward plan) is looked up when it advances.
+    plans: dict[str, BatchPlan | None] = field(default_factory=dict)
 
     def validate(self, cluster: Cluster) -> None:
         """Raise if the plan over-subscribes any node or mixes types."""
@@ -167,8 +173,9 @@ class Scheduler(abc.ABC):
     def plan_memo(self) -> PlanMemo:
         """This scheduler's goodput plan memo, the one place rated plans are
         kept.  Every round's goodput pass
-        (:func:`repro.perf.estimator.plan_requests`), the engine's per-job
-        plan lookups and :meth:`record_estimates` read and fill it, so a
+        (:func:`repro.perf.estimator.plan_requests`),
+        :meth:`record_estimates` and the engine's lookups on a
+        carried-forward round read and fill it, so a
         plan rated once answers every later query with the same inputs,
         from any estimator.  It is not pickled
         (:meth:`__getstate__`): a resumed run starts with an empty memo."""
@@ -209,27 +216,40 @@ class Scheduler(abc.ABC):
 
     def record_estimates(self, views: list[JobView],
                          plan: RoundPlan) -> RoundPlan:
-        """Decision-observability hook: stamp ``plan.estimates`` with the
-        goodput each allocated job's estimator predicts for its chosen
-        allocation — the number the scheduler's optimization ran on.
+        """Decision-observability hook: stamp ``plan.plans`` with each
+        allocated job's batch plan for its allocation, and
+        ``plan.estimates`` with the goodput the scheduler believed it would
+        deliver — the number its optimization ran on.
 
         Every ``decide()`` calls this before returning; schedulers whose
-        optimization already produced per-job estimates (Sia's ILP) pre-fill
-        ``plan.estimates`` and this hook only covers the gaps.  Estimator
-        failures are skipped rather than raised — observability must never
-        change scheduling outcomes.
+        optimization already produced per-job plans or estimates (Sia's
+        ILP) pre-fill them and this hook covers the gaps with one
+        ``best_plan`` lookup per job.  An estimate missing from the plan is
+        the plan's goodput, or ``goodput()`` for an estimator without a
+        batch plan.  Estimator failures are skipped rather than raised —
+        observability must never change scheduling outcomes.
         """
+        memo = self.plan_memo
         for view in views:
-            allocation = plan.allocations.get(view.job_id)
-            if allocation is None or view.job_id in plan.estimates:
+            job_id = view.job_id
+            allocation = plan.allocations.get(job_id)
+            if allocation is None:
                 continue
+            config = allocation.configuration()
             try:
-                value = float(view.estimator.goodput(
-                    allocation.configuration(), self.plan_memo))
+                if job_id in plan.plans:
+                    batch = plan.plans[job_id]
+                else:
+                    batch = plan.plans[job_id] = view.estimator.best_plan(
+                        config, memo)
+                if job_id in plan.estimates:
+                    continue
+                value = float(batch.goodput if batch is not None
+                              else view.estimator.goodput(config, memo))
             except Exception:
                 continue
             if value > 0:
-                plan.estimates[view.job_id] = value
+                plan.estimates[job_id] = value
         return plan
 
     def make_estimator(self, job: Job, cluster: Cluster,

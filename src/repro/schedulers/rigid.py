@@ -70,8 +70,8 @@ def fixed_count_rates(views: list[JobView], cluster: Cluster,
         requests.append((view.estimator, [
             Configuration(max(1, -(-count // size)), count, gpu_type)
             for gpu_type, size in largest.items()]))
-    return [dict(zip(largest, row.tolist()))
-            for row in goodput_rows(requests, memo=memo)]
+    rows, _ = goodput_rows(requests, memo=memo)
+    return [dict(zip(largest, row.tolist())) for row in rows]
 
 
 def best_rate(view: JobView, rates: dict[str, float],

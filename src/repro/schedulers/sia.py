@@ -146,9 +146,10 @@ class SiaScheduler(Scheduler):
             raw = np.full((len(views), n_configs), math.nan)
             feasible = [self.feasible_configs(view, configs, config_pos)
                         for view in views]
-            rows = goodput_rows([(view.estimator, [configs[j] for j in cols])
-                                 for view, cols in zip(views, feasible)],
-                                span, self.plan_memo)
+            rows, row_plans = goodput_rows(
+                [(view.estimator, [configs[j] for j in cols])
+                 for view, cols in zip(views, feasible)],
+                span, self.plan_memo)
             for i, (cols, row) in enumerate(zip(feasible, rows)):
                 raw[i, cols] = row
             min_gpus = [v.job.effective_min_gpus for v in views]
@@ -198,17 +199,25 @@ class SiaScheduler(Scheduler):
         with tracer.span("placement"):
             allocations = place(cluster, assignments, previous, pinned)
         # Surface the raw (undiscounted, unshaped) goodput the ILP's utility
-        # row was built from — the estimate side of the goodput ledger.
-        estimates = {}
+        # row was built from — the estimate side of the goodput ledger —
+        # and the plan it was rated from, where placement kept the ILP's
+        # configuration.
+        estimates, plans = {}, {}
         for i, j in solution.assignment.items():
+            job_id = views[i].job_id
+            allocation = allocations.get(job_id)
+            if allocation is None:
+                continue
             value = float(raw[i, j])
-            if value > 0 and views[i].job_id in allocations:
-                estimates[views[i].job_id] = value
+            if value > 0:
+                estimates[job_id] = value
+            if allocation.configuration() == configs[j]:
+                plans[job_id] = row_plans[i][feasible[i].index(j)]
         plan = RoundPlan(allocations=allocations,
                          objective=solution.objective,
                          backend=solution.backend, degraded=degraded,
-                         estimates=estimates)
+                         estimates=estimates, plans=plans)
         # The ILP's own numbers win; the base hook fills any job placed
-        # without an ILP estimate.
+        # without an ILP estimate or plan.
         self.record_estimates(views, plan)
         return plan

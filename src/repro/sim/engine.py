@@ -19,10 +19,11 @@ of its name that is a direct child of ``round``
   delays (the paper replaced the original simulator's constant delay — so
   do we); restores may fail and gang launches may flap;
 * ``audit`` — classify each job's allocation change;
-* ``advance`` — the executor picks a batch plan from the job's *estimated*
-  models, progress accrues at the *ground-truth* goodput of that plan, and
-  observations flow back to the estimator (the refinement loop of
-  Figure 3);
+* ``advance`` — the executor runs the batch plan the scheduler rated the
+  allocation with, from the job's *estimated* models (looked up on a
+  carried-forward round, whose plan carries none), progress accrues at the
+  *ground-truth* goodput of that plan, and observations flow back to the
+  estimator (the refinement loop of Figure 3);
 * ``close`` — metrics, health gauges and finished-job records.
 
 The health tick, the invariant audit and the metrics snapshot run directly
@@ -48,6 +49,7 @@ from repro.jobs.job import Job
 from repro.obs import audit
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.perf.goodput import BatchPlan
 from repro.schedulers.base import (JobView, RoundPlan, Scheduler,
                                    carry_forward_plan)
 from repro.sim import checkpoint as ckpt
@@ -560,7 +562,7 @@ class Simulator:
                            if jid in active})
             self._audit(rnd, record)
         with span("advance"):
-            done = self._advance_jobs(rnd, record)
+            done = self._advance_jobs(rnd, record, plan)
         with span("close"):
             self._close(record, plan, done)
         if state.invariants is not None:
@@ -688,12 +690,14 @@ class Simulator:
             if rt.allocation is not None:
                 rt.lost_to_fault = False
 
-    def _advance_jobs(self, rnd: _Round,
-                      record: RoundRecord) -> dict[str, _JobRuntime]:
+    def _advance_jobs(self, rnd: _Round, record: RoundRecord,
+                      plan: RoundPlan) -> dict[str, _JobRuntime]:
         """The ``advance`` phase: run every job holding GPUs for one round
-        and record what it used and delivered, and which jobs queued.
-        Returns the jobs that finished, popped from the active set."""
+        on the batch plan ``plan`` carries for it, and record what it used
+        and delivered, and which jobs queued.  Returns the jobs that
+        finished, popped from the active set."""
         active = self.state.active
+        plans = plan.plans
         health = self.state.health
         contention = len(active)
         done_ids: list[str] = []
@@ -708,7 +712,7 @@ class Simulator:
             record.allocations[job_id] = (config.gpu_type, config.num_gpus)
             record.gpus_used[config.gpu_type] = \
                 record.gpus_used.get(config.gpu_type, 0) + config.num_gpus
-            done, execution = self._advance(rt, rnd)
+            done, execution = self._advance(rt, rnd, plans)
             # Ledger: the rates the executor actually delivered (zero for a
             # round fully spent restoring or unable to run).
             record.realized[job_id] = \
@@ -751,8 +755,12 @@ class Simulator:
             # checkpoint boundary and resumes stay bit-identical.
             record.health_events = health.drain_events()
         # A finished job only ever contributes its record again, so keep
-        # that and drop the runtime (and its estimator) from the state.
+        # that and drop the runtime (and its estimator) from the state, and
+        # whatever the fault models kept for it.
         self.state.finished.extend(self._record(rt) for rt in done.values())
+        for model in self.state.fault_models:
+            for job_id in done:
+                model.forget_job(job_id)
 
     def _update_metrics(self, record: RoundRecord, plan: RoundPlan) -> None:
         """Fold one finished round into the run's metrics registry."""
@@ -898,8 +906,12 @@ class Simulator:
                 health.record_placement_success(allocation.node_ids)
 
     def _advance(self, rt: _JobRuntime, rnd: _Round,
+                 plans: dict[str, BatchPlan | None],
                  ) -> tuple[bool, RoundExecution | None]:
-        """Run one round for a job holding resources.
+        """Run one round for a job holding resources, on its batch plan in
+        ``plans`` (the round plan's), or on one looked up from its
+        estimator when the round plan carries none (a carried-forward
+        round).
 
         Returns ``(finished, execution)`` where ``execution`` carries the
         realized rates for the goodput ledger (None when the round produced
@@ -912,12 +924,16 @@ class Simulator:
         run_time = dt - delay
 
         # The executor's batch decision, from the job's *estimated* models.
-        plan = rt.estimator.best_plan(rt.allocation.configuration(),
-                                      self.state.scheduler.plan_memo)
+        job_id = rt.job.job_id
+        if job_id in plans:
+            plan = plans[job_id]
+        else:
+            plan = rt.estimator.best_plan(rt.allocation.configuration(),
+                                          self.state.scheduler.plan_memo)
         if run_time <= 0:
             rt.charge_gpus(dt)
             return False, None
-        speed = rnd.speed.get(rt.job.job_id, 1.0)
+        speed = rnd.speed.get(job_id, 1.0)
         gray = slowest_node(rnd.gray, rt.allocation)
         execution = self.state.execution.execute(rt.job, rt.allocation, plan,
                                                  speed=speed * gray)

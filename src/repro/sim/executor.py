@@ -17,6 +17,7 @@ Noise models (both optional, seeded):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,18 @@ class RoundExecution:
     local_bsz: int
     accum_steps: int
     total_batch_size: int
+
+
+@functools.lru_cache(maxsize=None)
+def _ground_truth(model_name: str, gpu_type: str,
+                  ) -> tuple[ThroughputModel, EfficiencyModel, int]:
+    """The true throughput and efficiency models of ``model_name`` on
+    ``gpu_type`` and its per-GPU batch cap, built once per process (like
+    the catalog parameters they read), so no executor pickles them."""
+    return (ThroughputModel(profiles.true_throughput_params(model_name,
+                                                            gpu_type)),
+            EfficiencyModel(profiles.true_efficiency_params(model_name)),
+            profiles.max_local_bsz(model_name, gpu_type))
 
 
 class ExecutionModel:
@@ -98,12 +111,10 @@ class ExecutionModel:
                 return self._execute_serving(job, allocation, bias)
             if plan is None:
                 return None
-            cap = profiles.max_local_bsz(job.model_name, allocation.gpu_type)
+            true_model, true_efficiency, cap = _ground_truth(
+                job.model_name, allocation.gpu_type)
             if plan.local_bsz > cap:
                 return None  # would OOM on real hardware
-            true_model = ThroughputModel(
-                profiles.true_throughput_params(job.model_name,
-                                                allocation.gpu_type))
             iter_time = true_model.iter_time(
                 plan.local_bsz, config.num_gpus, config.num_nodes,
                 plan.accum_steps) / bias
@@ -112,8 +123,7 @@ class ExecutionModel:
             if job.workload == "batch_inference":
                 efficiency = 1.0  # progress is purely throughput-bound
             else:
-                efficiency = EfficiencyModel(profiles.true_efficiency_params(
-                    job.model_name)).efficiency(total)
+                efficiency = true_efficiency.efficiency(total)
             return RoundExecution(goodput=throughput * efficiency,
                                   throughput=throughput, iter_time=iter_time,
                                   local_bsz=plan.local_bsz,

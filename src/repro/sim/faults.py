@@ -69,6 +69,16 @@ def fault_model_seed(seed: int, idx: int) -> int:
     return seed + 1009 + 31 * idx
 
 
+def _hits(rng: np.random.Generator, n: int, prob: float) -> list[int]:
+    """The indices, ascending, of ``n`` Bernoulli(``prob``) trials that
+    hit, drawn as one block: ``rng.random(n)`` takes the values, and
+    leaves the state, of ``n`` calls to ``rng.random()``.  No draw when
+    ``n`` is 0."""
+    if n == 0:
+        return []
+    return np.flatnonzero(rng.random(n) < prob).tolist()
+
+
 def slowest_node(speeds: dict[int, float],
                  allocation: Allocation | None) -> float:
     """Speed factor of an allocation: gated by its slowest node in
@@ -203,6 +213,10 @@ class FaultModel:
     def revive(self, node_id: int) -> None:
         """Forget any outage for ``node_id`` (degenerate all-down rescue)."""
 
+    def forget_job(self, job_id: str) -> None:
+        """``job_id`` finished and will never run again: drop any state
+        kept for it, so checkpoints stop carrying it (override)."""
+
     @staticmethod
     def _per_round_prob(rate_per_hour: float, dt: float) -> float:
         return rate_per_hour * dt / 3600.0
@@ -213,10 +227,11 @@ class NodeEpisodeModel(FaultModel):
     crashes, stragglers and gray failures.
 
     Each round, every node not in an episode starts one with probability
-    ``rate * dt / 3600`` (one RNG draw per such node, in cluster order; no
-    draws when that is 0) that lasts ``duration`` seconds.  Subclasses
-    supply only the event text (:meth:`detail`) and how a live episode
-    lands on the round's :class:`FaultContext` (:meth:`apply`).
+    ``rate * dt / 3600`` (one RNG draw per such node, in cluster order,
+    taken as one block; no draws when that is 0) that lasts ``duration``
+    seconds.  Subclasses supply only the event text (:meth:`detail`) and
+    how a live episode lands on the round's :class:`FaultContext`
+    (:meth:`apply`).
     """
 
     def __init__(self, rate: float, duration: float, seed: int | None):
@@ -242,17 +257,15 @@ class NodeEpisodeModel(FaultModel):
         self._until = {nid: t for nid, t in self._until.items()
                        if t > ctx.now}
         prob = self._per_round_prob(self.rate, ctx.dt)
-        if prob > 0:
-            for node in ctx.cluster.nodes:
-                if node.node_id in self._until:
-                    continue
-                if self.rng.random() < prob:
-                    until = ctx.now + self.duration
-                    self._until[node.node_id] = until
-                    ctx.events.append(FaultEvent(
-                        kind=self.kind, time=ctx.now,
-                        target=f"node:{node.node_id}",
-                        detail=self.detail(until)))
+        eligible = [node.node_id for node in ctx.cluster.nodes
+                    if node.node_id not in self._until] if prob > 0 else []
+        for k in _hits(self.rng, len(eligible), prob):
+            node_id = eligible[k]
+            until = ctx.now + self.duration
+            self._until[node_id] = until
+            ctx.events.append(FaultEvent(
+                kind=self.kind, time=ctx.now, target=f"node:{node_id}",
+                detail=self.detail(until)))
         for node_id, until in self._until.items():
             self.apply(ctx, node_id, until)
 
@@ -321,12 +334,13 @@ class JobCrashModel(FaultModel):
         prob = self._per_round_prob(self.rate, ctx.dt)
         if prob <= 0:
             return
-        for job_id in sorted(ctx.running):
-            if self.rng.random() < prob:
-                ctx.crashed_jobs.add(job_id)
-                ctx.events.append(FaultEvent(
-                    kind=self.kind, time=ctx.now, target=f"job:{job_id}",
-                    detail="rolled back to epoch checkpoint"))
+        running = sorted(ctx.running)
+        for k in _hits(self.rng, len(running), prob):
+            job_id = running[k]
+            ctx.crashed_jobs.add(job_id)
+            ctx.events.append(FaultEvent(
+                kind=self.kind, time=ctx.now, target=f"job:{job_id}",
+                detail="rolled back to epoch checkpoint"))
 
 
 class CheckpointRestoreFaultModel(FaultModel):
@@ -349,10 +363,10 @@ class CheckpointRestoreFaultModel(FaultModel):
                                 now: float) -> list[FaultEvent]:
         if self.failure_prob <= 0:
             return []
-        return [FaultEvent(kind=self.kind, time=now, target=f"job:{job_id}",
+        return [FaultEvent(kind=self.kind, time=now,
+                           target=f"job:{restoring[k]}",
                            detail="restore failed; paying restart delay again")
-                for job_id in restoring
-                if self.rng.random() < self.failure_prob]
+                for k in _hits(self.rng, len(restoring), self.failure_prob)]
 
 
 class GrayFailureModel(NodeEpisodeModel):
@@ -410,14 +424,11 @@ class PlacementFailureModel(FaultModel):
             return []
         failures: list[PlacementFailure] = []
         for job_id, allocation in attempts:
-            failed_node: int | None = None
-            for node_id in sorted(set(allocation.node_ids)):
-                if self.rng.random() < self.failure_prob \
-                        and failed_node is None:
-                    failed_node = node_id
-            if failed_node is not None:
+            node_ids = sorted(set(allocation.node_ids))
+            hits = _hits(self.rng, len(node_ids), self.failure_prob)
+            if hits:
                 failures.append(PlacementFailure(job_id=job_id,
-                                                 node_id=failed_node))
+                                                 node_id=node_ids[hits[0]]))
         return failures
 
 
@@ -444,6 +455,9 @@ class TelemetryCorruptionModel(FaultModel):
 
     def reset(self) -> None:
         self._last = {}
+
+    def forget_job(self, job_id: str) -> None:
+        self._last.pop(job_id, None)
 
     def corrupt_observation(self, job_id: str, obs, now: float):
         last = self._last.get(job_id)

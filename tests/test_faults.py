@@ -1,15 +1,20 @@
 """Tests for the pluggable fault-injection subsystem (repro.sim.faults)."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import presets
+from repro.core.types import Allocation
 from repro.jobs.job import make_job
 from repro.schedulers import SiaScheduler
 from repro.sim import (CheckpointRestoreFaultModel, JobCrashModel,
                        NodeCrashModel, Simulator, SimulatorConfig,
                        StragglerModel, simulate)
 from repro.sim.engine import EPOCHS_PER_JOB, _JobRuntime
-from repro.sim.faults import FaultContext, slowest_node
+from repro.sim.faults import (FaultContext, FaultModel, GrayFailureModel,
+                              PlacementFailure, PlacementFailureModel,
+                              TelemetryCorruptionModel, slowest_node)
+from repro.sim.telemetry import FaultEvent
 
 
 def jobs(n=3, scale=0.4):
@@ -186,3 +191,187 @@ class TestComposition:
         model = JobCrashModel(rate=1.0)
         with pytest.raises(RuntimeError, match="never seeded"):
             _ = model.rng
+
+
+# -- block draws: the per-item loops they replaced, as references -------------
+
+def episode_reference(model, ctx):
+    """``NodeEpisodeModel.sample`` as one ``rng.random()`` per node."""
+    model._until = {nid: t for nid, t in model._until.items() if t > ctx.now}
+    prob = model._per_round_prob(model.rate, ctx.dt)
+    if prob > 0:
+        for node in ctx.cluster.nodes:
+            if node.node_id in model._until:
+                continue
+            if model.rng.random() < prob:
+                until = ctx.now + model.duration
+                model._until[node.node_id] = until
+                ctx.events.append(FaultEvent(
+                    kind=model.kind, time=ctx.now,
+                    target=f"node:{node.node_id}",
+                    detail=model.detail(until)))
+    for node_id, until in model._until.items():
+        model.apply(ctx, node_id, until)
+
+
+def crash_reference(model, ctx):
+    """``JobCrashModel.sample`` as one ``rng.random()`` per running job."""
+    prob = model._per_round_prob(model.rate, ctx.dt)
+    if prob <= 0:
+        return
+    for job_id in sorted(ctx.running):
+        if model.rng.random() < prob:
+            ctx.crashed_jobs.add(job_id)
+            ctx.events.append(FaultEvent(
+                kind=model.kind, time=ctx.now, target=f"job:{job_id}",
+                detail="rolled back to epoch checkpoint"))
+
+
+def restore_reference(model, restoring, now):
+    """``sample_restore_failures`` as one ``rng.random()`` per job."""
+    if model.failure_prob <= 0:
+        return []
+    return [FaultEvent(kind=model.kind, time=now, target=f"job:{job_id}",
+                       detail="restore failed; paying restart delay again")
+            for job_id in restoring
+            if model.rng.random() < model.failure_prob]
+
+
+def placement_reference(model, attempts, now):
+    """``sample_placement_failures`` as one ``rng.random()`` per node."""
+    if model.failure_prob <= 0:
+        return []
+    failures = []
+    for job_id, allocation in attempts:
+        failed_node = None
+        for node_id in sorted(set(allocation.node_ids)):
+            if model.rng.random() < model.failure_prob \
+                    and failed_node is None:
+                failed_node = node_id
+        if failed_node is not None:
+            failures.append(PlacementFailure(job_id, failed_node))
+    return failures
+
+
+def rng_state(model):
+    return model.rng.bit_generator.state
+
+
+def running_sets(cluster, rounds):
+    """Per round, a job id -> allocation map of 0 to 5 jobs, each on up to
+    three nodes of one type, sized by a fixed generator."""
+    draw = np.random.default_rng(3)
+    nodes = cluster.nodes
+    out = []
+    for _ in range(rounds):
+        running = {}
+        for k in range(int(draw.integers(0, 6))):
+            gpu_type = nodes[int(draw.integers(len(nodes)))].gpu_type
+            of_type = [n for n in nodes if n.gpu_type == gpu_type]
+            picked = draw.choice(len(of_type),
+                                 size=min(len(of_type),
+                                          int(draw.integers(1, 4))),
+                                 replace=False)
+            running[f"j{k}"] = Allocation.build(
+                gpu_type, {of_type[int(i)].node_id: 1 for i in picked})
+        out.append(running)
+    return out
+
+
+class TestBlockDraws:
+    """Each model draws a round's trials as one ``rng.random(n)`` block.
+    It must give the events of one ``rng.random()`` per item and leave the
+    generator in the same state, so seeded runs do not move."""
+
+    ROUNDS = 40
+
+    def ctx(self, cluster, now, running=None):
+        running = running or {}
+        return FaultContext(now=now, dt=60.0, cluster=cluster,
+                            running=running,
+                            restoring=frozenset(sorted(running)[:2]))
+
+    @pytest.mark.parametrize("make", [
+        lambda rate: NodeCrashModel(rate=rate, seed=7),
+        lambda rate: StragglerModel(rate=rate, duration=600.0, seed=7),
+        lambda rate: GrayFailureModel(rate=rate, duration=600.0, seed=7)])
+    @pytest.mark.parametrize("rate", [0.0, 2.0, 120.0])
+    def test_node_episodes(self, hetero_cluster, make, rate):
+        block, loop = make(rate), make(rate)
+        saw_full = False
+        for r in range(self.ROUNDS):
+            now = 60.0 * r
+            got, want = self.ctx(hetero_cluster, now), \
+                self.ctx(hetero_cluster, now)
+            saw_full |= len(block._until) == len(hetero_cluster.nodes)
+            block.sample(got)
+            episode_reference(loop, want)
+            assert got == want
+            assert block._until == loop._until
+            assert rng_state(block) == rng_state(loop)
+        if rate == 120.0:
+            # Every node already in an episode: a round with no draws.
+            assert saw_full
+        if rate == 0.0:
+            assert rng_state(block) == rng_state(make(rate))
+
+    @pytest.mark.parametrize("rate", [0.0, 6.0, 50.0])
+    def test_job_crashes(self, hetero_cluster, rate):
+        block, loop = (JobCrashModel(rate=rate, seed=5) for _ in range(2))
+        runs = running_sets(hetero_cluster, self.ROUNDS)
+        assert any(not running for running in runs)
+        for r, running in enumerate(runs):
+            got = self.ctx(hetero_cluster, 60.0 * r, running)
+            want = self.ctx(hetero_cluster, 60.0 * r, running)
+            block.sample(got)
+            crash_reference(loop, want)
+            assert got == want
+            assert rng_state(block) == rng_state(loop)
+
+    @pytest.mark.parametrize("prob", [0.0, 0.3, 0.9])
+    def test_restore_failures(self, hetero_cluster, prob):
+        block, loop = (CheckpointRestoreFaultModel(failure_prob=prob, seed=9)
+                       for _ in range(2))
+        for r, running in enumerate(running_sets(hetero_cluster,
+                                                 self.ROUNDS)):
+            restoring = sorted(running)
+            assert block.sample_restore_failures(restoring, 60.0 * r) == \
+                restore_reference(loop, restoring, 60.0 * r)
+            assert rng_state(block) == rng_state(loop)
+
+    @pytest.mark.parametrize("prob", [0.0, 0.3, 0.9])
+    def test_placement_failures(self, hetero_cluster, prob):
+        block, loop = (PlacementFailureModel(failure_prob=prob, seed=13)
+                       for _ in range(2))
+        for r, running in enumerate(running_sets(hetero_cluster,
+                                                 self.ROUNDS)):
+            attempts = sorted(running.items())
+            assert block.sample_placement_failures(attempts, 60.0 * r) == \
+                placement_reference(loop, attempts, 60.0 * r)
+            assert rng_state(block) == rng_state(loop)
+
+
+class TestForgetJob:
+    def run(self, cluster):
+        model = TelemetryCorruptionModel(rate=0.5)
+        result = simulate(cluster, SiaScheduler(), jobs(n=4), seed=2,
+                          max_hours=100, fault_models=[model])
+        return model, result
+
+    def test_telemetry_model_drops_a_finished_job(self, hetero_cluster,
+                                                  monkeypatch):
+        """A finished job's last report leaves the telemetry model, so
+        checkpoints stop carrying it.  A finished job never reports again,
+        so the run is the one that keeps every report."""
+        model, result = self.run(hetero_cluster)
+        assert all(job.completed for job in result.jobs)
+        assert result.fault_counts().get("telemetry", 0) > 0
+        assert model._last == {}
+        monkeypatch.setattr(TelemetryCorruptionModel, "forget_job",
+                            FaultModel.forget_job)
+        kept, baseline = self.run(hetero_cluster)
+        assert len(kept._last) == len(result.jobs)
+        assert [r.fault_events for r in result.rounds] == \
+            [r.fault_events for r in baseline.rounds]
+        assert [(j.finish_time, j.num_restarts) for j in result.jobs] == \
+            [(j.finish_time, j.num_restarts) for j in baseline.jobs]

@@ -3,21 +3,24 @@ with atomic finalize, one round trip per streamed artifact, crash-durable
 prefixes, Prometheus exposition, and the determinism contract."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from repro import io
 from repro.core.types import ProfilingMode
 from repro.jobs.job import make_job
-from repro.obs.ledger import GoodputLedger
+from repro.obs.ledger import GoodputLedger, LedgerEntry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOEngine, SLORule
 from repro.obs.stream import (AlertStreamObserver, EventStreamObserver,
                               HealthEventStreamObserver, JsonlStreamWriter,
                               LedgerStreamObserver, PrometheusSnapshotObserver,
-                              SLOObserver, parse_prometheus_text,
+                              SLOObserver, json_object, json_value,
+                              ledger_line, parse_prometheus_text,
                               prometheus_text)
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import SpanRecord, Tracer
 from repro.schedulers import SiaScheduler
 from repro.sim import Simulator, SimulatorConfig, simulate
 from repro.sim.chaos import CrashAt, SimulatedCrash, diff_results
@@ -62,6 +65,72 @@ class TestJsonlStreamWriter:
         writer.finalize()  # must not raise
 
 
+# -- hand-written lines --------------------------------------------------------
+
+#: Values the hand-written lines must write exactly as ``json.dumps`` does.
+AWKWARD_VALUES = [
+    0, 7, -3, 2**70, 0.0, -0.0, 1.5, 1e-310, 5e-324, 2.2250738585072014e-308,
+    1e300, 0.1 + 0.2, math.nan, math.inf, -math.inf, np.float64(2.5),
+    np.float64(math.nan), np.float64(-0.0), True, False, None,
+    "", "plain", 'say "hi"', "back\\slash", "tab\tnew\nline", "caf\u00e9",
+    "\u8c46\u8150", "\U0001f680", "\x00\x1f", [1, "a", None], {"k": [1.5]},
+]
+
+
+class TestHandWrittenLines:
+    """The ledger's and the event stream's lines are built by hand.  Each
+    must equal ``json.dumps`` of its dict form, byte for byte."""
+
+    @pytest.mark.parametrize("value", AWKWARD_VALUES, ids=repr)
+    def test_value(self, value):
+        assert json_value(value) == json.dumps(value)
+
+    def test_object(self):
+        data = {f"key {i} \u00fc\"": v for i, v in enumerate(AWKWARD_VALUES)}
+        assert json_object(data) == json.dumps(data)
+        assert json_object({}) == json.dumps({}) == "{}"
+
+    @pytest.mark.parametrize("job_id", ["j0", 'job "7"', "j\u00f6b-\u4e00",
+                                        "back\\slash"])
+    @pytest.mark.parametrize("rates", [
+        (None, None, None), (1.25, None, None), (None, 0.0, None),
+        (math.nan, math.inf, -math.inf), (-0.0, 5e-324, 1e-310),
+        (np.float64(3.5), np.float64(math.nan), 2.0)])
+    def test_ledger_line(self, job_id, rates):
+        estimated, realized, throughput = rates
+        entry = LedgerEntry(round_index=12, time=720.0, job_id=job_id,
+                            gpu_type="a100", num_gpus=4,
+                            estimated_goodput=estimated,
+                            realized_goodput=realized,
+                            realized_throughput=throughput)
+        assert ledger_line(entry) == json.dumps(
+            {"kind": "ledger_entry", **entry.to_dict()}) + "\n"
+
+    def test_span_and_event_lines(self, tmp_path):
+        tracer = Tracer()
+        attrs = {f"a{i}": v for i, v in enumerate(AWKWARD_VALUES)}
+        tracer.spans.extend([
+            SpanRecord("round", 0.25, 1e-06, 0, None, 0),
+            SpanRecord('plan "q"', np.float64(0.5), -0.0, 1, 0, 1,
+                       {"flag": True, "job": "caf\u00e9"}),
+            SpanRecord("execute", 5e-324, math.inf, 2, 1, 2, dict(attrs))])
+        tracer.instant("restore", round=3, ok=False, time=np.float64(1.5))
+        tracer.instant("empty")
+        observer = EventStreamObserver(tracer, tmp_path / "events.jsonl")
+        observer.on_round(None, 0, 60.0)
+        lines = observer.writer.part_path.read_text().splitlines(True)
+        name, ts, _ = tracer.events[0]
+        assert lines == [json.dumps(
+            {"kind": "span", "name": span.name, "start": span.start,
+             "duration": span.duration, "span_id": span.span_id,
+             "parent_id": span.parent_id, "depth": span.depth,
+             "attrs": span.attrs}) + "\n" for span in tracer.spans] + [
+            json.dumps({"kind": "event", "name": name, "time": ts,
+                        "attrs": attrs}) + "\n"
+            for name, ts, attrs in tracer.events]
+        observer.close()
+
+
 # -- streamed artifacts round-trip ---------------------------------------------
 
 def streamed_run(cluster, tmp_path, *, rules=None):
@@ -99,6 +168,22 @@ class TestStreamedArtifacts:
         ledger, events = io.load_ledger(tmp_path / "ledger.jsonl")
         assert ledger.entries == GoodputLedger.from_result(result).entries
         assert events == result.allocation_events()
+
+    def test_streamed_ledger_bytes_match_json_dumps(self, hetero_cluster,
+                                                    tmp_path):
+        """The streamed ledger, byte for byte, as ``json.dumps`` writes the
+        post-hoc ledger's entries and the run's allocation events."""
+        result = streamed_run(hetero_cluster, tmp_path)
+        lines = (tmp_path / "ledger.jsonl").read_text().splitlines(True)
+        entries = GoodputLedger.from_result(result).entries
+        rebuilt = []
+        for index, record in enumerate(result.rounds):
+            rebuilt += [json.dumps({"kind": "ledger_entry", **e.to_dict()})
+                        + "\n" for e in entries if e.round_index == index]
+            rebuilt += [json.dumps({"kind": "alloc_event",
+                                    "event": event.to_dict()}) + "\n"
+                        for event in record.events]
+        assert entries and lines[1:-1] == rebuilt
 
     def test_streamed_alerts_load_back(self, hetero_cluster, tmp_path):
         # A rule that trivially fires so the alerts stream is non-empty.

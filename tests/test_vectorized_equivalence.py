@@ -255,15 +255,18 @@ class TestRoundPass:
     def test_goodput_rows_keep_every_estimator_kind(self):
         """``goodput_rows`` answers hybrid and latency-SLO rows with their
         own ``goodput_batch`` and the rest from the shared pass, in
-        request order."""
+        request order, with each row's plans: ``best_plan``'s, so None
+        for the estimators without a batch decision."""
         from repro.jobs.hybrid import HybridPerfEstimator
         ests = [build("boot-1-ref"),
                 HybridPerfEstimator("gpt-2.8b", HybridSpec()),
                 build("oracle"), LatencySLOEstimator("bert", 0.05, TYPES)]
         alone = [build("boot-1-ref"), ests[1], build("oracle"), ests[3]]
-        rows = goodput_rows([(est, self.ROW) for est in ests])
+        rows, plans = goodput_rows([(est, self.ROW) for est in ests])
         assert [row.tolist() for row in rows] == \
             [est.goodput_batch(self.ROW).tolist() for est in alone]
+        assert plans == [[est.best_plan(config) for config in self.ROW]
+                         for est in alone]
 
     def test_span_counts_segments_and_candidates(self):
         tracer = Tracer()
