@@ -7,8 +7,13 @@ Measures, per (cluster size, job count) point:
   solve-phase time and first-round objective — the scaling story up to
   16384 GPUs / 4096 jobs;
 * steady-state plan memo hit rate across consecutive rounds, with
-  every placed job re-reporting its iteration time between rounds as in
-  the engine;
+  every placed job re-reporting its iteration time and gradient noise
+  scale between rounds as in the engine;
+* the same rounds at 1024 GPUs with reports jittered by
+  ``ExecutionModel(obs_noise=0.05)`` (the ``1024 GPUs, obs_noise 0.05``
+  point), where almost no fit or key repeats between rounds, so it times
+  what the plan memo and the estimators' kept keys cost when they rarely
+  answer;
 * the solver points: ``solve_assignment(p, "milp")`` over every
   instance of ``milp_helios64.json`` and ``milp_scale1024.json``
   (captured sia-helios64 and sia-scale1024 rounds, see
@@ -27,7 +32,8 @@ Measures, per (cluster size, job count) point:
   over ``milp``'s per instance (median and min).
 
 Each policy point is gated on its round latency; the 4096-GPU point also
-carries the round-latency target it is reported against.  Each solver
+carries the round-latency target it is reported against.  The noisy point
+runs wherever its size does.  Each solver
 point is gated on its ``milp`` pass over its instances, on its path
 counts, on its ``greedy`` pass, and on greedy's min objective ratio.
 
@@ -94,10 +100,18 @@ FLAT_SEED = 0
 #: 64 GPUs, four times a policy point's load).
 CONTENDED_GPUS = 1024
 
+#: report noise of the noisy policy point, and the size it runs at.
+NOISY_OBS = 0.05
+NOISY_GPUS = 1024
+
 
 def point_name(point: dict) -> str:
-    """What baseline entries are matched by: the fixture, or the size."""
-    return point.get("fixture") or f"{point['gpus']} GPUs"
+    """What baseline entries are matched by: the fixture, or the size and
+    any report noise."""
+    if "fixture" in point:
+        return point["fixture"]
+    noise = point.get("obs_noise")
+    return f"{point['gpus']} GPUs" + (f", obs_noise {noise}" if noise else "")
 
 
 def gated_value(point: dict) -> tuple[str, float]:
@@ -122,10 +136,12 @@ def make_views(scheduler, cluster, n_jobs: int) -> list[JobView]:
 
 def report_iterations(executor: ExecutionModel, views: list[JobView],
                       allocations: dict, memo: dict) -> None:
-    """Each placed job reports the iteration time of its round, as the
-    engine does between rounds: the executor runs the estimator's batch
-    plan (looked up in the scheduler's plan ``memo``) on the allocation,
-    and the estimator folds the report in."""
+    """Each placed job reports the iteration time of its round and its
+    gradient noise scale, as the engine does between rounds: the executor
+    runs the estimator's batch plan (looked up in the scheduler's plan
+    ``memo``) on the allocation, and the estimator folds the reports in.
+    Without report noise the noise scale is the one the estimator already
+    holds, so only a noisy executor moves it."""
     for view in views:
         allocation = allocations.get(view.job_id)
         if allocation is None:
@@ -135,9 +151,12 @@ def report_iterations(executor: ExecutionModel, views: list[JobView],
         if execution is not None:
             view.estimator.add_observation(
                 executor.observe(view.job, allocation, execution))
+            view.estimator.update_gradient_stats(
+                executor.observed_noise_scale(view.job))
 
 
-def run_rounds(scheduler, cluster, views, rounds: int) -> dict:
+def run_rounds(scheduler, cluster, views, rounds: int,
+               obs_noise: float = 0.0) -> dict:
     """Run consecutive policy rounds over the same views, each placed job
     re-reporting its iteration time between rounds (steady state after
     round 1: a job re-reporting the configuration it keeps moves no fit,
@@ -148,10 +167,12 @@ def run_rounds(scheduler, cluster, views, rounds: int) -> dict:
     is running at a realistic configuration (large feasible sets) and every
     feasible (job, config) pair is evaluated exactly once.  The earlier
     warm rounds measure the latency jobs actually see (memo hits included).
+    With ``obs_noise`` every report moves its job's fit, so the warm
+    rounds mostly miss.
     """
     tracer = Tracer()
     scheduler.tracer = tracer
-    executor = ExecutionModel()
+    executor = ExecutionModel(obs_noise=obs_noise)
     latencies = []
     objectives = []
     previous: dict = {}
@@ -195,14 +216,18 @@ def _column(result: dict) -> dict:
     }
 
 
-def measure_point(size: int, n_jobs: int, rounds: int) -> dict:
-    """One policy point: ``milp`` rounds over a fresh job trace."""
+def measure_point(size: int, n_jobs: int, rounds: int,
+                  obs_noise: float = 0.0) -> dict:
+    """One policy point: ``milp`` rounds over a fresh job trace, with
+    jobs reporting through an executor of report noise ``obs_noise``."""
     cluster = presets.scaled_heterogeneous(size)
     scheduler = SiaScheduler(SiaPolicyParams(solver="milp"))
     views = make_views(scheduler, cluster, n_jobs)
     point: dict = {"gpus": size, "jobs": n_jobs, "rounds": rounds,
-                   "backends": {"milp": _column(
-                       run_rounds(scheduler, cluster, views, rounds))}}
+                   "backends": {"milp": _column(run_rounds(
+                       scheduler, cluster, views, rounds, obs_noise))}}
+    if obs_noise:
+        point["obs_noise"] = obs_noise
     if size in ROUND_TARGET_S:
         point["round_latency_target"] = ROUND_TARGET_S[size]
     return point
@@ -280,6 +305,10 @@ def run_bench(quick: bool, sizes: tuple[int, ...] | None = None) -> dict:
     rounds = 2 if quick else 3
     points = [measure_point(size, JOBS_PER_64 * (size // 64), rounds)
               for size in sizes]
+    if NOISY_GPUS in sizes:
+        points.append(measure_point(NOISY_GPUS,
+                                    JOBS_PER_64 * (NOISY_GPUS // 64),
+                                    rounds, NOISY_OBS))
     if not narrowed:
         points.extend(measure_fixture(fixture.name, load(fixture))
                       for fixture in FIXTURES.values())
@@ -364,6 +393,8 @@ def main(argv: list[str] | None = None) -> int:
         gated = point["backends"]["milp"]
         line = (f"{point['gpus']:5d} GPUs / {point['jobs']:4d} jobs: "
                 f"round {gated['round_latency_median'] * 1e3:8.1f} ms")
+        if "obs_noise" in point:
+            line += f" (obs_noise {point['obs_noise']})"
         if "round_latency_target" in point:
             line += (f" (target <= "
                      f"{point['round_latency_target'] * 1e3:.0f} ms),")

@@ -74,7 +74,8 @@ WORK = dict.fromkeys(("hits", "misses", "refits", "moved"), 0)
 #: (:meth:`JobPerfEstimator._plan_key`) -> a row from ``(num_gpus,
 #: num_nodes)`` to the plan, or None for a configuration with no candidate
 #: grid.  A probe hashes one row key per (GPU type, 1-GPU or multi-GPU)
-#: group and one small int key per configuration.  Each scheduler owns one
+#: group, which the estimator keeps until its evidence changes, and one
+#: small int key per configuration.  Each scheduler owns one
 #: per run (:attr:`repro.schedulers.base.Scheduler.plan_memo`).
 PlanMemo = dict[tuple, dict[tuple, BatchPlan | None]]
 
@@ -155,6 +156,22 @@ class JobPerfEstimator:
         self.cache_misses = 0
         #: reports the input defense refused to fold into any fit.
         self.rejected_observations = 0
+        #: per (GPU type, 1-GPU?) group: the ``(branch, row key)`` last
+        #: computed, held until evidence that can change it arrives
+        #: (:meth:`_probe`).  Not pickled (:meth:`__getstate__`).
+        self._slots: dict[tuple[str, bool], tuple[str, tuple]] = {}
+
+    def __getstate__(self) -> dict:
+        """Everything but the key slots, so an estimator pickles to the
+        same bytes whether or not it has been probed; a resumed run
+        recomputes the same keys at its first probe."""
+        state = self.__dict__.copy()
+        del state["_slots"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._slots = {}
 
     # -- initialization ----------------------------------------------------
 
@@ -229,6 +246,7 @@ class JobPerfEstimator:
             del window[0]
         if state.running.add(obs):
             state.dirty = True
+            self._slots.clear()
         return True
 
     def _observation_credible(self, window: list[float] | None,
@@ -251,11 +269,14 @@ class JobPerfEstimator:
 
     def update_gradient_stats(self, observed_noise_scale: float) -> None:
         """Fold a reported gradient-noise-scale measurement into the
-        efficiency model (Adaptive Executor reports, Section 3.5)."""
+        efficiency model (Adaptive Executor reports, Section 3.5).  This is
+        the one writer of the model's values in the package; every row key
+        holds them, so a move empties every key slot."""
         current = self._efficiency.params.grad_noise_scale
         if abs(observed_noise_scale - current) <= 1e-9 * max(current, 1.0):
             return  # already converged; keep the memoized plans' keys
         self._efficiency.update_noise_scale(observed_noise_scale)
+        self._slots.clear()
 
     def _fit(self, gpu_type: str) -> FitResult | None:
         """The type's stored fit, refitted lazily after new reports.
@@ -418,21 +439,36 @@ class JobPerfEstimator:
         :func:`_plan_misses` to fill.
 
         Consecutive configurations of one (GPU type, 1-GPU or multi-GPU)
-        group share one branch and one :meth:`_plan_key`, computed at the
-        first of them.  Callers list each group's configurations together
-        (Sia's configuration set is sorted by type, then GPU count), so
-        that is one key per group: lazy refits run in the same order as
-        one key per configuration would run them, and the ``boot``
-        branch's all-type refresh runs once per group.  A group met again
-        recomputes the same key."""
+        group share one branch and one :meth:`_plan_key`, which the
+        group's slot holds from the probe that computes them until
+        evidence that can change them arrives.  Callers list each group's
+        configurations together (Sia's configuration set is sorted by
+        type, then GPU count), so a probe reads each slot once and
+        computes at most one key per group; the ``boot`` branch's
+        all-type refresh runs once per computed key.
+
+        A key moves only with a fit it reads or with the efficiency
+        values: fits move only in refits of dirty types, and caps and
+        limits are fixed at construction.  So a report that marks a type
+        dirty (:meth:`add_observation`) and a noise-scale move
+        (:meth:`update_gradient_stats`) empty every slot, and a slot is
+        held only if every type it reads is clean.  Skipping a held
+        slot's ``_fit`` calls therefore skips only no-op reads, and lazy
+        refits run in the order one key per configuration would run
+        them."""
         plans: list[BatchPlan | None] = []
+        slots = self._slots
         last_type = last_single = None
         missed = len(misses)
         for config in configs:
             gpu_type, single = config.gpu_type, config.num_gpus == 1
             if gpu_type != last_type or single is not last_single:
-                branch = self._branch(gpu_type, config.num_gpus)
-                key = self._plan_key(branch, gpu_type)
+                slot = slots.get((gpu_type, single))
+                if slot is None:
+                    branch = self._branch(gpu_type, config.num_gpus)
+                    slot = slots[gpu_type, single] = (
+                        branch, self._plan_key(branch, gpu_type))
+                branch, key = slot
                 row = memo.get(key, {})
                 last_type, last_single = gpu_type, single
             plan = row.get((config.num_gpus, config.num_nodes), _ABSENT)
@@ -448,6 +484,10 @@ class JobPerfEstimator:
 
     @property
     def efficiency_model(self) -> EfficiencyModel:
+        """The job's efficiency model, to read.  Move its noise scale only
+        through :meth:`update_gradient_stats`: a direct
+        ``update_noise_scale`` would leave key slots holding the old
+        values."""
         return self._efficiency
 
 

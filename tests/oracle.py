@@ -14,6 +14,9 @@
 * :func:`reference_fit` — the throughput fit recomputed from the whole
   observation list, grouped by configuration.  The estimator's running fit state is compared
   against it.
+* :func:`probe_afresh` — the estimator's probe with its key slots emptied
+  first, so every probe builds each group's row key.  Estimators that keep
+  their keys are compared against it.
 """
 
 from __future__ import annotations
@@ -257,3 +260,16 @@ def reference_fit(observations: list[Observation],
         has_intra_node=bool(intra_points),
         has_inter_node=bool(inter_points),
     )
+
+
+#: The estimator's own probe, taken before any test patches it.
+_PROBE = JobPerfEstimator._probe
+
+
+def probe_afresh(estimator: JobPerfEstimator, configs, misses, memo):
+    """:meth:`JobPerfEstimator._probe` after emptying ``estimator``'s key
+    slots: one key per group per probe, as before estimators kept keys.
+    Patch it onto the class (``monkeypatch.setattr(JobPerfEstimator,
+    "_probe", probe_afresh)``) or bind it to one estimator."""
+    estimator._slots.clear()
+    return _PROBE(estimator, configs, misses, memo)

@@ -1,20 +1,26 @@
 """Tests for the per-job Goodput Estimator: profiling modes, bootstrapping
 lifecycle (Section 3.2), caching."""
 
+import ast
+import pickle
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from types import MethodType
 
 import pytest
 
 from repro.cluster import presets
 from repro.core.configs import build_config_set
 from repro.core.types import Configuration, ProfilingMode
+from repro.jobs.inference import BatchInferenceEstimator
 from repro.perf import profiles
 from repro.perf.estimator import (WORK, JobConstraints, JobPerfEstimator,
                                   plan_requests)
 from repro.perf.fitting import Observation
 from repro.perf.throughput import ThroughputModel
 from repro.schedulers.pollux import PolluxEstimator
+from tests.oracle import probe_afresh
 
 TYPES = ("t4", "rtx", "a100")
 
@@ -341,12 +347,16 @@ ROW = [Configuration(n, k, t) for t in TYPES
 
 
 def grouped_estimator(kind: str) -> JobPerfEstimator:
-    """A fresh estimator of one kind, with what it knows at submission."""
+    """A fresh estimator of one kind, with what it knows at submission:
+    a profiling mode's, Pollux's, or a batch-inference job's."""
+    profile = profiles.model_profile("bert")
+    limits = JobConstraints(min_bsz=profile.min_bsz, max_bsz=profile.max_bsz)
     if kind == "pollux":
-        profile = profiles.model_profile("bert")
-        return PolluxEstimator("bert", JobConstraints(
-            min_bsz=profile.min_bsz, max_bsz=profile.max_bsz), TYPES)
-    est = make_estimator(ProfilingMode[kind])
+        return PolluxEstimator("bert", limits, TYPES)
+    if kind == "inference":
+        est = BatchInferenceEstimator("bert", limits, TYPES)
+    else:
+        est = make_estimator(ProfilingMode[kind])
     est.profile_initial()
     return est
 
@@ -367,9 +377,10 @@ class TestGroupToken:
 
     KINDS = ["BOOTSTRAP", "NO_PROF", "ORACLE", "pollux"]
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_at_most_two_tokens_per_type(self, monkeypatch, kind):
-        est = grouped_estimator(kind)
+    @staticmethod
+    def count_keys(monkeypatch) -> Counter:
+        """Count the row keys built (:meth:`JobPerfEstimator._plan_key`
+        calls), per GPU type."""
         calls: Counter = Counter()
         real = JobPerfEstimator._plan_key
 
@@ -377,6 +388,12 @@ class TestGroupToken:
             calls[gpu_type] += 1
             return real(self, branch, gpu_type)
         monkeypatch.setattr(JobPerfEstimator, "_plan_key", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_at_most_two_tokens_per_type(self, monkeypatch, kind):
+        est = grouped_estimator(kind)
+        calls = self.count_keys(monkeypatch)
         for evidence in [[], *EVIDENCE]:
             for report in evidence:
                 est.add_observation(report)
@@ -497,6 +514,213 @@ class TestGroupToken:
         est.best_plans(row, memo)
         assert WORK["moved"] == moved + 1
         assert (est.cache_hits, est.cache_misses) == (1, 3)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_probe_without_new_evidence_builds_no_key(self, monkeypatch,
+                                                      kind):
+        """A second probe with no report in between reuses every group's
+        key, in a round pass and in a single lookup alike."""
+        est = grouped_estimator(kind)
+        memo: dict = {}
+        first = est.best_plans(ROW, memo)
+        calls = self.count_keys(monkeypatch)
+        assert plan_requests([(est, ROW)], memo=memo)[0] == first
+        assert est.best_plan(ROW[-1], memo) == first[-1]
+        assert not calls
+
+    @pytest.mark.parametrize("kind", ["BOOTSTRAP", "pollux"])
+    def test_report_moving_no_mean_builds_no_key(self, monkeypatch, kind):
+        """Accepted reports equal to their means dirty no type, so the
+        next probe builds no key."""
+        est = grouped_estimator(kind)
+        for evidence in EVIDENCE:
+            for report in evidence:
+                est.add_observation(report)
+        memo: dict = {}
+        est.best_plans(ROW, memo)
+        calls = self.count_keys(monkeypatch)
+        for evidence in EVIDENCE:
+            for report in evidence:
+                assert est.add_observation(report)
+        est.best_plans(ROW, memo)
+        assert not calls
+
+    def test_dirtying_report_rebuilds_the_keys_that_read_it(self,
+                                                           monkeypatch):
+        """A report that moves t4's fit empties every slot: the next probe
+        builds one key per group.  The keys that hold t4's fit, its own
+        two, change (t4 has no multi-GPU data, so it is no Equation (1)
+        reference); every other key comes out as it was."""
+        est = grouped_estimator("BOOTSTRAP")
+        for report in EVIDENCE[0]:
+            est.add_observation(report)
+        est._probe(ROW, [], {})
+        before = dict(est._slots)
+        slow = EVIDENCE[1][0]
+        assert est.add_observation(replace(slow,
+                                           iter_time=1.5 * slow.iter_time))
+        assert not est._slots
+        calls = self.count_keys(monkeypatch)
+        est._probe(ROW, [], {})
+        assert calls == dict.fromkeys(TYPES, 2)
+        assert {group for group, slot in est._slots.items()
+                if slot != before[group]} == {("t4", True), ("t4", False)}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_noise_scale_move_empties_every_slot(self, monkeypatch, kind):
+        """A converged noise-scale report keeps every slot; one that moves
+        the noise scale leaves none, and the next probe builds the keys an
+        estimator that never held a slot builds."""
+        est, twin = grouped_estimator(kind), grouped_estimator(kind)
+        est.best_plans(ROW, {})
+        phi = est.efficiency_model.params.grad_noise_scale
+        est.update_gradient_stats(phi)
+        assert len(est._slots) == 2 * len(TYPES)
+        for moved in (est, twin):
+            moved.update_gradient_stats(3 * phi)
+        assert not est._slots
+        calls = self.count_keys(monkeypatch)
+        est._probe(ROW, [], {})
+        twin._probe(ROW, [], {})
+        assert calls == dict.fromkeys(TYPES, 4)
+        assert est._slots == twin._slots
+
+    def test_update_gradient_stats_is_the_only_noise_scale_writer(self):
+        """Row keys hold the efficiency values, and only
+        ``update_gradient_stats`` empties the slots when they move, so no
+        other code in the package calls ``update_noise_scale``."""
+
+        class Callers(ast.NodeVisitor):
+            def __init__(self):
+                self.scopes, self.found = ["<module>"], []
+
+            def visit_FunctionDef(self, node):
+                self.scopes.append(node.name)
+                self.generic_visit(node)
+                self.scopes.pop()
+
+            visit_AsyncFunctionDef = visit_FunctionDef
+
+            def visit_Call(self, node):
+                if getattr(node.func, "attr", None) == "update_noise_scale":
+                    self.found.append(self.scopes[-1])
+                self.generic_visit(node)
+
+        callers = Callers()
+        src = Path(__file__).resolve().parents[1] / "src"
+        for path in sorted(src.rglob("*.py")):
+            callers.visit(ast.parse(path.read_text(), str(path)))
+        assert set(callers.found) == {"update_gradient_stats"}
+
+
+#: what reaches an estimator between probe rounds: reports, and the noise
+#: scale reported as a factor of the current one (None: no report; 1.0:
+#: a converged report).  The fifth round re-reports the first evidence,
+#: which moves no mean.
+ROUNDS = [([], None), ([], 1.4), (EVIDENCE[0], None), (EVIDENCE[1], 0.7),
+          (EVIDENCE[0], 1.0), ([], None), (EVIDENCE[2], 1.2)]
+
+#: the probes of one round: a round pass, single lookups, a row that
+#: meets each group again, and one type's row.
+PROBES = [
+    lambda est, memo: plan_requests([(est, ROW)], memo=memo)[0],
+    lambda est, memo: [est.best_plan(ROW[i], memo) for i in (7, 0, 13)],
+    lambda est, memo: plan_requests([(est, sorted(
+        ROW, key=lambda c: (c.num_gpus, TYPES.index(c.gpu_type))))],
+        memo=memo)[0],
+    lambda est, memo: est.best_plans(ROW[6:12], memo),
+]
+
+
+class TestKeySlots:
+    """Keeping each group's row key until evidence changes moves nothing
+    an estimator answers, counts, refits or pickles."""
+
+    KINDS = [*TestGroupToken.KINDS, "inference"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reuse_changes_nothing(self, monkeypatch, kind):
+        """Over rounds of interleaved reports and noise-scale updates, each
+        probe returns the plans, counters, ``WORK`` refits and moves,
+        stored fits and memo rows of an estimator that empties its slots
+        before every probe, while building fewer keys."""
+        kept, reference = grouped_estimator(kind), grouped_estimator(kind)
+        reference._probe = MethodType(probe_afresh, reference)
+        memos = {id(kept): {}, id(reference): {}}
+        built: Counter = Counter()
+        real = JobPerfEstimator._plan_key
+
+        def counting(self, branch, gpu_type):
+            built[self is kept] += 1
+            return real(self, branch, gpu_type)
+        monkeypatch.setattr(JobPerfEstimator, "_plan_key", counting)
+        for reports, factor in ROUNDS:
+            for est in (kept, reference):
+                for report in reports:
+                    est.add_observation(report)
+                if factor is not None:
+                    est.update_gradient_stats(
+                        factor * est.efficiency_model.params.grad_noise_scale)
+            for probe in PROBES:
+                answers = []
+                for est in (kept, reference):
+                    work = dict(WORK)
+                    plans = probe(est, memos[id(est)])
+                    answers.append((
+                        plans, {k: WORK[k] - work[k] for k in WORK},
+                        est.cache_hits, est.cache_misses,
+                        [est._types[t].fit for t in TYPES],
+                        list(memos[id(est)])))
+                assert answers[0] == answers[1]
+        assert 0 < built[True] < built[False]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_slots_are_not_pickled(self, monkeypatch, kind):
+        """A probed estimator pickles to the bytes of a twin that has the
+        same evidence and made the same probes but holds no slot, and to
+        the bytes the default reduction gives that twin; unpickled, it
+        holds no slot and probes to the same keys, plans and counters."""
+        probed, twin = grouped_estimator(kind), grouped_estimator(kind)
+        memos: list[dict] = [{}, {}]
+        for est, memo in zip((probed, twin), memos):
+            for report in EVIDENCE[0]:
+                est.add_observation(report)
+            est.best_plans(ROW, memo)
+        twin._slots.clear()
+        assert probed._slots
+        data = pickle.dumps(probed)
+        assert data == pickle.dumps(twin)
+
+        restored = pickle.loads(data)
+        assert restored._slots == {}
+        assert restored.best_plans(ROW, memos[1]) == \
+            probed.best_plans(ROW, memos[0])
+        assert restored._slots == probed._slots
+        assert (restored.cache_hits, restored.cache_misses) == \
+            (probed.cache_hits, probed.cache_misses)
+
+        del twin._slots
+        monkeypatch.delattr(JobPerfEstimator, "__getstate__")
+        assert pickle.dumps(twin) == data
+
+
+class TestSeededPass:
+    def test_sia_scale1024_builds_a_third_of_its_keys(self, monkeypatch,
+                                                      tmp_path):
+        """The seed-1 sia-scale1024 benchmark pass builds 15,882 row keys
+        when every probe builds each group's key, and 5,439 when keys are
+        kept until evidence changes."""
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"))
+        import scenarios
+        calls = TestGroupToken.count_keys(monkeypatch)
+        scenarios.sia_scale1024(1, False, tmp_path).simulator.run()
+        kept = sum(calls.values())
+        calls.clear()
+        monkeypatch.setattr(JobPerfEstimator, "_probe", probe_afresh)
+        scenarios.sia_scale1024(1, False, tmp_path).simulator.run()
+        assert sum(calls.values()) == 15_882
+        assert kept <= 5_500
 
 
 class TestMemoryKnowledge:

@@ -3,9 +3,10 @@
 A memo maps the full inputs of one goodput plan to the plan a pass rated
 for them, so later passes and lookups answer without rating a grid; it is
 the only place plans are kept.  These tests pin its key field by field,
-show that whole seeded runs decide the same with it as without it, and
-check what it must not change: the pickled scheduler (no memo is pickled)
-and the freeing of finished estimators.
+show that whole seeded runs decide the same with it as without it, and as
+with every row key rebuilt at every probe, and check what it must not
+change: the pickled scheduler (no memo is pickled) and the freeing of
+finished estimators.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.schedulers.rigid import FIFOScheduler
 from repro.sim import simulate
 from repro.workloads import helios_trace
 from tests.golden.regen import record
+from tests.oracle import probe_afresh
 
 MODEL = "bert"
 TYPES = ("t4", "rtx", "a100")
@@ -296,6 +298,16 @@ class TestRuns:
         fresh = record(run(make_scheduler(policy), policy, **options))
         assert WORK["hits"] == hits
         assert with_memo == fresh
+
+    @pytest.mark.parametrize("case", RUNS)
+    def test_key_slots_move_no_decision(self, case, monkeypatch):
+        """A run whose estimators keep each group's row key until their
+        evidence changes decides and estimates exactly as one whose
+        estimators build every key at every probe."""
+        policy, options = RUNS[case]
+        kept = record(run(make_scheduler(policy), policy, **options))
+        monkeypatch.setattr(JobPerfEstimator, "_probe", probe_afresh)
+        assert record(run(make_scheduler(policy), policy, **options)) == kept
 
 
 class TestPickle:
