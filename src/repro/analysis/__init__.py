@@ -7,8 +7,7 @@ from repro.analysis.experiments import (BENCH_SCALE, FULL_SCALE,
                                         rigid_scheduler_set, run_once,
                                         sample_trace)
 from repro.analysis.explain import explain_job
-from repro.analysis.render import (format_bars, format_series,
-                                   format_table, improvement)
+from repro.analysis.render import format_bars, format_series, format_table
 from repro.analysis.replay import (ReplayOutcome, ReplayOverrides,
                                    build_run_spec, fork_state, replay,
                                    simulator_from_spec)
@@ -19,7 +18,7 @@ __all__ = [
     "BENCH_SCALE", "FULL_SCALE", "ComparisonResult", "ExperimentScale",
     "adaptive_scheduler_set", "compare_on_trace", "rigid_scheduler_set",
     "run_once", "sample_trace",
-    "format_bars", "format_series", "format_table", "improvement",
+    "format_bars", "format_series", "format_table",
     "build_report", "counterfactual_section", "decision_digest_section",
     "explain_job",
     "ReplayOutcome", "ReplayOverrides", "build_run_spec", "fork_state",

@@ -85,9 +85,6 @@ class ComparisonResult:
     def summaries(self) -> dict[str, SummaryMetrics]:
         return {name: summarize(r) for name, r in self.results.items()}
 
-    def rows(self) -> list[dict]:
-        return [s.as_row() for s in self.summaries().values()]
-
 
 def adaptive_scheduler_set() -> dict[str, Scheduler]:
     """Sia + Pollux (run on the adaptive trace)."""

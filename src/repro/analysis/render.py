@@ -60,11 +60,3 @@ def format_bars(items: Sequence[tuple[str, float]], *,
         bar = "#" * max(length, 1 if value > 0 else 0)
         lines.append(f"{label.ljust(label_width)}  {bar} {value:.{precision}f}")
     return "\n".join(lines)
-
-
-def improvement(baseline: float, value: float) -> float:
-    """Relative improvement of ``value`` over ``baseline`` in percent
-    (positive means ``value`` is lower/better for cost-like metrics)."""
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
-    return 100.0 * (baseline - value) / baseline

@@ -2,8 +2,8 @@
 
 The question this module answers is the one the ROADMAP names for the
 observability stack: *what would this exact run have looked like if, at
-round N, we had used a different policy, solver backend, fault seed,
-cluster size, or health posture?*  It composes three existing subsystems:
+round N, we had used a different policy?*  It composes three existing
+subsystems:
 
 * the checkpoint machinery (:mod:`repro.sim.checkpoint`): the fork state is
   a :class:`CheckpointState` — either recomputed deterministically from the
@@ -20,21 +20,19 @@ cluster size, or health posture?*  It composes three existing subsystems:
 
 Replay needs the run's construction recipe, the ``run_spec`` every CLI run
 records (:func:`build_run_spec`).  :func:`simulator_from_spec` is the one
-builder of spec-driven simulators — ``repro run``, ``compare`` and
-``chaos`` build theirs through it too — so a fork is rebuilt exactly as
-its base run was.  Results saved without a spec cannot be forked and say
-so explicitly.
+builder of spec-driven simulators — ``repro run`` and ``chaos`` build
+theirs through it too — so a fork is rebuilt exactly as its base run was.
+Results saved without a spec cannot be forked and say so explicitly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro import io
 from repro.cluster import presets
-from repro.cluster.cluster import Cluster
 from repro.core import fork as forklib
 from repro.core.health import HealthConfig
 from repro.core.types import ProfilingMode
@@ -60,40 +58,14 @@ class ReplayOverrides:
 
     #: scheduler to swap in at the fork round (e.g. 'gavel').
     policy: str | None = None
-    #: ILP backend to rebind on a Sia scheduler (any of ``ilp.BACKENDS``).
-    solver_backend: str | None = None
-    #: reseed every fault model ("different luck" from the fork on).
-    fault_seed: int | None = None
-    #: capacity edit spec, e.g. '+64xa100' or '-8xt4,+4xrtx' (GPUs).
-    cluster_delta: str | None = None
-    #: force the gray-failure defense 'on' or 'off' from the fork round.
-    health: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.health not in (None, "on", "off"):
-            raise ValueError(
-                f"health override must be 'on' or 'off', got {self.health!r}")
 
     @property
     def empty(self) -> bool:
-        return (self.policy is None and self.solver_backend is None
-                and self.fault_seed is None and self.cluster_delta is None
-                and self.health is None)
+        return self.policy is None
 
     def as_dict(self) -> dict[str, str]:
         """Compact {name: value} of only the overrides actually set."""
-        out: dict[str, str] = {}
-        if self.policy is not None:
-            out["policy"] = self.policy
-        if self.solver_backend is not None:
-            out["solver_backend"] = self.solver_backend
-        if self.fault_seed is not None:
-            out["fault_seed"] = str(self.fault_seed)
-        if self.cluster_delta is not None:
-            out["cluster_delta"] = self.cluster_delta
-        if self.health is not None:
-            out["health"] = self.health
-        return out
+        return {} if self.policy is None else {"policy": self.policy}
 
 
 @dataclass
@@ -154,40 +126,31 @@ def build_run_spec(*, scheduler: str, cluster: str, jobs: list,
 
 
 def simulator_from_spec(spec: dict[str, Any], *,
-                        cluster: Cluster | None = None,
-                        health: bool | None = None,
                         tracer: Tracer | None = None,
                         checkpoint: CheckpointConfig | None = None,
                         ) -> Simulator:
     """Build the simulator a ``run_spec`` describes: a fresh scheduler,
-    fresh fault models and fresh jobs on every call.
-
-    ``cluster`` substitutes a (delta-edited) cluster for the recorded
-    preset; ``health`` forces the gray-failure defense on/off regardless of
-    what the recipe says (None keeps it).  ``tracer`` and ``checkpoint``
-    are run plumbing, not part of the recipe.
+    fresh fault models and fresh jobs on every call.  ``tracer`` and
+    ``checkpoint`` are run plumbing, not part of the recipe.
     """
     if not spec:
         raise ValueError(
             "result carries no run_spec — it was saved by an older build; "
             "re-run `repro run --out ...` to record a forkable result")
-    if cluster is None:
-        cluster = presets.by_name(spec["cluster"])
     scheduler = forklib.make_scheduler(
         spec["scheduler"], resilient=spec["resilient"],
         **spec["scheduler_options"])
     jobs = [io.job_from_dict(data) for data in spec["jobs"]]
-    if health is None:
-        health = spec["health"]
     config = SimulatorConfig(
         profiling_mode=ProfilingMode(spec["profiling_mode"]),
         seed=spec["seed"], max_hours=spec["max_hours"],
         node_failure_rate=spec["node_failure_rate"],
         fault_models=forklib.make_fault_models(spec["fault_options"]),
         resilient=spec["resilient"], invariants=spec["invariants"],
-        health=HealthConfig() if health else None,
+        health=HealthConfig() if spec["health"] else None,
         tracer=tracer, checkpoint=checkpoint)
-    return Simulator(cluster, scheduler, jobs, config)
+    return Simulator(presets.by_name(spec["cluster"]), scheduler, jobs,
+                     config)
 
 
 # -- fork-state acquisition ----------------------------------------------------
@@ -215,7 +178,7 @@ def fork_state(spec: dict[str, Any], at_round: int, *,
     return ckpt.loads_state(ckpt.dumps_state(state))
 
 
-# -- override application ------------------------------------------------------
+# -- the policy swap -----------------------------------------------------------
 
 def _swap_policy(state: CheckpointState, policy: str,
                  spec: dict[str, Any]) -> None:
@@ -242,33 +205,6 @@ def _swap_policy(state: CheckpointState, policy: str,
     scheduler.round_duration = round_duration
     state.scheduler = scheduler
     state.result.scheduler_name = scheduler.name
-
-
-def apply_overrides(state: CheckpointState, overrides: ReplayOverrides,
-                    spec: dict[str, Any]) -> Cluster | None:
-    """Mutate a fork state per the overrides; returns the delta-edited
-    cluster when one was requested (None = keep the recorded preset)."""
-    cluster: Cluster | None = None
-    if overrides.cluster_delta is not None:
-        base_cluster = presets.by_name(spec["cluster"])
-        deltas = forklib.parse_cluster_delta(overrides.cluster_delta)
-        cluster, removed = forklib.apply_cluster_delta(base_cluster, deltas)
-        # The restore-time structural check must accept the edited cluster.
-        state.cluster_signature = cluster.signature
-        # Jobs holding GPUs on removed nodes lose them at the fork
-        # boundary (a fault-caused restart when they next get resources).
-        for rt in state.active.values():
-            if rt.allocation is not None \
-                    and removed & set(rt.allocation.node_ids):
-                rt.evict()
-    if overrides.policy is not None:
-        _swap_policy(state, overrides.policy, spec)
-    if overrides.solver_backend is not None:
-        forklib.rebind_solver(state.scheduler, overrides.solver_backend)
-    if overrides.fault_seed is not None:
-        forklib.reseed_fault_models(state.fault_models,
-                                    overrides.fault_seed)
-    return cluster
 
 
 # -- metric deltas -------------------------------------------------------------
@@ -366,10 +302,9 @@ def replay(base: SimulationResult, at_round: int,
             f"({len(base.rounds)} rounds recorded)")
 
     state = fork_state(spec, at_round, checkpoint_dir=checkpoint_dir)
-    cluster = apply_overrides(state, overrides, spec)
-    health = {"on": True, "off": False, None: None}[overrides.health]
-    simulator = simulator_from_spec(spec, cluster=cluster, health=health)
-    fork_result = simulator.run(resume_from=state)
+    if overrides.policy is not None:
+        _swap_policy(state, overrides.policy, spec)
+    fork_result = simulator_from_spec(spec).run(resume_from=state)
 
     mismatches = diff_results(base, fork_result)
     round_deltas, divergence = compare_runs(base, fork_result)

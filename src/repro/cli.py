@@ -2,12 +2,9 @@
 
 Subcommands::
 
-    python -m repro catalog                    # model zoo + GPU catalog
-    python -m repro trace --name helios --seed 0 --out trace.json
+    python -m repro trace --trace-name helios --seed 0 --out trace.json
     python -m repro run --scheduler sia --cluster heterogeneous \\
                         --trace-name philly --num-jobs 40 --work-scale 0.2
-    python -m repro compare --trace-name helios --num-jobs 48 \\
-                            --schedulers sia,pollux,gavel
     python -m repro report results/*.json --out report.md
     python -m repro explain result.json --job philly-0017
     python -m repro run ... --checkpoint-dir ckpts --checkpoint-every 25
@@ -16,15 +13,16 @@ Subcommands::
     python -m repro chaos --scenario gray     # gray failures + health defense
     python -m repro run ... --gray-rate 2 --health --health-events-out h.jsonl
     python -m repro run ... --slo rules.json --alerts-out alerts.jsonl
+    python -m repro replay result.json --at-round 5 --policy gavel
 
-``run``, ``compare`` and ``chaos`` accept either a saved trace file
-(``--trace``) or generator parameters (``--trace-name``/``--seed``/...),
-and the same recipe flags (scheduler, fault and simulator knobs).  Each
-turns its flags into one run spec (:func:`_run_spec`) and builds every
-simulator from it with :func:`repro.analysis.replay.simulator_from_spec`.
-``run`` and ``compare`` take the observability outputs; ``run`` alone
-saves its result with ``--out`` (reloaded with :mod:`repro.io`), and
-``run`` and ``chaos`` take the checkpoint flags.
+``run`` and ``chaos`` accept either a saved trace file (``--trace``) or
+generator parameters (``--trace-name``/``--seed``/...), the same recipe
+flags (scheduler, fault and simulator knobs) and the checkpoint flags.
+Each turns its flags into one run spec (:func:`_run_spec`) and builds
+every simulator from it with
+:func:`repro.analysis.replay.simulator_from_spec`.  ``run`` alone takes
+the observability outputs and saves its result with ``--out`` (reloaded
+with :mod:`repro.io`).
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ from repro import io
 from repro.analysis.render import format_table
 from repro.analysis.replay import build_run_spec, simulator_from_spec
 from repro.cluster import presets
-from repro.cluster.gpu import GPU_CATALOG
 from repro.core import fork as forklib
+from repro.core.ilp import BACKENDS
 from repro.core.types import ProfilingMode
 from repro.metrics.jct import summarize
 from repro.obs.export import run_digest, write_chrome_trace
@@ -48,7 +46,6 @@ from repro.obs.stream import (AlertStreamObserver, EventStreamObserver,
                               HealthEventStreamObserver, LedgerStreamObserver,
                               PrometheusSnapshotObserver, SLOObserver)
 from repro.obs.tracer import Tracer
-from repro.perf.profiles import MODEL_ZOO
 from repro.schedulers import GavelScheduler
 from repro.sim.chaos import run_chaos
 from repro.sim.checkpoint import CheckpointConfig
@@ -126,7 +123,7 @@ def _build_slo_engine(args: argparse.Namespace,
 
 
 def _attach_observers(args: argparse.Namespace, simulator: Simulator,
-                      tracer: Tracer | None, suffix: str) -> None:
+                      tracer: Tracer | None) -> None:
     """Build the live-telemetry observer chain for one run.
 
     Order matters: the SLO evaluator runs first so each round's alerts
@@ -138,24 +135,22 @@ def _attach_observers(args: argparse.Namespace, simulator: Simulator,
         observers.append(SLOObserver(slo_engine))
     if args.alerts_out:
         observers.append(AlertStreamObserver(
-            _suffixed(args.alerts_out, suffix), simulator.scheduler.name))
+            args.alerts_out, simulator.scheduler.name))
     if tracer is not None and args.events_out:
         observers.append(EventStreamObserver(
-            tracer, _suffixed(args.events_out, suffix),
-            metrics=simulator.metrics))
+            tracer, args.events_out, metrics=simulator.metrics))
     if args.ledger_out:
         observers.append(LedgerStreamObserver(
-            _suffixed(args.ledger_out, suffix), simulator.scheduler.name))
+            args.ledger_out, simulator.scheduler.name))
     if args.health_events_out:
         observers.append(HealthEventStreamObserver(
-            _suffixed(args.health_events_out, suffix),
-            simulator.scheduler.name))
+            args.health_events_out, simulator.scheduler.name))
     if args.prom_out:
         observers.append(PrometheusSnapshotObserver(
-            simulator.metrics, _suffixed(args.prom_out, suffix)))
+            simulator.metrics, args.prom_out))
 
 
-def _simulate(spec: dict, args: argparse.Namespace, suffix: str = "", *,
+def _simulate(spec: dict, args: argparse.Namespace, *,
               checkpoint: CheckpointConfig | None = None,
               resume_from: str | None = None):
     """Run one spec with the observability outputs ``args`` asks for; the
@@ -163,54 +158,40 @@ def _simulate(spec: dict, args: argparse.Namespace, suffix: str = "", *,
     it."""
     tracer = Tracer() if _wants_tracing(args) else None
     simulator = _build(spec, tracer=tracer, checkpoint=checkpoint)
-    _attach_observers(args, simulator, tracer, suffix)
+    _attach_observers(args, simulator, tracer)
     result = simulator.run(resume_from=resume_from)
     result.run_spec = spec
     violations = simulator.invariant_violations
     if violations:
         print(f"invariant violations: {len(violations)} "
               f"(first: {violations[0].message})", file=sys.stderr)
-    _export_observability(result, tracer, args, suffix)
+    _export_observability(result, tracer, args)
     # The JSONL outputs streamed during the run (flushed per round,
     # finalized atomically at the end); report where the files landed.
     if tracer is not None and args.events_out:
-        print(f"wrote event log to {_suffixed(args.events_out, suffix)} "
-              "(streamed per round)")
+        print(f"wrote event log to {args.events_out} (streamed per round)")
     if args.ledger_out:
-        print(f"wrote goodput ledger to "
-              f"{_suffixed(args.ledger_out, suffix)} (streamed per round)")
-    if args.alerts_out:
-        print(f"wrote SLO alerts to {_suffixed(args.alerts_out, suffix)} "
+        print(f"wrote goodput ledger to {args.ledger_out} "
               "(streamed per round)")
+    if args.alerts_out:
+        print(f"wrote SLO alerts to {args.alerts_out} (streamed per round)")
     if args.prom_out:
-        print(f"wrote Prometheus snapshot to "
-              f"{_suffixed(args.prom_out, suffix)}")
+        print(f"wrote Prometheus snapshot to {args.prom_out}")
     if args.health_events_out:
-        print(f"wrote health events to "
-              f"{_suffixed(args.health_events_out, suffix)} "
+        print(f"wrote health events to {args.health_events_out} "
               "(streamed per round)")
     return result
 
 
-def _suffixed(path: str, suffix: str) -> Path:
-    """``trace.json`` + suffix ``sia`` -> ``trace-sia.json`` (compare mode
-    writes one file per scheduler)."""
-    p = Path(path)
-    if not suffix:
-        return p
-    return p.with_name(f"{p.stem}-{suffix}{p.suffix}")
-
-
 def _export_observability(result, tracer: Tracer | None,
-                          args: argparse.Namespace, suffix: str = "") -> None:
+                          args: argparse.Namespace) -> None:
     """Write the trace/event files and print the digest, as requested."""
     if tracer is None:
         return
     events = list(tracer.events)
     if args.trace_out:
-        path = _suffixed(args.trace_out, suffix)
-        write_chrome_trace(tracer.spans, path, events)
-        print(f"wrote Chrome trace to {path} "
+        write_chrome_trace(tracer.spans, args.trace_out, events)
+        print(f"wrote Chrome trace to {args.trace_out} "
               "(open at https://ui.perfetto.dev)")
     # --events-out streams during the run (EventStreamObserver); only the
     # Chrome trace and digest are post-run renderings.
@@ -248,24 +229,6 @@ def _print_robustness_summary(result) -> None:
 
 
 # -- subcommands ---------------------------------------------------------------
-
-def cmd_catalog(args: argparse.Namespace) -> int:
-    rows = [{
-        "model": p.name, "category": p.category, "task": p.task,
-        "dataset": p.dataset, "batch_range": f"[{p.min_bsz}, {p.max_bsz}]",
-        "optimizer": p.optimizer, "restart_s": p.restart_delay_s,
-    } for p in MODEL_ZOO.values()]
-    print(format_table(rows, title="Model zoo (Table 2)"))
-    print()
-    gpu_rows = [{
-        "gpu": s.name, "memory_gb": s.memory_gb,
-        "compute_scale": s.compute_scale,
-        "intra_gbps": s.intra_node_bw_gbps,
-        "inter_gbps": s.inter_node_bw_gbps,
-    } for s in GPU_CATALOG.values()]
-    print(format_table(gpu_rows, title="GPU catalog (Section 4.2)"))
-    return 0
-
 
 def cmd_trace(args: argparse.Namespace) -> int:
     trace = resolve_trace(args)
@@ -331,10 +294,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise SystemExit(f"{args.result} has no per-round records to "
                          "replay")
     try:
-        overrides = ReplayOverrides(
-            policy=args.policy, solver_backend=args.solver_backend,
-            fault_seed=args.fault_seed, cluster_delta=args.cluster_delta,
-            health=args.health_mode)
+        overrides = ReplayOverrides(policy=args.policy)
         outcome = replay(base, args.at_round, overrides,
                          checkpoint_dir=args.from_checkpoints)
     except ValueError as exc:
@@ -431,19 +391,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    trace = resolve_trace(args)
-    names = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-    rows = []
-    for name in names:
-        print(f"simulating {name} ...", file=sys.stderr)
-        result = _simulate(_run_spec(args, name, trace), args, suffix=name)
-        rows.append(summarize(result).as_row())
-    print(format_table(rows, title=f"Comparison on {trace.name} "
-                                   f"({args.cluster})"))
-    return 0
-
-
 # -- parser ----------------------------------------------------------------------
 
 def _add_trace_options(parser: argparse.ArgumentParser) -> None:
@@ -459,7 +406,7 @@ def _add_trace_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_recipe_options(parser: argparse.ArgumentParser) -> None:
-    """The knobs a run spec records (``run``, ``compare``, ``chaos``)."""
+    """The knobs a run spec records (``run``, ``chaos``)."""
     group = parser.add_argument_group(
         "run recipe", "what is simulated: cluster, scheduler, faults, "
         "simulator knobs (recorded in the result's run_spec)")
@@ -523,7 +470,7 @@ def _add_recipe_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--lam", type=float, default=sched["lam"],
                         help="Sia allocation incentive lambda")
     group.add_argument("--solver", default=sched["solver"],
-                        choices=list(forklib.SOLVER_BACKENDS))
+                        choices=list(BACKENDS))
     group.add_argument("--gavel-policy", default=sched["gavel_policy"],
                         choices=list(GavelScheduler.POLICIES))
     group.add_argument("--invariants", default=SimulatorConfig.invariants,
@@ -533,10 +480,8 @@ def _add_recipe_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    """Observability outputs (``run``, ``compare``)."""
-    group = parser.add_argument_group(
-        "observability outputs",
-        "compare mode appends the scheduler name to every path")
+    """Observability outputs (``run``)."""
+    group = parser.add_argument_group("observability outputs")
     group.add_argument("--trace-out", metavar="PATH",
                         help="write a Chrome/Perfetto trace_event JSON here")
     group.add_argument("--events-out", metavar="PATH",
@@ -581,9 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Sia (SOSP 2023) reproduction experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    catalog = sub.add_parser("catalog", help="print the model/GPU catalogs")
-    catalog.set_defaults(func=cmd_catalog)
 
     trace = sub.add_parser("trace", help="sample and optionally save a trace")
     _add_trace_options(trace)
@@ -632,14 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     # corruption-fallback path always has older files to land on.
     chaos.set_defaults(func=cmd_chaos, checkpoint_every=5, checkpoint_keep=0)
 
-    compare = sub.add_parser("compare",
-                             help="simulate several schedulers on one trace")
-    compare.add_argument("--schedulers", default="sia,pollux,gavel")
-    _add_trace_options(compare)
-    _add_recipe_options(compare)
-    _add_output_options(compare)
-    compare.set_defaults(func=cmd_compare)
-
     report = sub.add_parser("report",
                             help="build a markdown report from saved results")
     report.add_argument("results", nargs="+",
@@ -667,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser(
         "replay",
-        help="fork a recorded run at round N under overrides and diff "
-             "the two futures")
+        help="fork a recorded run at round N, optionally under another "
+             "policy, and diff the two futures")
     replay.add_argument("result",
                         help="result JSON from `run --out` (carries the "
                              "run spec the fork is rebuilt from)")
@@ -678,18 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--policy", default=None,
                         help="swap the scheduler from the fork round on "
                              "(e.g. gavel)")
-    replay.add_argument("--solver-backend", default=None,
-                        choices=list(forklib.SOLVER_BACKENDS),
-                        help="rebind the Sia ILP backend mid-run")
-    replay.add_argument("--fault-seed", type=int, default=None,
-                        help="reseed every fault model ('different luck')")
-    replay.add_argument("--cluster-delta", default=None, metavar="SPEC",
-                        help="capacity edit, e.g. '+64xa100' or "
-                             "'-8xt4,+16xa100:4' (counts are GPUs)")
-    replay.add_argument("--health", dest="health_mode", default=None,
-                        choices=["on", "off"],
-                        help="force the gray-failure defense on/off in "
-                             "the fork")
     replay.add_argument("--from-checkpoints", metavar="DIR", default=None,
                         help="fast-forward from the newest checkpoint at "
                              "or before the fork round instead of "

@@ -115,14 +115,6 @@ class Cluster:
             raise KeyError(f"no nodes of type {gpu_type!r}")
         return max(n.num_gpus for n in nodes)
 
-    def scaled(self, factor: int) -> "Cluster":
-        """Return a cluster with every node group replicated ``factor`` times
-        (used for the scalability study, Figure 9)."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        groups = [NodeGroup(n.gpu_type, factor, n.num_gpus) for n in self.nodes]
-        return Cluster.from_groups(groups, split_virtual=False)
-
     def describe(self) -> str:
         """Human-readable summary, e.g. ``'6x t4(4) + 3x rtx(8) + 2x a100(8)'``."""
         counts: dict[tuple[str, int], int] = {}

@@ -351,10 +351,6 @@ class HealthTracker:
             counts[health.state] += 1
         return counts
 
-    def states(self) -> dict[int, str]:
-        return {node_id: health.state
-                for node_id, health in self._nodes.items()}
-
     def drain_events(self) -> list[HealthEvent]:
         """Return and clear events emitted since the last call."""
         events = self._pending

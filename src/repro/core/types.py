@@ -62,10 +62,6 @@ class Configuration:
                 f"num_gpus ({self.num_gpus}) must be >= num_nodes ({self.num_nodes})"
             )
 
-    @property
-    def gpus_per_node(self) -> float:
-        return self.num_gpus / self.num_nodes
-
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         return f"({self.num_nodes}, {self.num_gpus}, {self.gpu_type})"
 

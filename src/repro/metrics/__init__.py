@@ -2,15 +2,12 @@
 
 from repro.metrics.fairness import (FairnessMetrics, fairness_metrics,
                                     ftf_ratio, isolated_jct)
-from repro.metrics.jct import (SummaryMetrics, gpu_hours_by_model, jct_cdf,
+from repro.metrics.jct import (SummaryMetrics, gpu_hours_by_model,
                                percentile, summarize)
-from repro.metrics.utilization import (average_utilization,
-                                       queue_length_series,
-                                       utilization_by_type)
+from repro.metrics.utilization import average_utilization
 
 __all__ = [
     "FairnessMetrics", "fairness_metrics", "ftf_ratio", "isolated_jct",
-    "SummaryMetrics", "gpu_hours_by_model", "jct_cdf", "percentile",
-    "summarize",
-    "average_utilization", "queue_length_series", "utilization_by_type",
+    "SummaryMetrics", "gpu_hours_by_model", "percentile", "summarize",
+    "average_utilization",
 ]

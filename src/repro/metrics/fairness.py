@@ -71,15 +71,10 @@ class FairnessMetrics:
     unfair_fraction: float
     ratios: list[float]
 
-    def cdf(self) -> list[tuple[float, float]]:
-        ordered = sorted(self.ratios)
-        n = len(ordered)
-        return [(value, (i + 1) / n) for i, value in enumerate(ordered)]
-
 
 def fairness_metrics(result: SimulationResult, jobs: list[Job],
                      cluster: Cluster) -> FairnessMetrics:
-    """Worst FTF ratio, unfair job fraction (rho > 1), and the full CDF."""
+    """Worst FTF ratio, unfair job fraction (rho > 1), and every ratio."""
     by_id = {job.job_id: job for job in jobs}
     ratios: list[float] = []
     for record in result.jobs:

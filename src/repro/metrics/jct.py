@@ -92,15 +92,3 @@ def gpu_hours_by_model(result: SimulationResult) -> dict[str, dict[str, float]]:
         model: {t: hours / counts[model] for t, hours in bucket.items()}
         for model, bucket in totals.items()
     }
-
-
-def jct_cdf(result: SimulationResult,
-            points: int = 100) -> list[tuple[float, float]]:
-    """(jct_hours, cumulative_fraction) pairs for CDF plots (Figures 4/8)."""
-    jcts = sorted(result.jcts_hours())
-    n = len(jcts)
-    if n == 0:
-        return []
-    step = max(1, n // points)
-    return [(jcts[i], (i + 1) / n) for i in range(0, n, step)] + \
-        [(jcts[-1], 1.0)]

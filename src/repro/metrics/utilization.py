@@ -1,4 +1,4 @@
-"""Cluster-utilization metrics: GPU occupancy over time, per-type usage."""
+"""Cluster-utilization metrics: GPU occupancy over time."""
 
 from __future__ import annotations
 
@@ -14,23 +14,3 @@ def average_utilization(result: SimulationResult, cluster: Cluster) -> float:
         return 0.0
     used = [sum(r.gpus_used.values()) / total for r in busy_rounds]
     return sum(used) / len(used)
-
-
-def utilization_by_type(result: SimulationResult,
-                        cluster: Cluster) -> dict[str, float]:
-    """Per-GPU-type average occupancy over non-idle rounds."""
-    busy_rounds = [r for r in result.rounds if r.active_jobs > 0]
-    out: dict[str, float] = {}
-    for gpu_type in cluster.gpu_types:
-        capacity = cluster.capacity(gpu_type)
-        if not busy_rounds or capacity == 0:
-            out[gpu_type] = 0.0
-            continue
-        used = [r.gpus_used.get(gpu_type, 0) / capacity for r in busy_rounds]
-        out[gpu_type] = sum(used) / len(used)
-    return out
-
-
-def queue_length_series(result: SimulationResult) -> list[tuple[float, int]]:
-    """(time, queued jobs) per round — active jobs not holding GPUs."""
-    return [(r.time, r.active_jobs - r.running_jobs) for r in result.rounds]

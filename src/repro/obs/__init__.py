@@ -24,8 +24,8 @@
 
 Attach a tracer to a simulation via ``SimulatorConfig(tracer=Tracer())``
 (the CLI's ``--trace-out``/``--events-out`` do this for you), then read
-``SimulationResult.spans`` / ``phase_time_breakdown()`` / ``span_stats()``
-or export with :func:`repro.obs.export.write_chrome_trace`.
+``SimulationResult.spans`` / ``phase_time_breakdown()`` (or
+:func:`repro.obs.tracer.span_stats` over the spans) or export with :func:`repro.obs.export.write_chrome_trace`.
 """
 
 from repro.obs.audit import (AllocationEvent, classify_change, event_counts,

@@ -90,18 +90,8 @@ class Histogram:
         return self.total / self.count if self.values else 0.0
 
     @property
-    def min(self) -> float:
-        return min(self.values) if self.values else 0.0
-
-    @property
     def max(self) -> float:
         return max(self.values) if self.values else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile, q in [0, 100]."""
-        if not 0 <= q <= 100:
-            raise ValueError("q must be in [0, 100]")
-        return self.quantile(q / 100.0)
 
     def quantile(self, q: float) -> float:
         """Linear-interpolated quantile, q in [0, 1] — numpy's default
@@ -164,17 +154,3 @@ class MetricsRegistry:
             else:
                 out[name] = metric.value
         return out
-
-    def digest(self) -> str:
-        """Human-readable one-metric-per-line summary."""
-        lines = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, Histogram):
-                lines.append(
-                    f"{name}: n={metric.count} mean={metric.mean:.4g} "
-                    f"p50={metric.percentile(50):.4g} "
-                    f"p99={metric.percentile(99):.4g} max={metric.max:.4g}")
-            else:
-                lines.append(f"{name}: {metric.value:g}")
-        return "\n".join(lines)

@@ -339,9 +339,7 @@ class SLOEngine:
         window.push(float(raw))
         if rule.agg == "mean":
             return window.mean
-        if rule.agg == "max":
-            return window.max
-        return window.quantile({"p50": 0.5, "p95": 0.95,
+        return window.quantile({"max": 1.0, "p50": 0.5, "p95": 0.95,
                                 "p99": 0.99}[rule.agg])
 
     # -- evaluation ------------------------------------------------------------

@@ -418,10 +418,6 @@ class SLOObserver(RoundObserver):
         super().__init__()
         self.engine = engine or SLOEngine()
 
-    @property
-    def alerts(self) -> list:
-        return self.engine.alerts
-
     def observe(self, record: Any, round_index: int, dt: float) -> None:
         fired = self.engine.observe_round(record, round_index, dt)
         record.alerts = list(fired)

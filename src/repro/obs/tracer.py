@@ -54,10 +54,6 @@ class SpanRecord:
     depth: int
     attrs: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
 
 @dataclass(frozen=True)
 class SpanStats:
@@ -68,10 +64,6 @@ class SpanStats:
     total: float = 0.0
     min: float = math.inf
     max: float = 0.0
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
 
 def span_stats(spans: Iterable[SpanRecord], name: str) -> SpanStats:
@@ -171,16 +163,6 @@ class Tracer:
     def span_stats(self, name: str) -> SpanStats:
         return span_stats(self.spans, name)
 
-    def children(self, span_id: int) -> list[SpanRecord]:
-        return [s for s in self.spans if s.parent_id == span_id]
-
-    def reset(self) -> None:
-        """Drop recorded spans/events (the epoch is kept)."""
-        self.spans.clear()
-        self.events.clear()
-        self._stack.clear()
-        self._next_id = 1
-
 
 class _NullSpan:
     """Shared no-op span: entering/exiting does nothing."""
@@ -219,12 +201,6 @@ class NullTracer:
 
     def span_stats(self, name: str) -> SpanStats:
         return SpanStats(name=name)
-
-    def children(self, span_id: int) -> list[SpanRecord]:
-        return []
-
-    def reset(self) -> None:
-        pass
 
 
 #: process-wide no-op tracer; safe to share (it holds no state).

@@ -64,32 +64,12 @@ class RollingWindow:
         return len(self._ring)
 
     @property
-    def full(self) -> bool:
-        return len(self._ring) == self.size
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
     def mean(self) -> float:
         return self._sum / len(self._ring) if self._ring else 0.0
-
-    @property
-    def min(self) -> float:
-        return self._sorted[0] if self._sorted else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._sorted[-1] if self._sorted else 0.0
 
     def quantile(self, q: float) -> float:
         """Linear-interpolated quantile over the window, q in [0, 1]."""
         return interpolated_quantile(self._sorted, q)
-
-    def values(self) -> list[float]:
-        """Window contents in arrival order (oldest first)."""
-        return list(self._ring)
 
 
 class RollingRate:
@@ -117,7 +97,3 @@ class RollingRate:
     @property
     def rate(self) -> float:
         return self._true / len(self._ring) if self._ring else 0.0
-
-    @property
-    def count(self) -> int:
-        return self._true

@@ -20,7 +20,7 @@ samples per second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,17 +46,6 @@ class ThroughputParams:
             raise ValueError("throughput parameters must be non-negative")
         if self.gamma < 1:
             raise ValueError("gamma must be >= 1")
-
-    def scaled(self, factor: float) -> "ThroughputParams":
-        """Uniformly scale all time components (e.g. to perturb ground truth)."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return replace(
-            self,
-            alpha_c=self.alpha_c * factor, beta_c=self.beta_c * factor,
-            alpha_r=self.alpha_r * factor, beta_r=self.beta_r * factor,
-            alpha_n=self.alpha_n * factor, beta_n=self.beta_n * factor,
-        )
 
 
 class ThroughputModel:

@@ -278,9 +278,6 @@ class Scheduler(abc.ABC):
         return JobPerfEstimator(job.model_name, job.constraints(),
                                 cluster.gpu_types, mode)
 
-    def describe(self) -> str:
-        return f"{self.name} (round={self.round_duration:.0f}s)"
-
 
 def pack_gpus(nodes, count: int, occupancy: dict[int, int],
               preferred=()) -> dict[int, int] | None:

@@ -30,7 +30,6 @@ These simplifications are documented in DESIGN.md.
 
 from __future__ import annotations
 
-import abc
 import math
 
 from repro.cluster.cluster import Cluster
@@ -131,20 +130,17 @@ def place_rigid(view: JobView, rates: dict[str, float], cluster: Cluster,
 class RigidScheduler(Scheduler):
     """One round for every rigid baseline: ``bootstrap`` (keep what the
     policy never preempts), ``goodput_eval`` (:func:`fixed_count_rates`),
-    ``solve`` (sort by :meth:`serving_key`) and ``placement``
-    (:func:`place_rigid` in serving order)."""
+    ``solve`` and ``placement`` (:func:`place_rigid` in serving order).
+
+    ``solve`` sorts by each subclass's ``serving_key(view, rate, now,
+    contention)``: ``rate`` is the job's best goodput on a GPU type that
+    can hold it (0 when none can), ``contention`` the number of active
+    jobs."""
 
     oracle_estimators = True
     round_duration = RIGID_ROUND_S
     #: serve the largest keys first (ties keep the views' order either way).
     reverse = False
-
-    @abc.abstractmethod
-    def serving_key(self, view: JobView, rate: float, now: float,
-                    contention: int):
-        """Sort key of one job; ``rate`` is its best goodput on a GPU type
-        that can hold it (0 when none can), ``contention`` the number of
-        active jobs."""
 
     def keep(self, views: list[JobView], previous: dict[str, Allocation],
              plan: RoundPlan, occupancy: dict[int, int]) -> list[JobView]:

@@ -10,7 +10,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from repro.obs.audit import AllocationEvent
-from repro.obs.tracer import PLAN_PHASES, SpanRecord, SpanStats, span_stats
+from repro.obs.tracer import PLAN_PHASES, SpanRecord
 
 
 @dataclass(frozen=True)
@@ -214,10 +214,6 @@ class SimulationResult:
                 totals[span.name] += span.duration
         return totals
 
-    def span_stats(self, name: str) -> SpanStats:
-        """Aggregate duration stats for every recorded span named ``name``."""
-        return span_stats(self.spans, name)
-
     # -- robustness telemetry --------------------------------------------------
 
     @property
@@ -245,10 +241,6 @@ class SimulationResult:
     def backend_counts(self) -> dict[str, int]:
         """Rounds by reported plan backend ('' = backend not reported)."""
         return self._summary_counts(lambda rnd: (rnd.backend,))
-
-    def fault_timeline(self) -> list[FaultEvent]:
-        """Every injected fault in simulation-time order."""
-        return [event for rnd in self.rounds for event in rnd.fault_events]
 
     def health_timeline(self) -> list:
         """Every node-health transition in simulation-time order, as

@@ -22,14 +22,6 @@ class TestParser:
             build_parser().parse_args(["run", "--trace-name", "borealis"])
 
 
-class TestCatalog:
-    def test_prints_models_and_gpus(self, capsys):
-        assert main(["catalog"]) == 0
-        out = capsys.readouterr().out
-        for token in ("resnet18", "gpt-2.8b", "a100", "Model zoo"):
-            assert token in out
-
-
 class TestTrace:
     def test_trace_summary(self, capsys):
         assert main(["trace", "--trace-name", "philly", "--seed", "1",
@@ -154,25 +146,15 @@ class TestChaosCommand:
         assert "scenario=gray" in captured.err
 
 
-class TestCompare:
-    def test_compare_three_schedulers(self, capsys):
-        code = main(["compare", "--schedulers", "sia,gavel,fifo",
-                     "--trace-name", "philly", "--num-jobs", "8",
-                     "--work-scale", "0.05", "--window-hours", "0.25"])
-        assert code == 0
-        out = capsys.readouterr().out
-        for name in ("sia", "gavel", "fifo"):
-            assert name in out
-
-
 class TestFlagGroups:
     """Each subcommand takes only the flag groups it acts on."""
 
     @pytest.mark.parametrize("argv", [
         ["chaos", "--ledger-out", "ledger.jsonl"],
         ["chaos", "--out", "run.json"],
-        ["compare", "--checkpoint-dir", "ckpts"],
-        ["compare", "--out", "run.json"],
+        ["chaos", "--trace-out", "trace.json"],
+        ["replay", "run.json", "--at-round", "5",
+         "--cluster-delta", "+8xa100"],
     ])
     def test_flags_a_subcommand_would_ignore_are_rejected(self, argv,
                                                            capsys):

@@ -115,12 +115,6 @@ class TestCluster:
         with pytest.raises(KeyError):
             homo_cluster.max_node_size("a100")
 
-    def test_scaled(self, hetero_cluster):
-        doubled = hetero_cluster.scaled(2)
-        assert doubled.total_gpus == 128
-        for t in hetero_cluster.gpu_types:
-            assert doubled.capacity(t) == 2 * hetero_cluster.capacity(t)
-
 
 class TestClusterCache:
     """Static views are derived once per object and cached outside the

@@ -69,8 +69,10 @@ class TestDeterminism:
         assert [j.finish_time for j in a.jobs] == \
             [j.finish_time for j in b.jobs]
         assert a.fault_counts() == b.fault_counts()
-        assert [(e.kind, e.time, e.target) for e in a.fault_timeline()] == \
-            [(e.kind, e.time, e.target) for e in b.fault_timeline()]
+        def timeline(result):
+            return [(e.kind, e.time, e.target)
+                    for rnd in result.rounds for e in rnd.fault_events]
+        assert timeline(a) == timeline(b)
 
     def test_unseeded_models_bound_from_sim_seed(self, hetero_cluster):
         def run(seed):

@@ -8,9 +8,8 @@ from repro.cluster import presets
 from repro.jobs.hybrid import HybridSpec
 from repro.jobs.job import make_job
 from repro.metrics import (average_utilization, fairness_metrics, ftf_ratio,
-                           gpu_hours_by_model, isolated_jct, jct_cdf,
-                           percentile, queue_length_series, summarize,
-                           utilization_by_type)
+                           gpu_hours_by_model, isolated_jct, percentile,
+                           summarize)
 from repro.schedulers import SiaScheduler
 from repro.sim import simulate
 from repro.sim.telemetry import JobRecord, RoundRecord, SimulationResult
@@ -99,17 +98,6 @@ class TestGpuHoursByModel:
         assert sum(by_model["resnet18"].values()) > 0
 
 
-class TestCdf:
-    def test_monotone_and_complete(self, sample_result):
-        _, _, result = sample_result
-        cdf = jct_cdf(result)
-        fractions = [f for _, f in cdf]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == 1.0
-        values = [v for v, _ in cdf]
-        assert values == sorted(values)
-
-
 class TestIsolatedJct:
     def test_fair_share_reduces_gpus(self):
         cluster = presets.heterogeneous()
@@ -160,8 +148,6 @@ class TestFtfRatio:
         assert len(metrics.ratios) == len(jobs)
         assert metrics.worst_ftf == max(metrics.ratios)
         assert 0.0 <= metrics.unfair_fraction <= 1.0
-        cdf = metrics.cdf()
-        assert cdf[-1][1] == 1.0
 
     def test_unknown_job_rejected(self, sample_result):
         cluster, jobs, result = sample_result
@@ -175,51 +161,8 @@ class TestUtilization:
         value = average_utilization(result, cluster)
         assert 0.0 < value <= 1.0
 
-    def test_by_type_keys(self, sample_result):
-        cluster, _, result = sample_result
-        by_type = utilization_by_type(result, cluster)
-        assert set(by_type) == set(cluster.gpu_types)
-        assert all(0.0 <= v <= 1.0 for v in by_type.values())
-
-    def test_queue_series_lengths(self, sample_result):
-        _, _, result = sample_result
-        series = queue_length_series(result)
-        assert len(series) == len(result.rounds)
-        assert all(q >= 0 for _, q in series)
-
     def test_empty_result_zero_utilization(self):
         cluster = presets.heterogeneous()
         empty = SimulationResult("sia", cluster.describe(),
                                  rounds=[RoundRecord(0.0, 0, 0, 0.0)])
         assert average_utilization(empty, cluster) == 0.0
-
-    def test_queue_series_empty_result(self):
-        result = SimulationResult("sia", "c")
-        assert queue_length_series(result) == []
-
-    def test_queue_series_counts_waiting_jobs(self):
-        result = SimulationResult("sia", "c", rounds=[
-            RoundRecord(0.0, active_jobs=3, running_jobs=1, solve_time=0.0),
-            RoundRecord(60.0, active_jobs=3, running_jobs=3, solve_time=0.0),
-        ])
-        assert queue_length_series(result) == [(0.0, 2), (60.0, 0)]
-
-    def test_by_type_idle_rounds_excluded(self):
-        cluster = presets.heterogeneous()
-        result = SimulationResult("sia", cluster.describe(), rounds=[
-            # idle round must not dilute the average
-            RoundRecord(0.0, 0, 0, 0.0),
-            RoundRecord(60.0, 1, 1, 0.0,
-                        gpus_used={"a100": cluster.capacity("a100")}),
-        ])
-        by_type = utilization_by_type(result, cluster)
-        assert by_type["a100"] == 1.0
-        assert by_type["t4"] == 0.0
-
-    def test_by_type_all_idle_is_zero(self):
-        cluster = presets.heterogeneous()
-        result = SimulationResult("sia", cluster.describe(),
-                                  rounds=[RoundRecord(0.0, 0, 0, 0.0)])
-        by_type = utilization_by_type(result, cluster)
-        assert set(by_type) == set(cluster.gpu_types)
-        assert all(v == 0.0 for v in by_type.values())

@@ -14,7 +14,7 @@ from repro.obs.export import (chrome_trace, read_events_jsonl, run_digest,
                               write_chrome_trace)
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.stream import EventStreamObserver
-from repro.obs.tracer import NULL_TRACER, NullTracer, SpanStats, Tracer
+from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, span_stats
 from repro.perf.fitting import RunningFit
 from repro.schedulers import (FIFOScheduler, GavelScheduler, PolluxScheduler,
                               ShockwaveScheduler, SiaScheduler, SRTFScheduler,
@@ -46,7 +46,6 @@ class TestTracer:
         assert span.attrs == {"kind": "test"}
         assert span.duration >= 0
         assert span.parent_id is None and span.depth == 0
-        assert span.end == pytest.approx(span.start + span.duration)
 
     def test_nesting_tracks_parents_and_depth(self):
         tracer = Tracer()
@@ -69,7 +68,7 @@ class TestTracer:
             with tracer.span("b"):
                 pass
         parent = next(s for s in tracer.spans if s.name == "parent")
-        kids = tracer.children(parent.span_id)
+        kids = [s for s in tracer.spans if s.parent_id == parent.span_id]
         assert sorted(s.name for s in kids) == ["a", "b"]
 
     def test_spans_close_in_completion_order(self):
@@ -101,17 +100,7 @@ class TestTracer:
         stats = tracer.span_stats("solve")
         assert stats.count == 3
         assert stats.total >= stats.max >= stats.min >= 0
-        assert stats.mean == pytest.approx(stats.total / 3)
         assert tracer.span_stats("missing").count == 0
-        assert SpanStats(name="x").mean == 0.0
-
-    def test_reset(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        tracer.instant("e")
-        tracer.reset()
-        assert tracer.spans == [] and tracer.events == []
 
     def test_exception_still_closes_span(self):
         tracer = Tracer()
@@ -141,8 +130,6 @@ class TestNullTracer:
 
     def test_queries_are_empty(self):
         assert NULL_TRACER.span_stats("x").count == 0
-        assert NULL_TRACER.children(1) == []
-        NULL_TRACER.reset()  # no-op, must not raise
 
 
 # -- metrics ------------------------------------------------------------------
@@ -168,12 +155,12 @@ class TestMetrics:
         assert h.count == 4
         assert h.total == pytest.approx(10.0)
         assert h.mean == pytest.approx(2.5)
-        assert h.min == 1.0 and h.max == 4.0
-        assert h.percentile(0) == 1.0
-        assert h.percentile(100) == 4.0
-        assert h.percentile(50) == pytest.approx(2.5)
+        assert h.max == 4.0
+        assert h.quantile(0) == 1.0
+        assert h.quantile(1) == 4.0
+        assert h.quantile(0.5) == pytest.approx(2.5)
         with pytest.raises(ValueError):
-            h.percentile(101)
+            h.quantile(1.01)
 
     def test_quantile_matches_numpy_reference(self):
         import numpy as np
@@ -187,8 +174,6 @@ class TestMetrics:
             assert h.quantile(q) == pytest.approx(
                 float(np.quantile(np.asarray(values), q, method="linear")),
                 rel=1e-12)
-        # percentile() is the [0, 100]-scaled view of the same definition.
-        assert h.percentile(95) == h.quantile(0.95)
 
     def test_registry_items_exposes_types(self):
         reg = MetricsRegistry()
@@ -216,13 +201,6 @@ class TestMetrics:
         assert snap["solve.count"] == 1
         assert snap["solve.mean"] == pytest.approx(0.5)
         assert snap["solve.max"] == pytest.approx(0.5)
-
-    def test_digest_mentions_every_metric(self):
-        reg = MetricsRegistry()
-        reg.counter("rounds").inc(7)
-        reg.histogram("solve").observe(1.0)
-        text = reg.digest()
-        assert "rounds" in text and "solve" in text
 
 
 # -- exporters ----------------------------------------------------------------
@@ -458,7 +436,7 @@ class TestResultAccessors:
     def test_span_stats_accessor(self, hetero_cluster):
         result = simulate(hetero_cluster, SiaScheduler(), [tiny_job()],
                           tracer=Tracer())
-        stats = result.span_stats("plan")
+        stats = span_stats(result.spans, "plan")
         assert stats.count == len(result.rounds)
         assert stats.total > 0
 

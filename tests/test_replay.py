@@ -8,7 +8,6 @@ from repro.analysis.replay import (ReplayOverrides, build_run_spec,
                                    fork_state, replay, simulator_from_spec)
 from repro.analysis.report import build_report
 from repro.cluster import presets
-from repro.core import fork as forklib
 from repro.obs.diff import (AllocDelta, DivergencePoint, MetricDelta,
                             RoundDelta, RunDiff, aligned_ledger_deltas,
                             compare_runs, fault_recovery_seconds)
@@ -39,52 +38,6 @@ def base_result(base_spec):
     result = simulator_from_spec(base_spec).run()
     result.run_spec = base_spec
     return result
-
-
-class TestClusterDelta:
-    def test_parse_addition(self):
-        (delta,) = forklib.parse_cluster_delta("+64xA100")
-        assert delta == forklib.ClusterDelta("a100", 64)
-
-    def test_parse_removal_and_per_node(self):
-        deltas = forklib.parse_cluster_delta("-8xt4,+16xa100:4")
-        assert deltas == [forklib.ClusterDelta("t4", -8),
-                          forklib.ClusterDelta("a100", 16, gpus_per_node=4)]
-
-    @pytest.mark.parametrize("bad", ["", "64xa100", "+0xa100", "+8x",
-                                     "-8xt4:2", "+axa100"])
-    def test_parse_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            forklib.parse_cluster_delta(bad)
-
-    def test_apply_addition_appends_fresh_ids(self, hetero_cluster):
-        deltas = forklib.parse_cluster_delta("+16xa100")
-        grown, removed = forklib.apply_cluster_delta(hetero_cluster, deltas)
-        assert not removed
-        assert grown.capacities()["a100"] == \
-            hetero_cluster.capacities()["a100"] + 16
-        old_ids = {n.node_id for n in hetero_cluster.nodes}
-        new_ids = {n.node_id for n in grown.nodes} - old_ids
-        assert new_ids and min(new_ids) > max(old_ids)
-
-    def test_apply_removal_drops_whole_nodes(self, hetero_cluster):
-        size = hetero_cluster.max_node_size("t4")
-        deltas = forklib.parse_cluster_delta(f"-{size}xt4")
-        shrunk, removed = forklib.apply_cluster_delta(hetero_cluster, deltas)
-        assert shrunk.capacities()["t4"] == \
-            hetero_cluster.capacities()["t4"] - size
-        assert removed and all(n.node_id not in removed
-                               for n in shrunk.nodes)
-
-    def test_apply_rejects_unknown_type(self, hetero_cluster):
-        with pytest.raises(ValueError, match="not in the base cluster"):
-            forklib.apply_cluster_delta(
-                hetero_cluster, forklib.parse_cluster_delta("+8xh100"))
-
-    def test_apply_rejects_unreachable_removal(self, hetero_cluster):
-        with pytest.raises(ValueError, match="whole nodes"):
-            forklib.apply_cluster_delta(
-                hetero_cluster, forklib.parse_cluster_delta("-3xt4"))
 
 
 class TestIdentity:
@@ -160,43 +113,6 @@ class TestOverrides:
     def test_pollux_swap_rejected(self, base_result):
         with pytest.raises(ValueError, match="pollux"):
             replay(base_result, 4, ReplayOverrides(policy="pollux"))
-
-    def test_solver_backend_rebind(self, base_result):
-        outcome = replay(base_result, 4,
-                         ReplayOverrides(solver_backend="greedy"))
-        backends = {r.backend for r in outcome.fork.rounds[4:]}
-        assert backends <= {"greedy"}
-        # prefix rounds keep the recorded milp plans
-        assert {r.backend for r in outcome.fork.rounds[:4]} <= {"milp"}
-
-    def test_solver_backend_requires_sia(self):
-        spec = _spec(scheduler="fifo", scheduler_options={})
-        result = simulator_from_spec(spec).run()
-        result.run_spec = spec
-        with pytest.raises(ValueError, match="only apply to sia"):
-            replay(result, 2, ReplayOverrides(solver_backend="greedy"))
-
-    def test_cluster_delta_grows_capacity(self, base_result):
-        outcome = replay(base_result, 4,
-                         ReplayOverrides(cluster_delta="+16xa100"))
-        assert "a100" in outcome.fork.cluster_description
-        # a bigger cluster is a real counterfactual, not a crash
-        assert len(outcome.fork.rounds) >= 4
-
-    def test_fault_seed_reseeds_models(self):
-        spec = _spec(fault_options={"job_crash_rate": 3.0})
-        result = simulator_from_spec(spec).run()
-        result.run_spec = spec
-        identity = replay(result, 3)
-        assert identity.diff.identical, identity.diff.mismatches[:5]
-        other = replay(result, 3, ReplayOverrides(fault_seed=99))
-        assert other.diff.overrides == {"fault_seed": "99"}
-
-    def test_health_toggle(self, base_result):
-        outcome = replay(base_result, 4, ReplayOverrides(health="on"))
-        assert outcome.diff.overrides == {"health": "on"}
-        with pytest.raises(ValueError, match="health override"):
-            ReplayOverrides(health="maybe")
 
 
 class TestRunDiffArtifact:

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from repro import io
-from repro.analysis.replay import (ReplayOverrides, build_run_spec, replay,
-                                   simulator_from_spec)
-from repro.core import fork as forklib
+from repro.analysis.replay import build_run_spec, replay, simulator_from_spec
+from repro.cli import build_parser
 from repro.core import ilp
 from repro.core.ilp import AssignmentProblem, solve_assignment
 from repro.core.policy import SiaPolicyParams
@@ -159,12 +158,16 @@ class TestTelemetryRoundTrips:
 
 
 class TestReplayFork:
-    """``repro replay --solver-backend`` accepts exactly the solver
-    registry's names through the counterfactual fork path."""
+    """A fork rebuilds Sia from its base run's spec, whose ``solver`` is
+    one of the solver registry's names (``repro run --solver``)."""
 
     def test_registry_stays_in_sync(self):
-        assert forklib.SOLVER_BACKENDS is ilp.BACKENDS
         assert ilp.BACKENDS == ("milp", "tiered", "greedy")
+        for backend in ilp.BACKENDS:
+            args = build_parser().parse_args(["run", "--solver", backend])
+            assert args.solver == backend
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--solver", "simplex"])
 
     @pytest.fixture(scope="class")
     def base_result(self):
@@ -172,21 +175,24 @@ class TestReplayFork:
                               work_scale_factor=0.05)
         spec = build_run_spec(scheduler="sia", cluster="heterogeneous",
                               jobs=trace.jobs, seed=3,
-                              scheduler_options={"round_duration": 60.0})
+                              scheduler_options={"round_duration": 60.0,
+                                                 "solver": "tiered"})
         result = simulator_from_spec(spec).run()
         result.run_spec = spec
         return result
 
     def test_tiered_fork_accepted(self, base_result):
-        outcome = replay(base_result, 2,
-                         ReplayOverrides(solver_backend="tiered"))
+        outcome = replay(base_result, 2)
+        assert outcome.diff.identical, outcome.diff.mismatches[:5]
         assert len(outcome.fork.rounds) >= 2
         assert {r.backend for r in outcome.fork.rounds} <= {"milp", "carry"}
 
     def test_unknown_backend_rejected(self, base_result):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            replay(base_result, 2,
-                   ReplayOverrides(solver_backend="simplex"))
+        spec = dict(base_result.run_spec)
+        spec["scheduler_options"] = {**spec["scheduler_options"],
+                                     "solver": "simplex"}
+        with pytest.raises(ValueError, match="unknown solver"):
+            replay(base_result, 2, spec=spec)
 
 
 class TestAllocationPersistence:

@@ -75,12 +75,12 @@ class TestNoScipy:
     def test_import_package_and_cli(self, tmp_path):
         assert scipy_modules("import repro, repro.cli", tmp_path) == []
 
-    def test_catalog(self, tmp_path):
+    def test_trace(self, tmp_path):
         assert scipy_modules("""
             import contextlib, io
             from repro.cli import main
             with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["catalog"]) == 0
+                assert main(["trace", "--num-jobs", "6"]) == 0
             """, tmp_path) == []
 
     def test_fifo_and_pollux_simulate(self, tmp_path):
@@ -131,13 +131,6 @@ class TestScipyLoadsBeforeAnyRound:
             with open({str(blob)!r}, "rb") as f:
                 pickle.load(f)
             """, tmp_path)) is loads
-
-    def test_rebind_to_milp(self, tmp_path):
-        assert "scipy.optimize" not in scipy_modules("""
-            from repro.core.fork import make_scheduler, rebind_solver
-            scheduler = make_scheduler("sia", solver="greedy")
-            rebind_solver(scheduler, "milp")
-            """, tmp_path)
 
     def test_sia_simulate_leaves_scipy_to_highs(self, tmp_path):
         """A Sia run whose rounds all fit the lattice DP never reaches

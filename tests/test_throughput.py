@@ -142,16 +142,6 @@ class TestParams:
         with pytest.raises(ValueError):
             ThroughputParams(0.1, 0.1, 0, 0, 0, 0, gamma=0.5)
 
-    def test_scaled(self):
-        scaled = PARAMS.scaled(2.0)
-        assert scaled.alpha_c == pytest.approx(2 * PARAMS.alpha_c)
-        assert scaled.beta_n == pytest.approx(2 * PARAMS.beta_n)
-        assert scaled.gamma == PARAMS.gamma
-
-    def test_scaled_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            PARAMS.scaled(0.0)
-
 
 def test_default_gamma_reasonable():
     assert 1.0 <= GAMMA <= 3.0

@@ -14,7 +14,6 @@ class TestConfiguration:
         assert config.num_nodes == 2
         assert config.num_gpus == 16
         assert config.gpu_type == "t4"
-        assert config.gpus_per_node == 8.0
 
     def test_str_matches_paper_notation(self):
         assert str(Configuration(2, 16, "t4")) == "(2, 16, t4)"

@@ -379,7 +379,7 @@ class TestConfigCacheSignature:
     def test_different_structure_misses(self):
         policy = SiaScheduler()
         small = presets.heterogeneous()
-        large = small.scaled(2)
+        large = presets.scaled_heterogeneous(128)
         first = policy.configurations(small, max_gpus=64)
         second = policy.configurations(large, max_gpus=64)
         assert first is not second
