@@ -1,13 +1,9 @@
 #!/usr/bin/env python
 """Mixed workloads and operational realities on one cluster.
 
-Section 3.4 argues Sia generalizes beyond adaptive training: any job that
-provides a goodput estimator can be scheduled.  This example runs, side by
-side on the 64-GPU heterogeneous testbed:
+This example runs, side by side on the 64-GPU heterogeneous testbed:
 
-* adaptive training jobs (BERT, ResNet18),
-* a batch-inference job (throughput-as-goodput),
-* a latency-SLO serving job (feasible-configurations-only),
+* adaptive training jobs (BERT, ResNet18, YOLOv3),
 * a non-preemptible training job (reservation semantics),
 
 and injects worker failures (Section 3.5's checkpoint-recovery path).
@@ -30,11 +26,6 @@ def main() -> None:
         make_job("train-bert", "bert", 0.0, work_scale=0.3),
         make_job("train-resnet", "resnet18", 120.0, work_scale=0.3),
         make_job("train-yolo", "yolov3", 240.0, work_scale=0.05),
-        make_job("score-imagenet", "resnet50", 300.0, work_scale=0.01,
-                 workload="batch_inference"),
-        make_job("serve-bert", "bert", 600.0, work_scale=0.002,
-                 workload="latency_inference", latency_slo=0.005,
-                 max_gpus=2),
         make_job("reserved", "deepspeech2", 0.0, work_scale=0.2,
                  preemptible=False),
     ]
@@ -49,7 +40,6 @@ def main() -> None:
         job = next(j for j in jobs if j.job_id == record.job_id)
         rows.append({
             "job": record.job_id,
-            "workload": job.workload,
             "preemptible": job.preemptible,
             "jct_min": round(record.jct(result.end_time) / 60.0, 1),
             "restarts": record.num_restarts,
@@ -57,9 +47,6 @@ def main() -> None:
         })
     print(format_table(rows, title="Mixed workload under Sia"))
     print(f"\nworker failures injected: {result.node_failures}")
-    serve = result.job("serve-bert")
-    print(f"serving job ran exclusively on: {sorted(serve.gpu_seconds)} "
-          "(the only type meeting its 5 ms SLO)")
 
 
 if __name__ == "__main__":

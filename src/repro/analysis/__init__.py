@@ -8,9 +8,8 @@ from repro.analysis.experiments import (BENCH_SCALE, FULL_SCALE,
                                         sample_trace)
 from repro.analysis.explain import explain_job
 from repro.analysis.render import format_bars, format_series, format_table
-from repro.analysis.replay import (ReplayOutcome, ReplayOverrides,
-                                   build_run_spec, fork_state, replay,
-                                   simulator_from_spec)
+from repro.analysis.replay import (ReplayOutcome, build_run_spec,
+                                   fork_state, replay, simulator_from_spec)
 from repro.analysis.report import (build_report, counterfactual_section,
                                    decision_digest_section)
 
@@ -21,6 +20,6 @@ __all__ = [
     "format_bars", "format_series", "format_table",
     "build_report", "counterfactual_section", "decision_digest_section",
     "explain_job",
-    "ReplayOutcome", "ReplayOverrides", "build_run_spec", "fork_state",
+    "ReplayOutcome", "build_run_spec", "fork_state",
     "replay", "simulator_from_spec",
 ]

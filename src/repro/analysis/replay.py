@@ -52,22 +52,6 @@ from repro.sim.telemetry import SimulationResult
 MAX_MISMATCHES = 200
 
 
-@dataclass(frozen=True)
-class ReplayOverrides:
-    """What the forked future does differently.  All-None = identity fork."""
-
-    #: scheduler to swap in at the fork round (e.g. 'gavel').
-    policy: str | None = None
-
-    @property
-    def empty(self) -> bool:
-        return self.policy is None
-
-    def as_dict(self) -> dict[str, str]:
-        """Compact {name: value} of only the overrides actually set."""
-        return {} if self.policy is None else {"policy": self.policy}
-
-
 @dataclass
 class ReplayOutcome:
     """A finished counterfactual: the artifact plus both futures."""
@@ -278,18 +262,18 @@ def _metric_deltas(base: SimulationResult, fork: SimulationResult,
 # -- the engine ----------------------------------------------------------------
 
 def replay(base: SimulationResult, at_round: int,
-           overrides: ReplayOverrides | None = None, *,
+           policy: str | None = None, *,
            checkpoint_dir: str | Path | None = None,
            spec: dict[str, Any] | None = None) -> ReplayOutcome:
     """Fork ``base`` at ``at_round``, run the alternate future, diff them.
 
     ``base`` must carry a ``run_spec`` (results saved by this build do), or
-    one must be passed explicitly.  With zero overrides the fork replays
+    one must be passed explicitly.  ``policy`` names the scheduler to swap
+    in at the fork round (e.g. 'gavel').  Without one the fork replays
     the base run exactly and ``outcome.diff.identical`` is True — that is
     the correctness oracle, checked through the same strict comparator the
     checkpoint-resume tests use.
     """
-    overrides = overrides or ReplayOverrides()
     spec = spec if spec is not None else getattr(base, "run_spec", None)
     if not spec:
         raise ValueError(
@@ -302,8 +286,8 @@ def replay(base: SimulationResult, at_round: int,
             f"({len(base.rounds)} rounds recorded)")
 
     state = fork_state(spec, at_round, checkpoint_dir=checkpoint_dir)
-    if overrides.policy is not None:
-        _swap_policy(state, overrides.policy, spec)
+    if policy is not None:
+        _swap_policy(state, policy, spec)
     fork_result = simulator_from_spec(spec).run(resume_from=state)
 
     mismatches = diff_results(base, fork_result)
@@ -311,7 +295,7 @@ def replay(base: SimulationResult, at_round: int,
     metrics, job_deltas = _metric_deltas(base, fork_result)
     diff = RunDiff(
         fork_round=at_round,
-        overrides=overrides.as_dict(),
+        overrides={} if policy is None else {"policy": policy},
         base_scheduler=base.scheduler_name,
         fork_scheduler=fork_result.scheduler_name,
         base_rounds=len(base.rounds),

@@ -161,10 +161,6 @@ def _simulate(spec: dict, args: argparse.Namespace, *,
     _attach_observers(args, simulator, tracer)
     result = simulator.run(resume_from=resume_from)
     result.run_spec = spec
-    violations = simulator.invariant_violations
-    if violations:
-        print(f"invariant violations: {len(violations)} "
-              f"(first: {violations[0].message})", file=sys.stderr)
     _export_observability(result, tracer, args)
     # The JSONL outputs streamed during the run (flushed per round,
     # finalized atomically at the end); report where the files landed.
@@ -287,15 +283,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Counterfactual replay: fork a recorded run, diff the two futures."""
-    from repro.analysis.replay import ReplayOverrides, replay
+    from repro.analysis.replay import replay
 
     base = io.load_result(args.result)
     if not base.rounds:
         raise SystemExit(f"{args.result} has no per-round records to "
                          "replay")
     try:
-        overrides = ReplayOverrides(policy=args.policy)
-        outcome = replay(base, args.at_round, overrides,
+        outcome = replay(base, args.at_round, policy=args.policy,
                          checkpoint_dir=args.from_checkpoints)
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -320,7 +315,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.fork_out:
         io.save_result(outcome.fork, args.fork_out)
         print(f"saved forked result to {args.fork_out}")
-    if overrides.empty and not diff.identical:
+    if args.policy is None and not diff.identical:
         print("IDENTITY VIOLATION: a zero-override fork must reproduce "
               "the base run bit-identically", file=sys.stderr)
         for line in diff.mismatches[:20]:
@@ -475,8 +470,8 @@ def _add_recipe_options(parser: argparse.ArgumentParser) -> None:
                         choices=list(GavelScheduler.POLICIES))
     group.add_argument("--invariants", default=SimulatorConfig.invariants,
                         choices=list(INVARIANT_MODES),
-                        help="round-level invariant auditing: log records "
-                             "violations, strict aborts on the first")
+                        help="round-level invariant auditing: strict "
+                             "aborts on the first violation")
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
@@ -495,7 +490,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--slo", metavar="RULES", nargs="?", const="default",
                         help="evaluate SLO rules live each round: 'default' "
                              "(or no value) for the stock ruleset, or a "
-                             "JSON/YAML ruleset path")
+                             "JSON ruleset path")
     group.add_argument("--alerts-out", metavar="PATH",
                         help="stream fired SLO alerts as JSONL here "
                              "(implies --slo default unless --slo is given)")

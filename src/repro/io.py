@@ -1,9 +1,9 @@
 """Serialization: save/load traces, results and run diffs as JSON, and
 load the streamed JSONL telemetry artifacts.
 
-Traces round-trip exactly (including hybrid specs and inference metadata)
-so experiments can be pinned to files and re-run; results serialize the
-per-job and per-round records every metric is derived from.
+Traces round-trip exactly (including hybrid specs) so experiments can be
+pinned to files and re-run; results serialize the per-job and per-round
+records every metric is derived from.
 
 Every writer in this module goes through :func:`atomic_write_text` /
 :func:`atomic_write_bytes` — write to a temporary sibling, then
@@ -56,8 +56,6 @@ def job_to_dict(job: Job) -> dict[str, Any]:
         "fixed_num_gpus": job.fixed_num_gpus,
         "fixed_gpu_type": job.fixed_gpu_type,
         "preemptible": job.preemptible,
-        "workload": job.workload,
-        "latency_slo": job.latency_slo,
     }
     if job.hybrid is not None:
         data["hybrid"] = {
@@ -69,6 +67,12 @@ def job_to_dict(job: Job) -> dict[str, Any]:
 
 
 def job_from_dict(data: dict[str, Any]) -> Job:
+    # Files from builds that had inference jobs may name their workload;
+    # only training loads, so no such job runs as a training job unnoticed.
+    workload = data.get("workload", "training")
+    if workload != "training":
+        raise ValueError(f"job {data['job_id']!r} has workload "
+                         f"{workload!r}; only training jobs are supported")
     hybrid = None
     if "hybrid" in data and data["hybrid"] is not None:
         spec = data["hybrid"]
@@ -88,8 +92,6 @@ def job_from_dict(data: dict[str, Any]) -> Job:
         fixed_gpu_type=data.get("fixed_gpu_type"),
         preemptible=data.get("preemptible", True),
         hybrid=hybrid,
-        workload=data.get("workload", "training"),
-        latency_slo=data.get("latency_slo"),
     )
 
 

@@ -2,8 +2,6 @@
 hybrid-parallel (PMP x DP) job support."""
 
 from repro.jobs.hybrid import HybridPerfEstimator, HybridPerfModel, HybridSpec
-from repro.jobs.inference import (BatchInferenceEstimator,
-                                  LatencySLOEstimator, serving_throughput)
 from repro.jobs.job import DEFAULT_MAX_GPUS, Job, isolated_runtime, make_job
 
 __all__ = [
@@ -14,7 +12,4 @@ __all__ = [
     "HybridPerfEstimator",
     "HybridPerfModel",
     "HybridSpec",
-    "BatchInferenceEstimator",
-    "LatencySLOEstimator",
-    "serving_throughput",
 ]

@@ -14,7 +14,7 @@ category (total-GPU-time buckets of Section 4.1) scaled per job.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.types import AdaptivityMode
 from repro.jobs.hybrid import HybridSpec
@@ -46,11 +46,6 @@ class Job:
     #: non-preemptible jobs must keep their resources once started.
     preemptible: bool = True
     hybrid: HybridSpec | None = None
-    #: 'training' (default), 'batch_inference' or 'latency_inference'
-    #: (Section 3.4, "Scheduling other workload types").
-    workload: str = "training"
-    #: promised per-request latency for latency_inference jobs, seconds.
-    latency_slo: float | None = None
 
     def __post_init__(self) -> None:
         profiles.model_profile(self.model_name)  # validate
@@ -63,13 +58,6 @@ class Job:
         if self.adaptivity is not AdaptivityMode.ADAPTIVE \
                 and self.fixed_batch_size is None:
             raise ValueError("non-adaptive jobs must pin a batch size")
-        if self.workload not in ("training", "batch_inference",
-                                 "latency_inference"):
-            raise ValueError(f"unknown workload {self.workload!r}")
-        if self.workload == "latency_inference" and self.latency_slo is None:
-            raise ValueError("latency_inference jobs must declare an SLO")
-        if self.workload != "training" and self.hybrid is not None:
-            raise ValueError("inference jobs cannot be hybrid-parallel")
 
     @property
     def profile(self) -> profiles.ModelProfile:
@@ -126,16 +114,12 @@ def make_job(job_id: str, model_name: str, submit_time: float, *,
              fixed_batch_size: int | None = None,
              fixed_num_gpus: int | None = None,
              hybrid: HybridSpec | None = None,
-             preemptible: bool = True,
-             workload: str = "training",
-             latency_slo: float | None = None) -> Job:
+             preemptible: bool = True) -> Job:
     """Create a job of a Table 2 model with sensible defaults.
 
     ``work_scale`` scales the model's category work total (jobs of the same
     model differ in length).  Non-adaptive jobs default their pinned batch
-    size to the model's reference batch size if not supplied.  For
-    inference workloads ``target_samples`` counts samples scored (batch) or
-    requests served (latency serving).
+    size to the model's reference batch size if not supplied.
     """
     if work_scale <= 0:
         raise ValueError("work_scale must be positive")
@@ -149,8 +133,7 @@ def make_job(job_id: str, model_name: str, submit_time: float, *,
                target_samples=target, adaptivity=adaptivity,
                max_gpus=max_gpus, fixed_batch_size=fixed_batch_size,
                fixed_num_gpus=fixed_num_gpus, hybrid=hybrid,
-               preemptible=preemptible, workload=workload,
-               latency_slo=latency_slo)
+               preemptible=preemptible)
 
 
 def isolated_runtime(job: Job, gpu_type: str, num_gpus: int,

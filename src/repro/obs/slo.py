@@ -200,28 +200,15 @@ def default_rules() -> list[SLORule]:
 
 
 def parse_rules(source: Any) -> list[SLORule]:
-    """Parse a ruleset from a dict/list, a JSON/YAML file path, or the
-    literal string ``"default"``.
+    """Parse a ruleset from a dict/list, a JSON file path, or the literal
+    string ``"default"``.
 
-    Accepted shapes: a list of rule dicts, or ``{"rules": [...]}``.  YAML
-    files need PyYAML; when it is missing, a clear error tells the user to
-    use JSON (the container does not grow a dependency for it).
+    Accepted shapes: a list of rule dicts, or ``{"rules": [...]}``.
     """
     if source is None or source == "default":
         return default_rules()
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        text = path.read_text()
-        if path.suffix.lower() in (".yaml", ".yml"):
-            try:
-                import yaml
-            except ImportError as exc:  # pragma: no cover - env dependent
-                raise ValueError(
-                    f"{path} is YAML but PyYAML is not installed; "
-                    "use a JSON ruleset instead") from exc
-            source = yaml.safe_load(text)
-        else:
-            source = json.loads(text)
+        source = json.loads(Path(source).read_text())
     if isinstance(source, dict):
         source = source.get("rules", source)
     if not isinstance(source, list):

@@ -74,29 +74,3 @@ class EfficiencyModel:
         p = self.params
         p.grad_noise_scale = smoothing * p.grad_noise_scale + (1 - smoothing) * observed
 
-
-class ConstantEfficiency(EfficiencyModel):
-    """Unit statistical efficiency at every batch size.
-
-    Used for workloads whose progress is purely throughput-bound — batch
-    inference jobs (Section 3.4, "Scheduling other workload types") and
-    strong-scaling comparisons where goodput is proportional to throughput.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(EfficiencyParams(grad_noise_scale=1.0,
-                                          init_batch_size=1))
-
-    def efficiency(self, total_batch_size: float) -> float:
-        if total_batch_size <= 0:
-            raise ValueError("total_batch_size must be positive")
-        return 1.0
-
-    def efficiency_batch(self, total_batch_sizes: np.ndarray) -> np.ndarray:
-        totals = np.asarray(total_batch_sizes, dtype=float)
-        if totals.size and totals.min() <= 0:
-            raise ValueError("total_batch_size must be positive")
-        return np.ones_like(totals)
-
-    def update_noise_scale(self, observed: float, *, smoothing: float = 0.7) -> None:
-        """Inference workloads carry no gradient statistics; ignore."""

@@ -386,16 +386,16 @@ class JobPerfEstimator:
         branch is ``boot`` (Equation (1) with no reference and a trusted
         fit without sync cost hold the same parameters), the branch's
         parameters as value tuples in listing order (the first listed
-        reference wins ties), the efficiency model's type and current
-        values (never the mutable object), and the batch limits.  It holds
+        reference wins ties), the efficiency model's current values (never
+        the mutable object), and the batch limits.  It holds
         no estimator, so a finished job's estimator is still freed."""
         values = self._efficiency.params
         limits = self.constraints
         return (branch == "boot",
                 tuple(map(_PARAM_VALUES,
                           self._branch_params(branch, gpu_type))),
-                type(self._efficiency), values.grad_noise_scale,
-                values.init_batch_size, self.max_local_bsz(gpu_type),
+                values.grad_noise_scale, values.init_batch_size,
+                self.max_local_bsz(gpu_type),
                 limits.max_bsz, limits.min_bsz, limits.fixed_total_bsz)
 
     def goodput(self, config: Configuration,
@@ -533,10 +533,9 @@ def goodput_rows(requests: list[tuple[object, list[Configuration]]],
     """The goodput row of every ``(estimator, configurations)`` request,
     and the plans each row was rated from, both in request order.  The
     rows of every :class:`JobPerfEstimator` come from one
-    :func:`plan_requests` pass (``span`` and ``memo`` as there); any other
-    estimator (hybrid, latency-SLO) answers with its own
-    ``goodput_batch``, and its plans are None, as its ``best_plan``
-    says."""
+    :func:`plan_requests` pass (``span`` and ``memo`` as there); a hybrid
+    estimator answers with its own ``goodput_batch``, and its plans are
+    None, as its ``best_plan`` says."""
     rows: list[np.ndarray | None] = [None] * len(requests)
     plans: list[list[BatchPlan | None] | None] = [None] * len(requests)
     ours = [i for i, (estimator, _) in enumerate(requests)

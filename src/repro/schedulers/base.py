@@ -78,9 +78,9 @@ class RoundPlan:
     #: (and carried-forward plans) have no entry.
     estimates: dict[str, float] = field(default_factory=dict)
     #: job id -> the batch plan the scheduler rated the job's allocation
-    #: with, None for estimators without a batch decision (hybrid, latency
-    #: serving).  The engine executes it; an allocated job without an
-    #: entry (a carried-forward plan) is looked up when it advances.
+    #: with, None for a hybrid job, which has no batch decision.  The
+    #: engine executes it; an allocated job without an entry (a
+    #: carried-forward plan) is looked up when it advances.
     plans: dict[str, BatchPlan | None] = field(default_factory=dict)
 
     def validate(self, cluster: Cluster) -> None:
@@ -262,19 +262,11 @@ class Scheduler(abc.ABC):
         """
         from repro.core.types import ProfilingMode
         from repro.jobs.hybrid import HybridPerfEstimator
-        from repro.jobs.inference import (BatchInferenceEstimator,
-                                          LatencySLOEstimator)
         from repro.perf.estimator import JobPerfEstimator
 
         if job.is_hybrid:
             return HybridPerfEstimator(job.model_name, job.hybrid)
         mode = ProfilingMode.ORACLE if self.oracle_estimators else profiling_mode
-        if job.workload == "batch_inference":
-            return BatchInferenceEstimator(job.model_name, job.constraints(),
-                                           cluster.gpu_types, mode)
-        if job.workload == "latency_inference":
-            return LatencySLOEstimator(job.model_name, job.latency_slo,
-                                       cluster.gpu_types)
         return JobPerfEstimator(job.model_name, job.constraints(),
                                 cluster.gpu_types, mode)
 

@@ -12,8 +12,7 @@ from repro.sim.faults import (CheckpointRestoreFaultModel, FaultContext,
                               NodeCrashModel, PlacementFailure,
                               PlacementFailureModel, StragglerModel,
                               TelemetryCorruptionModel)
-from repro.sim.invariants import (InvariantChecker, InvariantError,
-                                  InvariantViolation)
+from repro.sim.invariants import InvariantChecker, InvariantError
 from repro.sim.telemetry import (FaultEvent, JobRecord, RoundRecord,
                                  SimulationResult)
 
@@ -27,6 +26,6 @@ __all__ = [
     "CheckpointConfig", "CheckpointState", "CheckpointError",
     "CheckpointCorruptError", "write_checkpoint", "read_checkpoint",
     "latest_valid_checkpoint",
-    "InvariantChecker", "InvariantError", "InvariantViolation",
+    "InvariantChecker", "InvariantError",
     "ChaosReport", "CrashAt", "SimulatedCrash", "run_chaos",
 ]

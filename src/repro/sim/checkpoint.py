@@ -80,8 +80,10 @@ from repro.atomicio import atomic_write_bytes
 #:     the multi-GPU reports, their sync points or any cached fit.
 #: v12: estimators hold no plans and no cache epochs; rated plans live
 #:     only in the scheduler's plan memo, which is not pickled.
+#: v13: a pickled ``Job`` has no workload kind and no latency target, and
+#:     an ``InvariantChecker`` holds no mode and no violations list.
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 12
+FORMAT_VERSION = 13
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages

@@ -100,8 +100,8 @@ class SimulatorConfig:
     #: bit-identically (see :mod:`repro.sim.checkpoint`).
     checkpoint: CheckpointConfig | None = None
     #: round-level invariant auditing (:mod:`repro.sim.invariants`):
-    #: 'off' (default), 'log' (record violations, keep running), or
-    #: 'strict' (raise InvariantError on the first violation).
+    #: 'off' (default) or 'strict' (raise InvariantError on the first
+    #: violation).
     invariants: str = "off"
     #: gray-failure defense (:mod:`repro.core.health`): when set, a
     #: HealthTracker scores nodes from realized-vs-estimated goodput and
@@ -254,8 +254,8 @@ class Simulator:
             fault_models=fault_models,
             scheduler=scheduler,
             metrics=self.metrics,
-            invariants=(InvariantChecker(mode=self.config.invariants)
-                        if self.config.invariants != "off" else None),
+            invariants=(InvariantChecker()
+                        if self.config.invariants == "strict" else None),
             health=(HealthTracker(self.config.health)
                     if self.config.health is not None else None),
             cluster_signature=cluster.signature)
@@ -272,17 +272,16 @@ class Simulator:
 
         Called at construction and again after a checkpoint restore —
         checkpoints strip tracers (host wall-clock state) and the restored
-        scheduler/checker must see this process's sinks, not the ones from
-        the crashed run.
+        scheduler/health tracker must see this process's sinks, not the
+        ones from the crashed run.
         """
         state = self.state
         state.scheduler.tracer = self.tracer
         state.scheduler.metrics = self.metrics
         state.execution.tracer = self.tracer
-        for layer in (state.invariants, state.health):
-            if layer is not None:
-                layer.tracer = self.tracer
-                layer.metrics = self.metrics
+        if state.health is not None:
+            state.health.tracer = self.tracer
+            state.health.metrics = self.metrics
 
     # -- main loop -------------------------------------------------------------
 
@@ -424,12 +423,6 @@ class Simulator:
 
     # -- checkpoint/restore ----------------------------------------------------
 
-    @property
-    def invariant_violations(self) -> list:
-        """Violations the invariant checker recorded (empty when off)."""
-        checker = self.state.invariants
-        return list(checker.violations) if checker else []
-
     def _crash_point(self, stage: str, round_index: int) -> None:
         hook = self.config.checkpoint.crash_hook if self.config.checkpoint \
             else None
@@ -498,12 +491,10 @@ class Simulator:
         same_dir = source_dir is not None and cfg is not None \
             and source_dir.resolve() == Path(cfg.directory).resolve()
         # The restored checker keeps its accumulated per-job tracking, but
-        # this run's config decides whether (and how sternly) it is used.
+        # this run's config decides whether it is used.
         invariants = None
-        if self.config.invariants != "off":
-            invariants = state.invariants \
-                or InvariantChecker(mode=self.config.invariants)
-            invariants.mode = self.config.invariants
+        if self.config.invariants == "strict":
+            invariants = state.invariants or InvariantChecker()
         # Same posture for the health tracker: its scores/backoffs resume
         # from the checkpoint (bit-identical quarantine decisions), but
         # only when this run's config keeps the layer on.

@@ -107,8 +107,6 @@ class ExecutionModel:
                                        allocation.gpu_type) * speed
             if job.is_hybrid:
                 return self._execute_hybrid(job, allocation, bias)
-            if job.workload == "latency_inference":
-                return self._execute_serving(job, allocation, bias)
             if plan is None:
                 return None
             true_model, true_efficiency, cap = _ground_truth(
@@ -120,29 +118,12 @@ class ExecutionModel:
                 plan.accum_steps) / bias
             total = config.num_gpus * plan.local_bsz * plan.accum_steps
             throughput = total / iter_time
-            if job.workload == "batch_inference":
-                efficiency = 1.0  # progress is purely throughput-bound
-            else:
-                efficiency = true_efficiency.efficiency(total)
+            efficiency = true_efficiency.efficiency(total)
             return RoundExecution(goodput=throughput * efficiency,
                                   throughput=throughput, iter_time=iter_time,
                                   local_bsz=plan.local_bsz,
                                   accum_steps=plan.accum_steps,
                                   total_batch_size=total)
-
-    def _execute_serving(self, job: Job, allocation: Allocation,
-                         bias: float) -> RoundExecution | None:
-        """Latency-SLO serving: each GPU answers single-sample requests."""
-        from repro.jobs.inference import serving_throughput
-
-        rate = serving_throughput(job.model_name, allocation.gpu_type,
-                                  allocation.num_gpus) * bias
-        if rate <= 0:
-            return None
-        return RoundExecution(goodput=rate, throughput=rate,
-                              iter_time=allocation.num_gpus / rate,
-                              local_bsz=1, accum_steps=1,
-                              total_batch_size=allocation.num_gpus)
 
     def _execute_hybrid(self, job: Job, allocation: Allocation,
                         bias: float) -> RoundExecution | None:

@@ -21,47 +21,31 @@ after each round, over the engine's real state (runtimes + the just-built
 * **quarantine** — no allocation touches a node the health layer has
   quarantined or drained this round (gray-failure defense).
 
-Two modes: ``strict`` raises :class:`InvariantError` on the first
-violation (tests, CI); ``log`` records violations — tracer instant,
-``invariant_violations`` counter, and the :attr:`InvariantChecker.violations`
-list — and lets the run continue (production posture).  The checker's
+The checker raises :class:`InvariantError` on the first violation, so a
+run that completes held every invariant in every round.  The checker's
 per-job tracking state is part of the engine checkpoint, so auditing
 resumes seamlessly across a crash/restore boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NoReturn
 
 from repro.obs import audit
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:
     from repro.cluster.cluster import Cluster
     from repro.sim.telemetry import RoundRecord
 
 #: accepted ``SimulatorConfig.invariants`` values.
-MODES = ("off", "log", "strict")
+MODES = ("off", "strict")
 
 #: progress comparisons tolerate float noise up to this many samples.
 _PROGRESS_EPS = 1e-6
 
 
 class InvariantError(RuntimeError):
-    """A strict-mode invariant violation (simulation state is inconsistent)."""
-
-
-@dataclass(frozen=True)
-class InvariantViolation:
-    """One violated invariant, recorded in ``log`` mode."""
-
-    round_index: int
-    #: invariant family: capacity / down-node / state-machine / progress /
-    #: ledger.
-    name: str
-    message: str
+    """An invariant violation (simulation state is inconsistent)."""
 
 
 class InvariantChecker:
@@ -72,17 +56,7 @@ class InvariantChecker:
     alongside the rest of the simulation state.
     """
 
-    #: observability sinks, injected by the engine (and re-injected after a
-    #: checkpoint restore; tracers are never serialized).
-    tracer: Tracer = NULL_TRACER
-    metrics: MetricsRegistry | None = None
-
-    def __init__(self, mode: str = "strict"):
-        if mode not in ("log", "strict"):
-            raise ValueError(f"invariant mode must be 'log' or 'strict', "
-                             f"got {mode!r}")
-        self.mode = mode
-        self.violations: list[InvariantViolation] = []
+    def __init__(self) -> None:
         #: job id -> last seen progress (samples).
         self._progress: dict[str, float] = {}
         #: job ids that have finished; they must never run again.
@@ -217,14 +191,5 @@ class InvariantChecker:
 
     # -- violation sink --------------------------------------------------------
 
-    def _violate(self, round_index: int, name: str, message: str) -> None:
-        violation = InvariantViolation(round_index=round_index, name=name,
-                                       message=message)
-        self.violations.append(violation)
-        self.tracer.instant("invariant_violation", invariant=name,
-                            round=round_index, message=message)
-        if self.metrics is not None:
-            self.metrics.counter("invariant_violations").inc()
-            self.metrics.counter(f"invariant_violations.{name}").inc()
-        if self.mode == "strict":
-            raise InvariantError(f"round {round_index}: [{name}] {message}")
+    def _violate(self, round_index: int, name: str, message: str) -> NoReturn:
+        raise InvariantError(f"round {round_index}: [{name}] {message}")

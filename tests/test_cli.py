@@ -64,6 +64,22 @@ class TestRun:
             main(["run", "--scheduler", "warp", "--trace-name", "philly",
                   "--num-jobs", "4"])
 
+    def test_log_invariants_mode_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--invariants", "log"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'log'" in capsys.readouterr().err
+
+    def test_yaml_slo_ruleset_rejected(self, tmp_path):
+        """A ruleset file is JSON; YAML fails to parse like any bad file."""
+        rules = tmp_path / "rules.yaml"
+        rules.write_text("rules:\n  - name: queue-wait\n"
+                         "    metric: queue_wait_p99\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--trace-name", "philly", "--num-jobs", "2",
+                  "--work-scale", "0.05", "--slo", str(rules)])
+        assert str(exc.value.code).startswith("bad --slo ruleset")
+
     def test_run_with_failures(self, capsys):
         code = main(["run", "--scheduler", "sia", "--trace-name", "philly",
                      "--num-jobs", "4", "--work-scale", "0.05",

@@ -13,7 +13,6 @@ import pytest
 from repro.cluster import presets
 from repro.core.configs import build_config_set
 from repro.core.types import Configuration, ProfilingMode
-from repro.jobs.inference import BatchInferenceEstimator
 from repro.perf import profiles
 from repro.perf.estimator import (WORK, JobConstraints, JobPerfEstimator,
                                   plan_requests)
@@ -348,15 +347,12 @@ ROW = [Configuration(n, k, t) for t in TYPES
 
 def grouped_estimator(kind: str) -> JobPerfEstimator:
     """A fresh estimator of one kind, with what it knows at submission:
-    a profiling mode's, Pollux's, or a batch-inference job's."""
-    profile = profiles.model_profile("bert")
-    limits = JobConstraints(min_bsz=profile.min_bsz, max_bsz=profile.max_bsz)
+    a profiling mode's or Pollux's."""
     if kind == "pollux":
-        return PolluxEstimator("bert", limits, TYPES)
-    if kind == "inference":
-        est = BatchInferenceEstimator("bert", limits, TYPES)
-    else:
-        est = make_estimator(ProfilingMode[kind])
+        profile = profiles.model_profile("bert")
+        return PolluxEstimator("bert", JobConstraints(
+            min_bsz=profile.min_bsz, max_bsz=profile.max_bsz), TYPES)
+    est = make_estimator(ProfilingMode[kind])
     est.profile_initial()
     return est
 
@@ -636,7 +632,7 @@ class TestKeySlots:
     """Keeping each group's row key until evidence changes moves nothing
     an estimator answers, counts, refits or pickles."""
 
-    KINDS = [*TestGroupToken.KINDS, "inference"]
+    KINDS = TestGroupToken.KINDS
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_reuse_changes_nothing(self, monkeypatch, kind):

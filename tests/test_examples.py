@@ -9,8 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -37,4 +35,4 @@ def test_hybrid_parallel():
 def test_mixed_workloads():
     out = run_example("mixed_workloads.py")
     assert "Mixed workload under Sia" in out
-    assert "serve-bert" in out
+    assert "reserved" in out

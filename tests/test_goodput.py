@@ -6,14 +6,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.perf.efficiency import (ConstantEfficiency, EfficiencyModel,
-                                   EfficiencyParams)
+from repro.perf.efficiency import EfficiencyModel, EfficiencyParams
 from repro.perf.goodput import (MAX_ACCUM_STEPS, GoodputModel, GridBatch,
                                 best_plans, candidate_grid,
                                 candidate_local_sizes)
 from repro.perf.throughput import (ThroughputModel, ThroughputParams,
                                    throughput_rows)
 from tests.oracle import best_of_grid
+
+
+
+class UnitEfficiency(EfficiencyModel):
+    """Unit statistical efficiency at every batch size, so goodput equals
+    throughput and plans tie often."""
+
+    def __init__(self) -> None:
+        super().__init__(EfficiencyParams(grad_noise_scale=1.0,
+                                          init_batch_size=1))
+
+    def efficiency(self, total_batch_size: float) -> float:
+        return 1.0
+
+    def efficiency_batch(self, total_batch_sizes: np.ndarray) -> np.ndarray:
+        return np.ones_like(np.asarray(total_batch_sizes, dtype=float))
+
 
 PARAMS = ThroughputParams(alpha_c=0.02, beta_c=0.002,
                           alpha_r=0.01, beta_r=0.001,
@@ -188,7 +204,7 @@ class TestGroupedPass:
                 alpha_c=0.05, beta_c=0.001, alpha_r=0.02, beta_r=0.004,
                 alpha_n=0.2, beta_n=0.02, gamma=1.3)),
             EfficiencyModel(EfficiencyParams(5000.0, 128)))
-        unit = GoodputModel(model.throughput_model, ConstantEfficiency())
+        unit = GoodputModel(model.throughput_model, UnitEfficiency())
         models = [model, other, unit, other, model]
         grids = self.grids(max_local_bsz=64, max_total_bsz=4096)
         batch = GridBatch([(k, n) for k, n in self.SHAPES], grids)
@@ -216,7 +232,7 @@ class TestGroupedPass:
                            accum_steps=1):
                 return 100.0
 
-        tied = GoodputModel(Flat(), ConstantEfficiency())
+        tied = GoodputModel(Flat(), UnitEfficiency())
         grids = self.grids(max_local_bsz=64, max_total_bsz=4096)
         batch = GridBatch([(k, n) for k, n in self.SHAPES], grids)
         plans = best_plans(batch, np.full(len(batch.locals_), 100.0),

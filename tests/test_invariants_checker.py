@@ -5,13 +5,11 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.jobs.job import make_job
 from repro.obs import audit
-from repro.obs.metrics import MetricsRegistry
 from repro.schedulers.sia import SiaScheduler
 from repro.sim.engine import Simulator, SimulatorConfig, _JobRuntime
 from repro.sim.faults import (CheckpointRestoreFaultModel, JobCrashModel,
                               NodeCrashModel, StragglerModel)
-from repro.sim.invariants import (InvariantChecker, InvariantError,
-                                  InvariantViolation)
+from repro.sim.invariants import InvariantChecker, InvariantError
 from repro.sim.telemetry import RoundRecord
 from repro.core.types import Allocation
 
@@ -39,10 +37,9 @@ def _check(checker, cluster, record, runtimes, fault_hit=None, done=None,
 
 class TestCheckerUnit:
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            InvariantChecker(mode="shout")
-        with pytest.raises(ValueError):
-            InvariantChecker(mode="off")  # off means "no checker at all"
+        """There is no 'log' mode: a checker always raises."""
+        with pytest.raises(ValueError, match="invariants must be one of"):
+            SimulatorConfig(invariants="log")
 
     def test_clean_round_passes(self, tiny_cluster):
         node = tiny_cluster.nodes[0]
@@ -52,9 +49,8 @@ class TestCheckerUnit:
                          allocations={"a": (node.gpu_type, 1)},
                          gpus_used={node.gpu_type: 1},
                          realized={"a": 1.0})
-        checker = InvariantChecker(mode="strict")
+        checker = InvariantChecker()
         _check(checker, tiny_cluster, record, [rt])
-        assert checker.violations == []
 
     def test_down_node_allocation_detected(self, hetero_cluster):
         # Allocate on a node that is not part of the surviving view.
@@ -67,7 +63,7 @@ class TestCheckerUnit:
                          allocations={"a": (down.gpu_type, 1)},
                          gpus_used={down.gpu_type: 1},
                          realized={"a": 0.5})
-        checker = InvariantChecker(mode="strict")
+        checker = InvariantChecker()
         with pytest.raises(InvariantError, match="down-node"):
             _check(checker, survivors, record, [rt])
 
@@ -81,14 +77,14 @@ class TestCheckerUnit:
                                       "b": (node.gpu_type, count)},
                          gpus_used={node.gpu_type: 2 * count},
                          realized={"a": 1.0, "b": 1.0})
-        checker = InvariantChecker(mode="strict")
+        checker = InvariantChecker()
         with pytest.raises(InvariantError, match="over-subscribed"):
             _check(checker, tiny_cluster, record,
                    [_runtime("a", alloc_a), _runtime("b", alloc_b)])
 
     def test_progress_rollback_without_fault_detected(self, tiny_cluster):
         rt = _runtime("a", progress=10.0)
-        checker = InvariantChecker(mode="strict")
+        checker = InvariantChecker()
         _check(checker, tiny_cluster, _record(), [rt])
         rt.progress = 4.0  # went backwards, no fault reported
         with pytest.raises(InvariantError, match="progress went backwards"):
@@ -96,16 +92,15 @@ class TestCheckerUnit:
 
     def test_progress_rollback_with_fault_allowed(self, tiny_cluster):
         rt = _runtime("a", progress=10.0)
-        checker = InvariantChecker(mode="strict")
+        checker = InvariantChecker()
         _check(checker, tiny_cluster, _record(), [rt])
         rt.progress = 4.0
         _check(checker, tiny_cluster, _record(), [rt], fault_hit={"a"},
                round_index=1)
-        assert checker.violations == []
 
     def test_finished_job_reappearing_detected(self, tiny_cluster):
         rt = _runtime("a")
-        checker = InvariantChecker(mode="strict")
+        checker = InvariantChecker()
         finish = audit.AllocationEvent(kind=audit.FINISH, time=0.0,
                                        job_id="a", round_index=0)
         _check(checker, tiny_cluster, _record(events=[finish]), [rt],
@@ -114,7 +109,7 @@ class TestCheckerUnit:
             _check(checker, tiny_cluster, _record(), [rt], round_index=1)
 
     def test_finish_event_mismatch_detected(self, tiny_cluster):
-        checker = InvariantChecker(mode="strict")
+        checker = InvariantChecker()
         # a FINISH audit event with no matching completed job
         finish = audit.AllocationEvent(kind=audit.FINISH, time=0.0,
                                        job_id="ghost", round_index=0)
@@ -124,7 +119,7 @@ class TestCheckerUnit:
 
     def test_ledger_running_count_mismatch_detected(self, tiny_cluster):
         record = _record(running_jobs=3)  # no allocations recorded
-        checker = InvariantChecker(mode="strict")
+        checker = InvariantChecker()
         with pytest.raises(InvariantError, match="running_jobs"):
             _check(checker, tiny_cluster, record, [_runtime("a")])
 
@@ -135,23 +130,9 @@ class TestCheckerUnit:
                          allocations={"a": (node.gpu_type, 1)},
                          gpus_used={node.gpu_type: 1},
                          realized={})  # missing realized entry
-        checker = InvariantChecker(mode="strict")
+        checker = InvariantChecker()
         with pytest.raises(InvariantError, match="realized"):
             _check(checker, tiny_cluster, record, [_runtime("a", alloc)])
-
-    def test_log_mode_records_and_continues(self, tiny_cluster):
-        metrics = MetricsRegistry()
-        checker = InvariantChecker(mode="log")
-        checker.metrics = metrics
-        record = _record(running_jobs=3)
-        _check(checker, tiny_cluster, record, [_runtime("a")])
-        assert len(checker.violations) == 1
-        violation = checker.violations[0]
-        assert isinstance(violation, InvariantViolation)
-        assert violation.name == "ledger"
-        snap = metrics.snapshot()
-        assert snap["invariant_violations"] == 1
-        assert snap["invariant_violations.ledger"] == 1
 
 
 def _run(cluster, seed, invariants="strict", **cfg_kw):
@@ -181,16 +162,17 @@ class TestInvariantsOverFaultHeavyRuns:
             ])
         assert result.rounds
         assert result.total_fault_events > 0
-        assert sim.invariant_violations == []
+        assert sim.state.invariants is not None  # every round was checked
 
     def test_strict_passes_without_faults(self, hetero_cluster):
         sim, result = _run(hetero_cluster, seed=5)
         assert result.rounds
-        assert sim.invariant_violations == []
+        assert sim.state.invariants is not None  # every round was checked
 
-    def test_violations_property_empty_when_off(self, hetero_cluster):
-        sim, _ = _run(hetero_cluster, seed=5, invariants="off")
-        assert sim.invariant_violations == []
+    def test_off_builds_no_checker(self, hetero_cluster):
+        sim, result = _run(hetero_cluster, seed=5, invariants="off")
+        assert result.rounds
+        assert sim.state.invariants is None
 
     def test_config_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

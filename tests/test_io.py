@@ -37,9 +37,8 @@ class TestTraceRoundtrip:
                      max_gpus=64),
             make_job("rigid", "bert", 10.0, adaptivity=AdaptivityMode.RIGID,
                      fixed_num_gpus=4, fixed_batch_size=48),
-            make_job("infer", "resnet18", 20.0, workload="batch_inference"),
-            make_job("serve", "bert", 30.0, workload="latency_inference",
-                     latency_slo=0.01),
+            make_job("strong", "resnet18", 20.0,
+                     adaptivity=AdaptivityMode.STRONG_SCALING),
             make_job("pinned", "yolov3", 40.0, preemptible=False),
         ]
         path = tmp_path / "trace.json"
@@ -47,6 +46,27 @@ class TestTraceRoundtrip:
         loaded = io.load_trace(path)
         assert loaded.jobs == jobs
         assert loaded.jobs[0].hybrid == HybridSpec()
+
+    def test_training_workload_key_loads(self):
+        job = make_job("j0", "bert", 0.0)
+        data = {**io.job_to_dict(job), "workload": "training"}
+        assert io.job_from_dict(data) == job
+
+    @pytest.mark.parametrize("workload",
+                             ["batch_inference", "latency_inference"])
+    def test_other_workload_rejected(self, tmp_path, workload):
+        """A file naming a workload this build cannot run fails on load
+        instead of running the job as a training job."""
+        data = {**io.job_to_dict(make_job("serve", "bert", 0.0)),
+                "workload": workload}
+        with pytest.raises(ValueError, match="'serve'.*" + workload):
+            io.job_from_dict(data)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({"kind": "trace",
+                                    "format_version": io.FORMAT_VERSION,
+                                    "name": "old", "jobs": [data]}))
+        with pytest.raises(ValueError, match="'serve'"):
+            io.load_trace(path)
 
     def test_wrong_kind_rejected(self, tmp_path):
         trace = philly_trace(seed=0, num_jobs=4)

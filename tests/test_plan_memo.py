@@ -21,7 +21,6 @@ import pytest
 from repro.cluster import presets
 from repro.core.fork import make_scheduler, scheduler_jobs
 from repro.core.types import Configuration, ProfilingMode
-from repro.jobs.inference import BatchInferenceEstimator
 from repro.perf import profiles
 from repro.perf.efficiency import EfficiencyModel, EfficiencyParams
 from repro.perf.estimator import (PLAN_MEMO_MAX, WORK, JobConstraints,
@@ -117,16 +116,6 @@ def reference_order():
     return first, MULTI_T4, second, MULTI_T4
 
 
-def efficiency_type():
-    inference = profiled(BatchInferenceEstimator)
-    training = profiled()
-    training._efficiency = EfficiencyModel(EfficiencyParams(
-        grad_noise_scale=1.0, init_batch_size=1))
-    assert vars(training._efficiency.params) == \
-        vars(inference._efficiency.params)
-    return inference, ROW, training, ROW
-
-
 def grad_noise_scale():
     first, second = profiled(), profiled()
     second.update_gradient_stats(
@@ -170,7 +159,6 @@ KEY_FIELDS = {
     "own-params": own_params,
     "reference-params": reference_params,
     "reference-order": reference_order,
-    "efficiency-type": efficiency_type,
     "grad-noise-scale": grad_noise_scale,
     "init-batch-size": init_batch_size,
     "max-local-bsz": max_local_bsz,

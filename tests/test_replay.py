@@ -4,16 +4,13 @@ import pytest
 
 from repro import io
 from repro.analysis.explain import explain_job
-from repro.analysis.replay import (ReplayOverrides, build_run_spec,
-                                   fork_state, replay, simulator_from_spec)
+from repro.analysis.replay import build_run_spec, replay, simulator_from_spec
 from repro.analysis.report import build_report
-from repro.cluster import presets
 from repro.obs.diff import (AllocDelta, DivergencePoint, MetricDelta,
                             RoundDelta, RunDiff, aligned_ledger_deltas,
                             compare_runs, fault_recovery_seconds)
 from repro.obs.export import run_diff_markdown
 from repro.obs.ledger import GoodputLedger
-from repro.sim.chaos import diff_results
 from repro.sim.checkpoint import CheckpointConfig
 from repro.workloads.generators import trace_by_name
 
@@ -43,7 +40,7 @@ def base_result(base_spec):
 class TestIdentity:
     def test_zero_override_fork_is_bit_identical(self, base_result):
         for at_round in (0, 3, len(base_result.rounds) - 1):
-            outcome = replay(base_result, at_round, ReplayOverrides())
+            outcome = replay(base_result, at_round)
             assert outcome.diff.identical, \
                 (at_round, outcome.diff.mismatches[:5])
             assert not outcome.diff.round_deltas
@@ -79,7 +76,7 @@ class TestIdentity:
 
 class TestOverrides:
     def test_policy_swap_diverges_and_diffs(self, base_result):
-        outcome = replay(base_result, 4, ReplayOverrides(policy="gavel"))
+        outcome = replay(base_result, 4, policy="gavel")
         diff = outcome.diff
         assert outcome.fork.scheduler_name == "gavel"
         assert diff.fork_scheduler == "gavel"
@@ -102,7 +99,7 @@ class TestOverrides:
         # gavel's own default cadence is 360s; the fork must inherit the
         # base run's 60s quantum.  (Absolute times can still drift once the
         # futures diverge — idle-skip jumps depend on the schedule.)
-        outcome = replay(base_result, 4, ReplayOverrides(policy="gavel"))
+        outcome = replay(base_result, 4, policy="gavel")
         base_times = [r.time for r in base_result.rounds]
         fork_times = [r.time for r in outcome.fork.rounds]
         assert fork_times[:4] == base_times[:4]
@@ -112,14 +109,13 @@ class TestOverrides:
 
     def test_pollux_swap_rejected(self, base_result):
         with pytest.raises(ValueError, match="pollux"):
-            replay(base_result, 4, ReplayOverrides(policy="pollux"))
+            replay(base_result, 4, policy="pollux")
 
 
 class TestRunDiffArtifact:
     @pytest.fixture(scope="class")
     def diff(self, base_result):
-        return replay(base_result, 4,
-                      ReplayOverrides(policy="gavel")).diff
+        return replay(base_result, 4, policy="gavel").diff
 
     def test_io_round_trip_is_exact(self, diff, tmp_path):
         path = tmp_path / "diff.json"
@@ -202,7 +198,7 @@ class TestDiffAligner:
 
 class TestExplainCounterfactual:
     def test_timeline_gains_fork_column(self, base_result):
-        diff = replay(base_result, 4, ReplayOverrides(policy="gavel")).diff
+        diff = replay(base_result, 4, policy="gavel").diff
         jobs = {c.job_id for rnd in diff.round_deltas for c in rnd.changes}
         job_id = sorted(jobs)[0]
         text = explain_job(base_result, job_id, counterfactual=diff)

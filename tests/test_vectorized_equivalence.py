@@ -21,7 +21,6 @@ import pytest
 from repro.cluster import presets
 from repro.core.types import Configuration, ProfilingMode
 from repro.jobs.hybrid import HybridSpec
-from repro.jobs.inference import BatchInferenceEstimator, LatencySLOEstimator
 from repro.perf import profiles
 from repro.obs.tracer import Tracer
 from repro.perf import estimator as estimator_module
@@ -144,26 +143,9 @@ class TestEstimatorEquivalence:
             assert grouped.best_plans(CONFIGS) == \
                 [reference_plan(reference, config) for config in CONFIGS]
 
-    @pytest.mark.parametrize("mode", list(ProfilingMode))
-    def test_batch_inference_best_plans_identical(self, mode):
-        """Unit efficiency (``ConstantEfficiency``) makes goodput equal
-        throughput, so ties between plans are common."""
-        reference, grouped = make_pair(mode, cls=BatchInferenceEstimator)
-        assert grouped.best_plans(CONFIGS) == \
-            [reference_plan(reference, config) for config in CONFIGS]
-        feed((reference, grouped), "bert")
-        assert grouped.best_plans(CONFIGS) == \
-            [reference_plan(reference, config) for config in CONFIGS]
-
     def test_hybrid_goodput_batch_matches_scalar(self):
         from repro.jobs.hybrid import HybridPerfEstimator
         est = HybridPerfEstimator("gpt-2.8b", HybridSpec())
-        values = est.goodput_batch(CONFIGS)
-        for config, value in zip(CONFIGS, values):
-            assert float(value) == est.goodput(config)
-
-    def test_latency_slo_goodput_batch_matches_scalar(self):
-        est = LatencySLOEstimator("bert", 0.05, TYPES)
         values = est.goodput_batch(CONFIGS)
         for config, value in zip(CONFIGS, values):
             assert float(value) == est.goodput(config)
@@ -185,8 +167,6 @@ ROUND_CASES = {
     "no-prof-trusted-fit": (JobPerfEstimator, "resnet50",
                             ProfilingMode.NO_PROF, None,
                             (("t4", 1), ("t4", 2), ("t4", 4))),
-    "batch-inference": (BatchInferenceEstimator, "bert",
-                        ProfilingMode.BOOTSTRAP, None, (("rtx", 2),)),
     "pollux": (PolluxEstimator, "yolov3", None, None,
                (("t4", 1), ("t4", 2), ("t4", 4))),
     "fixed-total": (JobPerfEstimator, "bert", ProfilingMode.BOOTSTRAP, 64,
@@ -253,15 +233,15 @@ class TestRoundPass:
         assert together["fixed-total"].best_plan(NO_GRID, memo) is None
 
     def test_goodput_rows_keep_every_estimator_kind(self):
-        """``goodput_rows`` answers hybrid and latency-SLO rows with their
-        own ``goodput_batch`` and the rest from the shared pass, in
-        request order, with each row's plans: ``best_plan``'s, so None
-        for the estimators without a batch decision."""
+        """``goodput_rows`` answers hybrid rows with their own
+        ``goodput_batch`` and the rest from the shared pass, in request
+        order, with each row's plans: ``best_plan``'s, so None for the
+        hybrid estimator, which has no batch decision."""
         from repro.jobs.hybrid import HybridPerfEstimator
         ests = [build("boot-1-ref"),
                 HybridPerfEstimator("gpt-2.8b", HybridSpec()),
-                build("oracle"), LatencySLOEstimator("bert", 0.05, TYPES)]
-        alone = [build("boot-1-ref"), ests[1], build("oracle"), ests[3]]
+                build("oracle")]
+        alone = [build("boot-1-ref"), ests[1], build("oracle")]
         rows, plans = goodput_rows([(est, self.ROW) for est in ests])
         assert [row.tolist() for row in rows] == \
             [est.goodput_batch(self.ROW).tolist() for est in alone]
