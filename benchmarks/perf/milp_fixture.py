@@ -42,9 +42,9 @@ def recording() -> Iterator[list[ilp.AssignmentProblem]]:
     captured: list[ilp.AssignmentProblem] = []
     solve = ilp._solve_milp
 
-    def record(problem, time_limit=None):
+    def record(problem):
         captured.append(problem)
-        return solve(problem, time_limit=time_limit)
+        return solve(problem)
 
     ilp._solve_milp = record
     try:

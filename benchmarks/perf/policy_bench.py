@@ -28,7 +28,7 @@ Measures, per (cluster size, job count) point:
   and the contended round is past the DP's work cap, so HiGHS searches.
   Each solver point reports how many instances each of ``milp``'s paths
   (``argmax``, ``dp``, ``highs``) answered, and times the ``greedy``
-  backend, the fallback rung, over the same instances with its objective
+  backend, the ablation baseline, over the same instances with its objective
   over ``milp``'s per instance (median and min).
 
 Each policy point is gated on its round latency; the 4096-GPU point also

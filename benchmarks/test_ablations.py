@@ -2,8 +2,8 @@
 
 * **Solver**: exact ILP vs greedy — the ILP's optimality guarantee should
   never hurt, and the greedy heuristic (the lattice DP's incumbent over
-  every GPU type) stays within a modest factor (it is the cheap fallback,
-  not the design point).
+  every GPU type) stays within a modest factor (it is the cheap ablation
+  baseline, not the design point).
 * **Restart factor** (Equation 3): disabling it must increase reallocation
   churn (restarts per job); the paper's motivation is that without it
   "tiny changes in G would result in altering some jobs' resources".

@@ -3,7 +3,8 @@ proportionally scaled Helios job mixes).
 
 This is a policy-only microbenchmark (no full simulation): for each
 cluster size we synthesize a proportional population of job views and time
-one scheduling decision per scheduler.
+:data:`REPEATS` scheduling decisions per scheduler, each on a freshly built
+scheduler and views; the table and the shapes read their median.
 
 Shapes: Sia's ILP stays around a second even at 1024+ GPUs; Pollux's
 genetic algorithm is 1-2 orders of magnitude slower and grows faster with
@@ -12,6 +13,7 @@ cluster size; Gavel's LP is the fastest.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from conftest import emit, run_once_benchmarked
@@ -28,6 +30,13 @@ from repro.workloads import helios_trace
 SIZES = (64, 128, 256, 512, 1024)
 #: active jobs per 64 GPUs (the paper scales traces with cluster size).
 JOBS_PER_64 = 12
+#: decisions timed per (size, scheduler); one decision's wall time is too
+#: noisy for the shapes to hold run after run.
+REPEATS = 3
+#: (name, factory, rigid jobs) of each timed scheduler.
+SCHEDULERS = (("sia", SiaScheduler, False),
+              ("pollux", PolluxScheduler, False),
+              ("gavel", GavelScheduler, True))
 
 
 def make_views(scheduler, cluster, n_jobs: int,
@@ -61,13 +70,13 @@ def run_scaling():
         cluster = presets.scaled_heterogeneous(size)
         n_jobs = JOBS_PER_64 * (size // 64)
         row: dict[str, float] = {}
-        for name, scheduler, rigid in [
-            ("sia", SiaScheduler(), False),
-            ("pollux", PolluxScheduler(), False),
-            ("gavel", GavelScheduler(), True),
-        ]:
-            views = make_views(scheduler, cluster, n_jobs, rigid)
-            row[name] = time_decision(scheduler, cluster, views)
+        for name, factory, rigid in SCHEDULERS:
+            times = []
+            for _ in range(REPEATS):
+                scheduler = factory()
+                views = make_views(scheduler, cluster, n_jobs, rigid)
+                times.append(time_decision(scheduler, cluster, views))
+            row[name] = statistics.median(times)
         results[size] = row
     return results
 

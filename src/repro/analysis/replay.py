@@ -86,13 +86,13 @@ def build_run_spec(*, scheduler: str, cluster: str, jobs: list,
     :func:`repro.io.job_to_dict`.  ``scheduler_options`` and
     ``fault_options`` take the knob names of
     :data:`repro.core.fork.SCHEDULER_OPTION_DEFAULTS` and
-    :data:`repro.core.fork.FAULT_OPTION_DEFAULTS`; unknown fault keys fail
-    fast here rather than at fork time.
+    :data:`repro.core.fork.FAULT_OPTION_DEFAULTS`; unknown keys of either
+    fail fast here rather than at fork time.
     """
     options = dict(fault_options or {})
-    unknown = set(options) - set(forklib.FAULT_OPTION_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown fault options: {sorted(unknown)}")
+    _check_options("fault", options, forklib.FAULT_OPTION_DEFAULTS)
+    _check_options("scheduler", scheduler_options or {},
+                   forklib.SCHEDULER_OPTION_DEFAULTS)
     return {
         "scheduler": scheduler,
         "cluster": cluster,
@@ -109,21 +109,31 @@ def build_run_spec(*, scheduler: str, cluster: str, jobs: list,
     }
 
 
+def _check_options(kind: str, options: dict, known: dict) -> None:
+    """Raise ``ValueError`` naming the keys of ``options`` outside
+    ``known``."""
+    unknown = set(options) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {kind} options: {sorted(unknown)}")
+
+
 def simulator_from_spec(spec: dict[str, Any], *,
                         tracer: Tracer | None = None,
                         checkpoint: CheckpointConfig | None = None,
                         ) -> Simulator:
     """Build the simulator a ``run_spec`` describes: a fresh scheduler,
     fresh fault models and fresh jobs on every call.  ``tracer`` and
-    ``checkpoint`` are run plumbing, not part of the recipe.
+    ``checkpoint`` are run plumbing, not part of the recipe.  A spec whose
+    scheduler options this build does not know raises ``ValueError``.
     """
     if not spec:
         raise ValueError(
             "result carries no run_spec — it was saved by an older build; "
             "re-run `repro run --out ...` to record a forkable result")
-    scheduler = forklib.make_scheduler(
-        spec["scheduler"], resilient=spec["resilient"],
-        **spec["scheduler_options"])
+    _check_options("scheduler", spec["scheduler_options"],
+                   forklib.SCHEDULER_OPTION_DEFAULTS)
+    scheduler = forklib.make_scheduler(spec["scheduler"],
+                                       **spec["scheduler_options"])
     jobs = [io.job_from_dict(data) for data in spec["jobs"]]
     config = SimulatorConfig(
         profiling_mode=ProfilingMode(spec["profiling_mode"]),
@@ -181,7 +191,7 @@ def _swap_policy(state: CheckpointState, policy: str,
             "type-blind where the others' are per-type")
     round_duration = state.scheduler.round_duration
     scheduler = forklib.make_scheduler(
-        policy, resilient=spec["resilient"],
+        policy,
         **{**spec["scheduler_options"], "round_duration": round_duration})
     # Keep the base run's round cadence even for schedulers whose ctor
     # fixes their own (gavel et al. default to 360s): the two futures must

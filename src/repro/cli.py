@@ -454,10 +454,8 @@ def _add_recipe_options(parser: argparse.ArgumentParser) -> None:
                         help="enable node health scoring with "
                              "probation/quarantine/drain")
     group.add_argument("--resilient", action="store_true",
-                        help="solver fallback chain + carry-forward guard")
-    group.add_argument("--solve-budget", type=float,
-                        default=sched["solve_budget"],
-                        help="per-round solver wall-clock budget, seconds")
+                        help="carry the previous round forward when "
+                             "planning a round fails")
     group.add_argument("--round-duration", type=float,
                         default=sched["round_duration"])
     group.add_argument("--p", type=float, default=sched["p"],

@@ -39,7 +39,6 @@ SCHEDULER_OPTION_DEFAULTS = {
     "lam": SiaPolicyParams.allocation_incentive,
     "solver": SiaPolicyParams.solver,
     "gavel_policy": "max_sum_throughput",
-    "solve_budget": 5.0,
 }
 _SCHED = SCHEDULER_OPTION_DEFAULTS
 
@@ -59,16 +58,15 @@ def make_scheduler(name: str, *,
                    p: float = _SCHED["p"], lam: float = _SCHED["lam"],
                    solver: str = _SCHED["solver"],
                    gavel_policy: str = _SCHED["gavel_policy"],
-                   resilient: bool = False,
-                   solve_budget: float = _SCHED["solve_budget"]) -> Scheduler:
+                   resilient: bool = False) -> Scheduler:
     """Build a scheduler by name with the CLI's knobs and defaults.
 
     ``round_duration`` applies to the round-cadence-configurable schedulers
     (sia, pollux); the rigid baselines keep their own defaults, exactly as
-    the CLI has always built them.  ``resilient`` gives Sia's fallback
-    ladder a ``solve_budget`` (seconds) per budgeted rung; otherwise HiGHS
-    runs without a time limit.  The carry-forward guard for every
-    scheduler is the simulator's (``SimulatorConfig.resilient``).  Raises
+    the CLI has always built them.  ``resilient`` changes nothing: the
+    carry-forward guard for every scheduler is the simulator's
+    (``SimulatorConfig.resilient``), and the argument stays only for
+    callers that pass it.  Raises
     ``ValueError`` for an unknown name (the CLI turns that into a clean
     exit).
     """
@@ -78,9 +76,8 @@ def make_scheduler(name: str, *,
                                   ThemisScheduler)
 
     if name == "sia":
-        params = SiaPolicyParams(
-            p=p, allocation_incentive=lam, solver=solver,
-            solve_budget_s=solve_budget if resilient else None)
+        params = SiaPolicyParams(p=p, allocation_incentive=lam,
+                                 solver=solver)
         return SiaScheduler(params, round_duration=round_duration)
     builders = {
         "pollux": lambda: PolluxScheduler(round_duration=round_duration),

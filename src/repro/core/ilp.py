@@ -30,15 +30,12 @@ Interchangeable backends (:data:`BACKENDS`):
 * ``greedy``     — the lattice DP's incumbent over every GPU type
   (:func:`_incumbent`): each job takes its best option, then jobs on an
   over-capacity type give up what loses the least value per GPU freed
-  (the ladder's fallback rung and the ablation baseline; fast, no bound).
+  (the ablation baseline; fast, no bound).
 
-The fallback ladder: :func:`solve_with_fallback` is the one solve path
-the Sia policy takes.  It tries the primary backend, then ``greedy``
-(:data:`FALLBACKS`), and raises :class:`SolverExhaustedError` only when
-both fail; the simulator's ``resilient`` guard then carries the previous
-round forward.  A HiGHS solve that reaches its time limit fails, so a
-budgeted round gets either the exact optimum or greedy's answer.
-:func:`solve_assignment` is the single-backend primitive underneath.
+:func:`solve_assignment` runs one backend and raises when it fails; there
+is no fallback to another backend and no time limit, as in the paper's
+one GLPK_MI solve per round.  The simulator's ``resilient`` guard, the one
+place that catches a bad round, then carries the previous round forward.
 
 scipy, which holds HiGHS, is imported by the HiGHS path itself at its
 first call, not on module load: only an oversized lattice reaches it.
@@ -65,10 +62,6 @@ if TYPE_CHECKING:
 #: ``repro.core.fork`` re-exports this tuple so the replay CLI stays in
 #: sync; add backends here, nowhere else.
 BACKENDS = ("milp", "tiered", "greedy")
-
-#: backends tried, in order, after the primary fails.  Entries equal to
-#: the primary are skipped.
-FALLBACKS = ("greedy",)
 
 #: HiGHS's MIP feasibility tolerance, its own default, passed on every
 #: MILP (:data:`_MILP_OPTIONS`).
@@ -172,57 +165,12 @@ class AssignmentSolution:
         return used
 
 
-class SolverExhaustedError(RuntimeError):
-    """Every rung of the fallback ladder failed for this round."""
-
-
-def solve_with_fallback(problem: AssignmentProblem, primary: str = "milp",
-                        budget: float | None = None,
-                        tracer: Tracer | None = None,
-                        ) -> tuple[AssignmentSolution, bool]:
-    """Solve through the ladder ``primary -> greedy``.
-
-    The primary runs under ``time_limit=budget``; greedy, the last rung,
-    runs unbudgeted, since it must produce *something*.  A rung that raises
-    passes to the next, leaving a ``rung_failed`` instant event on
-    ``tracer``.  Returns ``(solution, degraded)``: the first solution wins,
-    and the round is degraded when a fallback rung served it or it overran
-    ``budget``.  Raises :class:`SolverExhaustedError` when every rung fails.
-    """
-    if tracer is None:
-        tracer = NULL_TRACER
-    if primary not in BACKENDS:
-        raise ValueError(f"unknown backend {primary!r}; "
-                         f"choose from {BACKENDS}")
-    ladder = (primary, *[b for b in FALLBACKS if b != primary])
-    for rung, backend in enumerate(ladder):
-        limit = budget if rung < len(ladder) - 1 else None
-        try:
-            solution = solve_assignment(problem, backend=backend,
-                                        time_limit=limit, tracer=tracer)
-        except Exception as exc:
-            tracer.instant("rung_failed", backend=backend,
-                           error=type(exc).__name__)
-            continue
-        overran = budget is not None and solution.solve_time > budget
-        return solution, rung > 0 or overran
-    raise SolverExhaustedError(
-        f"all solver backends failed (primary={primary!r}, "
-        f"ladder={ladder!r}); caller should carry forward the previous "
-        "round")
-
-
 def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
-                     time_limit: float | None = None,
                      tracer: Tracer | None = None,
                      ) -> AssignmentSolution:
     """Solve one assignment instance with the chosen backend.
 
-    ``time_limit`` (seconds) is forwarded to HiGHS as a solver time
-    budget; a solve that reaches it raises, whatever incumbent HiGHS
-    holds.  The greedy backend and ``milp``'s lattice DP, whose
-    cost :data:`_DP_MAX_WORK` bounds, ignore it.  ``tracer`` records
-    an ``ilp_solve`` span around the backend call, annotated with ``path``
+    ``tracer`` records an ``ilp_solve`` span around the backend call, annotated with ``path``
     and ``expanded`` when ``milp`` ran.
     """
     if tracer is None:
@@ -231,7 +179,7 @@ def solve_assignment(problem: AssignmentProblem, backend: str = "milp",
                      configs=problem.n_configs) as span:
         start = time.perf_counter()
         if backend in ("milp", "tiered"):
-            solution = _solve_milp(problem, time_limit=time_limit)
+            solution = _solve_milp(problem)
             span.annotate(path=solution.path, expanded=solution.expanded)
         elif backend == "greedy":
             solution = _solve_greedy(problem)
@@ -350,15 +298,14 @@ def _assemble(problem: AssignmentProblem) -> _PairSystem | None:
                        lb=lb, ub=ub)
 
 
-def _solve_milp(problem: AssignmentProblem,
-                time_limit: float | None = None) -> AssignmentSolution:
+def _solve_milp(problem: AssignmentProblem) -> AssignmentSolution:
     """The ``milp`` backend: :func:`_solve_lattice` where the lattice fits
     :data:`_DP_MAX_WORK`, HiGHS above it.  The solution's ``path`` names
     the one that ran."""
     expanded: list[int] = []
     answer = _solve_lattice(problem, expanded)
     if answer is None:
-        solution = _solve_highs_milp(problem, time_limit=time_limit)
+        solution = _solve_highs_milp(problem)
         solution.path = "highs"
     else:
         path, assignment = answer
@@ -368,11 +315,9 @@ def _solve_milp(problem: AssignmentProblem,
     return solution
 
 
-def _solve_highs_milp(problem: AssignmentProblem,
-                      time_limit: float | None = None,
-                      ) -> AssignmentSolution:
+def _solve_highs_milp(problem: AssignmentProblem) -> AssignmentSolution:
     """HiGHS's MILP optimum, in ascending job order.  Raises unless HiGHS
-    proves it within ``time_limit``."""
+    proves it."""
     from scipy.optimize import Bounds, OptimizeWarning, milp
 
     system = _assemble(problem)
@@ -381,8 +326,6 @@ def _solve_highs_milp(problem: AssignmentProblem,
     # scipy's ``milp`` consumes (pops from) its options, so build a fresh
     # dict per call.
     options = dict(_MILP_OPTIONS)
-    if time_limit is not None:
-        options["time_limit"] = time_limit
     with warnings.catch_warnings():
         # Silence what scipy says about the _MILP_OPTIONS keys, nothing
         # else: its ``milp`` knows five options and warns (RuntimeWarning)
@@ -399,10 +342,7 @@ def _solve_highs_milp(problem: AssignmentProblem,
         result = milp(c=system.cost, constraints=system.constraints,
                       integrality=np.ones(system.n_vars),
                       bounds=Bounds(system.lb, system.ub), options=options)
-    # status 0 = optimal.  Anything else fails, status 1 (time limit
-    # reached) included: HiGHS's incumbent then can sit far below the
-    # optimum and differ between identical calls, where the ladder's
-    # greedy rung answers in milliseconds.
+    # status 0 = optimal; anything else fails.
     if result.status != 0 or result.x is None:
         raise RuntimeError(f"MILP failed: {result.message}")
     chosen = np.flatnonzero(np.asarray(result.x) > 0.5)

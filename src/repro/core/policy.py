@@ -21,20 +21,13 @@ class SiaPolicyParams:
     allocation_incentive: float = 1.1
     #: ILP backend — any of :data:`repro.core.ilp.BACKENDS` ('milp',
     #: 'tiered', 'greedy'; 'tiered' is the former name of 'milp' and
-    #: solves the same way); the primary rung of the fallback ladder
-    #: ``solver -> greedy`` (:func:`repro.core.ilp.solve_with_fallback`).
-    #: Any other name is rejected here.
+    #: solves the same way).  Any other name is rejected here; a failed
+    #: solve raises out of ``decide``.
     solver: str = "milp"
-    #: wall-clock seconds the primary rung may spend per round, passed to
-    #: HiGHS as its time limit; a HiGHS solve that reaches it hands the
-    #: round to greedy.  None passes no limit.
-    solve_budget_s: float | None = None
     #: disable the restart factor (ablation).
     use_restart_factor: bool = True
 
     def __post_init__(self) -> None:
-        if self.solve_budget_s is not None and self.solve_budget_s <= 0:
-            raise ValueError("solve_budget_s must be positive")
         if self.solver not in BACKENDS:
             raise ValueError(f"unknown solver {self.solver!r}; "
                              f"choose from {BACKENDS}")

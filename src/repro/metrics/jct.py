@@ -34,7 +34,7 @@ class SummaryMetrics:
     max_contention: int
     avg_restarts: float
     median_solve_time: float
-    #: rounds that ran on a fallback/carried plan (0 without faults).
+    #: rounds that ran on a carried-forward plan (0 without faults).
     degraded_rounds: int = 0
     #: injected fault events over the whole run (0 without faults).
     fault_events: int = 0

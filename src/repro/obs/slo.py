@@ -1,10 +1,10 @@
 """Online SLO engine: declarative rules, burn-rate alerting, causality.
 
 Sia's goodput objective is only operable in production if breaches of the
-scheduler's service-level objectives — slow policy rounds, solver
-fallbacks, runaway queue waits, diverging goodput estimates, quarantined
-capacity — surface *while the run is live*, with enough causal context to
-act on.  This module evaluates a declarative ruleset against every
+scheduler's service-level objectives — slow policy rounds,
+carried-forward rounds, runaway queue waits, diverging goodput estimates,
+quarantined capacity — surface *while the run is live*, with enough causal
+context to act on.  This module evaluates a declarative ruleset against every
 :class:`~repro.sim.telemetry.RoundRecord` as the engine records it and
 emits structured :class:`Alert` events whose context (which jobs, nodes,
 faults, and solver backends drove the breach) is pulled from the same
@@ -14,7 +14,8 @@ health tracker already persist.
 Rule semantics (documented in DESIGN.md "Live telemetry & SLOs"):
 
 * each rule names a **series** — a built-in online aggregate
-  (``round_latency_p95``, ``solver_fallback_rate``, ``queue_wait_p99``,
+  (``round_latency_p95``, ``solver_fallback_rate`` (the share of
+  carried-forward rounds), ``queue_wait_p99``,
   ``estimation_error_median``, ``quarantined_nodes``) or any
   ``RoundRecord.metrics`` key with an ``agg`` (``last``/``mean``/``max``/
   ``p50``/``p95``/``p99``);

@@ -67,11 +67,8 @@ class RoundPlan:
     #: solver objective, when meaningful.
     objective: float | None = None
     #: solver backend that produced the plan ('' when not reported;
-    #: 'carry' marks a carried-forward fallback plan).
+    #: 'carry' marks a carried-forward plan, the one degraded mode).
     backend: str = ""
-    #: True when the plan came from a degraded mode (fallback rung, solver
-    #: budget overrun, or carry-forward).
-    degraded: bool = False
     #: job id -> the goodput the scheduler believed the chosen allocation
     #: would deliver — the number its optimization ran on.  Feeds the
     #: goodput ledger (:mod:`repro.obs.ledger`); jobs without resources
@@ -133,7 +130,7 @@ def carry_forward_plan(previous: dict[str, Allocation], cluster: Cluster,
         for node_id, count in alloc.gpus_per_node:
             used[node_id] = used.get(node_id, 0) + count
         allocations[job_id] = alloc
-    return RoundPlan(allocations=allocations, backend="carry", degraded=True)
+    return RoundPlan(allocations=allocations, backend="carry")
 
 
 class Scheduler(abc.ABC):
@@ -226,8 +223,7 @@ class Scheduler(abc.ABC):
         ILP) pre-fill them and this hook covers the gaps with one
         ``best_plan`` lookup per job.  An estimate missing from the plan is
         the plan's goodput, or ``goodput()`` for an estimator without a
-        batch plan.  Estimator failures are skipped rather than raised —
-        observability must never change scheduling outcomes.
+        batch plan.  An estimator failure raises, failing the round.
         """
         memo = self.plan_memo
         for view in views:
@@ -236,18 +232,15 @@ class Scheduler(abc.ABC):
             if allocation is None:
                 continue
             config = allocation.configuration()
-            try:
-                if job_id in plan.plans:
-                    batch = plan.plans[job_id]
-                else:
-                    batch = plan.plans[job_id] = view.estimator.best_plan(
-                        config, memo)
-                if job_id in plan.estimates:
-                    continue
-                value = float(batch.goodput if batch is not None
-                              else view.estimator.goodput(config, memo))
-            except Exception:
+            if job_id in plan.plans:
+                batch = plan.plans[job_id]
+            else:
+                batch = plan.plans[job_id] = view.estimator.best_plan(
+                    config, memo)
+            if job_id in plan.estimates:
                 continue
+            value = float(batch.goodput if batch is not None
+                          else view.estimator.goodput(config, memo))
             if value > 0:
                 plan.estimates[job_id] = value
         return plan

@@ -30,7 +30,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core import matrix as gm
 from repro.core.configs import build_config_set
-from repro.core.ilp import AssignmentProblem, solve_with_fallback
+from repro.core.ilp import AssignmentProblem, solve_assignment
 from repro.core.placement import place
 from repro.core.policy import SiaPolicyParams
 from repro.core.types import Allocation, Configuration
@@ -61,7 +61,7 @@ class SiaScheduler(Scheduler):
         solver is ``greedy``, which never reaches it.  Only a lattice too
         large for the DP (:data:`repro.core.ilp._DP_MAX_WORK`) calls
         HiGHS, so the import waits for that call; a missing scipy still
-        fails here, not as a fallback every such round would swallow."""
+        fails here, not as a failed solve in every such round."""
         if (self.params.solver != "greedy"
                 and importlib.util.find_spec("scipy") is None):
             raise ImportError("the milp solver needs scipy for HiGHS")
@@ -189,8 +189,7 @@ class SiaScheduler(Scheduler):
                 capacities=cluster.capacities(),
                 forced=forced,
             )
-            solution, degraded = solve_with_fallback(
-                problem, params.solver, params.solve_budget_s, tracer)
+            solution = solve_assignment(problem, params.solver, tracer)
 
         assignments = {views[i].job_id: configs[j]
                        for i, j in solution.assignment.items()}
@@ -215,7 +214,7 @@ class SiaScheduler(Scheduler):
                 plans[job_id] = row_plans[i][feasible[i].index(j)]
         plan = RoundPlan(allocations=allocations,
                          objective=solution.objective,
-                         backend=solution.backend, degraded=degraded,
+                         backend=solution.backend,
                          estimates=estimates, plans=plans)
         # The ILP's own numbers win; the base hook fills any job placed
         # without an ILP estimate or plan.

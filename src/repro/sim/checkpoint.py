@@ -82,8 +82,9 @@ from repro.atomicio import atomic_write_bytes
 #:     only in the scheduler's plan memo, which is not pickled.
 #: v13: a pickled ``Job`` has no workload kind and no latency target, and
 #:     an ``InvariantChecker`` holds no mode and no violations list.
+#: v14: a pickled ``SiaPolicyParams`` has no solve budget.
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 13
+FORMAT_VERSION = 14
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages

@@ -548,14 +548,15 @@ class Simulator:
             record = RoundRecord(
                 time=rnd.now, active_jobs=len(active), running_jobs=0,
                 solve_time=solve_time, backend=plan.backend,
-                degraded=plan.degraded, fault_events=rnd.fault_events,
+                degraded=plan.backend == "carry",
+                fault_events=rnd.fault_events,
                 estimates={jid: est for jid, est in plan.estimates.items()
                            if jid in active})
             self._audit(rnd, record)
         with span("advance"):
             done = self._advance_jobs(rnd, record, plan)
         with span("close"):
-            self._close(record, plan, done)
+            self._close(record, done)
         if state.invariants is not None:
             # Audit over the real engine state: still-active runtimes plus
             # the ones that finished this round.
@@ -728,11 +729,11 @@ class Simulator:
                     from_gpus=config.num_gpus, round_index=rnd.index))
         return {job_id: active.pop(job_id) for job_id in done_ids}
 
-    def _close(self, record: RoundRecord, plan: RoundPlan,
+    def _close(self, record: RoundRecord,
                done: dict[str, _JobRuntime]) -> None:
         """The ``close`` phase: metrics, health gauges and events, and the
         finished jobs' records."""
-        self._update_metrics(record, plan)
+        self._update_metrics(record)
         health = self.state.health
         if health is not None:
             counts = health.state_counts()
@@ -753,16 +754,12 @@ class Simulator:
             for job_id in done:
                 model.forget_job(job_id)
 
-    def _update_metrics(self, record: RoundRecord, plan: RoundPlan) -> None:
+    def _update_metrics(self, record: RoundRecord) -> None:
         """Fold one finished round into the run's metrics registry."""
         m = self.metrics
         m.counter("rounds_planned").inc()
         if record.fault_events:
             m.counter("faults_injected").inc(len(record.fault_events))
-        if plan.degraded:
-            m.counter("solver_fallbacks").inc()
-        if plan.backend == "carry":
-            m.counter("carry_forward_rounds").inc()
         m.gauge("queue_depth").set(record.active_jobs - record.running_jobs)
         m.histogram("solve_time_s").observe(record.solve_time)
         for event in record.events:

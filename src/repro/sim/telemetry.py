@@ -93,8 +93,8 @@ class RoundRecord:
     #: solver/plan backend that produced this round ('' when the scheduler
     #: did not report one; 'carry' marks a carried-forward plan).
     backend: str = ""
-    #: True when the round ran in a degraded mode (solver fallback, carried
-    #: plan, or a caught scheduler failure).
+    #: True when the round carried the previous plan forward after a caught
+    #: scheduler failure (``backend == 'carry'``).
     degraded: bool = False
     #: faults injected while planning this round.
     fault_events: list[FaultEvent] = field(default_factory=list)
@@ -218,7 +218,7 @@ class SimulationResult:
 
     @property
     def degraded_rounds(self) -> int:
-        """Rounds that ran on a fallback/carried plan (requires rounds)."""
+        """Rounds that ran on a carried-forward plan (requires rounds)."""
         return sum(1 for r in self.rounds if r.degraded)
 
     @property

@@ -183,12 +183,12 @@ class TestFlagGroups:
         out = tmp_path / "run.json"
         assert main(["run", "--scheduler", "gavel", "--trace-name", "philly",
                      "--num-jobs", "3", "--work-scale", "0.05",
-                     "--job-crash-rate", "1.5", "--solve-budget", "2",
+                     "--job-crash-rate", "1.5", "--lam", "1.3",
                      "--out", str(out)]) == 0
         spec = io.load_result(out).run_spec
         assert spec["scheduler"] == "gavel"
         assert spec["fault_options"] == {"job_crash_rate": 1.5}
-        assert spec["scheduler_options"]["solve_budget"] == 2.0
+        assert spec["scheduler_options"]["lam"] == 1.3
         # rigid baselines record their TunedJobs, not the raw trace
         assert all(job["fixed_num_gpus"] for job in spec["jobs"])
 

@@ -1,9 +1,6 @@
 """Custom resource requests (Section 3.4): jobs with user-defined
 parallelism pinned to a specific GPU count, type and/or batch size."""
 
-import pytest
-
-from repro.cluster import presets
 from repro.core.types import AdaptivityMode
 from repro.jobs.job import make_job
 from repro.schedulers import SiaScheduler

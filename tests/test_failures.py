@@ -1,9 +1,6 @@
 """Tests for worker-failure injection and epoch-checkpoint recovery
 (Section 3.5: recovery via per-epoch checkpoints)."""
 
-import pytest
-
-from repro.cluster import presets
 from repro.jobs.job import make_job
 from repro.schedulers import SiaScheduler
 from repro.sim import Simulator, SimulatorConfig, engine, simulate

@@ -3,7 +3,6 @@ scoring and quarantine (repro.core.health), the estimator's telemetry
 defense, fallible placements, and health-event persistence."""
 
 import json
-import math
 import random
 import statistics
 

@@ -6,10 +6,10 @@ These are slower than unit tests (full simulations) but still seconds each.
 
 import pytest
 
-from repro.analysis import ExperimentScale, run_once
+from repro.analysis import ExperimentScale
 from repro.cluster import presets
 from repro.core.policy import SiaPolicyParams
-from repro.core.types import AdaptivityMode, ProfilingMode
+from repro.core.types import ProfilingMode
 from repro.jobs.hybrid import HybridSpec
 from repro.jobs.job import make_job
 from repro.metrics import summarize

@@ -20,7 +20,7 @@ from repro.schedulers import (FIFOScheduler, GavelScheduler, PolluxScheduler,
                               ShockwaveScheduler, SiaScheduler, SRTFScheduler,
                               ThemisScheduler)
 from repro.schedulers.base import PLAN_PHASES
-from repro.sim.engine import SimulatorConfig, simulate
+from repro.sim.engine import simulate
 from repro.sim.telemetry import JobRecord, RoundRecord, SimulationResult
 
 
@@ -391,7 +391,8 @@ class TestSimulatorMetrics:
         result = simulate(hetero_cluster, ExplodingScheduler(),
                           [tiny_job()], resilient=True, max_hours=0.1)
         assert result.final_metrics["caught_scheduler_failures"] > 0
-        assert result.final_metrics["carry_forward_rounds"] > 0
+        assert result.degraded_rounds == \
+            result.final_metrics["caught_scheduler_failures"]
 
 
 # -- SimulationResult accessors ----------------------------------------------

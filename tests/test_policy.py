@@ -36,9 +36,9 @@ def policy() -> SiaScheduler:
 
 def exact_policy(monkeypatch) -> SiaScheduler:
     """A scheduler whose ILP the branch-and-bound oracle solves."""
-    monkeypatch.setattr(sia_module, "solve_with_fallback",
+    monkeypatch.setattr(sia_module, "solve_assignment",
                         lambda problem, *args, **kwargs:
-                        (solve_exact(problem), False))
+                        solve_exact(problem))
     return SiaScheduler()
 
 

@@ -7,7 +7,7 @@ from repro.analysis.explain import explain_job
 from repro.analysis.replay import build_run_spec, replay, simulator_from_spec
 from repro.analysis.report import build_report
 from repro.obs.diff import (AllocDelta, DivergencePoint, MetricDelta,
-                            RoundDelta, RunDiff, aligned_ledger_deltas,
+                            RoundDelta, aligned_ledger_deltas,
                             compare_runs, fault_recovery_seconds)
 from repro.obs.export import run_diff_markdown
 from repro.obs.ledger import GoodputLedger
@@ -72,6 +72,21 @@ class TestIdentity:
         assert bare.run_spec is None
         with pytest.raises(ValueError, match="run_spec"):
             replay(bare, 2)
+
+    def test_unknown_scheduler_option_rejected_at_build(self):
+        with pytest.raises(ValueError, match=r"unknown scheduler options: "
+                                             r"\['solve_budget'\]"):
+            _spec(scheduler_options={"round_duration": 60.0,
+                                     "solve_budget": 5.0})
+
+    def test_unknown_scheduler_option_rejected_at_fork(self, base_spec):
+        """A spec saved by an older build, carrying a scheduler option
+        this build no longer has, fails with the option's name."""
+        old = {**base_spec, "scheduler_options": {
+            **base_spec["scheduler_options"], "solve_budget": 5.0}}
+        with pytest.raises(ValueError, match=r"unknown scheduler options: "
+                                             r"\['solve_budget'\]"):
+            simulator_from_spec(old)
 
 
 class TestOverrides:
@@ -235,6 +250,21 @@ class TestCLI:
         assert main(["report", str(run), "--diff", str(diff_path),
                      "--out", str(report)]) == 0
         assert "Counterfactual diff" in report.read_text()
+
+    def test_replay_of_unknown_scheduler_option_exits_cleanly(
+            self, base_result, tmp_path):
+        from repro.cli import main
+        spec = base_result.run_spec
+        base_result.run_spec = {**spec, "scheduler_options": {
+            **spec["scheduler_options"], "solve_budget": 5.0}}
+        run = tmp_path / "run.json"
+        try:
+            io.save_result(base_result, run)
+        finally:
+            base_result.run_spec = spec
+        with pytest.raises(SystemExit,
+                           match="unknown scheduler options"):
+            main(["replay", str(run), "--at-round", "2"])
 
     def test_replay_unknown_policy_exits_cleanly(self, tmp_path):
         from repro.cli import main

@@ -6,7 +6,6 @@ from repro.analysis.render import format_bars
 from repro.analysis.report import build_report
 from repro.cli import main
 from repro.cluster import presets
-from repro.jobs.job import make_job
 from repro.schedulers import GavelScheduler, SiaScheduler
 from repro.sim import simulate
 from repro.workloads import philly_trace, tuned_jobs

@@ -6,11 +6,9 @@ GPU-seconds accounting is consistent with the allocation log, completion
 times are causal, and contention statistics are well-formed.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster import presets
-from repro.core.types import AdaptivityMode
 from repro.jobs.job import make_job
 from repro.schedulers import (GavelScheduler, PolluxScheduler, SiaScheduler)
 from repro.sim import simulate

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster import presets
 from repro.core.types import Allocation, ProfilingMode
 from repro.jobs.hybrid import HybridSpec
 from repro.jobs.job import make_job

@@ -130,13 +130,13 @@ class TestGreedyDeterminism:
 
 
 class TestTelemetryRoundTrips:
-    """Bit-identical telemetry/ledger round trips of a budgeted run with
-    greedy, the fallback rung, as the primary."""
+    """Bit-identical telemetry/ledger round trips of a resilient run with
+    greedy, the ablation backend, as the solver."""
 
     def _run(self, cluster):
         jobs = [make_job(f"j{i}", "resnet18", 0.0, work_scale=0.4)
                 for i in range(3)]
-        params = SiaPolicyParams(solver="greedy", solve_budget_s=5.0)
+        params = SiaPolicyParams(solver="greedy")
         return simulate(cluster, SiaScheduler(params), jobs, seed=7,
                         max_hours=100, resilient=True)
 
