@@ -1,10 +1,12 @@
-"""Normalized goodput matrix and utility shaping (Section 3.4).
+"""Normalized goodput and utility shaping (Section 3.4), on compact rows.
 
-Pipeline, per scheduling round:
+Each step runs on one flat vector of every job's feasible entries, entry
+``k`` in row ``rows[k]`` and column ``cols[k]`` of the dense (jobs x
+configurations) matrix the ILP reads, in the dense pipeline's float-op
+order; the caller scatters the result into that matrix, nan elsewhere.
 
-1. raw goodput matrix ``G`` — one row per job, one column per configuration,
-   filled row by row from each job's Goodput Estimator (nan, or a
-   non-positive goodput, where infeasible);
+1. raw goodput ``G`` — each job's row from its Goodput Estimator (nan, or
+   a non-positive goodput, where infeasible);
 2. row normalization — ``G_ij <- N_i_min * G_ij / min_j G_ij`` makes rows
    comparable across jobs (the row minimum becomes the job's minimum GPU
    count, so every feasible entry is a unitless multiple of the job's worst
@@ -27,28 +29,23 @@ import math
 import numpy as np
 
 
-def normalize_rows(matrix: np.ndarray, min_gpus: list[int]) -> np.ndarray:
+def normalize_rows(values: np.ndarray, rows: np.ndarray,
+                   min_gpus: list[int]) -> np.ndarray:
     """Row-min normalization: ``G_ij <- N_i_min * G_ij / min_j G_ij``.
 
-    ``matrix`` is the raw goodput matrix.  Entries that are nan,
-    non-positive or non-finite are infeasible and come out as nan; rows
-    without a feasible entry stay all-nan.
+    ``values`` holds raw goodputs, entry ``k`` in row ``rows[k]``.  Entries
+    that are nan, non-positive or non-finite are infeasible and come out
+    as nan; a row without a feasible entry stays all-nan.
     """
-    if matrix.shape[0] != len(min_gpus):
-        raise ValueError("min_gpus length must match the number of rows")
-    matrix = np.where((matrix > 0) & np.isfinite(matrix), matrix, math.nan)
-    if matrix.size == 0:
-        return matrix
-    # Row minima over feasible entries only; empty rows stay untouched.
-    lifted = np.where(np.isnan(matrix), np.inf, matrix)
-    row_min = lifted.min(axis=1)
-    has_feasible = np.isfinite(row_min)
-    scale_num = np.asarray(min_gpus, dtype=float)[:, None]
-    divisor = np.where(has_feasible, row_min, 1.0)[:, None]
-    # Same elementwise op order as the scalar loop: (min_gpus * G) / row_min.
-    out = np.where(has_feasible[:, None],
-                   scale_num * matrix / divisor, matrix)
-    return out
+    if rows.size and rows.max() >= len(min_gpus):
+        raise ValueError("min_gpus must cover every row")
+    values = np.where((values > 0) & np.isfinite(values), values, math.nan)
+    # Row minima over feasible entries only; empty rows keep inf.
+    row_min = np.full(len(min_gpus), math.inf)
+    np.minimum.at(row_min, rows, np.where(np.isnan(values), np.inf, values))
+    divisor = np.where(np.isfinite(row_min), row_min, 1.0)
+    # The dense op order: (min_gpus * G) / row_min.
+    return np.asarray(min_gpus, dtype=float)[rows] * values / divisor[rows]
 
 
 def restart_factor(age: float, num_restarts: int, restart_cost: float) -> float:
@@ -69,59 +66,50 @@ def restart_factor(age: float, num_restarts: int, restart_cost: float) -> float:
     return min(1.0, max(0.0, factor))
 
 
-def apply_restart_discount(matrix: np.ndarray,
-                           current_idx: list[int | None],
+def apply_restart_discount(values: np.ndarray, rows: np.ndarray,
+                           cols: np.ndarray, current_idx: list[int | None],
                            factors: list[float]) -> np.ndarray:
-    """Discount entries that would restart the job (config != current)."""
-    n_rows = matrix.shape[0]
-    if len(current_idx) != n_rows or len(factors) != n_rows:
-        raise ValueError("per-job inputs must match the number of rows")
-    out = matrix.copy()
-    if out.size == 0:
-        return out
-    # Queued jobs (current is None) start fresh; no restart is involved.
-    running = np.fromiter((c is not None for c in current_idx),
-                          dtype=bool, count=n_rows)
-    current = np.fromiter((c if c is not None else -1
-                           for c in current_idx),
-                          dtype=np.int64, count=n_rows)
-    cols = np.arange(out.shape[1])
-    mask = running[:, None] & (cols[None, :] != current[:, None])
-    factor_col = np.asarray(factors, dtype=float)[:, None]
-    out = np.where(mask, out * factor_col, out)
-    return out
+    """Discount entries that would restart the job (column != the row's
+    current column); rows whose job is queued (``None``) start fresh."""
+    if len(current_idx) != len(factors) or (
+            rows.size and rows.max() >= len(factors)):
+        raise ValueError("per-job inputs must cover every row")
+    current = np.array([-1 if c is None else c for c in current_idx],
+                       dtype=np.int64)[rows]
+    mask = (current >= 0) & (cols != current)
+    return np.where(mask, values * np.asarray(factors, dtype=float)[rows],
+                    values)
 
 
-def apply_health_discount(matrix: np.ndarray, config_types: list[str],
+def apply_health_discount(values: np.ndarray, cols: np.ndarray,
+                          config_types: list[str],
                           discounts: dict[str, float]) -> np.ndarray:
     """Discount goodputs on GPU types with probation nodes (gray defense).
 
     ``discounts`` maps gpu_type -> factor in (0, 1] from
     :meth:`repro.core.health.HealthTracker.type_discounts`; absent types
-    keep 1.0.  Applied to the *goodput-domain* matrix before
-    :func:`shape_utilities`: shaving ``G`` by ``d < 1`` reduces a column's
-    attractiveness under both signs of the fairness power, whereas scaling
-    shaped utilities would invert the incentive for ``p < 0`` (where
-    utility is ``lambda - G^p`` and can be negative).  Returns ``matrix``
-    unchanged (same object) when no discount applies.
+    keep 1.0.  It shaves *goodput* before :func:`shape_utilities`, which
+    makes a column less attractive under both signs of ``p``; scaling
+    shaped utilities (``lambda - G^p`` for ``p < 0``) would invert that.
+    Returns ``values`` itself when no discount applies.
     """
-    if matrix.size and matrix.shape[1] != len(config_types):
-        raise ValueError("config_types must match the number of columns")
+    if cols.size and cols.max() >= len(config_types):
+        raise ValueError("config_types must cover every column")
     if not discounts:
-        return matrix
+        return values
     for gpu_type, factor in discounts.items():
         if not 0 < factor <= 1:
             raise ValueError(f"discount for {gpu_type!r} must be in (0, 1], "
                              f"got {factor}")
     column = np.array([discounts.get(t, 1.0) for t in config_types])
-    if matrix.size == 0 or np.all(column == 1.0):
-        return matrix
-    return matrix * column[None, :]
+    if values.size == 0 or np.all(column == 1.0):
+        return values
+    return values * column[cols]
 
 
-def shape_utilities(matrix: np.ndarray, *, p: float,
+def shape_utilities(values: np.ndarray, *, p: float,
                     allocation_incentive: float) -> np.ndarray:
-    """Fairness power + allocation incentive -> final ILP utilities.
+    """Fairness power + allocation incentive -> ILP utilities, elementwise.
 
     For ``p > 0`` the utility of a pair is ``lambda + G^p`` (maximize).  For
     ``p < 0`` the paper minimizes ``sum G^p``; we negate so the ILP keeps
@@ -130,9 +118,6 @@ def shape_utilities(matrix: np.ndarray, *, p: float,
     """
     if allocation_incentive < 0:
         raise ValueError("allocation incentive must be non-negative")
-    out = np.full_like(matrix, math.nan)
-    feasible = ~np.isnan(matrix)
-    values = matrix[feasible]
     # A zero restart factor can zero out entries; drop them before powering
     # (a restart with no projected useful time is never worth taking, and
     # 0^p explodes for p < 0).
@@ -145,7 +130,5 @@ def shape_utilities(matrix: np.ndarray, *, p: float,
         else:
             shaped = np.where(np.isnan(values), math.nan,
                               allocation_incentive + 1.0)
-    shaped = np.where(np.isfinite(shaped), shaped, math.nan)
-    out[feasible] = shaped
-    return out
+    return np.where(np.isfinite(shaped), shaped, math.nan)
 

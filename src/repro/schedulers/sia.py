@@ -10,8 +10,10 @@ Each round:
 3. query each job's Goodput Estimator for every feasible configuration;
    the cache misses of all jobs share one goodput pass
    (:func:`repro.perf.estimator.goodput_rows`);
-4. row-normalize the goodput matrix, discount restarts (Equation 3), shape
-   with the fairness power ``p`` and allocation incentive ``lambda``;
+4. row-normalize the feasible goodputs, discount restarts (Equation 3),
+   shape with the fairness power ``p`` and allocation incentive
+   ``lambda``, all on one flat vector scattered once into the dense
+   utility matrix (:mod:`repro.core.matrix`);
 5. solve the 0/1 ILP with per-GPU-type capacity constraints;
 6. bind the chosen configurations to nodes
    (:func:`repro.core.placement.place`).
@@ -23,7 +25,6 @@ forced ILP assignments (Section 3.4, "Preemption and reservation").
 from __future__ import annotations
 
 import importlib.util
-import math
 
 import numpy as np
 
@@ -41,6 +42,18 @@ from repro.schedulers.base import JobView, RoundPlan, Scheduler
 SCALE_UP_FACTOR = 2
 
 
+class _ConfigSet:
+    """A configuration set with each configuration's column, GPU count and
+    type, and the feasible columns found so far; only ``configs`` pickles."""
+
+    def __init__(self, configs: list[Configuration]):
+        self.configs = configs
+        self.pos = {config: j for j, config in enumerate(configs)}
+        self.gpus = np.array([c.num_gpus for c in configs])
+        self.types = [c.gpu_type for c in configs]
+        self.feasible: dict[tuple, tuple] = {}
+
+
 class SiaScheduler(Scheduler):
     """Heterogeneity-aware, goodput-optimized scheduler (the paper's system).
 
@@ -53,8 +66,21 @@ class SiaScheduler(Scheduler):
                  round_duration: float = 60.0):
         self.params = params or SiaPolicyParams()
         self.round_duration = round_duration
-        self._config_cache: dict[tuple, list[Configuration]] = {}
+        self._config_cache: dict[tuple, _ConfigSet] = {}
         self.load_solvers()
+
+    def __getstate__(self) -> dict:
+        """Each cached set as its configuration list; nothing derived."""
+        state = super().__getstate__()
+        state.pop("_last_set", None)
+        state["_config_cache"] = {key: entry.configs for key, entry
+                                  in self._config_cache.items()}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        self._config_cache = {key: _ConfigSet(configs) for key, configs
+                              in self._config_cache.items()}
 
     def load_solvers(self) -> None:
         """Check that scipy, which holds HiGHS, is installed, unless the
@@ -68,24 +94,26 @@ class SiaScheduler(Scheduler):
 
     def configurations(self, cluster: Cluster,
                        max_gpus: int | None = None) -> list[Configuration]:
-        """The valid configuration set, cached per cluster structure.
+        """The valid configuration set, cached per cluster structure: the
+        key, :attr:`Cluster.signature`, covers everything
+        :func:`build_config_set` reads, so equal clusters share a set and a
+        changed one never reuses a stale set.  The last ``Cluster`` object
+        asked about hits before its signature is built."""
+        return self._config_set(cluster, max_gpus).configs
 
-        The key, :attr:`Cluster.signature`, covers everything
-        :func:`build_config_set` reads — GPU-type appearance order and each
-        node's (type, size) — so two distinct ``Cluster`` objects with
-        identical structure share cached configurations, and a rebuilt
-        cluster never reuses a stale set (``id()`` keying guaranteed
-        neither).
-        """
+    def _config_set(self, cluster: Cluster, max_gpus: int | None):
+        last = self.__dict__.get("_last_set")
+        if last is not None and last[0] is cluster and last[1] == max_gpus:
+            return last[2]
         key = (cluster.signature, max_gpus)
-        cached = self._config_cache.get(key)
-        if cached is not None:
-            return cached
-        configs = build_config_set(cluster, max_gpus=max_gpus)
-        if len(self._config_cache) >= 32:  # bound growth on elastic clusters
-            self._config_cache.clear()
-        self._config_cache[key] = configs
-        return configs
+        entry = self._config_cache.get(key)
+        if entry is None:
+            if len(self._config_cache) >= 32:  # bound elastic clusters
+                self._config_cache.clear()
+            entry = self._config_cache[key] = _ConfigSet(
+                build_config_set(cluster, max_gpus=max_gpus))
+        self._last_set = (cluster, max_gpus, entry)
+        return entry
 
     def feasible_configs(self, view: JobView, configs: list[Configuration],
                          config_pos: dict[Configuration, int]) -> list[int]:
@@ -126,6 +154,21 @@ class SiaScheduler(Scheduler):
             out.append(idx)
         return out
 
+    def _feasible(self, entry: _ConfigSet, view: JobView) -> tuple:
+        """``(columns, configurations)`` of :meth:`feasible_configs`, memoized
+        by all it reads: jobs with equal limits share one list."""
+        job, hybrid = view.job, view.job.hybrid
+        key = (job.allowed_gpu_types, job.effective_min_gpus,
+               job.effective_max_gpus, job.fixed_num_gpus,
+               hybrid and tuple(hybrid.stages_per_type.items()),
+               view.current_config)
+        found = entry.feasible.get(key)
+        if found is None:
+            cols = self.feasible_configs(view, entry.configs, entry.pos)
+            found = entry.feasible[key] = (
+                cols, [entry.configs[j] for j in cols])
+        return found
+
     def decide(self, views: list[JobView], cluster: Cluster,
                previous: dict[str, Allocation], now: float) -> RoundPlan:
         if not views:
@@ -134,44 +177,42 @@ class SiaScheduler(Scheduler):
         params = self.params
         with tracer.span("bootstrap", jobs=len(views)):
             max_gpus = max(v.job.effective_max_gpus for v in views)
-            configs = self.configurations(cluster, max_gpus=max_gpus)
-            n_configs = len(configs)
-            # One index map per round; every per-job lookup below is O(1).
-            config_pos = {config: j for j, config in enumerate(configs)}
+            entry = self._config_set(cluster, max_gpus)
+            configs = entry.configs
 
-        with self.goodput_eval(jobs=len(views), configs=n_configs) as span:
-            # Every job fills its feasible columns of the dense (jobs x
-            # configs) matrix, all from one goodput pass; the rest stay
-            # infeasible.
-            raw = np.full((len(views), n_configs), math.nan)
-            feasible = [self.feasible_configs(view, configs, config_pos)
-                        for view in views]
-            rows, row_plans = goodput_rows(
-                [(view.estimator, [configs[j] for j in cols])
-                 for view, cols in zip(views, feasible)],
+        with self.goodput_eval(jobs=len(views), configs=len(configs)) as span:
+            # Every job rates only its feasible columns, all in one goodput
+            # pass, shaped as one flat vector (repro.core.matrix).
+            feasible = [self._feasible(entry, view) for view in views]
+            goodputs, row_plans = goodput_rows(
+                [(view.estimator, found[1])
+                 for view, found in zip(views, feasible)],
                 span, self.plan_memo)
-            for i, (cols, row) in enumerate(zip(feasible, rows)):
-                raw[i, cols] = row
-            min_gpus = [v.job.effective_min_gpus for v in views]
-            normalized = gm.normalize_rows(raw, min_gpus)
+            rows = np.repeat(np.arange(len(views)),
+                             [len(found[0]) for found in feasible])
+            cols = np.array([j for found in feasible for j in found[0]],
+                            dtype=np.intp)
+            normalized = gm.normalize_rows(
+                np.concatenate(goodputs), rows,
+                [v.job.effective_min_gpus for v in views])
 
-            current_idx = [config_pos.get(v.current_config) for v in views]
+            current_idx = [entry.pos.get(v.current_config) for v in views]
             if params.use_restart_factor:
                 factors = [gm.restart_factor(v.age, v.num_restarts,
                                              v.job.restart_delay)
                            for v in views]
             else:
                 factors = [1.0] * len(views)
-            discounted = gm.apply_restart_discount(normalized, current_idx,
-                                                   factors)
+            discounted = gm.apply_restart_discount(normalized, rows, cols,
+                                                   current_idx, factors)
             if self.health_discounts:
                 # Probation nodes (health layer): shave the goodput domain
                 # before fairness shaping so the discount is direction-
                 # correct under both signs of p.
                 discounted = gm.apply_health_discount(
-                    discounted, [c.gpu_type for c in configs],
-                    self.health_discounts)
-            utilities = gm.shape_utilities(
+                    discounted, cols, entry.types, self.health_discounts)
+            utilities = np.full((len(views), len(configs)), np.nan)
+            utilities[rows, cols] = gm.shape_utilities(
                 discounted, p=params.p,
                 allocation_incentive=params.allocation_incentive)
 
@@ -184,8 +225,8 @@ class SiaScheduler(Scheduler):
         with tracer.span("solve", backend=params.solver):
             problem = AssignmentProblem(
                 utilities=utilities,
-                config_gpus=[c.num_gpus for c in configs],
-                config_types=[c.gpu_type for c in configs],
+                config_gpus=entry.gpus,
+                config_types=entry.types,
                 capacities=cluster.capacities(),
                 forced=forced,
             )
@@ -198,7 +239,7 @@ class SiaScheduler(Scheduler):
         with tracer.span("placement"):
             allocations = place(cluster, assignments, previous, pinned)
         # Surface the raw (undiscounted, unshaped) goodput the ILP's utility
-        # row was built from — the estimate side of the goodput ledger —
+        # entry was built from — the estimate side of the goodput ledger —
         # and the plan it was rated from, where placement kept the ILP's
         # configuration.
         estimates, plans = {}, {}
@@ -207,11 +248,12 @@ class SiaScheduler(Scheduler):
             allocation = allocations.get(job_id)
             if allocation is None:
                 continue
-            value = float(raw[i, j])
+            k = feasible[i][0].index(j)
+            value = float(goodputs[i][k])
             if value > 0:
                 estimates[job_id] = value
             if allocation.configuration() == configs[j]:
-                plans[job_id] = row_plans[i][feasible[i].index(j)]
+                plans[job_id] = row_plans[i][k]
         plan = RoundPlan(allocations=allocations,
                          objective=solution.objective,
                          backend=solution.backend,

@@ -14,14 +14,24 @@
 * :func:`reference_fit` — the throughput fit recomputed from the whole
   observation list, grouped by configuration.  The estimator's running fit state is compared
   against it.
-* :func:`probe_afresh` — the estimator's probe with its key slots emptied
-  first, so every probe builds each group's row key.  Estimators that keep
-  their keys are compared against it.
+* :func:`probe_afresh` — the estimator's probe with its key slots and
+  saved row emptied first, so every probe builds each group's row key and
+  looks up every plan.  Estimators that keep their keys and rows are
+  compared against it, and against :func:`probe_without_row`, which keeps
+  the keys but no row.
+* :func:`dense_normalize_rows`, :func:`dense_restart_discount`,
+  :func:`dense_health_discount` and :func:`dense_shape_utilities` — the
+  Section 3.4 shaping steps on the dense (jobs x configurations) goodput
+  matrix, nan where infeasible.  The compact pipeline of
+  ``repro.core.matrix``, which shapes only each job's feasible entries, is
+  compared against them.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from repro.core.ilp import AssignmentProblem, AssignmentSolution
 from repro.core.types import ProfilingMode
@@ -272,4 +282,94 @@ def probe_afresh(estimator: JobPerfEstimator, configs, misses, memo):
     Patch it onto the class (``monkeypatch.setattr(JobPerfEstimator,
     "_probe", probe_afresh)``) or bind it to one estimator."""
     estimator._slots.clear()
+    estimator._row = None
     return _PROBE(estimator, configs, misses, memo)
+
+
+def probe_without_row(estimator: JobPerfEstimator, configs, misses, memo):
+    """:meth:`JobPerfEstimator._probe` after dropping ``estimator``'s
+    saved row, its key slots kept: every probe looks up every plan."""
+    estimator._row = None
+    return _PROBE(estimator, configs, misses, memo)
+
+
+def dense_normalize_rows(matrix: np.ndarray,
+                         min_gpus: list[int]) -> np.ndarray:
+    """Row-min normalization ``G_ij <- N_i_min * G_ij / min_j G_ij`` of a
+    dense matrix; nan, non-positive and non-finite entries come out nan."""
+    if matrix.shape[0] != len(min_gpus):
+        raise ValueError("min_gpus length must match the number of rows")
+    matrix = np.where((matrix > 0) & np.isfinite(matrix), matrix, math.nan)
+    if matrix.size == 0:
+        return matrix
+    lifted = np.where(np.isnan(matrix), np.inf, matrix)
+    row_min = lifted.min(axis=1)
+    has_feasible = np.isfinite(row_min)
+    scale_num = np.asarray(min_gpus, dtype=float)[:, None]
+    divisor = np.where(has_feasible, row_min, 1.0)[:, None]
+    return np.where(has_feasible[:, None],
+                    scale_num * matrix / divisor, matrix)
+
+
+def dense_restart_discount(matrix: np.ndarray,
+                           current_idx: list[int | None],
+                           factors: list[float]) -> np.ndarray:
+    """Equation (3)'s discount on every entry of a running job's row but
+    its current column."""
+    n_rows = matrix.shape[0]
+    if len(current_idx) != n_rows or len(factors) != n_rows:
+        raise ValueError("per-job inputs must match the number of rows")
+    out = matrix.copy()
+    if out.size == 0:
+        return out
+    running = np.fromiter((c is not None for c in current_idx),
+                          dtype=bool, count=n_rows)
+    current = np.fromiter((c if c is not None else -1
+                           for c in current_idx),
+                          dtype=np.int64, count=n_rows)
+    cols = np.arange(out.shape[1])
+    mask = running[:, None] & (cols[None, :] != current[:, None])
+    factor_col = np.asarray(factors, dtype=float)[:, None]
+    return np.where(mask, out * factor_col, out)
+
+
+def dense_health_discount(matrix: np.ndarray, config_types: list[str],
+                          discounts: dict[str, float]) -> np.ndarray:
+    """Each column scaled by its GPU type's discount (absent types keep
+    1.0); ``matrix`` itself when no discount applies."""
+    if matrix.size and matrix.shape[1] != len(config_types):
+        raise ValueError("config_types must match the number of columns")
+    if not discounts:
+        return matrix
+    for gpu_type, factor in discounts.items():
+        if not 0 < factor <= 1:
+            raise ValueError(f"discount for {gpu_type!r} must be in (0, 1], "
+                             f"got {factor}")
+    column = np.array([discounts.get(t, 1.0) for t in config_types])
+    if matrix.size == 0 or np.all(column == 1.0):
+        return matrix
+    return matrix * column[None, :]
+
+
+def dense_shape_utilities(matrix: np.ndarray, *, p: float,
+                          allocation_incentive: float) -> np.ndarray:
+    """``lambda + G^p`` for ``p > 0``, ``lambda - G^p`` for ``p < 0`` and
+    ``lambda + 1`` for ``p == 0`` on the feasible (non-nan) entries;
+    non-positive and non-finite results are nan."""
+    if allocation_incentive < 0:
+        raise ValueError("allocation incentive must be non-negative")
+    out = np.full_like(matrix, math.nan)
+    feasible = ~np.isnan(matrix)
+    values = matrix[feasible]
+    values = np.where(values > 0, values, math.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if p > 0:
+            shaped = allocation_incentive + np.power(values, p)
+        elif p < 0:
+            shaped = allocation_incentive - np.power(values, p)
+        else:
+            shaped = np.where(np.isnan(values), math.nan,
+                              allocation_incentive + 1.0)
+    shaped = np.where(np.isfinite(shaped), shaped, math.nan)
+    out[feasible] = shaped
+    return out

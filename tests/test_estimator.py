@@ -674,8 +674,9 @@ class TestKeySlots:
     def test_slots_are_not_pickled(self, monkeypatch, kind):
         """A probed estimator pickles to the bytes of a twin that has the
         same evidence and made the same probes but holds no slot, and to
-        the bytes the default reduction gives that twin; unpickled, it
-        holds no slot and probes to the same keys, plans and counters."""
+        the bytes the default reduction gives that twin without its slots
+        and saved row; unpickled, it holds no slot and probes to the same
+        keys, plans and counters."""
         probed, twin = grouped_estimator(kind), grouped_estimator(kind)
         memos: list[dict] = [{}, {}]
         for est, memo in zip((probed, twin), memos):
@@ -695,9 +696,65 @@ class TestKeySlots:
         assert (restored.cache_hits, restored.cache_misses) == \
             (probed.cache_hits, probed.cache_misses)
 
-        del twin._slots
+        del twin._slots, twin._row
         monkeypatch.delattr(JobPerfEstimator, "__getstate__")
         assert pickle.dumps(twin) == data
+
+
+class TestSavedRow:
+    """A probe that hits on every configuration saves its row; the next
+    probe of the same list object on the same memo returns it, until the
+    evidence changes or the memo is cleared."""
+
+    @staticmethod
+    def saved(kind: str = "BOOTSTRAP") -> tuple[JobPerfEstimator, dict]:
+        est, memo = grouped_estimator(kind), {}
+        est.best_plans(ROW, memo)
+        assert est._row is None  # it missed, so it saved nothing
+        est.best_plans(ROW, memo)
+        assert est._row is not None and est._row[0] is ROW
+        return est, memo
+
+    @pytest.mark.parametrize("kind", TestGroupToken.KINDS)
+    def test_the_same_list_is_answered_from_the_saved_row(self, kind):
+        """Planting a marker in the memo shows which probes read it: the
+        same list does not, an equal new list does."""
+        est, memo = self.saved(kind)
+        plans = est.best_plans(ROW, memo)
+        memo_row = memo[est._row[2]]
+        shape = next(iter(memo_row))
+        memo_row[shape] = "marker"
+        hits = est.cache_hits
+        assert est.best_plans(ROW, memo) == plans
+        assert est.cache_hits == hits + len(ROW)
+        assert "marker" in est.best_plans(list(ROW), memo)
+
+    def test_new_evidence_drops_the_row(self):
+        est, _ = self.saved()
+        est.add_observation(EVIDENCE[0][0])
+        assert est._row is None and not est._slots
+        est, _ = self.saved()
+        est.update_gradient_stats(
+            2 * est.efficiency_model.params.grad_noise_scale)
+        assert est._row is None and not est._slots
+
+    def test_a_cleared_or_other_memo_is_probed(self):
+        est, memo = self.saved()
+        memo.clear()
+        misses = est.cache_misses
+        est.best_plans(ROW, memo)
+        assert est.cache_misses == misses + len(ROW)
+        misses = est.cache_misses
+        est.best_plans(ROW, {})
+        assert est.cache_misses == misses + len(ROW)
+
+    def test_saved_row_is_not_pickled(self):
+        """Twins with the same evidence, probes and counters pickle alike
+        whether or not they hold a saved row."""
+        (holding, _), (twin, _) = self.saved(), self.saved()
+        twin._row = None
+        assert pickle.dumps(holding) == pickle.dumps(twin)
+        assert pickle.loads(pickle.dumps(holding))._row is None
 
 
 class TestSeededPass:

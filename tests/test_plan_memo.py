@@ -31,10 +31,11 @@ from repro.perf.throughput import ThroughputModel
 from repro.schedulers.base import Scheduler
 from repro.schedulers.pollux import PolluxEstimator
 from repro.schedulers.rigid import FIFOScheduler
+from repro.schedulers.sia import SiaScheduler
 from repro.sim import simulate
 from repro.workloads import helios_trace
 from tests.golden.regen import record
-from tests.oracle import probe_afresh
+from tests.oracle import probe_afresh, probe_without_row
 
 MODEL = "bert"
 TYPES = ("t4", "rtx", "a100")
@@ -290,12 +291,16 @@ class TestRuns:
     @pytest.mark.parametrize("case", RUNS)
     def test_key_slots_move_no_decision(self, case, monkeypatch):
         """A run whose estimators keep each group's row key until their
-        evidence changes decides and estimates exactly as one whose
-        estimators build every key at every probe."""
+        evidence changes, and return a saved row for a repeated probe,
+        decides and estimates exactly as one whose estimators keep keys
+        but save no row, and as one whose estimators build every key and
+        look up every plan at every probe."""
         policy, options = RUNS[case]
         kept = record(run(make_scheduler(policy), policy, **options))
-        monkeypatch.setattr(JobPerfEstimator, "_probe", probe_afresh)
-        assert record(run(make_scheduler(policy), policy, **options)) == kept
+        for probe in (probe_without_row, probe_afresh):
+            monkeypatch.setattr(JobPerfEstimator, "_probe", probe)
+            assert record(run(make_scheduler(policy), policy,
+                              **options)) == kept
 
 
 class TestPickle:
@@ -309,6 +314,28 @@ class TestPickle:
         assert restored.plan_memo == {}
         del scheduler._plan_memo
         assert pickle.dumps(scheduler) == data
+
+    def test_sia_pickles_without_what_it_derives(self):
+        """After a run, Sia pickles to the bytes of a fresh scheduler with
+        the same parameters, configuration cache and the tracer and
+        metrics the simulator attaches: its derived configuration sets are
+        not pickled, and it derives them again once restored."""
+        scheduler = make_scheduler("sia")
+        run(scheduler, "sia")
+        entries = scheduler._config_cache.values()
+        assert scheduler._last_set and any(e.feasible for e in entries)
+        fresh = SiaScheduler(scheduler.params, scheduler.round_duration)
+        fresh._config_cache = scheduler._config_cache
+        fresh.tracer, fresh.metrics = scheduler.tracer, scheduler.metrics
+        data = pickle.dumps(scheduler)
+        assert data == pickle.dumps(fresh)
+        restored = pickle.loads(data)
+        assert "_last_set" not in vars(restored)
+        assert not any(e.feasible for e in restored._config_cache.values())
+        cluster = presets.heterogeneous()
+        configs = restored.configurations(cluster, max_gpus=64)
+        assert configs == scheduler.configurations(cluster, max_gpus=64)
+        assert restored.configurations(cluster, max_gpus=64) is configs
 
     def test_memo_alone_pickles_as_an_empty_state(self):
         """A scheduler whose only attribute is its memo pickles like one

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import presets
+from repro.cluster.cluster import Cluster
 from repro.core.types import Configuration, ProfilingMode
 from repro.jobs.hybrid import HybridSpec
 from repro.perf import profiles
@@ -364,6 +365,26 @@ class TestConfigCacheSignature:
         second = policy.configurations(large, max_gpus=64)
         assert first is not second
         assert len(second) > len(first)
+
+    def test_same_cluster_object_hits_without_its_signature(
+            self, monkeypatch):
+        """The cluster object asked about last time hits before its
+        signature is built; an equal view of it (one the engine builds
+        when nodes are down) hits through its signature."""
+        policy = SiaScheduler()
+        cluster = presets.heterogeneous()
+        configs = policy.configurations(cluster, max_gpus=64)
+        built = []
+        signature = Cluster.signature
+        monkeypatch.setattr(Cluster, "signature", property(
+            lambda self: built.append(self) or signature.fget(self)))
+        assert policy.configurations(cluster, max_gpus=64) is configs
+        assert built == []
+        view = Cluster(nodes=cluster.nodes)
+        assert policy.configurations(view, max_gpus=64) is configs
+        assert built == [view]
+        down = Cluster(nodes=cluster.nodes[1:])
+        assert policy.configurations(down, max_gpus=64) is not configs
 
     def test_max_gpus_partitions_cache(self):
         policy = SiaScheduler()
