@@ -17,8 +17,10 @@ its median.  Which way is better comes from ``BENCHMARK.json``.
 
 Exits 1 when a bench run crashes or reports itself incorrect, or when the
 two trees' ``report:`` decision digests differ at a seed unless
-``--decisions-may-move`` is passed, and 2 on bad usage.  No timing is
-gated.
+``--decisions-may-move`` is passed, and 2 on bad usage.  Otherwise it
+exits 3 when, at some seed, a metric lost every pair of at least
+:data:`REGRESSION_PAIRS` and its median moved the wrong way by more than
+:data:`AA_FLOOR`, and 0.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 REPORT_PREFIX = "report: "
+#: The A/A noise floor: timing medians of a tree against itself moved
+#: within about 3% (DESIGN.md, "A/B harness and its noise floor").
+AA_FLOOR = 0.03
+#: Pairs a metric must lose, every one of them, to count as a
+#: regression: each A/A pair is a coin toss, so losing one or two says
+#: nothing (CI's A/A smoke step runs a single pair).
+REGRESSION_PAIRS = 3
 
 
 def better_directions(root: Path = ROOT) -> dict[str, str]:
@@ -74,8 +83,9 @@ def summarize(pairs: list[tuple[str, str]], better: dict[str, str],
     """``(rows, crashes, digests_differ)`` for one seed's ``(REF output,
     candidate output)`` pairs.  A row per metric both trees report:
     ``metric``, ``ref`` and ``new`` medians, ``delta`` (relative to
-    ``ref``), ``won`` and ``pairs`` (pairs whose runs both completed
-    correctly), ``iqr`` (``REF``'s, relative)."""
+    ``ref``), ``won``, ``lost`` and ``pairs`` (pairs whose runs both
+    completed correctly), ``iqr`` (``REF``'s, relative) and ``worse``
+    (``delta`` signed so that positive is a regression)."""
     parsed = [(parse(ref), parse(new)) for ref, new in pairs]
     crashes = [f"pair {i} {side}: crashed or incorrect"
                for i, runs in enumerate(parsed)
@@ -97,13 +107,24 @@ def summarize(pairs: list[tuple[str, str]], better: dict[str, str],
         sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
         ref_median = statistics.median(refs)
         new_median = statistics.median(news)
+        delta = (new_median - ref_median) / ref_median if ref_median else 0.0
         rows.append({
             "metric": name, "ref": ref_median, "new": new_median,
-            "delta": (new_median - ref_median) / ref_median
-            if ref_median else 0.0,
+            "delta": delta,
             "won": sum(sign * (n - r) < 0 for r, n in both),
-            "pairs": len(both), "iqr": relative_iqr(refs)})
+            "lost": sum(sign * (n - r) > 0 for r, n in both),
+            "pairs": len(both), "iqr": relative_iqr(refs),
+            "worse": sign * delta})
     return rows, crashes, differ
+
+
+def regressions(rows: list[dict]) -> list[str]:
+    """The metrics of ``rows`` that lost every pair of at least
+    :data:`REGRESSION_PAIRS` and whose median moved the wrong way by more
+    than :data:`AA_FLOOR`."""
+    return [row["metric"] for row in rows
+            if row["pairs"] >= REGRESSION_PAIRS
+            and row["lost"] == row["pairs"] and row["worse"] > AA_FLOOR]
 
 
 def format_rows(rows: list[dict]) -> list[str]:
@@ -117,8 +138,10 @@ def format_rows(rows: list[dict]) -> list[str]:
 
 
 def exit_code(crashes: list[str], digests_differ: bool,
-              decisions_may_move: bool) -> int:
-    return 1 if crashes or (digests_differ and not decisions_may_move) else 0
+              decisions_may_move: bool, regressed: list[str] = ()) -> int:
+    if crashes or (digests_differ and not decisions_may_move):
+        return 1
+    return 3 if regressed else 0
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> str:
@@ -175,6 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, _raise_exit)
     better = better_directions()
     crashes: list[str] = []
+    regressed: list[str] = []
     differ = False
     with worktree(args.ref) as ref_tree:
         for seed in args.seeds:
@@ -193,10 +217,15 @@ def main(argv: list[str] | None = None) -> int:
             if seed_differ:
                 print(f"decision digests differ at seed {seed}")
             crashes += [f"seed {seed} {c}" for c in seed_crashes]
+            regressed += [f"seed {seed} {metric}"
+                          for metric in regressions(rows)]
             differ = differ or seed_differ
     for crash in crashes:
         print(f"ab: {crash}", file=sys.stderr)
-    return exit_code(crashes, differ, args.decisions_may_move)
+    for metric in regressed:
+        print(f"ab: {metric} lost every pair and regressed past the "
+              f"{AA_FLOOR:.0%} A/A floor", file=sys.stderr)
+    return exit_code(crashes, differ, args.decisions_may_move, regressed)
 
 
 if __name__ == "__main__":

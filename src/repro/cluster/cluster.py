@@ -11,8 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.cluster.node import Node, NodeGroup, power_of_two_decomposition
+
+if TYPE_CHECKING:
+    from repro.core.types import Configuration
 
 
 @dataclass(frozen=True)
@@ -115,10 +119,40 @@ class Cluster:
         return dict(self._capacities)
 
     def max_node_size(self, gpu_type: str) -> int:
-        nodes = self.nodes_of_type(gpu_type)
-        if not nodes:
+        size = self.largest_nodes.get(gpu_type)
+        if size is None:
             raise KeyError(f"no nodes of type {gpu_type!r}")
-        return max(n.num_gpus for n in nodes)
+        return size
+
+    @cached_property
+    def largest_nodes(self) -> dict[str, int]:
+        """The largest node's GPU count per GPU type, in :attr:`gpu_types`
+        order; do not edit it."""
+        largest: dict[str, int] = {}
+        for node in self.nodes:
+            if node.num_gpus > largest.get(node.gpu_type, 0):
+                largest[node.gpu_type] = node.num_gpus
+        return largest
+
+    @cached_property
+    def _spanning(self) -> dict[int, list[Configuration]]:
+        """:meth:`spanning_configs` per GPU count asked for so far."""
+        return {}
+
+    def spanning_configs(self, count: int) -> list[Configuration]:
+        """One :class:`~repro.core.types.Configuration` of ``count`` GPUs
+        per GPU type, in :attr:`gpu_types` order, each spanning the fewest
+        of the type's largest nodes.  The same list for every call with
+        ``count``, so an estimator's saved row answers its next probe; do
+        not edit it."""
+        configs = self._spanning.get(count)
+        if configs is None:
+            # core imports this module, so Configuration is imported late.
+            from repro.core.types import Configuration
+            configs = self._spanning[count] = [
+                Configuration(max(1, -(-count // size)), count, gpu_type)
+                for gpu_type, size in self.largest_nodes.items()]
+        return configs
 
     def describe(self) -> str:
         """Human-readable summary, e.g. ``'6x t4(4) + 3x rtx(8) + 2x a100(8)'``."""

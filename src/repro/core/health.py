@@ -172,6 +172,20 @@ class HealthTracker:
         #: engine drains every round, so this is empty at checkpoint
         #: boundaries and resume equivalence is unaffected.
         self._pending: list[HealthEvent] = []
+        #: the last filtered view :meth:`healthy_view` built, as ``(input
+        #: cluster, excluded ids, view)``; not pickled (:meth:`__getstate__`).
+        self._view: tuple[Cluster, frozenset[int], Cluster] | None = None
+
+    def __getstate__(self) -> dict:
+        """Everything but the saved view, so a tracker pickles to the same
+        bytes whether or not it has filtered a cluster."""
+        state = self.__dict__.copy()
+        del state["_view"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._view = None
 
     # -- evidence ------------------------------------------------------------
 
@@ -294,15 +308,22 @@ class HealthTracker:
     def healthy_view(self, cluster: Cluster, now: float) -> Cluster:
         """``cluster`` minus quarantined/drained nodes.
 
-        Returns the *same* object when nothing is excluded, so schedulers
-        that cache per-cluster state (placers key on object identity) are
-        unaffected on the healthy path.  If exclusion would leave zero
-        nodes, the best excluded node is pressed back into service on
-        probation, with a ``reinstate`` event at ``now`` — an empty cluster
-        deadlocks every job, which is worse than one sick node."""
+        Returns ``cluster`` itself when nothing it holds is excluded, and
+        the same filtered object while ``cluster`` and the excluded set
+        stay unchanged, so schedulers that cache per-cluster state (placers
+        key on object identity) keep their caches across rounds.  If
+        exclusion would leave zero nodes, the best excluded node is
+        pressed back into service on probation, with a ``reinstate`` event
+        at ``now`` — an empty cluster deadlocks every job, which is worse
+        than one sick node.  The view is saved under the excluded set after
+        the rescue, so a rescue is never answered from a saved view."""
         excluded = self.excluded_nodes()
         if not excluded:
             return cluster
+        saved = self._view
+        if saved is not None and saved[0] is cluster \
+                and saved[1] == excluded:
+            return saved[2]
         keep = tuple(n for n in cluster.nodes if n.node_id not in excluded)
         if not keep:
             candidates = [self._nodes[n.node_id] for n in cluster.nodes
@@ -319,11 +340,13 @@ class HealthTracker:
             best.consecutive_placement_failures = 0
             self._emit("reinstate", now, best.node_id,
                        "emergency reinstatement: every node was excluded")
+            excluded = self.excluded_nodes()
             keep = tuple(n for n in cluster.nodes
-                         if n.node_id not in self.excluded_nodes())
-        if len(keep) == len(cluster.nodes):
-            return cluster
-        return Cluster(nodes=keep)
+                         if n.node_id not in excluded)
+        view = cluster if len(keep) == len(cluster.nodes) \
+            else Cluster(nodes=keep)
+        self._view = (cluster, excluded, view)
+        return view
 
     def type_discounts(self, cluster: Cluster) -> dict[str, float]:
         """Goodput multiplier per GPU type, weighted by the fraction of

@@ -79,9 +79,10 @@ class LedgerEntry:
 
 def round_entries(rnd: Any, round_index: int) -> list[LedgerEntry]:
     """Ledger entries of one :class:`RoundRecord`, in the canonical sorted
-    job order.  Shared by :meth:`GoodputLedger.from_result` and the live
-    JSONL streamer (:mod:`repro.obs.stream`), so a ledger streamed round by
-    round loads back identical to one rebuilt post hoc."""
+    job order, as :meth:`GoodputLedger.from_result` builds them.  The live
+    JSONL streamer (:mod:`repro.obs.stream`) writes the same entries from
+    the record directly, so a ledger streamed round by round loads back
+    identical to one rebuilt post hoc."""
     return [LedgerEntry(
         round_index=round_index, time=rnd.time, job_id=job_id,
         gpu_type=rnd.allocations[job_id][0],

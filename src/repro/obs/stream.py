@@ -32,7 +32,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.obs.ledger import LedgerEntry, round_entries
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.slo import SLOEngine
 
@@ -61,6 +60,12 @@ def json_object(data: dict[str, Any]) -> str:
     by :func:`json_value`."""
     return "{" + ", ".join([f"{_json_str(key)}: {json_value(value)}"
                             for key, value in data.items()]) + "}"
+
+
+#: Texts an :class:`EventStreamObserver` keeps of attrs whose values are
+#: all ``str`` or ``int``; a full memo is cleared.  A seed-1 fifo-ops1024
+#: pass writes about 1,300 distinct ones.
+ATTRS_MEMO_MAX = 4096
 
 
 def check_payload(payload: dict[str, Any], kind: str) -> None:
@@ -232,6 +237,11 @@ class EventStreamObserver(RoundObserver):
                                 if metrics is not None else None)
         self._span_cursor = 0
         self._event_cursor = 0
+        #: span name -> its line's text up to the start time.
+        self._heads: dict[str, str] = {}
+        #: ``tuple(attrs.items())`` -> ``json_object(attrs)``, for attrs
+        #: whose values are all ``str`` or ``int`` (:meth:`_attrs_text`).
+        self._attrs: dict[tuple, str] = {}
 
     def on_round(self, result: Any, round_index: int, dt: float) -> None:
         self._drain()
@@ -245,29 +255,52 @@ class EventStreamObserver(RoundObserver):
         # sits on the per-round hot path, where ~30 json.dumps calls a
         # round measurably raise the observer's per-round time.
         lines: list[str] = []
+        heads, attrs_text = self._heads, self._attrs_text
         spans = self.tracer.spans
-        while self._span_cursor < len(spans):
-            span = spans[self._span_cursor]
-            self._span_cursor += 1
+        fresh = spans[self._span_cursor:]
+        self._span_cursor = len(spans)
+        for span in fresh:
+            head = heads.get(span.name)
+            if head is None:
+                head = heads[span.name] = (
+                    f'{{"kind": "span", "name": {json_value(span.name)}, '
+                    f'"start": ')
             parent = (span.parent_id if span.parent_id is not None
                       else "null")
             lines.append(
-                f'{{"kind": "span", "name": {json_value(span.name)}, '
-                f'"start": {json_value(span.start)}, '
+                f'{head}{json_value(span.start)}, '
                 f'"duration": {json_value(span.duration)}, '
                 f'"span_id": {span.span_id}, "parent_id": {parent}, '
                 f'"depth": {span.depth}, '
-                f'"attrs": {json_object(span.attrs)}}}\n')
+                f'"attrs": {attrs_text(span.attrs)}}}\n')
         events = self.tracer.events
-        while self._event_cursor < len(events):
-            name, ts, attrs = events[self._event_cursor]
-            self._event_cursor += 1
+        fresh_events = events[self._event_cursor:]
+        self._event_cursor = len(events)
+        for name, ts, attrs in fresh_events:
             lines.append(
                 f'{{"kind": "event", "name": {json_value(name)}, '
                 f'"time": {json_value(ts)}, '
-                f'"attrs": {json_object(attrs)}}}\n')
+                f'"attrs": {attrs_text(attrs)}}}\n')
         if lines:
             self.writer.write_lines(lines)
+
+    def _attrs_text(self, attrs: dict[str, Any]) -> str:
+        """:func:`json_object` of ``attrs``, kept per attrs value when every
+        value is a ``str`` or an ``int`` (exactly: a bool, a float or a
+        numpy number equal to a kept value would read its text)."""
+        if not attrs:
+            return "{}"
+        for value in attrs.values():
+            kind = type(value)
+            if kind is not str and kind is not int:
+                return json_object(attrs)
+        key = tuple(attrs.items())
+        text = self._attrs.get(key)
+        if text is None:
+            if len(self._attrs) >= ATTRS_MEMO_MAX:
+                self._attrs.clear()
+            text = self._attrs[key] = json_object(attrs)
+        return text
 
     def on_finalize(self, result: Any) -> None:
         self._drain()
@@ -331,9 +364,43 @@ class LedgerStreamObserver(_RecordStream):
 
     header_kind = "ledger"
 
+    def __init__(self, path: str | Path, scheduler_name: str):
+        super().__init__(path, scheduler_name)
+        #: ``(job_id, gpu_type, num_gpus, type(num_gpus))`` -> that part of
+        #: a line (the type keeps ``True`` from reading ``1``'s text).
+        self._jobs: dict[tuple, str] = {}
+
     def round_lines(self, record: Any, round_index: int) -> list[str]:
-        lines = [ledger_line(entry)
-                 for entry in round_entries(record, round_index)]
+        # json.dumps({"kind": "ledger_entry", **entry.to_dict()}) of each
+        # of round_entries(record, round_index), written directly (one
+        # line per running job per round): the round's head once, and the
+        # job part once per (job, allocation) per run.
+        head = (f'{{"kind": "ledger_entry", '
+                f'"round_index": {json_value(round_index)}, '
+                f'"time": {json_value(record.time)}, ')
+        jobs = self._jobs
+        estimates, realized = record.estimates, record.realized
+        throughputs = record.throughputs
+        lines = []
+        for job_id, (gpu_type, num_gpus) in sorted(
+                record.allocations.items()):
+            key = (job_id, gpu_type, num_gpus, type(num_gpus))
+            line = jobs.get(key)
+            if line is None:
+                line = jobs[key] = (f'"job_id": {json_value(job_id)}, '
+                                    f'"gpu_type": {json_value(gpu_type)}, '
+                                    f'"num_gpus": {json_value(num_gpus)}')
+            line = head + line
+            value = estimates.get(job_id)
+            if value is not None:
+                line += f', "estimated_goodput": {json_value(value)}'
+            value = realized.get(job_id)
+            if value is not None:
+                line += f', "realized_goodput": {json_value(value)}'
+            value = throughputs.get(job_id)
+            if value is not None:
+                line += f', "realized_throughput": {json_value(value)}'
+            lines.append(line + "}\n")
         # An event's own dict carries a "kind" (the event kind), so it is
         # nested rather than spread into the line.
         lines += [json.dumps({"kind": "alloc_event",
@@ -343,26 +410,6 @@ class LedgerStreamObserver(_RecordStream):
 
     def trailer(self, result: Any) -> dict[str, Any]:
         return {"kind": "ledger_end", "num_rounds": len(result.rounds)}
-
-
-def ledger_line(entry: LedgerEntry) -> str:
-    """The ``ledger_entry`` line of ``entry``: ``json.dumps`` of
-    ``{"kind": "ledger_entry", **entry.to_dict()}`` and a newline, written
-    directly (one per running job per round)."""
-    line = (f'{{"kind": "ledger_entry", '
-            f'"round_index": {json_value(entry.round_index)}, '
-            f'"time": {json_value(entry.time)}, '
-            f'"job_id": {json_value(entry.job_id)}, '
-            f'"gpu_type": {json_value(entry.gpu_type)}, '
-            f'"num_gpus": {json_value(entry.num_gpus)}')
-    if entry.estimated_goodput is not None:
-        line += f', "estimated_goodput": {json_value(entry.estimated_goodput)}'
-    if entry.realized_goodput is not None:
-        line += f', "realized_goodput": {json_value(entry.realized_goodput)}'
-    if entry.realized_throughput is not None:
-        line += (f', "realized_throughput": '
-                 f'{json_value(entry.realized_throughput)}')
-    return line + "}\n"
 
 
 class AlertStreamObserver(_RecordStream):

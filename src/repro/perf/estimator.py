@@ -238,12 +238,19 @@ class JobPerfEstimator:
         state = self._types[obs.gpu_type]
         key = (obs.gpu_type, obs.num_gpus, obs.num_nodes, obs.local_bsz,
                obs.accum_steps)
-        if not self._observation_credible(state.recent.get(key),
-                                          obs.iter_time):
+        iter_time = obs.iter_time
+        window = state.recent.get(key)
+        # A float equal to every accepted value of its window deviates
+        # from none of them, so it is credible: a steady job's reports
+        # skip the sorts.
+        if not (window and type(iter_time) is float
+                and window.count(iter_time) == len(window)) \
+                and not self._observation_credible(window, iter_time):
             self.rejected_observations += 1
             return False
-        window = state.recent.setdefault(key, [])
-        window.append(obs.iter_time)
+        if window is None:
+            window = state.recent[key] = []
+        window.append(iter_time)
         if len(window) > self.OUTLIER_WINDOW:
             del window[0]
         if state.running.add(obs):
@@ -416,8 +423,15 @@ class JobPerfEstimator:
 
     def best_plan(self, config: Configuration,
                   memo: PlanMemo | None = None) -> BatchPlan | None:
-        """Optimized batch plan for a configuration under the job's limits."""
-        return self.best_plans([config], memo)[0]
+        """Optimized batch plan for a configuration under the job's limits.
+        A probe of the same ``config`` object as the saved row's only
+        configuration reuses that row's list, so it can answer again
+        (:meth:`_probe`): a running job's per-round lookup of its own
+        allocation."""
+        saved = self._row
+        configs = saved[0] if saved is not None and len(saved[0]) == 1 \
+            and saved[0][0] is config else [config]
+        return self.best_plans(configs, memo)[0]
 
     def best_plans(self, configs: list[Configuration],
                    memo: PlanMemo | None = None,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 
 from repro.cluster.cluster import Cluster
-from repro.core.types import Allocation, Configuration
+from repro.core.types import Allocation
 from repro.perf.estimator import PlanMemo, goodput_rows
 from repro.schedulers.base import (JobView, RoundPlan, Scheduler,
                                    pack_gpus_on_type)
@@ -54,23 +54,15 @@ def fixed_count_rates(views: list[JobView], cluster: Cluster,
     """Each job's goodput at its fixed GPU count on every GPU type, in
     ``cluster.gpu_types`` order, from one goodput pass over all the jobs
     (:func:`~repro.perf.estimator.goodput_rows`, with the scheduler's plan
-    ``memo``).  Each type spans the fewest of its largest nodes; a type
-    with fewer GPUs than the count is rated too (callers that need it to
-    fit check capacity)."""
-    # Largest node per type, in first-appearance (gpu_types) order: one
-    # pass instead of a gpu_types and a max_node_size scan per type.
-    largest: dict[str, int] = {}
-    for node in cluster.nodes:
-        if node.num_gpus > largest.get(node.gpu_type, 0):
-            largest[node.gpu_type] = node.num_gpus
-    requests = []
-    for view in views:
-        count = fixed_count(view)
-        requests.append((view.estimator, [
-            Configuration(max(1, -(-count // size)), count, gpu_type)
-            for gpu_type, size in largest.items()]))
-    rows, _ = goodput_rows(requests, memo=memo)
-    return [dict(zip(largest, row.tolist())) for row in rows]
+    ``memo``).  Each type spans the fewest of its largest nodes
+    (:meth:`~repro.cluster.cluster.Cluster.spanning_configs`, one list per
+    count and cluster object); a type with fewer GPUs than the count is
+    rated too (callers that need it to fit check capacity)."""
+    rows, _ = goodput_rows([(view.estimator,
+                             cluster.spanning_configs(fixed_count(view)))
+                            for view in views], memo=memo)
+    types = cluster.largest_nodes
+    return [dict(zip(types, row.tolist())) for row in rows]
 
 
 def best_rate(view: JobView, rates: dict[str, float],

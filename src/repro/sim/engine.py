@@ -57,7 +57,8 @@ from repro.sim.checkpoint import (CheckpointConfig, CheckpointError,
                                   CheckpointState)
 from repro.sim.executor import ExecutionModel, RoundExecution
 from repro.sim.faults import (FaultContext, FaultModel, NodeCrashModel,
-                              fault_model_seed, slowest_node)
+                              fault_model_seed, observation_taps,
+                              slowest_node)
 from repro.sim.invariants import MODES as INVARIANT_MODES
 from repro.sim.invariants import InvariantChecker
 from repro.sim.telemetry import (FaultEvent, JobRecord, RoundRecord,
@@ -197,6 +198,10 @@ class _Round:
     #: a gray node helps immediately — but masked from the observations
     #: the estimator sees.
     gray: dict[int, float] = field(default_factory=dict)
+    #: the fault models a report passes through on its way to the
+    #: estimator (:func:`~repro.sim.faults.observation_taps`), found at
+    #: the start of ``advance``.
+    taps: list[FaultModel] = field(default_factory=list)
 
     def evict(self, job_id: str, rt: _JobRuntime) -> None:
         """Evict a job after a fault or a drain, noting what it held."""
@@ -692,6 +697,7 @@ class Simulator:
         plans = plan.plans
         health = self.state.health
         contention = len(active)
+        rnd.taps = observation_taps(self.state.fault_models)
         done_ids: list[str] = []
         for job_id, rt in active.items():
             rt.contention_sum += contention
@@ -947,7 +953,8 @@ class Simulator:
         """Online refinement (Figure 3) with the gray/telemetry pipeline in
         between: mask gray slowdowns (the sick node reports nominal-looking
         iteration times), pass the report through every model's corruption
-        tap, and count reports the estimator's defense rejected."""
+        tap that can change it, and count reports the estimator's defense
+        rejected."""
         executor = self.state.execution
         obs = executor.observe(rt.job, rt.allocation, execution)
         if gray < 1.0 and hasattr(obs, "iter_time"):
@@ -957,7 +964,7 @@ class Simulator:
             # straggler part of the slowdown stays in the report.
             obs = replace(obs, iter_time=obs.iter_time * gray)
         delivered = [obs]
-        for model in self.state.fault_models:
+        for model in rnd.taps:
             passed: list = []
             for item in delivered:
                 out, events = model.corrupt_observation(

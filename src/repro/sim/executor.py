@@ -46,16 +46,43 @@ class RoundExecution:
     total_batch_size: int
 
 
-@functools.lru_cache(maxsize=None)
-def _ground_truth(model_name: str, gpu_type: str,
-                  ) -> tuple[ThroughputModel, EfficiencyModel, int]:
-    """The true throughput and efficiency models of ``model_name`` on
-    ``gpu_type`` and its per-GPU batch cap, built once per process (like
-    the catalog parameters they read), so no executor pickles them."""
-    return (ThroughputModel(profiles.true_throughput_params(model_name,
-                                                            gpu_type)),
-            EfficiencyModel(profiles.true_efficiency_params(model_name)),
-            profiles.max_local_bsz(model_name, gpu_type))
+#: Entries of each per-process memo of an executor's pure functions
+#: (:func:`_true_execution`, :data:`_noiseless_observation`).  A seed-1
+#: pass of any benchmark workload needs under 100 of each.  The memos
+#: key on argument types too, so an ``np.int64`` batch size or an
+#: ``np.float64`` time is answered with its own type, as a fresh call
+#: would be.
+MEMO_MAX = 4096
+
+
+@functools.lru_cache(maxsize=MEMO_MAX, typed=True)
+def _true_execution(model_name: str, gpu_type: str, num_gpus: int,
+                    num_nodes: int, local_bsz: int, accum_steps: int,
+                    bias: float) -> RoundExecution | None:
+    """The true rates of a non-hybrid plan: a pure function of its inputs
+    and the catalog, so one process-level memo serves every job, round
+    and executor, and no executor pickles a model.  None when the plan's
+    per-GPU batch is over the type's memory cap."""
+    if local_bsz > profiles.max_local_bsz(model_name, gpu_type):
+        return None  # would OOM on real hardware
+    true_model = ThroughputModel(profiles.true_throughput_params(model_name,
+                                                                 gpu_type))
+    iter_time = true_model.iter_time(local_bsz, num_gpus, num_nodes,
+                                     accum_steps) / bias
+    total = num_gpus * local_bsz * accum_steps
+    throughput = total / iter_time
+    efficiency = EfficiencyModel(profiles.true_efficiency_params(
+        model_name)).efficiency(total)
+    return RoundExecution(goodput=throughput * efficiency,
+                          throughput=throughput, iter_time=iter_time,
+                          local_bsz=local_bsz, accum_steps=accum_steps,
+                          total_batch_size=total)
+
+
+#: The report of a round with no jitter, memoized like
+#: :func:`_true_execution` (an :class:`Observation` is immutable).
+_noiseless_observation = functools.lru_cache(maxsize=MEMO_MAX,
+                                             typed=True)(Observation)
 
 
 class ExecutionModel:
@@ -109,21 +136,9 @@ class ExecutionModel:
                 return self._execute_hybrid(job, allocation, bias)
             if plan is None:
                 return None
-            true_model, true_efficiency, cap = _ground_truth(
-                job.model_name, allocation.gpu_type)
-            if plan.local_bsz > cap:
-                return None  # would OOM on real hardware
-            iter_time = true_model.iter_time(
-                plan.local_bsz, config.num_gpus, config.num_nodes,
-                plan.accum_steps) / bias
-            total = config.num_gpus * plan.local_bsz * plan.accum_steps
-            throughput = total / iter_time
-            efficiency = true_efficiency.efficiency(total)
-            return RoundExecution(goodput=throughput * efficiency,
-                                  throughput=throughput, iter_time=iter_time,
-                                  local_bsz=plan.local_bsz,
-                                  accum_steps=plan.accum_steps,
-                                  total_batch_size=total)
+            return _true_execution(job.model_name, allocation.gpu_type,
+                                   config.num_gpus, config.num_nodes,
+                                   plan.local_bsz, plan.accum_steps, bias)
 
     def _execute_hybrid(self, job: Job, allocation: Allocation,
                         bias: float) -> RoundExecution | None:
@@ -148,18 +163,14 @@ class ExecutionModel:
     def observe(self, job: Job, allocation: Allocation,
                 execution: RoundExecution) -> Observation:
         """The measurement the Adaptive Executor reports for this round."""
-        jitter = 1.0
+        jitter, build = 1.0, _noiseless_observation
         if self.obs_noise > 0.0:
             jitter = float(math.exp(self._rng.normal(0.0, self.obs_noise)))
+            build = Observation
         config = allocation.configuration()
-        return Observation(
-            gpu_type=allocation.gpu_type,
-            num_nodes=config.num_nodes,
-            num_gpus=config.num_gpus,
-            local_bsz=execution.local_bsz,
-            accum_steps=execution.accum_steps,
-            iter_time=execution.iter_time * jitter,
-        )
+        return build(allocation.gpu_type, config.num_nodes, config.num_gpus,
+                     execution.local_bsz, execution.accum_steps,
+                     execution.iter_time * jitter)
 
     def observed_noise_scale(self, job: Job) -> float:
         """Gradient-noise-scale measurement reported alongside throughput."""

@@ -222,6 +222,15 @@ class FaultModel:
         return rate_per_hour * dt / 3600.0
 
 
+def observation_taps(models: list[FaultModel]) -> list[FaultModel]:
+    """The ``models`` whose telemetry tap can change a report: those whose
+    :meth:`~FaultModel.corrupt_observation` is not the base class's
+    pass-through, overridden on their class or set on the instance."""
+    return [model for model in models
+            if getattr(model.corrupt_observation, "__func__", None)
+            is not FaultModel.corrupt_observation]
+
+
 class NodeEpisodeModel(FaultModel):
     """Fixed-length per-node episodes: the one sampler behind node
     crashes, stragglers and gray failures.

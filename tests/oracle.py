@@ -19,6 +19,14 @@
   looks up every plan.  Estimators that keep their keys and rows are
   compared against it, and against :func:`probe_without_row`, which keeps
   the keys but no row.
+* :func:`execute_afresh` and :func:`observe_afresh` — the executor's
+  ground-truth rates and reports computed from the catalog on every call,
+  drawing from the executor's own generator in the same order.  The
+  process-level memos of ``repro.sim.executor`` are compared against them.
+* :func:`add_observation_afresh` — the estimator's report intake with
+  every report judged by ``_observation_credible``.  The steady-window
+  short cut of ``JobPerfEstimator.add_observation`` is compared against
+  it.
 * :func:`dense_normalize_rows`, :func:`dense_restart_discount`,
   :func:`dense_health_discount` and :func:`dense_shape_utilities` — the
   Section 3.4 shaping steps on the dense (jobs x configurations) goodput
@@ -36,11 +44,13 @@ import numpy as np
 from repro.core.ilp import AssignmentProblem, AssignmentSolution
 from repro.core.types import ProfilingMode
 from repro.perf import profiles
+from repro.perf.efficiency import EfficiencyModel
 from repro.perf.estimator import _PRIOR_PARAMS, JobPerfEstimator
 from repro.perf.fitting import (FitResult, Observation, _nonneg_linear_fit,
                                 fit_sync_params, invert_sync_time)
 from repro.perf.goodput import BatchPlan, GoodputModel
 from repro.perf.throughput import GAMMA, ThroughputModel, ThroughputParams
+from repro.sim.executor import ExecutionModel, RoundExecution
 
 
 def solve_exact(problem: AssignmentProblem) -> AssignmentSolution:
@@ -291,6 +301,80 @@ def probe_without_row(estimator: JobPerfEstimator, configs, misses, memo):
     saved row, its key slots kept: every probe looks up every plan."""
     estimator._row = None
     return _PROBE(estimator, configs, misses, memo)
+
+
+def execute_afresh(model: ExecutionModel, job, allocation, plan,
+                   speed: float = 1.0) -> RoundExecution | None:
+    """:meth:`ExecutionModel.execute` with the true models built from the
+    catalog on the call.  The hardware bias comes from ``model``'s own
+    draws, so a twin executor with the same seed draws in the same
+    order; hybrid jobs take the executor's hybrid path, which keeps no
+    memo."""
+    if not 0 < speed <= 1:
+        raise ValueError("speed must be in (0, 1]")
+    bias = model._hardware_bias(job.job_id, allocation.gpu_type) * speed
+    if job.is_hybrid:
+        return model._execute_hybrid(job, allocation, bias)
+    if plan is None:
+        return None
+    gpu_type = allocation.gpu_type
+    if plan.local_bsz > profiles.max_local_bsz(job.model_name, gpu_type):
+        return None
+    config = allocation.configuration()
+    true_model = ThroughputModel(profiles.true_throughput_params(
+        job.model_name, gpu_type))
+    iter_time = true_model.iter_time(plan.local_bsz, config.num_gpus,
+                                     config.num_nodes,
+                                     plan.accum_steps) / bias
+    total = config.num_gpus * plan.local_bsz * plan.accum_steps
+    throughput = total / iter_time
+    efficiency = EfficiencyModel(profiles.true_efficiency_params(
+        job.model_name)).efficiency(total)
+    return RoundExecution(goodput=throughput * efficiency,
+                          throughput=throughput, iter_time=iter_time,
+                          local_bsz=plan.local_bsz,
+                          accum_steps=plan.accum_steps,
+                          total_batch_size=total)
+
+
+def observe_afresh(model: ExecutionModel, job, allocation,
+                   execution: RoundExecution) -> Observation:
+    """:meth:`ExecutionModel.observe` building a new report on every call,
+    jittered by a draw from ``model``'s generator when it is noisy."""
+    jitter = 1.0
+    if model.obs_noise > 0.0:
+        jitter = float(math.exp(model._rng.normal(0.0, model.obs_noise)))
+    config = allocation.configuration()
+    return Observation(gpu_type=allocation.gpu_type,
+                       num_nodes=config.num_nodes,
+                       num_gpus=config.num_gpus,
+                       local_bsz=execution.local_bsz,
+                       accum_steps=execution.accum_steps,
+                       iter_time=execution.iter_time * jitter)
+
+
+def add_observation_afresh(estimator: JobPerfEstimator,
+                           obs: Observation) -> bool:
+    """:meth:`JobPerfEstimator.add_observation` with every report judged
+    by ``_observation_credible`` against its window."""
+    if obs.gpu_type not in estimator._types:
+        raise KeyError(f"estimator does not track GPU type {obs.gpu_type!r}")
+    state = estimator._types[obs.gpu_type]
+    key = (obs.gpu_type, obs.num_gpus, obs.num_nodes, obs.local_bsz,
+           obs.accum_steps)
+    if not estimator._observation_credible(state.recent.get(key),
+                                           obs.iter_time):
+        estimator.rejected_observations += 1
+        return False
+    window = state.recent.setdefault(key, [])
+    window.append(obs.iter_time)
+    if len(window) > estimator.OUTLIER_WINDOW:
+        del window[0]
+    if state.running.add(obs):
+        state.dirty = True
+        estimator._slots.clear()
+        estimator._row = None
+    return True
 
 
 def dense_normalize_rows(matrix: np.ndarray,

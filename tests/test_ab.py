@@ -90,6 +90,31 @@ class TestExitCode:
         assert rows == []
         assert ab.exit_code(crashes, differ, True) == 1
 
+    def test_a_metric_that_lost_every_pair_past_the_floor_exits_3(
+            self, ab):
+        """Exit 3 needs every pair of at least three lost and the median
+        past the A/A floor, in the metric's own direction; a crash or a
+        digest mismatch still exits 1."""
+        def code(refs, news, **kwargs):
+            rows, crashes, differ = ab.summarize(pairs(refs, news, **kwargs),
+                                                 BETTER)
+            return ab.exit_code(crashes, differ, False, ab.regressions(rows))
+
+        # decide_ms_p50 +5% and rounds_per_s -4.8%: both lost every pair.
+        rows = ab.summarize(pairs([1.0, 1.0, 1.0], [1.05, 1.05, 1.05]),
+                            BETTER)[0]
+        assert ab.regressions(rows) == ["decide_ms_p50", "rounds_per_s"]
+        assert code([1.0, 1.0, 1.0], [1.05, 1.05, 1.05]) == 3
+        # Within the floor, one pair won or tied, or faster: no exit 3.
+        assert code([1.0, 1.0, 1.0], [1.02, 1.02, 1.02]) == 0
+        assert code([1.0, 1.0, 1.0], [1.1, 1.1, 0.9]) == 0
+        assert code([1.0, 1.0, 1.0], [1.1, 1.1, 1.0]) == 0
+        assert code([1.0, 1.0, 1.0], [0.5, 0.5, 0.5]) == 0
+        assert code([1.0, 1.0, 1.0], [1.1, 1.1, 1.1], digest="d2") == 1
+        # One or two lost pairs are a coin toss (CI's A/A smoke runs one).
+        assert code([1.0, 1.0], [1.5, 1.5]) == 0
+        assert ab.AA_FLOOR == 0.03 and ab.REGRESSION_PAIRS == 3
+
     def test_directions_come_from_the_benchmark_spec(self, ab):
         better = ab.better_directions()
         assert better["rounds_per_s"] == "higher"

@@ -10,6 +10,7 @@ from repro.cluster import presets
 from repro.cluster.cluster import Cluster
 from repro.cluster.gpu import GPU_CATALOG, GPUSpec, gpu_spec, power_rank
 from repro.cluster.node import Node, NodeGroup, power_of_two_decomposition
+from repro.core.types import Configuration
 
 
 class TestGPUCatalog:
@@ -124,9 +125,11 @@ class TestClusterCache:
     @staticmethod
     def read_all(cluster: Cluster) -> None:
         cluster.gpu_types, cluster.signature, cluster.total_gpus
-        cluster.capacities(), cluster.node_sizes
+        cluster.capacities(), cluster.node_sizes, cluster.largest_nodes
         for gpu_type in cluster.gpu_types:
             cluster.nodes_of_type(gpu_type), cluster.capacity(gpu_type)
+        for count in (1, 3, 16):
+            cluster.spanning_configs(count)
 
     @pytest.mark.parametrize("name", ["heterogeneous", "homogeneous",
                                       "physical"])
@@ -151,6 +154,14 @@ class TestClusterCache:
             assert cluster.capacity("v100") == 0
             assert cluster.node_sizes == {n.node_id: n.num_gpus
                                           for n in nodes}
+            largest = {t: max(n.num_gpus for n in nodes if n.gpu_type == t)
+                       for t in types}
+            assert cluster.largest_nodes == largest
+            assert list(cluster.largest_nodes) == list(types)
+            for count in (1, 3, 16):
+                assert cluster.spanning_configs(count) == [
+                    Configuration(-(-count // largest[t]), count, t)
+                    for t in types]
 
     def test_cache_leaves_identity_and_pickle_alone(self, hetero_cluster):
         fresh = presets.heterogeneous()
@@ -161,6 +172,14 @@ class TestClusterCache:
         restored = pickle.loads(pickle.dumps(hetero_cluster))
         assert restored == fresh
         assert restored.capacities() == fresh.capacities()
+
+    def test_spanning_configs_are_one_list_per_count(self, hetero_cluster):
+        """An estimator saves the plans of a probe for the next probe of
+        the same list, so each count keeps one list per cluster object."""
+        fours = hetero_cluster.spanning_configs(4)
+        assert hetero_cluster.spanning_configs(4) is fours
+        assert hetero_cluster.spanning_configs(2) is not fours
+        assert presets.heterogeneous().spanning_configs(4) is not fours
 
     def test_kept_views_are_new_per_call(self, hetero_cluster):
         """Estimators keep ``gpu_types`` and checkpoints keep

@@ -2,13 +2,16 @@
 lifecycle (Section 3.2), caching."""
 
 import ast
+import math
 import pickle
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import MethodType
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import presets
 from repro.core.configs import build_config_set
@@ -19,7 +22,7 @@ from repro.perf.estimator import (WORK, JobConstraints, JobPerfEstimator,
 from repro.perf.fitting import Observation
 from repro.perf.throughput import ThroughputModel
 from repro.schedulers.pollux import PolluxEstimator
-from tests.oracle import probe_afresh
+from tests.oracle import add_observation_afresh, probe_afresh
 
 TYPES = ("t4", "rtx", "a100")
 
@@ -748,6 +751,20 @@ class TestSavedRow:
         est.best_plans(ROW, {})
         assert est.cache_misses == misses + len(ROW)
 
+    def test_best_plan_reuses_the_row_of_the_same_configuration(self):
+        """A lookup of the configuration object the saved row holds alone
+        is answered from that row; an equal new object reads the memo."""
+        est, memo, config = grouped_estimator("BOOTSTRAP"), {}, ROW[3]
+        plan = est.best_plan(config, memo)
+        assert est._row is None  # it missed, so it saved nothing
+        assert est.best_plan(config, memo) == plan
+        assert est._row[0] == [config] and est._row[0][0] is config
+        memo[est._row[2]][(config.num_gpus, config.num_nodes)] = "marker"
+        hits = est.cache_hits
+        assert est.best_plan(config, memo) == plan
+        assert est.cache_hits == hits + 1
+        assert est.best_plan(replace(config), memo) == "marker"
+
     def test_saved_row_is_not_pickled(self):
         """Twins with the same evidence, probes and counters pickle alike
         whether or not they hold a saved row."""
@@ -755,6 +772,71 @@ class TestSavedRow:
         twin._row = None
         assert pickle.dumps(holding) == pickle.dumps(twin)
         assert pickle.loads(pickle.dumps(holding))._row is None
+
+
+#: Reports for one key: steady values; an int, a numpy int and a numpy
+#: float equal to one (the numpy int is refused as a type); outliers both
+#: ways; and non-finite ones.
+INTAKE_VALUES = [0.1, 0.1, 0.1, 0.2, 1.0, 1, np.int64(1), np.float64(0.1),
+                 0.8, 0.0125, 0.35, math.nan, math.inf]
+
+
+def intake_state(est: JobPerfEstimator) -> tuple:
+    """Everything a report can change: each window (value and type), the
+    reject count, each running fit and dirty flag, and whether the key
+    slots and saved row survived."""
+    types = {}
+    for gpu_type, state in est._types.items():
+        types[gpu_type] = (
+            {key: [(type(v), v) for v in window]
+             for key, window in state.recent.items()},
+            vars(state.running), state.dirty)
+    return (types, est.rejected_observations, bool(est._slots),
+            est._row is None)
+
+
+class TestSteadyWindow:
+    """A float equal to every value of its window skips the outlier sorts
+    (:meth:`JobPerfEstimator.add_observation`); everything else about a
+    report is as when every report is judged afresh."""
+
+    @settings(max_examples=80, deadline=None)
+    # An outlier that equals only the newest value of a warm window, and
+    # a numpy int equal to every value of a full one: both are refused.
+    @example(runs=[(0.1, 3, (1, 32)), (0.8, 2, (1, 32))])
+    @example(runs=[(1.0, 17, (1, 32)), (np.int64(1), 1, (1, 32))])
+    @given(runs=st.lists(st.tuples(
+        st.sampled_from(INTAKE_VALUES), st.integers(1, 20),
+        st.sampled_from([(1, 32), (1, 64), (2, 32)])),
+        min_size=1, max_size=8))
+    def test_intake_matches_the_afresh_reference(self, runs):
+        est, ref = make_estimator(), make_estimator()
+        memos = ({}, {})
+        configs = [Configuration(1, 1, "t4"), Configuration(1, 2, "t4")]
+        for value, repeat, (num_gpus, local_bsz) in runs:
+            report = Observation(gpu_type="t4", num_nodes=1,
+                                 num_gpus=num_gpus, local_bsz=local_bsz,
+                                 accum_steps=1, iter_time=value)
+            for _ in range(repeat):
+                for twin, memo in zip((est, ref), memos):
+                    # Twice, so every key slot and the saved row are set.
+                    twin.best_plans(configs, memo)
+                    twin.best_plans(configs, memo)
+                assert est.add_observation(report) == \
+                    add_observation_afresh(ref, report)
+                assert intake_state(est) == intake_state(ref)
+        assert pickle.dumps(est) == pickle.dumps(ref)
+
+    def test_a_full_steady_window_skips_the_sorts(self, monkeypatch):
+        est = make_estimator()
+        report = true_observation("bert", "t4", 1, 1, 16)
+        for _ in range(est.OUTLIER_WINDOW + 3):
+            est.add_observation(report)
+        monkeypatch.setattr(JobPerfEstimator, "_observation_credible",
+                            None)  # any call fails
+        assert est.add_observation(report)
+        window = est._types["t4"].recent[("t4", 1, 1, 16, 1)]
+        assert window == [report.iter_time] * est.OUTLIER_WINDOW
 
 
 class TestSeededPass:

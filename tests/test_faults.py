@@ -6,6 +6,7 @@ import pytest
 from repro.cluster import presets
 from repro.core.types import Allocation
 from repro.jobs.job import make_job
+from repro.perf.estimator import PROFILE_POINTS_PER_TYPE
 from repro.schedulers import SiaScheduler
 from repro.sim import (CheckpointRestoreFaultModel, JobCrashModel,
                        NodeCrashModel, Simulator, SimulatorConfig,
@@ -13,7 +14,8 @@ from repro.sim import (CheckpointRestoreFaultModel, JobCrashModel,
 from repro.sim.engine import EPOCHS_PER_JOB, _JobRuntime
 from repro.sim.faults import (FaultContext, FaultModel, GrayFailureModel,
                               PlacementFailure, PlacementFailureModel,
-                              TelemetryCorruptionModel, slowest_node)
+                              TelemetryCorruptionModel, observation_taps,
+                              slowest_node)
 from repro.sim.telemetry import FaultEvent
 
 
@@ -351,6 +353,44 @@ class TestBlockDraws:
             assert block.sample_placement_failures(attempts, 60.0 * r) == \
                 placement_reference(loop, attempts, 60.0 * r)
             assert rng_state(block) == rng_state(loop)
+
+
+class TestObservationTaps:
+    """Reports pass only through models whose telemetry tap can change
+    them: an override on the class or on the instance."""
+
+    def test_only_overrides_tap(self):
+        plain, straggler = FaultModel(seed=0), StragglerModel(seed=0)
+        telemetry, patched = TelemetryCorruptionModel(seed=0), \
+            StragglerModel(seed=0)
+        patched.corrupt_observation = lambda job_id, obs, now: ([obs], [])
+        assert observation_taps([plain, telemetry, straggler, patched]) \
+            == [telemetry, patched]
+
+    def test_an_instance_override_sees_every_report(self, hetero_cluster):
+        """A tap set on an instance drops every report, so the estimators
+        fold in nothing after their profiling pass."""
+        seen = []
+        model = StragglerModel(rate=0.0)
+        model.corrupt_observation = \
+            lambda job_id, obs, now: (seen.append(job_id), ([], []))[1]
+        simulator = Simulator(hetero_cluster, SiaScheduler(), jobs(),
+                              SimulatorConfig(fault_models=[model],
+                                              max_hours=100))
+        profiled = {}
+        make = simulator.scheduler.make_estimator
+
+        def make_estimator(job, cluster, mode):
+            estimator = make(job, cluster, mode)
+            profiled[job.job_id] = estimator
+            return estimator
+
+        simulator.scheduler.make_estimator = make_estimator
+        simulator.run()
+        assert sorted(set(seen)) == ["j0", "j1", "j2"]
+        for estimator in profiled.values():
+            assert all(state.running.reports <= PROFILE_POINTS_PER_TYPE
+                       for state in estimator._types.values())
 
 
 class TestForgetJob:

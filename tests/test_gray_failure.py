@@ -3,6 +3,7 @@ scoring and quarantine (repro.core.health), the estimator's telemetry
 defense, fallible placements, and health-event persistence."""
 
 import json
+import pickle
 import random
 import statistics
 
@@ -10,6 +11,7 @@ import pytest
 
 from repro import io
 from repro.cluster import presets
+from repro.cluster.cluster import Cluster
 from repro.core.health import (BACKOFF_BASE_S, BACKOFF_CAP_S, BACKOFF_JITTER,
                                DRAIN_AFTER, DRAINED, HEALTHY,
                                PLACEMENT_FAILURE_THRESHOLD, PROBATION,
@@ -394,6 +396,64 @@ class TestHealthTracker:
         view = tracker.healthy_view(hetero_cluster, 0.0)
         assert 0 not in {n.node_id for n in view.nodes}
         assert len(view.nodes) == len(hetero_cluster.nodes) - 1
+
+    def test_healthy_view_is_kept_while_its_inputs_hold(self,
+                                                        hetero_cluster):
+        """The same filtered object while the input cluster object and the
+        excluded set stay the same, so per-cluster caches keep hitting; a
+        new one when either changes."""
+        tracker = HealthTracker(self.cfg())
+        low_ratio(tracker, 0, 0.0, n=3, ratio=0.1)
+        tracker.tick(0.0)
+        view = tracker.healthy_view(hetero_cluster, 0.0)
+        assert view is not hetero_cluster
+        assert tracker.healthy_view(hetero_cluster, 60.0) is view
+        twin = Cluster(nodes=hetero_cluster.nodes)
+        assert tracker.healthy_view(twin, 60.0) is not view
+        assert tracker.healthy_view(twin, 60.0) == view
+        low_ratio(tracker, 1, 60.0, n=3, ratio=0.1)
+        tracker.tick(60.0)
+        both = tracker.healthy_view(twin, 60.0)
+        assert {0, 1}.isdisjoint(n.node_id for n in both.nodes)
+        assert tracker.healthy_view(twin, 120.0) is both
+
+    def test_emergency_reinstatement_is_never_answered_from_the_saved_view(
+            self, tiny_cluster):
+        """Each time every node is excluded, the tracker reinstates one,
+        even when the same nodes were excluded, and the same cluster
+        filtered, before."""
+        tracker = HealthTracker(self.cfg())
+        now = 0.0
+        for _ in range(3):
+            for node in tiny_cluster.nodes:
+                low_ratio(tracker, node.node_id, now, n=3, ratio=0.1)
+            tracker.tick(now)
+            assert len(tracker.excluded_nodes()) == len(tiny_cluster.nodes)
+            view = tracker.healthy_view(tiny_cluster, now)
+            assert len(view.nodes) == 1
+            details = [e.detail for e in tracker.drain_events()
+                       if e.kind == "reinstate"]
+            assert details == ["emergency reinstatement: every node was "
+                               "excluded"]
+            now += 60.0
+        assert tracker.healthy_view(tiny_cluster, now) is view
+
+    def test_pickles_alike_with_and_without_the_saved_view(
+            self, hetero_cluster):
+        """A tracker that has filtered a cluster pickles to the bytes of
+        its twin that has not, and filters again once restored."""
+        tracker, twin = HealthTracker(self.cfg()), HealthTracker(self.cfg())
+        for each in (tracker, twin):
+            low_ratio(each, 0, 0.0, n=3, ratio=0.1)
+            each.tick(0.0)
+            each.drain_events()
+        view = tracker.healthy_view(hetero_cluster, 0.0)
+        assert tracker._view is not None
+        data = pickle.dumps(tracker)
+        assert data == pickle.dumps(twin)
+        restored = pickle.loads(data)
+        assert restored._view is None
+        assert restored.healthy_view(hetero_cluster, 0.0) == view
 
     def test_emergency_reinstate_keeps_cluster_nonempty(self, tiny_cluster):
         tracker = HealthTracker(self.cfg())

@@ -1,7 +1,11 @@
 """Tests for the discrete-time simulator engine and executor."""
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cluster import presets
 from repro.core.types import Allocation, ProfilingMode
 from repro.jobs.hybrid import HybridSpec
 from repro.jobs.job import make_job
@@ -9,6 +13,7 @@ from repro.perf.goodput import BatchPlan
 from repro.sim.engine import Simulator, SimulatorConfig, simulate
 from repro.sim.executor import ExecutionModel
 from repro.schedulers import SiaScheduler
+from tests.oracle import execute_afresh, observe_afresh
 
 
 def tiny_job(job_id="j1", model="resnet18", submit=0.0, scale=0.05, **kw):
@@ -68,6 +73,85 @@ class TestExecutionModel:
     def test_noise_levels_validated(self):
         with pytest.raises(ValueError):
             ExecutionModel(rate_noise=-0.1)
+
+
+def _allocations() -> list[Allocation]:
+    """One- and multi-node allocations on every type of the paper's
+    heterogeneous testbed."""
+    cluster = presets.heterogeneous()
+    allocations = []
+    for gpu_type in cluster.gpu_types:
+        first, second = cluster.nodes_of_type(gpu_type)[:2]
+        allocations += [
+            Allocation.build(gpu_type, {first.node_id: 1}),
+            Allocation.build(gpu_type, {first.node_id: first.num_gpus}),
+            Allocation.build(gpu_type, {first.node_id: first.num_gpus,
+                                        second.node_id: second.num_gpus})]
+    return allocations
+
+
+MEMO_JOBS = [tiny_job("a"), tiny_job("b", model="bert"),
+             make_job("g", "gpt-2.8b", 0.0, hybrid=HybridSpec(),
+                      max_gpus=64)]
+MEMO_ALLOCATIONS = _allocations()
+
+
+class TestExecutionMemo:
+    """``execute`` and ``observe`` answer from process-level memos; every
+    answer equals the fresh computation of ``tests/oracle.py``, and the
+    executor draws the same random numbers in the same order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 3),
+           rate_noise=st.sampled_from([0.0, 0.2]),
+           obs_noise=st.sampled_from([0.0, 0.05]),
+           calls=st.lists(st.tuples(
+               st.integers(0, len(MEMO_JOBS) - 1),
+               st.integers(0, len(MEMO_ALLOCATIONS) - 1),
+               # 100,000 per GPU is over every type's memory cap.
+               st.sampled_from([1, 32, 128, 100_000]),
+               st.integers(1, 3),
+               st.sampled_from([1.0, 0.5]),     # straggler speed
+               st.sampled_from([1.0, 0.35])),   # gray speed, masked
+               min_size=1, max_size=30))
+    def test_memo_equals_the_fresh_computation(self, seed, rate_noise,
+                                               obs_noise, calls):
+        memo = ExecutionModel(seed, rate_noise, obs_noise)
+        fresh = ExecutionModel(seed, rate_noise, obs_noise)
+        for job, allocation, local, accum, straggler, gray in calls:
+            job, allocation = MEMO_JOBS[job], MEMO_ALLOCATIONS[allocation]
+            plan = None if job.is_hybrid else BatchPlan(
+                local_bsz=local, accum_steps=accum,
+                total_batch_size=local * accum * allocation.num_gpus,
+                throughput=0, efficiency=0, goodput=0)
+            got = memo.execute(job, allocation, plan, straggler * gray)
+            want = execute_afresh(fresh, job, allocation, plan,
+                                  straggler * gray)
+            assert got == want
+            if got is None:
+                continue
+            reports = (memo.observe(job, allocation, got),
+                       observe_afresh(fresh, job, allocation, want))
+            if gray < 1.0:  # the engine masks the slowdown from the report
+                reports = tuple(replace(r, iter_time=r.iter_time * gray)
+                                for r in reports)
+            assert reports[0] == reports[1]
+            assert type(reports[0].iter_time) is type(reports[1].iter_time)
+        assert memo._rng.bit_generator.state == \
+            fresh._rng.bit_generator.state
+
+    def test_a_repeated_noiseless_round_is_answered_from_the_memo(self):
+        model = ExecutionModel(seed=0)
+        job, allocation = MEMO_JOBS[0], MEMO_ALLOCATIONS[1]
+        plan = BatchPlan(local_bsz=64, accum_steps=1, total_batch_size=64,
+                         throughput=0, efficiency=0, goodput=0)
+        first = model.execute(job, allocation, plan)
+        assert model.execute(job, allocation, plan) is first
+        report = model.observe(job, allocation, first)
+        assert model.observe(job, allocation, first) is report
+        noisy = ExecutionModel(seed=0, obs_noise=0.05)
+        assert noisy.observe(job, allocation, first) != \
+            noisy.observe(job, allocation, first)
 
 
 class TestEngine:

@@ -4,25 +4,29 @@ prefixes, Prometheus exposition, and the determinism contract."""
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import io
+from repro.cluster import presets
 from repro.core.types import ProfilingMode
 from repro.jobs.job import make_job
-from repro.obs.ledger import GoodputLedger, LedgerEntry
+from repro.obs.ledger import GoodputLedger, round_entries
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOEngine, SLORule
+from repro.core.health import HealthConfig
+from repro.obs import stream
 from repro.obs.stream import (AlertStreamObserver, EventStreamObserver,
                               HealthEventStreamObserver, JsonlStreamWriter,
                               LedgerStreamObserver, PrometheusSnapshotObserver,
                               SLOObserver, json_object, json_value,
-                              ledger_line, parse_prometheus_text,
-                              prometheus_text)
+                              parse_prometheus_text, prometheus_text)
 from repro.obs.tracer import SpanRecord, Tracer
 from repro.schedulers import SiaScheduler
-from repro.sim import Simulator, SimulatorConfig, simulate
+from repro.sim import (Simulator, SimulatorConfig, StragglerModel,
+                       TelemetryCorruptionModel, simulate)
 from repro.sim.chaos import CrashAt, SimulatedCrash, diff_results
 from repro.sim.checkpoint import CheckpointConfig, latest_valid_checkpoint
 
@@ -96,15 +100,24 @@ class TestHandWrittenLines:
         (None, None, None), (1.25, None, None), (None, 0.0, None),
         (math.nan, math.inf, -math.inf), (-0.0, 5e-324, 1e-310),
         (np.float64(3.5), np.float64(math.nan), 2.0)])
-    def test_ledger_line(self, job_id, rates):
+    def test_ledger_line(self, job_id, rates, tmp_path):
+        """The ledger observer's line of each entry, as written the first
+        time a (job, allocation) shows and when its part is kept."""
         estimated, realized, throughput = rates
-        entry = LedgerEntry(round_index=12, time=720.0, job_id=job_id,
-                            gpu_type="a100", num_gpus=4,
-                            estimated_goodput=estimated,
-                            realized_goodput=realized,
-                            realized_throughput=throughput)
-        assert ledger_line(entry) == json.dumps(
-            {"kind": "ledger_entry", **entry.to_dict()}) + "\n"
+        record = SimpleNamespace(
+            time=720.0, allocations={job_id: ("a100", 4)},
+            estimates={} if estimated is None else {job_id: estimated},
+            realized={} if realized is None else {job_id: realized},
+            throughputs={} if throughput is None else {job_id: throughput},
+            events=[])
+        observer = LedgerStreamObserver(tmp_path / "ledger.jsonl", "sia")
+        # A kept 1 must not answer True or 1.0, which hash equal to it.
+        for count in (4, 4, 1, True, 1.0):
+            record.allocations[job_id] = ("a100", count)
+            assert observer.round_lines(record, 12) == [
+                json.dumps({"kind": "ledger_entry", **entry.to_dict()})
+                + "\n" for entry in round_entries(record, 12)]
+        observer.close()
 
     def test_span_and_event_lines(self, tmp_path):
         tracer = Tracer()
@@ -129,6 +142,99 @@ class TestHandWrittenLines:
                         "attrs": attrs}) + "\n"
             for name, ts, attrs in tracer.events]
         observer.close()
+
+
+def span_line(span: SpanRecord) -> str:
+    return json.dumps({"kind": "span", "name": span.name,
+                       "start": span.start, "duration": span.duration,
+                       "span_id": span.span_id, "parent_id": span.parent_id,
+                       "depth": span.depth, "attrs": span.attrs}) + "\n"
+
+
+class TestKeptLineParts:
+    """The observers keep parts of lines across rounds: a span name's
+    head, the text of attrs whose values are all ``str`` or ``int``, and a
+    ledger line's job part.  Every line still equals ``json.dumps`` of its
+    dict form."""
+
+    #: attrs that equal a kept ``{"n": 1}`` or ``{"n": 1, "job": "j"}``
+    #: but must not read its text.
+    LOOKALIKES = [{"n": True}, {"n": 1.0}, {"n": np.float64(1.0)},
+                  {"n": None}, {"n": math.nan}, {"n": 1, "job": None}, {}]
+
+    def test_attrs_only_kept_for_str_and_int_values(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(stream, "ATTRS_MEMO_MAX", 3)  # clears, too
+        tracer = Tracer()
+        observer = EventStreamObserver(tracer, tmp_path / "events.jsonl")
+        kept = [{"n": 1}, {"n": 1, "job": "j"}, {"job": "caf\u00e9"}]
+        for i, attrs in enumerate(kept + self.LOOKALIKES + kept
+                                  + self.LOOKALIKES):
+            tracer.spans.append(SpanRecord("execute", 0.5 * i, 1e-6, i,
+                                           None, 0, dict(attrs)))
+            tracer.instant("mark", **attrs)
+            observer.on_round(None, i, 60.0)
+            for key in observer._attrs:
+                assert all(type(v) in (str, int) for _, v in key)
+        lines = observer.writer.part_path.read_text().splitlines(True)
+        assert lines[0::2] == [span_line(span) for span in tracer.spans]
+        assert lines[1::2] == [
+            json.dumps({"kind": "event", "name": name, "time": ts,
+                        "attrs": attrs}) + "\n"
+            for name, ts, attrs in tracer.events]
+        observer.close()
+
+    def test_resumed_faulted_run_writes_json_dumps_lines(self, tmp_path):
+        """A faulted run in which a job changes GPU type and count, killed
+        and resumed from a checkpoint with fresh observers: every ledger
+        line is ``json.dumps`` of its entry, and every span and event line
+        ``json.dumps`` of its dict form."""
+        def build(tracer, out, crash_hook=None):
+            config = SimulatorConfig(
+                seed=1, tracer=tracer, health=HealthConfig(),
+                fault_models=[TelemetryCorruptionModel(rate=0.2),
+                              StragglerModel(rate=2.0)],
+                observers=[
+                    EventStreamObserver(tracer, out / "events.jsonl"),
+                    LedgerStreamObserver(out / "ledger.jsonl", "sia")],
+                checkpoint=CheckpointConfig(directory=tmp_path / "ckpt",
+                                            every_rounds=5,
+                                            crash_hook=crash_hook))
+            runs = [make_job(f"j{i}", ("bert", "resnet18", "resnet18")[i % 3],
+                             i * 120.0) for i in range(4)]
+            return Simulator(presets.heterogeneous(), SiaScheduler(), runs,
+                             config)
+
+        with pytest.raises(SimulatedCrash):
+            build(Tracer(), tmp_path / "killed", CrashAt(20)).run()
+        tracer, out = Tracer(), tmp_path / "resumed"
+        result = build(tracer, out).run(resume_from=tmp_path / "ckpt")
+
+        entries = GoodputLedger.from_result(result).entries
+        held = {}
+        for entry in entries:
+            held.setdefault(entry.job_id, set()).add((entry.gpu_type,
+                                                      entry.num_gpus))
+        assert any(len({t for t, _ in pairs}) > 1
+                   and len({n for _, n in pairs}) > 1
+                   for pairs in held.values())
+        lines = (out / "ledger.jsonl").read_text().splitlines(True)
+        ledger = [line for line in lines if '"ledger_entry"' in line]
+        assert ledger == [json.dumps({"kind": "ledger_entry",
+                                      **entry.to_dict()}) + "\n"
+                          for entry in entries]
+
+        lines = (out / "events.jsonl").read_text().splitlines(True)
+        kinds = [json.loads(line)["kind"] for line in lines]
+        assert [line for line, kind in zip(lines, kinds)
+                if kind == "span"] == [span_line(s) for s in tracer.spans]
+        assert [line for line, kind in zip(lines, kinds)
+                if kind == "event"] == [
+            json.dumps({"kind": "event", "name": name, "time": ts,
+                        "attrs": attrs}) + "\n"
+            for name, ts, attrs in tracer.events]
+        assert any(name == "checkpoint_restore"
+                   for name, _, _ in tracer.events)
 
 
 # -- streamed artifacts round-trip ---------------------------------------------
