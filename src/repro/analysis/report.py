@@ -152,13 +152,6 @@ def slo_section(result: SimulationResult) -> str:
     return "\n".join(parts)
 
 
-def counterfactual_section(diff: RunDiff) -> str:
-    """Decision-diff section for a counterfactual replay (``repro report
-    ... --diff diff.json``): the rendered RunDiff — overrides, divergence
-    point, outcome deltas, and per-round allocation changes."""
-    return run_diff_markdown(diff)
-
-
 def build_report(results: list[SimulationResult], *,
                  title: str = "Simulation report",
                  jobs: list[Job] | None = None,
@@ -200,5 +193,5 @@ def build_report(results: list[SimulationResult], *,
                          f"{result.node_failures}\n")
     for diff in diffs or []:
         parts.append("")
-        parts.append(counterfactual_section(diff))
+        parts.append(run_diff_markdown(diff))
     return "\n".join(parts)

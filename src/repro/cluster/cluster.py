@@ -4,7 +4,9 @@ The cluster exposes the views the schedulers need:
 
 * node inventory grouped by GPU type (with virtual-node decomposition so
   every schedulable node has a power-of-two GPU count — Section 3.3);
-* capacity per GPU type (for ILP / LP constraints).
+* capacity per GPU type (for ILP / LP constraints);
+* the one fit check, :meth:`Cluster.book`, that plan validation, the
+  carry-forward plan, placement and the invariant audit all use.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from typing import TYPE_CHECKING
 from repro.cluster.node import Node, NodeGroup, power_of_two_decomposition
 
 if TYPE_CHECKING:
-    from repro.core.types import Configuration
+    from repro.core.types import Allocation, Configuration
+
+#: how :meth:`Cluster.book`'s reason starts when a node is unknown or down.
+UNKNOWN_NODE = "unknown node"
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,33 @@ class Cluster:
     def node_sizes(self) -> dict[int, int]:
         """GPUs per node id, as placement reads it; do not edit it."""
         return {node.node_id: node.num_gpus for node in self.nodes}
+
+    @cached_property
+    def node_types(self) -> dict[int, str]:
+        """GPU type per node id; do not edit it."""
+        return {node.node_id: node.gpu_type for node in self.nodes}
+
+    def book(self, allocation: Allocation, used: dict[int, int],
+             ) -> str | None:
+        """Book ``allocation``'s GPUs into ``used`` (``{node_id: GPUs
+        used}``) and return None, or book nothing and return why it does
+        not fit: a node that is unknown (or down, absent from this view),
+        a node of another GPU type, or a node with too few free GPUs."""
+        sizes, types = self.node_sizes, self.node_types
+        for node_id, count in allocation.gpus_per_node:
+            size = sizes.get(node_id)
+            if size is None:
+                return f"{UNKNOWN_NODE} {node_id} (down or never present)"
+            if types[node_id] != allocation.gpu_type:
+                return (f"node {node_id} is {types[node_id]}, allocation "
+                        f"says {allocation.gpu_type}")
+            free = size - used.get(node_id, 0)
+            if count > free:
+                return (f"node {node_id} over-subscribed: cannot acquire "
+                        f"{count} GPUs ({free} free)")
+        for node_id, count in allocation.gpus_per_node:
+            used[node_id] = used.get(node_id, 0) + count
+        return None
 
     @cached_property
     def _capacities(self) -> dict[str, int]:

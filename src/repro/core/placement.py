@@ -33,10 +33,8 @@ def place(cluster: Cluster, assignments: dict[str, Configuration],
     evicted (it stays queued this round).  ``pinned`` jobs (non-preemptive
     jobs and reservations, Section 3.4) must keep their exact previous
     GPUs: they are immovable even during a fragmentation repack.  Raises
-    ``ValueError`` if kept allocations over-subscribe a node.
+    ``ValueError`` if a kept allocation does not fit (:meth:`Cluster.book`).
     """
-    sizes = cluster.node_sizes
-
     # Pass 1: pin jobs whose configuration did not change.
     allocations: dict[str, Allocation] = {}
     used: dict[int, int] = {}
@@ -44,7 +42,7 @@ def place(cluster: Cluster, assignments: dict[str, Configuration],
     for job_id, config in assignments.items():
         prev = previous.get(job_id)
         if prev is not None and prev.configuration() == config:
-            _keep(prev, used, sizes)
+            _keep(cluster, prev, used)
             allocations[job_id] = prev
         else:
             if job_id in pinned and prev is not None:
@@ -64,15 +62,12 @@ def place(cluster: Cluster, assignments: dict[str, Configuration],
     return allocations
 
 
-def _keep(allocation: Allocation, used: dict[int, int],
-          sizes: dict[int, int]) -> None:
-    """Book an allocation's exact GPUs, refusing to over-subscribe."""
-    for node_id, count in allocation.gpus_per_node:
-        free = sizes[node_id] - used.get(node_id, 0)
-        if count > free:
-            raise ValueError(f"node {node_id}: cannot acquire {count} GPUs "
-                             f"({free} free)")
-        used[node_id] = used.get(node_id, 0) + count
+def _keep(cluster: Cluster, allocation: Allocation,
+          used: dict[int, int]) -> None:
+    """Book an allocation's exact GPUs, refusing one that does not fit."""
+    why = cluster.book(allocation, used)
+    if why is not None:
+        raise ValueError(why)
 
 
 def _try_place(cluster: Cluster, used: dict[int, int],
@@ -126,7 +121,7 @@ def _repack(cluster: Cluster, assignments: dict[str, Configuration],
         prev = previous.get(job_id)
         if prev is None or job_id not in assignments:
             continue
-        _keep(prev, used, cluster.node_sizes)
+        _keep(cluster, prev, used)
         allocations[job_id] = prev
     ordered = sorted(
         ((jid, cfg) for jid, cfg in assignments.items()

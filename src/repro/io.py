@@ -135,6 +135,9 @@ def _record_to_dict(record: JobRecord) -> dict[str, Any]:
 
 
 def _round_to_dict(record: RoundRecord) -> dict[str, Any]:
+    # The tallies (active/running jobs, gpus_used, degraded; censored and
+    # node_failures in save_result) derive from stored facts: written for
+    # readers of the file, never read back.
     data: dict[str, Any] = {
         "time": record.time,
         "active_jobs": record.active_jobs,
@@ -142,7 +145,7 @@ def _round_to_dict(record: RoundRecord) -> dict[str, Any]:
         "solve_time": record.solve_time,
         "allocations": {jid: list(alloc)
                         for jid, alloc in record.allocations.items()},
-        "gpus_used": dict(record.gpus_used),
+        "gpus_used": record.gpus_used,
     }
     # Robustness telemetry is only written when present, so results from
     # fault-free runs stay byte-compatible with older readers.
@@ -203,8 +206,6 @@ def load_result(path: str | Path) -> SimulationResult:
         scheduler_name=payload["scheduler_name"],
         cluster_description=payload["cluster_description"],
         end_time=payload["end_time"],
-        censored=payload.get("censored", 0),
-        node_failures=payload.get("node_failures", 0),
         final_metrics=dict(payload.get("final_metrics", {})),
         run_spec=payload.get("run_spec"),
     )
@@ -223,13 +224,10 @@ def load_result(path: str | Path) -> SimulationResult:
             target_samples=item.get("target_samples", 0.0)))
     for item in payload.get("rounds", []):
         result.rounds.append(RoundRecord(
-            time=item["time"], active_jobs=item["active_jobs"],
-            running_jobs=item["running_jobs"], solve_time=item["solve_time"],
+            time=item["time"], solve_time=item["solve_time"],
             allocations={jid: (alloc[0], int(alloc[1]))
                          for jid, alloc in item["allocations"].items()},
-            gpus_used={t: int(n) for t, n in item["gpus_used"].items()},
             backend=item.get("backend", ""),
-            degraded=item.get("degraded", False),
             fault_events=[FaultEvent(kind=e["kind"], time=e["time"],
                                      target=e["target"],
                                      detail=e.get("detail", ""))

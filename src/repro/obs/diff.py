@@ -279,7 +279,7 @@ def _one_sided(rnd: Any, side: str, index: int) -> RoundDelta:
                                       kind=_classify(job_id, rnd.time,
                                                      None, alloc)))
     return RoundDelta(round_index=index, time=rnd.time,
-                      changes=changes and tuple(changes) or (),
+                      changes=tuple(changes),
                       only_in=side)
 
 

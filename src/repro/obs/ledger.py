@@ -196,8 +196,9 @@ class GoodputLedger:
 
 def queue_wait_by_job(result: Any) -> dict[str, float]:
     """Seconds each job spent active but holding no GPUs (queue-wait
-    attribution).  Derived from the per-round records plus each job's
-    submit/finish times; jobs that never waited report 0.0."""
+    attribution): each round adds its length, up to the next round or the
+    run's end, to the jobs it recorded as queued (``RoundRecord.queued``).
+    Jobs that never waited report 0.0."""
     waits = {record.job_id: 0.0 for record in result.jobs}
     rounds = result.rounds
     for i, rnd in enumerate(rounds):
@@ -205,12 +206,6 @@ def queue_wait_by_job(result: Any) -> dict[str, float]:
             dt = rounds[i + 1].time - rnd.time
         else:
             dt = max(result.end_time - rnd.time, 0.0)
-        for record in result.jobs:
-            if record.submit_time > rnd.time:
-                continue
-            if record.finish_time is not None \
-                    and record.finish_time <= rnd.time:
-                continue
-            if record.job_id not in rnd.allocations:
-                waits[record.job_id] += dt
+        for job_id in rnd.queued:
+            waits[job_id] += dt
     return waits

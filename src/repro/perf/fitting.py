@@ -186,7 +186,17 @@ class RunningFit:
                      obs.iter_time / obs.accum_steps) or moved
 
     def compute_params(self) -> tuple[float, float]:
-        """``(alpha_c, beta_c)``, as :func:`fit_compute_params` fits it."""
+        """``(alpha_c, beta_c)`` from the step times at the smallest GPU
+        count seen.
+
+        With one GPU there is no sync phase, so step time is
+        ``iter_time / accum_steps = alpha_c + beta_c * local_bsz``, fitted
+        to the mean step time per local batch size.  If the job has never
+        run on one GPU (possible for schedulers without a start-small
+        rule, e.g. Pollux), the smallest GPU count observed stands in — its
+        step times include some sync, so the compute estimate is
+        conservative until real 1-GPU data arrives.
+        """
         if not self.reports:
             raise ValueError("need at least one observation")
         sizes = sorted(self._compute)
@@ -194,8 +204,17 @@ class RunningFit:
             sizes, [self._compute[size][0] for size in sizes])
 
     def fit(self) -> FitResult:
-        """The full fit over every report so far (see
-        :func:`fit_throughput_params`)."""
+        """The full fit over every report so far.
+
+        Each multi-GPU configuration's mean iteration time is inverted to
+        one sync point under the compute fit, and the points are fitted
+        per regime (:func:`fit_sync_params`).  Unobserved sync regimes are
+        extrapolated conservatively: missing inter-node parameters reuse
+        intra-node ones (scaled up) and vice versa; with no sync
+        observations at all both default to zero — callers are expected
+        to treat such models with the bootstrap/perfect-scaling logic of
+        Section 3.2 rather than trusting zero-cost communication.
+        """
         alpha_c, beta_c = self.compute_params()
         intra_points: list[tuple[int, float]] = []
         inter_points: list[tuple[int, float]] = []
@@ -235,40 +254,3 @@ def _fold(means: dict, key, value: float) -> bool:
     entry[0] = mean + (value - mean) / entry[1]
     return entry[0] != mean
 
-
-def _running_fit(observations: list[Observation],
-                 gamma: float = GAMMA) -> RunningFit:
-    state = RunningFit(gamma)
-    for obs in observations:
-        state.add(obs)
-    return state
-
-
-def fit_compute_params(observations: list[Observation]) -> tuple[float, float]:
-    """Fit (alpha_c, beta_c) from 1-GPU observations.
-
-    With one GPU there is no sync phase, so step time is
-    ``iter_time / accum_steps = alpha_c + beta_c * local_bsz``, fitted to
-    the running mean step time per local batch size.  If the job has never run on
-    one GPU (possible for schedulers without a start-small rule, e.g.
-    Pollux), the smallest GPU count observed stands in — its step times
-    include some sync, so the compute estimate is conservative until real
-    1-GPU data arrives.
-    """
-    return _running_fit(observations).compute_params()
-
-
-def fit_throughput_params(observations: list[Observation],
-                          gamma: float = GAMMA) -> FitResult:
-    """Full fit for one GPU type from all observations on that type.
-
-    Each multi-GPU configuration's mean iteration time is inverted to one
-    sync point under the compute fit, and the points are fitted per regime
-    (:func:`fit_sync_params`).  Unobserved sync
-    regimes are extrapolated conservatively: missing inter-node parameters
-    reuse intra-node ones (scaled up) and vice versa; with no sync
-    observations at all both default to zero — callers are expected to
-    treat such models with the bootstrap/perfect-scaling logic of
-    Section 3.2 rather than trusting zero-cost communication.
-    """
-    return _running_fit(observations, gamma).fit()

@@ -81,23 +81,14 @@ class RoundPlan:
     plans: dict[str, BatchPlan | None] = field(default_factory=dict)
 
     def validate(self, cluster: Cluster) -> None:
-        """Raise if the plan over-subscribes any node or mixes types."""
+        """Raise if an allocation does not fit: an unknown node, a node of
+        another type, or a node over-subscribed once the plan's earlier
+        allocations are booked (:meth:`Cluster.book`)."""
         used: dict[int, int] = {}
-        sizes = {n.node_id: n.num_gpus for n in cluster.nodes}
-        types = {n.node_id: n.gpu_type for n in cluster.nodes}
         for job_id, alloc in self.allocations.items():
-            for node_id, count in alloc.gpus_per_node:
-                if node_id not in sizes:
-                    raise ValueError(f"{job_id}: unknown node {node_id}")
-                if types[node_id] != alloc.gpu_type:
-                    raise ValueError(
-                        f"{job_id}: node {node_id} is {types[node_id]}, "
-                        f"allocation says {alloc.gpu_type}")
-                used[node_id] = used.get(node_id, 0) + count
-        for node_id, count in used.items():
-            if count > sizes[node_id]:
-                raise ValueError(
-                    f"node {node_id} over-subscribed: {count} > {sizes[node_id]}")
+            why = cluster.book(alloc, used)
+            if why is not None:
+                raise ValueError(f"{job_id}: {why}")
 
 
 def carry_forward_plan(previous: dict[str, Allocation], cluster: Cluster,
@@ -105,31 +96,18 @@ def carry_forward_plan(previous: dict[str, Allocation], cluster: Cluster,
     """Last-resort plan: keep the previous round's allocations that are
     still feasible on the (possibly shrunken) cluster.
 
-    An allocation survives only if the job is still active and every node
-    it touches exists, has the right GPU type, and is not over-subscribed
-    once earlier survivors are counted.  The result always passes
-    ``RoundPlan.validate``.
+    An allocation survives only if the job is still active and it fits
+    once earlier survivors are booked (:meth:`Cluster.book`), so the
+    result always passes ``RoundPlan.validate``.
     """
-    nodes = {n.node_id: n for n in cluster.nodes}
     active_ids = {v.job_id for v in views}
     used: dict[int, int] = {}
     allocations: dict[str, Allocation] = {}
     for job_id in sorted(previous):
         alloc = previous[job_id]
-        if job_id not in active_ids or alloc is None:
-            continue
-        feasible = True
-        for node_id, count in alloc.gpus_per_node:
-            node = nodes.get(node_id)
-            if node is None or node.gpu_type != alloc.gpu_type \
-                    or used.get(node_id, 0) + count > node.num_gpus:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        for node_id, count in alloc.gpus_per_node:
-            used[node_id] = used.get(node_id, 0) + count
-        allocations[job_id] = alloc
+        if job_id in active_ids and alloc is not None \
+                and cluster.book(alloc, used) is None:
+            allocations[job_id] = alloc
     return RoundPlan(allocations=allocations, backend="carry")
 
 

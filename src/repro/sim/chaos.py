@@ -16,10 +16,11 @@ module turns that contract into an executable experiment:
    falls back past corrupted files — and run to completion;
 5. diff the resumed result against the reference, field by field.
 
-The diff demands exact equality of every simulation-state field: round
-times, allocations, GPU usage, realized/estimated goodputs, throughputs,
-fault events, audit events, backends, degraded flags, job records, end
-time, censored counts.  Only wall-clock-derived telemetry is excluded —
+The diff demands exact equality of every stored simulation-state field:
+round times, allocations, queues, realized/estimated goodputs,
+throughputs, fault events, audit events, backends, job records and end
+time (tallies such as GPU usage or censored counts derive from these).
+Only wall-clock-derived telemetry is excluded —
 ``RoundRecord.solve_time`` and metric keys under ``solve_time_s`` /
 ``checkpoint`` — because host timing legitimately differs between the
 processes on either side of a crash.
@@ -98,8 +99,7 @@ def _filter_metrics(metrics: dict[str, float]) -> dict[str, float]:
 # RoundRecord.alerts and .solve_time are deliberately absent: alerts fire
 # only on SLO-observed runs (and may depend on wall-clock latency series),
 # so comparing them would make observation itself a "divergence".
-_ROUND_FIELDS = ("time", "active_jobs", "running_jobs", "allocations",
-                 "gpus_used", "queued", "backend", "degraded",
+_ROUND_FIELDS = ("time", "allocations", "queued", "backend",
                  "fault_events", "estimates", "realized", "throughputs",
                  "events", "health_events")
 
@@ -129,7 +129,7 @@ def diff_results(reference: "SimulationResult", resumed: "SimulationResult",
                    f"{len(resumed.rounds)}")
     for i, (a, b) in enumerate(zip(reference.rounds, resumed.rounds)):
         out.extend(diff_rounds(a, b, i))
-    for name in ("scheduler_name", "end_time", "censored", "node_failures"):
+    for name in ("scheduler_name", "end_time"):
         a, b = getattr(reference, name), getattr(resumed, name)
         if a != b:
             out.append(f"{name} differs ({a!r} != {b!r})")

@@ -83,8 +83,11 @@ from repro.atomicio import atomic_write_bytes
 #: v13: a pickled ``Job`` has no workload kind and no latency target, and
 #:     an ``InvariantChecker`` holds no mode and no violations list.
 #: v14: a pickled ``SiaPolicyParams`` has no solve budget.
+#: v15: a pickled ``RoundRecord`` has no ``active_jobs``, ``running_jobs``,
+#:     ``gpus_used`` or ``degraded``, and a ``SimulationResult`` no
+#:     ``censored`` or ``node_failures``: each derives from stored facts.
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 14
+FORMAT_VERSION = 15
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages

@@ -402,8 +402,6 @@ class Simulator:
         state = self.state
         result = state.result
         result.end_time = state.now
-        result.node_failures = result.fault_counts().get(NodeCrashModel.kind,
-                                                         0)
         result.jobs.extend(state.finished)
         for rt in state.active.values():
             result.jobs.append(self._record(rt))
@@ -418,7 +416,6 @@ class Simulator:
                 submit_time=job.submit_time, first_start=None,
                 finish_time=None, num_restarts=0,
                 target_samples=job.target_samples))
-        result.censored = len(state.active) + len(never_admitted)
         result.jobs.sort(key=lambda r: (r.submit_time, r.job_id))
         result.spans = list(self.tracer.spans)
         result.final_metrics = self.metrics.snapshot()
@@ -551,9 +548,7 @@ class Simulator:
             self._apply(plan, rnd)
         with span("audit"):
             record = RoundRecord(
-                time=rnd.now, active_jobs=len(active), running_jobs=0,
-                solve_time=solve_time, backend=plan.backend,
-                degraded=plan.backend == "carry",
+                time=rnd.now, solve_time=solve_time, backend=plan.backend,
                 fault_events=rnd.fault_events,
                 estimates={jid: est for jid, est in plan.estimates.items()
                            if jid in active})
@@ -705,11 +700,8 @@ class Simulator:
             if rt.allocation is None:
                 record.queued.append(job_id)
                 continue
-            record.running_jobs += 1
             config = rt.allocation.configuration()
             record.allocations[job_id] = (config.gpu_type, config.num_gpus)
-            record.gpus_used[config.gpu_type] = \
-                record.gpus_used.get(config.gpu_type, 0) + config.num_gpus
             done, execution = self._advance(rt, rnd, plans)
             # Ledger: the rates the executor actually delivered (zero for a
             # round fully spent restoring or unable to run).
@@ -766,12 +758,13 @@ class Simulator:
         m.counter("rounds_planned").inc()
         if record.fault_events:
             m.counter("faults_injected").inc(len(record.fault_events))
-        m.gauge("queue_depth").set(record.active_jobs - record.running_jobs)
+        m.gauge("queue_depth").set(len(record.queued))
         m.histogram("solve_time_s").observe(record.solve_time)
         for event in record.events:
             m.counter(f"alloc_events.{event.kind}").inc()
+        gpus_used = record.gpus_used
         for gpu_type, cap in self.cluster.capacities().items():
-            used = record.gpus_used.get(gpu_type, 0)
+            used = gpus_used.get(gpu_type, 0)
             m.gauge(f"util.{gpu_type}").set(used / cap if cap else 0.0)
 
     # -- helpers ---------------------------------------------------------------

@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.core.types import Allocation
-from repro.sim.telemetry import FaultEvent
+from repro.sim.telemetry import NODE_CRASH, FaultEvent
 
 #: seconds a crashed node stays down before it is repaired.
 REPAIR_TIME_S = 1800.0
@@ -288,7 +288,7 @@ class NodeCrashModel(NodeEpisodeModel):
     bit-identical to the seed repo.
     """
 
-    kind = "node_crash"
+    kind = NODE_CRASH
 
     def __init__(self, rate: float = 0.1, seed: int | None = None):
         super().__init__(rate, REPAIR_TIME_S, seed)

@@ -6,8 +6,9 @@ degradation path produced it.  :class:`InvariantChecker` verifies them
 after each round, over the engine's real state (runtimes + the just-built
 :class:`~repro.sim.telemetry.RoundRecord`):
 
-* **capacity** — allocations never over-subscribe a node, never mix GPU
-  types on a node, and per-type totals match the recorded ``gpus_used``;
+* **capacity** — every runtime's allocation fits the round's cluster view
+  once the others are booked (:meth:`~repro.cluster.cluster.Cluster.book`):
+  no node over-subscribed, no node of another GPU type;
 * **down-node** — no allocation touches a node absent from this round's
   surviving cluster view (i.e. a node a fault model took down);
 * **state-machine** — jobs move ``pending -> active -> finished`` only: a
@@ -15,9 +16,11 @@ after each round, over the engine's real state (runtimes + the just-built
   that actually left the active set this round;
 * **progress** — per-job progress is monotone except for jobs a fault
   rolled back to their epoch checkpoint this round;
-* **ledger** — the round record is internally consistent: ``running_jobs``
-  equals the allocation count, realized goodputs cover exactly the
-  allocated jobs and are non-negative, and estimates refer to active jobs;
+* **ledger** — the round record agrees with the runtimes: its
+  ``allocations`` are the ``(type, count)`` of every runtime holding GPUs
+  (the tallies ``running_jobs`` and ``gpus_used`` derive from them),
+  realized goodputs cover exactly the allocated jobs and are non-negative,
+  and estimates refer to active jobs;
 * **quarantine** — no allocation touches a node the health layer has
   quarantined or drained this round (gray-failure defense).
 
@@ -31,10 +34,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, NoReturn
 
+from repro.cluster.cluster import UNKNOWN_NODE, Cluster
 from repro.obs import audit
 
 if TYPE_CHECKING:
-    from repro.cluster.cluster import Cluster
     from repro.sim.telemetry import RoundRecord
 
 #: accepted ``SimulatorConfig.invariants`` values.
@@ -64,7 +67,7 @@ class InvariantChecker:
 
     # -- entry point -----------------------------------------------------------
 
-    def check_round(self, *, round_index: int, cluster_view: "Cluster",
+    def check_round(self, *, round_index: int, cluster_view: Cluster,
                     record: "RoundRecord", runtimes: Iterable,
                     fault_hit: set[str], done_ids: list[str],
                     quarantined: frozenset[int] = frozenset()) -> None:
@@ -77,7 +80,7 @@ class InvariantChecker:
         ``quarantined`` lists nodes the health layer excluded this round.
         """
         runtimes = list(runtimes)
-        self._check_capacity(round_index, cluster_view, record, runtimes)
+        self._check_capacity(round_index, cluster_view, runtimes)
         self._check_state_machine(round_index, record, runtimes, done_ids)
         self._check_progress(round_index, runtimes, fault_hit, done_ids)
         self._check_ledger(round_index, record, runtimes)
@@ -85,42 +88,18 @@ class InvariantChecker:
 
     # -- individual invariants -------------------------------------------------
 
-    def _check_capacity(self, round_index: int, cluster_view: "Cluster",
-                        record: "RoundRecord", runtimes: list) -> None:
-        nodes = {n.node_id: n for n in cluster_view.nodes}
-        used_per_node: dict[int, int] = {}
-        used_per_type: dict[str, int] = {}
+    def _check_capacity(self, round_index: int, cluster_view: Cluster,
+                        runtimes: list) -> None:
+        used: dict[int, int] = {}
         for rt in runtimes:
-            alloc = rt.allocation
-            if alloc is None:
+            if rt.allocation is None:
                 continue
-            used_per_type[alloc.gpu_type] = \
-                used_per_type.get(alloc.gpu_type, 0) + alloc.num_gpus
-            for node_id, count in alloc.gpus_per_node:
-                node = nodes.get(node_id)
-                if node is None:
-                    self._violate(round_index, "down-node",
-                                  f"job {rt.job.job_id} allocated on node "
-                                  f"{node_id}, which is down or unknown "
-                                  "this round")
-                    continue
-                if node.gpu_type != alloc.gpu_type:
-                    self._violate(round_index, "capacity",
-                                  f"job {rt.job.job_id} allocation says "
-                                  f"{alloc.gpu_type} but node {node_id} "
-                                  f"is {node.gpu_type}")
-                used_per_node[node_id] = \
-                    used_per_node.get(node_id, 0) + count
-        for node_id, count in used_per_node.items():
-            node = nodes.get(node_id)
-            if node is not None and count > node.num_gpus:
-                self._violate(round_index, "capacity",
-                              f"node {node_id} over-subscribed: {count} > "
-                              f"{node.num_gpus}")
-        if used_per_type != {t: c for t, c in record.gpus_used.items() if c}:
-            self._violate(round_index, "ledger",
-                          f"recorded gpus_used {record.gpus_used} disagrees "
-                          f"with allocations {used_per_type}")
+            why = cluster_view.book(rt.allocation, used)
+            if why is not None:
+                self._violate(round_index,
+                              "down-node" if why.startswith(UNKNOWN_NODE)
+                              else "capacity",
+                              f"job {rt.job.job_id}: {why}")
 
     def _check_state_machine(self, round_index: int, record: "RoundRecord",
                              runtimes: list, done_ids: list[str]) -> None:
@@ -154,10 +133,13 @@ class InvariantChecker:
 
     def _check_ledger(self, round_index: int, record: "RoundRecord",
                       runtimes: list) -> None:
-        if record.running_jobs != len(record.allocations):
+        held = {rt.job.job_id: (rt.allocation.gpu_type,
+                                rt.allocation.num_gpus)
+                for rt in runtimes if rt.allocation is not None}
+        if held != record.allocations:
             self._violate(round_index, "ledger",
-                          f"running_jobs={record.running_jobs} but "
-                          f"{len(record.allocations)} allocations recorded")
+                          f"recorded allocations {record.allocations} "
+                          f"disagree with the runtimes' {held}")
         if set(record.realized) != set(record.allocations):
             self._violate(round_index, "ledger",
                           "realized goodputs cover "

@@ -13,6 +13,10 @@ from repro.obs.audit import AllocationEvent
 from repro.obs.tracer import PLAN_PHASES, SpanRecord
 
 
+#: the fault kind of a node crash (``NodeCrashModel.kind``).
+NODE_CRASH = "node_crash"
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One injected fault, as recorded by the fault subsystem.
@@ -75,27 +79,22 @@ class JobRecord:
 
 @dataclass
 class RoundRecord:
-    """Snapshot of one scheduling round."""
+    """Snapshot of one scheduling round.
+
+    Every job active when the round was planned is in exactly one of
+    ``allocations`` and ``queued``; the round's tallies derive from them.
+    """
 
     time: float
-    #: jobs active (queued or running) when the round was planned.
-    active_jobs: int
-    #: jobs actually holding GPUs this round.
-    running_jobs: int
     #: policy optimization wall-clock seconds (Figure 9).
     solve_time: float
     #: job id -> (gpu_type, num_gpus) for the allocation log (Figure 5).
     allocations: dict[str, tuple[str, int]] = field(default_factory=dict)
-    #: GPUs in use per type.
-    gpus_used: dict[str, int] = field(default_factory=dict)
     #: ids of the active jobs left without GPUs this round (queue wait).
     queued: list[str] = field(default_factory=list)
     #: solver/plan backend that produced this round ('' when the scheduler
     #: did not report one; 'carry' marks a carried-forward plan).
     backend: str = ""
-    #: True when the round carried the previous plan forward after a caught
-    #: scheduler failure (``backend == 'carry'``).
-    degraded: bool = False
     #: faults injected while planning this round.
     fault_events: list[FaultEvent] = field(default_factory=list)
     #: cumulative metrics snapshot (repro.obs counters/gauges/histograms)
@@ -123,6 +122,30 @@ class RoundRecord:
     #: wall-clock series (round latency) and only exist on observed runs.
     alerts: list = field(default_factory=list)
 
+    @property
+    def active_jobs(self) -> int:
+        """Jobs active (queued or running) when the round was planned."""
+        return len(self.allocations) + len(self.queued)
+
+    @property
+    def running_jobs(self) -> int:
+        """Jobs holding GPUs this round."""
+        return len(self.allocations)
+
+    @property
+    def gpus_used(self) -> dict[str, int]:
+        """GPUs in use per type, in allocation order (a fresh dict)."""
+        used: dict[str, int] = {}
+        for gpu_type, count in self.allocations.values():
+            used[gpu_type] = used.get(gpu_type, 0) + count
+        return used
+
+    @property
+    def degraded(self) -> bool:
+        """Whether the round carried the previous plan forward after a
+        caught scheduler failure."""
+        return self.backend == "carry"
+
 
 @dataclass
 class SimulationResult:
@@ -133,10 +156,6 @@ class SimulationResult:
     jobs: list[JobRecord] = field(default_factory=list)
     rounds: list[RoundRecord] = field(default_factory=list)
     end_time: float = 0.0
-    #: jobs that did not finish before the simulation cap.
-    censored: int = 0
-    #: injected worker failures that occurred during the run.
-    node_failures: int = 0
     #: tracing spans recorded during the run (empty unless a Tracer was
     #: attached via SimulatorConfig; not serialized — use repro.obs.export).
     spans: list[SpanRecord] = field(default_factory=list, repr=False)
@@ -164,6 +183,12 @@ class SimulationResult:
     @property
     def completed_jobs(self) -> list[JobRecord]:
         return [j for j in self.jobs if j.completed]
+
+    @property
+    def censored(self) -> int:
+        """Jobs that did not finish before the simulation cap, the
+        never-admitted ones included."""
+        return sum(1 for j in self.jobs if not j.completed)
 
     def jcts_hours(self) -> list[float]:
         """JCT of every job, hours (censored jobs measured to the end cap)."""
@@ -224,6 +249,11 @@ class SimulationResult:
     @property
     def total_fault_events(self) -> int:
         return sum(len(r.fault_events) for r in self.rounds)
+
+    @property
+    def node_failures(self) -> int:
+        """Injected worker failures (node crashes) over the run."""
+        return self.fault_counts().get(NODE_CRASH, 0)
 
     def _summary_counts(self, keys_of_round) -> dict[str, int]:
         """Occurrences of each key over the per-round records."""

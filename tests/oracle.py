@@ -33,6 +33,13 @@
   matrix, nan where infeasible.  The compact pipeline of
   ``repro.core.matrix``, which shapes only each job's feasible entries, is
   compared against them.
+* :func:`reference_validate`, :func:`reference_carry_forward` and
+  :func:`reference_keep` — the three fit checks that ``RoundPlan.validate``,
+  ``carry_forward_plan`` and placement's ``_keep`` each wrote out before
+  they shared ``Cluster.book``.  The one check is compared against them.
+* :func:`reference_queue_wait` — queue wait re-derived from every job's
+  submit and finish times in every round.  ``queue_wait_by_job``, which
+  reads ``RoundRecord.queued``, is compared against it.
 """
 
 from __future__ import annotations
@@ -457,3 +464,90 @@ def dense_shape_utilities(matrix: np.ndarray, *, p: float,
     shaped = np.where(np.isfinite(shaped), shaped, math.nan)
     out[feasible] = shaped
     return out
+
+
+def reference_validate(allocations: dict, cluster) -> dict[int, int]:
+    """``RoundPlan.validate`` written out: raise ``ValueError`` on an
+    unknown node or a node of another type, then on any node whose summed
+    count exceeds its size; else return the per-node counts."""
+    used: dict[int, int] = {}
+    sizes = {n.node_id: n.num_gpus for n in cluster.nodes}
+    types = {n.node_id: n.gpu_type for n in cluster.nodes}
+    for job_id, alloc in allocations.items():
+        for node_id, count in alloc.gpus_per_node:
+            if node_id not in sizes:
+                raise ValueError(f"{job_id}: unknown node {node_id}")
+            if types[node_id] != alloc.gpu_type:
+                raise ValueError(f"{job_id}: node {node_id} is "
+                                 f"{types[node_id]}, allocation says "
+                                 f"{alloc.gpu_type}")
+            used[node_id] = used.get(node_id, 0) + count
+    for node_id, count in used.items():
+        if count > sizes[node_id]:
+            raise ValueError(f"node {node_id} over-subscribed: {count} > "
+                             f"{sizes[node_id]}")
+    return used
+
+
+def reference_carry_forward(previous: dict, cluster, active_ids: set[str],
+                            ) -> tuple[dict, dict[int, int]]:
+    """``carry_forward_plan`` written out: keep, in job-id order, each
+    active job's allocation whose every node exists, has its type and has
+    room once earlier survivors are counted.  Returns the kept allocations
+    and the per-node counts."""
+    nodes = {n.node_id: n for n in cluster.nodes}
+    used: dict[int, int] = {}
+    allocations = {}
+    for job_id in sorted(previous):
+        alloc = previous[job_id]
+        if job_id not in active_ids or alloc is None:
+            continue
+        feasible = True
+        for node_id, count in alloc.gpus_per_node:
+            node = nodes.get(node_id)
+            if node is None or node.gpu_type != alloc.gpu_type \
+                    or used.get(node_id, 0) + count > node.num_gpus:
+                feasible = False
+                break
+        if not feasible:
+            continue
+        for node_id, count in alloc.gpus_per_node:
+            used[node_id] = used.get(node_id, 0) + count
+        allocations[job_id] = alloc
+    return allocations, used
+
+
+def reference_keep(allocation, used: dict[int, int],
+                   sizes: dict[int, int]) -> None:
+    """Placement's ``_keep`` written out: book node by node, raising
+    ``ValueError`` where a node has too few free GPUs (``KeyError`` on an
+    unknown node; node types are not checked)."""
+    for node_id, count in allocation.gpus_per_node:
+        free = sizes[node_id] - used.get(node_id, 0)
+        if count > free:
+            raise ValueError(f"node {node_id}: cannot acquire {count} GPUs "
+                             f"({free} free)")
+        used[node_id] = used.get(node_id, 0) + count
+
+
+def reference_queue_wait(result) -> dict[str, float]:
+    """Seconds each job was active without GPUs: each round adds its
+    length (to the next round, or to the run's end) to every job submitted
+    by the round's time, not finished by it, and absent from its
+    allocations."""
+    waits = {record.job_id: 0.0 for record in result.jobs}
+    rounds = result.rounds
+    for i, rnd in enumerate(rounds):
+        if i + 1 < len(rounds):
+            dt = rounds[i + 1].time - rnd.time
+        else:
+            dt = max(result.end_time - rnd.time, 0.0)
+        for record in result.jobs:
+            if record.submit_time > rnd.time:
+                continue
+            if record.finish_time is not None \
+                    and record.finish_time <= rnd.time:
+                continue
+            if record.job_id not in rnd.allocations:
+                waits[record.job_id] += dt
+    return waits

@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.perf import fitting
 from repro.perf.estimator import JobConstraints
 from repro.perf.fitting import (FIT_RTOL, FitResult, Observation, RunningFit,
-                                _nonneg_linear_fit, fit_compute_params,
-                                fit_sync_params, fit_throughput_params,
+                                _nonneg_linear_fit, fit_sync_params,
                                 invert_sync_time)
 from repro.perf.throughput import ThroughputModel, ThroughputParams
 from repro.schedulers.pollux import PolluxEstimator
@@ -30,6 +29,14 @@ def obs(gpu_type="t4", n=1, k=1, m=32, s=1) -> Observation:
     return Observation(gpu_type=gpu_type, num_nodes=n, num_gpus=k,
                        local_bsz=m, accum_steps=s,
                        iter_time=TRUE_MODEL.iter_time(m, k, n, s))
+
+
+def folded(observations: list[Observation]) -> RunningFit:
+    """A fit state with ``observations`` folded in, in order."""
+    state = RunningFit()
+    for observation in observations:
+        state.add(observation)
+    return state
 
 
 class TestObservation:
@@ -49,19 +56,19 @@ class TestObservation:
 class TestComputeFit:
     def test_recovers_linear_params(self):
         observations = [obs(m=m) for m in (8, 16, 32, 64, 128)]
-        alpha, beta = fit_compute_params(observations)
+        alpha, beta = folded(observations).compute_params()
         assert alpha == pytest.approx(TRUE.alpha_c, rel=1e-6)
         assert beta == pytest.approx(TRUE.beta_c, rel=1e-6)
 
     def test_single_point_heuristic_split(self):
-        alpha, beta = fit_compute_params([obs(m=100)])
+        alpha, beta = folded([obs(m=100)]).compute_params()
         total = TRUE_MODEL.grad_time(100)
         assert alpha + beta * 100 == pytest.approx(total)
         assert alpha >= 0 and beta >= 0
 
     def test_accumulation_normalized_out(self):
         observations = [obs(m=m, s=4) for m in (16, 64)]
-        alpha, beta = fit_compute_params(observations)
+        alpha, beta = folded(observations).compute_params()
         assert alpha == pytest.approx(TRUE.alpha_c, rel=1e-6)
         assert beta == pytest.approx(TRUE.beta_c, rel=1e-6)
 
@@ -69,12 +76,12 @@ class TestComputeFit:
         """Without 1-GPU data (Pollux can start multi-GPU), the fit uses the
         smallest count seen, yielding a conservative (larger) estimate."""
         observations = [obs(k=4, m=m) for m in (16, 64)]
-        alpha, beta = fit_compute_params(observations)
+        alpha, beta = folded(observations).compute_params()
         assert alpha + beta * 16 >= TRUE_MODEL.grad_time(16)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            fit_compute_params([])
+            folded([]).compute_params()
 
 
 class TestSyncInversion:
@@ -118,7 +125,7 @@ class TestFullFit:
             + [obs(k=k, m=32) for k in (2, 4, 8)]
             + [obs(n=2, k=k, m=32) for k in (8, 16)]
         )
-        fit = fit_throughput_params(observations)
+        fit = folded(observations).fit()
         assert fit.has_single_gpu and fit.has_intra_node and fit.has_inter_node
         for attr in ("alpha_c", "beta_c", "alpha_r", "beta_r",
                      "alpha_n", "beta_n"):
@@ -128,7 +135,7 @@ class TestFullFit:
     def test_prediction_accuracy_on_unseen_config(self):
         observations = [obs(m=m) for m in (8, 32, 128)] + \
             [obs(k=k, m=32) for k in (2, 4)]
-        fit = fit_throughput_params(observations)
+        fit = folded(observations).fit()
         fitted = ThroughputModel(fit.params)
         # Predict an unseen single-node count.
         assert fitted.iter_time(32, 8, 1) == pytest.approx(
@@ -136,31 +143,31 @@ class TestFullFit:
 
     def test_missing_inter_node_extrapolated_pessimistically(self):
         observations = [obs(m=32), obs(k=4, m=32)]
-        fit = fit_throughput_params(observations)
+        fit = folded(observations).fit()
         assert not fit.has_inter_node
         assert fit.params.alpha_n >= fit.params.alpha_r
 
     def test_missing_intra_node_derived_from_inter(self):
         observations = [obs(m=32), obs(n=2, k=8, m=32)]
-        fit = fit_throughput_params(observations)
+        fit = folded(observations).fit()
         assert fit.has_inter_node and not fit.has_intra_node
         assert fit.params.alpha_r <= fit.params.alpha_n
 
     def test_only_single_gpu_data_no_multi_flags(self):
-        fit = fit_throughput_params([obs(m=32)])
+        fit = folded([obs(m=32)]).fit()
         assert fit.has_single_gpu
         assert not fit.has_multi_gpu
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            fit_throughput_params([])
+            folded([]).fit()
 
     @settings(max_examples=30, deadline=None)
     @given(ms=st.lists(st.integers(1, 256), min_size=2, max_size=6,
                        unique=True))
     def test_fit_never_produces_negative_params(self, ms):
         observations = [obs(m=m) for m in ms]
-        fit = fit_throughput_params(observations)
+        fit = folded(observations).fit()
         assert fit.params.alpha_c >= 0
         assert fit.params.beta_c >= 0
 
@@ -202,10 +209,6 @@ class TestRunningFit:
                 assert repr(state.fit()) == repr(reference_fit(seen))
                 assert state.compute_params() == \
                     reference_compute_params(seen)
-        if seen:
-            assert repr(fit_throughput_params(seen)) == \
-                repr(reference_fit(seen))
-            assert fit_compute_params(seen) == reference_compute_params(seen)
 
     def test_shrinking_smallest_count_refits_compute(self):
         """A 4-GPU job later seen on 2 GPUs, then 1: each smaller count
@@ -366,8 +369,8 @@ class TestClosedForm:
 
 class TestFitDeadBand:
     def fit(self, **changes) -> FitResult:
-        return replace(fit_throughput_params(
-            [obs(m=32), obs(m=64), obs(k=4, m=32)]), **changes)
+        return replace(folded(
+            [obs(m=32), obs(m=64), obs(k=4, m=32)]).fit(), **changes)
 
     def scaled(self, fit: FitResult, factor: float) -> FitResult:
         return replace(fit, params=replace(

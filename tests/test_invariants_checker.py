@@ -23,7 +23,7 @@ def _runtime(job_id, alloc=None, progress=0.0):
 
 
 def _record(**kw):
-    base = dict(time=0.0, active_jobs=1, running_jobs=0, solve_time=0.0)
+    base = dict(time=0.0, solve_time=0.0)
     base.update(kw)
     return RoundRecord(**base)
 
@@ -45,9 +45,7 @@ class TestCheckerUnit:
         node = tiny_cluster.nodes[0]
         alloc = Allocation.build(node.gpu_type, {node.node_id: 1})
         rt = _runtime("a", alloc, progress=5.0)
-        record = _record(running_jobs=1,
-                         allocations={"a": (node.gpu_type, 1)},
-                         gpus_used={node.gpu_type: 1},
+        record = _record(allocations={"a": (node.gpu_type, 1)},
                          realized={"a": 1.0})
         checker = InvariantChecker()
         _check(checker, tiny_cluster, record, [rt])
@@ -59,9 +57,7 @@ class TestCheckerUnit:
                                         if n.node_id != down.node_id))
         alloc = Allocation.build(down.gpu_type, {down.node_id: 1})
         rt = _runtime("a", alloc)
-        record = _record(running_jobs=1,
-                         allocations={"a": (down.gpu_type, 1)},
-                         gpus_used={down.gpu_type: 1},
+        record = _record(allocations={"a": (down.gpu_type, 1)},
                          realized={"a": 0.5})
         checker = InvariantChecker()
         with pytest.raises(InvariantError, match="down-node"):
@@ -72,10 +68,8 @@ class TestCheckerUnit:
         count = node.num_gpus  # two jobs each take the full node
         alloc_a = Allocation.build(node.gpu_type, {node.node_id: count})
         alloc_b = Allocation.build(node.gpu_type, {node.node_id: count})
-        record = _record(running_jobs=2,
-                         allocations={"a": (node.gpu_type, count),
+        record = _record(allocations={"a": (node.gpu_type, count),
                                       "b": (node.gpu_type, count)},
-                         gpus_used={node.gpu_type: 2 * count},
                          realized={"a": 1.0, "b": 1.0})
         checker = InvariantChecker()
         with pytest.raises(InvariantError, match="over-subscribed"):
@@ -117,18 +111,24 @@ class TestCheckerUnit:
             _check(checker, tiny_cluster, _record(events=[finish]),
                    [_runtime("a")])
 
-    def test_ledger_running_count_mismatch_detected(self, tiny_cluster):
-        record = _record(running_jobs=3)  # no allocations recorded
+    def test_ledger_allocations_mismatch_detected(self, tiny_cluster):
+        """The record's allocations must be the runtimes' own: a missing,
+        resized, extra or misattributed entry is rejected (the last one
+        even though every per-type total agrees)."""
+        node = tiny_cluster.nodes[0]
+        alloc = Allocation.build(node.gpu_type, {node.node_id: 1})
         checker = InvariantChecker()
-        with pytest.raises(InvariantError, match="running_jobs"):
-            _check(checker, tiny_cluster, record, [_runtime("a")])
+        for recorded in ({}, {"a": (node.gpu_type, 2)},
+                         {"a": (node.gpu_type, 1), "b": (node.gpu_type, 1)},
+                         {"b": (node.gpu_type, 1)}):
+            record = _record(allocations=recorded, realized={"a": 1.0})
+            with pytest.raises(InvariantError, match=r"\[ledger\] recorded"):
+                _check(checker, tiny_cluster, record, [_runtime("a", alloc)])
 
     def test_ledger_realized_coverage_detected(self, tiny_cluster):
         node = tiny_cluster.nodes[0]
         alloc = Allocation.build(node.gpu_type, {node.node_id: 1})
-        record = _record(running_jobs=1,
-                         allocations={"a": (node.gpu_type, 1)},
-                         gpus_used={node.gpu_type: 1},
+        record = _record(allocations={"a": (node.gpu_type, 1)},
                          realized={})  # missing realized entry
         checker = InvariantChecker()
         with pytest.raises(InvariantError, match="realized"):

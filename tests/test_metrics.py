@@ -164,5 +164,5 @@ class TestUtilization:
     def test_empty_result_zero_utilization(self):
         cluster = presets.heterogeneous()
         empty = SimulationResult("sia", cluster.describe(),
-                                 rounds=[RoundRecord(0.0, 0, 0, 0.0)])
+                                 rounds=[RoundRecord(0.0, 0.0)])
         assert average_utilization(empty, cluster) == 0.0

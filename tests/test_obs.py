@@ -400,8 +400,8 @@ class TestSimulatorMetrics:
 def _result_with_solve_times(times):
     result = SimulationResult(scheduler_name="s", cluster_description="c")
     for i, t in enumerate(times):
-        result.rounds.append(RoundRecord(time=60.0 * i, active_jobs=1,
-                                         running_jobs=1, solve_time=t))
+        result.rounds.append(RoundRecord(time=60.0 * i, solve_time=t,
+                                         queued=["j"]))
     return result
 
 

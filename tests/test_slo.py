@@ -25,10 +25,8 @@ def jobs(n=3, scale=0.4):
             for i in range(n)]
 
 
-def record(index, *, metrics=None, solve_time=0.01, degraded=False,
-           **kwargs):
-    return RoundRecord(time=60.0 * index, active_jobs=1, running_jobs=1,
-                       solve_time=solve_time, degraded=degraded,
+def record(index, *, metrics=None, solve_time=0.01, **kwargs):
+    return RoundRecord(time=60.0 * index, solve_time=solve_time,
                        metrics=metrics or {}, **kwargs)
 
 
@@ -181,7 +179,7 @@ class TestBurnRate:
         rule = SLORule(name="fb", metric="solver_fallback_rate", target=0.25,
                        window=4, error_budget=0.5, min_samples=2)
         engine = SLOEngine([rule])
-        fired = feed(engine, [record(i, degraded=True) for i in range(2)])
+        fired = feed(engine, [record(i, backend="carry") for i in range(2)])
         assert fired and fired[0].value == 1.0
         assert fired[0].context.get("backends")
 
@@ -228,8 +226,7 @@ class TestAlert:
                                 comparison="<=", burn_rate=1.0, window=1)
         result = SimulationResult(scheduler_name="s", cluster_description="c")
         for alerts in ([mk("a"), mk("b")], [], [mk("a")]):
-            result.rounds.append(RoundRecord(time=0.0, active_jobs=0,
-                                             running_jobs=0, solve_time=0.0,
+            result.rounds.append(RoundRecord(time=0.0, solve_time=0.0,
                                              alerts=alerts))
         assert result.alert_counts() == {"a": 2, "b": 1}
 
