@@ -158,8 +158,6 @@ def _round_to_dict(record: RoundRecord) -> dict[str, Any]:
             "kind": e.kind, "time": e.time,
             "target": e.target, "detail": e.detail,
         } for e in record.fault_events]
-    if record.metrics:
-        data["metrics"] = dict(record.metrics)
     # Decision-level observability (goodput ledger + audit trail) is also
     # written only when present, keeping fault-free pre-ledger results
     # byte-compatible.
@@ -232,7 +230,6 @@ def load_result(path: str | Path) -> SimulationResult:
                                      target=e["target"],
                                      detail=e.get("detail", ""))
                           for e in item.get("fault_events", [])],
-            metrics=dict(item.get("metrics", {})),
             estimates=dict(item.get("estimates", {})),
             realized=dict(item.get("realized", {})),
             throughputs=dict(item.get("throughputs", {})),

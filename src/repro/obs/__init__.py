@@ -3,7 +3,7 @@
 * :mod:`repro.obs.tracer`  — :class:`Tracer` (nestable spans, instant
   events) and the near-zero-cost :data:`NULL_TRACER` default.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters, gauges,
-  and histograms, snapshotted per round by the simulator.
+  and histograms, snapshotted once at the end of a run.
 * :mod:`repro.obs.export`  — Chrome/Perfetto ``trace_event`` JSON, JSONL
   event logs, and human-readable digests.
 * :mod:`repro.obs.ledger`  — per-job goodput ledger: estimated vs realized
@@ -13,8 +13,8 @@
 * :mod:`repro.obs.diff`    — cross-run decision diff: align two futures of
   one run (:class:`RunDiff`, divergence detection, ledger alignment) for
   the counterfactual replay engine.
-* :mod:`repro.obs.window`  — O(1)-per-round online aggregates: rolling
-  percentile windows, EMAs, and rates over per-round series.
+* :mod:`repro.obs.window`  — bounded-work online aggregates: rolling
+  percentile windows and rates over per-round series.
 * :mod:`repro.obs.slo`     — declarative SLO rules evaluated live each
   round, firing :class:`Alert` events with ledger/audit/health-backed
   causal context (burn-rate semantics).

@@ -35,9 +35,6 @@ EVENT_KINDS = (ADMIT, SCALE_UP, SCALE_DOWN, MIGRATE, PREEMPT, RESUME,
 CAUSE_SCHEDULER = "scheduler"
 CAUSE_FAULT = "fault"
 
-#: an allocation as the audit layer sees it.
-AllocTuple = "tuple[str, int, tuple[int, ...]]"
-
 
 @dataclass(frozen=True)
 class AllocationEvent:

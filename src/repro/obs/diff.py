@@ -29,9 +29,6 @@ from typing import Any, Iterable
 from repro.obs import audit
 from repro.obs.ledger import GoodputLedger
 
-#: allocation as the diff sees it: (gpu_type, num_gpus), or None.
-AllocPair = "tuple[str, int] | None"
-
 
 def _classify(job_id: str, time: float, base: "tuple[str, int] | None",
               fork: "tuple[str, int] | None") -> str:

@@ -1,10 +1,11 @@
 """Metrics registry: counters, gauges, and histograms for one run.
 
 Schedulers and the simulator update named metrics through a shared
-:class:`MetricsRegistry`; the simulator snapshots the registry into every
-:class:`~repro.sim.telemetry.RoundRecord` so per-round series (queue depth,
-per-GPU-type utilization, fault counts) survive into results and
-serialization.  Dependency-free, like the rest of :mod:`repro.obs`.
+:class:`MetricsRegistry`, the live sink the Prometheus snapshot and the
+event stream read.  The simulator snapshots it once, at the end of a run,
+into ``SimulationResult.final_metrics``; per-round series derive from the
+:class:`~repro.sim.telemetry.RoundRecord` facts instead.
+Dependency-free, like the rest of :mod:`repro.obs`.
 """
 
 from __future__ import annotations

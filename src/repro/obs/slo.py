@@ -13,12 +13,14 @@ health tracker already persist.
 
 Rule semantics (documented in DESIGN.md "Live telemetry & SLOs"):
 
-* each rule names a **series** — a built-in online aggregate
-  (``round_latency_p95``, ``solver_fallback_rate`` (the share of
-  carried-forward rounds), ``queue_wait_p99``,
-  ``estimation_error_median``, ``quarantined_nodes``) or any
-  ``RoundRecord.metrics`` key with an ``agg`` (``last``/``mean``/``max``/
-  ``p50``/``p95``/``p99``);
+* each rule names one of the built-in **series** in
+  :data:`BUILTIN_SERIES` — ``round_latency_p95``,
+  ``solver_fallback_rate`` (the share of carried-forward rounds),
+  ``queue_wait_p99``, ``estimation_error_median`` and
+  ``quarantined_nodes`` (nodes quarantined and not yet reinstated, folded
+  from ``RoundRecord.health_events``).  Every series is a function of
+  stored round facts, so live, resumed and post-hoc evaluation of one
+  ruleset agree;
 * the per-round series value is compared against ``target`` (``<=`` or
   ``>=``); the boolean outcome feeds a rolling **error-budget window**;
 * ``burn_rate = violating fraction / error_budget``; the rule fires when
@@ -44,12 +46,10 @@ from typing import Any, Sequence
 from repro.obs.metrics import interpolated_quantile
 from repro.obs.window import RollingRate, RollingWindow
 
-#: built-in online series (everything else resolves via RoundRecord.metrics).
+#: the series a rule may name, each computed from the round records.
 BUILTIN_SERIES = ("round_latency_p95", "solver_fallback_rate",
                   "queue_wait_p99", "estimation_error_median",
                   "quarantined_nodes")
-#: window aggregations for metrics-key rules.
-METRIC_AGGS = ("last", "mean", "max", "p50", "p95", "p99")
 COMPARISONS = ("<=", ">=")
 SEVERITIES = ("info", "warn", "page")
 
@@ -138,10 +138,11 @@ class SLORule:
     #: rounds to stay quiet after firing (re-arms automatically).
     cooldown: int = 10
     severity: str = "warn"
-    #: aggregation for metrics-key rules (ignored for built-in series).
-    agg: str = "last"
 
     def __post_init__(self) -> None:
+        if self.metric not in BUILTIN_SERIES:
+            raise ValueError(f"rule {self.name!r}: metric must be one of "
+                             f"{BUILTIN_SERIES}, got {self.metric!r}")
         if self.comparison not in COMPARISONS:
             raise ValueError(f"rule {self.name!r}: comparison must be one "
                              f"of {COMPARISONS}, got {self.comparison!r}")
@@ -157,17 +158,13 @@ class SLORule:
         if self.severity not in SEVERITIES:
             raise ValueError(f"rule {self.name!r}: severity must be one of "
                              f"{SEVERITIES}, got {self.severity!r}")
-        if self.metric not in BUILTIN_SERIES and self.agg not in METRIC_AGGS:
-            raise ValueError(f"rule {self.name!r}: agg must be one of "
-                             f"{METRIC_AGGS}, got {self.agg!r}")
 
     def to_dict(self) -> dict[str, Any]:
         return {"name": self.name, "metric": self.metric,
                 "target": self.target, "comparison": self.comparison,
                 "window": self.window, "error_budget": self.error_budget,
                 "burn_rate": self.burn_rate, "min_samples": self.min_samples,
-                "cooldown": self.cooldown, "severity": self.severity,
-                "agg": self.agg}
+                "cooldown": self.cooldown, "severity": self.severity}
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "SLORule":
@@ -273,15 +270,17 @@ class SLOEngine:
         #: under ``slo.*`` (excluded from the determinism oracle).
         self.metrics = metrics
         self.alerts: list[Alert] = []
-        self.rounds_evaluated = 0
         self._queue = _QueueWaitTracker()
+        #: nodes quarantined and not yet reinstated, folded from the
+        #: rounds' health events (only a ``quarantine`` enters that state
+        #: and only a ``reinstate`` leaves it; an emergency reinstate out
+        #: of ``drained`` finds nothing to remove).
+        self._quarantined: set[int] = set()
         max_window = max((r.window for r in self.rules), default=1)
         #: bounded history for causality extraction (never the full run).
         self._recent: deque = deque(maxlen=max_window)
-        self._series: dict[str, RollingWindow] = {}
-        self._fallback_rate = RollingRate(max(
-            (r.window for r in self.rules
-             if r.metric == "solver_fallback_rate"), default=20))
+        #: each rule's own window over its series.
+        self._series: dict[str, RollingWindow | RollingRate] = {}
         self._burn: dict[str, RollingRate] = {
             r.name: RollingRate(r.window) for r in self.rules}
         #: per-rule burn gauges resolved once — the f-string + registry
@@ -293,10 +292,10 @@ class SLOEngine:
 
     # -- series ----------------------------------------------------------------
 
-    def _window_for(self, rule: SLORule) -> RollingWindow:
+    def _window_for(self, rule: SLORule, kind=RollingWindow) -> Any:
         window = self._series.get(rule.name)
         if window is None:
-            window = self._series[rule.name] = RollingWindow(rule.window)
+            window = self._series[rule.name] = kind(rule.window)
         return window
 
     def _series_value(self, rule: SLORule, record: Any) -> float:
@@ -306,7 +305,9 @@ class SLOEngine:
             window.push(record.solve_time)
             return window.quantile(0.95)
         if metric == "solver_fallback_rate":
-            return self._fallback_rate.rate
+            rate = self._window_for(rule, RollingRate)
+            rate.push(record.degraded)
+            return rate.rate
         if metric == "queue_wait_p99":
             waits = [wait for _, wait in self._queue.queued_waits(record)]
             waits.reverse()  # ascending for the shared interpolation
@@ -315,29 +316,19 @@ class SLOEngine:
             window = self._window_for(rule)
             window.push(_round_error_median(record))
             return window.quantile(0.5) if len(window) else float("nan")
-        if metric == "quarantined_nodes":
-            return float(record.metrics.get("health.quarantined_nodes", 0.0))
-        # Generic: any RoundRecord.metrics key, windowed by rule.agg.
-        raw = record.metrics.get(metric)
-        if raw is None:
-            return float("nan")
-        if rule.agg == "last":
-            return float(raw)
-        window = self._window_for(rule)
-        window.push(float(raw))
-        if rule.agg == "mean":
-            return window.mean
-        return window.quantile({"max": 1.0, "p50": 0.5, "p95": 0.95,
-                                "p99": 0.99}[rule.agg])
+        return float(len(self._quarantined))  # quarantined_nodes
 
     # -- evaluation ------------------------------------------------------------
 
     def observe_round(self, record: Any, round_index: int,
                       dt: float) -> list[Alert]:
         """Fold one finished round in and return the alerts it fired."""
-        self.rounds_evaluated += 1
         self._queue.observe(record, dt)
-        self._fallback_rate.push(bool(record.degraded))
+        for event in record.health_events:
+            if event.kind == "quarantine":
+                self._quarantined.add(event.node_id)
+            elif event.kind == "reinstate":
+                self._quarantined.discard(event.node_id)
         self._recent.append(record)
         fired: list[Alert] = []
         for rule in self.rules:
@@ -387,7 +378,7 @@ class SLOEngine:
                         nodes.append(int(target.split(":", 1)[1]))
                     except ValueError:
                         pass
-            for event in getattr(rnd, "health_events", []):
+            for event in rnd.health_events:
                 if event.kind in ("probation", "quarantine", "drain"):
                     nodes.append(event.node_id)
         if rule.metric == "queue_wait_p99":

@@ -1,16 +1,16 @@
 """Online windowed aggregation over per-round series.
 
-The live SLO evaluator (:mod:`repro.obs.slo`) needs
-percentiles, moving averages, and rates over the most recent N scheduler
-rounds *while the run is in flight* — without re-scanning the full history
-every round the way :class:`~repro.obs.metrics.Histogram` does post hoc.
+The live SLO evaluator (:mod:`repro.obs.slo`) needs percentiles and
+rates over the most recent N scheduler rounds *while the run is in
+flight* — without re-scanning the full history every round the way
+:class:`~repro.obs.metrics.Histogram` does post hoc.
 
 Every aggregator here does bounded work per update:
 
 * :class:`RollingWindow` — last-N values in a ring buffer plus a sorted
   mirror maintained incrementally with :mod:`bisect` (O(log n) search,
   O(n) memmove on a small ``n``; nothing ever walks the full series), with
-  running sum/quantiles/extrema over exactly the window.
+  quantiles over exactly the window.
 * :class:`RollingRate` — fraction of true indicators in the last N rounds,
   O(1) via a running count.
 
@@ -34,7 +34,7 @@ from repro.obs.metrics import interpolated_quantile
 class RollingWindow:
     """Order statistics over the last ``size`` finite observations."""
 
-    __slots__ = ("size", "_ring", "_sorted", "_sum", "nan_count")
+    __slots__ = ("size", "_ring", "_sorted", "nan_count")
 
     def __init__(self, size: int):
         if size < 1:
@@ -42,7 +42,6 @@ class RollingWindow:
         self.size = size
         self._ring: deque[float] = deque()
         self._sorted: list[float] = []
-        self._sum = 0.0
         #: non-finite inputs rejected (NaN/inf never enter the window).
         self.nan_count = 0
 
@@ -53,19 +52,13 @@ class RollingWindow:
             return
         self._ring.append(value)
         bisect.insort(self._sorted, value)
-        self._sum += value
         if len(self._ring) > self.size:
             evicted = self._ring.popleft()
             index = bisect.bisect_left(self._sorted, evicted)
             self._sorted.pop(index)
-            self._sum -= evicted
 
     def __len__(self) -> int:
         return len(self._ring)
-
-    @property
-    def mean(self) -> float:
-        return self._sum / len(self._ring) if self._ring else 0.0
 
     def quantile(self, q: float) -> float:
         """Linear-interpolated quantile over the window, q in [0, 1]."""

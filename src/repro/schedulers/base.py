@@ -120,7 +120,7 @@ class Scheduler(abc.ABC):
     #: The NULL_TRACER default keeps standalone ``decide()`` calls no-op.
     tracer: Tracer = NULL_TRACER
     #: shared metrics registry; the simulator injects the run's registry so
-    #: any counter a scheduler registers reaches the per-round snapshots.
+    #: any counter a scheduler registers reaches ``final_metrics``.
     #: None keeps standalone ``decide()`` calls metric-free.
     metrics: MetricsRegistry | None = None
     #: seconds between scheduling rounds (60 for Sia/Pollux, 360 for the

@@ -86,8 +86,9 @@ from repro.atomicio import atomic_write_bytes
 #: v15: a pickled ``RoundRecord`` has no ``active_jobs``, ``running_jobs``,
 #:     ``gpus_used`` or ``degraded``, and a ``SimulationResult`` no
 #:     ``censored`` or ``node_failures``: each derives from stored facts.
+#: v16: a pickled ``RoundRecord`` has no ``metrics`` snapshot.
 MAGIC = b"REPRO-CKPT"
-FORMAT_VERSION = 15
+FORMAT_VERSION = 16
 
 #: stages an injectable crash hook is called at, in order.  ``round_end``
 #: fires in the engine loop after each recorded round; the write stages

@@ -26,8 +26,9 @@ of its name that is a direct child of ``round``
   estimator (the refinement loop of Figure 3);
 * ``close`` — metrics, health gauges and finished-job records.
 
-The health tick, the invariant audit and the metrics snapshot run directly
-under ``round``.
+The health tick and the invariant audit run directly under ``round``.  The
+metrics registry is snapshotted once, into ``final_metrics`` when the run
+ends; a round record holds facts only.
 
 Jobs complete mid-round when their integrated goodput reaches the target;
 their GPUs free up at the start of the next round (matching round-based
@@ -226,9 +227,9 @@ class Simulator:
         self.cluster = cluster
         self.config = config or SimulatorConfig()
         #: observability: one tracer carried through scheduler + executor,
-        #: one metrics registry snapshotted per round.  The registry is
-        #: kept for the simulator's life (a restore refills it), so
-        #: observers built on it before ``run`` stay live.
+        #: one metrics registry snapshotted when the run ends.  The
+        #: registry is kept for the simulator's life (a restore refills
+        #: it), so observers built on it before ``run`` stay live.
         self.tracer = self.config.tracer or NULL_TRACER
         self.metrics = MetricsRegistry()
         # Fault subsystem: legacy node_failure_rate becomes a NodeCrashModel
@@ -524,9 +525,9 @@ class Simulator:
     def _run_round(self, rnd: _Round) -> RoundRecord:
         """One round: the engine phases in order, each under its own span.
 
-        The health tick, the invariant audit and the metrics snapshot run
-        directly under ``round``, never inside a phase span, so a timer
-        wrapped around any of them sees round-level time only."""
+        The health tick and the invariant audit run directly under
+        ``round``, never inside a phase span, so a timer wrapped around
+        either sees round-level time only."""
         span = self.tracer.span
         state = self.state
         active = state.active
@@ -566,7 +567,6 @@ class Simulator:
                 runtimes=itertools.chain(active.values(), done.values()),
                 fault_hit=rnd.fault_hit, done_ids=list(done),
                 quarantined=quarantined)
-        record.metrics = self.metrics.snapshot()
         return record
 
     def _filter_health(self, rnd: _Round, cluster_view: Cluster,

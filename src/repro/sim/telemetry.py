@@ -1,7 +1,10 @@
 """Telemetry: per-job and per-round records produced by the simulator.
 
 These records are the single source every metric and every table/figure in
-the benchmark harness is computed from.
+the benchmark harness is computed from, and every SLO series
+(:mod:`repro.obs.slo`) too.  A round stores facts, never a copy of the
+metrics registry; the registry is snapshotted once, into
+``SimulationResult.final_metrics``.
 """
 
 from __future__ import annotations
@@ -97,9 +100,6 @@ class RoundRecord:
     backend: str = ""
     #: faults injected while planning this round.
     fault_events: list[FaultEvent] = field(default_factory=list)
-    #: cumulative metrics snapshot (repro.obs counters/gauges/histograms)
-    #: taken when the round was recorded.
-    metrics: dict[str, float] = field(default_factory=dict)
     #: job id -> goodput the scheduler believed the chosen allocation would
     #: deliver when it planned this round (the goodput ledger's estimate
     #: side; absent for carried-forward plans).

@@ -110,7 +110,7 @@ class TestDiff:
         a = factory(None).run()
         b = factory(None).run()
         b.rounds[0].solve_time = 123.0
-        b.rounds[0].metrics["solve_time_s.mean"] = 9.9
+        b.final_metrics["solve_time_s.mean"] = 9.9
         b.final_metrics["checkpoint.writes"] = 42
         assert diff_results(a, b) == []
 

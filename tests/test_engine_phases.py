@@ -1,10 +1,10 @@
 """The engine round as named phases, timed one way.
 
 Each round's direct child spans are the engine's phases in
-:data:`~repro.obs.tracer.ROUND_PHASES` order; the health tick, the
-invariant audit and the metrics snapshot run directly under ``round``; and
-``solve_time`` comes from the engine's own clock, so untraced runs record
-it too."""
+:data:`~repro.obs.tracer.ROUND_PHASES` order; the health tick and the
+invariant audit run directly under ``round``; the metrics registry is
+snapshotted once, after the last round; and ``solve_time`` comes from the
+engine's own clock, so untraced runs record it too."""
 
 from __future__ import annotations
 
@@ -23,8 +23,7 @@ from repro.sim.invariants import InvariantChecker
 #: methods an outside harness times on their classes; each must run with
 #: ``round`` as the innermost open span, never inside a phase span.
 ROUND_LEVEL_CALLS = ((HealthTracker, "tick"),
-                     (InvariantChecker, "check_round"),
-                     (MetricsRegistry, "snapshot"))
+                     (InvariantChecker, "check_round"))
 
 
 def jobs(n=4, scale=1.0):
@@ -50,7 +49,7 @@ class TestRoundPhases:
         # Innermost open span id at each harness-timed call (None when no
         # span is open, as for the final metrics snapshot).
         innermost: dict[str, list[int | None]] = {}
-        for cls, name in ROUND_LEVEL_CALLS:
+        for cls, name in ROUND_LEVEL_CALLS + ((MetricsRegistry, "snapshot"),):
             seen = innermost.setdefault(name, [])
 
             def wrapper(*args, _method=getattr(cls, name), _seen=seen,
@@ -85,6 +84,8 @@ class TestRoundPhases:
             assert len(in_round) == len(result.rounds), name
             assert {names[span_id] for span_id in in_round} == {"round"}, \
                 name
+        # One snapshot per run, taken after the last round closed.
+        assert innermost["snapshot"] == [None]
 
     def test_carry_forward_nests_in_plan(self, hetero_cluster):
         class Broken(SiaScheduler):

@@ -128,8 +128,8 @@ class TestAlertsRoundtrip:
         cluster = presets.heterogeneous()
         jobs = [make_job("j0", "resnet18", 0.0, work_scale=0.05)]
         engine = SLOEngine([SLORule(
-            name="always", metric="rounds_planned", target=0.0,
-            comparison="<=", window=4, error_budget=0.5, min_samples=1,
+            name="always", metric="solver_fallback_rate", target=1.0,
+            comparison=">=", window=4, error_budget=0.5, min_samples=1,
             cooldown=1)])
         result = simulate(cluster, SiaScheduler(), jobs,
                           observers=[SLOObserver(engine)])

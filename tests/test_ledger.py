@@ -232,8 +232,7 @@ class TestEngineAudit:
             assert record.num_migrations >= 0
 
     def test_alloc_event_metrics_counted(self, sia_result):
-        # Counters snapshot cumulatively; the last round has the total.
-        assert sia_result.rounds[-1].metrics["alloc_events.admit"] == 6
+        assert sia_result.final_metrics["alloc_events.admit"] == 6
 
 
 # -- serialization --------------------------------------------------------------

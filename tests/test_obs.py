@@ -6,7 +6,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import io
 from repro.core.types import AdaptivityMode
 from repro.jobs.job import make_job
 from repro.obs.export import (chrome_trace, read_events_jsonl, run_digest,
@@ -370,18 +369,14 @@ class TestSchedulerSpans:
 # -- simulator metrics --------------------------------------------------------
 
 class TestSimulatorMetrics:
-    def test_round_metrics_snapshots(self, hetero_cluster):
+    def test_final_metrics_cover_every_round(self, hetero_cluster):
         result = simulate(hetero_cluster, SiaScheduler(),
                           [tiny_job("j1"), tiny_job("j2", submit=60.0)])
         assert result.rounds
-        last = result.rounds[-1].metrics
-        assert last["rounds_planned"] == len(result.rounds)
-        assert last["solve_time_s.count"] == len(result.rounds)
-        assert any(k.startswith("util.") for k in last)
-        # Snapshots are cumulative: monotone rounds_planned.
-        planned = [r.metrics["rounds_planned"] for r in result.rounds]
-        assert planned == sorted(planned)
-        assert result.final_metrics == last
+        final = result.final_metrics
+        assert final["rounds_planned"] == len(result.rounds)
+        assert final["solve_time_s.count"] == len(result.rounds)
+        assert any(k.startswith("util.") for k in final)
 
     def test_resilient_metrics_counts_caught_failures(self, hetero_cluster):
         class ExplodingScheduler(SiaScheduler):
@@ -442,19 +437,6 @@ class TestResultAccessors:
         assert stats.total > 0
 
 
-# -- io round trip -------------------------------------------------------------
-
-class TestIoObservability:
-    def test_round_metrics_round_trip(self, hetero_cluster, tmp_path):
-        result = simulate(hetero_cluster, SiaScheduler(), [tiny_job()])
-        path = tmp_path / "result.json"
-        io.save_result(result, path)
-        loaded = io.load_result(path)
-        assert loaded.rounds[-1].metrics == result.rounds[-1].metrics
-        assert loaded.final_metrics == result.final_metrics
-
-
-
 # -- digest -------------------------------------------------------------------
 
 class TestRunDigest:
@@ -488,8 +470,9 @@ class TestRunDigest:
     def test_digest_includes_alert_section(self, hetero_cluster):
         from repro.obs.slo import SLOEngine, SLORule
         from repro.obs.stream import SLOObserver
-        engine = SLOEngine([SLORule(name="always", metric="rounds_planned",
-                                    target=0.0, comparison="<=", window=4,
+        engine = SLOEngine([SLORule(name="always",
+                                    metric="solver_fallback_rate",
+                                    target=1.0, comparison=">=", window=4,
                                     error_budget=0.5, min_samples=1)])
         result = simulate(hetero_cluster, SiaScheduler(), [tiny_job()],
                           observers=[SLOObserver(engine)])

@@ -148,8 +148,8 @@ class TestTelemetryRoundTrips:
         loaded = io.load_result(path)
         assert loaded.final_metrics == result.final_metrics
         assert loaded.backend_counts() == result.backend_counts()
-        assert [r.metrics for r in loaded.rounds] == \
-            [r.metrics for r in result.rounds]
+        assert [r.backend for r in loaded.rounds] == \
+            [r.backend for r in result.rounds]
 
     def test_identical_runs_are_bit_identical(self, hetero_cluster):
         first = self._run(hetero_cluster)

@@ -293,9 +293,9 @@ class TestStreamedArtifacts:
 
     def test_streamed_alerts_load_back(self, hetero_cluster, tmp_path):
         # A rule that trivially fires so the alerts stream is non-empty.
-        rules = [SLORule(name="always", metric="rounds_planned", target=0.0,
-                         comparison="<=", window=4, error_budget=0.5,
-                         min_samples=1, cooldown=1000)]
+        rules = [SLORule(name="always", metric="solver_fallback_rate",
+                         target=1.0, comparison=">=", window=4,
+                         error_budget=0.5, min_samples=1, cooldown=1000)]
         result = streamed_run(hetero_cluster, tmp_path, rules=rules)
         alerts = io.load_alerts(tmp_path / "alerts.jsonl")
         assert alerts == [a for _, a in result.alerts_timeline()]
